@@ -1,8 +1,8 @@
-//! Throughput of the simulator's event queue: the current single-heap
-//! representation (payloads stored inline in `BinaryHeap<HeapEntry>`,
-//! ordered by `(time, seq)`) against the layout it replaced — a heap of
-//! bare `(time, seq)` keys plus a `HashMap<seq, payload>` side table,
-//! one lookup-and-remove per delivery.
+//! Throughput of the simulator's event queue: the production engine
+//! against the layout it first replaced — a heap of bare `(time, seq)`
+//! keys plus a `HashMap<seq, payload>` side table, one lookup-and-remove
+//! per delivery — and, on the broadcast-heavy mix, against itself per
+//! delivered event when whole blocks come out of one pop.
 //!
 //! The workload is a self-sustaining hold model: a queue pre-filled to a
 //! fixed depth where every delivery schedules one successor at a
@@ -13,7 +13,7 @@
 use std::collections::{BinaryHeap, HashMap};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mf_sim::engine::{EventPayload, Sim};
+use mf_sim::engine::{Delivery, EventPayload, Sim};
 
 const DEPTH: usize = 1 << 10;
 
@@ -32,11 +32,39 @@ fn run_single_heap(events: u64) -> u64 {
     }
     let mut acc = 0u64;
     for _ in 0..events {
-        let e = sim.next().expect("queue kept full");
+        let Some(Delivery::One(e)) = sim.pop() else { panic!("queue kept full of timers") };
         acc = acc.wrapping_add(e.at);
         if let EventPayload::Timer { proc, key } = e.payload {
             sim.schedule_timer(proc, lcg(&mut rng) % 1024, key);
         }
+    }
+    acc
+}
+
+/// Machine size of the broadcast-heavy mix (the benchmark's `sim_scale`).
+const BLOCK_PROCS: usize = 256;
+
+/// The status-coherence mix: the queue holds `DEPTH` broadcast blocks,
+/// each pop hands one over whole, the consumer walks its
+/// `BLOCK_PROCS - 1` targets in a tight loop and schedules a successor
+/// block. Counted per delivered event, like the scheduler's ns/event.
+fn run_blocks(events: u64) -> u64 {
+    let mut sim: Sim<u64> = Sim::with_procs(BLOCK_PROCS);
+    let mut rng = 0x2545f4914f6cdd1du64;
+    for k in 0..DEPTH as u64 {
+        let from = lcg(&mut rng) as usize % BLOCK_PROCS;
+        sim.schedule_broadcast(lcg(&mut rng) % 1024, from, BLOCK_PROCS, k);
+    }
+    let mut acc = 0u64;
+    let mut delivered = 0u64;
+    while delivered < events {
+        let Some(Delivery::Block(b)) = sim.pop() else { panic!("queue kept full of blocks") };
+        for to in b.targets() {
+            acc = acc.wrapping_add(b.at ^ to as u64);
+        }
+        delivered += b.len() as u64;
+        let from = lcg(&mut rng) as usize % BLOCK_PROCS;
+        sim.schedule_broadcast(lcg(&mut rng) % 1024, from, BLOCK_PROCS, b.msg);
     }
     acc
 }
@@ -97,6 +125,9 @@ fn bench_event_queue(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("heap_plus_hashmap", events), &events, |b, &n| {
             b.iter(|| run_two_struct(n))
+        });
+        group.bench_with_input(BenchmarkId::new("broadcast_blocks", events), &events, |b, &n| {
+            b.iter(|| run_blocks(n))
         });
     }
     group.finish();

@@ -18,9 +18,9 @@
 
 use mf_bench::sweep::{build_tree, paper_scale_config};
 use mf_core::config::{SlaveSelection, SolverConfig, TaskSelection};
-use mf_core::CoreAlloc;
 use mf_core::mapping::compute_mapping;
 use mf_core::parsim;
+use mf_core::CoreAlloc;
 use mf_order::OrderingKind;
 use mf_sparse::gen::paper::{PaperMatrix, ALL_PAPER_MATRICES};
 

@@ -50,9 +50,9 @@ use mf_bench::sweep::{
     build_tree, paper_scale_config, split_threshold_for, sweep_cell_captured, CellResult,
 };
 use mf_core::config::{RecoveryConfig, SlaveSelection, SolverConfig, TaskSelection};
-use mf_core::CoreAlloc;
 use mf_core::mapping::compute_mapping;
 use mf_core::parsim::{self, RunResult};
+use mf_core::CoreAlloc;
 use mf_order::{OrderingKind, ALL_ORDERINGS};
 use mf_sim::recorder::{EventRef, SchedEvent};
 use mf_sim::{active_before, attribute_peaks, FaultModel, PeakAttribution, Recording};
@@ -243,9 +243,9 @@ fn describe(e: &SchedEvent, p: usize, truth: &[u64]) -> String {
             "proc {to} refreshes its view of p{about} ({} from p{from}, was {age} stale)",
             kind.name()
         ),
-        SchedEvent::CoreGrant { proc, node, cores, busy } => format!(
-            "proc {proc} grants n{node} {cores} core(s) ({busy} peer(s) believed busy)"
-        ),
+        SchedEvent::CoreGrant { proc, node, cores, busy } => {
+            format!("proc {proc} grants n{node} {cores} core(s) ({busy} peer(s) believed busy)")
+        }
         _ => String::new(),
     }
 }
@@ -552,10 +552,7 @@ fn core_timeline(args: &Args) {
         r.makespan,
         100.0 * (r.makespan as f64 - fixed.makespan as f64) / fixed.makespan.max(1) as f64
     );
-    assert_eq!(
-        r.nodes_done, r.total_nodes,
-        "malleable run must finish every front"
-    );
+    assert_eq!(r.nodes_done, r.total_nodes, "malleable run must finish every front");
 }
 
 /// `--check-all`: the acceptance sweep. Every paper matrix, both

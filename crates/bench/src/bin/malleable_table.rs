@@ -71,12 +71,19 @@ fn main() {
     // does not *hurt* when tree-parallelism alone already saturates.
     let grid = grid2d(60, 60, Stencil::Box);
     let grid_perm = OrderingKind::Amd.compute(&grid);
-    let grid_tree =
-        mf_symbolic::analyze(&grid, &grid_perm, &AmalgamationOptions::default()).tree;
+    let grid_tree = mf_symbolic::analyze(&grid, &grid_perm, &AmalgamationOptions::default()).tree;
 
     println!(
         "{:<12} {:>9} {:>9} {:>9} | {:>9} {:>10} {:>7} | {:>9} {:>9}",
-        "matrix", "static1", "static2", "static4", "malleable", "vs best", "result", "oracle8", "vs oracle"
+        "matrix",
+        "static1",
+        "static2",
+        "static4",
+        "malleable",
+        "vs best",
+        "result",
+        "oracle8",
+        "vs oracle"
     );
     let mut wins = 0usize;
     let mut rows = 0usize;

@@ -334,14 +334,13 @@ fn main() {
     // rank-1 reference, interleaved rep for rep so the ratio survives
     // host noise. Reported with percent-of-same-run-roofline, the only
     // stable metric on shared hosts whose absolute rates drift.
-    let panel_rows: Vec<(usize, usize, (f64, f64), (f64, f64))> =
-        [(256usize, 128usize, 24u32), (512, 256, 12), (1024, 512, 5)]
-            .into_iter()
-            .map(|(f, p, reps)| {
-                let (rec, r1) = panel_pair(f, p, reps);
-                (f, p, rec, r1)
-            })
-            .collect();
+    let panel_rows: Vec<_> = [(256usize, 128usize, 24u32), (512, 256, 12), (1024, 512, 5)]
+        .into_iter()
+        .map(|(f, p, reps)| {
+            let (rec, r1) = panel_pair(f, p, reps);
+            (f, p, rec, r1)
+        })
+        .collect();
 
     // GEMM section: the same blocked kernel swept over panel width and
     // within-front thread budget at the acceptance front size, plus the
@@ -411,7 +410,7 @@ fn main() {
     // makespan over the subset is guarded to never regress. Per-cell
     // rows carry events_delivered and the modelled utilization as
     // trajectory fields for `mf-obs diff sweeps`.
-    let mall_rows: Vec<(String, usize, bool, u64, u64, u64, u64, f64)> = specs
+    let mall_rows: Vec<_> = specs
         .iter()
         .map(|&(m, k, nprocs, split, _)| {
             let tree = mf_bench::sweep::build_tree(m, k, split);
@@ -639,7 +638,8 @@ fn main() {
     writeln!(json, "    \"events_delivered\": {events_delivered_total}").unwrap();
     writeln!(json, "  }},").unwrap();
     writeln!(json, "  \"core_alloc\": {{").unwrap();
-    writeln!(json, "    \"guard\": \"summed malleable makespan <= summed static makespan\",").unwrap();
+    writeln!(json, "    \"guard\": \"summed malleable makespan <= summed static makespan\",")
+        .unwrap();
     writeln!(json, "    \"static_makespan_total\": {static_total},").unwrap();
     writeln!(json, "    \"malleable_makespan_total\": {mall_total},").unwrap();
     writeln!(json, "    \"cells_tie_or_win\": {won},").unwrap();

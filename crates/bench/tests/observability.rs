@@ -318,3 +318,41 @@ fn recordings_identical_across_thread_pool_widths() {
         }
     }
 }
+
+/// FNV-1a over the `Debug` rendering of every retained `(at, event)` of
+/// a recording, in order, plus its drop count.
+fn recording_digest(rec: &Recording) -> u64 {
+    use std::fmt::Write as _;
+    let mut line = String::new();
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for te in rec.events() {
+        line.clear();
+        write!(line, "{te:?}").expect("writing to a String cannot fail");
+        h = line.bytes().fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3));
+    }
+    (h ^ rec.dropped()).wrapping_mul(0x0100_0000_01b3)
+}
+
+/// Full-size recordings at the paper's P=32 are pinned to the digests
+/// captured on the commit before broadcast blocks were delivered whole:
+/// block delivery may not move, drop or reorder a single recorded event.
+/// After an intentional schedule change, re-derive with `-- --nocapture`.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release suite: run with --release")]
+fn full_scale_recordings_match_their_pinned_digests() {
+    let cells = [
+        (
+            PaperMatrix::TwoTone,
+            OrderingKind::Amd,
+            [0xc9fe_19de_88a5_d825u64, 0x4e11_9a35_eb78_e84d],
+        ),
+        (PaperMatrix::Ship003, OrderingKind::Metis, [0x33e3_e60e_8355_502f, 0x818a_7132_b81d_8ae1]),
+    ];
+    for (m, k, want) in cells {
+        let c = mf_bench::sweep::sweep_cell_recorded(m, k, 32, None);
+        let got = [&c.baseline, &c.memory]
+            .map(|r| recording_digest(r.recording.as_ref().expect("recorder was on")));
+        eprintln!("{}/{k:?}: [{:#018x}, {:#018x}]", m.name(), got[0], got[1]);
+        assert_eq!(got, want, "{}/{k:?}: recording drifted", m.name());
+    }
+}

@@ -45,9 +45,9 @@ pub mod slavesel;
 pub mod views;
 
 pub use config::{RecoveryConfig, SlaveSelection, SolverConfig, TaskSelection};
-pub use malleable::{compute_ticks, CoreAlloc, SpeedupCurve};
 pub use driver::{run_experiment, ExperimentInput, RunResult};
 pub use error::{ProcDiag, RunDiagnostics, SimError};
+pub use malleable::{compute_ticks, CoreAlloc, SpeedupCurve};
 pub use mapping::StaticMapping;
 pub use recovery::{
     digest_factors, Membership, MembershipChange, ObligationLedger, RecoveryPlan, RecoverySnapshot,

@@ -20,7 +20,7 @@ use crate::proto::{
 use crate::recovery::{digest_factors, Membership, MembershipChange, RecoverySnapshot};
 use mf_sim::recorder::TaskRole;
 use mf_sim::{
-    CompactEvent, Event, EventPayload, EventQueue, FaultInjector, MsgClass, NetworkModel,
+    CompactEvent, Delivery, Event, EventPayload, EventQueue, FaultInjector, MsgClass, NetworkModel,
     ProcMemory, Recording, RunMetrics, RunTimeseries, SampleRow, Sim, SingleHeapSim, Time, Trace,
     DEFAULT_SERIES_CAPACITY,
 };
@@ -616,6 +616,39 @@ fn join_proc<Q: EventQueue<Msg>>(
     Ok(())
 }
 
+/// Fronts completed so far, over the surviving processors only (a dead
+/// processor's completions were recomputed elsewhere and must not
+/// double-count).
+fn fronts_done(cores: &[SchedulerCore<'_>], ms: Option<&Membership>) -> usize {
+    cores.iter().filter(|c| ms.is_none_or(|m| m.alive[c.id()])).map(|c| c.nodes_done()).sum()
+}
+
+/// Advances the fault schedule by one delivered event: the schedule is
+/// keyed on delivered-event indices, and scheduled kills and joins fire
+/// before the event they precede is processed. Returns whether the
+/// membership changed.
+fn fire_due_membership<Q: EventQueue<Msg>>(
+    drv: &mut SimDriver<'_, Q>,
+    cores: &mut [SchedulerCore<'_>],
+    ms: &mut Membership,
+    tree: &AssemblyTree,
+    map: &crate::mapping::StaticMapping,
+    n: usize,
+) -> Result<bool, SimError> {
+    ms.delivered += 1;
+    let idx = ms.delivered;
+    let mut changed = false;
+    while let Some(d) = ms.take_due_kill(idx) {
+        kill_proc(drv, cores, ms, d);
+        changed = true;
+    }
+    while let Some(q) = ms.take_due_join(idx) {
+        join_proc(drv, cores, ms, tree, map, n, q)?;
+        changed = true;
+    }
+    Ok(changed)
+}
+
 fn diagnostics<Q: EventQueue<Msg>>(
     drv: &SimDriver<'_, Q>,
     cores: &[SchedulerCore<'_>],
@@ -703,68 +736,120 @@ fn run_on<Q: EventQueue<Msg>>(
             return Err(error_of(&drv, &cores, n, v));
         }
     }
+    // Fronts done over the survivors, kept current by the driver: a step
+    // moves only the stepped core's count, so the sum is refreshed from
+    // that core alone and recomputed only when membership changes who (or
+    // what) is counted.
+    let mut done = fronts_done(&cores, membership.as_ref());
     'run: loop {
-        while let Some(Event { at, payload }) = drv.sim.pop() {
-            if let Some(ms) = membership.as_mut() {
-                // The fault schedule is keyed on delivered-event indices:
-                // scheduled kills and joins fire before the event they
-                // precede is processed.
-                ms.delivered += 1;
-                let idx = ms.delivered;
-                while let Some(d) = ms.take_due_kill(idx) {
-                    kill_proc(&mut drv, &cores, ms, d);
-                }
-                while let Some(q) = ms.take_due_join(idx) {
-                    join_proc(&mut drv, &mut cores, ms, tree, map, n, q)?;
-                }
-            }
-            // Quiescence accounting: everything except failure-detector
-            // chatter counts as a live event.
-            match &payload {
-                EventPayload::Message { msg, .. } if !matches!(msg, Msg::Heartbeat) => {
-                    drv.live_events -= 1;
-                }
-                EventPayload::Timer { key, .. } if *key < TIMER_SAMPLE => drv.live_events -= 1,
-                _ => {}
-            }
-            let (p, input) = match payload {
-                EventPayload::Message { from, to, msg } => {
-                    if let Some(ms) = membership.as_ref() {
-                        if !ms.alive[from] || !ms.alive[to] {
-                            continue; // a dead endpoint: the message is lost
-                        }
-                        if !ms.joined[to] {
-                            drv.buffered[to].push((from, msg));
-                            continue; // parked until the join
+        while let Some(delivery) = drv.sim.pop() {
+            // `any`: some event of this pop reached a core; `last`: the
+            // final one did (an event with a dead or dormant endpoint
+            // reaches nobody and skips the per-event epilogue below).
+            let (any, last) = match delivery {
+                Delivery::One(Event { at, payload }) => {
+                    if let Some(ms) = membership.as_mut() {
+                        if fire_due_membership(&mut drv, &mut cores, ms, tree, map, n)? {
+                            done = fronts_done(&cores, Some(ms));
                         }
                     }
-                    (to, Input::Deliver { from, msg })
-                }
-                EventPayload::Timer { proc, key } => {
-                    if let Some(ms) = membership.as_ref() {
-                        if !ms.alive[proc] || !ms.joined[proc] {
-                            continue; // a dead processor's timers are void
+                    // Quiescence accounting: everything except
+                    // failure-detector chatter counts as a live event.
+                    match &payload {
+                        EventPayload::Message { msg, .. } if !matches!(msg, Msg::Heartbeat) => {
+                            drv.live_events -= 1;
                         }
+                        EventPayload::Timer { key, .. } if *key < TIMER_SAMPLE => {
+                            drv.live_events -= 1
+                        }
+                        _ => {}
                     }
-                    (proc, Input::TimerFired { key })
+                    let (p, input) = match payload {
+                        EventPayload::Message { from, to, msg } => {
+                            if let Some(ms) = membership.as_ref() {
+                                if !ms.alive[from] || !ms.alive[to] {
+                                    continue; // a dead endpoint: the message is lost
+                                }
+                                if !ms.joined[to] {
+                                    drv.buffered[to].push((from, msg));
+                                    continue; // parked until the join
+                                }
+                            }
+                            (to, Input::Deliver { from, msg })
+                        }
+                        EventPayload::Timer { proc, key } => {
+                            if let Some(ms) = membership.as_ref() {
+                                if !ms.alive[proc] || !ms.joined[proc] {
+                                    continue; // a dead processor's timers are void
+                                }
+                            }
+                            (proc, Input::TimerFired { key })
+                        }
+                    };
+                    let before = cores[p].nodes_done();
+                    drv.step(&mut cores[p], at, input);
+                    if let Some(v) = cores[p].take_violation() {
+                        return Err(error_of(&drv, &cores, n, v));
+                    }
+                    done = done - before + cores[p].nodes_done();
+                    (true, true)
+                }
+                // A broadcast block, delivered as one tight loop. Exact:
+                // its targets hold contiguous sequence numbers at one
+                // instant, and a status apply emits nothing but its
+                // `Record`, schedules nothing, and cannot move `done`,
+                // `pending_dead`, a violation or the clock — so of the
+                // per-event epilogues only the last target's can act.
+                Delivery::Block(block) => {
+                    let Msg::Status(delta) = block.msg else {
+                        unreachable!("broadcast is status-only");
+                    };
+                    let (at, from) = (block.at, block.from);
+                    let (mut any, mut last) = (false, false);
+                    for to in block.targets() {
+                        last = false;
+                        if let Some(ms) = membership.as_mut() {
+                            if fire_due_membership(&mut drv, &mut cores, ms, tree, map, n)? {
+                                done = fronts_done(&cores, Some(ms));
+                            }
+                        }
+                        drv.live_events -= 1;
+                        if let Some(ms) = membership.as_ref() {
+                            if !ms.alive[from] || !ms.alive[to] {
+                                continue; // a dead endpoint: the message is lost
+                            }
+                            if !ms.joined[to] {
+                                drv.buffered[to].push((from, Msg::Status(delta)));
+                                continue; // parked until the join
+                            }
+                        }
+                        if let Some(age) = cores[to].apply_status(at, from, delta) {
+                            let (about, (kind, _)) = (delta.about(from), delta.kind());
+                            drv.record(|| CompactEvent::status_apply(to, from, about, kind, age));
+                        }
+                        (any, last) = (true, true);
+                    }
+                    (any, last)
                 }
             };
-            drv.step(&mut cores[p], at, input);
-            if let Some(v) = cores[p].take_violation() {
-                return Err(error_of(&drv, &cores, n, v));
-            }
-            if let Some(ms) = membership.as_mut() {
-                if !drv.pending_dead.is_empty() {
-                    process_deaths(&mut drv, &mut cores, ms, tree, n)?;
+            if any {
+                if let Some(ms) = membership.as_mut() {
+                    if !drv.pending_dead.is_empty() {
+                        process_deaths(&mut drv, &mut cores, ms, tree, n)?;
+                        done = fronts_done(&cores, Some(ms));
+                    }
+                } else {
+                    debug_assert!(drv.pending_dead.is_empty(), "DeclareDead without recovery");
                 }
-            } else {
-                debug_assert!(drv.pending_dead.is_empty(), "DeclareDead without recovery");
-            }
-            if let Some(limit) = cfg.time_limit {
-                if drv.sim.now() > limit {
-                    let diag = Box::new(diagnostics(&drv, &cores, n));
-                    return Err(SimError::TimeLimit { limit, diag });
+                if let Some(limit) = cfg.time_limit {
+                    if drv.sim.now() > limit {
+                        let diag = Box::new(diagnostics(&drv, &cores, n));
+                        return Err(SimError::TimeLimit { limit, diag });
+                    }
                 }
+            }
+            if !last {
+                continue;
             }
             if let Some(ms) = membership.as_mut() {
                 // Membership-aware termination: with recovery configured
@@ -772,8 +857,6 @@ fn run_on<Q: EventQueue<Msg>>(
                 // so completion is checked per event — over the survivors
                 // only (a dead processor's completions were recomputed
                 // elsewhere and must not double-count).
-                let done: usize =
-                    (0..cfg.nprocs).filter(|&p| ms.alive[p]).map(|p| cores[p].nodes_done()).sum();
                 if done >= n {
                     // Keep draining in-flight live traffic so the final
                     // time matches the recovery-off run exactly; the
@@ -806,7 +889,7 @@ fn run_on<Q: EventQueue<Msg>>(
                         }
                     }
                 }
-            } else if cfg.sample_every.is_some() {
+            } else if cfg.sample_every.is_some() && done >= n {
                 // Sampler-aware termination: without membership the
                 // sampler's self-re-arming timer chain never lets the
                 // queue drain, so completion is checked per event. Once
@@ -814,25 +897,16 @@ fn run_on<Q: EventQueue<Msg>>(
                 // (`finishing`) and the run breaks the moment the last
                 // live event is processed — the clock never advances
                 // past the sampler-off makespan.
-                let done: usize = cores.iter().map(|c| c.nodes_done()).sum();
-                if done >= n {
-                    drv.finishing = true;
-                    if drv.live_events == 0 {
-                        break 'run;
-                    }
+                drv.finishing = true;
+                if drv.live_events == 0 {
+                    break 'run;
                 }
             }
         }
         // The queue drained (the recovery-off path — with recovery on it
         // only happens once a partitioned driver stops re-arming the
         // detector).
-        let nodes_done: usize = match membership.as_ref() {
-            Some(ms) => {
-                (0..cfg.nprocs).filter(|&p| ms.alive[p]).map(|p| cores[p].nodes_done()).sum()
-            }
-            None => cores.iter().map(|c| c.nodes_done()).sum(),
-        };
-        if nodes_done >= n {
+        if done >= n {
             break;
         }
         // A scheduled join whose event index was never reached fires now:
@@ -840,6 +914,7 @@ fn run_on<Q: EventQueue<Msg>>(
         if let Some(ms) = membership.as_mut() {
             if let Some(q) = ms.take_next_join() {
                 join_proc(&mut drv, &mut cores, ms, tree, map, n, q)?;
+                done = fronts_done(&cores, Some(ms));
                 continue;
             }
         }
@@ -880,7 +955,7 @@ fn run_on<Q: EventQueue<Msg>>(
         (0..cfg.nprocs).filter(|&p| alive(p)).map(|p| cores[p].factors_by_node()),
         n,
     );
-    let nodes_done = (0..cfg.nprocs).filter(|&p| alive(p)).map(|p| cores[p].nodes_done()).sum();
+    let nodes_done = fronts_done(&cores, membership.as_ref());
     Ok(RunResult {
         total_peaks,
         factor_entries,

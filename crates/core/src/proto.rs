@@ -469,8 +469,6 @@ pub struct SchedulerCore<'a> {
     /// Join state per processor (procs scheduled to join later start
     /// dormant; dormant procs are unreachable but not dead).
     joined: Vec<bool>,
-    /// Last time each peer was heard from (any delivered message).
-    last_heard: Vec<Time>,
     /// Whether the heartbeat/lease timers were armed (once, on the first
     /// tick of a recovery-configured run).
     timers_armed: bool,
@@ -560,7 +558,6 @@ impl<'a> SchedulerCore<'a> {
                 }
                 j
             },
-            last_heard: vec![0; cfg.nprocs],
             timers_armed: false,
             sampler_armed: false,
             owners: map.owner.clone(),
@@ -587,7 +584,7 @@ impl<'a> SchedulerCore<'a> {
             }
             Input::Deliver { from, msg } => {
                 if from != self.id {
-                    self.last_heard[from] = now;
+                    self.views[from].last_heard = now;
                 }
                 self.deliver(from, msg);
             }
@@ -601,6 +598,25 @@ impl<'a> SchedulerCore<'a> {
             Input::Migrate { m } => self.apply_migration(&m),
         }
         self.out.drain(..)
+    }
+
+    /// Applies a delivered status delta: exactly what
+    /// `handle(now, Deliver { from, msg: Msg::Status(delta) })` does to
+    /// the core, without the effect buffer. A status apply emits nothing
+    /// but the recorder's `StatusApply`, which the caller builds from the
+    /// returned age of the belief replaced — `None` when the delta is
+    /// about this core itself (an `Assigned` reaching the enrolled slave,
+    /// whose self-view is exact). `handle` delegates here, so a driver
+    /// that delivers a whole broadcast block through this entry point and
+    /// one that feeds `handle` per message leave identical cores.
+    #[inline]
+    pub fn apply_status(&mut self, now: Time, from: usize, delta: StatusDelta) -> Option<Time> {
+        self.now = now;
+        if from != self.id {
+            self.views[from].last_heard = now;
+        }
+        let about = delta.about(from);
+        (about != self.id).then(|| self.views.apply(about, delta, now))
     }
 
     // ---------- driver-facing accessors ----------
@@ -636,6 +652,11 @@ impl<'a> SchedulerCore<'a> {
     /// The core's exact memory accounting.
     pub fn memory(&self) -> &ProcMemory {
         &self.mem
+    }
+
+    /// The core's (stale) beliefs about its peers, lease stamps included.
+    pub fn views(&self) -> &Views {
+        &self.views
     }
 
     /// Out-of-core mode: virtual time until which this processor's disk
@@ -777,7 +798,7 @@ impl<'a> SchedulerCore<'a> {
         self.timers_armed = true;
         let now = self.now;
         for p in 0..self.cfg.nprocs {
-            self.last_heard[p] = now;
+            self.views[p].last_heard = now;
         }
         self.out.push(Effect::Arm { key: TIMER_HEARTBEAT, after: rc.heartbeat_every });
         self.out.push(Effect::Arm { key: TIMER_LEASE, after: rc.heartbeat_every });
@@ -835,7 +856,7 @@ impl<'a> SchedulerCore<'a> {
         for q in 0..self.cfg.nprocs {
             if q != self.id
                 && self.reachable(q)
-                && self.now.saturating_sub(self.last_heard[q]) > timeout
+                && self.now.saturating_sub(self.views[q].last_heard) > timeout
             {
                 self.out.push(Effect::DeclareDead { proc: q });
             }
@@ -887,7 +908,7 @@ impl<'a> SchedulerCore<'a> {
                     if self.map.subtree_of[node] == Some(s) {
                         self.current_subtree = None;
                         if self.cfg.use_subtree_info {
-                            self.views.subtree[self.id] = 0;
+                            self.views[self.id].subtree = 0;
                             self.broadcast(Msg::Status(StatusDelta::Subtree { peak: 0 }), 16);
                         }
                     }
@@ -1032,10 +1053,10 @@ impl<'a> SchedulerCore<'a> {
         let now = self.now;
         if proc == self.id {
             for p in 0..self.cfg.nprocs {
-                self.last_heard[p] = now;
+                self.views[p].last_heard = now;
             }
         } else {
-            self.last_heard[proc] = now;
+            self.views[proc].last_heard = now;
         }
     }
 
@@ -1103,7 +1124,7 @@ impl<'a> SchedulerCore<'a> {
                     return 1;
                 }
                 let busy = (0..self.alive.len())
-                    .filter(|&q| self.alive[q] && self.joined[q] && self.views.load[q] > 0)
+                    .filter(|&q| self.alive[q] && self.joined[q] && self.views[q].load > 0)
                     .count()
                     .max(1);
                 let grant = (pool_cores / busy).clamp(1, max_per_front.max(1)) as u32;
@@ -1183,7 +1204,7 @@ impl<'a> SchedulerCore<'a> {
             return;
         }
         let active = self.mem.active();
-        self.views.mem[self.id] = active;
+        self.views[self.id].mem = active;
         // The self-view is exact: keep its freshness stamp current so
         // decision-time staleness reads 0 for the deciding processor.
         self.views.touch(self.id, self.now);
@@ -1370,7 +1391,7 @@ impl<'a> SchedulerCore<'a> {
                     // Broadcast the absolute level this stack is heading
                     // to (base + subtree peak), Section 5.1.
                     let peak = self.subtree_base + self.map.subtree_peak[s];
-                    self.views.subtree[self.id] = peak;
+                    self.views[self.id].subtree = peak;
                     self.broadcast(Msg::Status(StatusDelta::Subtree { peak }), 16);
                 }
             }
@@ -1440,7 +1461,7 @@ impl<'a> SchedulerCore<'a> {
                         a.offset,
                         a.nrows,
                     );
-                    self.views.mem[a.proc] + entries > cap
+                    self.views[a.proc].mem + entries > cap
                 })
                 .map(|a| a.proc)
                 .collect();
@@ -1699,7 +1720,7 @@ impl<'a> SchedulerCore<'a> {
             if self.map.subtree_roots[s] == node {
                 self.current_subtree = None;
                 if self.cfg.use_subtree_info {
-                    self.views.subtree[self.id] = 0;
+                    self.views[self.id].subtree = 0;
                     self.broadcast(Msg::Status(StatusDelta::Subtree { peak: 0 }), 16);
                 }
             }
@@ -1791,7 +1812,7 @@ impl<'a> SchedulerCore<'a> {
                 self.out.push(Effect::Alloc { node, area: MemArea::Front, entries });
                 self.mem.alloc_front(self.now, entries);
                 let active = self.mem.active();
-                self.views.mem[to] = active;
+                self.views[to].mem = active;
                 self.views.touch(to, self.now);
                 self.metrics.me.slave_tasks += 1;
                 self.load_change(flops_share as i64);
@@ -1827,14 +1848,8 @@ impl<'a> SchedulerCore<'a> {
                 self.try_start();
             }
             Msg::Status(d) => {
-                // One-slot coherence update. The subject is the sender
-                // except for Assigned, which describes the enrolled
-                // slave — and the slave itself skips it: its self-view
-                // is exact.
-                let about = d.about(from);
-                if about != to {
-                    let age = self.views.apply(about, d, self.now);
-                    let (kind, _) = d.kind();
+                if let Some(age) = self.apply_status(self.now, from, d) {
+                    let (about, (kind, _)) = (d.about(from), d.kind());
                     self.emit_record(|| CompactEvent::status_apply(to, from, about, kind, age));
                 }
             }
@@ -1891,8 +1906,8 @@ impl<'a> SchedulerCore<'a> {
 
     fn rebroadcast_prediction(&mut self) {
         let max = self.soon.values().copied().max().unwrap_or(0);
-        if self.views.predicted[self.id] != max {
-            self.views.predicted[self.id] = max;
+        if self.views[self.id].predicted != max {
+            self.views[self.id].predicted = max;
             self.broadcast(Msg::Status(StatusDelta::Predicted { cost: max }), 16);
         }
     }

@@ -239,7 +239,7 @@ impl SlaveSelector for WorkloadSelector {
     }
 
     fn select(&self, ctx: &SlaveCtx<'_>) -> (Vec<SlaveAssignment>, Vec<u64>) {
-        let metric: Vec<u64> = (0..ctx.nprocs).map(|q| ctx.views.load[q]).collect();
+        let metric: Vec<u64> = ctx.views.iter().map(|v| v.load).collect();
         let assignment = select_workload(&input_of(ctx, &metric, None));
         (assignment, metric)
     }
@@ -257,7 +257,8 @@ impl SlaveSelector for MemorySelector {
         let metric: Vec<u64> = (0..ctx.nprocs)
             .map(|q| ctx.views.memory_metric(q, ctx.use_subtree_info, ctx.use_prediction))
             .collect();
-        let assignment = select_memory(&input_of(ctx, &metric, Some(&ctx.views.mem)));
+        let mem: Vec<u64> = ctx.views.iter().map(|v| v.mem).collect();
+        let assignment = select_memory(&input_of(ctx, &metric, Some(&mem)));
         (assignment, metric)
     }
 }
@@ -275,8 +276,10 @@ impl SlaveSelector for HybridSelector {
         let metric: Vec<u64> = (0..ctx.nprocs)
             .map(|q| ctx.views.memory_metric(q, ctx.use_subtree_info, ctx.use_prediction))
             .collect();
-        let input = input_of(ctx, &metric, Some(&ctx.views.mem));
-        let assignment = select_hybrid(&input, &ctx.views.load, ctx.views.load[ctx.master]);
+        let mem: Vec<u64> = ctx.views.iter().map(|v| v.mem).collect();
+        let load: Vec<u64> = ctx.views.iter().map(|v| v.load).collect();
+        let input = input_of(ctx, &metric, Some(&mem));
+        let assignment = select_hybrid(&input, &load, load[ctx.master]);
         (assignment, metric)
     }
 }

@@ -12,8 +12,8 @@ use mf_sim::{StatusKind, Time};
 
 /// One index-based status update: which belief slot changes and by how
 /// much. This is the compact payload every status broadcast carries —
-/// applying one touches exactly one processor's entry of one vector (plus
-/// its staleness stamp), never a full-vector write.
+/// applying one touches exactly one field of one [`PeerView`] (plus its
+/// staleness stamp), never a full-vector write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StatusDelta {
     /// Active-memory increment of the subject (Section 4).
@@ -71,27 +71,56 @@ impl StatusDelta {
     }
 }
 
-/// One processor's beliefs about the whole machine (its own entries are
-/// kept exact by the state machine).
-#[derive(Debug, Clone)]
+/// What one processor believes about one peer, plus when it last heard
+/// from it: everything a delivered status delta touches, side by side in
+/// 48 bytes, so an apply costs the receiver one cache line (two when the
+/// entry straddles) whatever the machine size. Deliberately not padded
+/// to a 64-byte line: a broadcast walks entry `from` of *every*
+/// receiver's table, and power-of-two-sized tables put those entries in
+/// the same cache sets (measured 2x slower at 1024 processors).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PeerView {
+    /// Believed active memory (entries).
+    pub mem: u64,
+    /// Believed workload (flops still to do).
+    pub load: u64,
+    /// Believed memory *projection* of the peer's current subtree: the
+    /// absolute level its stack will reach before the subtree ends (base
+    /// memory at subtree entry + subtree peak; Section 5.1; 0 when the
+    /// peer is not inside a subtree).
+    pub subtree: u64,
+    /// Believed cost of the largest master task about to activate on the
+    /// peer (Section 5.1; 0 when none).
+    pub predicted: u64,
+    /// Instant this entry was last refreshed by an applied status
+    /// message (0 until the first refresh). The gap between this and
+    /// *now* is the view staleness of Figure 5 — the observability layer
+    /// records it at every decision.
+    pub updated_at: Time,
+    /// Last time any message from the peer was delivered (the failure
+    /// detector's lease stamp).
+    pub last_heard: Time,
+}
+
+/// One processor's beliefs about the whole machine, indexed by processor
+/// id (its own entry is kept exact by the state machine).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Views {
-    /// Believed active memory (entries) of each processor.
-    pub mem: Vec<u64>,
-    /// Believed workload (flops still to do) of each processor.
-    pub load: Vec<u64>,
-    /// Believed memory *projection* of each processor's current subtree:
-    /// the absolute level its stack will reach before the subtree ends
-    /// (base memory at subtree entry + subtree peak; Section 5.1;
-    /// 0 when the processor is not inside a subtree).
-    pub subtree: Vec<u64>,
-    /// Believed cost of the largest master task about to activate on each
-    /// processor (Section 5.1; 0 when none).
-    pub predicted: Vec<u64>,
-    /// Instant each processor's entry was last refreshed by an applied
-    /// status message (0 until the first refresh). The gap between this
-    /// and *now* is the view staleness of Figure 5 — the observability
-    /// layer records it at every decision.
-    pub updated_at: Vec<Time>,
+    peers: Vec<PeerView>,
+}
+
+impl std::ops::Index<usize> for Views {
+    type Output = PeerView;
+
+    fn index(&self, p: usize) -> &PeerView {
+        &self.peers[p]
+    }
+}
+
+impl std::ops::IndexMut<usize> for Views {
+    fn index_mut(&mut self, p: usize) -> &mut PeerView {
+        &mut self.peers[p]
+    }
 }
 
 impl Views {
@@ -99,50 +128,59 @@ impl Views {
     pub fn new(nprocs: usize, initial_load: &[u64]) -> Self {
         assert_eq!(initial_load.len(), nprocs);
         Views {
-            mem: vec![0; nprocs],
-            load: initial_load.to_vec(),
-            subtree: vec![0; nprocs],
-            predicted: vec![0; nprocs],
-            updated_at: vec![0; nprocs],
+            peers: initial_load
+                .iter()
+                .map(|&load| PeerView { load, ..Default::default() })
+                .collect(),
         }
+    }
+
+    /// Every processor's entry, in processor order.
+    pub fn iter(&self) -> std::slice::Iter<'_, PeerView> {
+        self.peers.iter()
     }
 
     /// Marks processor `p`'s entry as refreshed at `now`, returning the
     /// age of the belief it replaced.
     pub fn touch(&mut self, p: usize, now: Time) -> Time {
-        let age = now.saturating_sub(self.updated_at[p]);
-        self.updated_at[p] = now;
+        let v = &mut self.peers[p];
+        let age = now.saturating_sub(v.updated_at);
+        v.updated_at = now;
         age
     }
 
     /// Ticks since processor `p`'s entry was last refreshed.
     pub fn age(&self, p: usize, now: Time) -> Time {
-        now.saturating_sub(self.updated_at[p])
+        now.saturating_sub(self.peers[p].updated_at)
     }
 
     /// Applies a (possibly negative) memory increment for processor `p`.
     pub fn apply_mem_delta(&mut self, p: usize, delta: i64) {
-        self.mem[p] = add_signed(self.mem[p], delta);
+        let v = &mut self.peers[p];
+        v.mem = add_signed(v.mem, delta);
     }
 
     /// Applies a workload increment for processor `p`.
     pub fn apply_load_delta(&mut self, p: usize, delta: i64) {
-        self.load[p] = add_signed(self.load[p], delta);
+        let v = &mut self.peers[p];
+        v.load = add_signed(v.load, delta);
     }
 
     /// Applies one status delta about processor `about`, stamping that
     /// entry's refresh instant and returning the age of the belief it
     /// replaced (the recorder's staleness figure). This is the single
-    /// mutation path of the coherence protocol: one slot of one vector
-    /// plus `updated_at[about]`, regardless of the machine size.
+    /// mutation path of the coherence protocol: one field of one
+    /// [`PeerView`] plus its `updated_at`, regardless of the machine size.
     pub fn apply(&mut self, about: usize, delta: StatusDelta, now: Time) -> Time {
-        let age = self.touch(about, now);
+        let v = &mut self.peers[about];
+        let age = now.saturating_sub(v.updated_at);
+        v.updated_at = now;
         match delta {
-            StatusDelta::Mem { delta } => self.apply_mem_delta(about, delta),
-            StatusDelta::Load { delta } => self.apply_load_delta(about, delta),
-            StatusDelta::Subtree { peak } => self.subtree[about] = peak,
-            StatusDelta::Predicted { cost } => self.predicted[about] = cost,
-            StatusDelta::Assigned { entries, .. } => self.apply_mem_delta(about, entries as i64),
+            StatusDelta::Mem { delta } => v.mem = add_signed(v.mem, delta),
+            StatusDelta::Load { delta } => v.load = add_signed(v.load, delta),
+            StatusDelta::Subtree { peak } => v.subtree = peak,
+            StatusDelta::Predicted { cost } => v.predicted = cost,
+            StatusDelta::Assigned { entries, .. } => v.mem = add_signed(v.mem, entries as i64),
         }
         age
     }
@@ -152,12 +190,13 @@ impl Views {
     /// processor is known to be heading to), plus the predicted cost of
     /// its next master task when enabled (Section 5.1).
     pub fn memory_metric(&self, p: usize, use_subtree: bool, use_prediction: bool) -> u64 {
-        let mut m = self.mem[p];
+        let v = &self.peers[p];
+        let mut m = v.mem;
         if use_subtree {
-            m = m.max(self.subtree[p]);
+            m = m.max(v.subtree);
         }
         if use_prediction {
-            m += self.predicted[p];
+            m += v.predicted;
         }
         m
     }
@@ -175,12 +214,17 @@ fn add_signed(value: u64, delta: i64) -> u64 {
 mod tests {
     use super::*;
 
+    /// One field of every entry, in processor order.
+    fn col(v: &Views, f: impl Fn(&PeerView) -> u64) -> Vec<u64> {
+        v.iter().map(f).collect()
+    }
+
     #[test]
     fn deltas_accumulate() {
         let mut v = Views::new(3, &[0, 0, 0]);
         v.apply_mem_delta(1, 100);
         v.apply_mem_delta(1, -30);
-        assert_eq!(v.mem[1], 70);
+        assert_eq!(v[1].mem, 70);
     }
 
     #[test]
@@ -189,15 +233,13 @@ mod tests {
         // negative; the view clamps instead of panicking.
         let mut v = Views::new(1, &[0]);
         v.apply_mem_delta(0, -5);
-        assert_eq!(v.mem[0], 0);
+        assert_eq!(v[0].mem, 0);
     }
 
     #[test]
     fn metric_composition() {
         let mut v = Views::new(2, &[0, 0]);
-        v.mem[1] = 10;
-        v.subtree[1] = 100;
-        v.predicted[1] = 1000;
+        v[1] = PeerView { mem: 10, subtree: 100, predicted: 1000, ..v[1] };
         assert_eq!(v.memory_metric(1, false, false), 10);
         assert_eq!(v.memory_metric(1, true, false), 100);
         assert_eq!(v.memory_metric(1, false, true), 1010);
@@ -207,7 +249,7 @@ mod tests {
     #[test]
     fn initial_load_is_respected() {
         let v = Views::new(2, &[5, 7]);
-        assert_eq!(v.load, vec![5, 7]);
+        assert_eq!(col(&v, |p| p.load), vec![5, 7]);
     }
 
     #[test]
@@ -215,18 +257,19 @@ mod tests {
         let mut v = Views::new(3, &[0, 0, 0]);
         let age = v.apply(1, StatusDelta::Mem { delta: 40 }, 25);
         assert_eq!(age, 25, "replaced the initial (t=0) belief");
-        assert_eq!(v.mem, vec![0, 40, 0]);
-        assert_eq!(v.updated_at, vec![0, 25, 0]);
+        assert_eq!(col(&v, |p| p.mem), vec![0, 40, 0]);
+        assert_eq!(col(&v, |p| p.updated_at), vec![0, 25, 0]);
         v.apply(1, StatusDelta::Subtree { peak: 99 }, 30);
-        assert_eq!(v.subtree, vec![0, 99, 0]);
+        assert_eq!(col(&v, |p| p.subtree), vec![0, 99, 0]);
         v.apply(1, StatusDelta::Predicted { cost: 7 }, 31);
-        assert_eq!(v.predicted, vec![0, 7, 0]);
+        assert_eq!(col(&v, |p| p.predicted), vec![0, 7, 0]);
         v.apply(1, StatusDelta::Load { delta: -3 }, 32);
-        assert_eq!(v.load[1], 0, "negative overshoot saturates through apply too");
+        assert_eq!(v[1].load, 0, "negative overshoot saturates through apply too");
         // Assigned credits the enrolled slave's memory belief.
         let age = v.apply(2, StatusDelta::Assigned { proc: 2, entries: 11 }, 40);
         assert_eq!(age, 40);
-        assert_eq!(v.mem, vec![0, 40, 11]);
+        assert_eq!(col(&v, |p| p.mem), vec![0, 40, 11]);
+        assert_eq!(col(&v, |p| p.last_heard), vec![0; 3], "leases are the core's to stamp");
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //!
 //! * **Raw queue order** — for arbitrary interleavings of point-to-point
 //!   messages, timers, and broadcasts, the two engines pop the exact same
-//!   event sequence. Bit-equality is the strongest legal tie-break of the
-//!   `(time, insertion order)` contract: every FIFO tie resolves the same
-//!   way on both.
+//!   event sequence, whether a broadcast block is taken whole (`pop`) or
+//!   unrolled per target (`Iterator`). Bit-equality is the strongest
+//!   legal tie-break of the `(time, insertion order)` contract: every
+//!   FIFO tie resolves the same way on both.
 //! * **Whole runs** — [`parsim::run`] (lanes) and [`parsim::run_reference`]
 //!   (single heap) produce identical `RunResult`s field for field — peaks,
 //!   makespan, traffic, metrics, recordings, digests — across random
@@ -18,7 +19,7 @@ use mf_core::config::{RecoveryConfig, SlaveSelection, SolverConfig, TaskSelectio
 use mf_core::mapping::compute_mapping;
 use mf_core::parsim::{self, RunResult};
 use mf_order::OrderingKind;
-use mf_sim::engine::{EventPayload, Sim, SingleHeapSim};
+use mf_sim::engine::{Delivery, EventPayload, Sim, SingleHeapSim};
 use mf_sim::FaultModel;
 use mf_sparse::gen::grid::{grid2d, Stencil};
 use mf_symbolic::seqstack::{apply_liu_order, AssemblyDiscipline};
@@ -176,6 +177,48 @@ proptest! {
         prop_assert_eq!(lanes.delivered(), heap.delivered());
         prop_assert_eq!(lanes.now(), heap.now());
     }
+
+    /// The block seam: popping the lane engine entry by entry — blocks
+    /// handed over whole, then unrolled by the adapter — yields exactly
+    /// the per-target sequence the single heap's per-event iteration
+    /// does, with the counters agreeing after every pop, including under
+    /// reactive pushes scheduled between blocks.
+    #[test]
+    fn block_pop_unrolls_to_the_single_heap_order(
+        nprocs in 2usize..24,
+        ops in prop::collection::vec((0usize..3, 0u64..40, 0usize..24, any::<u64>()), 1..120),
+        reschedule_each in 0u64..4,
+    ) {
+        let mut lanes: Sim<u64> = Sim::with_procs(nprocs);
+        let mut heap: SingleHeapSim<u64> = SingleHeapSim::new();
+        for (i, &op) in ops.iter().enumerate() {
+            apply_op(op, nprocs, &mut lanes, &mut heap, i as u64);
+        }
+        let mut pops = 0u64;
+        let mut pending_ops: Vec<Op> = ops.iter().rev().copied().collect();
+        while let Some(delivery) = lanes.pop() {
+            match delivery {
+                Delivery::One(e) => prop_assert_eq!(Some(e), heap.next()),
+                Delivery::Block(b) => {
+                    prop_assert_eq!(b.len(), nprocs - 1);
+                    prop_assert_eq!(b.at, lanes.now());
+                    for e in b.unroll() {
+                        prop_assert_eq!(Some(e), heap.next());
+                    }
+                }
+            }
+            prop_assert_eq!(lanes.pending(), heap.pending());
+            prop_assert_eq!(lanes.delivered(), heap.delivered());
+            pops += 1;
+            if pops % 5 < reschedule_each {
+                if let Some(op) = pending_ops.pop() {
+                    apply_op(op, nprocs, &mut lanes, &mut heap, 10_000 + pops);
+                }
+            }
+        }
+        prop_assert_eq!(heap.next(), None);
+        prop_assert_eq!(lanes.now(), heap.now());
+    }
 }
 
 proptest! {
@@ -283,5 +326,65 @@ fn sampled_runs_identical_across_engines() {
         let a = parsim::run(&tree, &map, &cfg).unwrap();
         let b = parsim::run_reference(&tree, &map, &cfg).unwrap();
         assert_results_identical(&a, &b);
+    }
+}
+
+/// FNV-1a over the `Debug` rendering: a cheap whole-value fingerprint
+/// (every field of the result, recording included, reaches the digest).
+fn fingerprint(r: &RunResult) -> u64 {
+    format!("{r:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Kills and joins scheduled on delivered-event indices that land
+/// *inside* a broadcast block — at its first, a middle and its last
+/// target — behave exactly as they did when the engine unrolled blocks
+/// one event per pop: the fingerprints below are whole-`RunResult`
+/// digests (recording on) captured on the commit before block delivery,
+/// where the positions were read off a log of the delivered-event
+/// stream. With everybody up, events 1018..=1022 are one block from
+/// processor 2 (targets 0, 1, 3, 4, 5); with processor 5 dormant, events
+/// 701..=705 are one block from processor 3 (targets 0, 1, 2, 4, 5).
+/// After an intentional schedule change, re-derive both the positions
+/// and the digests (`-- --nocapture` prints them).
+#[test]
+fn kills_and_joins_inside_a_block_match_the_per_event_engine() {
+    let tree = tree_for(14);
+    let cfg0 = SolverConfig { record_events: true, ..strategy_cfg(1, 6) };
+    let map = compute_mapping(&tree, &cfg0);
+    type Schedule = (&'static [(u64, usize)], &'static [(u64, usize)]);
+    let cases: [(Schedule, u64); 7] = [
+        // Kill at the block's first target; the victim is a later target.
+        ((&[(1018, 4)], &[]), 0xaeeb_7756_89d0_ff4c),
+        // Kill at a middle target; the victim is that very target.
+        ((&[(1020, 3)], &[]), 0xa67c_1817_1f09_92df),
+        // Kill at the last target; the victim is the block's sender.
+        ((&[(1022, 2)], &[]), 0x1cf7_b07f_f44a_797b),
+        // Join at the first, a middle and the last target (the joiner
+        // itself: delivered, not parked).
+        ((&[], &[(701, 5)]), 0xbcb5_6e27_98d8_9283),
+        ((&[], &[(703, 5)]), 0x4427_1960_6bd9_51c3),
+        ((&[], &[(705, 5)]), 0xb9ad_88d5_29db_b413),
+        // A kill and a join inside the same block.
+        ((&[(702, 1)], &[(704, 5)]), 0xfa4f_707f_cc72_6950),
+    ];
+    for ((kill_at, join_at), want) in cases {
+        let cfg = SolverConfig {
+            recovery: Some(RecoveryConfig::default()),
+            fault: Some(FaultModel {
+                kill_at: kill_at.to_vec(),
+                join_at: join_at.to_vec(),
+                ..FaultModel::quiet(1)
+            }),
+            ..cfg0.clone()
+        };
+        let a = parsim::run(&tree, &map, &cfg).unwrap();
+        let b = parsim::run_reference(&tree, &map, &cfg).unwrap();
+        assert_results_identical(&a, &b);
+        assert_eq!(a.dead.len(), kill_at.len(), "kills {kill_at:?} must fire");
+        assert_eq!(a.metrics.recovery.joins_observed as usize, join_at.len());
+        eprintln!("kills {kill_at:?} joins {join_at:?}: {:#018x}", fingerprint(&a));
+        assert_eq!(fingerprint(&a), want, "kills {kill_at:?} joins {join_at:?}");
     }
 }

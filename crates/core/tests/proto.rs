@@ -19,10 +19,11 @@ use std::collections::HashMap;
 use mf_core::config::{SlaveSelection, SolverConfig, TaskSelection};
 use mf_core::mapping::{compute_mapping, StaticMapping};
 use mf_core::proto::{initial_loads, Effect, Input, Msg, SchedulerCore};
+use mf_core::views::Views;
 use mf_order::OrderingKind;
 use mf_sim::engine::{Event, EventPayload, Sim};
 use mf_sim::recorder::SchedEvent;
-use mf_sim::{attribute_peaks, Recording, Time};
+use mf_sim::{attribute_peaks, CompactEvent, Recording, Time};
 use mf_sparse::gen::grid::{grid2d, Stencil};
 use mf_symbolic::seqstack::{apply_liu_order, AssemblyDiscipline};
 use mf_symbolic::{AmalgamationOptions, AssemblyTree};
@@ -58,11 +59,13 @@ fn strategy_cfg(which: usize, nprocs: usize) -> SolverConfig {
 }
 
 /// The captured run: every effect in emission order, tagged with its
-/// emitting processor and virtual time, plus each core's final peaks.
+/// emitting processor and virtual time, plus each core's final peaks
+/// and views.
 struct Captured {
     effects: Vec<(usize, Time, Effect)>,
     active_peaks: Vec<u64>,
     nodes_done: usize,
+    views: Vec<Views>,
 }
 
 /// Feeds one input into a core, captures the drained effects verbatim,
@@ -102,6 +105,19 @@ fn step(
 /// Runs an uncapped, unperturbed factorization through the raw cores,
 /// returning the complete effect stream.
 fn drive(tree: &AssemblyTree, map: &StaticMapping, cfg: &SolverConfig) -> Captured {
+    drive_with(tree, map, cfg, false)
+}
+
+/// [`drive`], delivering status deltas either through `handle` like
+/// every other message or — `status_direct` — through
+/// [`SchedulerCore::apply_status`], with the harness building the
+/// `StatusApply` record the way a block-delivering driver does.
+fn drive_with(
+    tree: &AssemblyTree,
+    map: &StaticMapping,
+    cfg: &SolverConfig,
+    status_direct: bool,
+) -> Captured {
     let load0 = initial_loads(tree, map, cfg.nprocs);
     let mut cores: Vec<SchedulerCore<'_>> =
         (0..cfg.nprocs).map(|p| SchedulerCore::new(p, tree, map, cfg, &load0)).collect();
@@ -112,6 +128,16 @@ fn drive(tree: &AssemblyTree, map: &StaticMapping, cfg: &SolverConfig) -> Captur
     }
     while let Some(Event { at, payload }) = sim.next() {
         let (p, input) = match payload {
+            EventPayload::Message { from, to, msg: Msg::Status(d) } if status_direct => {
+                if let Some(age) = cores[to].apply_status(at, from, d) {
+                    if cfg.record_events {
+                        let ev =
+                            CompactEvent::status_apply(to, from, d.about(from), d.kind().0, age);
+                        effects.push((to, at, Effect::Record(ev)));
+                    }
+                }
+                continue;
+            }
             EventPayload::Message { from, to, msg } => (to, Input::Deliver { from, msg }),
             EventPayload::Timer { proc, key } => (proc, Input::TimerFired { key }),
         };
@@ -121,6 +147,7 @@ fn drive(tree: &AssemblyTree, map: &StaticMapping, cfg: &SolverConfig) -> Captur
         effects,
         active_peaks: cores.iter().map(|c| c.memory().active_peak()).collect(),
         nodes_done: cores.iter().map(|c| c.nodes_done()).sum(),
+        views: cores.iter().map(|c| c.views().clone()).collect(),
     }
 }
 
@@ -219,6 +246,37 @@ proptest! {
             let sum: u64 = a.composition.iter().map(|it| it.entries).sum();
             prop_assert_eq!(sum, a.peak, "proc {}: composition must sum to the peak", p);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    /// `apply_status` is `handle(Deliver { Status })` without the effect
+    /// buffer: a machine fed its status deltas through either leaves
+    /// every core in the same state — the same views and lease stamps at
+    /// the end, and the same effect stream all along (every later
+    /// decision, and with the recorder on every recorded staleness age,
+    /// reads what the applies wrote). The direct machine's stream holds
+    /// one `Record` per recorded apply and nothing else for a status
+    /// delivery, so equality also says `handle` emits only that.
+    #[test]
+    fn apply_status_is_handle_without_the_effect_buffer(
+        strategy in 0usize..3,
+        nprocs in 2usize..9,
+        nx in 10usize..16,
+        record in any::<bool>(),
+    ) {
+        let tree = tree_for(nx);
+        let cfg = SolverConfig { record_events: record, ..strategy_cfg(strategy, nprocs) };
+        let map = compute_mapping(&tree, &cfg);
+        let handled = drive(&tree, &map, &cfg);
+        let direct = drive_with(&tree, &map, &cfg, true);
+        prop_assert_eq!(handled.nodes_done, tree.len());
+        prop_assert!(handled.effects == direct.effects, "effect streams diverged");
+        prop_assert!(handled.views == direct.views, "final views diverged");
+        prop_assert_eq!(handled.active_peaks, direct.active_peaks);
+
     }
 }
 

@@ -243,10 +243,9 @@ fn process(ctx: &Ctx<'_>, v: usize) -> Result<Vec<f64>, FactorError> {
     let granted = ctx.grant_threads();
     let factored = match ctx.sym {
         Symmetry::General => factor_front_lu_mt(&mut w, p, &mut row_perm, granted),
-        Symmetry::Symmetric => factor_front_ldlt_mt(&mut w, p, granted).map(|ok| {
-            row_perm = (0..f).collect();
-            ok
-        }),
+        Symmetry::Symmetric => {
+            factor_front_ldlt_mt(&mut w, p, granted).inspect(|_| row_perm = (0..f).collect())
+        }
     };
     ctx.release_threads();
     factored.map_err(|source| FactorError::Kernel { node: v, source })?;

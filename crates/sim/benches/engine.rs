@@ -11,14 +11,14 @@
 //!   to a pseudo-random processor (the compute/completion traffic);
 //! * **broadcast-heavy**: every 16th delivery schedules a broadcast from
 //!   the delivering processor instead (the status-coherence traffic —
-//!   one logical event fanning out to P-1 deliveries on the lane engine,
-//!   P-1 heap entries on the reference).
+//!   one queue entry on either engine, popped whole as a block of P-1
+//!   deliveries).
 //!
 //! Throughput is reported per *delivered* event, so the broadcast mix
 //! measures the fan-out cost, not just the schedule cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mf_sim::engine::{EventPayload, EventQueue, Sim, SingleHeapSim};
+use mf_sim::engine::{Delivery, EventPayload, EventQueue, Sim, SingleHeapSim};
 
 const DEPTH: usize = 1 << 10;
 
@@ -30,7 +30,9 @@ fn lcg(x: &mut u64) -> u64 {
 
 /// Drives `sim` for `events` deliveries at roughly constant depth.
 /// `bcast_every = 0` is the p2p-heavy mix; `n` in `1..` schedules a
-/// broadcast on every `n`-th delivery instead of a message.
+/// broadcast on every `n`-th delivery instead of a message. A popped
+/// block is consumed the way the scheduler's driver consumes it: one
+/// tight loop over its targets, each counting as a delivery.
 fn drive<Q: EventQueue<u64>>(mut sim: Q, nprocs: usize, events: u64, bcast_every: u64) -> u64 {
     let mut rng = 0x2545f4914f6cdd1du64;
     for k in 0..DEPTH as u64 {
@@ -43,22 +45,38 @@ fn drive<Q: EventQueue<u64>>(mut sim: Q, nprocs: usize, events: u64, bcast_every
     // for that many future deliveries (`owed`): the queue depth stays
     // roughly constant and the two mixes are comparable.
     let mut owed = 0u64;
-    while delivered < events {
-        let e = sim.pop().expect("queue kept live");
+    // One delivery at processor `at_proc`: schedule its successor.
+    let mut react = |sim: &mut Q, at_proc: usize| {
         delivered += 1;
-        acc = acc.wrapping_add(e.at);
-        let from = match e.payload {
-            EventPayload::Message { to, .. } => to,
-            EventPayload::Timer { proc, .. } => proc,
-        };
         if owed > 0 {
             owed -= 1;
         } else if bcast_every > 0 && delivered.is_multiple_of(bcast_every) && nprocs > 1 {
-            sim.schedule_broadcast(lcg(&mut rng) % 1024, from, nprocs, delivered);
+            sim.schedule_broadcast(lcg(&mut rng) % 1024, at_proc, nprocs, delivered);
             owed = nprocs as u64 - 2;
         } else {
             let to = lcg(&mut rng) as usize % nprocs;
-            sim.schedule(lcg(&mut rng) % 1024, EventPayload::Message { from, to, msg: delivered });
+            let msg = EventPayload::Message { from: at_proc, to, msg: delivered };
+            sim.schedule(lcg(&mut rng) % 1024, msg);
+        }
+        delivered
+    };
+    let mut done = 0;
+    while done < events {
+        match sim.pop().expect("queue kept live") {
+            Delivery::One(e) => {
+                acc = acc.wrapping_add(e.at);
+                let at_proc = match e.payload {
+                    EventPayload::Message { to, .. } => to,
+                    EventPayload::Timer { proc, .. } => proc,
+                };
+                done = react(&mut sim, at_proc);
+            }
+            Delivery::Block(b) => {
+                for to in b.targets() {
+                    acc = acc.wrapping_add(b.at);
+                    done = react(&mut sim, to);
+                }
+            }
         }
     }
     acc

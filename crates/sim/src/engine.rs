@@ -8,14 +8,14 @@
 //!   small binary heap per destination processor) joined by a *merge
 //!   front* (an indexed k-way min-heap over the lane heads), with event
 //!   payloads parked in a slot arena so the steady state allocates
-//!   nothing. A broadcast stays ONE logical entry fanned out lazily at
-//!   delivery. Built for 1000+-processor sweeps where a single global
+//!   nothing. A broadcast is ONE entry, queued and popped whole (a
+//!   [`Block`]). Built for 1000+-processor sweeps where a single global
 //!   heap of depth `O(total events)` dominates the run time.
 //! * [`SingleHeapSim`] — the historical single global binary heap, kept
 //!   as the differential-testing reference and microbenchmark baseline.
 //!
 //! Both engines pop the globally smallest `(time, seq)` pair, so their
-//! event sequences are bit-identical — the property the engine-equivalence
+//! delivery sequences are bit-identical — the property the engine-equivalence
 //! proptests in `mf-core` and the `engine` criterion bench both lean on.
 
 use std::collections::BinaryHeap;
@@ -83,63 +83,126 @@ pub trait EventQueue<M: Clone> {
     /// ascending-target FIFO order against every other event — but a
     /// single queue entry.
     fn schedule_broadcast(&mut self, delay: Time, from: usize, nprocs: usize, msg: M);
-    /// Pops the earliest pending event, advancing the clock to its firing
-    /// time. `None` when the queue is empty — schedule more events and
-    /// popping resumes.
-    fn pop(&mut self) -> Option<Event<M>>;
+    /// Pops the earliest pending entry, advancing the clock to its firing
+    /// time: a single event, or a broadcast block handed over whole (all
+    /// its targets count as delivered at once). `None` when the queue is
+    /// empty — schedule more events and popping resumes.
+    fn pop(&mut self) -> Option<Delivery<M>>;
 }
 
-/// What one queue entry delivers: a single event, or a whole broadcast
-/// block (the same message to every processor but the sender, all at one
-/// instant). A broadcast's per-target messages would occupy contiguous
-/// sequence numbers at a single firing time, so no other event can ever
-/// interleave them — storing the block as ONE entry and unrolling it at
-/// delivery keeps the event sequence bit-identical while cutting the
-/// queue traffic of an n-processor broadcast from n-1 sifts to one.
+/// What one [`EventQueue::pop`] delivers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Delivery<M> {
+    /// A single event.
+    One(Event<M>),
+    /// A whole broadcast block.
+    Block(Block<M>),
+}
+
+/// A broadcast block: `msg` from `from` to every processor of
+/// `0..nprocs` but the sender, all at the instant `at`, in ascending
+/// target order. The per-target messages would occupy contiguous sequence
+/// numbers at a single firing time, so no other event can ever interleave
+/// them — queueing and popping the block as ONE entry keeps the delivery
+/// sequence bit-identical to `nprocs - 1` separate messages while costing
+/// one sift instead of `nprocs - 1`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Block<M> {
+    /// Firing time of every message of the block.
+    pub at: Time,
+    /// Sending processor.
+    pub from: usize,
+    /// Machine size; the targets are `0..nprocs` minus `from`.
+    pub nprocs: usize,
+    /// The message every target receives.
+    pub msg: M,
+}
+
+impl<M> Block<M> {
+    /// Number of targets.
+    pub fn len(&self) -> usize {
+        broadcast_targets(self.from, self.nprocs)
+    }
+
+    /// True when the block reaches nobody (never popped: empty broadcasts
+    /// are not queued).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The receiving processors, ascending.
+    pub fn targets(&self) -> impl Iterator<Item = usize> {
+        let from = self.from;
+        (0..self.nprocs).filter(move |&to| to != from)
+    }
+}
+
+impl<M: Clone> Block<M> {
+    /// Unrolls the block into the per-target message events it stands
+    /// for — the adapter behind the engines' per-event `Iterator`s.
+    pub fn unroll(self) -> Unroll<M> {
+        Unroll { block: self, next: 0 }
+    }
+}
+
+/// Per-target iteration over a [`Block`] (see [`Block::unroll`]).
+#[derive(Debug)]
+pub struct Unroll<M> {
+    block: Block<M>,
+    /// Next candidate target (the sender is skipped when reached).
+    next: usize,
+}
+
+impl<M> Unroll<M> {
+    /// Targets not yet yielded.
+    fn remaining(&self) -> usize {
+        let Block { from, nprocs, .. } = self.block;
+        (nprocs - self.next) - usize::from(from >= self.next && from < nprocs)
+    }
+}
+
+impl<M: Clone> Iterator for Unroll<M> {
+    type Item = Event<M>;
+
+    fn next(&mut self) -> Option<Event<M>> {
+        let Block { at, from, nprocs, ref msg } = self.block;
+        if self.next == from {
+            self.next += 1;
+        }
+        if self.next >= nprocs {
+            return None;
+        }
+        let to = self.next;
+        self.next += 1;
+        Some(Event { at, payload: EventPayload::Message { from, to, msg: msg.clone() } })
+    }
+}
+
+/// Number of targets of a broadcast from `from` over `0..nprocs`.
+fn broadcast_targets(from: usize, nprocs: usize) -> usize {
+    nprocs - usize::from(from < nprocs)
+}
+
+/// One queue entry: a single event payload or a broadcast block.
 #[derive(Debug)]
 enum Queued<M> {
     One(EventPayload<M>),
     Broadcast { from: usize, nprocs: usize, msg: M },
 }
 
-/// An in-progress broadcast block: delivers `msg` to each `to` in
-/// `0..nprocs` except `from`, in ascending order, before the queue pops
-/// anything else (see [`Queued`] for why that order is exact).
-#[derive(Debug)]
-struct ActiveBroadcast<M> {
-    at: Time,
-    from: usize,
-    nprocs: usize,
-    next: usize,
-    msg: M,
-}
-
-impl<M: Clone> ActiveBroadcast<M> {
-    /// Yields the next delivery of the block, or `None` when drained.
-    /// Returns the message by move on the last delivery (no clone).
-    fn next_delivery(mut self) -> Option<(Event<M>, Option<Self>)> {
-        if self.next == self.from {
-            self.next += 1;
+impl<M> Queued<M> {
+    /// The delivery this entry turns into when it fires at `at`, and how
+    /// many events it counts for.
+    fn fire(self, at: Time) -> (Delivery<M>, usize) {
+        match self {
+            Queued::One(payload) => (Delivery::One(Event { at, payload }), 1),
+            Queued::Broadcast { from, nprocs, msg } => {
+                let b = Block { at, from, nprocs, msg };
+                let n = b.len();
+                (Delivery::Block(b), n)
+            }
         }
-        if self.next >= self.nprocs {
-            return None;
-        }
-        let to = self.next;
-        self.next += 1;
-        let (at, from) = (self.at, self.from);
-        let (msg, rest) = if broadcast_targets(self.from, self.nprocs, self.next) == 0 {
-            (self.msg, None)
-        } else {
-            (self.msg.clone(), Some(self))
-        };
-        Some((Event { at, payload: EventPayload::Message { from, to, msg } }, rest))
     }
-}
-
-/// Number of undelivered targets of a broadcast block whose scan is at
-/// position `next`: the members of `next..nprocs` minus the sender.
-fn broadcast_targets(from: usize, nprocs: usize, next: usize) -> usize {
-    (nprocs.saturating_sub(next)) - usize::from(from >= next && from < nprocs)
 }
 
 // ---------------------------------------------------------------------------
@@ -200,8 +263,9 @@ pub struct Sim<M> {
     slots: Vec<Option<Queued<M>>>,
     /// Recycled arena slots.
     free: Vec<u32>,
-    /// Broadcast block currently being unrolled.
-    bcast: Option<ActiveBroadcast<M>>,
+    /// Block the per-event [`Iterator`] is part-way through; `pop` never
+    /// looks at it.
+    unrolling: Option<Unroll<M>>,
 }
 
 impl<M> Default for Sim<M> {
@@ -229,7 +293,7 @@ impl<M> Sim<M> {
             pos: vec![ABSENT; nprocs],
             slots: Vec::new(),
             free: Vec::new(),
-            bcast: None,
+            unrolling: None,
         }
     }
 
@@ -240,13 +304,19 @@ impl<M> Sim<M> {
 
     /// Number of events delivered so far.
     pub fn delivered(&self) -> u64 {
-        self.delivered
+        self.delivered - self.unrolled_left() as u64
     }
 
     /// Number of pending events (counting every undelivered message of a
     /// broadcast block individually).
     pub fn pending(&self) -> usize {
-        self.pending
+        self.pending + self.unrolled_left()
+    }
+
+    /// Messages of a popped block the per-event [`Iterator`] has yet to
+    /// yield (0 for `pop` consumers).
+    fn unrolled_left(&self) -> usize {
+        self.unrolling.as_ref().map_or(0, Unroll::remaining)
     }
 
     /// Schedules `payload` to fire `delay` ticks from now.
@@ -270,7 +340,7 @@ impl<M> Sim<M> {
 
     /// Schedules a broadcast block (see [`EventQueue::schedule_broadcast`]).
     pub fn schedule_broadcast(&mut self, delay: Time, from: usize, nprocs: usize, msg: M) {
-        let targets = broadcast_targets(from, nprocs, 0);
+        let targets = broadcast_targets(from, nprocs);
         if targets == 0 {
             return;
         }
@@ -404,10 +474,12 @@ impl<M> Sim<M> {
         self.pos[self.front[b] as usize] = b as u32;
     }
 
-    /// Pops the globally earliest entry: the head of the front's root
-    /// lane (the k-way-merge step). Restores the front invariant for the
-    /// popped lane (re-sink on a later head, removal on empty).
-    fn pop_earliest(&mut self) -> Option<(Time, Queued<M>)> {
+    /// Pops the globally earliest entry — the head of the front's root
+    /// lane (the k-way-merge step) — advancing the clock to its firing
+    /// time; see [`EventQueue::pop`]. Restores the front invariant for
+    /// the popped lane (re-sink on a later head, removal on empty).
+    pub fn pop(&mut self) -> Option<Delivery<M>> {
+        debug_assert_eq!(self.unrolled_left(), 0, "pop during a per-event block iteration");
         let lane = *self.front.first()?;
         let e = self.lane_pop(lane as usize);
         if self.lanes[lane as usize].is_empty() {
@@ -425,47 +497,31 @@ impl<M> Sim<M> {
         }
         let q = self.slots[e.slot as usize].take().expect("arena slot must be occupied");
         self.free.push(e.slot);
-        Some((e.at, q))
+        debug_assert!(e.at >= self.now, "time cannot run backwards");
+        self.now = e.at;
+        let (d, n) = q.fire(e.at);
+        self.delivered += n as u64;
+        self.pending -= n;
+        Some(d)
     }
 }
 
-impl<M: Clone> Sim<M> {
-    /// Delivers the next message of the active broadcast block, if any.
-    fn next_broadcast_delivery(&mut self) -> Option<Event<M>> {
-        let b = self.bcast.take()?;
-        let (ev, rest) = b.next_delivery()?;
-        self.bcast = rest;
-        self.delivered += 1;
-        self.pending -= 1;
-        Some(ev)
-    }
-}
-
-/// Draining iteration: each `next()` pops the earliest pending event,
-/// advancing the clock to its firing time. Yields `None` when the queue
-/// is empty — schedule more events and iteration resumes.
+/// Draining per-event iteration: each `next()` yields the earliest
+/// pending event, advancing the clock to its firing time; a popped block
+/// is unrolled target by target. Yields `None` when the queue is empty —
+/// schedule more events and iteration resumes.
 impl<M: Clone> Iterator for Sim<M> {
     type Item = Event<M>;
 
     fn next(&mut self) -> Option<Event<M>> {
         loop {
-            if let Some(e) = self.next_broadcast_delivery() {
+            if let Some(e) = self.unrolling.as_mut().and_then(Iterator::next) {
                 return Some(e);
             }
-            let (at, payload) = self.pop_earliest()?;
-            debug_assert!(at >= self.now, "time cannot run backwards");
-            self.now = at;
-            match payload {
-                Queued::One(p) => {
-                    self.delivered += 1;
-                    self.pending -= 1;
-                    return Some(Event { at, payload: p });
-                }
-                Queued::Broadcast { from, nprocs, msg } => {
-                    // Unrolled by next_broadcast_delivery on the next
-                    // loop iteration.
-                    self.bcast = Some(ActiveBroadcast { at, from, nprocs, next: 0, msg });
-                }
+            self.unrolling = None;
+            match self.pop()? {
+                Delivery::One(e) => return Some(e),
+                Delivery::Block(b) => self.unrolling = Some(b.unroll()),
             }
         }
     }
@@ -487,8 +543,8 @@ impl<M: Clone> EventQueue<M> for Sim<M> {
     fn schedule_broadcast(&mut self, delay: Time, from: usize, nprocs: usize, msg: M) {
         Sim::schedule_broadcast(self, delay, from, nprocs, msg)
     }
-    fn pop(&mut self) -> Option<Event<M>> {
-        self.next()
+    fn pop(&mut self) -> Option<Delivery<M>> {
+        Sim::pop(self)
     }
 }
 
@@ -531,15 +587,18 @@ impl<M> Ord for HeapEntry<M> {
 /// The historical single-global-heap engine, kept as the
 /// differential-testing reference: same API, same delivery contract,
 /// `O(log total-events)` per operation. The engine-equivalence proptests
-/// assert [`Sim`] reproduces its event sequence bit for bit; the `engine`
-/// criterion bench measures what the lanes buy at high processor counts.
+/// assert [`Sim`] reproduces its delivery sequence bit for bit; the
+/// `engine` criterion bench measures what the lanes buy at high processor
+/// counts.
 #[derive(Debug)]
 pub struct SingleHeapSim<M> {
     now: Time,
     seq: u64,
     queue: BinaryHeap<HeapEntry<M>>,
-    bcast: Option<ActiveBroadcast<M>>,
     delivered: u64,
+    /// Block the per-event [`Iterator`] is part-way through (see
+    /// [`Sim`]'s field of the same name).
+    unrolling: Option<Unroll<M>>,
 }
 
 impl<M> Default for SingleHeapSim<M> {
@@ -551,7 +610,7 @@ impl<M> Default for SingleHeapSim<M> {
 impl<M> SingleHeapSim<M> {
     /// Empty queue at time zero.
     pub fn new() -> Self {
-        SingleHeapSim { now: 0, seq: 0, queue: BinaryHeap::new(), bcast: None, delivered: 0 }
+        SingleHeapSim { now: 0, seq: 0, queue: BinaryHeap::new(), delivered: 0, unrolling: None }
     }
 
     /// Current virtual time.
@@ -561,7 +620,7 @@ impl<M> SingleHeapSim<M> {
 
     /// Number of events delivered so far.
     pub fn delivered(&self) -> u64 {
-        self.delivered
+        self.delivered - self.unrolled_left() as u64
     }
 
     /// Number of pending events (counting every undelivered message of a
@@ -572,12 +631,14 @@ impl<M> SingleHeapSim<M> {
             .iter()
             .map(|e| match &e.payload {
                 Queued::One(_) => 1,
-                Queued::Broadcast { from, nprocs, .. } => broadcast_targets(*from, *nprocs, 0),
+                Queued::Broadcast { from, nprocs, .. } => broadcast_targets(*from, *nprocs),
             })
             .sum();
-        let draining =
-            self.bcast.as_ref().map_or(0, |b| broadcast_targets(b.from, b.nprocs, b.next));
-        queued + draining
+        queued + self.unrolled_left()
+    }
+
+    fn unrolled_left(&self) -> usize {
+        self.unrolling.as_ref().map_or(0, Unroll::remaining)
     }
 
     /// Schedules `payload` to fire `delay` ticks from now.
@@ -595,7 +656,7 @@ impl<M> SingleHeapSim<M> {
 
     /// Schedules a broadcast block (see [`EventQueue::schedule_broadcast`]).
     pub fn schedule_broadcast(&mut self, delay: Time, from: usize, nprocs: usize, msg: M) {
-        if broadcast_targets(from, nprocs, 0) == 0 {
+        if broadcast_targets(from, nprocs) == 0 {
             return;
         }
         let at = self.now + delay;
@@ -603,39 +664,32 @@ impl<M> SingleHeapSim<M> {
         self.seq += 1;
         self.queue.push(HeapEntry { at, seq, payload: Queued::Broadcast { from, nprocs, msg } });
     }
-}
 
-impl<M: Clone> SingleHeapSim<M> {
-    /// Delivers the next message of the active broadcast block, if any.
-    fn next_broadcast_delivery(&mut self) -> Option<Event<M>> {
-        let b = self.bcast.take()?;
-        let (ev, rest) = b.next_delivery()?;
-        self.bcast = rest;
-        self.delivered += 1;
-        Some(ev)
+    /// Pops the earliest entry (see [`EventQueue::pop`]).
+    pub fn pop(&mut self) -> Option<Delivery<M>> {
+        debug_assert_eq!(self.unrolled_left(), 0, "pop during a per-event block iteration");
+        let HeapEntry { at, payload, .. } = self.queue.pop()?;
+        debug_assert!(at >= self.now, "time cannot run backwards");
+        self.now = at;
+        let (d, n) = payload.fire(at);
+        self.delivered += n as u64;
+        Some(d)
     }
 }
 
-/// Draining iteration, identical contract to [`Sim`]'s.
+/// Draining per-event iteration, identical contract to [`Sim`]'s.
 impl<M: Clone> Iterator for SingleHeapSim<M> {
     type Item = Event<M>;
 
     fn next(&mut self) -> Option<Event<M>> {
         loop {
-            if let Some(e) = self.next_broadcast_delivery() {
+            if let Some(e) = self.unrolling.as_mut().and_then(Iterator::next) {
                 return Some(e);
             }
-            let HeapEntry { at, payload, .. } = self.queue.pop()?;
-            debug_assert!(at >= self.now, "time cannot run backwards");
-            self.now = at;
-            match payload {
-                Queued::One(p) => {
-                    self.delivered += 1;
-                    return Some(Event { at, payload: p });
-                }
-                Queued::Broadcast { from, nprocs, msg } => {
-                    self.bcast = Some(ActiveBroadcast { at, from, nprocs, next: 0, msg });
-                }
+            self.unrolling = None;
+            match self.pop()? {
+                Delivery::One(e) => return Some(e),
+                Delivery::Block(b) => self.unrolling = Some(b.unroll()),
             }
         }
     }
@@ -657,8 +711,8 @@ impl<M: Clone> EventQueue<M> for SingleHeapSim<M> {
     fn schedule_broadcast(&mut self, delay: Time, from: usize, nprocs: usize, msg: M) {
         SingleHeapSim::schedule_broadcast(self, delay, from, nprocs, msg)
     }
-    fn pop(&mut self) -> Option<Event<M>> {
-        self.next()
+    fn pop(&mut self) -> Option<Delivery<M>> {
+        SingleHeapSim::pop(self)
     }
 }
 
@@ -763,6 +817,29 @@ mod tests {
             }
         }
         assert_eq!(a.delivered(), b.delivered());
+    }
+
+    #[test]
+    fn pop_hands_a_block_over_whole() {
+        let mut sim: Sim<u32> = Sim::new();
+        sim.schedule_broadcast(4, 2, 5, 9);
+        sim.schedule(4, EventPayload::Timer { proc: 0, key: 1 });
+        assert_eq!(sim.pending(), 5);
+        let Some(Delivery::Block(b)) = sim.pop() else { panic!("the block was queued first") };
+        assert_eq!((b.at, b.from, b.msg, sim.now()), (4, 2, 9, 4));
+        assert_eq!(b.targets().collect::<Vec<_>>(), vec![0, 1, 3, 4]);
+        // Every target counted at once; the block is gone from the queue.
+        assert_eq!((sim.delivered(), sim.pending()), (4, 1));
+        let tos: Vec<usize> = b
+            .unroll()
+            .map(|e| match e.payload {
+                EventPayload::Message { from: 2, to, msg: 9 } => to,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(tos, vec![0, 1, 3, 4]);
+        assert!(matches!(sim.pop(), Some(Delivery::One(_))));
+        assert!(sim.pop().is_none());
     }
 
     #[test]
