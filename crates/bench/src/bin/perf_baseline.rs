@@ -36,6 +36,11 @@
 //!    guarded to <=3% at the default interval. Afterwards the whole
 //!    artifact is diffed against the prior `BENCH_sweep.json` and every
 //!    metric that moved is named (the trajectory report).
+//! 6. **layers** — the per-layer ledger of ROADMAP item 1, one child so
+//!    far: `order`, the wall time of each ordering over the eight paper
+//!    matrices (what one column of a table costs before any analysis),
+//!    as the median of a few repeats with its MAD and the prior run's
+//!    median.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -48,9 +53,9 @@ use mf_core::config::{SlaveSelection, SolverConfig, TaskSelection};
 use mf_core::CoreAlloc;
 use mf_frontal::dense::{partial_lu_blocked_mt, partial_lu_blocked_rank1_panel, DenseMat};
 use mf_frontal::gemm;
-use mf_order::OrderingKind;
+use mf_order::{OrderingKind, ALL_ORDERINGS};
 use mf_sim::engine::{EventPayload, Sim};
-use mf_sparse::gen::paper::PaperMatrix;
+use mf_sparse::gen::paper::{PaperMatrix, ALL_PAPER_MATRICES};
 use mf_symbolic::seqstack::{apply_liu_order, AssemblyDiscipline};
 use mf_symbolic::AmalgamationOptions;
 use rayon::prelude::*;
@@ -277,6 +282,37 @@ fn prior_json_number(path: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
+const ORDER_REPS: usize = 7;
+
+/// `layers.order`: per ordering, the median and MAD in ms of
+/// `ORDER_REPS` timings of `OrderingKind::compute` over the eight paper
+/// matrices at full reproduction scale (adjacency graph included: it is
+/// what a cell pays).
+fn order_layer() -> Vec<(OrderingKind, f64, f64)> {
+    let median = |v: &mut [f64]| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let matrices: Vec<_> = ALL_PAPER_MATRICES.iter().map(|m| m.instantiate()).collect();
+    ALL_ORDERINGS
+        .iter()
+        .map(|&kind| {
+            let mut ms: Vec<f64> = (0..ORDER_REPS)
+                .map(|_| {
+                    let start = Instant::now();
+                    for a in &matrices {
+                        std::hint::black_box(kind.compute(a));
+                    }
+                    start.elapsed().as_secs_f64() * 1e3
+                })
+                .collect();
+            let med = median(&mut ms);
+            let mut dev: Vec<f64> = ms.iter().map(|x| (x - med).abs()).collect();
+            (kind, med, median(&mut dev))
+        })
+        .collect()
+}
+
 fn main() {
     let specs = subset();
     // Read before this run overwrites the file (the full text is kept
@@ -288,6 +324,14 @@ fn main() {
     let prior_lu: Vec<Option<(f64, f64)>> =
         [256usize, 512, 1024].iter().map(|&f| prior_lu_stats("BENCH_sweep.json", f)).collect();
     let prior_e2e_gflops = prior_json_number("BENCH_sweep.json", "e2e_gflops");
+
+    let prior_order: Vec<Option<f64>> = ALL_ORDERINGS
+        .iter()
+        .map(|k| prior_json_number("BENCH_sweep.json", &format!("{}_ms", k.name().to_lowercase())))
+        .collect();
+
+    eprintln!("[0/7] layers.order: four orderings over the eight paper matrices ...");
+    let order_ms = order_layer();
 
     eprintln!("[1/7] sweep subset, {} cells, sequential + uncached ...", specs.len());
     let start = Instant::now();
@@ -619,6 +663,27 @@ fn main() {
     writeln!(json, "{{").unwrap();
     writeln!(json, "  \"generated_by\": \"cargo run --release -p mf-bench --bin perf_baseline\",")
         .unwrap();
+    writeln!(json, "  \"layers\": {{").unwrap();
+    writeln!(json, "    \"order\": {{").unwrap();
+    writeln!(
+        json,
+        "      \"measurement\": \"OrderingKind::compute over the 8 paper matrices at scale 1, \
+         median of {ORDER_REPS} with MAD, ms\","
+    )
+    .unwrap();
+    for (i, ((kind, med, mad), prior)) in order_ms.iter().zip(&prior_order).enumerate() {
+        let (key, sep) =
+            (kind.name().to_lowercase(), if i + 1 == order_ms.len() { "" } else { "," });
+        let prior = prior.map_or("null".to_string(), |p| format!("{p:.1}"));
+        writeln!(
+            json,
+            "      \"{key}_ms\": {med:.1}, \"{key}_ms_mad\": {mad:.1}, \
+             \"prior_{key}_ms\": {prior}{sep}"
+        )
+        .unwrap();
+    }
+    writeln!(json, "    }}").unwrap();
+    writeln!(json, "  }},").unwrap();
     writeln!(json, "  \"sweep_subset\": {{").unwrap();
     writeln!(json, "    \"cells\": {},", specs.len()).unwrap();
     writeln!(json, "    \"shape\": \"2 (matrix,ordering) x 2 nprocs x 2 split\",").unwrap();

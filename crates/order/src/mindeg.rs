@@ -7,301 +7,605 @@
 //! clique their elimination created, supervariables with identical adjacency
 //! are merged, and degrees are updated with the `|Le \ Lp|` counter trick so
 //! each elimination costs time proportional to the structures it touches.
+//!
+//! Two properties carry both the speed and the reproducibility
+//! (`tests/ordering_goldens.rs` pins the permutations):
+//!
+//! * **An element's weighted size never changes** between its creation and
+//!   its absorption. A member that is eliminated absorbs the element; a
+//!   member that is merged into a supervariable hands its weight to a
+//!   principal variable with the same element list, hence in the same
+//!   elements. So `|Le|` is stored once and read in O(1); debug builds
+//!   check it against a scan of the members.
+//! * **The pivot is the live principal variable with the least
+//!   `(score, id)`**, a total order, so the indexed heap that finds it has
+//!   no say in the sequence. Likewise, of the variables of `Lp` with equal
+//!   lists, the first in `Lp` order absorbs the others, whatever the hash
+//!   that brought them together.
+//!
+//! All lists live in one index arena. A variable owns one chunk, its
+//! variable neighbours followed by its element neighbours; pruning only
+//! ever shrinks it, and the new element always finds room where the pivot
+//! or an absorbed element stood, so a chunk never moves. An element's
+//! member list reuses the pivot's chunk when it fits, and otherwise comes
+//! off the free tail, which is compacted when it runs out.
 
 use mf_sparse::{Graph, Permutation};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// Pivot-selection metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Metric {
     /// Approximate external degree (AMD).
+    #[default]
     ApproxDegree,
     /// Approximate deficiency `d² − Σ_e |Le\i|²` (AMF).
     ApproxFill,
 }
 
+const NONE: usize = usize::MAX;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
+    /// Principal variable, in the heap.
     Alive,
-    Eliminated,
+    /// Variable merged into a principal one.
     Absorbed,
+    /// Eliminated pivot whose element is alive.
+    Element,
+    /// Element absorbed by the element of a later pivot.
+    Dead,
 }
 
-struct Engine {
-    n: usize,
-    metric: Metric,
-    state: Vec<State>,
+/// One vertex: a variable until it is eliminated, an element after.
+#[derive(Debug, Clone)]
+struct Node {
+    state: State,
     /// Supervariable weight; 0 once absorbed.
-    nv: Vec<usize>,
-    /// Variable-variable adjacency (principal vars; may hold stale ids).
-    var_adj: Vec<Vec<usize>>,
-    /// Elements adjacent to each variable (may hold stale ids).
-    elem_adj: Vec<Vec<usize>>,
-    /// Variables of each element, keyed by the pivot that created it.
-    elem_vars: Vec<Vec<usize>>,
-    elem_alive: Vec<bool>,
-    /// Approximate external degree (weighted).
-    degree: Vec<usize>,
-    /// Score under the selected metric.
-    score: Vec<u64>,
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Stamp array for set operations.
-    stamp: Vec<u64>,
+    nv: usize,
+    /// The node's chunk is `arena[start..start + vlen + elen]`: a variable's
+    /// variable neighbours then its element neighbours, an element's
+    /// members (`elen == 0`). Lists may hold stale ids.
+    start: usize,
+    vlen: usize,
+    elen: usize,
+    /// Variable: approximate external degree (weighted). Element: its
+    /// weighted size `|Le|`, fixed at creation.
+    degree: usize,
+    /// Element: `|Le \ Lp|` as the last pivot that touched it left it
+    /// (`|Le|` until one does).
+    wlen: usize,
+    /// Equals the engine's mark when this variable is in the current `Lp`,
+    /// or this element's `wlen` has been restarted for it.
+    stamp: u64,
+}
+
+/// Binary min-heap of `(score, id)` that knows where each id sits, so a
+/// score can change and an id can leave in O(log n).
+#[derive(Debug, Default)]
+struct IndexedHeap {
+    items: Vec<(u64, usize)>,
+    pos: Vec<usize>,
+}
+
+impl IndexedHeap {
+    /// Refills the heap with ids `0..scores.len()`.
+    fn reset(&mut self, scores: impl Iterator<Item = u64>) {
+        self.items.clear();
+        self.items.extend(scores.enumerate().map(|(id, s)| (s, id)));
+        self.pos.clear();
+        self.pos.extend(0..self.items.len());
+        for k in (0..self.items.len() / 2).rev() {
+            self.sift_down(k);
+        }
+    }
+
+    fn place(&mut self, k: usize, item: (u64, usize)) {
+        self.items[k] = item;
+        self.pos[item.1] = k;
+    }
+
+    fn sift_up(&mut self, mut k: usize) {
+        let item = self.items[k];
+        while k > 0 && item < self.items[(k - 1) / 2] {
+            self.place(k, self.items[(k - 1) / 2]);
+            k = (k - 1) / 2;
+        }
+        self.place(k, item);
+    }
+
+    fn sift_down(&mut self, mut k: usize) {
+        let item = self.items[k];
+        loop {
+            let mut child = 2 * k + 1;
+            if child + 1 < self.items.len() && self.items[child + 1] < self.items[child] {
+                child += 1;
+            }
+            if child >= self.items.len() || item <= self.items[child] {
+                break;
+            }
+            self.place(k, self.items[child]);
+            k = child;
+        }
+        self.place(k, item);
+    }
+
+    fn update(&mut self, id: usize, score: u64) {
+        let k = self.pos[id];
+        self.items[k].0 = score;
+        self.sift_up(k);
+        self.sift_down(self.pos[id]);
+    }
+
+    fn remove(&mut self, id: usize) {
+        let k = std::mem::replace(&mut self.pos[id], NONE);
+        let last = self.items.pop().expect("id is in the heap");
+        if k < self.items.len() {
+            self.items[k] = last;
+            self.sift_up(k);
+            self.sift_down(self.pos[last.1]);
+        }
+    }
+
+    fn pop(&mut self) -> Option<usize> {
+        let id = self.items.first()?.1;
+        self.remove(id);
+        Some(id)
+    }
+}
+
+/// Moves the entries of `arena[from]` that `keep` accepts down to `to..`,
+/// sorted and without repeats (they nearly always are already); returns
+/// where they end.
+fn prune(
+    arena: &mut [usize],
+    from: Range<usize>,
+    to: usize,
+    keep: impl Fn(usize) -> bool,
+) -> usize {
+    let mut end = to;
+    for q in from {
+        if keep(arena[q]) {
+            arena[end] = arena[q];
+            end += 1;
+        }
+    }
+    if arena[to..end].windows(2).all(|w| w[0] < w[1]) {
+        return end;
+    }
+    arena[to..end].sort_unstable();
+    let mut last = to;
+    for q in to + 1..end {
+        if arena[q] != arena[last] {
+            last += 1;
+            arena[last] = arena[q];
+        }
+    }
+    last + 1
+}
+
+/// The engine and its workspace, reusable from one graph to the next (a
+/// dissection orders thousands of small leaves with one).
+#[derive(Debug, Default)]
+pub(crate) struct Engine {
+    metric: Metric,
+    nodes: Vec<Node>,
+    arena: Vec<usize>,
+    /// First free slot of the arena.
+    top: usize,
+    heap: IndexedHeap,
     mark: u64,
-    /// `|Le \ Lp|` working weights per element.
-    wlen: Vec<usize>,
-    wstamp: Vec<u64>,
-    /// Children absorbed into each principal (for final expansion).
-    absorbed_children: Vec<Vec<usize>>,
     alive_weight: usize,
+    /// Output order of a supervariable: the principal, then `next` links
+    /// up to `tail[principal]`.
+    next: Vec<usize>,
+    tail: Vec<usize>,
+    /// Compactions since the engine was made; tests read it to know that
+    /// the debug check of `compact` has run.
+    compactions: usize,
+    // Scratch of one pivot.
+    lp: Vec<usize>,
+    hashes: Vec<(u64, usize)>,
 }
 
 impl Engine {
-    fn new(g: &Graph, metric: Metric) -> Self {
-        let n = g.n();
-        let mut e = Engine {
-            n,
-            metric,
-            state: vec![State::Alive; n],
-            nv: vec![1; n],
-            var_adj: (0..n).map(|i| g.neighbors(i).to_vec()).collect(),
-            elem_adj: vec![Vec::new(); n],
-            elem_vars: vec![Vec::new(); n],
-            elem_alive: vec![false; n],
-            degree: (0..n).map(|i| g.degree(i)).collect(),
-            score: vec![0; n],
-            heap: BinaryHeap::with_capacity(2 * n),
-            stamp: vec![0; n],
-            mark: 0,
-            wlen: vec![0; n],
-            wstamp: vec![0; n],
-            absorbed_children: vec![Vec::new(); n],
-            alive_weight: n,
-        };
-        for i in 0..n {
-            e.score[i] = e.metric_score(i);
-            e.heap.push(Reverse((e.score[i], i)));
-        }
-        e
+    pub(crate) fn new(metric: Metric) -> Self {
+        Engine { metric, ..Engine::default() }
     }
 
-    fn metric_score(&self, i: usize) -> u64 {
-        let d = self.degree[i] as u64;
+    /// Orders the graph on `0..n` whose vertex `i` has the neighbours
+    /// `adj(i)` (symmetric, without `i`), calling `emit` on each vertex in
+    /// elimination order.
+    pub(crate) fn order<I: Iterator<Item = usize>>(
+        &mut self,
+        n: usize,
+        adj: impl Fn(usize) -> I,
+        mut emit: impl FnMut(usize),
+    ) {
+        self.load(n, adj);
+        while let Some(p) = self.heap.pop() {
+            self.eliminate(p);
+            debug_assert!(!self.mark.is_power_of_two() || self.heap_is_exact());
+            // A supervariable leaves as its principal followed by what it
+            // absorbed, each with what that had absorbed before.
+            let mut v = p;
+            while v != NONE {
+                emit(v);
+                v = self.next[v];
+            }
+        }
+    }
+
+    fn load<I: Iterator<Item = usize>>(&mut self, n: usize, adj: impl Fn(usize) -> I) {
+        self.nodes.clear();
+        self.arena.clear();
+        for i in 0..n {
+            let start = self.arena.len();
+            self.arena.extend(adj(i));
+            let d = self.arena.len() - start;
+            self.nodes.push(Node {
+                state: State::Alive,
+                nv: 1,
+                start,
+                vlen: d,
+                elen: 0,
+                degree: d,
+                wlen: 0,
+                stamp: 0,
+            });
+        }
+        // The live lists never outgrow the graph they started as (an
+        // element is no longer than the lists it replaces), so any slack
+        // will do; this much keeps compactions to a handful.
+        self.top = self.arena.len();
+        self.arena.resize(self.top + self.top / 4 + n, 0);
+        (self.mark, self.alive_weight) = (0, n);
+        self.next.clear();
+        self.next.resize(n, NONE);
+        self.tail.clear();
+        self.tail.extend(0..n);
+        let mut heap = std::mem::take(&mut self.heap);
+        heap.reset((0..n).map(|i| self.score(i)));
+        self.heap = heap;
+    }
+
+    fn score(&self, i: usize) -> u64 {
+        let node = &self.nodes[i];
+        let d = node.degree as u64;
         match self.metric {
             Metric::ApproxDegree => d,
             Metric::ApproxFill => {
                 // Approximate deficiency: the clique of each adjacent
                 // element is already filled, so subtract its contribution.
-                let mut fill = d * d;
-                for &e in &self.elem_adj[i] {
-                    if self.elem_alive[e] {
-                        let le = self.wlen[e] as u64; // |Le| weighted, maintained below
-                        fill = fill.saturating_sub(le * le);
-                    }
-                }
-                fill
+                // `wlen[e]` is |Lp| for the element just created and
+                // |Le \ Lp'| for the others, `p'` being the last pivot that
+                // touched `e`: not |Le|. Kept exactly, because every table
+                // was produced with it (DESIGN.md, "Model decisions").
+                let elems = &self.arena[node.start + node.vlen..][..node.elen];
+                elems
+                    .iter()
+                    .map(|&e| &self.nodes[e])
+                    .filter(|elem| elem.state == State::Element)
+                    .fold(d * d, |fill, elem| fill.saturating_sub((elem.wlen as u64).pow(2)))
             }
         }
     }
 
-    fn next_mark(&mut self) -> u64 {
-        self.mark += 1;
-        self.mark
-    }
-
-    /// Weighted size of element `e`, pruning dead members in place.
-    fn element_weight(&mut self, e: usize) -> usize {
-        let mut members = std::mem::take(&mut self.elem_vars[e]);
-        members.retain(|&v| self.state[v] == State::Alive);
-        let w = members.iter().map(|&v| self.nv[v]).sum();
-        self.elem_vars[e] = members;
-        w
-    }
-
-    fn run(mut self) -> Permutation {
-        let mut elim: Vec<usize> = Vec::with_capacity(self.n);
-        while let Some(Reverse((s, p))) = self.heap.pop() {
-            if self.state[p] != State::Alive || s != self.score[p] {
-                continue; // stale heap entry
-            }
-            self.eliminate(p);
-            elim.push(p);
-        }
-        // Expand supervariables: principal followed by its absorbed members
-        // (depth-first through the absorption forest).
-        let mut order = Vec::with_capacity(self.n);
-        let mut stack = Vec::new();
-        for &p in &elim {
-            stack.push(p);
-            while let Some(v) = stack.pop() {
-                order.push(v);
-                for &c in self.absorbed_children[v].iter().rev() {
-                    stack.push(c);
-                }
-            }
-        }
-        debug_assert_eq!(order.len(), self.n, "every variable must be ordered");
-        Permutation::from_elimination_order(order).expect("engine produced a bijection")
-    }
-
+    /// Turns pivot `p` into an element and updates the variables it reaches.
     fn eliminate(&mut self, p: usize) {
-        // ---- Build Lp = (Ap ∪ ⋃ Le) \ {p}, deduped with a stamp. ----
-        let mark = self.next_mark();
-        self.stamp[p] = mark;
-        let mut lp: Vec<usize> = Vec::new();
+        self.mark += 1;
+        let mark = self.mark;
+        let mut lp = std::mem::take(&mut self.lp);
+        lp.clear();
+
+        // ---- Lp = (Ap ∪ ⋃ Le) \ {p}, deduped with the stamp. ----
         let mut lp_weight = 0usize;
-        let var_adj_p = std::mem::take(&mut self.var_adj[p]);
-        for &v in &var_adj_p {
-            if self.state[v] == State::Alive && self.stamp[v] != mark {
-                self.stamp[v] = mark;
+        let mut reach = |nodes: &mut [Node], v: usize| {
+            let node = &mut nodes[v];
+            if node.state == State::Alive && node.stamp != mark {
+                node.stamp = mark;
                 lp.push(v);
-                lp_weight += self.nv[v];
+                lp_weight += node.nv;
             }
+        };
+        self.nodes[p].stamp = mark;
+        let Node { start, vlen, elen, .. } = self.nodes[p];
+        for q in start..start + vlen {
+            reach(&mut self.nodes, self.arena[q]);
         }
-        let elem_adj_p = std::mem::take(&mut self.elem_adj[p]);
-        for &e in &elem_adj_p {
-            if !self.elem_alive[e] {
+        for q in start + vlen..start + vlen + elen {
+            let e = self.arena[q];
+            if self.nodes[e].state != State::Element {
                 continue;
             }
-            let members = std::mem::take(&mut self.elem_vars[e]);
-            for &v in &members {
-                if v != p && self.state[v] == State::Alive && self.stamp[v] != mark {
-                    self.stamp[v] = mark;
-                    lp.push(v);
-                    lp_weight += self.nv[v];
-                }
+            let Node { start: members, vlen: len, .. } = self.nodes[e];
+            for r in members..members + len {
+                reach(&mut self.nodes, self.arena[r]);
             }
             // Element e is absorbed by the new element p.
-            self.elem_alive[e] = false;
+            self.nodes[e].state = State::Dead;
+            self.nodes[e].vlen = 0;
         }
 
-        self.state[p] = State::Eliminated;
-        self.alive_weight -= self.nv[p];
-        self.elem_vars[p] = lp.clone();
-        self.elem_alive[p] = true;
-        self.wlen[p] = lp_weight;
-
-        if lp.is_empty() {
-            return;
+        // Element p: its members take over p's own chunk when they fit,
+        // and otherwise come off the free tail.
+        let node = &mut self.nodes[p];
+        self.alive_weight -= node.nv;
+        node.state = State::Element;
+        (node.degree, node.wlen) = (lp_weight, lp_weight);
+        (node.vlen, node.elen) = (0, 0); // p's old lists are not worth compacting
+        if lp.len() > vlen + elen {
+            if self.top + lp.len() > self.arena.len() {
+                self.compact();
+            }
+            self.nodes[p].start = self.top;
+            self.top += lp.len();
         }
+        let at = self.nodes[p].start;
+        self.arena[at..at + lp.len()].copy_from_slice(&lp);
+        self.nodes[p].vlen = lp.len();
 
-        // ---- Pass 1: w[e] = |Le \ Lp| for every element touching Lp. ----
-        let wmark = self.mark; // reuse current mark for wstamp domain
-        for &i in &lp {
-            let elems = std::mem::take(&mut self.elem_adj[i]);
-            for &e in &elems {
-                if !self.elem_alive[e] || e == p {
+        if !lp.is_empty() {
+            self.update_reached(p, &lp, lp_weight);
+        }
+        self.lp = lp;
+    }
+
+    /// Degrees, lists, supervariables and scores of the members of `Lp`.
+    fn update_reached(&mut self, p: usize, lp: &[usize], lp_weight: usize) {
+        let mark = self.mark;
+
+        // ---- Pass 1: wlen[e] = |Le \ Lp| for every element touching Lp. ----
+        for &i in lp {
+            let Node { start, vlen, elen, nv, .. } = self.nodes[i];
+            for q in start + vlen..start + vlen + elen {
+                let e = self.arena[q];
+                if self.nodes[e].state != State::Element {
                     continue;
                 }
-                if self.wstamp[e] != wmark {
-                    self.wstamp[e] = wmark;
-                    self.wlen[e] = self.element_weight(e);
+                if self.nodes[e].stamp != mark {
+                    debug_assert_eq!(self.nodes[e].degree, self.scanned_weight(e), "element {e}");
+                    self.nodes[e].stamp = mark;
+                    self.nodes[e].wlen = self.nodes[e].degree;
                 }
-                self.wlen[e] = self.wlen[e].saturating_sub(self.nv[i]);
+                self.nodes[e].wlen = self.nodes[e].wlen.saturating_sub(nv);
             }
-            self.elem_adj[i] = elems;
         }
 
         // ---- Pass 2: prune lists and recompute degrees for i in Lp. ----
         // Lp members are stamped with `mark`.
-        for &i in &lp {
-            if self.state[i] != State::Alive {
-                continue; // absorbed earlier in this very loop
-            }
+        let mut hashes = std::mem::take(&mut self.hashes);
+        hashes.clear();
+        for (k, &i) in lp.iter().enumerate() {
+            let Node { start, vlen, elen, nv, .. } = self.nodes[i];
+            let (nodes, arena) = (&self.nodes, &mut self.arena[..]);
             // Prune variable adjacency: drop dead vars and members of Lp
             // (those are covered by element p now).
-            let mut va = std::mem::take(&mut self.var_adj[i]);
-            va.retain(|&v| self.state[v] == State::Alive && self.stamp[v] != mark);
-            va.sort_unstable();
-            va.dedup();
-            let a_weight: usize = va.iter().map(|&v| self.nv[v]).sum();
-            self.var_adj[i] = va;
-
-            // Prune element adjacency and append p.
-            let mut ea = std::mem::take(&mut self.elem_adj[i]);
-            ea.retain(|&e| self.elem_alive[e] && e != p);
-            ea.sort_unstable();
-            ea.dedup();
-            let mut elem_weight_sum = 0usize;
-            for &e in &ea {
-                // wlen[e] was set to |Le \ Lp| in pass 1 for touched elements.
-                elem_weight_sum +=
-                    if self.wstamp[e] == wmark { self.wlen[e] } else { self.element_weight(e) };
+            let elems = prune(arena, start..start + vlen, start, |v| {
+                nodes[v].state == State::Alive && nodes[v].stamp != mark
+            });
+            let mut hash: u64 = 0x9e3779b97f4a7c15;
+            let mut degree = lp_weight - nv;
+            for &v in &arena[start..elems] {
+                degree += nodes[v].nv;
+                hash = hash.wrapping_add((v as u64).wrapping_mul(0x100000001b3));
             }
-            ea.push(p);
-            self.elem_adj[i] = ea;
-
-            let d = a_weight + (lp_weight - self.nv[i]) + elem_weight_sum;
-            self.degree[i] = d.min(self.alive_weight.saturating_sub(self.nv[i]));
+            // Prune element adjacency, moved down to follow the variables,
+            // and append p: it takes the slot of p itself or of an element
+            // p absorbed, one of which was in these lists.
+            let old_end = start + vlen + elen;
+            let end =
+                prune(arena, start + vlen..old_end, elems, |e| nodes[e].state == State::Element);
+            assert!(end < old_end, "adjacency of {i} and {p} is not symmetric");
+            for &e in &arena[elems..end] {
+                // wlen[e] was set to |Le \ Lp| in pass 1.
+                debug_assert_eq!(nodes[e].stamp, mark);
+                degree += nodes[e].wlen;
+                hash ^= (e as u64).wrapping_mul(0x9e3779b1);
+            }
+            arena[end] = p;
+            hash ^= (p as u64).wrapping_mul(0x9e3779b1);
+            let node = &mut self.nodes[i];
+            (node.vlen, node.elen) = (elems - start, end + 1 - elems);
+            node.degree = degree.min(self.alive_weight.saturating_sub(nv));
+            hashes.push((hash, k));
         }
 
         // ---- Supervariable detection within Lp (cheap hash + exact check). ----
-        let live: Vec<usize> =
-            lp.iter().copied().filter(|&i| self.state[i] == State::Alive).collect();
-        let mut buckets: std::collections::HashMap<u64, Vec<usize>> =
-            std::collections::HashMap::with_capacity(live.len());
-        for &i in &live {
-            let mut h: u64 = 0x9e3779b97f4a7c15;
-            for &v in &self.var_adj[i] {
-                h = h.wrapping_add((v as u64).wrapping_mul(0x100000001b3));
-            }
-            for &e in &self.elem_adj[i] {
-                h ^= (e as u64).wrapping_mul(0x9e3779b1);
-            }
-            buckets.entry(h).or_default().push(i);
-        }
-        for group in buckets.values() {
-            for a_pos in 0..group.len() {
-                let i = group[a_pos];
-                if self.state[i] != State::Alive {
+        // Sorted by (hash, position in Lp): equal lists end up in one run,
+        // still in Lp order, and the first of them absorbs the rest.
+        hashes.sort_unstable();
+        for run in hashes.chunk_by(|a, b| a.0 == b.0) {
+            for (x, &(_, k)) in run.iter().enumerate() {
+                let i = lp[k];
+                if self.nodes[i].state != State::Alive {
                     continue;
                 }
-                for &j in &group[a_pos + 1..] {
-                    if self.state[j] != State::Alive {
-                        continue;
-                    }
-                    if self.var_adj[i] == self.var_adj[j] && self.elem_adj[i] == self.elem_adj[j] {
-                        // Absorb j into i.
-                        self.nv[i] += self.nv[j];
-                        self.nv[j] = 0;
-                        self.state[j] = State::Absorbed;
-                        self.absorbed_children[i].push(j);
-                        self.var_adj[j].clear();
-                        self.elem_adj[j].clear();
+                for &(_, k) in &run[x + 1..] {
+                    let j = lp[k];
+                    if self.nodes[j].state == State::Alive && self.same_lists(i, j) {
+                        self.absorb(i, j);
                     }
                 }
             }
         }
+        self.hashes = hashes;
 
-        // ---- Final scores and heap reinsertion. ----
-        for &i in &live {
-            if self.state[i] != State::Alive {
+        // ---- Final scores. ----
+        for &i in lp {
+            if self.nodes[i].state != State::Alive {
                 continue;
             }
             // Absorptions shrink external degree; recompute the cheap part.
-            let d = self.degree[i].min(self.alive_weight.saturating_sub(self.nv[i]));
-            self.degree[i] = d;
-            self.score[i] = self.metric_score(i);
-            self.heap.push(Reverse((self.score[i], i)));
+            let node = &mut self.nodes[i];
+            node.degree = node.degree.min(self.alive_weight.saturating_sub(node.nv));
+            self.heap.update(i, self.score(i));
         }
+    }
+
+    fn lists(&self, i: usize) -> &[usize] {
+        let node = &self.nodes[i];
+        &self.arena[node.start..node.start + node.vlen + node.elen]
+    }
+
+    fn same_lists(&self, i: usize, j: usize) -> bool {
+        self.nodes[i].vlen == self.nodes[j].vlen && self.lists(i) == self.lists(j)
+    }
+
+    /// Merges variable `j` into the indistinguishable variable `i`.
+    fn absorb(&mut self, i: usize, j: usize) {
+        self.nodes[i].nv += self.nodes[j].nv;
+        let node = &mut self.nodes[j];
+        (node.nv, node.vlen, node.elen) = (0, 0, 0);
+        node.state = State::Absorbed;
+        self.next[self.tail[i]] = j;
+        self.tail[i] = self.tail[j];
+        self.heap.remove(j);
+    }
+
+    /// Moves every live chunk to the front of the arena, in place and in
+    /// order, and frees the rest.
+    fn compact(&mut self) {
+        let before: Vec<Vec<usize>> = if cfg!(debug_assertions) {
+            (0..self.nodes.len()).map(|x| self.lists(x).to_vec()).collect()
+        } else {
+            Vec::new()
+        };
+        let mut live: Vec<usize> =
+            (0..self.nodes.len()).filter(|&x| !self.lists(x).is_empty()).collect();
+        live.sort_unstable_by_key(|&x| self.nodes[x].start);
+        self.top = 0;
+        for x in live {
+            let node = &mut self.nodes[x];
+            let len = node.vlen + node.elen;
+            self.arena.copy_within(node.start..node.start + len, self.top);
+            node.start = self.top;
+            self.top += len;
+        }
+        self.compactions += 1;
+        debug_assert!(before.iter().enumerate().all(|(x, list)| self.lists(x) == &list[..]));
+    }
+
+    /// `|Le|` by a scan of the members: what `degree[e]` stores.
+    fn scanned_weight(&self, e: usize) -> usize {
+        self.lists(e)
+            .iter()
+            .filter(|&&v| self.nodes[v].state == State::Alive)
+            .map(|&v| self.nodes[v].nv)
+            .sum()
+    }
+
+    /// True when the heap holds exactly the live principal variables, each
+    /// where `pos` says, in heap order.
+    fn heap_is_exact(&self) -> bool {
+        let items = &self.heap.items;
+        let alive = self.nodes.iter().filter(|node| node.state == State::Alive).count();
+        alive == items.len()
+            && items.iter().enumerate().all(|(k, &(_, id))| {
+                self.nodes[id].state == State::Alive
+                    && self.heap.pos[id] == k
+                    && (k == 0 || items[(k - 1) / 2] <= items[k])
+            })
     }
 }
 
 /// Computes a minimum-degree (or minimum-fill) elimination ordering of the
-/// graph `g`.
+/// graph `g`, whose adjacency must be symmetric (panics otherwise).
 pub fn min_degree(g: &Graph, metric: Metric) -> Permutation {
-    if g.n() == 0 {
-        return Permutation::identity(0);
-    }
-    Engine::new(g, metric).run()
+    let mut order = Vec::with_capacity(g.n());
+    Engine::new(metric).order(g.n(), |i| g.neighbors(i).iter().copied(), |v| order.push(v));
+    debug_assert_eq!(order.len(), g.n(), "every variable must be ordered");
+    Permutation::from_elimination_order(order).expect("engine produced a bijection")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nd::{nested_dissection, NdOptions};
     use mf_sparse::gen::grid::{grid2d, Stencil};
     use mf_sparse::Graph;
+    use proptest::prelude::*;
+
+    /// Symmetric graph on `n` vertices from arbitrary vertex pairs.
+    fn graph_of(n: usize, pairs: &[(usize, usize)]) -> Graph {
+        let mut adj = vec![std::collections::BTreeSet::new(); n];
+        for &(a, b) in pairs {
+            if a % n != b % n {
+                adj[a % n].insert(b % n);
+                adj[b % n].insert(a % n);
+            }
+        }
+        let mut ptr = vec![0];
+        let flat: Vec<usize> = adj.iter().flatten().copied().collect();
+        ptr.extend(adj.iter().scan(0, |at, list| {
+            *at += list.len();
+            Some(*at)
+        }));
+        Graph::from_raw_parts(ptr, flat)
+    }
+
+    fn loaded(g: &Graph, metric: Metric) -> Engine {
+        let mut engine = Engine::new(metric);
+        engine.load(g.n(), |i| g.neighbors(i).iter().copied());
+        engine
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        /// Every vertex leaves exactly once, whatever the graph; in debug
+        /// builds the run also checks, at every pivot, each stored element
+        /// weight against a scan, and the heap and every compaction at
+        /// intervals.
+        #[test]
+        fn orders_arbitrary_graphs_with_every_invariant_holding(
+            n in 1usize..90,
+            pairs in prop::collection::vec((0usize..90, 0usize..90), 0..400),
+            fill in any::<bool>(),
+        ) {
+            let g = graph_of(n, &pairs);
+            let metric = if fill { Metric::ApproxFill } else { Metric::ApproxDegree };
+            let mut seen = vec![false; n];
+            let mut engine = Engine::new(metric);
+            engine.order(n, |i| g.neighbors(i).iter().copied(), |v| {
+                prop_assert!(!std::mem::replace(&mut seen[v], true), "{} ordered twice", v);
+            });
+            prop_assert!(seen.iter().all(|&s| s));
+            prop_assert!(engine.heap.items.is_empty() && engine.heap_is_exact());
+            // The dissection drives the same engine leaf after leaf.
+            let nd = NdOptions { leaf_size: 4, leaf_metric: metric, max_imbalance: 0.65 };
+            prop_assert_eq!(nested_dissection(&g, &nd).len(), n);
+        }
+    }
+
+    #[test]
+    fn the_arena_is_compacted_when_fill_outgrows_it() {
+        let g = Graph::from_matrix(&grid2d(30, 30, Stencil::Star));
+        let mut engine = Engine::new(Metric::ApproxDegree);
+        engine.order(g.n(), |i| g.neighbors(i).iter().copied(), |_| ());
+        assert!(engine.compactions > 0, "no compaction: the debug check of it never ran");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "element")]
+    fn a_wrong_stored_element_weight_is_caught() {
+        let g = Graph::from_matrix(&grid2d(6, 6, Stencil::Star));
+        let mut engine = loaded(&g, Metric::ApproxDegree);
+        while let Some(p) = engine.heap.pop() {
+            engine.eliminate(p);
+            engine.nodes[p].degree += 1;
+        }
+    }
+
+    #[test]
+    fn a_variable_missing_from_the_heap_is_caught() {
+        let g = Graph::from_matrix(&grid2d(6, 6, Stencil::Star));
+        let mut engine = loaded(&g, Metric::ApproxFill);
+        assert!(engine.heap_is_exact());
+        engine.heap.remove(7);
+        assert!(!engine.heap_is_exact());
+    }
 
     /// Exact fill count by naive symbolic elimination (small graphs only).
     fn exact_fill(g: &Graph, order: &[usize]) -> u64 {

@@ -7,8 +7,8 @@
 //! The separators end up last in the ordering, which is what produces the
 //! wide, well-balanced assembly trees characteristic of METIS in the paper.
 
-use crate::mindeg::{min_degree, Metric};
-use mf_sparse::{Graph, Permutation};
+use crate::mindeg::{Engine, Metric};
+use mf_sparse::{Graph, LevelStructure, Permutation};
 
 /// Tuning knobs of the dissection.
 #[derive(Debug, Clone)]
@@ -32,139 +32,168 @@ impl NdOptions {
 /// Computes a nested-dissection ordering of `g`.
 pub fn nested_dissection(g: &Graph, opts: &NdOptions) -> Permutation {
     let n = g.n();
-    let mut order = Vec::with_capacity(n);
     // Handle disconnected graphs: dissect each component.
     let (comp, ncomp) = g.components();
     let mut comp_nodes: Vec<Vec<usize>> = vec![Vec::new(); ncomp];
     for v in 0..n {
         comp_nodes[comp[v]].push(v);
     }
-    for nodes in comp_nodes {
-        dissect(g, nodes, opts, &mut order);
-    }
-    debug_assert_eq!(order.len(), n);
-    Permutation::from_elimination_order(order).expect("dissection covers every node once")
-}
-
-fn dissect(g: &Graph, nodes: Vec<usize>, opts: &NdOptions, out: &mut Vec<usize>) {
-    if nodes.len() <= opts.leaf_size {
-        order_leaf(g, &nodes, opts.leaf_metric, out);
-        return;
-    }
-    match find_separator(g, &nodes, opts) {
-        Some((a, b, sep)) => {
-            // Recurse on halves; separator is ordered last (eliminated after
-            // both halves), which puts it at the parent in the etree.
-            dissect(g, a, opts, out);
-            dissect(g, b, opts, out);
-            order_leaf(g, &sep, opts.leaf_metric, out);
-        }
-        None => {
-            // No usable separator (e.g. clique-like subgraph).
-            order_leaf(g, &nodes, opts.leaf_metric, out);
-        }
-    }
-}
-
-/// Orders a small node set with minimum degree on its induced subgraph.
-fn order_leaf(g: &Graph, nodes: &[usize], metric: Metric, out: &mut Vec<usize>) {
-    if nodes.len() <= 2 {
-        out.extend_from_slice(nodes);
-        return;
-    }
-    let (sub, map) = g.subgraph(nodes);
-    let p = min_degree(&sub, metric);
-    out.extend(p.elimination_order().iter().map(|&k| map[k]));
-}
-
-/// Splits `nodes` into `(A, B, separator)`; returns `None` when the split
-/// degenerates (one side empty).
-fn find_separator(
-    g: &Graph,
-    nodes: &[usize],
-    opts: &NdOptions,
-) -> Option<(Vec<usize>, Vec<usize>, Vec<usize>)> {
-    // Restrict the search to this node set only.
-    let in_set: Vec<bool> = {
-        let mut s = vec![false; g.n()];
-        for &v in nodes {
-            s[v] = true;
-        }
-        s
+    let mut d = Dissection {
+        g,
+        opts,
+        levels: LevelStructure::new(n),
+        tag: vec![0; n],
+        base: 0,
+        local: vec![usize::MAX; n],
+        engine: Engine::new(opts.leaf_metric),
+        order: Vec::with_capacity(n),
     };
-    let root = g.pseudo_peripheral(nodes[0], &in_set);
-    let (levels, _, depth) = g.bfs_levels(root, &in_set);
-    if depth == 0 {
-        return None; // clique or single level: no separator possible
+    for nodes in comp_nodes {
+        d.dissect(nodes);
+    }
+    debug_assert_eq!(d.order.len(), n);
+    Permutation::from_elimination_order(d.order).expect("dissection covers every node once")
+}
+
+const SIDE_A: usize = 1;
+const SIDE_B: usize = 2;
+const SEPARATOR: usize = 3;
+
+/// One dissection and its workspace: every split and every leaf costs
+/// time proportional to its own node set, never to the whole graph.
+struct Dissection<'a> {
+    g: &'a Graph,
+    opts: &'a NdOptions,
+    levels: LevelStructure,
+    /// `tag[v] >= base` iff `v` is in the node set being split, and then
+    /// `tag[v] - base` is its side. Each split raises `base` by 4, which
+    /// empties the set and the sides of the split before it at once.
+    tag: Vec<usize>,
+    base: usize,
+    /// Leaf-local id of the nodes of the leaf being ordered, `usize::MAX`
+    /// elsewhere.
+    local: Vec<usize>,
+    engine: Engine,
+    order: Vec<usize>,
+}
+
+impl Dissection<'_> {
+    fn dissect(&mut self, nodes: Vec<usize>) {
+        if nodes.len() <= self.opts.leaf_size {
+            self.order_leaf(&nodes);
+            return;
+        }
+        match self.find_separator(&nodes) {
+            Some((a, b, sep)) => {
+                // Recurse on halves; separator is ordered last (eliminated after
+                // both halves), which puts it at the parent in the etree.
+                self.dissect(a);
+                self.dissect(b);
+                self.order_leaf(&sep);
+            }
+            // No usable separator (e.g. clique-like subgraph).
+            None => self.order_leaf(&nodes),
+        }
     }
 
-    // Level sizes, then choose the cut level closest to the weight median
-    // within the balance constraint, preferring small levels (thin cuts).
-    let mut level_sizes = vec![0usize; depth + 1];
-    for &v in nodes {
-        if levels[v] != usize::MAX {
-            level_sizes[levels[v]] += 1;
+    /// Orders a small node set with minimum degree on its induced subgraph.
+    fn order_leaf(&mut self, nodes: &[usize]) {
+        if nodes.len() <= 2 {
+            self.order.extend_from_slice(nodes);
+            return;
+        }
+        for (k, &v) in nodes.iter().enumerate() {
+            self.local[v] = k;
+        }
+        let (g, local, order) = (self.g, &self.local, &mut self.order);
+        self.engine.order(
+            nodes.len(),
+            |k| g.neighbors(nodes[k]).iter().map(|&w| local[w]).filter(|&l| l != usize::MAX),
+            |k| order.push(nodes[k]),
+        );
+        for &v in nodes {
+            self.local[v] = usize::MAX;
         }
     }
-    let total: usize = level_sizes.iter().sum();
-    let mut best_cut = None;
-    let mut below = 0usize;
-    for (lvl, &sz) in level_sizes.iter().enumerate().take(depth) {
-        below += sz;
-        let above = total - below;
-        let bal = below.max(above) as f64 / total.max(1) as f64;
-        if below == 0 || above == 0 {
-            continue;
-        }
-        // Score: prefer thin next level (the separator candidate) and balance.
-        let sep_sz = level_sizes[lvl + 1];
-        let score = sep_sz as f64 + if bal > opts.max_imbalance { total as f64 } else { 0.0 };
-        if best_cut.is_none_or(|(_, s)| score < s) {
-            best_cut = Some((lvl, score));
-        }
-    }
-    let (cut, _) = best_cut?;
 
-    // Initial separator: the nodes of level cut+1 adjacent to level <= cut.
-    let mut side = vec![0u8; g.n()]; // 1 = A (<= cut), 2 = B (> cut), 3 = sep
-    for &v in nodes {
-        side[v] = if levels[v] == usize::MAX {
-            2 // unreached within set (shouldn't happen for connected input)
-        } else if levels[v] <= cut {
-            1
-        } else {
-            2
-        };
-    }
-    let mut sep = Vec::new();
-    for &v in nodes {
-        if levels[v] == cut + 1 && g.neighbors(v).iter().any(|&w| in_set[w] && side[w] == 1) {
-            side[v] = 3;
-            sep.push(v);
+    /// Splits `nodes` into `(A, B, separator)`; returns `None` when the split
+    /// degenerates (one side empty).
+    fn find_separator(&mut self, nodes: &[usize]) -> Option<(Vec<usize>, Vec<usize>, Vec<usize>)> {
+        let (g, opts) = (self.g, self.opts);
+        // Restrict the search to this node set only.
+        self.base += 4;
+        let base = self.base;
+        for &v in nodes {
+            self.tag[v] = base;
         }
-    }
-    // Shrink: drop separator vertices not adjacent to A (already none) or
-    // whose removal keeps A and B disconnected, i.e. vertices with no B
-    // neighbour can move into A.
-    let mut shrunk = Vec::with_capacity(sep.len());
-    for &v in &sep {
-        let touches_b = g.neighbors(v).iter().any(|&w| in_set[w] && side[w] == 2);
-        if touches_b {
-            shrunk.push(v);
-        } else {
-            side[v] = 1;
+        let tag = &self.tag;
+        self.levels.pseudo_peripheral(g, nodes[0], &|w| tag[w] >= base);
+        let (levels, tag) = (&self.levels, &mut self.tag);
+        let depth = levels.depth();
+        if depth == 0 {
+            return None; // clique or single level: no separator possible
         }
+
+        // Level sizes, then choose the cut level closest to the weight median
+        // within the balance constraint, preferring small levels (thin cuts).
+        let mut level_sizes = vec![0usize; depth + 1];
+        for &v in nodes {
+            if levels.level(v) != usize::MAX {
+                level_sizes[levels.level(v)] += 1;
+            }
+        }
+        let total: usize = level_sizes.iter().sum();
+        let mut best_cut = None;
+        let mut below = 0usize;
+        for (lvl, &sz) in level_sizes.iter().enumerate().take(depth) {
+            below += sz;
+            let above = total - below;
+            let bal = below.max(above) as f64 / total.max(1) as f64;
+            if below == 0 || above == 0 {
+                continue;
+            }
+            // Score: prefer thin next level (the separator candidate) and balance.
+            let sep_sz = level_sizes[lvl + 1];
+            let score = sep_sz as f64 + if bal > opts.max_imbalance { total as f64 } else { 0.0 };
+            if best_cut.is_none_or(|(_, s)| score < s) {
+                best_cut = Some((lvl, score));
+            }
+        }
+        let (cut, _) = best_cut?;
+
+        // A holds the levels up to the cut, B the rest, nodes the search did
+        // not reach included (their level is `usize::MAX`).
+        for &v in nodes {
+            tag[v] = base + if levels.level(v) <= cut { SIDE_A } else { SIDE_B };
+        }
+        // Initial separator: the nodes of level cut+1 adjacent to level <= cut.
+        let mut sep = Vec::new();
+        for &v in nodes {
+            if levels.level(v) == cut + 1 && g.neighbors(v).iter().any(|&w| tag[w] == base + SIDE_A)
+            {
+                tag[v] = base + SEPARATOR;
+                sep.push(v);
+            }
+        }
+        // Shrink: separator vertices with no B neighbour can move into A
+        // and A and B stay disconnected.
+        sep.retain(|&v| {
+            let touches_b = g.neighbors(v).iter().any(|&w| tag[w] == base + SIDE_B);
+            if !touches_b {
+                tag[v] = base + SIDE_A;
+            }
+            touches_b
+        });
+        if sep.is_empty() {
+            return None;
+        }
+        let side = |s| nodes.iter().copied().filter(|&v| tag[v] == base + s).collect::<Vec<_>>();
+        let (a, b) = (side(SIDE_A), side(SIDE_B));
+        if a.is_empty() || b.is_empty() {
+            return None;
+        }
+        Some((a, b, sep))
     }
-    let sep = shrunk;
-    if sep.is_empty() {
-        return None;
-    }
-    let a: Vec<usize> = nodes.iter().copied().filter(|&v| side[v] == 1).collect();
-    let b: Vec<usize> = nodes.iter().copied().filter(|&v| side[v] == 2).collect();
-    if a.is_empty() || b.is_empty() {
-        return None;
-    }
-    Some((a, b, sep))
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! stress-testing the schedulers on degenerate topologies and as a
 //! reference point in the ordering benchmarks.
 
-use mf_sparse::{Graph, Permutation};
+use mf_sparse::{Graph, LevelStructure, Permutation};
 use std::collections::VecDeque;
 
 /// Computes the reverse Cuthill–McKee ordering of `g`: BFS from a
@@ -16,13 +16,13 @@ pub fn rcm(g: &Graph) -> Permutation {
     let n = g.n();
     let mut order = Vec::with_capacity(n);
     let mut visited = vec![false; n];
-    let mask = vec![true; n];
+    let mut levels = LevelStructure::new(n);
     let mut queue = VecDeque::new();
     for seed in 0..n {
         if visited[seed] {
             continue;
         }
-        let root = g.pseudo_peripheral(seed, &mask);
+        let root = levels.pseudo_peripheral(g, seed, &|_| true);
         let root = if visited[root] { seed } else { root };
         visited[root] = true;
         queue.push_back(root);

@@ -294,8 +294,18 @@ impl CscMatrix {
         if self.nrows != self.ncols {
             return false;
         }
-        let at = self.transpose();
-        (0..self.ncols).all(|j| self.rows_in_col(j) == at.rows_in_col(j))
+        // Row `i`, read down the columns in order, must spell column `i`:
+        // one cursor per column, no transposed copy.
+        let mut next = self.col_ptr[..self.ncols].to_vec();
+        for j in 0..self.ncols {
+            for &i in self.rows_in_col(j) {
+                if next[i] == self.col_ptr[i + 1] || self.row_idx[next[i]] != j {
+                    return false;
+                }
+                next[i] += 1;
+            }
+        }
+        true
     }
 }
 

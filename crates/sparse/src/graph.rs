@@ -14,19 +14,22 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Builds the graph of `A + Aᵀ` minus the diagonal.
+    /// Builds the graph of `A + Aᵀ` minus the diagonal. Only the pattern
+    /// is read, and `A + Aᵀ` is formed only when that pattern is unsymmetric.
     pub fn from_matrix(a: &CscMatrix) -> Self {
-        let s = if a.is_structurally_symmetric() { a.clone() } else { a.symmetrized() };
+        let symmetrized;
+        let s = if a.is_structurally_symmetric() {
+            a
+        } else {
+            symmetrized = a.symmetrized();
+            &symmetrized
+        };
         let n = s.ncols();
         let mut ptr = Vec::with_capacity(n + 1);
         let mut adj = Vec::with_capacity(s.nnz());
         ptr.push(0);
         for j in 0..n {
-            for &i in s.rows_in_col(j) {
-                if i != j {
-                    adj.push(i);
-                }
-            }
+            adj.extend(s.rows_in_col(j).iter().copied().filter(|&i| i != j));
             ptr.push(adj.len());
         }
         Graph { ptr, adj }
@@ -62,27 +65,6 @@ impl Graph {
         self.ptr[i + 1] - self.ptr[i]
     }
 
-    /// Extracts the subgraph induced by `nodes`; returns the subgraph and
-    /// the mapping from subgraph ids to original ids.
-    pub fn subgraph(&self, nodes: &[usize]) -> (Graph, Vec<usize>) {
-        let mut local = vec![usize::MAX; self.n()];
-        for (k, &v) in nodes.iter().enumerate() {
-            local[v] = k;
-        }
-        let mut ptr = Vec::with_capacity(nodes.len() + 1);
-        let mut adj = Vec::new();
-        ptr.push(0);
-        for &v in nodes {
-            for &w in self.neighbors(v) {
-                if local[w] != usize::MAX {
-                    adj.push(local[w]);
-                }
-            }
-            ptr.push(adj.len());
-        }
-        (Graph { ptr, adj }, nodes.to_vec())
-    }
-
     /// Connected components; returns the component id of each node and the
     /// number of components.
     pub fn components(&self) -> (Vec<usize>, usize) {
@@ -108,53 +90,98 @@ impl Graph {
         }
         (comp, ncomp)
     }
+}
 
-    /// BFS level structure rooted at `root` over the nodes with
-    /// `mask[v] == true`; returns `(levels, last_level_nodes, depth)`.
-    /// `levels[v] == usize::MAX` for unreached nodes.
-    pub fn bfs_levels(&self, root: usize, mask: &[bool]) -> (Vec<usize>, Vec<usize>, usize) {
-        let n = self.n();
-        let mut level = vec![usize::MAX; n];
-        let mut frontier = vec![root];
-        level[root] = 0;
-        let mut depth = 0;
-        let mut last = frontier.clone();
-        while !frontier.is_empty() {
-            let mut next = Vec::new();
-            for &v in &frontier {
-                for &w in self.neighbors(v) {
-                    if mask[w] && level[w] == usize::MAX {
-                        level[w] = level[v] + 1;
-                        next.push(w);
-                    }
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            depth += 1;
-            last = next.clone();
-            frontier = next;
-        }
-        (level, last, depth)
+/// Reusable breadth-first level structure over a subset of a graph's
+/// nodes.
+///
+/// A dissection runs thousands of traversals over ever smaller node
+/// sets. Each costs time proportional to what it visits, not to the
+/// graph: a traversal begins by erasing the levels of the one before it,
+/// walking that traversal's own visit list.
+#[derive(Debug, Clone)]
+pub struct LevelStructure {
+    level: Vec<usize>,
+    /// Nodes of the last traversal in visit order.
+    visited: Vec<usize>,
+    /// The deepest level is `visited[deepest..]`.
+    deepest: usize,
+    depth: usize,
+}
+
+impl LevelStructure {
+    /// Workspace for graphs of up to `n` nodes.
+    pub fn new(n: usize) -> Self {
+        LevelStructure { level: vec![usize::MAX; n], visited: Vec::new(), deepest: 0, depth: 0 }
     }
 
-    /// Finds a pseudo-peripheral node of the masked subgraph containing
-    /// `seed` (repeated BFS from an extremal node of the deepest level).
-    pub fn pseudo_peripheral(&self, seed: usize, mask: &[bool]) -> usize {
-        let mut root = seed;
-        let (_, last, mut depth) = self.bfs_levels(root, mask);
-        let mut best = *last.iter().min_by_key(|&&v| self.degree(v)).unwrap_or(&root);
-        for _ in 0..8 {
-            let (_, last2, d2) = self.bfs_levels(best, mask);
-            if d2 > depth {
-                depth = d2;
-                root = best;
-                best = *last2.iter().min_by_key(|&&v| self.degree(v)).unwrap_or(&root);
-            } else {
-                return best;
+    /// Breadth-first search from `root` over the nodes with `in_set(v)`;
+    /// returns the depth (number of levels minus one).
+    pub fn run(&mut self, g: &Graph, root: usize, in_set: &impl Fn(usize) -> bool) -> usize {
+        for &v in &self.visited {
+            self.level[v] = usize::MAX;
+        }
+        self.visited.clear();
+        self.visited.push(root);
+        self.level[root] = 0;
+        (self.deepest, self.depth) = (0, 0);
+        let mut head = 0;
+        while head < self.visited.len() {
+            let v = self.visited[head];
+            head += 1;
+            let next = self.level[v] + 1;
+            for &w in g.neighbors(v) {
+                if self.level[w] == usize::MAX && in_set(w) {
+                    if next > self.depth {
+                        (self.deepest, self.depth) = (self.visited.len(), next);
+                    }
+                    self.level[w] = next;
+                    self.visited.push(w);
+                }
             }
         }
+        self.depth
+    }
+
+    /// Level of `v` in the last traversal, `usize::MAX` if it was not reached.
+    #[inline]
+    pub fn level(&self, v: usize) -> usize {
+        self.level[v]
+    }
+
+    /// Depth of the last traversal.
+    pub fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// Nodes of the deepest level of the last traversal, in visit order.
+    pub fn deepest_level(&self) -> &[usize] {
+        &self.visited[self.deepest..]
+    }
+
+    /// Finds a pseudo-peripheral node of the subset containing `seed`
+    /// (repeated BFS from a minimum-degree node of the deepest level).
+    /// On return the structure holds the traversal rooted at that node.
+    pub fn pseudo_peripheral(
+        &mut self,
+        g: &Graph,
+        seed: usize,
+        in_set: &impl Fn(usize) -> bool,
+    ) -> usize {
+        let extremal = |ls: &Self| {
+            *ls.deepest_level().iter().min_by_key(|&&v| g.degree(v)).expect("holds the root")
+        };
+        let mut depth = self.run(g, seed, in_set);
+        let mut best = extremal(self);
+        for _ in 0..8 {
+            let deeper = self.run(g, best, in_set);
+            if deeper <= depth {
+                return best;
+            }
+            depth = deeper;
+            best = extremal(self);
+        }
+        self.run(g, best, in_set);
         best
     }
 }
@@ -211,27 +238,29 @@ mod tests {
     #[test]
     fn pseudo_peripheral_on_path_is_an_endpoint() {
         let g = path_graph(9);
-        let mask = vec![true; 9];
-        let p = g.pseudo_peripheral(4, &mask);
+        let mut ls = LevelStructure::new(9);
+        let p = ls.pseudo_peripheral(&g, 4, &|_| true);
         assert!(p == 0 || p == 8, "got {p}");
+        assert_eq!((ls.level(p), ls.depth()), (0, 8), "left rooted at the node returned");
     }
 
     #[test]
     fn bfs_levels_depth() {
         let g = path_graph(6);
-        let mask = vec![true; 6];
-        let (levels, last, depth) = g.bfs_levels(0, &mask);
-        assert_eq!(depth, 5);
-        assert_eq!(levels[5], 5);
-        assert_eq!(last, vec![5]);
+        let mut ls = LevelStructure::new(6);
+        assert_eq!(ls.run(&g, 0, &|_| true), 5);
+        assert_eq!(ls.level(5), 5);
+        assert_eq!(ls.deepest_level(), &[5]);
     }
 
     #[test]
-    fn subgraph_relabels() {
-        let g = path_graph(5);
-        let (sg, map) = g.subgraph(&[1, 2, 3]);
-        assert_eq!(sg.n(), 3);
-        assert_eq!(map, vec![1, 2, 3]);
-        assert_eq!(sg.neighbors(1), &[0, 2]); // node 2 adjacent to 1 and 3
+    fn a_traversal_erases_the_one_before_and_stays_in_its_set() {
+        let g = path_graph(7);
+        let mut ls = LevelStructure::new(7);
+        ls.run(&g, 0, &|_| true);
+        assert_eq!(ls.run(&g, 4, &|v| v >= 3), 2);
+        assert_eq!((ls.level(3), ls.level(6)), (1, 2));
+        assert_eq!(ls.level(2), usize::MAX);
+        assert_eq!(ls.deepest_level(), &[6]);
     }
 }

@@ -31,5 +31,5 @@ pub mod stats;
 pub use coo::CooMatrix;
 pub use csc::{CscMatrix, Symmetry};
 pub use error::SparseError;
-pub use graph::Graph;
+pub use graph::{Graph, LevelStructure};
 pub use perm::Permutation;
