@@ -45,7 +45,7 @@
 //! (leaf storms run one core per front; the root chain collects the
 //! pool) — followed by the makespan comparison against the static run.
 
-use mf_bench::obs;
+use mf_bench::obs::{self, die, parse_fault, parse_matrix, parse_ordering};
 use mf_bench::sweep::{
     build_tree, paper_scale_config, split_threshold_for, sweep_cell_captured, CellResult,
 };
@@ -58,14 +58,6 @@ use mf_sim::recorder::{EventRef, SchedEvent};
 use mf_sim::{active_before, attribute_peaks, FaultModel, PeakAttribution, Recording};
 use mf_sparse::gen::paper::{PaperMatrix, ALL_PAPER_MATRICES};
 
-fn parse_matrix(s: &str) -> Option<PaperMatrix> {
-    ALL_PAPER_MATRICES.into_iter().find(|m| m.name().eq_ignore_ascii_case(s))
-}
-
-fn parse_ordering(s: &str) -> Option<OrderingKind> {
-    ALL_ORDERINGS.into_iter().find(|k| k.name().eq_ignore_ascii_case(s))
-}
-
 struct Args {
     matrix: PaperMatrix,
     ordering: OrderingKind,
@@ -75,12 +67,6 @@ struct Args {
     cores: bool,
     kills: Vec<(u64, usize)>,
     joins: Vec<(u64, usize)>,
-}
-
-/// Parses an `IDX:PROC` membership-fault operand.
-fn parse_fault(s: &str, flag: &str) -> (u64, usize) {
-    let parsed = s.split_once(':').and_then(|(i, p)| Some((i.parse().ok()?, p.parse().ok()?)));
-    parsed.unwrap_or_else(|| die(&format!("{flag} needs IDX:PROC, got {s:?}")))
 }
 
 fn parse_args() -> Args {
@@ -131,11 +117,6 @@ fn parse_args() -> Args {
         }
     }
     out
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("explain: {msg}");
-    std::process::exit(2);
 }
 
 /// Asserts the report's central invariant for one run: the replayed

@@ -42,7 +42,7 @@
 //!
 //! Default cell: TWOTONE / AMD / 32 processors, matching `explain`.
 
-use mf_bench::obs;
+use mf_bench::obs::{self, die, parse_fault, parse_matrix, parse_ordering};
 use mf_bench::sweep::{
     build_tree, paper_scale_config, split_threshold_for, sweep_cell_captured, Backend, CellResult,
     DEFAULT_SAMPLE_INTERVAL,
@@ -50,27 +50,9 @@ use mf_bench::sweep::{
 use mf_core::config::{RecoveryConfig, SlaveSelection, SolverConfig, TaskSelection};
 use mf_core::mapping::compute_mapping;
 use mf_core::parsim::{self, RunResult};
-use mf_order::{OrderingKind, ALL_ORDERINGS};
+use mf_order::OrderingKind;
 use mf_sim::{attribute_peaks, audit_recording, FaultModel, Recording};
 use mf_sparse::gen::paper::{PaperMatrix, ALL_PAPER_MATRICES};
-
-fn die(msg: &str) -> ! {
-    eprintln!("mf-obs: {msg}");
-    std::process::exit(2);
-}
-
-fn parse_matrix(s: &str) -> Option<PaperMatrix> {
-    ALL_PAPER_MATRICES.into_iter().find(|m| m.name().eq_ignore_ascii_case(s))
-}
-
-fn parse_ordering(s: &str) -> Option<OrderingKind> {
-    ALL_ORDERINGS.into_iter().find(|k| k.name().eq_ignore_ascii_case(s))
-}
-
-fn parse_fault(s: &str, flag: &str) -> (u64, usize) {
-    let parsed = s.split_once(':').and_then(|(i, p)| Some((i.parse().ok()?, p.parse().ok()?)));
-    parsed.unwrap_or_else(|| die(&format!("{flag} needs IDX:PROC, got {s:?}")))
-}
 
 /// Options shared by the cell-running subcommands.
 struct CellArgs {

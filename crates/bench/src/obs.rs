@@ -21,6 +21,8 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use crate::sweep::CellResult;
+use mf_order::{OrderingKind, ALL_ORDERINGS};
+use mf_sparse::gen::paper::{PaperMatrix, ALL_PAPER_MATRICES};
 
 /// Observability output directory, if exporting was requested: the value
 /// following `--obs-dir` on the command line, else `MF_OBS_DIR` from the
@@ -33,6 +35,31 @@ pub fn obs_dir() -> Option<PathBuf> {
         }
     }
     std::env::var_os("MF_OBS_DIR").map(PathBuf::from)
+}
+
+/// Usage error: prints `<tool>: <msg>` to stderr, `<tool>` being the
+/// running binary's name, and exits with status 2.
+pub fn die(msg: &str) -> ! {
+    let exe = std::env::args().next().unwrap_or_default();
+    let tool = std::path::Path::new(&exe).file_name().unwrap_or_default();
+    eprintln!("{}: {msg}", tool.to_string_lossy());
+    std::process::exit(2);
+}
+
+/// The paper matrix named `s` (case-insensitive).
+pub fn parse_matrix(s: &str) -> Option<PaperMatrix> {
+    ALL_PAPER_MATRICES.into_iter().find(|m| m.name().eq_ignore_ascii_case(s))
+}
+
+/// The ordering named `s` (case-insensitive).
+pub fn parse_ordering(s: &str) -> Option<OrderingKind> {
+    ALL_ORDERINGS.into_iter().find(|k| k.name().eq_ignore_ascii_case(s))
+}
+
+/// Parses the `IDX:PROC` membership-fault operand of `flag`.
+pub fn parse_fault(s: &str, flag: &str) -> (u64, usize) {
+    let parsed = s.split_once(':').and_then(|(i, p)| Some((i.parse().ok()?, p.parse().ok()?)));
+    parsed.unwrap_or_else(|| die(&format!("{flag} needs IDX:PROC, got {s:?}")))
 }
 
 /// File-name-safe label for a cell: `twotone_amd_p32_split0`.

@@ -23,9 +23,9 @@
 //! * [`proto`] — the sans-io protocol: each processor is a
 //!   [`proto::SchedulerCore`] state machine consuming typed inputs and
 //!   emitting typed effects, with no clock, queue, or RNG inside;
-//! * [`parsim`] — the discrete-event backend: the cores driven by the
-//!   `mf-sim` virtual-time simulator (the `mf-exec` crate drives the same
-//!   cores on real OS threads);
+//! * [`parsim`] — the run loop: the cores driven in virtual time on
+//!   `mf-sim`'s event queue, wherever a [`parsim::CoreHost`] keeps them
+//!   (in this thread, or on `mf-exec`'s worker threads);
 //! * [`driver`] — one-call experiment runner (matrix × ordering ×
 //!   configuration → per-processor stack peaks and makespan), the engine
 //!   behind every table of the paper.

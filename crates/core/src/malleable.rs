@@ -7,10 +7,8 @@
 //! diminishing returns captured by an Amdahl curve whose serial
 //! fraction falls as the front (hence its trailing GEMM) grows. The
 //! scheduler core turns that model into a per-front core grant at
-//! `StartCompute` time; both backends then stretch or shrink the
-//! modelled compute duration through [`compute_ticks`] — the *same*
-//! integer/f64 arithmetic on both sides, so the parsim/mf-exec
-//! equivalence contract survives.
+//! `StartCompute` time; the driver then stretches or shrinks the
+//! modelled compute duration through [`compute_ticks`].
 //!
 //! Everything here is deterministic across platforms: the curve uses
 //! only IEEE-exact operations (`+ - * /` and `sqrt`), never libm

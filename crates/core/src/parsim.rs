@@ -1,23 +1,25 @@
-//! The discrete-event backend: [`crate::proto::SchedulerCore`]s driven by
-//! the virtual-time simulator.
+//! The run loop: [`crate::proto::SchedulerCore`]s driven in virtual time.
 //!
 //! Every processor runs the MUMPS-style loop inside its sans-io core;
-//! this module is only the *runtime*: it owns the event queue, the
-//! network model, the duration model (flop rate, seeded jitter,
-//! stragglers), the fault injector, the flight recorder, and the
-//! traffic-side metrics. [`run`] feeds simulator events into the cores
-//! and performs the effects they emit — in emission order, which is what
-//! keeps this refactored backend bit-identical to the historical
-//! monolithic scheduler. The `mf-exec` crate drives the *same* cores on
-//! real OS threads.
+//! this module is the *runtime*, and there is only one: it owns the
+//! event queue, the network model, the duration model (flop rate, seeded
+//! jitter, stragglers), the fault injector, membership orchestration,
+//! the flight recorder and the traffic-side metrics. The loop feeds
+//! events into the cores and performs the effects they emit — in
+//! emission order, which is what keeps it bit-identical to the
+//! historical monolithic scheduler — and reaches the cores only through
+//! a [`CoreHost`]: [`run`] keeps them in a `Vec` on the calling thread,
+//! the `mf-exec` crate keeps each on its own OS thread.
 
 use crate::config::SolverConfig;
 use crate::error::{RunDiagnostics, SimError};
 use crate::malleable::{compute_ticks, SpeedupCurve};
+use crate::mapping::StaticMapping;
 use crate::proto::{
     initial_loads, Effect, Input, Migration, Msg, SchedulerCore, Violation, TIMER_SAMPLE,
 };
 use crate::recovery::{digest_factors, Membership, MembershipChange, RecoverySnapshot};
+use crate::views::StatusDelta;
 use mf_sim::recorder::TaskRole;
 use mf_sim::{
     CompactEvent, Delivery, Event, EventPayload, EventQueue, FaultInjector, MsgClass, NetworkModel,
@@ -27,9 +29,10 @@ use mf_sim::{
 use mf_symbolic::AssemblyTree;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Reverse;
 
 /// Outcome of a simulated parallel factorization.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// Per-processor peak of the active memory (stack + fronts), the
     /// quantity behind every table of the paper.
@@ -43,8 +46,8 @@ pub struct RunResult {
     /// Messages exchanged.
     pub messages: u64,
     /// Events the engine delivered (messages + timers): the denominator
-    /// of the scale bench's ns/event figure. Backend-specific — the
-    /// threaded backend's timer usage differs from the simulator's.
+    /// of the scale bench's ns/event figure. The same on every backend —
+    /// they share the queue and the loop.
     pub events_delivered: u64,
     /// Per-processor active-memory traces when
     /// [`SolverConfig::record_traces`] was set.
@@ -114,17 +117,92 @@ impl RunResult {
     }
 }
 
-/// The simulator-side runtime: transport, time, noise, and observability.
+/// Where the cores live: the only way the run loop reaches a
+/// [`SchedulerCore`]. Processor `p`'s core sits behind each call, in this
+/// thread's memory or a channel round trip away; the loop cannot tell,
+/// which is what keeps the backends bit-identical.
+pub trait CoreHost<'a> {
+    /// Feeds `input` into core `p` at virtual time `now`, hands the
+    /// effects it emits to `perform` in emission order, and returns the
+    /// fronts `p` has completed so far plus the fatal condition the input
+    /// flagged, if any.
+    fn step(
+        &mut self,
+        p: usize,
+        now: Time,
+        input: Input,
+        perform: impl FnMut(Effect),
+    ) -> (usize, Option<Violation>);
+    /// [`SchedulerCore::apply_status`] on core `p`.
+    fn apply_status(&mut self, p: usize, at: Time, from: usize, delta: StatusDelta)
+        -> Option<Time>;
+    /// [`SchedulerCore::cheapest_deferred`] on core `p`.
+    fn cheapest_deferred(&mut self, p: usize) -> Option<(u64, usize)>;
+    /// [`SchedulerCore::snapshot`] of core `p`.
+    fn snapshot(&mut self, p: usize) -> RecoverySnapshot;
+    /// Ends the run and hands every core over, in processor order: the
+    /// per-processor final state results and diagnostics are built from.
+    fn finish(&mut self) -> Vec<SchedulerCore<'a>>;
+}
+
+/// The in-process host: the cores in a `Vec` on the calling thread.
+impl<'a> CoreHost<'a> for Vec<SchedulerCore<'a>> {
+    #[inline]
+    fn step(
+        &mut self,
+        p: usize,
+        now: Time,
+        input: Input,
+        perform: impl FnMut(Effect),
+    ) -> (usize, Option<Violation>) {
+        self[p].handle(now, input).for_each(perform);
+        (self[p].nodes_done(), self[p].take_violation())
+    }
+    // The hot path of every broadcast block: one call per target must
+    // cost what `cores[p].apply_status(..)` cost in the loop body.
+    #[inline(always)]
+    fn apply_status(
+        &mut self,
+        p: usize,
+        at: Time,
+        from: usize,
+        delta: StatusDelta,
+    ) -> Option<Time> {
+        self[p].apply_status(at, from, delta)
+    }
+    fn cheapest_deferred(&mut self, p: usize) -> Option<(u64, usize)> {
+        self[p].cheapest_deferred()
+    }
+    fn snapshot(&mut self, p: usize) -> RecoverySnapshot {
+        self[p].snapshot()
+    }
+    fn finish(&mut self) -> Vec<SchedulerCore<'a>> {
+        std::mem::take(self)
+    }
+}
+
+/// One fresh core per processor, for the in-process host.
+pub fn local_cores<'a>(
+    tree: &'a AssemblyTree,
+    map: &'a StaticMapping,
+    cfg: &'a SolverConfig,
+) -> Vec<SchedulerCore<'a>> {
+    let load0 = initial_loads(tree, map, cfg.nprocs);
+    (0..cfg.nprocs).map(|p| SchedulerCore::new(p, tree, map, cfg, &load0)).collect()
+}
+
+/// The runtime: transport, time, noise, membership and observability.
 /// Everything *between* the cores lives here; everything *inside* a
 /// processor lives in its [`SchedulerCore`].
 struct SimDriver<'a, Q> {
+    tree: &'a AssemblyTree,
+    map: &'a StaticMapping,
     cfg: &'a SolverConfig,
     sim: Q,
     net: NetworkModel,
     messages: u64,
     jitter: Option<(SmallRng, f64)>,
-    /// The speedup curve behind multi-core compute durations (shared
-    /// with mf-exec through [`compute_ticks`]).
+    /// The speedup curve behind multi-core compute durations.
     curve: SpeedupCurve,
     fault: Option<FaultInjector>,
     /// Traffic-side metrics (message counts/bytes, drops, busy time);
@@ -138,6 +216,12 @@ struct SimDriver<'a, Q> {
     /// `StartCompute` effect and `ComputeEnd` from its timer, so the
     /// core's compute path needs no recording branch.
     work_info: Vec<Vec<(usize, TaskRole)>>,
+    /// Fronts each core reported done at its last step; a killed
+    /// processor's count drops to zero (its completions are recomputed
+    /// elsewhere and must not double-count).
+    nodes_done: Vec<usize>,
+    /// Sum of `nodes_done`: fronts done over the surviving processors.
+    done: usize,
     /// Death declarations emitted by the cores' lease checks this event,
     /// arbitrated after the event unwinds (one recovery per actual loss).
     pending_dead: Vec<usize>,
@@ -170,8 +254,10 @@ struct SimDriver<'a, Q> {
 }
 
 impl<'a, Q: EventQueue<Msg>> SimDriver<'a, Q> {
-    fn new(cfg: &'a SolverConfig, sim: Q) -> Self {
+    fn new(tree: &'a AssemblyTree, map: &'a StaticMapping, cfg: &'a SolverConfig, sim: Q) -> Self {
         SimDriver {
+            tree,
+            map,
             cfg,
             sim,
             net: cfg.network,
@@ -184,6 +270,8 @@ impl<'a, Q: EventQueue<Msg>> SimDriver<'a, Q> {
             metrics: RunMetrics::new(cfg.nprocs),
             rec: cfg.record_events.then(|| Recording::new(cfg.event_capacity)),
             work_info: if cfg.record_events { vec![Vec::new(); cfg.nprocs] } else { Vec::new() },
+            nodes_done: vec![0; cfg.nprocs],
+            done: 0,
             pending_dead: Vec::new(),
             live_events: 0,
             buffered: vec![Vec::new(); cfg.nprocs],
@@ -312,11 +400,17 @@ impl<'a, Q: EventQueue<Msg>> SimDriver<'a, Q> {
         }
     }
 
-    /// Feeds one input into a core and performs the effects it drains, in
-    /// emission order — the contract that keeps the refactored backend
-    /// bit-identical to the historical monolithic scheduler.
-    fn step(&mut self, core: &mut SchedulerCore<'_>, now: Time, input: Input) {
-        let p = core.id();
+    /// Feeds one input into core `p` and performs the effects it emits,
+    /// in emission order — the contract that keeps the loop bit-identical
+    /// to the historical monolithic scheduler. A violation the input
+    /// flagged ends the run.
+    fn step(
+        &mut self,
+        host: &mut impl CoreHost<'a>,
+        p: usize,
+        now: Time,
+        input: Input,
+    ) -> Result<(), SimError> {
         if self.rec.is_some() {
             // A fired timer is a compute completion: record ComputeEnd
             // before the core's effects (exactly where the completion
@@ -327,360 +421,312 @@ impl<'a, Q: EventQueue<Msg>> SimDriver<'a, Q> {
                 }
             }
         }
-        for e in core.handle(now, input) {
-            match e {
-                Effect::Send { to, msg, bytes } => self.send(p, to, msg, bytes),
-                Effect::Broadcast { msg, bytes } => self.broadcast(p, msg, bytes),
-                Effect::StartCompute { key, node, role, flops, cores } => {
-                    if self.rec.is_some() {
-                        self.record(|| CompactEvent::compute_start(p, node, role));
-                        let info = &mut self.work_info[p];
-                        let k = key as usize;
-                        if info.len() <= k {
-                            info.resize(k + 1, (0, TaskRole::Elim));
-                        }
-                        info[k] = (node, role);
+        let (nodes_done, violation) = host.step(p, now, input, |e| self.perform(p, e));
+        self.done = self.done - self.nodes_done[p] + nodes_done;
+        self.nodes_done[p] = nodes_done;
+        match violation {
+            None => Ok(()),
+            Some(Violation::Accounting { proc, area }) => {
+                Err(SimError::Accounting { proc, area, diag: self.diagnostics(host) })
+            }
+            Some(Violation::Protocol { detail }) => {
+                Err(SimError::Protocol { detail, diag: self.diagnostics(host) })
+            }
+        }
+    }
+
+    /// Performs one effect of processor `p`'s core. Forced inline: this
+    /// is the body of the per-effect loop in [`CoreHost::step`], and as an
+    /// out-of-line call it cost the Table 2 sweep ~8%.
+    #[inline(always)]
+    fn perform(&mut self, p: usize, e: Effect) {
+        match e {
+            Effect::Send { to, msg, bytes } => self.send(p, to, msg, bytes),
+            Effect::Broadcast { msg, bytes } => self.broadcast(p, msg, bytes),
+            Effect::StartCompute { key, node, role, flops, cores } => {
+                if self.rec.is_some() {
+                    self.record(|| CompactEvent::compute_start(p, node, role));
+                    let info = &mut self.work_info[p];
+                    let k = key as usize;
+                    if info.len() <= k {
+                        info.resize(k + 1, (0, TaskRole::Elim));
                     }
-                    let duration = self.duration_of(p, flops, cores);
-                    self.metrics.procs[p].busy_ticks += duration;
-                    self.live_events += 1;
-                    self.sim.schedule_timer(p, duration, key);
+                    info[k] = (node, role);
                 }
-                Effect::Arm { key, after } => {
-                    // A partitioned network starves the detector too:
-                    // refusing to re-arm lets the run drain and fail with
-                    // a typed `Partitioned` instead of spinning forever.
-                    // Same once all fronts are done: the detector chain
-                    // dies out and the queue drains.
-                    if !self.partitioned() && !self.finishing {
-                        self.sim.schedule_timer(p, after, key);
-                    }
+                let duration = self.duration_of(p, flops, cores);
+                self.metrics.procs[p].busy_ticks += duration;
+                self.live_events += 1;
+                self.sim.schedule_timer(p, duration, key);
+            }
+            Effect::Arm { key, after } => {
+                // A partitioned network starves the detector too:
+                // refusing to re-arm lets the run drain and fail with
+                // a typed `Partitioned` instead of spinning forever.
+                // Same once all fronts are done: the detector chain
+                // dies out and the queue drains.
+                if !self.partitioned() && !self.finishing {
+                    self.sim.schedule_timer(p, after, key);
                 }
-                Effect::DeclareDead { proc } => self.pending_dead.push(proc),
-                Effect::Alloc { node, area, entries } => {
-                    self.record(|| CompactEvent::mem_alloc(p, node, area, entries));
+            }
+            Effect::DeclareDead { proc } => self.pending_dead.push(proc),
+            Effect::Alloc { node, area, entries } => {
+                self.record(|| CompactEvent::mem_alloc(p, node, area, entries));
+            }
+            Effect::Free { node, area, entries } => {
+                self.record(|| CompactEvent::mem_free(p, node, area, entries));
+            }
+            Effect::Record(ev) => {
+                let now = self.sim.now();
+                if let Some(rec) = self.rec.as_mut() {
+                    rec.record(now, ev);
                 }
-                Effect::Free { node, area, entries } => {
-                    self.record(|| CompactEvent::mem_free(p, node, area, entries));
-                }
-                Effect::Record(ev) => {
-                    let now = self.sim.now();
-                    if let Some(rec) = self.rec.as_mut() {
-                        rec.record(now, ev);
-                    }
-                }
-                Effect::Sample { active, stack, pool_depth, queued, busy, stalled } => {
-                    // The driver stamps the snapshot with the virtual time
-                    // and its cumulative traffic counters — accounted
-                    // identically by both backends, so the series are
-                    // bit-identical across them.
-                    let at = self.sim.now();
-                    let (control_msgs, status_msgs) =
-                        (self.metrics.control_msgs, self.metrics.status_msgs);
-                    if let Some(ts) = self.ts.as_mut() {
-                        ts.push(
-                            p,
-                            SampleRow {
-                                at,
-                                active,
-                                stack,
-                                pool_depth,
-                                queued,
-                                busy,
-                                stalled,
-                                control_msgs,
-                                status_msgs,
-                            },
-                        );
-                    }
+            }
+            Effect::Sample { active, stack, pool_depth, queued, busy, stalled } => {
+                // The driver stamps the snapshot with the virtual time
+                // and its cumulative traffic counters.
+                let at = self.sim.now();
+                let (control_msgs, status_msgs) =
+                    (self.metrics.control_msgs, self.metrics.status_msgs);
+                if let Some(ts) = self.ts.as_mut() {
+                    ts.push(
+                        p,
+                        SampleRow {
+                            at,
+                            active,
+                            stack,
+                            pool_depth,
+                            queued,
+                            busy,
+                            stalled,
+                            control_msgs,
+                            status_msgs,
+                        },
+                    );
                 }
             }
         }
     }
-}
 
-/// Last-resort degradation step under a hard capacity: when the event
-/// queue drains with unfinished fronts because every idle processor is
-/// deferring every ready task, force the globally cheapest deferred
-/// activation so the factorization completes (degrading memory, never
-/// correctness). Returns the forced processor, or `None` when there is
-/// nothing to force (a genuine stall).
-fn force_one_deferred<Q: EventQueue<Msg>>(
-    drv: &mut SimDriver<'_, Q>,
-    cores: &mut [SchedulerCore<'_>],
-    ms: Option<&Membership>,
-) -> Option<usize> {
-    drv.cfg.capacity?;
-    let mut best: Option<(u64, usize, usize)> = None; // (cost, proc, node)
-    for core in cores.iter() {
-        if ms.is_some_and(|m| !m.alive[core.id()] || !m.joined[core.id()]) {
-            continue; // forcing work onto a dead processor helps nobody
-        }
-        if let Some((cost, v)) = core.cheapest_deferred() {
-            let cand = (cost, core.id(), v);
-            if best.is_none_or(|b| cand < b) {
-                best = Some(cand);
-            }
-        }
-    }
-    let (_, p, v) = best?;
-    let now = drv.sim.now();
-    drv.step(&mut cores[p], now, Input::Force { node: v });
-    Some(p)
-}
-
-/// No-progress error for the current state: a crossed network-kill
-/// threshold is a `Partitioned`, anything else a generic `Stalled`.
-fn stall_error<Q: EventQueue<Msg>>(drv: &SimDriver<'_, Q>, diag: RunDiagnostics) -> SimError {
-    let diag = Box::new(diag);
-    if drv.partitioned() {
-        let after = drv.cfg.fault.as_ref().and_then(|f| f.kill_network_after).unwrap_or(0);
-        SimError::Partitioned { after, diag }
-    } else {
-        SimError::Stalled { diag }
-    }
-}
-
-/// Fail-stops processor `d`: snapshots the dying core (the last coherent
-/// view of what dies with it) and marks it dead. Detection and recovery
-/// happen later, through the lease protocol.
-fn kill_proc<Q: EventQueue<Msg>>(
-    drv: &mut SimDriver<'_, Q>,
-    cores: &[SchedulerCore<'_>],
-    ms: &mut Membership,
-    d: usize,
-) {
-    if !ms.alive[d] {
-        return;
-    }
-    let snap = if ms.joined[d] {
-        cores[d].snapshot()
-    } else {
-        RecoverySnapshot { proc: d, ..Default::default() }
-    };
-    ms.note_kill(d, snap);
-    drv.dead.push(d);
-    drv.metrics.recovery.kills_observed += 1;
-}
-
-/// Arbitrates the death declarations the cores' lease checks emitted:
-/// deduplicates (every survivor typically declares the same loss), makes
-/// a spurious declaration real (fail-stop semantics — a processor the
-/// machine gave up on cannot be half-alive), builds one recovery plan
-/// per actual loss, and feeds it to every reachable core in processor
-/// order.
-fn process_deaths<Q: EventQueue<Msg>>(
-    drv: &mut SimDriver<'_, Q>,
-    cores: &mut [SchedulerCore<'_>],
-    ms: &mut Membership,
-    tree: &AssemblyTree,
-    n: usize,
-) -> Result<(), SimError> {
-    while !drv.pending_dead.is_empty() {
-        let pend = std::mem::take(&mut drv.pending_dead);
-        for d in pend {
-            if ms.recovered_deaths[d] {
-                continue;
-            }
-            kill_proc(drv, cores, ms, d);
-            if !ms.adopters_exist(d) {
-                let diag = diagnostics(drv, cores, n);
-                return Err(stall_error(drv, diag));
-            }
-            let snaps: Vec<RecoverySnapshot> = (0..drv.cfg.nprocs)
-                .map(|p| {
-                    if ms.alive[p] {
-                        cores[p].snapshot()
-                    } else {
-                        ms.dead_snaps[p]
-                            .clone()
-                            .unwrap_or(RecoverySnapshot { proc: p, ..Default::default() })
-                    }
-                })
-                .collect();
-            let plan = ms.plan_loss(tree, drv.cfg.capacity, d, &snaps, &mut drv.ledger);
-            drv.metrics.recovery.subtrees_reassigned += plan.roots.len() as u64;
-            drv.metrics.recovery.nodes_recomputed += plan.recompute.len() as u64;
-            drv.metrics.recovery.orphaned_cb_entries += plan.dead_stack_entries;
-            drv.record(|| CompactEvent::proc_lost(d, plan.recompute.len()));
-            for &(root, adopter) in &plan.roots {
-                drv.record(|| CompactEvent::subtree_reassigned(root, d, adopter));
-            }
-            let now = drv.sim.now();
-            for p in 0..drv.cfg.nprocs {
-                if ms.alive[p] && ms.joined[p] {
-                    drv.step(&mut cores[p], now, Input::Recover { plan: Box::new(plan.clone()) });
-                    if let Some(v) = cores[p].take_violation() {
-                        return Err(error_of(drv, cores, n, v));
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Brings processor `q` into the machine: announces the join to every
-/// reachable core, replays the membership log so the joiner's overlays
-/// match the survivors', delivers the traffic parked while it was
-/// dormant, and rebalances by migrating up to two ready upper tasks
-/// from the fullest surviving pool.
-#[allow(clippy::too_many_arguments)]
-fn join_proc<Q: EventQueue<Msg>>(
-    drv: &mut SimDriver<'_, Q>,
-    cores: &mut [SchedulerCore<'_>],
-    ms: &mut Membership,
-    tree: &AssemblyTree,
-    map: &crate::mapping::StaticMapping,
-    n: usize,
-    q: usize,
-) -> Result<(), SimError> {
-    if !ms.alive[q] || ms.joined[q] {
-        return Ok(());
-    }
-    ms.note_join(q);
-    drv.metrics.recovery.joins_observed += 1;
-    let now = drv.sim.now();
-    for p in 0..drv.cfg.nprocs {
-        if ms.alive[p] && ms.joined[p] {
-            drv.step(&mut cores[p], now, Input::Join { proc: q });
-            if let Some(v) = cores[p].take_violation() {
-                return Err(error_of(drv, cores, n, v));
-            }
-        }
-    }
-    for ch in ms.log.clone() {
-        let input = match ch {
-            MembershipChange::Recover(plan) => Input::Recover { plan: Box::new(plan) },
-            MembershipChange::Migrate(m) => Input::Migrate { m: Box::new(m) },
+    /// Last-resort degradation step under a hard capacity: when the run
+    /// is quiescent with unfinished fronts because every idle processor
+    /// is deferring every ready task, force the globally cheapest
+    /// deferred activation so the factorization completes (degrading
+    /// memory, never correctness). With nothing to force it is a genuine
+    /// stall (a dead processor nobody can detect, a dead network) and is
+    /// reported as one.
+    fn force_one_deferred(
+        &mut self,
+        host: &mut impl CoreHost<'a>,
+        ms: Option<&Membership>,
+    ) -> Result<(), SimError> {
+        // Forcing work onto a dead or dormant processor helps nobody.
+        let best = self.cfg.capacity.and_then(|_| {
+            (0..self.cfg.nprocs)
+                .filter(|&p| ms.is_none_or(|m| m.alive[p] && m.joined[p]))
+                .filter_map(|p| host.cheapest_deferred(p).map(|(cost, node)| (cost, p, node)))
+                .min()
+        });
+        let Some((_, p, node)) = best else {
+            return Err(self.stall_error(host));
         };
-        drv.step(&mut cores[q], now, input);
-        if let Some(v) = cores[q].take_violation() {
-            return Err(error_of(drv, cores, n, v));
+        let now = self.sim.now();
+        self.step(host, p, now, Input::Force { node })
+    }
+
+    /// No-progress error for the current state: a crossed network-kill
+    /// threshold is a `Partitioned`, anything else a generic `Stalled`.
+    fn stall_error(&self, host: &mut impl CoreHost<'a>) -> SimError {
+        let diag = self.diagnostics(host);
+        if self.partitioned() {
+            let after = self.cfg.fault.as_ref().and_then(|f| f.kill_network_after).unwrap_or(0);
+            SimError::Partitioned { after, diag }
+        } else {
+            SimError::Stalled { diag }
         }
     }
-    drv.step(&mut cores[q], now, Input::Tick);
-    if let Some(v) = cores[q].take_violation() {
-        return Err(error_of(drv, cores, n, v));
-    }
-    for (from, msg) in std::mem::take(&mut drv.buffered[q]) {
-        if ms.alive[from] {
-            drv.step(&mut cores[q], now, Input::Deliver { from, msg });
-            if let Some(v) = cores[q].take_violation() {
-                return Err(error_of(drv, cores, n, v));
-            }
+
+    /// Fail-stops processor `d`: snapshots the dying core (the last
+    /// coherent view of what dies with it) and marks it dead. Detection
+    /// and recovery happen later, through the lease protocol.
+    fn kill_proc(&mut self, host: &mut impl CoreHost<'a>, ms: &mut Membership, d: usize) {
+        if !ms.alive[d] {
+            return;
         }
+        let snap = if ms.joined[d] {
+            host.snapshot(d)
+        } else {
+            RecoverySnapshot { proc: d, ..Default::default() }
+        };
+        ms.note_kill(d, snap);
+        self.dead.push(d);
+        self.done -= std::mem::take(&mut self.nodes_done[d]);
+        self.metrics.recovery.kills_observed += 1;
     }
-    // Memory-aware rebalancing: the fullest surviving pool donates up to
-    // two of its largest ready upper tasks to the idle joiner. Pool
-    // tasks are safe to move: readiness means every child completion and
-    // piece notification already arrived at the donor.
-    let donor = (0..drv.cfg.nprocs)
-        .filter(|&p| p != q && ms.alive[p] && ms.joined[p])
-        .map(|p| (cores[p].proc_diag().pool.len(), p))
-        .filter(|&(len, _)| len > 0)
-        .min_by_key(|&(len, p)| (std::cmp::Reverse(len), p))
-        .map(|(_, p)| p);
-    let mut migrated = 0usize;
-    if let Some(d) = donor {
-        let snap = cores[d].snapshot();
-        let mut cands: Vec<usize> = snap
-            .pool
-            .iter()
-            .copied()
-            .filter(|&v| map.subtree_of[v].is_none() || ms.recovered[v])
-            .collect();
-        cands.sort_by_key(|&v| (std::cmp::Reverse(tree.flops(v)), v));
-        for node in cands.into_iter().take(2) {
-            let pieces: Vec<(usize, u64, usize)> = snap
-                .registered
-                .iter()
-                .filter(|&&(parent, ..)| parent == node)
-                .map(|&(_, h, e, c)| (h, e, c))
-                .collect();
-            let mg = Migration { node, from: d, to: q, flops: tree.flops(node), pieces };
-            ms.note_migration(&mg);
-            drv.metrics.recovery.rebalance_migrations += 1;
-            for p in 0..drv.cfg.nprocs {
-                if ms.alive[p] && ms.joined[p] {
-                    drv.step(&mut cores[p], now, Input::Migrate { m: Box::new(mg.clone()) });
-                    if let Some(v) = cores[p].take_violation() {
-                        return Err(error_of(drv, cores, n, v));
+
+    /// Arbitrates the death declarations the cores' lease checks emitted:
+    /// deduplicates (every survivor typically declares the same loss),
+    /// makes a spurious declaration real (fail-stop semantics — a
+    /// processor the machine gave up on cannot be half-alive), builds one
+    /// recovery plan per actual loss, and feeds it to every reachable
+    /// core in processor order.
+    fn process_deaths(
+        &mut self,
+        host: &mut impl CoreHost<'a>,
+        ms: &mut Membership,
+    ) -> Result<(), SimError> {
+        while !self.pending_dead.is_empty() {
+            for d in std::mem::take(&mut self.pending_dead) {
+                if ms.recovered_deaths[d] {
+                    continue;
+                }
+                self.kill_proc(host, ms, d);
+                if !ms.adopters_exist(d) {
+                    return Err(self.stall_error(host));
+                }
+                let snaps: Vec<RecoverySnapshot> = (0..self.cfg.nprocs)
+                    .map(|p| {
+                        if ms.alive[p] {
+                            host.snapshot(p)
+                        } else {
+                            ms.dead_snaps[p]
+                                .clone()
+                                .unwrap_or(RecoverySnapshot { proc: p, ..Default::default() })
+                        }
+                    })
+                    .collect();
+                let plan = ms.plan_loss(self.tree, self.cfg.capacity, d, &snaps, &mut self.ledger);
+                self.metrics.recovery.subtrees_reassigned += plan.roots.len() as u64;
+                self.metrics.recovery.nodes_recomputed += plan.recompute.len() as u64;
+                self.metrics.recovery.orphaned_cb_entries += plan.dead_stack_entries;
+                self.record(|| CompactEvent::proc_lost(d, plan.recompute.len()));
+                for &(root, adopter) in &plan.roots {
+                    self.record(|| CompactEvent::subtree_reassigned(root, d, adopter));
+                }
+                let now = self.sim.now();
+                for p in 0..self.cfg.nprocs {
+                    if ms.alive[p] && ms.joined[p] {
+                        self.step(host, p, now, Input::Recover { plan: Box::new(plan.clone()) })?;
                     }
                 }
             }
-            migrated += 1;
         }
+        Ok(())
     }
-    drv.record(|| CompactEvent::proc_joined(q, migrated));
-    Ok(())
-}
 
-/// Fronts completed so far, over the surviving processors only (a dead
-/// processor's completions were recomputed elsewhere and must not
-/// double-count).
-fn fronts_done(cores: &[SchedulerCore<'_>], ms: Option<&Membership>) -> usize {
-    cores.iter().filter(|c| ms.is_none_or(|m| m.alive[c.id()])).map(|c| c.nodes_done()).sum()
-}
+    /// Brings processor `q` into the machine: announces the join to every
+    /// reachable core, replays the membership log so the joiner's
+    /// overlays match the survivors', delivers the traffic parked while
+    /// it was dormant, and rebalances by migrating up to two ready upper
+    /// tasks from the fullest surviving pool.
+    fn join_proc(
+        &mut self,
+        host: &mut impl CoreHost<'a>,
+        ms: &mut Membership,
+        q: usize,
+    ) -> Result<(), SimError> {
+        if !ms.alive[q] || ms.joined[q] {
+            return Ok(());
+        }
+        ms.note_join(q);
+        self.metrics.recovery.joins_observed += 1;
+        let now = self.sim.now();
+        for p in 0..self.cfg.nprocs {
+            if ms.alive[p] && ms.joined[p] {
+                self.step(host, p, now, Input::Join { proc: q })?;
+            }
+        }
+        for ch in ms.log.clone() {
+            let input = match ch {
+                MembershipChange::Recover(plan) => Input::Recover { plan: Box::new(plan) },
+                MembershipChange::Migrate(m) => Input::Migrate { m: Box::new(m) },
+            };
+            self.step(host, q, now, input)?;
+        }
+        self.step(host, q, now, Input::Tick)?;
+        for (from, msg) in std::mem::take(&mut self.buffered[q]) {
+            if ms.alive[from] {
+                self.step(host, q, now, Input::Deliver { from, msg })?;
+            }
+        }
+        // Memory-aware rebalancing: the fullest surviving pool donates up
+        // to two of its largest ready upper tasks to the idle joiner.
+        // Pool tasks are safe to move: readiness means every child
+        // completion and piece notification already arrived at the donor.
+        let donor = (0..self.cfg.nprocs)
+            .filter(|&p| p != q && ms.alive[p] && ms.joined[p])
+            .map(|p| host.snapshot(p))
+            .filter(|snap| !snap.pool.is_empty())
+            .min_by_key(|snap| (Reverse(snap.pool.len()), snap.proc));
+        let mut migrated = 0usize;
+        if let Some(snap) = donor {
+            let (tree, map) = (self.tree, self.map);
+            let mut cands: Vec<usize> = snap
+                .pool
+                .iter()
+                .copied()
+                .filter(|&v| map.subtree_of[v].is_none() || ms.recovered[v])
+                .collect();
+            cands.sort_by_key(|&v| (Reverse(tree.flops(v)), v));
+            for node in cands.into_iter().take(2) {
+                let pieces: Vec<(usize, u64, usize)> = snap
+                    .registered
+                    .iter()
+                    .filter(|&&(parent, ..)| parent == node)
+                    .map(|&(_, h, e, c)| (h, e, c))
+                    .collect();
+                let mg =
+                    Migration { node, from: snap.proc, to: q, flops: tree.flops(node), pieces };
+                ms.note_migration(&mg);
+                self.metrics.recovery.rebalance_migrations += 1;
+                for p in 0..self.cfg.nprocs {
+                    if ms.alive[p] && ms.joined[p] {
+                        self.step(host, p, now, Input::Migrate { m: Box::new(mg.clone()) })?;
+                    }
+                }
+                migrated += 1;
+            }
+        }
+        self.record(|| CompactEvent::proc_joined(q, migrated));
+        Ok(())
+    }
 
-/// Advances the fault schedule by one delivered event: the schedule is
-/// keyed on delivered-event indices, and scheduled kills and joins fire
-/// before the event they precede is processed. Returns whether the
-/// membership changed.
-fn fire_due_membership<Q: EventQueue<Msg>>(
-    drv: &mut SimDriver<'_, Q>,
-    cores: &mut [SchedulerCore<'_>],
-    ms: &mut Membership,
-    tree: &AssemblyTree,
-    map: &crate::mapping::StaticMapping,
-    n: usize,
-) -> Result<bool, SimError> {
-    ms.delivered += 1;
-    let idx = ms.delivered;
-    let mut changed = false;
-    while let Some(d) = ms.take_due_kill(idx) {
-        kill_proc(drv, cores, ms, d);
-        changed = true;
+    /// Advances the fault schedule by one delivered event: the schedule
+    /// is keyed on delivered-event indices, and scheduled kills and joins
+    /// fire before the event they precede is processed.
+    fn fire_due_membership(
+        &mut self,
+        host: &mut impl CoreHost<'a>,
+        ms: &mut Membership,
+    ) -> Result<(), SimError> {
+        ms.delivered += 1;
+        let idx = ms.delivered;
+        while let Some(d) = ms.take_due_kill(idx) {
+            self.kill_proc(host, ms, d);
+        }
+        while let Some(q) = ms.take_due_join(idx) {
+            self.join_proc(host, ms, q)?;
+        }
+        Ok(())
     }
-    while let Some(q) = ms.take_due_join(idx) {
-        join_proc(drv, cores, ms, tree, map, n, q)?;
-        changed = true;
-    }
-    Ok(changed)
-}
 
-fn diagnostics<Q: EventQueue<Msg>>(
-    drv: &SimDriver<'_, Q>,
-    cores: &[SchedulerCore<'_>],
-    total_nodes: usize,
-) -> RunDiagnostics {
-    let mut metrics = drv.metrics.clone();
-    for core in cores {
-        metrics.merge_core(core.id(), core.metrics());
-    }
-    RunDiagnostics {
-        now: drv.sim.now(),
-        delivered_events: drv.sim.delivered(),
-        in_flight: drv.sim.pending(),
-        nodes_done: cores.iter().map(|c| c.nodes_done()).sum(),
-        total_nodes,
-        dropped_messages: drv.fault.as_ref().map_or(0, |f| f.dropped()),
-        dead: drv.dead.clone(),
-        metrics: Box::new(metrics),
-        procs: cores.iter().map(|c| c.proc_diag()).collect(),
-    }
-}
-
-fn error_of<Q: EventQueue<Msg>>(
-    drv: &SimDriver<'_, Q>,
-    cores: &[SchedulerCore<'_>],
-    total_nodes: usize,
-    v: Violation,
-) -> SimError {
-    let diag = Box::new(diagnostics(drv, cores, total_nodes));
-    match v {
-        Violation::Accounting { proc, area } => SimError::Accounting { proc, area, diag },
-        Violation::Protocol { detail } => SimError::Protocol { detail, diag },
+    /// Ends the run on the host and snapshots the world for an error.
+    fn diagnostics(&self, host: &mut impl CoreHost<'a>) -> Box<RunDiagnostics> {
+        let cores = host.finish();
+        let mut metrics = self.metrics.clone();
+        for core in &cores {
+            metrics.merge_core(core.id(), core.metrics());
+        }
+        Box::new(RunDiagnostics {
+            now: self.sim.now(),
+            delivered_events: self.sim.delivered(),
+            in_flight: self.sim.pending(),
+            nodes_done: cores.iter().map(|c| c.nodes_done()).sum(),
+            total_nodes: self.tree.len(),
+            dropped_messages: self.fault.as_ref().map_or(0, |f| f.dropped()),
+            dead: self.dead.clone(),
+            metrics: Box::new(metrics),
+            procs: cores.iter().map(|c| c.proc_diag()).collect(),
+        })
     }
 }
 
@@ -692,10 +738,10 @@ fn error_of<Q: EventQueue<Msg>>(
 /// per-processor diagnostic snapshot.
 pub fn run(
     tree: &AssemblyTree,
-    map: &crate::mapping::StaticMapping,
+    map: &StaticMapping,
     cfg: &SolverConfig,
 ) -> Result<RunResult, SimError> {
-    run_on(tree, map, cfg, Sim::with_procs(cfg.nprocs))
+    run_hosted(tree, map, cfg, &mut local_cores(tree, map, cfg))
 }
 
 /// [`run`] on the historical single-global-heap engine
@@ -704,23 +750,32 @@ pub fn run(
 /// two; everything else should use [`run`].
 pub fn run_reference(
     tree: &AssemblyTree,
-    map: &crate::mapping::StaticMapping,
+    map: &StaticMapping,
     cfg: &SolverConfig,
 ) -> Result<RunResult, SimError> {
-    run_on(tree, map, cfg, SingleHeapSim::new())
+    run_on(tree, map, cfg, SingleHeapSim::new(), &mut local_cores(tree, map, cfg))
 }
 
-fn run_on<Q: EventQueue<Msg>>(
-    tree: &AssemblyTree,
-    map: &crate::mapping::StaticMapping,
-    cfg: &SolverConfig,
+/// [`run`] over cores that live wherever `host` keeps them — the entry
+/// point of the `mf-exec` backend. Same loop, same results, bit for bit.
+pub fn run_hosted<'a>(
+    tree: &'a AssemblyTree,
+    map: &'a StaticMapping,
+    cfg: &'a SolverConfig,
+    host: &mut impl CoreHost<'a>,
+) -> Result<RunResult, SimError> {
+    run_on(tree, map, cfg, Sim::with_procs(cfg.nprocs), host)
+}
+
+fn run_on<'a, Q: EventQueue<Msg>>(
+    tree: &'a AssemblyTree,
+    map: &'a StaticMapping,
+    cfg: &'a SolverConfig,
     sim: Q,
+    host: &mut impl CoreHost<'a>,
 ) -> Result<RunResult, SimError> {
     let n = tree.len();
-    let load0 = initial_loads(tree, map, cfg.nprocs);
-    let mut cores: Vec<SchedulerCore<'_>> =
-        (0..cfg.nprocs).map(|p| SchedulerCore::new(p, tree, map, cfg, &load0)).collect();
-    let mut drv = SimDriver::new(cfg, sim);
+    let mut drv = SimDriver::new(tree, map, cfg, sim);
     // Membership orchestration only on runs that need it — the quiet
     // path takes none of the branches below.
     let mut membership = Membership::needed(cfg.recovery.is_some(), cfg.fault.as_ref())
@@ -731,16 +786,8 @@ fn run_on<Q: EventQueue<Msg>>(
         if membership.as_ref().is_some_and(|m| !m.joined[p]) {
             continue; // dormant until its scheduled join
         }
-        drv.step(&mut cores[p], 0, Input::Tick);
-        if let Some(v) = cores[p].take_violation() {
-            return Err(error_of(&drv, &cores, n, v));
-        }
+        drv.step(host, p, 0, Input::Tick)?;
     }
-    // Fronts done over the survivors, kept current by the driver: a step
-    // moves only the stepped core's count, so the sum is refreshed from
-    // that core alone and recomputed only when membership changes who (or
-    // what) is counted.
-    let mut done = fronts_done(&cores, membership.as_ref());
     'run: loop {
         while let Some(delivery) = drv.sim.pop() {
             // `any`: some event of this pop reached a core; `last`: the
@@ -749,9 +796,7 @@ fn run_on<Q: EventQueue<Msg>>(
             let (any, last) = match delivery {
                 Delivery::One(Event { at, payload }) => {
                     if let Some(ms) = membership.as_mut() {
-                        if fire_due_membership(&mut drv, &mut cores, ms, tree, map, n)? {
-                            done = fronts_done(&cores, Some(ms));
-                        }
+                        drv.fire_due_membership(host, ms)?;
                     }
                     // Quiescence accounting: everything except
                     // failure-detector chatter counts as a live event.
@@ -786,12 +831,7 @@ fn run_on<Q: EventQueue<Msg>>(
                             (proc, Input::TimerFired { key })
                         }
                     };
-                    let before = cores[p].nodes_done();
-                    drv.step(&mut cores[p], at, input);
-                    if let Some(v) = cores[p].take_violation() {
-                        return Err(error_of(&drv, &cores, n, v));
-                    }
-                    done = done - before + cores[p].nodes_done();
+                    drv.step(host, p, at, input)?;
                     (true, true)
                 }
                 // A broadcast block, delivered as one tight loop. Exact:
@@ -809,9 +849,7 @@ fn run_on<Q: EventQueue<Msg>>(
                     for to in block.targets() {
                         last = false;
                         if let Some(ms) = membership.as_mut() {
-                            if fire_due_membership(&mut drv, &mut cores, ms, tree, map, n)? {
-                                done = fronts_done(&cores, Some(ms));
-                            }
+                            drv.fire_due_membership(host, ms)?;
                         }
                         drv.live_events -= 1;
                         if let Some(ms) = membership.as_ref() {
@@ -823,7 +861,7 @@ fn run_on<Q: EventQueue<Msg>>(
                                 continue; // parked until the join
                             }
                         }
-                        if let Some(age) = cores[to].apply_status(at, from, delta) {
+                        if let Some(age) = host.apply_status(to, at, from, delta) {
                             let (about, (kind, _)) = (delta.about(from), delta.kind());
                             drv.record(|| CompactEvent::status_apply(to, from, about, kind, age));
                         }
@@ -834,17 +872,13 @@ fn run_on<Q: EventQueue<Msg>>(
             };
             if any {
                 if let Some(ms) = membership.as_mut() {
-                    if !drv.pending_dead.is_empty() {
-                        process_deaths(&mut drv, &mut cores, ms, tree, n)?;
-                        done = fronts_done(&cores, Some(ms));
-                    }
+                    drv.process_deaths(host, ms)?;
                 } else {
                     debug_assert!(drv.pending_dead.is_empty(), "DeclareDead without recovery");
                 }
                 if let Some(limit) = cfg.time_limit {
                     if drv.sim.now() > limit {
-                        let diag = Box::new(diagnostics(&drv, &cores, n));
-                        return Err(SimError::TimeLimit { limit, diag });
+                        return Err(SimError::TimeLimit { limit, diag: drv.diagnostics(host) });
                     }
                 }
             }
@@ -857,7 +891,7 @@ fn run_on<Q: EventQueue<Msg>>(
                 // so completion is checked per event — over the survivors
                 // only (a dead processor's completions were recomputed
                 // elsewhere and must not double-count).
-                if done >= n {
+                if drv.done >= n {
                     // Keep draining in-flight live traffic so the final
                     // time matches the recovery-off run exactly; the
                     // detector stops re-arming and its chain dies out.
@@ -867,29 +901,19 @@ fn run_on<Q: EventQueue<Msg>>(
                     }
                     continue;
                 }
-                if drv.live_events == 0 && cfg.recovery.is_some() {
-                    // Quiescent apart from detector chatter. Progress can
-                    // still arrive from the fault schedule (indices keep
-                    // advancing on detector events) or from a lease about
-                    // to expire; otherwise this is the same situation as
-                    // a drained queue — run the degradation ladder.
-                    if ms.schedule_pending() || ms.undeclared_dead() || !drv.pending_dead.is_empty()
-                    {
-                        continue;
-                    }
-                    match force_one_deferred(&mut drv, &mut cores, Some(&*ms)) {
-                        Some(p) => {
-                            if let Some(v) = cores[p].take_violation() {
-                                return Err(error_of(&drv, &cores, n, v));
-                            }
-                        }
-                        None => {
-                            let diag = diagnostics(&drv, &cores, n);
-                            return Err(stall_error(&drv, diag));
-                        }
-                    }
+                // Quiescent apart from detector chatter. Progress can
+                // still arrive from the fault schedule (indices keep
+                // advancing on detector events) or from a lease about to
+                // expire; otherwise this is the same situation as a
+                // drained queue — run the degradation ladder.
+                if drv.live_events == 0
+                    && cfg.recovery.is_some()
+                    && !ms.schedule_pending()
+                    && !ms.undeclared_dead()
+                {
+                    drv.force_one_deferred(host, Some(&*ms))?;
                 }
-            } else if cfg.sample_every.is_some() && done >= n {
+            } else if cfg.sample_every.is_some() && drv.done >= n {
                 // Sampler-aware termination: without membership the
                 // sampler's self-re-arming timer chain never lets the
                 // queue drain, so completion is checked per event. Once
@@ -906,33 +930,22 @@ fn run_on<Q: EventQueue<Msg>>(
         // The queue drained (the recovery-off path — with recovery on it
         // only happens once a partitioned driver stops re-arming the
         // detector).
-        if done >= n {
+        if drv.done >= n {
             break;
         }
         // A scheduled join whose event index was never reached fires now:
         // the joiner may hold the only way forward.
         if let Some(ms) = membership.as_mut() {
             if let Some(q) = ms.take_next_join() {
-                join_proc(&mut drv, &mut cores, ms, tree, map, n, q)?;
-                done = fronts_done(&cores, Some(ms));
+                drv.join_proc(host, ms, q)?;
                 continue;
             }
         }
-        // Drained queue with unfinished fronts. Under a hard capacity the
-        // deadlock may be self-inflicted (every idle processor deferring
-        // every task): force the globally cheapest deferred task and keep
-        // going — degrading memory, never correctness. Otherwise it is a
-        // genuine stall (a dead processor nobody can detect, a dead
-        // network): report it.
-        let Some(p) = force_one_deferred(&mut drv, &mut cores, membership.as_ref()) else {
-            let diag = diagnostics(&drv, &cores, n);
-            return Err(stall_error(&drv, diag));
-        };
-        if let Some(v) = cores[p].take_violation() {
-            return Err(error_of(&drv, &cores, n, v));
-        }
+        // Drained queue with unfinished fronts: the degradation ladder.
+        drv.force_one_deferred(host, membership.as_ref())?;
     }
 
+    let cores = host.finish();
     let disk_end = cores.iter().map(|c| c.disk_busy_until()).max().unwrap_or(0);
     let makespan = drv.sim.now().max(disk_end);
     let mems: Vec<&ProcMemory> = cores.iter().map(|c| c.memory()).collect();
@@ -955,7 +968,6 @@ fn run_on<Q: EventQueue<Msg>>(
         (0..cfg.nprocs).filter(|&p| alive(p)).map(|p| cores[p].factors_by_node()),
         n,
     );
-    let nodes_done = fronts_done(&cores, membership.as_ref());
     Ok(RunResult {
         total_peaks,
         factor_entries,
@@ -967,7 +979,7 @@ fn run_on<Q: EventQueue<Msg>>(
         traces: cfg
             .record_traces
             .then(|| mems.iter().map(|m| m.trace().cloned().unwrap_or_default()).collect()),
-        nodes_done,
+        nodes_done: drv.done,
         total_nodes: n,
         dropped_messages: drv.fault.as_ref().map_or(0, |f| f.dropped()),
         forced_activations: cores.iter().map(|c| c.forced()).sum(),

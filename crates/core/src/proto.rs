@@ -7,9 +7,9 @@
 //! **no clock** (every `handle` call carries the current time), **no
 //! queue** (transport is the driver's problem), and **no RNG** (duration
 //! noise and fault injection are runtime concerns). The same cores run
-//! bit-identically under the discrete-event simulator
-//! ([`crate::parsim::run`]) and on real OS threads (the `mf-exec` crate),
-//! which is the proof that the protocol is runtime-agnostic.
+//! bit-identically in the driver's own thread ([`crate::parsim::run`])
+//! and on one OS thread each (the `mf-exec` crate), which is the proof
+//! that the protocol is runtime-agnostic.
 //!
 //! Strategy decisions go through the [`SlaveSelector`] /
 //! [`TaskSelector`] traits, so new policies from the literature plug in

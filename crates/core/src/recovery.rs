@@ -385,8 +385,7 @@ pub enum MembershipChange {
     Migrate(Migration),
 }
 
-/// Driver-side membership orchestration state, shared by the
-/// discrete-event and threaded backends so both run the identical
+/// Driver-side membership orchestration state of the
 /// kill/join/recovery protocol: the fault schedule, the machine-wide
 /// liveness/ownership mirrors (the driver's copy of what every core's
 /// overlays converge to), the kill-time snapshots, the obligation

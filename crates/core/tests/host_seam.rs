@@ -1,0 +1,100 @@
+//! The seam the threaded backend depends on: the run loop reaches the
+//! cores only through [`CoreHost`]. A wrapper that counts every call
+//! around the in-process host must see all five entry points used and
+//! leave the result exactly [`parsim::run`]'s — a loop that kept (or
+//! built) cores of its own would leave the counters at zero.
+
+use mf_core::config::{RecoveryConfig, SolverConfig};
+use mf_core::mapping::compute_mapping;
+use mf_core::parsim::{self, CoreHost};
+use mf_core::proto::{Effect, Input, SchedulerCore, Violation};
+use mf_core::recovery::RecoverySnapshot;
+use mf_core::views::StatusDelta;
+use mf_order::OrderingKind;
+use mf_sim::{FaultModel, Time};
+use mf_sparse::gen::grid::{grid2d, Stencil};
+use mf_symbolic::seqstack::{apply_liu_order, AssemblyDiscipline};
+use mf_symbolic::AmalgamationOptions;
+
+#[derive(Default)]
+struct Counting<'a> {
+    cores: Vec<SchedulerCore<'a>>,
+    steps: u64,
+    status_applies: u64,
+    deferred_queries: u64,
+    snapshots: u64,
+    finishes: u64,
+}
+
+impl<'a> CoreHost<'a> for Counting<'a> {
+    fn step(
+        &mut self,
+        p: usize,
+        now: Time,
+        input: Input,
+        perform: impl FnMut(Effect),
+    ) -> (usize, Option<Violation>) {
+        self.steps += 1;
+        self.cores.step(p, now, input, perform)
+    }
+    fn apply_status(
+        &mut self,
+        p: usize,
+        at: Time,
+        from: usize,
+        delta: StatusDelta,
+    ) -> Option<Time> {
+        self.status_applies += 1;
+        self.cores.apply_status(p, at, from, delta)
+    }
+    fn cheapest_deferred(&mut self, p: usize) -> Option<(u64, usize)> {
+        self.deferred_queries += 1;
+        self.cores.cheapest_deferred(p)
+    }
+    fn snapshot(&mut self, p: usize) -> RecoverySnapshot {
+        self.snapshots += 1;
+        self.cores.snapshot(p)
+    }
+    fn finish(&mut self) -> Vec<SchedulerCore<'a>> {
+        self.finishes += 1;
+        self.cores.finish()
+    }
+}
+
+#[test]
+fn the_loop_reaches_the_cores_only_through_the_host() {
+    let a = grid2d(20, 20, Stencil::Star);
+    let perm = OrderingKind::Metis.compute(&a);
+    let mut tree = mf_symbolic::analyze(&a, &perm, &AmalgamationOptions::default()).tree;
+    apply_liu_order(&mut tree, AssemblyDiscipline::FrontThenFree);
+    // A hard capacity nothing fits under, first on a quiet machine
+    // (broadcast blocks take the `apply_status` path), then with a kill
+    // and a join (recovery plans, log replay and rebalancing snapshot the
+    // cores; the forced-activation ladder queries them): between the two
+    // runs every entry point of the host is on the path.
+    let quiet =
+        SolverConfig { type2_front_min: 24, capacity: Some(1), ..SolverConfig::memory_based(5) };
+    let membership = SolverConfig {
+        recovery: Some(RecoveryConfig::default()),
+        fault: Some(FaultModel {
+            kill_at: vec![(128, 1)],
+            join_at: vec![(256, 4)],
+            ..FaultModel::quiet(1)
+        }),
+        ..quiet.clone()
+    };
+    let map = compute_mapping(&tree, &quiet);
+    let mut host = Counting::default();
+    for (cfg, dead, joins) in [(&quiet, vec![], 0), (&membership, vec![1], 1)] {
+        let want = parsim::run(&tree, &map, cfg).unwrap();
+        assert!(want.forced_activations > 0);
+        host.cores = parsim::local_cores(&tree, &map, cfg);
+        let got = parsim::run_hosted(&tree, &map, cfg, &mut host).unwrap();
+        assert_eq!(got, want);
+        assert_eq!((got.dead, got.metrics.recovery.joins_observed), (dead, joins));
+    }
+    assert!(host.steps > 0 && host.status_applies > 0, "events reach cores through the host");
+    assert!(host.deferred_queries > 0, "the capacity ladder asks through the host");
+    assert!(host.snapshots > 0, "kill, plan and rebalance snapshot through the host");
+    assert_eq!(host.finishes, 2);
+}

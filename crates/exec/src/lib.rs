@@ -1,17 +1,15 @@
 //! Threaded execution backend: the same sans-io [`SchedulerCore`]s the
-//! simulator drives, running on real OS threads with channels.
+//! simulator drives, each on its own OS thread behind a channel.
 //!
 //! One worker thread per processor owns its core and a *physical* memory
 //! ledger it maintains from the core's `Alloc`/`Free` effects — an
 //! independent re-derivation of the memory accounting that is checked
-//! against the core's own `active_peak` at the end of the run. A
-//! coordinator thread owns the virtual clock and a conservative
-//! timestamp-ordered event queue; it dispatches exactly one command at a
-//! time and performs the transport-side effects, so the execution is a
-//! sequentially consistent interleaving with the *same* timestamps the
-//! discrete-event backend produces. Under the quiet model (no jitter, no
-//! fault perturbations) the per-processor peaks, makespan, and message
-//! counts are identical to [`mf_core::parsim::run`] — the backend
+//! against the core's own `active_peak` at the end of the run. The
+//! calling thread runs the one run loop there is
+//! ([`mf_core::parsim::run_hosted`]) over a [`CoreHost`] that turns every
+//! core access into a command/reply round trip, so the execution is a
+//! sequentially consistent interleaving with the *same* timestamps, and
+//! the whole [`RunResult`] equals [`mf_core::parsim::run`]'s — the
 //! equivalence the `backend_equiv` binary asserts over the paper's full
 //! matrix set.
 //!
@@ -22,26 +20,16 @@
 #![warn(missing_docs)]
 
 use mf_core::config::SolverConfig;
-use mf_core::error::{RunDiagnostics, SimError};
-use mf_core::malleable::{compute_ticks, SpeedupCurve};
+use mf_core::error::SimError;
 use mf_core::mapping::StaticMapping;
-use mf_core::parsim::RunResult;
-use mf_core::proto::{
-    initial_loads, Effect, Input, Migration, Msg, SchedulerCore, Violation, TIMER_SAMPLE,
-};
-use mf_core::recovery::{
-    digest_factors, Membership, MembershipChange, ObligationLedger, RecoverySnapshot,
-};
-use mf_core::ProcDiag;
+use mf_core::parsim::{run_hosted, CoreHost, RunResult};
+use mf_core::proto::{initial_loads, Effect, Input, SchedulerCore, Violation};
+use mf_core::recovery::RecoverySnapshot;
+use mf_core::views::StatusDelta;
 use mf_sim::recorder::MemArea;
-use mf_sim::recorder::TaskRole;
-use mf_sim::{
-    CompactEvent, CoreMetrics, FaultInjector, MsgClass, NetworkModel, Recording, RunMetrics,
-    RunTimeseries, SampleRow, Time, Trace, DEFAULT_SERIES_CAPACITY,
-};
+use mf_sim::Time;
 use mf_symbolic::AssemblyTree;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::mpsc;
 
 /// Why a threaded run could not be performed or failed.
@@ -78,77 +66,27 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// A queued delivery, ordered by `(at, seq)` — identical tie-breaking to
-/// the discrete-event simulator (FIFO among simultaneous events).
-struct QEntry {
-    at: Time,
-    seq: u64,
-    item: Item,
-}
-
-enum Item {
-    Msg { from: usize, to: usize, msg: Msg },
-    Timer { proc: usize, key: u64 },
-}
-
-impl PartialEq for QEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for QEntry {}
-impl PartialOrd for QEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// Commands the coordinator sends to a worker.
+/// Commands the run loop's host sends to a worker.
 enum Cmd {
     /// Feed one input into the core at virtual time `now`.
     Input { now: Time, input: Input },
+    /// Apply a delivered status delta (a broadcast block's fast path).
+    Status { at: Time, from: usize, delta: StatusDelta },
     /// Report the cheapest deferred ready task (stall-breaker support).
     CheapestDeferred,
     /// Report a recovery snapshot of the core's current state.
     Snapshot,
-    /// Report the final per-processor state and exit.
+    /// Hand the core and the ledger over and exit.
     Finish,
 }
 
 /// A worker's answer (the protocol is strictly one reply per command).
-enum Reply {
-    Effects { effects: Vec<Effect>, nodes_done: usize, violation: Option<Violation> },
+enum Reply<'a> {
+    Stepped { effects: Vec<Effect>, nodes_done: usize, violation: Option<Violation> },
+    Age(Option<Time>),
     Deferred(Option<(u64, usize)>),
     Snapshot(Box<RecoverySnapshot>),
-    Final(Box<WorkerFinal>),
-}
-
-/// Everything a worker knows at the end of the run.
-struct WorkerFinal {
-    diag: ProcDiag,
-    metrics: CoreMetrics,
-    active_peak: u64,
-    total_peak: u64,
-    factors: u64,
-    active: u64,
-    underflows: u64,
-    disk_busy_until: Time,
-    nodes_done: usize,
-    forced: u64,
-    trace: Option<Trace>,
-    /// Outstanding entries in the physical ledger (0 in a correct run).
-    ledger_active: u64,
-    /// Peak of the physical ledger (must equal `active_peak`).
-    ledger_peak: u64,
-    /// First Free that exceeded its outstanding allocation, if any.
-    ledger_fault: Option<String>,
-    /// Per-node factor entries this processor holds (digest input).
-    factors_by_node: Vec<u64>,
+    Final(Box<(SchedulerCore<'a>, Ledger)>),
 }
 
 /// The per-worker physical memory ledger, re-derived purely from the
@@ -161,6 +99,7 @@ struct Ledger {
     outstanding: HashMap<(usize, u8), u64>,
     active: u64,
     peak: u64,
+    /// First Free that exceeded its outstanding allocation, if any.
     fault: Option<String>,
 }
 
@@ -192,23 +131,37 @@ impl Ledger {
         *slot -= entries;
         self.active -= entries;
     }
+
+    /// The end-of-run cross-check against the core's own accounting
+    /// (its active peak and residual): what disagrees, if anything.
+    fn mismatch(&self, peak: u64, active: u64) -> Option<String> {
+        if let Some(fault) = &self.fault {
+            Some(fault.clone())
+        } else if self.peak != peak {
+            Some(format!("ledger peak {} != accounting peak {peak}", self.peak))
+        } else if self.active != active {
+            Some(format!("ledger residual {} != accounting residual {active}", self.active))
+        } else {
+            None
+        }
+    }
 }
 
 /// One worker thread: owns its scheduler core and physical ledger,
-/// executes commands until told to finish.
-fn worker(
+/// executes commands until told to finish (or until the host is gone).
+fn worker<'a>(
     p: usize,
-    tree: &AssemblyTree,
-    map: &StaticMapping,
-    cfg: &SolverConfig,
+    tree: &'a AssemblyTree,
+    map: &'a StaticMapping,
+    cfg: &'a SolverConfig,
     load0: &[u64],
     rx: mpsc::Receiver<Cmd>,
-    tx: mpsc::Sender<(usize, Reply)>,
+    tx: mpsc::Sender<Reply<'a>>,
 ) {
     let mut core = SchedulerCore::new(p, tree, map, cfg, load0);
     let mut ledger = Ledger::default();
     for cmd in rx {
-        match cmd {
+        let reply = match cmd {
             Cmd::Input { now, input } => {
                 let mut effects = Vec::new();
                 for e in core.handle(now, input) {
@@ -221,563 +174,114 @@ fn worker(
                     }
                     effects.push(e);
                 }
-                let reply = Reply::Effects {
+                Reply::Stepped {
                     effects,
                     nodes_done: core.nodes_done(),
                     violation: core.take_violation(),
-                };
-                if tx.send((p, reply)).is_err() {
-                    return;
                 }
             }
-            Cmd::CheapestDeferred => {
-                if tx.send((p, Reply::Deferred(core.cheapest_deferred()))).is_err() {
-                    return;
-                }
-            }
-            Cmd::Snapshot => {
-                if tx.send((p, Reply::Snapshot(Box::new(core.snapshot())))).is_err() {
-                    return;
-                }
-            }
+            Cmd::Status { at, from, delta } => Reply::Age(core.apply_status(at, from, delta)),
+            Cmd::CheapestDeferred => Reply::Deferred(core.cheapest_deferred()),
+            Cmd::Snapshot => Reply::Snapshot(Box::new(core.snapshot())),
             Cmd::Finish => {
-                let mem = core.memory();
-                let fin = WorkerFinal {
-                    diag: core.proc_diag(),
-                    metrics: core.metrics().clone(),
-                    active_peak: mem.active_peak(),
-                    total_peak: mem.total_peak(),
-                    factors: mem.factors(),
-                    active: mem.active(),
-                    underflows: mem.underflows(),
-                    disk_busy_until: core.disk_busy_until(),
-                    nodes_done: core.nodes_done(),
-                    forced: core.forced(),
-                    trace: mem.trace().cloned(),
-                    ledger_active: ledger.active,
-                    ledger_peak: ledger.peak,
-                    ledger_fault: ledger.fault.take(),
-                    factors_by_node: core.factors_by_node().to_vec(),
-                };
-                let _ = tx.send((p, Reply::Final(Box::new(fin))));
+                let _ = tx.send(Reply::Final(Box::new((core, ledger))));
                 return;
             }
-        }
-    }
-}
-
-/// The coordinator: virtual clock, conservative event queue, and the
-/// transport-side effect execution (network timing, traffic metrics,
-/// flight recorder).
-struct Coordinator {
-    now: Time,
-    seq: u64,
-    heap: BinaryHeap<Reverse<QEntry>>,
-    delivered: u64,
-    messages: u64,
-    net: NetworkModel,
-    nprocs: usize,
-    metrics: RunMetrics,
-    rec: Option<Recording>,
-    /// Per-processor `(node, role)` by compute key, maintained only while
-    /// recording: the coordinator synthesizes `ComputeStart` from the
-    /// `StartCompute` effect and `ComputeEnd` from its timer, so the
-    /// core's compute path needs no recording branch.
-    work_info: Vec<Vec<(usize, TaskRole)>>,
-    flops_per_tick: u64,
-    /// The speedup curve behind multi-core compute durations — the same
-    /// [`compute_ticks`] arithmetic as the simulator backend, so the
-    /// virtual-time event streams stay byte-identical.
-    curve: SpeedupCurve,
-    nodes_done: Vec<usize>,
-    /// Message-quiet fault injector (membership faults, stragglers and
-    /// the network-kill threshold) — same routing as the simulator's.
-    fault: Option<FaultInjector>,
-    /// Death declarations from the cores' lease checks, arbitrated after
-    /// the event unwinds.
-    pending_dead: Vec<usize>,
-    /// Scheduled-but-unprocessed events that are not failure-detector
-    /// chatter (see the simulator backend for the full rationale).
-    live_events: i64,
-    /// Messages addressed to dormant (not yet joined) processors.
-    buffered: Vec<Vec<(usize, Msg)>>,
-    /// Processors fail-stopped so far, in kill order.
-    dead: Vec<usize>,
-    /// Factor-share obligation record, maintained only on membership runs.
-    ledger: ObligationLedger,
-    /// Whether to maintain `ledger` (membership orchestration active).
-    track_obligations: bool,
-    /// All fronts are done; the run only keeps going to drain in-flight
-    /// live traffic (so the makespan matches the recovery-off run), and
-    /// the failure detector stops re-arming so its chain dies out.
-    finishing: bool,
-    /// Sampled telemetry series; `None` = sampling disabled (the
-    /// zero-cost path: cores never arm the sampling timer).
-    ts: Option<RunTimeseries>,
-}
-
-impl Coordinator {
-    /// True once the fault model's network kill threshold was crossed.
-    fn partitioned(&self) -> bool {
-        self.fault.as_ref().is_some_and(|f| f.partitioned())
-    }
-
-    fn record(&mut self, build: impl FnOnce() -> CompactEvent) {
-        if let Some(rec) = self.rec.as_mut() {
-            rec.record(self.now, build());
-        }
-    }
-
-    fn push(&mut self, at: Time, item: Item) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(QEntry { at, seq, item }));
-    }
-
-    fn send(&mut self, from: usize, to: usize, msg: Msg, bytes: u64) {
-        debug_assert_ne!(from, to, "self-sends are handled inside the core");
-        if self.track_obligations {
-            // Recorded at send time: a share routed toward a processor
-            // that dies in flight is as lost as one that arrived.
-            match msg {
-                Msg::SlaveTask { node, .. } => self.ledger.slave(node, to),
-                Msg::Type3Share { node, .. } => self.ledger.share(node, to),
-                _ => {}
-            }
-        }
-        self.messages += 1;
-        match msg.class() {
-            MsgClass::Control => {
-                self.metrics.control_msgs += 1;
-                self.metrics.control_bytes += bytes;
-            }
-            MsgClass::Status => {
-                self.metrics.status_msgs += 1;
-                self.metrics.status_bytes += bytes;
-            }
-        }
-        let live = !matches!(msg, Msg::Heartbeat);
-        let base = self.net.transfer_time(bytes);
-        match &mut self.fault {
-            None => {
-                self.push(self.now + base, Item::Msg { from, to, msg });
-                self.live_events += live as i64;
-            }
-            Some(inj) => match inj.route(base, msg.class()) {
-                Some(t) => {
-                    self.push(self.now + t, Item::Msg { from, to, msg });
-                    self.live_events += live as i64;
-                }
-                None => {
-                    self.metrics.dropped_status += 1;
-                    self.record(|| CompactEvent::fault_drop(from, to));
-                }
-            },
-        }
-    }
-
-    fn broadcast(&mut self, from: usize, msg: Msg, bytes: u64) {
-        if self.rec.is_some() {
-            if let Some((kind, value)) = msg.status_kind() {
-                self.record(|| CompactEvent::status_send(from, kind, value));
-            }
-        }
-        debug_assert!(matches!(msg.class(), MsgClass::Status), "broadcast is status-only");
-        if self.fault.is_none() {
-            let n = self.nprocs.saturating_sub(1) as u64;
-            self.messages += n;
-            self.metrics.status_msgs += n;
-            self.metrics.status_bytes += n * bytes;
-            self.live_events += n as i64;
-            // Targets in ascending order with consecutive sequence numbers:
-            // exactly the delivery order of the simulator's broadcast entry.
-            let at = self.now + self.net.transfer_time(bytes);
-            for to in 0..self.nprocs {
-                if to != from {
-                    self.push(at, Item::Msg { from, to, msg: msg.clone() });
-                }
-            }
+        };
+        if tx.send(reply).is_err() {
             return;
         }
-        // Under fault every target is routed independently, exactly as in
-        // the simulator backend.
-        for to in 0..self.nprocs {
-            if to != from {
-                self.send(from, to, msg.clone(), bytes);
-            }
-        }
-    }
-
-    /// Performs the transport-side effects a worker's reply carried.
-    fn apply_effects(&mut self, p: usize, effects: Vec<Effect>) {
-        for e in effects {
-            match e {
-                Effect::Send { to, msg, bytes } => self.send(p, to, msg, bytes),
-                Effect::Broadcast { msg, bytes } => self.broadcast(p, msg, bytes),
-                Effect::StartCompute { key, node, role, flops, cores } => {
-                    if self.rec.is_some() {
-                        self.record(|| CompactEvent::compute_start(p, node, role));
-                        let info = &mut self.work_info[p];
-                        let k = key as usize;
-                        if info.len() <= k {
-                            info.resize(k + 1, (0, TaskRole::Elim));
-                        }
-                        info[k] = (node, role);
-                    }
-                    let exact = compute_ticks(flops, self.flops_per_tick, cores, &self.curve);
-                    // Straggler processors compute slower by their speed
-                    // factor (the only duration noise this backend
-                    // accepts; jitter is rejected up front).
-                    let duration = match &self.fault {
-                        Some(f) if f.speed_factor(p) > 1.0 => {
-                            ((exact as f64 * f.speed_factor(p)).round() as Time).max(1)
-                        }
-                        _ => exact,
-                    };
-                    self.metrics.procs[p].busy_ticks += duration;
-                    self.live_events += 1;
-                    let at = self.now + duration;
-                    self.push(at, Item::Timer { proc: p, key });
-                }
-                Effect::Arm { key, after } => {
-                    // A partitioned network starves the detector too:
-                    // refusing to re-arm lets the run drain and fail with
-                    // a typed `Partitioned` instead of spinning forever.
-                    // Same once all fronts are done: the detector chain
-                    // dies out and the queue drains.
-                    if !self.partitioned() && !self.finishing {
-                        let at = self.now + after;
-                        self.push(at, Item::Timer { proc: p, key });
-                    }
-                }
-                Effect::DeclareDead { proc } => self.pending_dead.push(proc),
-                Effect::Alloc { node, area, entries } => {
-                    self.record(|| CompactEvent::mem_alloc(p, node, area, entries));
-                }
-                Effect::Free { node, area, entries } => {
-                    self.record(|| CompactEvent::mem_free(p, node, area, entries));
-                }
-                Effect::Record(ev) => {
-                    if let Some(rec) = self.rec.as_mut() {
-                        rec.record(self.now, ev);
-                    }
-                }
-                Effect::Sample { active, stack, pool_depth, queued, busy, stalled } => {
-                    // Stamped with the virtual time and the coordinator's
-                    // cumulative traffic counters — accounted identically
-                    // by both backends, so the series are bit-identical
-                    // across them.
-                    let at = self.now;
-                    let (control_msgs, status_msgs) =
-                        (self.metrics.control_msgs, self.metrics.status_msgs);
-                    if let Some(ts) = self.ts.as_mut() {
-                        ts.push(
-                            p,
-                            SampleRow {
-                                at,
-                                active,
-                                stack,
-                                pool_depth,
-                                queued,
-                                busy,
-                                stalled,
-                                control_msgs,
-                                status_msgs,
-                            },
-                        );
-                    }
-                }
-            }
-        }
     }
 }
 
-/// Sends one input to worker `p` and applies the transport effects of its
-/// reply. Returns the violation the core flagged, if any.
-fn dispatch(
-    co: &mut Coordinator,
-    cmds: &[mpsc::Sender<Cmd>],
-    replies: &mpsc::Receiver<(usize, Reply)>,
-    p: usize,
-    input: Input,
-) -> Result<Option<Violation>, ExecError> {
-    let now = co.now;
-    cmds[p].send(Cmd::Input { now, input }).map_err(|_| worker_died(p))?;
-    match replies.recv() {
-        Ok((q, Reply::Effects { effects, nodes_done, violation })) => {
-            debug_assert_eq!(q, p);
-            co.nodes_done[p] = nodes_done;
-            co.apply_effects(p, effects);
-            Ok(violation)
-        }
-        _ => Err(worker_died(p)),
+/// The channel-backed [`CoreHost`]: processor `p`'s core lives on worker
+/// thread `p`, one command/reply round trip away.
+struct Workers<'a> {
+    links: Vec<(mpsc::Sender<Cmd>, mpsc::Receiver<Reply<'a>>)>,
+    /// Every worker's physical ledger, handed over by [`CoreHost::finish`].
+    ledgers: Vec<Ledger>,
+}
+
+impl<'a> Workers<'a> {
+    /// One command to worker `p`, one reply back. A worker only goes away
+    /// early by panicking, which `std::thread::scope` re-raises once this
+    /// thread unwinds — so a dead channel is a panic here too, naming the
+    /// processor, never a run error.
+    fn call(&self, p: usize, cmd: Cmd) -> Reply<'a> {
+        let (tx, rx) = &self.links[p];
+        tx.send(cmd)
+            .ok()
+            .and_then(|()| rx.recv().ok())
+            .unwrap_or_else(|| panic!("the worker thread of processor {p} panicked"))
     }
 }
 
-fn worker_died(p: usize) -> ExecError {
-    ExecError::Ledger { proc: p, detail: "worker thread terminated unexpectedly".into() }
-}
-
-/// Collects every worker's final state (ends the worker threads).
-fn collect_finals(
-    cmds: &[mpsc::Sender<Cmd>],
-    replies: &mpsc::Receiver<(usize, Reply)>,
-    nprocs: usize,
-) -> Result<Vec<WorkerFinal>, ExecError> {
-    for tx in cmds {
-        let _ = tx.send(Cmd::Finish);
-    }
-    let mut finals: Vec<Option<WorkerFinal>> = (0..nprocs).map(|_| None).collect();
-    for _ in 0..nprocs {
-        match replies.recv() {
-            Ok((p, Reply::Final(f))) => finals[p] = Some(*f),
-            Ok((p, _)) => return Err(worker_died(p)),
-            Err(_) => return Err(worker_died(0)),
-        }
-    }
-    Ok(finals.into_iter().map(|f| f.expect("every worker reported")).collect())
-}
-
-fn diagnostics(co: &Coordinator, finals: &[WorkerFinal], total_nodes: usize) -> RunDiagnostics {
-    let mut metrics = co.metrics.clone();
-    for (p, f) in finals.iter().enumerate() {
-        metrics.merge_core(p, &f.metrics);
-    }
-    RunDiagnostics {
-        now: co.now,
-        delivered_events: co.delivered,
-        in_flight: co.heap.len(),
-        nodes_done: finals.iter().map(|f| f.nodes_done).sum(),
-        total_nodes,
-        dropped_messages: co.fault.as_ref().map_or(0, |f| f.dropped()),
-        dead: co.dead.clone(),
-        metrics: Box::new(metrics),
-        procs: finals.iter().map(|f| f.diag.clone()).collect(),
-    }
-}
-
-/// No-progress error for the current state: a crossed network-kill
-/// threshold is a `Partitioned`, anything else a generic `Stalled`.
-fn stall_error(co: &Coordinator, cfg: &SolverConfig, diag: RunDiagnostics) -> SimError {
-    let diag = Box::new(diag);
-    if co.partitioned() {
-        let after = cfg.fault.as_ref().and_then(|f| f.kill_network_after).unwrap_or(0);
-        SimError::Partitioned { after, diag }
-    } else {
-        SimError::Stalled { diag }
-    }
-}
-
-/// Asks worker `p` for a recovery snapshot of its core.
-fn snapshot_of(
-    cmds: &[mpsc::Sender<Cmd>],
-    replies: &mpsc::Receiver<(usize, Reply)>,
-    p: usize,
-) -> Result<RecoverySnapshot, ExecError> {
-    cmds[p].send(Cmd::Snapshot).map_err(|_| worker_died(p))?;
-    match replies.recv() {
-        Ok((q, Reply::Snapshot(s))) => {
-            debug_assert_eq!(q, p);
-            Ok(*s)
-        }
-        _ => Err(worker_died(p)),
-    }
-}
-
-/// Fail-stops processor `d`: snapshots the dying core (its worker thread
-/// stays parked, it is simply never dispatched to again) and marks it
-/// dead. Detection and recovery happen later, through the lease protocol.
-fn kill_proc(
-    co: &mut Coordinator,
-    cmds: &[mpsc::Sender<Cmd>],
-    replies: &mpsc::Receiver<(usize, Reply)>,
-    ms: &mut Membership,
-    d: usize,
-) -> Result<(), ExecError> {
-    if !ms.alive[d] {
-        return Ok(());
-    }
-    let snap = if ms.joined[d] {
-        snapshot_of(cmds, replies, d)?
-    } else {
-        RecoverySnapshot { proc: d, ..Default::default() }
-    };
-    ms.note_kill(d, snap);
-    co.dead.push(d);
-    co.metrics.recovery.kills_observed += 1;
-    Ok(())
-}
-
-/// Arbitrates the death declarations the cores' lease checks emitted —
-/// the threaded mirror of the simulator backend's recovery sequence, in
-/// the same order so the two backends stay bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn process_deaths(
-    co: &mut Coordinator,
-    cmds: &[mpsc::Sender<Cmd>],
-    replies: &mpsc::Receiver<(usize, Reply)>,
-    ms: &mut Membership,
-    tree: &AssemblyTree,
-    cfg: &SolverConfig,
-    n: usize,
-) -> Result<(), ExecError> {
-    while !co.pending_dead.is_empty() {
-        let pend = std::mem::take(&mut co.pending_dead);
-        for d in pend {
-            if ms.recovered_deaths[d] {
-                continue;
-            }
-            kill_proc(co, cmds, replies, ms, d)?;
-            if !ms.adopters_exist(d) {
-                let finals = collect_finals(cmds, replies, cfg.nprocs)?;
-                let diag = diagnostics(co, &finals, n);
-                return Err(ExecError::Sim(stall_error(co, cfg, diag)));
-            }
-            let mut snaps = Vec::with_capacity(cfg.nprocs);
-            for p in 0..cfg.nprocs {
-                snaps.push(if ms.alive[p] {
-                    snapshot_of(cmds, replies, p)?
-                } else {
-                    ms.dead_snaps[p]
-                        .clone()
-                        .unwrap_or(RecoverySnapshot { proc: p, ..Default::default() })
-                });
-            }
-            let plan = ms.plan_loss(tree, cfg.capacity, d, &snaps, &mut co.ledger);
-            co.metrics.recovery.subtrees_reassigned += plan.roots.len() as u64;
-            co.metrics.recovery.nodes_recomputed += plan.recompute.len() as u64;
-            co.metrics.recovery.orphaned_cb_entries += plan.dead_stack_entries;
-            co.record(|| CompactEvent::proc_lost(d, plan.recompute.len()));
-            for &(root, adopter) in &plan.roots {
-                co.record(|| CompactEvent::subtree_reassigned(root, d, adopter));
-            }
-            for p in 0..cfg.nprocs {
-                if ms.alive[p] && ms.joined[p] {
-                    let input = Input::Recover { plan: Box::new(plan.clone()) };
-                    if let Some(v) = dispatch(co, cmds, replies, p, input)? {
-                        let finals = collect_finals(cmds, replies, cfg.nprocs)?;
-                        return Err(ExecError::Sim(violation_error(
-                            v,
-                            diagnostics(co, &finals, n),
-                        )));
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Brings processor `q` into the machine — the threaded mirror of the
-/// simulator backend's join sequence (announce, log replay, buffered
-/// delivery, then memory-aware rebalancing from the fullest pool).
-#[allow(clippy::too_many_arguments)]
-fn join_proc(
-    co: &mut Coordinator,
-    cmds: &[mpsc::Sender<Cmd>],
-    replies: &mpsc::Receiver<(usize, Reply)>,
-    ms: &mut Membership,
-    tree: &AssemblyTree,
-    map: &StaticMapping,
-    cfg: &SolverConfig,
-    n: usize,
-    q: usize,
-) -> Result<(), ExecError> {
-    if !ms.alive[q] || ms.joined[q] {
-        return Ok(());
-    }
-    ms.note_join(q);
-    co.metrics.recovery.joins_observed += 1;
-    let fail = |co: &mut Coordinator, cmds, replies, v| -> Result<(), ExecError> {
-        let finals = collect_finals(cmds, replies, cfg.nprocs)?;
-        Err(ExecError::Sim(violation_error(v, diagnostics(co, &finals, n))))
-    };
-    for p in 0..cfg.nprocs {
-        if ms.alive[p] && ms.joined[p] {
-            if let Some(v) = dispatch(co, cmds, replies, p, Input::Join { proc: q })? {
-                return fail(co, cmds, replies, v);
-            }
-        }
-    }
-    for ch in ms.log.clone() {
-        let input = match ch {
-            MembershipChange::Recover(plan) => Input::Recover { plan: Box::new(plan) },
-            MembershipChange::Migrate(m) => Input::Migrate { m: Box::new(m) },
+impl<'a> CoreHost<'a> for Workers<'a> {
+    fn step(
+        &mut self,
+        p: usize,
+        now: Time,
+        input: Input,
+        perform: impl FnMut(Effect),
+    ) -> (usize, Option<Violation>) {
+        let Reply::Stepped { effects, nodes_done, violation } =
+            self.call(p, Cmd::Input { now, input })
+        else {
+            unreachable!("one reply kind per command");
         };
-        if let Some(v) = dispatch(co, cmds, replies, q, input)? {
-            return fail(co, cmds, replies, v);
+        effects.into_iter().for_each(perform);
+        (nodes_done, violation)
+    }
+
+    fn apply_status(
+        &mut self,
+        p: usize,
+        at: Time,
+        from: usize,
+        delta: StatusDelta,
+    ) -> Option<Time> {
+        let Reply::Age(age) = self.call(p, Cmd::Status { at, from, delta }) else {
+            unreachable!("one reply kind per command");
+        };
+        age
+    }
+
+    fn cheapest_deferred(&mut self, p: usize) -> Option<(u64, usize)> {
+        let Reply::Deferred(d) = self.call(p, Cmd::CheapestDeferred) else {
+            unreachable!("one reply kind per command");
+        };
+        d
+    }
+
+    fn snapshot(&mut self, p: usize) -> RecoverySnapshot {
+        let Reply::Snapshot(s) = self.call(p, Cmd::Snapshot) else {
+            unreachable!("one reply kind per command");
+        };
+        *s
+    }
+
+    fn finish(&mut self) -> Vec<SchedulerCore<'a>> {
+        let mut cores = Vec::with_capacity(self.links.len());
+        for p in 0..self.links.len() {
+            let Reply::Final(last) = self.call(p, Cmd::Finish) else {
+                unreachable!("one reply kind per command");
+            };
+            let (core, ledger) = *last;
+            cores.push(core);
+            self.ledgers.push(ledger);
         }
+        cores
     }
-    if let Some(v) = dispatch(co, cmds, replies, q, Input::Tick)? {
-        return fail(co, cmds, replies, v);
-    }
-    for (from, msg) in std::mem::take(&mut co.buffered[q]) {
-        if ms.alive[from] {
-            if let Some(v) = dispatch(co, cmds, replies, q, Input::Deliver { from, msg })? {
-                return fail(co, cmds, replies, v);
-            }
-        }
-    }
-    // Memory-aware rebalancing: the fullest surviving pool donates up to
-    // two of its largest ready upper tasks to the idle joiner.
-    let mut donor: Option<(usize, usize)> = None; // (len, proc)
-    for p in 0..cfg.nprocs {
-        if p != q && ms.alive[p] && ms.joined[p] {
-            let len = snapshot_of(cmds, replies, p)?.pool.len();
-            if len > 0 {
-                let cand = (len, p);
-                let better =
-                    donor.is_none_or(|(bl, bp)| (Reverse(cand.0), cand.1) < (Reverse(bl), bp));
-                if better {
-                    donor = Some(cand);
-                }
-            }
-        }
-    }
-    let mut migrated = 0usize;
-    if let Some((_, d)) = donor {
-        let snap = snapshot_of(cmds, replies, d)?;
-        let mut cands: Vec<usize> = snap
-            .pool
-            .iter()
-            .copied()
-            .filter(|&v| map.subtree_of[v].is_none() || ms.recovered[v])
-            .collect();
-        cands.sort_by_key(|&v| (Reverse(tree.flops(v)), v));
-        for node in cands.into_iter().take(2) {
-            let pieces: Vec<(usize, u64, usize)> = snap
-                .registered
-                .iter()
-                .filter(|&&(parent, ..)| parent == node)
-                .map(|&(_, h, e, c)| (h, e, c))
-                .collect();
-            let mg = Migration { node, from: d, to: q, flops: tree.flops(node), pieces };
-            ms.note_migration(&mg);
-            co.metrics.recovery.rebalance_migrations += 1;
-            for p in 0..cfg.nprocs {
-                if ms.alive[p] && ms.joined[p] {
-                    let input = Input::Migrate { m: Box::new(mg.clone()) };
-                    if let Some(v) = dispatch(co, cmds, replies, p, input)? {
-                        return fail(co, cmds, replies, v);
-                    }
-                }
-            }
-            migrated += 1;
-        }
-    }
-    co.record(|| CompactEvent::proc_joined(q, migrated));
-    Ok(())
 }
 
 /// Runs the parallel factorization on real OS threads: one worker per
-/// processor plus a coordinating event loop on the calling thread.
+/// processor, the run loop on the calling thread.
 ///
-/// Produces the same [`RunResult`] as [`mf_core::parsim::run`] — under
-/// the quiet model, with identical per-processor peaks, makespan, and
-/// message counts. Returns [`ExecError::Unsupported`] when the
-/// configuration asks for simulator-only noise models, and
-/// [`ExecError::Ledger`] when a worker's physically re-derived memory
-/// ledger disagrees with its core's accounting.
+/// Produces the same [`RunResult`] as [`mf_core::parsim::run`], field for
+/// field. Returns [`ExecError::Unsupported`] when the configuration asks
+/// for simulator-only noise models, and [`ExecError::Ledger`] when a
+/// worker's physically re-derived memory ledger disagrees with its
+/// core's accounting.
 pub fn run_threads(
     tree: &AssemblyTree,
     map: &StaticMapping,
@@ -792,353 +296,25 @@ pub fn run_threads(
     if cfg.fault.as_ref().is_some_and(|m| !m.is_message_quiet()) {
         return Err(ExecError::Unsupported("fault perturbations (simulator-only noise)".into()));
     }
-    let n = tree.len();
     let load0 = initial_loads(tree, map, cfg.nprocs);
 
     std::thread::scope(|scope| {
-        let (reply_tx, replies) = mpsc::channel::<(usize, Reply)>();
-        let mut cmds = Vec::with_capacity(cfg.nprocs);
+        let mut host = Workers { links: Vec::with_capacity(cfg.nprocs), ledgers: Vec::new() };
         for p in 0..cfg.nprocs {
-            let (tx, rx) = mpsc::channel::<Cmd>();
-            cmds.push(tx);
-            let reply_tx = reply_tx.clone();
+            let (cmd_tx, cmd_rx) = mpsc::channel();
+            let (reply_tx, reply_rx) = mpsc::channel();
+            host.links.push((cmd_tx, reply_rx));
             let load0 = &load0;
-            scope.spawn(move || worker(p, tree, map, cfg, load0, rx, reply_tx));
+            scope.spawn(move || worker(p, tree, map, cfg, load0, cmd_rx, reply_tx));
         }
-        drop(reply_tx);
-
-        let mut co = Coordinator {
-            now: 0,
-            seq: 0,
-            heap: BinaryHeap::new(),
-            delivered: 0,
-            messages: 0,
-            net: cfg.network,
-            nprocs: cfg.nprocs,
-            metrics: RunMetrics::new(cfg.nprocs),
-            rec: cfg.record_events.then(|| Recording::new(cfg.event_capacity)),
-            work_info: if cfg.record_events { vec![Vec::new(); cfg.nprocs] } else { Vec::new() },
-            flops_per_tick: cfg.flops_per_tick,
-            curve: cfg.core_alloc.curve(),
-            nodes_done: vec![0; cfg.nprocs],
-            // Quiet models perturb nothing: keep the exact fast paths so
-            // such runs stay bit-identical (same filter as the simulator).
-            fault: cfg.fault.clone().filter(|m| !m.is_quiet()).map(FaultInjector::new),
-            pending_dead: Vec::new(),
-            live_events: 0,
-            buffered: vec![Vec::new(); cfg.nprocs],
-            dead: Vec::new(),
-            ledger: ObligationLedger::default(),
-            track_obligations: false,
-            finishing: false,
-            ts: cfg
-                .sample_every
-                .map(|every| RunTimeseries::new(cfg.nprocs, every, DEFAULT_SERIES_CAPACITY)),
-        };
-        // Membership orchestration only on runs that need it — the quiet
-        // path takes none of the branches below.
-        let mut membership = Membership::needed(cfg.recovery.is_some(), cfg.fault.as_ref())
-            .then(|| Membership::new(cfg.nprocs, map.owner.clone(), cfg.fault.as_ref()));
-        co.track_obligations = membership.is_some();
-
-        // Reports a forced-activation candidate over the reachable
-        // processors, mirroring the simulator's `force_one_deferred`.
-        fn cheapest_deferred(
-            cmds: &[mpsc::Sender<Cmd>],
-            replies: &mpsc::Receiver<(usize, Reply)>,
-            ms: Option<&Membership>,
-            capacity: Option<u64>,
-        ) -> Result<Option<(usize, usize)>, ExecError> {
-            if capacity.is_none() {
-                return Ok(None);
-            }
-            let mut best: Option<(u64, usize, usize)> = None;
-            for (p, tx) in cmds.iter().enumerate() {
-                if ms.is_some_and(|m| !m.alive[p] || !m.joined[p]) {
-                    continue; // forcing work onto a dead processor helps nobody
-                }
-                tx.send(Cmd::CheapestDeferred).map_err(|_| worker_died(p))?;
-                match replies.recv() {
-                    Ok((q, Reply::Deferred(d))) => {
-                        debug_assert_eq!(q, p);
-                        if let Some((cost, v)) = d {
-                            let cand = (cost, p, v);
-                            if best.is_none_or(|b| cand < b) {
-                                best = Some(cand);
-                            }
-                        }
-                    }
-                    _ => return Err(worker_died(p)),
-                }
-            }
-            Ok(best.map(|(_, p, v)| (p, v)))
-        }
-
-        for p in 0..cfg.nprocs {
-            if membership.as_ref().is_some_and(|m| !m.joined[p]) {
-                continue; // dormant until its scheduled join
-            }
-            if let Some(v) = dispatch(&mut co, &cmds, &replies, p, Input::Tick)? {
-                let finals = collect_finals(&cmds, &replies, cfg.nprocs)?;
-                return Err(ExecError::Sim(violation_error(v, diagnostics(&co, &finals, n))));
+        let result = run_hosted(tree, map, cfg, &mut host).map_err(ExecError::Sim)?;
+        for (proc, ledger) in host.ledgers.iter().enumerate() {
+            if let Some(detail) = ledger.mismatch(result.peaks[proc], result.final_active[proc]) {
+                return Err(ExecError::Ledger { proc, detail });
             }
         }
-        'run: loop {
-            while let Some(Reverse(QEntry { at, item, .. })) = co.heap.pop() {
-                debug_assert!(at >= co.now, "event queue must be causal");
-                co.now = at;
-                co.delivered += 1;
-                if let Some(ms) = membership.as_mut() {
-                    // The fault schedule is keyed on delivered-event
-                    // indices: scheduled kills and joins fire before the
-                    // event they precede is processed.
-                    ms.delivered += 1;
-                    let idx = ms.delivered;
-                    while let Some(d) = ms.take_due_kill(idx) {
-                        kill_proc(&mut co, &cmds, &replies, ms, d)?;
-                    }
-                    while let Some(jq) = ms.take_due_join(idx) {
-                        join_proc(&mut co, &cmds, &replies, ms, tree, map, cfg, n, jq)?;
-                    }
-                }
-                // Quiescence accounting: everything except failure-detector
-                // chatter counts as a live event.
-                match &item {
-                    Item::Msg { msg, .. } if !matches!(msg, Msg::Heartbeat) => {
-                        co.live_events -= 1;
-                    }
-                    Item::Timer { key, .. } if *key < TIMER_SAMPLE => co.live_events -= 1,
-                    _ => {}
-                }
-                let (p, input) = match item {
-                    Item::Msg { from, to, msg } => {
-                        if let Some(ms) = membership.as_ref() {
-                            if !ms.alive[from] || !ms.alive[to] {
-                                continue; // a dead endpoint: the message is lost
-                            }
-                            if !ms.joined[to] {
-                                co.buffered[to].push((from, msg));
-                                continue; // parked until the join
-                            }
-                        }
-                        (to, Input::Deliver { from, msg })
-                    }
-                    Item::Timer { proc, key } => {
-                        if let Some(ms) = membership.as_ref() {
-                            if !ms.alive[proc] || !ms.joined[proc] {
-                                continue; // a dead processor's timers are void
-                            }
-                        }
-                        if co.rec.is_some() {
-                            // A fired timer is a compute completion: record
-                            // ComputeEnd before the worker's effects (exactly
-                            // where the completion handler sits in the event
-                            // order).
-                            if let Some(&(node, role)) = co.work_info[proc].get(key as usize) {
-                                co.record(|| CompactEvent::compute_end(proc, node, role));
-                            }
-                        }
-                        (proc, Input::TimerFired { key })
-                    }
-                };
-                if let Some(v) = dispatch(&mut co, &cmds, &replies, p, input)? {
-                    let finals = collect_finals(&cmds, &replies, cfg.nprocs)?;
-                    return Err(ExecError::Sim(violation_error(v, diagnostics(&co, &finals, n))));
-                }
-                if let Some(ms) = membership.as_mut() {
-                    if !co.pending_dead.is_empty() {
-                        process_deaths(&mut co, &cmds, &replies, ms, tree, cfg, n)?;
-                    }
-                } else {
-                    debug_assert!(co.pending_dead.is_empty(), "DeclareDead without recovery");
-                }
-                if let Some(limit) = cfg.time_limit {
-                    if co.now > limit {
-                        let finals = collect_finals(&cmds, &replies, cfg.nprocs)?;
-                        let diag = Box::new(diagnostics(&co, &finals, n));
-                        return Err(ExecError::Sim(SimError::TimeLimit { limit, diag }));
-                    }
-                }
-                if let Some(ms) = membership.as_mut() {
-                    // Membership-aware termination over the survivors only
-                    // (see the simulator backend for the full rationale).
-                    let done: usize =
-                        (0..cfg.nprocs).filter(|&p| ms.alive[p]).map(|p| co.nodes_done[p]).sum();
-                    if done >= n {
-                        // Keep draining in-flight live traffic so the
-                        // final time matches the recovery-off run exactly;
-                        // the detector stops re-arming and dies out.
-                        co.finishing = true;
-                        if co.live_events == 0 {
-                            break 'run;
-                        }
-                        continue;
-                    }
-                    if co.live_events == 0 && cfg.recovery.is_some() {
-                        // Quiescent apart from detector chatter: progress
-                        // can still arrive from the fault schedule or a
-                        // lease about to expire; otherwise run the same
-                        // degradation ladder as a drained queue.
-                        if ms.schedule_pending()
-                            || ms.undeclared_dead()
-                            || !co.pending_dead.is_empty()
-                        {
-                            continue;
-                        }
-                        match cheapest_deferred(&cmds, &replies, Some(&*ms), cfg.capacity)? {
-                            Some((p, v)) => {
-                                let input = Input::Force { node: v };
-                                if let Some(viol) = dispatch(&mut co, &cmds, &replies, p, input)? {
-                                    let finals = collect_finals(&cmds, &replies, cfg.nprocs)?;
-                                    return Err(ExecError::Sim(violation_error(
-                                        viol,
-                                        diagnostics(&co, &finals, n),
-                                    )));
-                                }
-                            }
-                            None => {
-                                let finals = collect_finals(&cmds, &replies, cfg.nprocs)?;
-                                let diag = diagnostics(&co, &finals, n);
-                                return Err(ExecError::Sim(stall_error(&co, cfg, diag)));
-                            }
-                        }
-                    }
-                } else if cfg.sample_every.is_some() {
-                    // Sampler-aware termination (mirrors the simulator
-                    // backend): without membership the sampler's
-                    // self-re-arming timer chain never lets the queue
-                    // drain, so completion is checked per event. Once
-                    // every front is done the sampler stops re-arming
-                    // (`finishing`) and the run breaks the moment the
-                    // last live event is processed — the clock never
-                    // advances past the sampler-off makespan.
-                    let done: usize = co.nodes_done.iter().sum();
-                    if done >= n {
-                        co.finishing = true;
-                        if co.live_events == 0 {
-                            break 'run;
-                        }
-                    }
-                }
-            }
-            // The queue drained (the recovery-off path — with recovery on
-            // it only happens once a partitioned coordinator stops
-            // re-arming the detector).
-            let done: usize = match membership.as_ref() {
-                Some(ms) => {
-                    (0..cfg.nprocs).filter(|&p| ms.alive[p]).map(|p| co.nodes_done[p]).sum()
-                }
-                None => co.nodes_done.iter().sum(),
-            };
-            if done >= n {
-                break;
-            }
-            // A scheduled join whose event index was never reached fires
-            // now: the joiner may hold the only way forward.
-            if let Some(ms) = membership.as_mut() {
-                if let Some(jq) = ms.take_next_join() {
-                    join_proc(&mut co, &cmds, &replies, ms, tree, map, cfg, n, jq)?;
-                    continue;
-                }
-            }
-            // Same degradation ladder as the simulator backend: force the
-            // globally cheapest deferred task, or report a genuine stall.
-            match cheapest_deferred(&cmds, &replies, membership.as_ref(), cfg.capacity)? {
-                Some((p, v)) => {
-                    let input = Input::Force { node: v };
-                    if let Some(viol) = dispatch(&mut co, &cmds, &replies, p, input)? {
-                        let finals = collect_finals(&cmds, &replies, cfg.nprocs)?;
-                        return Err(ExecError::Sim(violation_error(
-                            viol,
-                            diagnostics(&co, &finals, n),
-                        )));
-                    }
-                }
-                None => {
-                    let finals = collect_finals(&cmds, &replies, cfg.nprocs)?;
-                    let diag = diagnostics(&co, &finals, n);
-                    return Err(ExecError::Sim(stall_error(&co, cfg, diag)));
-                }
-            }
-        }
-
-        let finals = collect_finals(&cmds, &replies, cfg.nprocs)?;
-        for (p, f) in finals.iter().enumerate() {
-            if let Some(detail) = &f.ledger_fault {
-                return Err(ExecError::Ledger { proc: p, detail: detail.clone() });
-            }
-            if f.ledger_peak != f.active_peak {
-                return Err(ExecError::Ledger {
-                    proc: p,
-                    detail: format!(
-                        "ledger peak {} != accounting peak {}",
-                        f.ledger_peak, f.active_peak
-                    ),
-                });
-            }
-            if f.ledger_active != f.active {
-                return Err(ExecError::Ledger {
-                    proc: p,
-                    detail: format!(
-                        "ledger residual {} != accounting residual {}",
-                        f.ledger_active, f.active
-                    ),
-                });
-            }
-        }
-
-        let disk_end = finals.iter().map(|f| f.disk_busy_until).max().unwrap_or(0);
-        let makespan = co.now.max(disk_end);
-        let peaks: Vec<u64> = finals.iter().map(|f| f.active_peak).collect();
-        let max_peak = peaks.iter().copied().max().unwrap_or(0);
-        let avg_peak = peaks.iter().sum::<u64>() as f64 / peaks.len().max(1) as f64;
-        let mut metrics = co.metrics;
-        for (p, f) in finals.iter().enumerate() {
-            metrics.merge_core(p, &f.metrics);
-        }
-        if let Some(rec) = &co.rec {
-            // Finalization invariant: every payload reference of the finished
-            // recording is in-bounds and non-overlapping.
-            rec.debug_validate();
-        }
-        let alive = |p: usize| membership.as_ref().is_none_or(|m| m.alive[p]);
-        let factor_digest = digest_factors(
-            (0..cfg.nprocs).filter(|&p| alive(p)).map(|p| finals[p].factors_by_node.as_slice()),
-            n,
-        );
-        Ok(RunResult {
-            total_peaks: finals.iter().map(|f| f.total_peak).collect(),
-            factor_entries: finals.iter().map(|f| f.factors).collect(),
-            max_peak,
-            avg_peak,
-            makespan,
-            messages: co.messages,
-            events_delivered: co.delivered,
-            traces: cfg
-                .record_traces
-                .then(|| finals.iter().map(|f| f.trace.clone().unwrap_or_default()).collect()),
-            nodes_done: (0..cfg.nprocs).filter(|&p| alive(p)).map(|p| finals[p].nodes_done).sum(),
-            total_nodes: n,
-            dropped_messages: co.fault.as_ref().map_or(0, |f| f.dropped()),
-            forced_activations: finals.iter().map(|f| f.forced).sum(),
-            final_active: finals.iter().map(|f| f.active).collect(),
-            underflows: finals.iter().map(|f| f.underflows).collect(),
-            metrics,
-            recording: co.rec,
-            timeseries: co.ts,
-            peaks,
-            factor_digest,
-            dead: co.dead,
-        })
+        Ok(result)
     })
-}
-
-fn violation_error(v: Violation, diag: RunDiagnostics) -> SimError {
-    let diag = Box::new(diag);
-    match v {
-        Violation::Accounting { proc, area } => SimError::Accounting { proc, area, diag },
-        Violation::Protocol { detail } => SimError::Protocol { detail, diag },
-    }
 }
 
 #[cfg(test)]
@@ -1162,67 +338,28 @@ mod tests {
     #[test]
     fn threads_match_simulator_exactly() {
         let tree = tree_for(24);
+        let base = SolverConfig { type2_front_min: 24, ..SolverConfig::memory_based(4) };
         for cfg in [
             SolverConfig { type2_front_min: 24, ..SolverConfig::mumps_baseline(4) },
-            SolverConfig { type2_front_min: 24, ..SolverConfig::memory_based(4) },
+            base.clone(),
             SolverConfig {
                 type2_front_min: 24,
                 capacity: Some(1),
                 ..SolverConfig::mumps_baseline(4)
             },
+            // Observability rides the shared loop: the flight recording,
+            // the memory traces and the sampled series are part of the
+            // result and must be bit-identical too.
+            SolverConfig { record_events: true, record_traces: true, ..base.clone() },
+            SolverConfig { sample_every: Some(50), ..base },
         ] {
             let map = compute_mapping(&tree, &cfg);
             let sim = mf_core::parsim::run(&tree, &map, &cfg).unwrap();
             let thr = run_threads(&tree, &map, &cfg).unwrap();
-            assert_eq!(thr.peaks, sim.peaks);
-            assert_eq!(thr.total_peaks, sim.total_peaks);
-            assert_eq!(thr.makespan, sim.makespan);
-            assert_eq!(thr.messages, sim.messages);
-            assert_eq!(thr.nodes_done, sim.nodes_done);
-            assert_eq!(thr.forced_activations, sim.forced_activations);
-            assert_eq!(thr.metrics, sim.metrics);
+            assert!(sim.recording.as_ref().is_none_or(|rec| !rec.is_empty()));
+            assert!(sim.timeseries.as_ref().is_none_or(|ts| ts.total_len() > 0));
+            assert_eq!(thr, sim);
         }
-    }
-
-    #[test]
-    fn recording_matches_simulator() {
-        let tree = tree_for(20);
-        let cfg = SolverConfig {
-            type2_front_min: 24,
-            record_events: true,
-            record_traces: true,
-            ..SolverConfig::memory_based(4)
-        };
-        let map = compute_mapping(&tree, &cfg);
-        let sim = mf_core::parsim::run(&tree, &map, &cfg).unwrap();
-        let thr = run_threads(&tree, &map, &cfg).unwrap();
-        assert_eq!(thr.recording, sim.recording, "recordings must be bit-identical");
-        let (st, tt) = (sim.traces.unwrap(), thr.traces.unwrap());
-        for (a, b) in st.iter().zip(&tt) {
-            assert_eq!(a.max(), b.max());
-        }
-    }
-
-    #[test]
-    fn timeseries_matches_simulator() {
-        let tree = tree_for(20);
-        let cfg = SolverConfig {
-            type2_front_min: 24,
-            sample_every: Some(50),
-            ..SolverConfig::memory_based(4)
-        };
-        let map = compute_mapping(&tree, &cfg);
-        let sim = mf_core::parsim::run(&tree, &map, &cfg).unwrap();
-        let thr = run_threads(&tree, &map, &cfg).unwrap();
-        // Sampling rides the shared timer protocol, so the threaded
-        // backend stays bit-identical with it on — and both backends
-        // sample the same series.
-        assert_eq!(thr.peaks, sim.peaks);
-        assert_eq!(thr.makespan, sim.makespan);
-        assert_eq!(thr.messages, sim.messages);
-        let (st, tt) = (sim.timeseries.unwrap(), thr.timeseries.unwrap());
-        assert!(st.total_len() > 0);
-        assert_eq!(tt, st, "both backends must sample the same series");
     }
 
     #[test]
@@ -1249,15 +386,14 @@ mod tests {
         };
         let sim = mf_core::parsim::run(&tree, &map, &cfg).unwrap();
         let thr = run_threads(&tree, &map, &cfg).unwrap();
-        assert_eq!(thr.peaks, sim.peaks);
+        assert_eq!(thr, sim);
     }
 
     #[test]
     fn membership_faults_match_simulator_exactly() {
         // Kill and join schedules are deterministic membership faults:
         // the threaded backend must reproduce the simulator's recovery
-        // bit for bit — same peaks, same makespan, same digest, same
-        // recovery counters.
+        // bit for bit — the whole result, recovery counters included.
         let tree = tree_for(20);
         let cfg0 = SolverConfig { type2_front_min: 24, ..SolverConfig::memory_based(4) };
         let map = compute_mapping(&tree, &cfg0);
@@ -1278,13 +414,7 @@ mod tests {
             };
             let sim = mf_core::parsim::run(&tree, &map, &cfg).unwrap();
             let thr = run_threads(&tree, &map, &cfg).unwrap();
-            assert_eq!(thr.peaks, sim.peaks);
-            assert_eq!(thr.makespan, sim.makespan);
-            assert_eq!(thr.messages, sim.messages);
-            assert_eq!(thr.factor_digest, sim.factor_digest);
-            assert_eq!(thr.dead, sim.dead);
-            assert_eq!(thr.nodes_done, sim.nodes_done);
-            assert_eq!(thr.metrics.recovery, sim.metrics.recovery);
+            assert_eq!(thr, sim);
         }
     }
 
