@@ -12,12 +12,17 @@
 //!   engine's end-to-end cost per point;
 //! * makespan, peaks, and the status-coherence traffic (status message
 //!   and byte counts) — how the paper's protocol scales with P;
-//! * the process RSS high-water mark after the point (VmHWM, cumulative
-//!   over the run, so the 1024-processor figure bounds the whole sweep).
+//! * the point's own resident memory: the RSS high-water mark is reset
+//!   before each point, so `rss_hwm_kb` is that point's peak,
+//!   `rss_delta_kb` what the run added to the RSS it started from, and
+//!   `heap_bytes_per_node_proc` that delta per (front, processor) pair.
+//!   Where the kernel refuses the reset the high-water mark stays
+//!   cumulative and later points over-report.
 //!
 //! `--smoke` runs one 256-processor cell on the small smoke instance
-//! under a hard wall-clock ceiling and validates the rendered JSON with
-//! `mf_bench::obs` — the CI guard that the full sweep stays runnable.
+//! under a hard wall-clock ceiling and an RSS-delta ceiling, and
+//! validates the rendered JSON with `mf_bench::obs` — the CI guard that
+//! the full sweep stays runnable and the simulator's footprint small.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -46,16 +51,22 @@ fn scale_config(nprocs: usize) -> SolverConfig {
     }
 }
 
-/// Process RSS high-water mark (kB) from `/proc/self/status`; 0 where
-/// the file is unavailable (non-Linux hosts).
-fn peak_rss_kb() -> u64 {
+/// One kB field (`VmHWM`, `VmRSS`) of `/proc/self/status`; 0 where the
+/// file is unavailable (non-Linux hosts).
+fn status_kb(field: &str) -> u64 {
     let Ok(text) = std::fs::read_to_string("/proc/self/status") else { return 0 };
     text.lines()
-        .find(|l| l.starts_with("VmHWM:"))
-        .and_then(|l| l.split_whitespace().nth(1))
+        .find_map(|l| l.strip_prefix(field)?.strip_prefix(':'))
+        .and_then(|l| l.split_whitespace().next())
         .and_then(|v| v.parse().ok())
         .unwrap_or(0)
 }
+
+/// `rss_hwm_kb` of the sweep before the per-node scheduler state became
+/// sparse (each figure cumulative over the points before it), kept in the
+/// artifact for comparison.
+const PRIOR_RSS_HWM_KB: [(usize, u64); 4] =
+    [(32, 28872), (128, 103992), (512, 402264), (1024, 818036)];
 
 struct Point {
     nprocs: usize,
@@ -63,12 +74,17 @@ struct Point {
     ns_per_event: f64,
     events_per_sec: f64,
     rss_hwm_kb: u64,
+    rss_delta_kb: u64,
     r: RunResult,
 }
 
 fn run_point(tree: &AssemblyTree, nprocs: usize) -> Point {
     let cfg = scale_config(nprocs);
     let map = compute_mapping(tree, &cfg);
+    // Reset the high-water mark to the current RSS (ignored where the
+    // kernel does not permit it).
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
+    let rss_before = status_kb("VmRSS");
     let start = Instant::now();
     let r = parsim::run(tree, &map, &cfg)
         .unwrap_or_else(|e| panic!("scale run at P={nprocs} failed: {e}"));
@@ -76,12 +92,14 @@ fn run_point(tree: &AssemblyTree, nprocs: usize) -> Point {
     assert_eq!(r.nodes_done, r.total_nodes, "P={nprocs}: run did not complete");
     let wall_ms = wall.as_secs_f64() * 1e3;
     let events = r.events_delivered.max(1);
+    let rss_hwm_kb = status_kb("VmHWM");
     Point {
         nprocs,
         wall_ms,
         ns_per_event: wall.as_nanos() as f64 / events as f64,
         events_per_sec: events as f64 / wall.as_secs_f64().max(1e-9),
-        rss_hwm_kb: peak_rss_kb(),
+        rss_hwm_kb,
+        rss_delta_kb: rss_hwm_kb.saturating_sub(rss_before),
         r,
     }
 }
@@ -143,7 +161,17 @@ fn render_json(shape: &SynthConfig, tree: &AssemblyTree, points: &[Point]) -> St
         .unwrap();
         writeln!(json, "      \"view_staleness_p95\": {},", m.view_staleness.quantile(0.95))
             .unwrap();
-        writeln!(json, "      \"rss_hwm_kb\": {}", p.rss_hwm_kb).unwrap();
+        writeln!(json, "      \"rss_hwm_kb\": {},", p.rss_hwm_kb).unwrap();
+        if let Some((_, prior)) = PRIOR_RSS_HWM_KB.iter().find(|(n, _)| *n == p.nprocs) {
+            writeln!(json, "      \"prior_rss_hwm_kb\": {prior},").unwrap();
+        }
+        writeln!(json, "      \"rss_delta_kb\": {},", p.rss_delta_kb).unwrap();
+        writeln!(
+            json,
+            "      \"heap_bytes_per_node_proc\": {:.1}",
+            (p.rss_delta_kb * 1024) as f64 / (stats.nodes * p.nprocs) as f64
+        )
+        .unwrap();
         writeln!(json, "    }}{sep}").unwrap();
     }
     writeln!(json, "  ]").unwrap();
@@ -160,6 +188,9 @@ fn main() {
         // The cell takes ~30 ms on a quiet host; the ceiling leaves two
         // orders of magnitude for a contended CI runner.
         const CEILING_MS: f64 = 5_000.0;
+        // 511 fronts x 256 processors: ~5 MB of views, queue and result.
+        // Full-length per-node vectors in every core added 13 MB.
+        const RSS_DELTA_CEILING_KB: u64 = 10 * 1024;
         let shape = SynthConfig::smoke(42);
         let tree = synth_nd_tree(&shape);
         let start = Instant::now();
@@ -176,10 +207,21 @@ fn main() {
             total_ms <= CEILING_MS,
             "scale smoke exceeded its ceiling: {total_ms:.0} ms > {CEILING_MS:.0} ms"
         );
+        assert!(
+            p.rss_delta_kb <= RSS_DELTA_CEILING_KB,
+            "scale smoke grew the RSS by {} kB, over its ceiling of {RSS_DELTA_CEILING_KB} kB",
+            p.rss_delta_kb
+        );
         println!("{json}");
         eprintln!(
-            "scale smoke OK: P=256, {} events in {:.0} ms ({:.0} ns/event, ceiling {:.0} ms)",
-            p.r.events_delivered, total_ms, p.ns_per_event, CEILING_MS
+            "scale smoke OK: P=256, {} events in {:.0} ms ({:.0} ns/event, ceiling {:.0} ms), \
+             RSS +{} kB (ceiling {} kB)",
+            p.r.events_delivered,
+            total_ms,
+            p.ns_per_event,
+            CEILING_MS,
+            p.rss_delta_kb,
+            RSS_DELTA_CEILING_KB
         );
         return;
     }
@@ -198,13 +240,14 @@ fn main() {
         let p = run_point(&tree, nprocs);
         eprintln!(
             "  {} events in {:.0} ms: {:.0} ns/event, {:.2e} events/s, \
-             {} status msgs, rss {} MB",
+             {} status msgs, rss {} MB (+{} MB)",
             p.r.events_delivered,
             p.wall_ms,
             p.ns_per_event,
             p.events_per_sec,
             p.r.metrics.status_msgs,
-            p.rss_hwm_kb / 1024
+            p.rss_hwm_kb / 1024,
+            p.rss_delta_kb / 1024
         );
         points.push(p);
     }

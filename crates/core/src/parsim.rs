@@ -965,7 +965,7 @@ fn run_on<'a, Q: EventQueue<Msg>>(
     }
     let alive = |p: usize| membership.as_ref().is_none_or(|m| m.alive[p]);
     let factor_digest = digest_factors(
-        (0..cfg.nprocs).filter(|&p| alive(p)).map(|p| cores[p].factors_by_node()),
+        (0..cfg.nprocs).filter(|&p| alive(p)).flat_map(|p| cores[p].factors_by_node()),
         n,
     );
     Ok(RunResult {

@@ -37,7 +37,9 @@ use crate::views::{StatusDelta, Views};
 use mf_sim::recorder::{FrontClass, MemArea, SlavePick, StatusKind, TaskRole};
 use mf_sim::{CompactEvent, CoreMetrics, MsgClass, ProcMemory, Time};
 use mf_symbolic::AssemblyTree;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, DefaultHasher};
+use std::sync::LazyLock;
 
 /// Timer key of the periodic heartbeat emitter (never collides with a
 /// work-ledger key: work keys are ledger indices, far below the top of
@@ -64,7 +66,7 @@ pub enum Msg {
         /// Piece size in entries.
         entries: u64,
         /// Lifetime of `child` the piece belongs to (see
-        /// [`SchedulerCore`]'s epoch vector): a stale piece notification
+        /// the core's per-node `epoch`): a stale piece notification
         /// from before a recovery is silently discarded.
         epoch: u32,
     },
@@ -371,6 +373,65 @@ enum Work {
     RootShare { node: usize, entries: u64, flops: u64, is_master: bool },
 }
 
+/// What one core knows about one node. A core writes only to the nodes it
+/// masters, their children, and the nodes it holds a block of; every
+/// other node reads as `NodeState::default()`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct NodeState {
+    // ---- as a child, kept at the parent's owner
+    /// CB pieces produced in total, known once `Complete` arrived.
+    pieces_expected: Option<usize>,
+    /// `PieceDone` notifications received so far.
+    pieces_got: usize,
+    /// `Complete` arrived and the child has not been counted yet.
+    child_complete: bool,
+    /// Already counted into the parent's `done_children` (the permanent
+    /// fire-once guard; recovery selectively clears it so a recomputed
+    /// child counts again).
+    counted: bool,
+    // ---- as a parent, kept at its owner
+    /// Children that completed with all their pieces.
+    done_children: usize,
+    /// Children that started (Section 5.1 prediction).
+    started_children: usize,
+    /// CB pieces stacked for this node: (holder processor, entries,
+    /// producing child), released at activation.
+    cb_pieces: Vec<(usize, u64, usize)>,
+    activated: bool,
+    /// Completed here as owner (the indicator behind `nodes_done`;
+    /// recovery uncounts recomputed nodes through it).
+    done_by_me: bool,
+    // ---- wherever a block of the node lives
+    /// Factor entries stored here, the partition-invariant quantity behind
+    /// [`crate::recovery::digest_factors`].
+    factors: u64,
+    /// Entries of the CB piece this core physically holds (at most one
+    /// piece per producer per holder; zero when not holding).
+    held: u64,
+    /// Lifetime counter, bumped machine-wide when the node enters a
+    /// recompute set; messages from a previous lifetime are discarded.
+    epoch: u32,
+}
+
+/// The [`NodeState`]s one core has written. Hashed rather than ordered:
+/// lookups sit on every control event, ordered iteration only in
+/// `snapshot`. Fixed hash keys keep a run's allocations repeatable.
+#[derive(Default)]
+struct NodeTable(HashMap<usize, NodeState, BuildHasherDefault<DefaultHasher>>);
+
+impl NodeTable {
+    /// Reads `v`; a node never written reads as untouched.
+    fn get(&self, v: usize) -> &NodeState {
+        static UNTOUCHED: LazyLock<NodeState> = LazyLock::new(NodeState::default);
+        self.0.get(&v).unwrap_or(&UNTOUCHED)
+    }
+
+    /// Writes `v`, creating its entry on first use.
+    fn at(&mut self, v: usize) -> &mut NodeState {
+        self.0.entry(v).or_default()
+    }
+}
+
 /// Initial workloads: each processor starts with the cost of its subtrees
 /// (Section 3); everyone knows this static information. Shared by every
 /// backend so all cores start from the same view of the machine.
@@ -424,37 +485,11 @@ pub struct SchedulerCore<'a> {
     stalled_since: Option<Time>,
     /// Upper tasks owned here whose children have all started (node ->
     /// predicted activation cost), feeding the Predicted broadcasts.
-    soon: std::collections::BTreeMap<usize, u64>,
+    soon: BTreeMap<usize, u64>,
     /// Work ledger; [`Effect::StartCompute`] keys index into it.
     works: Vec<Work>,
-    // Readiness bookkeeping, indexed by node id. Every entry is touched
-    // only by the owner of the relevant (parent) node, so per-core
-    // full-length vectors partition the original global state exactly.
-    pieces_expected: Vec<Option<usize>>,
-    pieces_got: Vec<usize>,
-    child_complete: Vec<bool>,
-    done_children: Vec<usize>,
-    /// CB pieces stacked for each *parent* node: (holder processor,
-    /// entries, producing child), recorded at the parent's owner,
-    /// released at activation.
-    cb_pieces: Vec<Vec<(usize, u64, usize)>>,
-    started_children: Vec<usize>,
-    activated: Vec<bool>,
-    /// Whether each child already counted into its parent's
-    /// `done_children` here (the permanent fire-once guard; recovery
-    /// selectively clears it so a recomputed child counts again).
-    counted: Vec<bool>,
+    nodes: NodeTable,
     nodes_done: usize,
-    /// Nodes this core completed as owner (the indicator behind
-    /// `nodes_done`; recovery uncounts recomputed nodes through it).
-    done_by_me: Vec<bool>,
-    /// Factor entries stored here per node, the partition-invariant
-    /// quantity behind [`crate::recovery::digest_factors`].
-    factors_by_node: Vec<u64>,
-    /// Entries of the CB piece this core physically holds per producing
-    /// node (at most one piece per producer per holder). Zero when not
-    /// holding; recovery pops stale pieces through it.
-    held: Vec<u64>,
     /// Completion flags of the work ledger (parallel to `works`).
     done_works: Vec<bool>,
     /// Cancellation flags of the work ledger: a cancelled work's timer
@@ -475,16 +510,13 @@ pub struct SchedulerCore<'a> {
     /// Whether the telemetry sampling timer was armed (once, on the
     /// first tick of a run with `sample_every` set).
     sampler_armed: bool,
-    /// Ownership overlay: starts as the static mapping's owner vector,
-    /// updated by recovery plans and migrations.
-    owners: Vec<usize>,
+    /// Owners of the nodes a recovery plan or a migration moved, consulted
+    /// before the static mapping's. Empty on fault-free runs.
+    owners: BTreeMap<usize, usize>,
     /// Nodes re-executed by a recovery plan: their kind degrades to a
     /// full local front (type-3 roots excepted) and they leave their
-    /// static subtree.
-    recovered: Vec<bool>,
-    /// Per-node lifetime counter, bumped machine-wide when a node enters
-    /// a recompute set; messages from a previous lifetime are discarded.
-    epoch: Vec<u32>,
+    /// static subtree. Empty on fault-free runs.
+    recovered: BTreeSet<usize>,
     /// Count of capacity-degradation events (serialize-on-master
     /// fallbacks plus force-activated deferred tasks).
     forced: u64,
@@ -509,7 +541,6 @@ impl<'a> SchedulerCore<'a> {
         cfg: &'a SolverConfig,
         initial_load: &[u64],
     ) -> Self {
-        let n = tree.len();
         SchedulerCore {
             id,
             tree,
@@ -531,18 +562,8 @@ impl<'a> SchedulerCore<'a> {
             stalled_since: None,
             soon: Default::default(),
             works: Vec::new(),
-            pieces_expected: vec![None; n],
-            pieces_got: vec![0; n],
-            child_complete: vec![false; n],
-            done_children: vec![0; n],
-            cb_pieces: vec![Vec::new(); n],
-            started_children: vec![0; n],
-            activated: vec![false; n],
-            counted: vec![false; n],
+            nodes: NodeTable::default(),
             nodes_done: 0,
-            done_by_me: vec![false; n],
-            factors_by_node: vec![0; n],
-            held: vec![0; n],
             done_works: Vec::new(),
             cancelled: Vec::new(),
             running: None,
@@ -560,9 +581,8 @@ impl<'a> SchedulerCore<'a> {
             },
             timers_armed: false,
             sampler_armed: false,
-            owners: map.owner.clone(),
-            recovered: vec![false; n],
-            epoch: vec![0; n],
+            owners: BTreeMap::new(),
+            recovered: BTreeSet::new(),
             forced: 0,
             violation: None,
             metrics: CoreMetrics::default(),
@@ -699,17 +719,16 @@ impl<'a> SchedulerCore<'a> {
         }
     }
 
-    /// Per-node factor entries stored on this processor (the digest
-    /// input; all-zero rows for nodes factored elsewhere).
-    pub fn factors_by_node(&self) -> &[u64] {
-        &self.factors_by_node
+    /// Factor entries stored on this processor as `(node, entries)`, in no
+    /// particular order (the digest input; nodes factored elsewhere absent).
+    pub fn factors_by_node(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.nodes.0.iter().filter(|(_, s)| s.factors > 0).map(|(&v, s)| (v, s.factors))
     }
 
     /// Recovery snapshot of this core: everything the driver's plan
     /// builder needs to know about what lives (or lived) here. Taken
     /// from survivors at plan time and from a dying core at kill time.
     pub fn snapshot(&self) -> RecoverySnapshot {
-        let n = self.tree.len();
         let mut inflight: Vec<usize> = self
             .works
             .iter()
@@ -724,37 +743,36 @@ impl<'a> SchedulerCore<'a> {
             .collect();
         inflight.sort_unstable();
         inflight.dedup();
-        let mut registered = Vec::new();
-        for (parent, pieces) in self.cb_pieces.iter().enumerate() {
-            for &(holder, entries, child) in pieces {
-                registered.push((parent, holder, entries, child));
-            }
-        }
-        RecoverySnapshot {
+        let mut snap = RecoverySnapshot {
             proc: self.id,
-            done: (0..n).filter(|&v| self.done_by_me[v]).collect(),
-            activated: (0..n).filter(|&v| self.activated[v]).collect(),
-            factors: (0..n)
-                .filter(|&v| self.factors_by_node[v] > 0)
-                .map(|v| (v, self.factors_by_node[v]))
-                .collect(),
-            held: (0..n).filter(|&v| self.held[v] > 0).map(|v| (v, self.held[v])).collect(),
             inflight,
             pool: self.pool.as_slice().to_vec(),
-            registered,
             active: self.mem.active(),
+            ..Default::default()
+        };
+        // Ascending node order: recovery plans are built from these lists.
+        let mut nodes: Vec<_> = self.nodes.0.iter().collect();
+        nodes.sort_unstable_by_key(|&(&v, _)| v);
+        for (&v, s) in nodes {
+            snap.done.extend(s.done_by_me.then_some(v));
+            snap.activated.extend(s.activated.then_some(v));
+            snap.factors.extend((s.factors > 0).then_some((v, s.factors)));
+            snap.held.extend((s.held > 0).then_some((v, s.held)));
+            snap.registered.extend(s.cb_pieces.iter().map(|&(h, e, c)| (v, h, e, c)));
         }
+        snap
     }
 
     // ---------- membership overlays ----------
     //
     // The static mapping stays immutable; recovery layers these three
-    // views over it. On runs without membership faults every overlay
-    // falls through to the mapping, so the quiet path is bit-identical.
+    // views over it. On runs without membership faults `owners` and
+    // `recovered` are empty and every view falls through to the mapping,
+    // so the quiet path is bit-identical.
 
     /// Current owner of `v` (static owner + recovery plans + migrations).
     fn owner_of(&self, v: usize) -> usize {
-        self.owners[v]
+        *self.owners.get(&v).unwrap_or(&self.map.owner[v])
     }
 
     /// Current kind of `v`: a recomputed node runs as a full local front
@@ -762,7 +780,7 @@ impl<'a> SchedulerCore<'a> {
     /// which is re-scattered (with dead shares absorbed) to keep its
     /// `nprocs × share` factor total intact.
     fn kind_of(&self, v: usize) -> NodeKind {
-        if self.recovered[v] && !matches!(self.map.kind[v], NodeKind::Type3) {
+        if self.recovered.contains(&v) && !matches!(self.map.kind[v], NodeKind::Type3) {
             NodeKind::Type1
         } else {
             self.map.kind[v]
@@ -772,7 +790,7 @@ impl<'a> SchedulerCore<'a> {
     /// Current subtree membership of `v`: a recomputed node leaves its
     /// static subtree (its re-execution is an upper task of its adopter).
     fn subtree_of(&self, v: usize) -> Option<usize> {
-        if self.recovered[v] {
+        if self.recovered.contains(&v) {
             None
         } else {
             self.map.subtree_of[v]
@@ -919,27 +937,26 @@ impl<'a> SchedulerCore<'a> {
         // 2. Per-node resets, at every core.
         for pn in &plan.recompute {
             let v = pn.node;
-            self.epoch[v] = self.epoch[v].wrapping_add(1);
-            let was_mine = self.owners[v] == self.id;
+            let was_mine = self.owner_of(v) == self.id;
             let was_upper = self.subtree_of(v).is_none();
-            self.owners[v] = pn.owner;
-            self.recovered[v] = true;
-            if self.done_by_me[v] {
-                self.done_by_me[v] = false;
+            self.owners.insert(v, pn.owner);
+            self.recovered.insert(v);
+            // Everything v's previous life left here goes, except
+            // `counted` and `done_children` (repaired below).
+            let s = self.nodes.at(v);
+            let old = std::mem::take(s);
+            s.epoch = old.epoch.wrapping_add(1);
+            s.counted = old.counted;
+            s.done_children = old.done_children;
+            if old.done_by_me {
                 self.nodes_done -= 1;
             }
-            let f = self.factors_by_node[v];
-            if f > 0 {
-                self.factors_by_node[v] = 0;
-                if self.cfg.out_of_core.is_none() && !self.mem.forget_factors(self.now, f) {
-                    self.flag(Violation::Accounting { proc: self.id, area: "factors" });
-                }
+            if old.factors > 0
+                && self.cfg.out_of_core.is_none()
+                && !self.mem.forget_factors(self.now, old.factors)
+            {
+                self.flag(Violation::Accounting { proc: self.id, area: "factors" });
             }
-            self.activated[v] = false;
-            self.pieces_expected[v] = None;
-            self.pieces_got[v] = 0;
-            self.child_complete[v] = false;
-            self.started_children[v] = 0;
             if self.soon.remove(&v).is_some() && self.cfg.use_prediction {
                 self.rebroadcast_prediction();
             }
@@ -948,15 +965,12 @@ impl<'a> SchedulerCore<'a> {
                 // losing the task takes them out again.
                 self.load_change(-(self.tree.flops(v) as i64));
             }
-            if self.held[v] > 0 {
+            if old.held > 0 {
                 // The piece this core produced for v's parent is stale:
                 // v's new life will reproduce it.
-                let e = self.held[v];
-                self.held[v] = 0;
-                self.mem_pop_cb(v, e);
-                self.metrics.recovery.orphaned_cb_entries += e;
+                self.mem_pop_cb(v, old.held);
+                self.metrics.recovery.orphaned_cb_entries += old.held;
             }
-            self.cb_pieces[v].clear();
             if pn.was_activated {
                 // v's previous life consumed its children's pieces at
                 // activation, but the consume may have died half way: a
@@ -971,10 +985,10 @@ impl<'a> SchedulerCore<'a> {
                     if in_r[c] {
                         continue; // reset by its own plan entry
                     }
-                    self.epoch[c] = self.epoch[c].wrapping_add(1);
-                    if self.held[c] > 0 {
-                        let e = self.held[c];
-                        self.held[c] = 0;
+                    let s = self.nodes.at(c);
+                    s.epoch = s.epoch.wrapping_add(1);
+                    let e = std::mem::take(&mut s.held);
+                    if e > 0 {
                         self.mem_pop_cb(c, e);
                         self.metrics.recovery.orphaned_cb_entries += e;
                     }
@@ -984,25 +998,21 @@ impl<'a> SchedulerCore<'a> {
             // unactivated, v must count again when its new life
             // completes; if the parent already activated (it consumed
             // everything), the stale count stands as the fire-once guard.
-            if let Some(p) = self.tree.nodes[v].parent {
-                if !in_r[p] && self.activated[p] {
-                    // keep `counted[v]` as the permanent guard
-                } else {
-                    if self.counted[v] && !in_r[p] {
-                        self.done_children[p] -= 1;
-                    }
-                    self.counted[v] = false;
+            let parent = self.tree.nodes[v].parent.filter(|&p| !in_r[p]);
+            if !parent.is_some_and(|p| self.nodes.get(p).activated)
+                && std::mem::take(&mut self.nodes.at(v).counted)
+            {
+                if let Some(p) = parent {
+                    self.nodes.at(p).done_children -= 1;
                 }
-            } else {
-                self.counted[v] = false;
             }
         }
 
         // 3. Registration GC at surviving parents: pieces produced by a
         // recomputed child are stale, pieces held by the dead are gone.
-        for w in 0..n {
+        for (&w, s) in &mut self.nodes.0 {
             if !in_r[w] {
-                self.cb_pieces[w].retain(|&(h, _, c)| !in_r[c] && h != plan.dead);
+                s.cb_pieces.retain(|&(h, _, c)| !in_r[c] && h != plan.dead);
             }
         }
 
@@ -1016,23 +1026,20 @@ impl<'a> SchedulerCore<'a> {
             if pn.was_activated {
                 // Standalone re-execution: every child was complete and
                 // consumed in the previous life.
-                self.done_children[v] = self.tree.nodes[v].children.len();
+                self.nodes.at(v).done_children = self.tree.nodes[v].children.len();
             } else {
-                let mut dc = 0;
                 for cs in &pn.children {
-                    let c = cs.child;
-                    self.counted[c] = cs.done;
-                    self.child_complete[c] = false;
-                    self.pieces_got[c] = cs.pre_got;
-                    self.pieces_expected[c] = if cs.done { Some(cs.pre_got) } else { None };
-                    if cs.done {
-                        dc += 1;
-                    }
-                    for &(h, e) in &cs.installs {
-                        self.cb_pieces[v].push((h, e, c));
-                    }
+                    let c = self.nodes.at(cs.child);
+                    c.counted = cs.done;
+                    c.child_complete = false;
+                    c.pieces_got = cs.pre_got;
+                    c.pieces_expected = cs.done.then_some(cs.pre_got);
                 }
-                self.done_children[v] = dc;
+                let s = self.nodes.at(v);
+                s.done_children = pn.children.iter().filter(|cs| cs.done).count();
+                for cs in &pn.children {
+                    s.cb_pieces.extend(cs.installs.iter().map(|&(h, e)| (h, e, cs.child)));
+                }
             }
             if pn.ready {
                 self.pool.push(v);
@@ -1064,17 +1071,18 @@ impl<'a> SchedulerCore<'a> {
     /// overlay; the donor drops the task (and its registered pieces), the
     /// receiver adopts both.
     fn apply_migration(&mut self, m: &Migration) {
-        self.owners[m.node] = m.to;
+        self.owners.insert(m.node, m.to);
+        let upper = self.subtree_of(m.node).is_none();
         if self.id == m.from {
             self.pool.remove_task(m.node);
-            self.cb_pieces[m.node].clear();
-            if self.map.subtree_of[m.node].is_none() || self.recovered[m.node] {
+            self.nodes.at(m.node).cb_pieces.clear();
+            if upper {
                 self.load_change(-(m.flops as i64));
             }
         } else if self.id == m.to {
             self.pool.push(m.node);
-            self.cb_pieces[m.node] = m.pieces.iter().map(|&(h, e, c)| (h, e, c)).collect();
-            if self.map.subtree_of[m.node].is_none() || self.recovered[m.node] {
+            self.nodes.at(m.node).cb_pieces = m.pieces.clone();
+            if upper {
                 self.load_change(m.flops as i64);
             }
             self.try_start();
@@ -1188,7 +1196,7 @@ impl<'a> SchedulerCore<'a> {
     /// with compute, tracked only as potential makespan). Either way the
     /// per-node total is tracked for the factor digest.
     fn store_factors(&mut self, node: usize, entries: u64) {
-        self.factors_by_node[node] += entries;
+        self.nodes.at(node).factors += entries;
         match self.cfg.out_of_core {
             None => self.mem.store_factors(self.now, entries),
             Some(bw) => {
@@ -1256,23 +1264,10 @@ impl<'a> SchedulerCore<'a> {
             self.out.push(Effect::StartCompute { key: key as u64, node, role, flops, cores });
             return;
         }
-        let tree = self.tree;
-        let map = self.map;
-        let nprocs = self.cfg.nprocs;
-        let pieces = &self.cb_pieces;
-        let recovered = &self.recovered;
-        let kind = |v: usize| {
-            if recovered[v] && !matches!(map.kind[v], NodeKind::Type3) {
-                NodeKind::Type1
-            } else {
-                map.kind[v]
-            }
-        };
-        let cost = |v: usize| match kind(v) {
-            NodeKind::Type2 => tree.master_entries(v),
-            NodeKind::Type3 => tree.front_entries(v) / nprocs as u64,
-            _ => tree.front_entries(v),
-        };
+        // Taken out so that what the selector consults can borrow `self`.
+        let mut pool = std::mem::take(&mut self.pool);
+        let pieces = |v: usize| self.nodes.get(v).cb_pieces.iter();
+        let cost = |v: usize| self.activation_cost(v);
         // Hard capacity: an out-of-subtree activation is deferred unless
         // its net memory need (activation cost minus the locally stacked
         // CBs it releases) fits under the cap. Subtree tasks are always
@@ -1281,18 +1276,18 @@ impl<'a> SchedulerCore<'a> {
         let cap = self.cfg.capacity;
         let active = self.mem.active();
         let id = self.id;
-        let in_subtree = |v: usize| !recovered[v] && map.subtree_of[v].is_some();
+        let in_subtree = |v: usize| self.subtree_of(v).is_some();
         let admissible = |v: usize| match cap {
             None => true,
             Some(c) => {
                 in_subtree(v) || {
                     let local_release: u64 =
-                        pieces[v].iter().filter(|&&(h, _, _)| h == id).map(|&(_, e, _)| e).sum();
+                        pieces(v).filter(|&&(h, _, _)| h == id).map(|&(_, e, _)| e).sum();
                     active + cost(v).saturating_sub(local_release) <= c
                 }
             }
         };
-        let released = |v: usize| pieces[v].iter().map(|&(_, e, _)| e).sum::<u64>();
+        let released = |v: usize| pieces(v).map(|&(_, e, _)| e).sum::<u64>();
         let ctx = TaskCtx {
             in_subtree: &in_subtree,
             cost: &cost,
@@ -1302,8 +1297,9 @@ impl<'a> SchedulerCore<'a> {
             current_memory: self.effective_memory(),
             observed_peak: self.mem.active_peak(),
         };
-        let depth = self.pool.len();
-        let picked = self.task_sel.pick(&mut self.pool, &ctx);
+        let depth = pool.len();
+        let picked = self.task_sel.pick(&mut pool, &ctx);
+        self.pool = pool;
         if depth > 0 {
             // A real decision was taken over a non-empty pool: observe it.
             self.metrics.pool_depth.observe(depth as u64);
@@ -1356,8 +1352,9 @@ impl<'a> SchedulerCore<'a> {
 
     fn activate_node(&mut self, v: usize) {
         debug_assert_eq!(self.owner_of(v), self.id);
-        debug_assert!(!self.activated[v], "node {v} activated twice");
-        self.activated[v] = true;
+        let s = self.nodes.at(v);
+        debug_assert!(!s.activated, "node {v} activated twice");
+        s.activated = true;
         self.close_stall();
         self.busy = true;
         self.metrics.me.activations += 1;
@@ -1527,6 +1524,7 @@ impl<'a> SchedulerCore<'a> {
         let master_flops = total_flops * master_entries / front_entries.max(1);
         let mut delegated = 0u64;
         let pieces = assignment.len();
+        let epoch = self.nodes.get(v).epoch;
         for a in &assignment {
             let entries = crate::blocking::slave_block_entries(
                 self.tree.sym,
@@ -1539,7 +1537,6 @@ impl<'a> SchedulerCore<'a> {
             let factor_share = entries - cb_share;
             let flops_share = total_flops * entries / front_entries.max(1);
             delegated += flops_share;
-            let epoch = self.epoch[v];
             self.send(
                 a.proc,
                 Msg::SlaveTask { node: v, entries, cb_share, factor_share, flops_share, epoch },
@@ -1560,7 +1557,7 @@ impl<'a> SchedulerCore<'a> {
         self.consume_stacked(v);
         let share_entries = (self.tree.front_entries(v) / self.cfg.nprocs as u64).max(1);
         let share_flops = self.tree.flops(v) / self.cfg.nprocs as u64;
-        let epoch = self.epoch[v];
+        let epoch = self.nodes.get(v).epoch;
         let mut absorbed = 0u64;
         for q in 0..self.cfg.nprocs {
             if q == self.id {
@@ -1631,13 +1628,13 @@ impl<'a> SchedulerCore<'a> {
     /// ship-and-free theirs (one control-message latency away, like the
     /// real redistribution).
     fn consume_stacked(&mut self, v: usize) {
-        let pieces = std::mem::take(&mut self.cb_pieces[v]);
+        let pieces = std::mem::take(&mut self.nodes.at(v).cb_pieces);
         for (holder, entries, child) in pieces {
             if holder == self.id {
-                self.held[child] = 0;
+                self.nodes.at(child).held = 0;
                 self.mem_pop_cb(child, entries);
             } else {
-                let epoch = self.epoch[child];
+                let epoch = self.nodes.get(child).epoch;
                 self.send(holder, Msg::FetchCb { child, entries, epoch }, 16);
             }
         }
@@ -1699,7 +1696,7 @@ impl<'a> SchedulerCore<'a> {
                     // share completes the node.
                     debug_assert!(self.tree.nodes[node].parent.is_none());
                     self.nodes_done += 1;
-                    self.done_by_me[node] = true;
+                    self.nodes.at(node).done_by_me = true;
                 }
                 self.busy = false;
                 self.try_start();
@@ -1712,7 +1709,7 @@ impl<'a> SchedulerCore<'a> {
     fn finish_node(&mut self, node: usize, pieces: usize, flops: u64) {
         if let Some(par) = self.tree.nodes[node].parent {
             let owner = self.owner_of(par);
-            let epoch = self.epoch[node];
+            let epoch = self.nodes.get(node).epoch;
             self.send(owner, Msg::Complete { child: node, pieces, epoch }, 16);
         }
         self.load_change(-(flops as i64));
@@ -1726,7 +1723,7 @@ impl<'a> SchedulerCore<'a> {
             }
         }
         self.nodes_done += 1;
-        self.done_by_me[node] = true;
+        self.nodes.at(node).done_by_me = true;
         self.busy = false;
         self.try_start();
     }
@@ -1734,7 +1731,9 @@ impl<'a> SchedulerCore<'a> {
     /// A CB piece of `child` was produced here: it stays on this stack
     /// until the parent activates; the parent's master is informed.
     fn produce_cb_piece(&mut self, child: usize, entries: u64) {
-        self.held[child] = entries;
+        let s = self.nodes.at(child);
+        s.held = entries;
+        let epoch = s.epoch;
         self.mem_push_cb(child, entries);
         let Some(parent) = self.tree.nodes[child].parent else {
             self.flag(Violation::Protocol {
@@ -1743,7 +1742,6 @@ impl<'a> SchedulerCore<'a> {
             return;
         };
         let dest = self.owner_of(parent);
-        let epoch = self.epoch[child];
         self.send(dest, Msg::PieceDone { child, holder: self.id, entries, epoch }, 16);
     }
 
@@ -1753,7 +1751,7 @@ impl<'a> SchedulerCore<'a> {
         let to = self.id;
         match msg {
             Msg::PieceDone { child, holder, entries, epoch } => {
-                if epoch != self.epoch[child] {
+                if epoch != self.nodes.get(child).epoch {
                     return; // a previous life of `child`: already repaired
                 }
                 let Some(parent) = self.tree.nodes[child].parent else {
@@ -1763,9 +1761,9 @@ impl<'a> SchedulerCore<'a> {
                     return;
                 };
                 // If the parent already activated, release immediately.
-                if self.activated[parent] {
+                if self.nodes.get(parent).activated {
                     if holder == to {
-                        self.held[child] = 0;
+                        self.nodes.at(child).held = 0;
                         self.mem_pop_cb(child, entries);
                         // Freed memory may admit a deferred task.
                         if self.cfg.capacity.is_some() {
@@ -1775,16 +1773,17 @@ impl<'a> SchedulerCore<'a> {
                         self.send(holder, Msg::FetchCb { child, entries, epoch }, 16);
                     }
                 } else {
-                    self.cb_pieces[parent].push((holder, entries, child));
+                    self.nodes.at(parent).cb_pieces.push((holder, entries, child));
                 }
-                self.pieces_got[child] += 1;
+                self.nodes.at(child).pieces_got += 1;
                 self.check_child_done(child);
             }
             Msg::FetchCb { child, entries, epoch } => {
-                if epoch != self.epoch[child] {
+                let s = self.nodes.at(child);
+                if epoch != s.epoch {
                     return; // stale fetch: the piece was GC'd by recovery
                 }
-                self.held[child] = 0;
+                s.held = 0;
                 self.mem_pop_cb(child, entries);
                 // Freed memory may admit a deferred task (only meaningful
                 // under a hard capacity; without one, nothing was ever
@@ -1794,15 +1793,16 @@ impl<'a> SchedulerCore<'a> {
                 }
             }
             Msg::Complete { child, pieces, epoch } => {
-                if epoch != self.epoch[child] {
+                let s = self.nodes.at(child);
+                if epoch != s.epoch {
                     return; // a previous life of `child`
                 }
-                self.pieces_expected[child] = Some(pieces);
-                self.child_complete[child] = true;
+                s.pieces_expected = Some(pieces);
+                s.child_complete = true;
                 self.check_child_done(child);
             }
             Msg::SlaveTask { node, entries, cb_share, factor_share, flops_share, epoch } => {
-                if epoch != self.epoch[node] {
+                if epoch != self.nodes.get(node).epoch {
                     return; // enrolment from before the node's recovery
                 }
                 // "Slave tasks are activated as soon as they are received":
@@ -1830,7 +1830,7 @@ impl<'a> SchedulerCore<'a> {
                 self.try_start();
             }
             Msg::Type3Share { node, entries, flops_share, epoch } => {
-                if epoch != self.epoch[node] {
+                if epoch != self.nodes.get(node).epoch {
                     return; // share from before the root's recovery
                 }
                 self.mem_alloc_front(node, entries);
@@ -1854,11 +1854,12 @@ impl<'a> SchedulerCore<'a> {
                 }
             }
             Msg::ChildStarted { node } => {
-                self.started_children[node] += 1;
-                if self.started_children[node] == self.tree.nodes[node].children.len()
+                let s = self.nodes.at(node);
+                s.started_children += 1;
+                if s.started_children == self.tree.nodes[node].children.len()
+                    && !s.activated
                     && self.owner_of(node) == to
                     && self.subtree_of(node).is_none()
-                    && !self.activated[node]
                 {
                     let cost = self.activation_cost(node);
                     self.soon.insert(node, cost);
@@ -1873,22 +1874,21 @@ impl<'a> SchedulerCore<'a> {
     }
 
     fn check_child_done(&mut self, child: usize) {
-        if self.counted[child]
-            || !self.child_complete[child]
-            || Some(self.pieces_got[child]) != self.pieces_expected[child]
-        {
+        let c = self.nodes.at(child);
+        if c.counted || !c.child_complete || Some(c.pieces_got) != c.pieces_expected {
             return;
         }
-        self.child_complete[child] = false; // fire once
-        self.counted[child] = true;
+        c.child_complete = false; // fire once
+        c.counted = true;
         let Some(parent) = self.tree.nodes[child].parent else {
             self.flag(Violation::Protocol {
                 detail: format!("completion tracked for parentless node {child}"),
             });
             return;
         };
-        self.done_children[parent] += 1;
-        if self.done_children[parent] == self.tree.nodes[parent].children.len() {
+        let p = self.nodes.at(parent);
+        p.done_children += 1;
+        if p.done_children == self.tree.nodes[parent].children.len() {
             self.node_ready(parent);
         }
     }
@@ -1931,5 +1931,68 @@ fn cb_share_of_block(
             let b = a + nrows as u64;
             (b * (b + 1) / 2) - (a * (a + 1) / 2)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mapping::compute_mapping;
+    use mf_order::OrderingKind;
+    use mf_sparse::gen::grid::{grid2d, Stencil};
+    use mf_symbolic::AmalgamationOptions;
+
+    #[test]
+    fn unwritten_nodes_read_as_default_and_snapshots_are_ordered() {
+        let a = grid2d(12, 12, Stencil::Star);
+        let p = OrderingKind::Metis.compute(&a);
+        let tree = mf_symbolic::analyze(&a, &p, &AmalgamationOptions::default()).tree;
+        let cfg = SolverConfig::mumps_baseline(2);
+        let map = compute_mapping(&tree, &cfg);
+        let mut core = SchedulerCore::new(0, &tree, &map, &cfg, &initial_loads(&tree, &map, 2));
+
+        // Spelled out field by field, so a new field has to say here what
+        // an untouched node reads as.
+        let NodeState {
+            pieces_expected,
+            pieces_got,
+            child_complete,
+            counted,
+            done_children,
+            started_children,
+            cb_pieces,
+            activated,
+            done_by_me,
+            factors,
+            held,
+            epoch,
+        } = core.nodes.get(3);
+        assert_eq!(
+            (*pieces_expected, *pieces_got, *child_complete, *counted),
+            (None, 0, false, false)
+        );
+        assert_eq!((*done_children, *started_children, cb_pieces.len()), (0, 0, 0));
+        assert_eq!((*activated, *done_by_me, *factors, *held, *epoch), (false, false, 0, 0, 0));
+        assert_eq!(core.nodes.get(3), &NodeState::default());
+        assert!(core.nodes.0.is_empty(), "a read must not create an entry");
+        assert_eq!((core.owner_of(3), core.subtree_of(3)), (map.owner[3], map.subtree_of[3]));
+
+        for v in [7, 2, 9, 4] {
+            let s = core.nodes.at(v);
+            s.done_by_me = true;
+            s.activated = true;
+            s.factors = 10 + v as u64;
+            s.held = v as u64;
+            s.cb_pieces.push((1, 5, v - 1));
+        }
+        let snap = core.snapshot();
+        assert_eq!(snap.done, [2, 4, 7, 9]);
+        assert_eq!(snap.activated, [2, 4, 7, 9]);
+        assert_eq!(snap.factors, [(2, 12), (4, 14), (7, 17), (9, 19)]);
+        assert_eq!(snap.held, [(2, 2), (4, 4), (7, 7), (9, 9)]);
+        assert_eq!(snap.registered, [(2, 1, 5, 1), (4, 1, 5, 3), (7, 1, 5, 6), (9, 1, 5, 8)]);
+        let mut stored: Vec<_> = core.factors_by_node().collect();
+        stored.sort_unstable();
+        assert_eq!(stored, snap.factors);
     }
 }

@@ -355,12 +355,10 @@ pub fn build_plan(
 /// free or recovered, either scheduling strategy's slave partition —
 /// produce the same digest exactly when every node's factors were
 /// computed exactly once and survived.
-pub fn digest_factors<'a>(per_proc: impl Iterator<Item = &'a [u64]>, n: usize) -> u64 {
+pub fn digest_factors(stored: impl IntoIterator<Item = (usize, u64)>, n: usize) -> u64 {
     let mut totals = vec![0u64; n];
-    for fb in per_proc {
-        for (v, &e) in fb.iter().enumerate() {
-            totals[v] += e;
-        }
+    for (v, e) in stored {
+        totals[v] += e;
     }
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -708,16 +706,12 @@ mod tests {
     #[test]
     fn digest_is_partition_invariant_and_coverage_sensitive() {
         // 12 = 5 + 7 split across procs vs computed whole: same digest.
-        let a = [vec![5u64, 0, 3], vec![7, 0, 0]];
-        let b = [vec![12u64, 0, 3]];
-        let da = digest_factors(a.iter().map(|v| v.as_slice()), 3);
-        let db = digest_factors(b.iter().map(|v| v.as_slice()), 3);
+        let da = digest_factors([(0, 5), (2, 3), (0, 7)], 3);
+        let db = digest_factors([(0, 12), (2, 3)], 3);
         assert_eq!(da, db);
         // A missing node changes it.
-        let c = [vec![12u64, 0, 0]];
-        assert_ne!(da, digest_factors(c.iter().map(|v| v.as_slice()), 3));
+        assert_ne!(da, digest_factors([(0, 12)], 3));
         // So does the same total on the wrong node.
-        let d = [vec![12u64, 3, 0]];
-        assert_ne!(da, digest_factors(d.iter().map(|v| v.as_slice()), 3));
+        assert_ne!(da, digest_factors([(0, 12), (1, 3)], 3));
     }
 }

@@ -11,6 +11,7 @@ use crate::arena::{CbStack, MemoryAccount};
 use crate::dense::{
     add_assign_slice, factor_front_ldlt_mt, factor_front_lu_mt, DenseMat, KernelError,
 };
+use crate::gemm::axpy_sub;
 use mf_sparse::{CscMatrix, Permutation, Symmetry};
 use mf_symbolic::frontstruct::{front_structures, FrontStructures};
 use mf_symbolic::{AmalgamationOptions, SymbolicAnalysis};
@@ -216,26 +217,31 @@ impl Factorization {
             g[self.perm.new_of(i)] = v;
         }
         let mut y = vec![0.0; self.n];
+        // Scratch reused across fronts: `t` is the pivot part of the
+        // front's vector, `w` its contribution-block part. The blocks are
+        // column-major, so every product below goes column by column.
+        let (mut t, mut w): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
         // Forward elimination, children before parents.
         for &v in &self.topo {
             let Some(fr) = &self.fronts[v] else { continue };
             let p = fr.npiv;
-            let f = fr.vars.len();
-            let mut t: Vec<f64> = (0..p).map(|k| g[fr.vars[fr.row_perm[k]]]).collect();
+            let cb = &fr.vars[p..];
+            t.clear();
+            t.extend((0..p).map(|k| g[fr.vars[fr.row_perm[k]]]));
             for k in 0..p {
                 let tk = t[k];
                 if tk != 0.0 {
-                    for i in k + 1..p {
-                        t[i] -= fr.block11.get(i, k) * tk;
-                    }
+                    axpy_sub(&mut t[k + 1..], &fr.block11.col(k)[k + 1..], tk);
                 }
             }
-            for i in 0..f - p {
-                let mut s = 0.0;
-                for k in 0..p {
-                    s += fr.l21.get(i, k) * t[k];
-                }
-                g[fr.vars[p + i]] -= s;
+            // g_cb -= L21 t, with w = -L21 t.
+            w.clear();
+            w.resize(cb.len(), 0.0);
+            for k in 0..p {
+                axpy_sub(&mut w, fr.l21.col(k), t[k]);
+            }
+            for (&gv, &wi) in cb.iter().zip(&w) {
+                g[gv] += wi;
             }
             let first = fr.vars[0];
             y[first..first + p].copy_from_slice(&t);
@@ -245,45 +251,43 @@ impl Factorization {
         for &v in self.topo.iter().rev() {
             let Some(fr) = &self.fronts[v] else { continue };
             let p = fr.npiv;
-            let f = fr.vars.len();
+            let cb = &fr.vars[p..];
             let first = fr.vars[0];
-            let mut t: Vec<f64> = y[first..first + p].to_vec();
+            t.clear();
+            t.extend_from_slice(&y[first..first + p]);
             match self.sym {
                 Symmetry::General => {
                     // t -= U12 * x_cb, then solve U11 t.
-                    for k in 0..p {
-                        let mut s = 0.0;
-                        for j in 0..f - p {
-                            s += fr.u12.get(k, j) * x[fr.vars[p + j]];
-                        }
-                        t[k] -= s;
+                    for (j, &gv) in cb.iter().enumerate() {
+                        axpy_sub(&mut t, fr.u12.col(j), x[gv]);
                     }
-                    for k in (0..p).rev() {
-                        let mut s = t[k];
-                        for j in k + 1..p {
-                            s -= fr.block11.get(k, j) * t[j];
-                        }
-                        t[k] = s / fr.block11.get(k, k);
+                    for j in (0..p).rev() {
+                        let col = fr.block11.col(j);
+                        t[j] /= col[j];
+                        let tj = t[j];
+                        axpy_sub(&mut t[..j], &col[..j], tj);
                     }
                 }
                 Symmetry::Symmetric => {
-                    // w = D^-1 y, then Lᵀ x = w using L21 and L11.
+                    // t = D^-1 y, then Lᵀ x = t using L21 and L11.
+                    w.clear();
+                    w.extend(cb.iter().map(|&gv| x[gv]));
                     for k in 0..p {
                         t[k] /= fr.d[k];
                     }
                     for k in (0..p).rev() {
                         let mut s = t[k];
-                        for i in 0..f - p {
-                            s -= fr.l21.get(i, k) * x[fr.vars[p + i]];
+                        for (l, xi) in fr.l21.col(k).iter().zip(&w) {
+                            s -= l * xi;
                         }
-                        for j in k + 1..p {
-                            s -= fr.block11.get(j, k) * t[j];
+                        for (l, tj) in fr.block11.col(k)[k + 1..].iter().zip(&t[k + 1..]) {
+                            s -= l * tj;
                         }
                         t[k] = s;
                     }
                 }
             }
-            x[first..first + p].copy_from_slice(&t[..p]);
+            x[first..first + p].copy_from_slice(&t);
         }
         // Permute back to original order.
         (0..self.n).map(|i| x[self.perm.new_of(i)]).collect()
