@@ -2,11 +2,14 @@
 //! `partial_lu_blocked` against the historical rank-1 panel, across the
 //! front sizes the paper's matrices produce. The trailing update is
 //! identical in both kernels, so any spread is the panel roofline gap
-//! this bench exists to watch.
+//! this bench exists to watch. The blocked LDLᵀ runs beside them at
+//! f = 512 (the benchmark's `frontal.ldlt_gflops_f512` shape): it sweeps
+//! the lower triangle only, so it should sit near half the LU time.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mf_frontal::dense::{
-    partial_lu_blocked_mt, partial_lu_blocked_rank1_panel, DenseMat, FRONT_NB,
+    partial_ldlt_blocked_mt, partial_lu_blocked_mt, partial_lu_blocked_rank1_panel, DenseMat,
+    FRONT_NB,
 };
 
 fn random_front(f: usize, seed: u64) -> DenseMat {
@@ -51,6 +54,21 @@ fn bench_panel(c: &mut Criterion) {
             )
         });
     }
+    group.finish();
+
+    let mut group = c.benchmark_group("panel/blocked_ldlt");
+    group.sample_size(10);
+    let a = random_front(512, 0xbeef ^ 512);
+    group.bench_function("recursive_f512", |bch| {
+        bch.iter_batched(
+            || a.clone(),
+            |mut w| {
+                partial_ldlt_blocked_mt(&mut w, 256, FRONT_NB, 1).unwrap();
+                w
+            },
+            criterion::BatchSize::SmallInput,
+        )
+    });
     group.finish();
 }
 

@@ -7,22 +7,26 @@
 //! peak of each area in *entries* (f64 words), so that the numeric runs
 //! can validate the symbolic stack model used by the schedulers.
 
-/// A LIFO stack of contribution blocks with usage/peak accounting.
+/// The contribution-block stack: one contiguous, growable area with
+/// usage/peak accounting, as in the paper's memory layout.
 ///
 /// Blocks must be released in reverse order of allocation, which is
 /// exactly the postorder discipline of a sequential multifrontal
 /// factorization (children CBs are consumed when the parent assembles).
 #[derive(Debug, Default)]
 pub struct CbStack {
-    blocks: Vec<(u64, Vec<f64>)>, // (id, data)
-    next_id: u64,
-    used: u64,
+    data: Vec<f64>,
+    /// Start offset of every stacked block, bottom to top.
+    starts: Vec<usize>,
     peak: u64,
 }
 
-/// Handle of a stacked contribution block.
+/// Handle of a stacked contribution block: where it lies in the area.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CbHandle(u64);
+pub struct CbHandle {
+    offset: usize,
+    len: usize,
+}
 
 impl CbStack {
     /// Empty stack.
@@ -30,39 +34,51 @@ impl CbStack {
         Self::default()
     }
 
-    /// Pushes a block, returning its handle.
-    pub fn push(&mut self, data: Vec<f64>) -> CbHandle {
-        self.used += data.len() as u64;
-        self.peak = self.peak.max(self.used);
-        let id = self.next_id;
-        self.next_id += 1;
-        self.blocks.push((id, data));
-        CbHandle(id)
+    /// Empty stack with room for `entries`: the stack area allocated
+    /// once, from the analysis' peak, as the paper's solver does.
+    pub fn with_capacity(entries: usize) -> Self {
+        CbStack { data: Vec::with_capacity(entries), ..Self::default() }
+    }
+
+    /// Pushes a block of `len` entries made of `pieces` laid end to end
+    /// (the columns of a contribution block as they sit in its front),
+    /// returning its handle.
+    pub fn push<'a>(
+        &mut self,
+        len: usize,
+        pieces: impl IntoIterator<Item = &'a [f64]>,
+    ) -> CbHandle {
+        let offset = self.data.len();
+        self.data.reserve(len);
+        pieces.into_iter().for_each(|piece| self.data.extend_from_slice(piece));
+        assert_eq!(self.data.len() - offset, len, "pieces do not add up to the block");
+        self.starts.push(offset);
+        self.peak = self.peak.max(self.used());
+        CbHandle { offset, len }
+    }
+
+    /// Handle of the top block, if any.
+    pub fn top(&self) -> Option<CbHandle> {
+        self.starts.last().map(|&offset| CbHandle { offset, len: self.data.len() - offset })
     }
 
     /// Borrows the data of the block `h` (must still be stacked).
     pub fn get(&self, h: CbHandle) -> &[f64] {
-        let (_, data) = self
-            .blocks
-            .iter()
-            .rev()
-            .find(|(id, _)| *id == h.0)
-            .expect("contribution block already released");
-        data
+        assert!(h.offset + h.len <= self.data.len(), "contribution block already released");
+        &self.data[h.offset..h.offset + h.len]
     }
 
     /// Releases the *top* block, which must be `h` — enforcing the LIFO
     /// discipline of the contiguous stack area.
-    pub fn pop(&mut self, h: CbHandle) -> Vec<f64> {
-        let (id, data) = self.blocks.pop().expect("pop on empty CB stack");
-        assert_eq!(id, h.0, "CB stack released out of order (id {} != top {})", h.0, id);
-        self.used -= data.len() as u64;
-        data
+    pub fn pop(&mut self, h: CbHandle) {
+        assert_eq!(Some(h), self.top(), "CB stack released out of order");
+        self.starts.pop();
+        self.data.truncate(h.offset);
     }
 
     /// Current entries stacked.
     pub fn used(&self) -> u64 {
-        self.used
+        self.data.len() as u64
     }
 
     /// Peak entries stacked since creation.
@@ -72,7 +88,7 @@ impl CbStack {
 
     /// Number of blocks currently stacked.
     pub fn depth(&self) -> usize {
-        self.blocks.len()
+        self.starts.len()
     }
 }
 
@@ -174,13 +190,13 @@ mod tests {
     #[test]
     fn stack_tracks_usage_and_peak() {
         let mut s = CbStack::new();
-        let a = s.push(vec![0.0; 10]);
-        let b = s.push(vec![0.0; 5]);
+        let a = s.push(10, [&[0.0; 10][..]]);
+        let b = s.push(5, [&[0.0; 2][..], &[0.0; 3][..]]);
         assert_eq!(s.used(), 15);
         assert_eq!(s.peak(), 15);
         s.pop(b);
         assert_eq!(s.used(), 10);
-        let c = s.push(vec![0.0; 2]);
+        let c = s.push(2, [&[0.0; 2][..]]);
         assert_eq!(s.peak(), 15);
         s.pop(c);
         s.pop(a);
@@ -192,17 +208,19 @@ mod tests {
     #[should_panic(expected = "out of order")]
     fn lifo_violation_panics() {
         let mut s = CbStack::new();
-        let a = s.push(vec![0.0; 1]);
-        let _b = s.push(vec![0.0; 1]);
+        let a = s.push(1, [&[0.0][..]]);
+        let _b = s.push(1, [&[0.0][..]]);
         s.pop(a);
     }
 
     #[test]
     fn get_borrows_any_live_block() {
         let mut s = CbStack::new();
-        let a = s.push(vec![1.0, 2.0]);
-        let _b = s.push(vec![3.0]);
+        let a = s.push(2, [&[1.0][..], &[2.0][..]]);
+        let b = s.push(1, [&[3.0][..]]);
         assert_eq!(s.get(a), &[1.0, 2.0]);
+        assert_eq!(s.top(), Some(b));
+        assert_eq!(s.get(b), &[3.0]);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use crate::gemm::{self, GemmWorkspace};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// A column-major dense matrix (the layout of frontal matrices).
 #[derive(Debug, Clone, PartialEq)]
@@ -65,9 +66,23 @@ impl DenseMat {
         &mut self.data[j * self.nrows..(j + 1) * self.nrows]
     }
 
-    /// Raw column-major backing slice (crate-internal: content digests).
-    pub(crate) fn raw(&self) -> &[f64] {
-        &self.data
+    /// Reshapes to an all-zero `nrows x ncols` matrix, keeping the
+    /// allocation (the drivers' one front buffer, re-zeroed per front;
+    /// it grows to exactly the largest front seen, never beyond).
+    pub(crate) fn reset(&mut self, nrows: usize, ncols: usize) {
+        (self.nrows, self.ncols) = (nrows, ncols);
+        self.data.clear();
+        self.data.reserve_exact(nrows * ncols);
+        self.data.resize(nrows * ncols, 0.0);
+    }
+
+    /// Copy of the block `rows x cols`, one `memcpy` per column.
+    pub(crate) fn block(&self, rows: Range<usize>, cols: Range<usize>) -> DenseMat {
+        let mut data = Vec::with_capacity(rows.len() * cols.len());
+        for j in cols.clone() {
+            data.extend_from_slice(&self.col(j)[rows.clone()]);
+        }
+        DenseMat { nrows: rows.len(), ncols: cols.len(), data }
     }
 
     /// Swaps rows `a` and `b` across all columns.
@@ -272,81 +287,28 @@ fn solve_u12_rec(cols: &mut [f64], f: usize, k0: usize, kend: usize, panel: &[f6
     solve_u12_rec(cols, f, mid, kend, panel);
 }
 
-/// The LDLᵀ mirror analogue of [`solve_u12_rec`]: subtracts
-/// `L(k0..kend, k0..kend)_strict · B` from rows `k0..kend` of every
-/// column, where the `B` coefficients (`d_k·l_{jk}`) are already final
-/// in `bvals` (no feedback, unlike the LU solve — the recursion exists
-/// purely to route the triangular flops through the microkernels).
-/// `bvals` is `kb_tot × nc` column-major with rows indexed by
-/// `k - gk0`.
-#[allow(clippy::too_many_arguments)]
-fn ldlt_mirror_rec(
-    cols: &mut [f64],
-    f: usize,
-    k0: usize,
-    kend: usize,
-    panel: &[f64],
-    bvals: &[f64],
-    kb_tot: usize,
-    gk0: usize,
-) {
-    let kb = kend - k0;
-    if kb <= TRSM_BASE {
-        for (jl, colj) in cols.chunks_exact_mut(f).enumerate() {
-            for k in k0..kend {
-                let ljk_d = bvals[jl * kb_tot + (k - gk0)];
-                if ljk_d == 0.0 {
-                    continue;
-                }
-                let base = k * f + k + 1;
-                axpy_sub(&mut colj[k + 1..kend], &panel[base..base + kend - k - 1], ljk_d);
-            }
-        }
-        return;
-    }
-    let h = kb / 2;
-    let mid = k0 + h;
-    ldlt_mirror_rec(cols, f, k0, mid, panel, bvals, kb_tot, gk0);
-    let nc = cols.len() / f;
-    let mut ws = GemmWorkspace::new();
-    let ap = gemm::pack_a(&mut ws, &panel[k0 * f + mid..], f, kend - mid, h);
-    let mut bp = Vec::new();
-    gemm::pack_b(&mut bp, &bvals[k0 - gk0..], kb_tot, h, nc);
-    gemm::gemm_sub_packed(&ap, &bp, nc, &mut cols[mid..], f);
-    ldlt_mirror_rec(cols, f, mid, kend, panel, bvals, kb_tot, gk0);
-}
-
-/// One chunk of the LDLᵀ trailing update: for every column `j`
-/// (`global_j0 + local`), form the scaled row `B(k,j) = d_k·l_{jk}`,
-/// apply the mirror update to the fully-summed rows `k+1..kend`, then
-/// subtract `L21 · B` from rows `kend..` through the packed microkernel.
+/// One chunk of the LDLᵀ trailing update, lower triangle only. `cols`
+/// are whole front columns starting at global column `r0 + c0`, where
+/// `r0` is the first row below the factored columns `k0..kend` (and the
+/// first trailing column); `ap` packs `L(r0.., k0..kend)`. Forms the
+/// scaled rows `B(k,j) = d_k·l_{jk}` straight into packed strips, then
+/// subtracts `L · B` from each column's rows at or below its diagonal.
 #[allow(clippy::too_many_arguments)]
 fn ldlt_trailing_chunk(
     cols: &mut [f64],
-    global_j0: usize,
+    r0: usize,
+    c0: usize,
     f: usize,
     k0: usize,
     kend: usize,
     panel: &[f64],
     ap: &gemm::APack<'_>,
-    d: &[f64],
 ) {
-    let kb = kend - k0;
     let nc = cols.len() / f;
-    // The scaled rows depend only on the (finished) panel and `d`, so
-    // they can be formed up front and the mirror update deferred to the
-    // recursive GEMM-rich sweep.
-    let mut bvals = vec![0.0; kb * nc];
-    for jl in 0..nc {
-        let gj = global_j0 + jl;
-        for k in k0..kend {
-            bvals[jl * kb + (k - k0)] = panel[k * f + gj] * d[k - k0];
-        }
-    }
-    ldlt_mirror_rec(cols, f, k0, kend, panel, &bvals, kb, k0);
     let mut bp = Vec::new();
-    gemm::pack_b(&mut bp, &bvals, kb, kb, nc);
-    gemm::gemm_sub_packed(ap, &bp, nc, &mut cols[kend..], f);
+    let l = &panel[k0 * f + r0 + c0..];
+    gemm::pack_b_scaled_transpose(&mut bp, l, f, kend - k0, nc, |k| panel[(k0 + k) * (f + 1)]);
+    gemm::gemm_sub_packed_lower(ap, &bp, nc, &mut cols[r0..], f, c0);
 }
 
 /// Runs `chunk_fn` over the trailing columns, either as one sequential
@@ -465,8 +427,35 @@ fn panel_lu_rec(
     panel_lu_rec(w, npiv, row_perm, mid, kb - h, ws)
 }
 
-/// Recursive panel LDLᵀ over columns `k0..k0+kb` (all rows, both
-/// triangles kept current — the discipline of the unblocked kernel).
+/// Rank-1 LDLᵀ steps `k0..kend` on the lower triangle of `w`: scale
+/// column `k` below its diagonal, then update columns `k+1..jend`, each
+/// from its own diagonal down. The whole of [`partial_ldlt`] (`jend =
+/// f`) and the base case of [`panel_ldlt_rec`] (`jend` = panel end).
+fn ldlt_rank1(w: &mut DenseMat, k0: usize, kend: usize, jend: usize) -> Result<(), KernelError> {
+    let f = w.nrows;
+    for k in k0..kend {
+        let d = w.get(k, k);
+        if d.abs() < 1e-300 {
+            return Err(KernelError::TinyPivot { step: k, value: d });
+        }
+        let inv = 1.0 / d;
+        for i in k + 1..f {
+            *w.get_mut(i, k) *= inv;
+        }
+        let (head, tail) = w.data.split_at_mut((k + 1) * f);
+        let lcol = &head[k * f + k + 1..];
+        for (jt, colj) in tail.chunks_exact_mut(f).take(jend - k - 1).enumerate() {
+            let ljk_d = lcol[jt] * d; // l_jk * d_k
+            if ljk_d == 0.0 {
+                continue;
+            }
+            axpy_sub(&mut colj[k + 1 + jt..], &lcol[jt..], ljk_d);
+        }
+    }
+    Ok(())
+}
+
+/// Recursive panel LDLᵀ over columns `k0..k0+kb`, lower triangle only.
 /// Same halving scheme as [`panel_lu_rec`], with the right-half update
 /// delegated to [`ldlt_trailing_chunk`].
 fn panel_ldlt_rec(
@@ -477,36 +466,16 @@ fn panel_ldlt_rec(
 ) -> Result<(), KernelError> {
     let f = w.nrows;
     if kb <= PANEL_BASE {
-        for k in k0..k0 + kb {
-            let d = w.get(k, k);
-            if d.abs() < 1e-300 {
-                return Err(KernelError::TinyPivot { step: k, value: d });
-            }
-            let inv = 1.0 / d;
-            for i in k + 1..f {
-                *w.get_mut(i, k) *= inv;
-            }
-            let (head, tail) = w.data.split_at_mut((k + 1) * f);
-            let lcol = &head[k * f + k + 1..];
-            for (jt, colj) in tail.chunks_exact_mut(f).take(k0 + kb - k - 1).enumerate() {
-                let ljk_d = lcol[jt] * d;
-                if ljk_d == 0.0 {
-                    continue;
-                }
-                axpy_sub(&mut colj[k + 1..], lcol, ljk_d);
-            }
-        }
-        return Ok(());
+        return ldlt_rank1(w, k0, k0 + kb, k0 + kb);
     }
     let h = kb / 2;
     panel_ldlt_rec(w, k0, h, ws)?;
     let mid = k0 + h;
-    let dvals: Vec<f64> = (k0..mid).map(|k| w.data[k * f + k]).collect();
     {
         let (panel, rest) = w.data.split_at_mut(mid * f);
         let cols = &mut rest[..(kb - h) * f];
         let ap = gemm::pack_a(ws, &panel[k0 * f + mid..], f, f - mid, h);
-        ldlt_trailing_chunk(cols, mid, f, k0, mid, panel, &ap, &dvals);
+        ldlt_trailing_chunk(cols, mid, 0, f, k0, mid, panel, &ap);
     }
     panel_ldlt_rec(w, mid, kb - h, ws)
 }
@@ -604,50 +573,26 @@ pub fn partial_lu_blocked_rank1_panel(
     Ok(())
 }
 
-/// Partial LDLᵀ of the leading `npiv` columns of a symmetric front stored
-/// *fully* (both triangles) in `w`; no pivoting (1x1 diagonal pivots),
-/// suitable for the diagonally dominant symmetric problems here.
+/// Partial LDLᵀ of the leading `npiv` columns of a symmetric front held
+/// in the **lower triangle** of `w`; no pivoting (1x1 diagonal pivots),
+/// suitable for the diagonally dominant symmetric problems here. The
+/// strict upper triangle is neither read nor written — by this kernel or
+/// by the blocked ones.
 ///
 /// On return, columns `0..npiv` hold `L` below the diagonal, `D` on it;
-/// the trailing block holds the symmetric Schur complement.
+/// the lower triangle of the trailing block holds the Schur complement.
 pub fn partial_ldlt(w: &mut DenseMat, npiv: usize) -> Result<(), KernelError> {
     let f = w.nrows();
     assert_eq!(f, w.ncols());
     assert!(npiv <= f);
-    for k in 0..npiv {
-        let d = w.get(k, k);
-        if d.abs() < 1e-300 {
-            return Err(KernelError::TinyPivot { step: k, value: d });
-        }
-        let inv = 1.0 / d;
-        for i in k + 1..f {
-            *w.get_mut(i, k) *= inv;
-        }
-        // Rank-1 update over *full* trailing columns (rows k+1..f), which
-        // keeps both triangles current directly — no separate mirror pass.
-        // The lower triangle and diagonal see the exact subtraction
-        // sequence of a lower-only update, so the factor and the lower
-        // Schur triangle are unchanged; upper entries are now computed by
-        // the symmetric formula instead of copied.
-        let (head, tail) = w.data.split_at_mut((k + 1) * f);
-        let lcol = &head[k * f + k + 1..];
-        for (jt, colj) in tail.chunks_exact_mut(f).enumerate() {
-            let ljk_d = lcol[jt] * d; // l_jk * d_k
-            if ljk_d == 0.0 {
-                continue;
-            }
-            axpy_sub(&mut colj[k + 1..], lcol, ljk_d);
-        }
-    }
-    Ok(())
+    ldlt_rank1(w, 0, npiv, f)
 }
 
 /// Cache-blocked variant of [`partial_ldlt`]: same (unpivoted) pivot
-/// sequence, computed by panels of `nb` columns. Panel columns keep the
-/// rank-1 form (all rows); trailing columns receive the fully-summed-row
-/// mirror updates per column and a deferred `W22 -= L21 · (D·L21ᵀ)`
-/// through the packed microkernels. Values differ from the rank-1 kernel
-/// only by summation order. See [`partial_ldlt_blocked_mt`].
+/// sequence, computed by panels of `nb` columns with a deferred
+/// `W22 -= L21 · (D·L21ᵀ)` swept over the lower trapezoid by the packed
+/// microkernels. Values differ from the rank-1 kernel only by summation
+/// order. See [`partial_ldlt_blocked_mt`].
 pub fn partial_ldlt_blocked(w: &mut DenseMat, npiv: usize, nb: usize) -> Result<(), KernelError> {
     partial_ldlt_blocked_mt(w, npiv, nb, 1)
 }
@@ -673,19 +618,17 @@ pub fn partial_ldlt_blocked_mt(
         let kb = nb.min(npiv - k0);
         let kend = k0 + kb;
         // ---- Panel factorization (recursive, GEMM-rich) over the panel
-        // columns only — all rows, both triangles current, same pivot
-        // sequence as the unblocked kernel restricted to these columns. ----
+        // columns only: same pivot sequence as the unblocked kernel
+        // restricted to these columns. ----
         panel_ldlt_rec(w, k0, kb, &mut ws)?;
-        // ---- Trailing columns: scaled rows `B(k,j) = d_k·l_jk` come
-        // from the factored panel (the diagonal keeps `d_k`; scaling
-        // touches only rows below it), mirror rows k+1..kend per column,
-        // GEMM for rows kend..f. ----
+        // ---- Trailing columns: `L21` is packed once per panel and
+        // read-shared by every chunk; each chunk scales its own rows of
+        // it by `D` (the panel's diagonal keeps `d_k`). ----
         if kend < f {
-            let dvals: Vec<f64> = (k0..kend).map(|k| w.data[k * f + k]).collect();
             let (panel, trailing) = w.data.split_at_mut(kend * f);
             let ap = gemm::pack_a(&mut ws, &panel[k0 * f + kend..], f, f - kend, kb);
             dispatch_trailing(trailing, f, threads, |c0, cols| {
-                ldlt_trailing_chunk(cols, kend + c0, f, k0, kend, panel, &ap, &dvals);
+                ldlt_trailing_chunk(cols, kend, c0, f, k0, kend, panel, &ap);
             });
         }
         k0 = kend;
@@ -998,12 +941,55 @@ mod tests {
             partial_ldlt(&mut w1, p).unwrap();
             partial_ldlt_blocked(&mut w2, p, nb).unwrap();
             for j in 0..f {
-                for i in 0..f {
+                for i in j..f {
                     let (x, y) = (w1.get(i, j), w2.get(i, j));
                     assert!(
                         (x - y).abs() <= 1e-10 * (1.0 + x.abs()),
                         "(f={f},p={p}) mismatch at ({i},{j}): {x} vs {y}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ldlt_kernels_never_touch_the_strict_upper_triangle() {
+        // Poison the strict upper triangle, once with NaN (a read would
+        // spread it into the lower triangle) and once with a finite
+        // sentinel (a write would change it — NaN would swallow one):
+        // every kernel must leave the poison as it was and produce the
+        // lower triangle of the clean run, bit for bit. Orders off the
+        // MR/NR tile grid, `npiv = f` included; 300 is wide enough for
+        // the chunked multi-thread sweep.
+        type Kernel = Box<dyn Fn(&mut DenseMat, usize) -> Result<(), KernelError>>;
+        let mut kernels: Vec<(&str, Kernel)> = vec![("rank-1", Box::new(partial_ldlt))];
+        for nb in [2, 8, 32] {
+            kernels.push(("blocked", Box::new(move |w, p| partial_ldlt_blocked(w, p, nb))));
+        }
+        for threads in [2, 8] {
+            let mt: Kernel = Box::new(move |w, p| partial_ldlt_blocked_mt(w, p, 32, threads));
+            kernels.push(("blocked mt", mt));
+        }
+        for (name, kernel) in &kernels {
+            for (f, p) in [(7, 4), (21, 21), (35, 17), (67, 50), (300, 130)] {
+                let mut clean = random_sym_front(f, (f * 13 + p) as u64);
+                kernel(&mut clean, p).unwrap();
+                for poison in [f64::NAN, 12345.678] {
+                    let mut w = random_sym_front(f, (f * 13 + p) as u64);
+                    for j in 0..f {
+                        w.col_mut(j)[..j].fill(poison);
+                    }
+                    kernel(&mut w, p).unwrap();
+                    for j in 0..f {
+                        for i in 0..f {
+                            let want = if i < j { poison } else { clean.get(i, j) };
+                            assert_eq!(
+                                w.get(i, j).to_bits(),
+                                want.to_bits(),
+                                "{name} (f={f}, p={p}, poison {poison}) at ({i},{j})"
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -28,8 +28,10 @@
 //! AVX2, and AVX-512 paths and across any tiling of the m/n loops** —
 //! which is what lets the within-front parallel callers in
 //! [`crate::dense`] split C among threads without a cross-thread
-//! reduction and stay deterministic (tested by `forced_scalar_matches_
-//! simd` and the `gemm_exact` proptest suite).
+//! reduction and stay deterministic (tested by `packed_matches_naive_
+//! bitwise_all_levels` here and by `forced_scalar_path_matches_simd_bits`
+//! and the `packed_gemm_equals_naive_triple_loop` proptest in
+//! `tests/determinism.rs`).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -198,11 +200,108 @@ pub fn pack_b(buf: &mut Vec<f64>, b: &[f64], ldb: usize, kc: usize, n: usize) {
     }
 }
 
+/// Packs `B = D · Lᵀ` for the symmetric trailing update: `B(k, j) =
+/// l[k·ldl + j] · d(k)` for `k < kc`, `j < n`, where `l` addresses an
+/// `n × kc` column-major block of `L` — same strip layout as [`pack_b`],
+/// formed straight from the factored panel without a transposed copy.
+pub fn pack_b_scaled_transpose(
+    buf: &mut Vec<f64>,
+    l: &[f64],
+    ldl: usize,
+    kc: usize,
+    n: usize,
+    d: impl Fn(usize) -> f64,
+) {
+    let strips = n.div_ceil(NR);
+    buf.clear();
+    buf.resize(strips * kc * NR, 0.0);
+    for k in 0..kc {
+        let (row, dk) = (&l[k * ldl..k * ldl + n], d(k));
+        for (t, src) in row.chunks(NR).enumerate() {
+            let dst = &mut buf[(t * kc + k) * NR..];
+            for (x, &v) in dst.iter_mut().zip(src) {
+                *x = v * dk;
+            }
+        }
+    }
+}
+
 /// `C -= A · B` over packed panels: `c` points at `C(0,0)` of an
 /// `apack.m() × n` block, column-major with column stride `ldc`.
 /// `bpack` must hold `n` packed columns with inner dimension
 /// `apack.kc()` (see [`pack_b`]). The sweep runs on [`active_simd`].
 pub fn gemm_sub_packed(apack: &APack<'_>, bpack: &[f64], n: usize, c: &mut [f64], ldc: usize) {
+    sweep(apack, bpack, n, c, ldc, None);
+}
+
+/// [`gemm_sub_packed`] restricted to a lower trapezoid: column `j` of the
+/// block is updated from row `diag0 + j` down, and **no element above
+/// that row is read or written**. Every updated element runs the chain
+/// of the full sweep, so it equals [`gemm_sub_packed`] bit for bit
+/// there. This is the trailing update of a symmetric front stored in its
+/// lower triangle: `diag0` is the block row of column 0's diagonal.
+pub fn gemm_sub_packed_lower(
+    apack: &APack<'_>,
+    bpack: &[f64],
+    n: usize,
+    c: &mut [f64],
+    ldc: usize,
+    diag0: usize,
+) {
+    sweep(apack, bpack, n, c, ldc, Some(diag0));
+}
+
+/// One 8×6 tile on the best kernel `level` allows: `c` starts at the
+/// tile's first element.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+fn tile_8x6(
+    level: SimdLevel,
+    kc: usize,
+    ap: &[f64],
+    bp: &[f64],
+    c: &mut [f64],
+    ldc: usize,
+    m_active: usize,
+    n_active: usize,
+) {
+    assert!(ap.len() >= kc * MR && bp.len() >= kc * NR, "packed strips too short");
+    assert!(n_active >= 1 && c.len() >= (n_active - 1) * ldc + m_active, "C tile out of bounds");
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 | SimdLevel::Avx512 => {
+            // SAFETY: avx2+fma implied by both levels (clamped to
+            // detection); the strips hold `kc` groups and `c` covers the
+            // active tile (asserted above).
+            unsafe {
+                x86::kernel_8x6_avx2(
+                    kc,
+                    ap.as_ptr(),
+                    bp.as_ptr(),
+                    c.as_mut_ptr(),
+                    ldc,
+                    m_active,
+                    n_active,
+                );
+            }
+        }
+        _ => kernel_8x6_scalar(kc, ap, bp, c, ldc, m_active, n_active),
+    }
+}
+
+/// The packed sweep behind both entry points. With `diag0 = Some(d)`
+/// column strip `t` starts at the `MR`-aligned row strip containing the
+/// diagonal of its first column; the (at most two) tiles a strip's
+/// diagonals cross are computed in a scratch tile holding only their
+/// on-or-below-diagonal elements, so nothing above a diagonal is touched.
+fn sweep(
+    apack: &APack<'_>,
+    bpack: &[f64],
+    n: usize,
+    c: &mut [f64],
+    ldc: usize,
+    diag0: Option<usize>,
+) {
     let (m, kc) = (apack.m, apack.kc);
     if m == 0 || n == 0 {
         return;
@@ -225,55 +324,58 @@ pub fn gemm_sub_packed(apack: &APack<'_>, bpack: &[f64], n: usize, c: &mut [f64]
             let j0 = t * NR;
             let n_active = NR.min(n - j0);
             let bp = &bpack[t * kc * NR..(t + 1) * kc * NR];
-            let mut s = s_lo;
+            // Rows of this strip's first and last diagonals (0 when the
+            // sweep is not triangular: every tile is then a full one).
+            let (first, last) = diag0.map_or((0, 0), |d| (d + j0, d + j0 + n_active - 1));
+            let mut s = s_lo.max(first / MR);
             while s < s_hi {
                 let i0 = s * MR;
                 let m_active = MR.min(m - i0);
                 let ap = &apack.data[s * kc * MR..(s + 1) * kc * MR];
                 let coff = j0 * ldc + i0;
-                match level {
-                    #[cfg(target_arch = "x86_64")]
-                    SimdLevel::Avx512 if m_active == MR && s + 1 < s_hi && m - i0 - MR >= 1 => {
-                        // Two full-or-padded strips at once; the second
-                        // strip may be a row remainder (masked store).
-                        let m2 = MR.min(m - i0 - MR);
-                        let ap1 = &apack.data[(s + 1) * kc * MR..(s + 2) * kc * MR];
-                        // SAFETY: avx512f verified by `active_simd`
-                        // clamping to `detected_simd`; bounds asserted
-                        // above.
-                        unsafe {
-                            x86::kernel_16x6_avx512(
-                                kc,
-                                ap.as_ptr(),
-                                ap1.as_ptr(),
-                                bp.as_ptr(),
-                                c.as_mut_ptr().add(coff),
-                                ldc,
-                                MR + m2,
-                                n_active,
-                            );
-                        }
-                        s += 2;
-                        continue;
+                if i0 < last {
+                    // A diagonal crosses this tile.
+                    let mut tile = [0.0f64; MR * NR];
+                    let from = |j: usize| (first + j).saturating_sub(i0).min(m_active);
+                    for j in 0..n_active {
+                        tile[j * MR + from(j)..j * MR + m_active].copy_from_slice(
+                            &c[coff + j * ldc + from(j)..coff + j * ldc + m_active],
+                        );
                     }
-                    #[cfg(target_arch = "x86_64")]
-                    SimdLevel::Avx2 | SimdLevel::Avx512 => {
-                        // SAFETY: avx2+fma implied by both levels (clamped
-                        // to detection); bounds asserted above.
-                        unsafe {
-                            x86::kernel_8x6_avx2(
-                                kc,
-                                ap.as_ptr(),
-                                bp.as_ptr(),
-                                c.as_mut_ptr().add(coff),
-                                ldc,
-                                m_active,
-                                n_active,
-                            );
-                        }
+                    tile_8x6(level, kc, ap, bp, &mut tile, MR, m_active, n_active);
+                    for j in 0..n_active {
+                        c[coff + j * ldc + from(j)..coff + j * ldc + m_active]
+                            .copy_from_slice(&tile[j * MR + from(j)..j * MR + m_active]);
                     }
-                    _ => kernel_8x6_scalar(kc, ap, bp, &mut c[coff..], ldc, m_active, n_active),
+                    s += 1;
+                    continue;
                 }
+                #[cfg(target_arch = "x86_64")]
+                if level == SimdLevel::Avx512 && m_active == MR && s + 1 < s_hi && m - i0 - MR >= 1
+                {
+                    // Two full-or-padded strips at once; the second
+                    // strip may be a row remainder (masked store).
+                    let m2 = MR.min(m - i0 - MR);
+                    let ap1 = &apack.data[(s + 1) * kc * MR..(s + 2) * kc * MR];
+                    // SAFETY: avx512f verified by `active_simd`
+                    // clamping to `detected_simd`; bounds asserted
+                    // above.
+                    unsafe {
+                        x86::kernel_16x6_avx512(
+                            kc,
+                            ap.as_ptr(),
+                            ap1.as_ptr(),
+                            bp.as_ptr(),
+                            c.as_mut_ptr().add(coff),
+                            ldc,
+                            MR + m2,
+                            n_active,
+                        );
+                    }
+                    s += 2;
+                    continue;
+                }
+                tile_8x6(level, kc, ap, bp, &mut c[coff..], ldc, m_active, n_active);
                 s += 1;
             }
         }
@@ -513,7 +615,7 @@ fn axpy_sub_scalar(dst: &mut [f64], l: &[f64], u: f64) {
 /// Naive reference: `C -= A · B` with the same per-element fused-chain
 /// semantics (ascending `k`, `mul_add`, single subtraction). The packed
 /// sweep must match this **bit-for-bit** on every backend — the
-/// `gemm_exact` proptest suite holds it to that.
+/// `packed_gemm_equals_naive_triple_loop` proptest holds it to that.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_sub_naive(
     m: usize,
@@ -604,6 +706,71 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn lower_sweep_matches_full_sweep_below_the_diagonal_and_touches_nothing_above() {
+        let _g = force_guard();
+        // The shapes of the full-sweep test plus m/n remainders around
+        // the MR/NR tile edges, a block taller than one MC row block, and
+        // diagonals starting inside the block (a later column chunk).
+        for &(m, n, kc, diag0) in &[
+            (1, 1, 1, 0),
+            (8, 6, 4, 0),
+            (7, 5, 3, 0),
+            (16, 12, 8, 0),
+            (17, 13, 9, 0),
+            (40, 23, 16, 0),
+            (64, 64, 32, 0),
+            (65, 61, 5, 0),
+            (300, 47, 7, 0),
+            (300, 47, 7, 250),
+            (50, 13, 6, 9),
+            (50, 6, 6, 44),
+        ] {
+            let a = fill(3 * m as u64 + 1, m * kc);
+            let b = fill(5 * n as u64 + 2, kc * n);
+            let c0 = fill(7 * kc as u64 + 3, m * n);
+            for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
+                let (mut full, mut lower) = (c0.clone(), c0.clone());
+                let mut ws = GemmWorkspace::new();
+                force_simd(Some(level));
+                let ap = pack_a(&mut ws, &a, m, m, kc);
+                let mut bp = Vec::new();
+                pack_b(&mut bp, &b, kc, kc, n);
+                gemm_sub_packed(&ap, &bp, n, &mut full, m);
+                gemm_sub_packed_lower(&ap, &bp, n, &mut lower, m, diag0);
+                force_simd(None);
+                for j in 0..n {
+                    for i in 0..m {
+                        let want = if i >= diag0 + j { full[j * m + i] } else { c0[j * m + i] };
+                        assert_eq!(
+                            lower[j * m + i].to_bits(),
+                            want.to_bits(),
+                            "({m}x{n}x{kc}, diag0 {diag0}) level {level:?} at ({i},{j})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scaled_transpose_pack_matches_pack_b_of_the_explicit_product() {
+        let (n, kc, ldl) = (17usize, 5usize, 23usize);
+        let l = fill(31, ldl * kc);
+        let d = fill(37, kc);
+        // B(k, j) = L(j, k) * d_k, column-major kc x n.
+        let mut b = vec![0.0; kc * n];
+        for j in 0..n {
+            for k in 0..kc {
+                b[j * kc + k] = l[k * ldl + j] * d[k];
+            }
+        }
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        pack_b(&mut want, &b, kc, kc, n);
+        pack_b_scaled_transpose(&mut got, &l, ldl, kc, n, |k| d[k]);
+        assert_eq!(want, got);
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! `mf-core` with scheduling. It provides:
 //!
 //! * [`dense`] — column-major dense storage and the partial factorization
-//!   kernels (LU with pivoting inside the fully-summed block, LDLᵀ);
+//!   kernels (LU with pivoting inside the fully-summed block, LDLᵀ on the
+//!   lower triangle);
 //! * [`arena`] — the three-area memory manager of the multifrontal method
-//!   (factors / contribution-block stack / current front) with exact
-//!   usage and peak tracking, mirroring Section 2 of the paper;
+//!   (factors / one contiguous contribution-block stack / current front)
+//!   with exact usage and peak tracking, mirroring Section 2 of the paper;
 //! * [`numeric`] — a sequential numeric multifrontal factorization and
 //!   solve over an assembly tree (the correctness anchor of the whole
 //!   reproduction: residual tests prove the symbolic layer + tree
@@ -19,11 +20,16 @@
 //! * [`parallel`] — a rayon tree-parallel variant exploiting the same
 //!   tree parallelism the paper's type-1 nodes exploit across MPI ranks,
 //!   here across threads.
+//!
+//! Both drivers push every front through one private pipeline (`front`:
+//! assemble → factor → extract in one reused buffer), so their factors
+//! are bit-identical.
 
 #![warn(missing_docs)]
 #![allow(clippy::needless_range_loop)] // indexed loops are the idiom of dense kernels
 pub mod arena;
 pub mod dense;
+mod front;
 pub mod gemm;
 pub mod numeric;
 pub mod parallel;

@@ -8,9 +8,8 @@
 //! consistent.
 
 use crate::arena::{CbStack, MemoryAccount};
-use crate::dense::{
-    add_assign_slice, factor_front_ldlt_mt, factor_front_lu_mt, DenseMat, KernelError,
-};
+use crate::dense::{DenseMat, KernelError};
+use crate::front::{factor_front, FrontEnv, FrontFactor, FrontWorkspace};
 use crate::gemm::axpy_sub;
 use mf_sparse::{CscMatrix, Permutation, Symmetry};
 use mf_symbolic::frontstruct::{front_structures, FrontStructures};
@@ -70,26 +69,6 @@ impl std::fmt::Display for FactorError {
 
 impl std::error::Error for FactorError {}
 
-/// Factors of one front.
-#[derive(Debug, Clone)]
-pub(crate) struct FrontFactor {
-    /// Global variable list (pivots first) — shared layout with the
-    /// symbolic front structure.
-    pub(crate) vars: Vec<usize>,
-    pub(crate) npiv: usize,
-    /// Local row permutation of the fully-summed rows (identity for LDLᵀ).
-    pub(crate) row_perm: Vec<usize>,
-    /// `p x p` block holding `L11` (unit lower, implied diagonal) and
-    /// `U11` (upper, including diagonal) for LU; `L11` + `D` for LDLᵀ.
-    pub(crate) block11: DenseMat,
-    /// `(f-p) x p` block `L21`.
-    pub(crate) l21: DenseMat,
-    /// `p x (f-p)` block `U12` (LU only; empty for LDLᵀ).
-    pub(crate) u12: DenseMat,
-    /// Diagonal of `D` (LDLᵀ only).
-    pub(crate) d: Vec<f64>,
-}
-
 /// Memory/operation statistics of a numeric factorization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NumericStats {
@@ -110,6 +89,8 @@ pub struct Factorization {
     pub(crate) sym: Symmetry,
     pub(crate) n: usize,
     pub(crate) perm: Permutation,
+    /// Variable list of every front (pivots first).
+    pub(crate) rows: FrontStructures,
     pub(crate) fronts: Vec<Option<FrontFactor>>,
     pub(crate) topo: Vec<usize>,
     /// Memory and size statistics gathered during the factorization.
@@ -146,14 +127,13 @@ impl Factorization {
         if a.nrows() != a.ncols() {
             return Err(FactorError::NotSquare);
         }
-        let fs = front_structures(s);
-        factorize_sequential(a, s, &fs, opts)
+        factorize_sequential(a, s, front_structures(s), opts)
     }
 
     /// Order-stable FNV-1a digest of the complete numeric content:
     /// symmetry, order, permutation, and — in topological order — every
     /// front's variables, pivot count, row permutation, and the exact
-    /// bit patterns of all factor blocks. Two factorizations digest
+    /// bit patterns of its factor panel and `U12`. Two factorizations digest
     /// equal iff they are byte-identical; the determinism suite uses
     /// this to compare runs across thread counts and SIMD levels.
     pub fn content_digest(&self) -> u64 {
@@ -165,7 +145,7 @@ impl Factorization {
         fn mix_mat(h: &mut u64, m: &DenseMat) {
             mix(h, m.nrows() as u64);
             mix(h, m.ncols() as u64);
-            for &x in m.raw() {
+            for &x in m.data() {
                 mix(h, x.to_bits());
             }
         }
@@ -180,20 +160,16 @@ impl Factorization {
                 mix(&mut h, u64::MAX);
                 continue;
             };
-            mix(&mut h, fr.vars.len() as u64);
-            for &gv in &fr.vars {
+            mix(&mut h, self.rows.rows[v].len() as u64);
+            for &gv in &self.rows.rows[v] {
                 mix(&mut h, gv as u64);
             }
             mix(&mut h, fr.npiv as u64);
             for &r in &fr.row_perm {
                 mix(&mut h, r as u64);
             }
-            mix_mat(&mut h, &fr.block11);
-            mix_mat(&mut h, &fr.l21);
+            mix_mat(&mut h, &fr.panel);
             mix_mat(&mut h, &fr.u12);
-            for &x in &fr.d {
-                mix(&mut h, x.to_bits());
-            }
         }
         h
     }
@@ -218,41 +194,44 @@ impl Factorization {
         }
         let mut y = vec![0.0; self.n];
         // Scratch reused across fronts: `t` is the pivot part of the
-        // front's vector, `w` its contribution-block part. The blocks are
-        // column-major, so every product below goes column by column.
+        // front's vector, `w` its contribution-block part. The panel is
+        // column-major — rows `..p` of a column are `L11`/`U11`, rows
+        // `p..` are `L21` — so every product below goes column by column.
         let (mut t, mut w): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
         // Forward elimination, children before parents.
         for &v in &self.topo {
             let Some(fr) = &self.fronts[v] else { continue };
-            let p = fr.npiv;
-            let cb = &fr.vars[p..];
+            let (vars, p) = (&self.rows.rows[v], fr.npiv);
+            let (first, cb) = (vars[0], &vars[p..]);
             t.clear();
-            t.extend((0..p).map(|k| g[fr.vars[fr.row_perm[k]]]));
+            if fr.row_perm.is_empty() {
+                t.extend_from_slice(&g[first..first + p]);
+            } else {
+                t.extend(fr.row_perm.iter().map(|&r| g[vars[r]]));
+            }
             for k in 0..p {
                 let tk = t[k];
                 if tk != 0.0 {
-                    axpy_sub(&mut t[k + 1..], &fr.block11.col(k)[k + 1..], tk);
+                    axpy_sub(&mut t[k + 1..], &fr.panel.col(k)[k + 1..p], tk);
                 }
             }
             // g_cb -= L21 t, with w = -L21 t.
             w.clear();
             w.resize(cb.len(), 0.0);
             for k in 0..p {
-                axpy_sub(&mut w, fr.l21.col(k), t[k]);
+                axpy_sub(&mut w, &fr.panel.col(k)[p..], t[k]);
             }
             for (&gv, &wi) in cb.iter().zip(&w) {
                 g[gv] += wi;
             }
-            let first = fr.vars[0];
             y[first..first + p].copy_from_slice(&t);
         }
         // Backward substitution, parents before children.
         let mut x = vec![0.0; self.n];
         for &v in self.topo.iter().rev() {
             let Some(fr) = &self.fronts[v] else { continue };
-            let p = fr.npiv;
-            let cb = &fr.vars[p..];
-            let first = fr.vars[0];
+            let (vars, p) = (&self.rows.rows[v], fr.npiv);
+            let (first, cb) = (vars[0], &vars[p..]);
             t.clear();
             t.extend_from_slice(&y[first..first + p]);
             match self.sym {
@@ -262,25 +241,27 @@ impl Factorization {
                         axpy_sub(&mut t, fr.u12.col(j), x[gv]);
                     }
                     for j in (0..p).rev() {
-                        let col = fr.block11.col(j);
+                        let col = fr.panel.col(j);
                         t[j] /= col[j];
                         let tj = t[j];
                         axpy_sub(&mut t[..j], &col[..j], tj);
                     }
                 }
                 Symmetry::Symmetric => {
-                    // t = D^-1 y, then Lᵀ x = t using L21 and L11.
+                    // t = D^-1 y (D is the panel's diagonal), then
+                    // Lᵀ x = t using L21 and L11.
                     w.clear();
                     w.extend(cb.iter().map(|&gv| x[gv]));
                     for k in 0..p {
-                        t[k] /= fr.d[k];
+                        t[k] /= fr.panel.get(k, k);
                     }
                     for k in (0..p).rev() {
+                        let (l11, l21) = fr.panel.col(k).split_at(p);
                         let mut s = t[k];
-                        for (l, xi) in fr.l21.col(k).iter().zip(&w) {
+                        for (l, xi) in l21.iter().zip(&w) {
                             s -= l * xi;
                         }
-                        for (l, tj) in fr.block11.col(k)[k + 1..].iter().zip(&t[k + 1..]) {
+                        for (l, tj) in l11[k + 1..].iter().zip(&t[k + 1..]) {
                             s -= l * tj;
                         }
                         t[k] = s;
@@ -344,196 +325,52 @@ impl Factorization {
 fn factorize_sequential(
     a: &CscMatrix,
     s: &SymbolicAnalysis,
-    fs: &FrontStructures,
+    fs: FrontStructures,
     opts: &NumericOptions,
 ) -> Result<Factorization, FactorError> {
     let threads = opts.cores_per_front.max(1);
     let tree = &s.tree;
-    let sym = tree.sym;
-    let n = tree.n;
-    let pa = a.permute_symmetric(&s.perm);
-    let pat = if sym == Symmetry::General { Some(pa.transpose()) } else { None };
-
+    let env = FrontEnv::new(a, s, &fs);
     let topo = tree.topo_order();
     let mut fronts: Vec<Option<FrontFactor>> = vec![None; tree.len()];
-    let mut cb_stack = CbStack::new();
-    let mut cb_handles = vec![None; tree.len()];
+    // The stack area is allocated once, at the peak this traversal will
+    // reach (every front pops its children's CBs and pushes its own).
+    let mut used = 0;
+    let grow = |&v: &usize| {
+        used -= tree.nodes[v].children.iter().map(|&ch| tree.cb_entries(ch)).sum::<u64>();
+        used += tree.cb_entries(v);
+        used
+    };
+    let mut cb_stack = CbStack::with_capacity(topo.iter().map(grow).max().unwrap_or(0) as usize);
     let mut account = MemoryAccount::new();
-    let mut loc = vec![usize::MAX; n];
+    let mut ws = FrontWorkspace::new(tree.n);
 
     for &v in &topo {
-        let nd = &tree.nodes[v];
-        let vars = &fs.rows[v];
-        let f = vars.len();
-        let p = nd.npiv;
-        for (l, &gv) in vars.iter().enumerate() {
-            loc[gv] = l;
-        }
-
         account.alloc_front(tree.front_entries(v));
-        let mut w = DenseMat::zeros(f, f);
-
-        // ---- Assemble original-matrix entries. ----
-        // A chain head assembles the entries of the *whole* original front
-        // (its tail links' pivot columns included); tail links assemble
-        // nothing — they continue on the Schur complement.
-        let span = if tree.is_chain_tail(v) { 0 } else { tree.chain_npiv(v) };
-        match sym {
-            Symmetry::Symmetric => {
-                for c in nd.first_col..nd.first_col + span {
-                    let lc = loc[c];
-                    for (&i, &val) in pa.rows_in_col(c).iter().zip(pa.vals_in_col(c)) {
-                        if i < c {
-                            continue; // mirrored from the earlier pivot column
-                        }
-                        let li = loc[i];
-                        w.add(li, lc, val);
-                        if li != lc {
-                            w.add(lc, li, val);
-                        }
-                    }
-                }
-            }
-            Symmetry::General => {
-                let pat = pat.as_ref().unwrap();
-                for c in nd.first_col..nd.first_col + span {
-                    let lc = loc[c];
-                    // Column part: rows at or below this front's pivots.
-                    for (&i, &val) in pa.rows_in_col(c).iter().zip(pa.vals_in_col(c)) {
-                        if i >= nd.first_col {
-                            w.add(loc[i], lc, val);
-                        }
-                    }
-                    // Row part: columns strictly in the CB variable range.
-                    for (&j, &val) in pat.rows_in_col(c).iter().zip(pat.vals_in_col(c)) {
-                        if j >= nd.first_col + span {
-                            w.add(lc, loc[j], val);
-                        }
-                    }
-                }
-            }
-        }
-
-        // ---- Extend-add children (LIFO pops: reverse child order). ----
-        for &ch in nd.children.iter().rev() {
-            let h = cb_handles[ch].take().expect("child CB missing");
-            let cb_vars = fs.cb_rows(tree, ch);
-            let cf = cb_vars.len();
-            {
-                let data = cb_stack.get(h);
-                debug_assert_eq!(data.len(), cf * cf);
-                // When the CB variables land on consecutive parent rows
-                // (the common case for the last child absorbed into an
-                // amalgamated parent), each CB column is one contiguous
-                // slice-add; otherwise fall back to the indexed scatter.
-                // The choice is structural, so it cannot vary across
-                // runs of the same tree.
-                let contiguous = cf > 0
-                    && cb_vars.iter().enumerate().all(|(ci, &gv)| loc[gv] == loc[cb_vars[0]] + ci);
-                if contiguous {
-                    let l0 = loc[cb_vars[0]];
-                    for (cj, &gj) in cb_vars.iter().enumerate() {
-                        let lj = loc[gj];
-                        let col = &data[cj * cf..(cj + 1) * cf];
-                        add_assign_slice(&mut w.col_mut(lj)[l0..l0 + cf], col);
-                    }
-                } else {
-                    for (cj, &gj) in cb_vars.iter().enumerate() {
-                        let lj = loc[gj];
-                        let col = &data[cj * cf..(cj + 1) * cf];
-                        for (ci, &gi) in cb_vars.iter().enumerate() {
-                            let x = col[ci];
-                            if x != 0.0 {
-                                w.add(loc[gi], lj, x);
-                            }
-                        }
-                    }
-                }
-            }
-            cb_stack.pop(h);
+        fronts[v] = Some(factor_front(&env, &mut ws, &mut cb_stack, v, || threads)?);
+        for &ch in &tree.nodes[v].children {
             account.pop_cb(tree.cb_entries(ch));
         }
-
-        // ---- Partial factorization. ----
-        let mut row_perm = Vec::new();
-        match sym {
-            Symmetry::General => {
-                factor_front_lu_mt(&mut w, p, &mut row_perm, threads)
-                    .map_err(|source| FactorError::Kernel { node: v, source })?;
-            }
-            Symmetry::Symmetric => {
-                factor_front_ldlt_mt(&mut w, p, threads)
-                    .map_err(|source| FactorError::Kernel { node: v, source })?;
-                row_perm = (0..f).collect();
-            }
-        }
-
-        // ---- Extract factor blocks and the contribution block. ----
-        let mut block11 = DenseMat::zeros(p, p);
-        let mut l21 = DenseMat::zeros(f - p, p);
-        for k in 0..p {
-            for i in 0..p {
-                *block11.get_mut(i, k) = w.get(i, k);
-            }
-            for i in 0..f - p {
-                *l21.get_mut(i, k) = w.get(p + i, k);
-            }
-        }
-        let (u12, d) = match sym {
-            Symmetry::General => {
-                let mut u12 = DenseMat::zeros(p, f - p);
-                for j in 0..f - p {
-                    for k in 0..p {
-                        *u12.get_mut(k, j) = w.get(k, p + j);
-                    }
-                }
-                (u12, Vec::new())
-            }
-            Symmetry::Symmetric => {
-                let d: Vec<f64> = (0..p).map(|k| w.get(k, k)).collect();
-                (DenseMat::zeros(0, 0), d)
-            }
-        };
         account.store_factors(tree.factor_entries(v));
-
-        // ---- Push own contribution block. ----
         // Accounting note: the front is released *before* the CB is
         // counted on the stack, reflecting the contiguous-memory layout
         // where the CB part of the front is relabeled in place as stack
         // memory (the front sits at the top of the stack area). This
         // matches the FrontThenFree discipline of `mf_symbolic::seqstack`.
         account.free_front(tree.front_entries(v));
-        if f > p {
-            let cf = f - p;
-            let mut cb = vec![0.0; cf * cf];
-            for j in 0..cf {
-                for i in 0..cf {
-                    cb[j * cf + i] = w.get(p + i, p + j);
-                }
-            }
-            cb_handles[v] = Some(cb_stack.push(cb));
-            account.push_cb(tree.cb_entries(v));
-        }
-
-        fronts[v] = Some(FrontFactor {
-            vars: vars.clone(),
-            npiv: p,
-            row_perm: row_perm[..p].to_vec(),
-            block11,
-            l21,
-            u12,
-            d,
-        });
-        for &gv in vars {
-            loc[gv] = usize::MAX;
-        }
+        account.push_cb(tree.cb_entries(v));
     }
 
     debug_assert_eq!(cb_stack.depth(), 0, "all CBs must be consumed");
+    // The real stack is the modelled one: packed symmetric CBs hold
+    // exactly `cb_entries` words.
+    debug_assert_eq!(cb_stack.peak(), account.stack_peak());
+    drop(env);
     Ok(Factorization {
-        sym,
-        n,
+        sym: tree.sym,
+        n: tree.n,
         perm: s.perm.clone(),
+        rows: fs,
         fronts,
         topo,
         stats: NumericStats {

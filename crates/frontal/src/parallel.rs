@@ -3,16 +3,18 @@
 //! The multifrontal method's tree parallelism — the paper's type-1
 //! parallelism across MPI ranks — maps directly onto fork-join threading:
 //! independent subtrees factorize concurrently, each front sequentially.
-//! This module provides that shared-memory variant. It trades the strict
-//! LIFO stack discipline (meaningless under concurrency) for per-node CB
-//! buffers; memory is tracked with atomic high-water counters instead
+//! This module provides that shared-memory variant. Every front runs the
+//! sequential driver's pipeline ([`crate::front`]); the one global LIFO
+//! stack (meaningless under concurrency) becomes one stack per parallel
+//! branch, and memory is tracked with atomic high-water counters instead
 //! ([`factorize_parallel`]'s `NumericStats` reports the honest peak of
 //! live front + CB entries across all workers).
 
-use crate::dense::{add_assign_slice, factor_front_ldlt_mt, factor_front_lu_mt, DenseMat};
-use crate::numeric::{FactorError, Factorization, FrontFactor, NumericOptions, NumericStats};
-use mf_sparse::{CscMatrix, Symmetry};
-use mf_symbolic::frontstruct::{front_structures, FrontStructures};
+use crate::arena::CbStack;
+use crate::front::{factor_front, FrontEnv, FrontFactor, FrontWorkspace};
+use crate::numeric::{FactorError, Factorization, NumericOptions, NumericStats};
+use mf_sparse::CscMatrix;
+use mf_symbolic::frontstruct::front_structures;
 use mf_symbolic::SymbolicAnalysis;
 use parking_lot::Mutex;
 use rayon::prelude::*;
@@ -25,8 +27,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// with `fetch_max`, so the reported numbers are an honest upper
 /// envelope of what the concurrent run actually held — the parallel
 /// analogue of the sequential driver's `active_peak`/`stack_peak`
-/// (which it upper-bounds: the parallel driver copies each CB out of
-/// its front instead of relabeling it in place).
+/// (which it upper-bounds: a front counts as its whole `f x f` buffer,
+/// and its CB is stacked before the front is released).
 #[derive(Default)]
 struct ParAccount {
     live: AtomicU64,
@@ -58,11 +60,7 @@ impl ParAccount {
 }
 
 struct Ctx<'a> {
-    tree: &'a mf_symbolic::AssemblyTree,
-    fs: &'a FrontStructures,
-    pa: &'a CscMatrix,
-    pat: Option<&'a CscMatrix>,
-    sym: Symmetry,
+    env: FrontEnv<'a>,
     threads: usize,
     /// `Some(pool)` makes the within-front thread budget a scheduling
     /// decision (see [`NumericOptions::malleable_pool`]); `threads` then
@@ -72,6 +70,9 @@ struct Ctx<'a> {
     /// grant denominator).
     in_kernel: AtomicUsize,
     acct: ParAccount,
+    /// Idle front workspaces: a front takes one (or makes one) and puts
+    /// it back, so at most one per worker thread ever exists.
+    workspaces: Mutex<Vec<FrontWorkspace>>,
     slots: Vec<Mutex<Option<FrontFactor>>>,
 }
 
@@ -97,9 +98,9 @@ impl Ctx<'_> {
 }
 
 /// Factorizes `a` over the symbolic analysis `s`, exploiting tree
-/// parallelism with rayon. Numerically equivalent to the sequential
-/// driver (same kernels, same assembly), up to floating-point summation
-/// order in the extend-add, which is fixed per child and thus identical.
+/// parallelism with rayon. Bit-identical to the sequential driver: same
+/// front pipeline, same kernels, and every parent absorbs its children
+/// in the same (last-to-first) order.
 pub fn factorize_parallel(
     a: &CscMatrix,
     s: &SymbolicAnalysis,
@@ -120,193 +121,81 @@ pub fn factorize_parallel_with(
         return Err(FactorError::NotSquare);
     }
     let fs = front_structures(s);
-    let pa = a.permute_symmetric(&s.perm);
-    let pat = (s.tree.sym == Symmetry::General).then(|| pa.transpose());
     let ctx = Ctx {
-        tree: &s.tree,
-        fs: &fs,
-        pa: &pa,
-        pat: pat.as_ref(),
-        sym: s.tree.sym,
+        env: FrontEnv::new(a, s, &fs),
         threads: opts.cores_per_front.max(1),
         pool: opts.malleable_pool,
         in_kernel: AtomicUsize::new(0),
         acct: ParAccount::default(),
+        workspaces: Mutex::new(Vec::new()),
         slots: (0..s.tree.len()).map(|_| Mutex::new(None)).collect(),
     };
     let roots = s.tree.roots();
-    let results: Result<Vec<_>, FactorError> =
-        roots.par_iter().map(|&r| process(&ctx, r)).collect();
-    results?;
-    let fronts: Vec<Option<FrontFactor>> = ctx.slots.into_iter().map(|m| m.into_inner()).collect();
+    roots.par_iter().map(|&r| process(&ctx, r, &mut CbStack::new())).collect::<Result<(), _>>()?;
+    let Ctx { acct, slots, .. } = ctx;
     Ok(Factorization {
         sym: s.tree.sym,
         n: s.tree.n,
         perm: s.perm.clone(),
-        fronts,
+        rows: fs,
+        fronts: slots.into_iter().map(|m| m.into_inner()).collect(),
         topo: s.tree.topo_order(),
         stats: NumericStats {
-            stack_peak: ctx.acct.stack_peak.load(Ordering::Relaxed),
-            active_peak: ctx.acct.live_peak.load(Ordering::Relaxed),
+            stack_peak: acct.stack_peak.load(Ordering::Relaxed),
+            active_peak: acct.live_peak.load(Ordering::Relaxed),
             factor_entries: s.tree.total_factor_entries(),
             fronts: s.tree.len(),
         },
     })
 }
 
-/// Processes the subtree rooted at `v`; returns the contribution block
-/// (column-major, over the CB variables of `v`).
-fn process(ctx: &Ctx<'_>, v: usize) -> Result<Vec<f64>, FactorError> {
-    let nd = &ctx.tree.nodes[v];
-    // Children first — in parallel when there are several.
-    let child_cbs: Vec<Vec<f64>> = if nd.children.len() > 1 {
-        nd.children.par_iter().map(|&c| process(ctx, c)).collect::<Result<Vec<_>, _>>()?
-    } else {
-        nd.children.iter().map(|&c| process(ctx, c)).collect::<Result<Vec<_>, _>>()?
-    };
-
-    let vars = &ctx.fs.rows[v];
-    let f = vars.len();
-    let p = nd.npiv;
-    // Variable lists are sorted ascending, so local indices come from
-    // binary search (no O(n) scratch per task).
-    let loc = |gv: usize| vars.binary_search(&gv).expect("variable in front");
-
-    ctx.acct.alloc_front((f * f) as u64);
-    let mut w = DenseMat::zeros(f, f);
-    // Chain heads assemble the whole original front; tail links nothing.
-    let span = if ctx.tree.is_chain_tail(v) { 0 } else { ctx.tree.chain_npiv(v) };
-    match ctx.sym {
-        Symmetry::Symmetric => {
-            for c in nd.first_col..nd.first_col + span {
-                let lc = loc(c);
-                for (&i, &val) in ctx.pa.rows_in_col(c).iter().zip(ctx.pa.vals_in_col(c)) {
-                    if i < c {
-                        continue;
-                    }
-                    let li = loc(i);
-                    w.add(li, lc, val);
-                    if li != lc {
-                        w.add(lc, li, val);
-                    }
-                }
-            }
-        }
-        Symmetry::General => {
-            let pat = ctx.pat.unwrap();
-            for c in nd.first_col..nd.first_col + span {
-                let lc = loc(c);
-                for (&i, &val) in ctx.pa.rows_in_col(c).iter().zip(ctx.pa.vals_in_col(c)) {
-                    if i >= nd.first_col {
-                        w.add(loc(i), lc, val);
-                    }
-                }
-                for (&j, &val) in pat.rows_in_col(c).iter().zip(pat.vals_in_col(c)) {
-                    if j >= nd.first_col + span {
-                        w.add(lc, loc(j), val);
-                    }
-                }
+/// Processes the subtree rooted at `v`, leaving the contribution block
+/// of `v` on top of `stack`.
+fn process(ctx: &Ctx<'_>, v: usize, stack: &mut CbStack) -> Result<(), FactorError> {
+    let tree = ctx.env.tree;
+    let nd = &tree.nodes[v];
+    // Children first. An only child works on our stack; several run in
+    // parallel, each on a stack of its own whose one remaining block (its
+    // CB) then moves onto ours first to last — the layout the sequential
+    // postorder leaves, so the front pipeline pops them in its order.
+    match nd.children[..] {
+        [] => {}
+        [only] => process(ctx, only, stack)?,
+        _ => {
+            let branches = nd
+                .children
+                .par_iter()
+                .map(|&c| {
+                    let mut branch = CbStack::new();
+                    process(ctx, c, &mut branch).map(|()| branch)
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            for cb in branches.iter().filter_map(|b| b.top().map(|h| b.get(h))) {
+                stack.push(cb.len(), [cb]);
             }
         }
     }
 
-    // Extend-add the children. Local indices are precomputed per child;
-    // when they are consecutive, each CB column is one contiguous
-    // slice-add (same structural fast path as the sequential driver).
-    for (&ch, cb) in nd.children.iter().zip(&child_cbs) {
-        let cb_vars = ctx.fs.cb_rows(ctx.tree, ch);
-        let cf = cb_vars.len();
-        debug_assert_eq!(cb.len(), cf * cf);
-        let locs: Vec<usize> = cb_vars.iter().map(|&gv| loc(gv)).collect();
-        let contiguous = cf > 0 && locs.iter().enumerate().all(|(ci, &l)| l == locs[0] + ci);
-        if contiguous {
-            let l0 = locs[0];
-            for (cj, &lj) in locs.iter().enumerate() {
-                add_assign_slice(&mut w.col_mut(lj)[l0..l0 + cf], &cb[cj * cf..(cj + 1) * cf]);
-            }
-        } else {
-            for (cj, &lj) in locs.iter().enumerate() {
-                let col = &cb[cj * cf..(cj + 1) * cf];
-                for (ci, &li) in locs.iter().enumerate() {
-                    let x = col[ci];
-                    if x != 0.0 {
-                        w.add(li, lj, x);
-                    }
-                }
-            }
-        }
-        ctx.acct.pop_cb((cf * cf) as u64);
-    }
-    drop(child_cbs);
-
-    let mut row_perm = Vec::new();
-    let granted = ctx.grant_threads();
-    let factored = match ctx.sym {
-        Symmetry::General => factor_front_lu_mt(&mut w, p, &mut row_perm, granted),
-        Symmetry::Symmetric => {
-            factor_front_ldlt_mt(&mut w, p, granted).inspect(|_| row_perm = (0..f).collect())
-        }
-    };
+    let front = (nd.nfront * nd.nfront) as u64;
+    ctx.acct.alloc_front(front);
+    let mut ws = (ctx.workspaces.lock().pop()).unwrap_or_else(|| FrontWorkspace::new(tree.n));
+    let factored = factor_front(&ctx.env, &mut ws, stack, v, || ctx.grant_threads());
     ctx.release_threads();
-    factored.map_err(|source| FactorError::Kernel { node: v, source })?;
-
-    let mut block11 = DenseMat::zeros(p, p);
-    let mut l21 = DenseMat::zeros(f - p, p);
-    for k in 0..p {
-        for i in 0..p {
-            *block11.get_mut(i, k) = w.get(i, k);
-        }
-        for i in 0..f - p {
-            *l21.get_mut(i, k) = w.get(p + i, k);
-        }
+    ctx.workspaces.lock().push(ws);
+    *ctx.slots[v].lock() = Some(factored?);
+    for &ch in &nd.children {
+        ctx.acct.pop_cb(tree.cb_entries(ch));
     }
-    let (u12, d) = match ctx.sym {
-        Symmetry::General => {
-            let mut u12 = DenseMat::zeros(p, f - p);
-            for j in 0..f - p {
-                for k in 0..p {
-                    *u12.get_mut(k, j) = w.get(k, p + j);
-                }
-            }
-            (u12, Vec::new())
-        }
-        Symmetry::Symmetric => {
-            let d: Vec<f64> = (0..p).map(|k| w.get(k, k)).collect();
-            (DenseMat::zeros(0, 0), d)
-        }
-    };
-
-    let mut cb = Vec::new();
-    if f > p {
-        let cf = f - p;
-        ctx.acct.push_cb((cf * cf) as u64);
-        cb = vec![0.0; cf * cf];
-        for j in 0..cf {
-            for i in 0..cf {
-                cb[j * cf + i] = w.get(p + i, p + j);
-            }
-        }
-    }
-    drop(w);
-    ctx.acct.free_front((f * f) as u64);
-
-    *ctx.slots[v].lock() = Some(FrontFactor {
-        vars: vars.clone(),
-        npiv: p,
-        row_perm: row_perm[..p].to_vec(),
-        block11,
-        l21,
-        u12,
-        d,
-    });
-    Ok(cb)
+    ctx.acct.push_cb(tree.cb_entries(v));
+    ctx.acct.free_front(front);
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mf_sparse::gen::grid::{grid2d, grid3d, Stencil};
-    use mf_sparse::Permutation;
+    use mf_sparse::{Permutation, Symmetry};
     use mf_symbolic::AmalgamationOptions;
 
     fn rhs(n: usize) -> Vec<f64> {

@@ -1,8 +1,11 @@
 //! Determinism suite: the factorization bytes must not depend on *how*
 //! the work was scheduled or *which* SIMD path computed it.
 //!
-//! Three independent axes are pinned by construction and verified here:
+//! Four independent axes are pinned by construction and verified here:
 //!
+//! * **driver** — the tree-parallel driver runs the sequential driver's
+//!   front pipeline and keeps its child order, so its factors are the
+//!   sequential ones;
 //! * **rayon pool width** — tree tasks partition the assembly tree, and
 //!   each front's trailing sweep partitions columns disjointly, so no
 //!   cross-thread reduction exists whose order could vary;
@@ -53,6 +56,26 @@ fn factors_bit_identical_across_pool_widths() {
         for width in [2, 8] {
             let got = parallel_digest(&a, &s, width).unwrap();
             assert_eq!(got, base, "{} differs at pool width {width}", m.name());
+        }
+    }
+}
+
+#[test]
+fn tree_parallel_factors_equal_the_sequential_ones() {
+    // Both drivers run one front pipeline, and a parent absorbs its
+    // children last to first whichever driver stacked them: the bytes are
+    // equal, not merely the residuals. One LDLᵀ and one LU instance.
+    for m in [PaperMatrix::Ship003, PaperMatrix::TwoTone] {
+        let (a, s) = analyzed(m);
+        let sequential = Factorization::from_symbolic(&a, &s).unwrap().content_digest();
+        for width in [1, 2, 8] {
+            let got = parallel_digest(&a, &s, width).unwrap();
+            assert_eq!(
+                got,
+                sequential,
+                "{} differs from sequential at pool width {width}",
+                m.name()
+            );
         }
     }
 }
