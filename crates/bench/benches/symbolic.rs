@@ -1,9 +1,14 @@
 //! Micro-benchmarks of the symbolic analysis pipeline: elimination tree,
 //! column counts, amalgamation, Liu reordering and splitting.
+//!
+//! `symbolic/gupta3` times the stages of `analyze` one by one on the
+//! dense-row instance, where the factor outgrows the matrix the most.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mf_order::OrderingKind;
 use mf_sparse::gen::paper::PaperMatrix;
+use mf_symbolic::colcount::col_counts;
+use mf_symbolic::etree::{etree, postorder};
 use mf_symbolic::seqstack::{apply_liu_order, AssemblyDiscipline};
 use mf_symbolic::AmalgamationOptions;
 
@@ -37,5 +42,23 @@ fn bench_symbolic(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_symbolic);
+fn bench_stages(c: &mut Criterion) {
+    let a = PaperMatrix::Gupta3.instantiate();
+    let perm = OrderingKind::Amd.compute(&a);
+    let parent = etree(&a, &perm);
+    let post = postorder(&parent);
+
+    let mut group = c.benchmark_group("symbolic/gupta3");
+    group.sample_size(20);
+    group.bench_function("etree", |b| b.iter(|| etree(&a, &perm)));
+    group.bench_function("postorder", |b| b.iter(|| postorder(&parent)));
+    group.bench_function("col_counts", |b| b.iter(|| col_counts(&a, &perm, &parent, &post)));
+    group.bench_function("permute_symmetric", |b| b.iter(|| a.permute_symmetric(&perm)));
+    group.bench_function("analyze", |b| {
+        b.iter(|| mf_symbolic::analyze(&a, &perm, &AmalgamationOptions::default()))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_symbolic, bench_stages);
 criterion_main!(benches);

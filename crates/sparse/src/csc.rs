@@ -235,41 +235,42 @@ impl CscMatrix {
 
     /// Symmetric permutation `P A Pᵀ`: entry `(i, j)` moves to
     /// `(perm.new_of(i), perm.new_of(j))`.
+    ///
+    /// One pass per destination column: the source column's rows are
+    /// mapped, sorted as `(new_row << 32) | position` keys, and rows and
+    /// values gathered straight from the source in key order.
+    ///
+    /// # Panics
+    /// If the matrix is not square, if `perm` has another length, or if
+    /// the order exceeds `u32::MAX` (a sort key holds a row index and a
+    /// position within the column in 32 bits each).
     pub fn permute_symmetric(&self, perm: &Permutation) -> CscMatrix {
-        assert_eq!(self.nrows, self.ncols);
-        assert_eq!(perm.len(), self.ncols);
         let n = self.ncols;
-        let mut cnt = vec![0usize; n + 1];
-        for j in 0..n {
-            cnt[perm.new_of(j) + 1] += self.col_range(j).len();
-        }
-        for j in 0..n {
-            cnt[j + 1] += cnt[j];
-        }
-        let col_ptr = cnt.clone();
-        let mut rows = vec![0usize; self.nnz()];
-        let mut vals = vec![0f64; self.nnz()];
-        let mut next = cnt;
-        for j in 0..n {
-            let nj = perm.new_of(j);
-            for p in self.col_range(j) {
-                let q = next[nj];
-                next[nj] += 1;
-                rows[q] = perm.new_of(self.row_idx[p]);
-                vals[q] = self.values[p];
-            }
-        }
-        // Sort rows within each permuted column.
-        let mut scratch: Vec<(usize, f64)> = Vec::new();
-        for j in 0..n {
-            let r = col_ptr[j]..col_ptr[j + 1];
-            scratch.clear();
-            scratch.extend(rows[r.clone()].iter().copied().zip(vals[r.clone()].iter().copied()));
-            scratch.sort_unstable_by_key(|&(i, _)| i);
-            for (k, &(i, v)) in scratch.iter().enumerate() {
-                rows[r.start + k] = i;
-                vals[r.start + k] = v;
-            }
+        assert_eq!(self.nrows, n, "permute_symmetric needs a square matrix");
+        assert_eq!(perm.len(), n, "permute_symmetric: permutation length differs from the order");
+        assert!(
+            n <= u32::MAX as usize,
+            "permute_symmetric: order {n} exceeds u32::MAX, the range of its packed sort keys"
+        );
+        let mut col_ptr = Vec::with_capacity(n + 1);
+        let mut rows = Vec::with_capacity(self.nnz());
+        let mut vals = Vec::with_capacity(self.nnz());
+        let mut keys: Vec<u64> = Vec::new();
+        col_ptr.push(0);
+        for new_j in 0..n {
+            let src = self.col_range(perm.old_of(new_j));
+            let (src_rows, src_vals) = (&self.row_idx[src.clone()], &self.values[src]);
+            keys.clear();
+            keys.extend(
+                src_rows
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &i)| ((perm.new_of(i) as u64) << 32) | k as u64),
+            );
+            keys.sort_unstable();
+            rows.extend(keys.iter().map(|&key| (key >> 32) as usize));
+            vals.extend(keys.iter().map(|&key| src_vals[key as u32 as usize]));
+            col_ptr.push(rows.len());
         }
         CscMatrix::from_raw_parts(n, n, col_ptr, rows, vals, self.symmetry)
     }
@@ -313,6 +314,8 @@ impl CscMatrix {
 mod tests {
     use super::*;
     use crate::coo::CooMatrix;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample() -> CscMatrix {
         // [ 1 0 2 ]
@@ -370,6 +373,107 @@ mod tests {
                 assert_eq!(b.get(p.new_of(i), p.new_of(j)), a.get(i, j));
             }
         }
+    }
+
+    /// Random square matrix with the edge shapes of `permute_symmetric`:
+    /// a dense column (and, when symmetric, its dense row), columns left
+    /// empty, and values whose bits tell entries apart (`-0.0` included).
+    fn random_square(n: usize, sym: Symmetry, rng: &mut SmallRng) -> CscMatrix {
+        let mut cells = std::collections::BTreeMap::new();
+        let mut put = |i: usize, j: usize, v: f64| {
+            cells.insert((j, i), v);
+            if sym == Symmetry::Symmetric {
+                cells.insert((i, j), v);
+            }
+        };
+        if n > 0 {
+            let dense = rng.gen_range(0..n);
+            for i in 0..n {
+                put(i, dense, if i % 5 == 0 { -0.0 } else { i as f64 + 0.5 });
+            }
+            for _ in 0..2 * n {
+                let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if j % 3 != 1 && i % 3 != 1 {
+                    put(i, j, rng.gen::<f64>() - 0.5);
+                }
+            }
+        }
+        let mut col_ptr = vec![0; n + 1];
+        for &(j, _) in cells.keys() {
+            col_ptr[j + 1] += 1;
+        }
+        for j in 0..n {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        let rows = cells.keys().map(|&(_, i)| i).collect();
+        let vals = cells.values().copied().collect();
+        CscMatrix::from_raw_parts(n, n, col_ptr, rows, vals, sym)
+    }
+
+    fn random_permutation(n: usize, rng: &mut SmallRng) -> Permutation {
+        let mut order: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            order.swap(i, rng.gen_range(0..=i));
+        }
+        Permutation::from_elimination_order(order).unwrap()
+    }
+
+    #[test]
+    fn permute_symmetric_matches_entrywise_reference() {
+        let mut rng = SmallRng::seed_from_u64(20);
+        for n in [0, 1, 2, 3, 7, 16, 41] {
+            for sym in [Symmetry::General, Symmetry::Symmetric] {
+                let a = random_square(n, sym, &mut rng);
+                let p = random_permutation(n, &mut rng);
+                let b = a.permute_symmetric(&p);
+                assert!(b.validate().is_ok(), "n={n}: {:?}", b.validate());
+                assert_eq!((b.nrows(), b.ncols(), b.nnz()), (n, n, a.nnz()));
+                assert_eq!(b.symmetry(), sym);
+                for j in 0..n {
+                    for i in 0..n {
+                        let (want, got) = (a.get(i, j), b.get(p.new_of(i), p.new_of(j)));
+                        assert_eq!(got.to_bits(), want.to_bits(), "n={n} ({i},{j})");
+                    }
+                    assert_eq!(b.col_range(p.new_of(j)).len(), a.col_range(j).len());
+                }
+                assert_eq!(b.permute_symmetric(&p.inverse()), a);
+            }
+        }
+    }
+
+    #[test]
+    fn permute_symmetric_moves_values_with_their_entries() {
+        // Two matrices of one pattern: the permuted patterns agree and
+        // every value arrives bit for bit, whatever it is.
+        let mut rng = SmallRng::seed_from_u64(21);
+        let a = random_square(23, Symmetry::General, &mut rng);
+        let odd = [f64::NAN, f64::INFINITY, -0.0, f64::MIN_POSITIVE / 2.0, 1.0 + f64::EPSILON];
+        let vals: Vec<f64> =
+            (0..a.nnz()).map(|k| odd[k % odd.len()] * (1 + k / 5) as f64).collect();
+        let b = CscMatrix::from_raw_parts(
+            23,
+            23,
+            a.col_ptr().to_vec(),
+            a.row_idx().to_vec(),
+            vals,
+            Symmetry::General,
+        );
+        let p = random_permutation(23, &mut rng);
+        let (pa, pb) = (a.permute_symmetric(&p), b.permute_symmetric(&p));
+        assert_eq!((pa.col_ptr(), pa.row_idx()), (pb.col_ptr(), pb.row_idx()));
+        for j in 0..23 {
+            for (&i, &v) in b.rows_in_col(j).iter().zip(b.vals_in_col(j)) {
+                let col = pb.col_range(p.new_of(j));
+                let k = pb.row_idx()[col.clone()].binary_search(&p.new_of(i)).unwrap();
+                assert_eq!(pb.values()[col.start + k].to_bits(), v.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation length differs")]
+    fn permute_symmetric_rejects_a_short_permutation() {
+        sample().permute_symmetric(&Permutation::identity(2));
     }
 
     #[test]

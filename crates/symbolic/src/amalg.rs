@@ -172,13 +172,14 @@ pub fn build_assembly_tree(
 mod tests {
     use super::*;
     use crate::colcount::col_counts;
-    use crate::etree::etree;
-    use crate::testmat::{figure1_matrix, tridiag};
+    use crate::etree::postorder;
+    use crate::testmat::{figure1_matrix, natural_etree, tridiag};
 
     fn analyze_raw(a: &mf_sparse::CscMatrix, opts: &AmalgamationOptions) -> AssemblyTree {
-        let parent = etree(a);
+        let parent = natural_etree(a);
         assert!(crate::etree::is_postordered(&parent), "fixture must be postordered");
-        let counts = col_counts(a, &parent);
+        let id = mf_sparse::Permutation::identity(a.ncols());
+        let counts = col_counts(a, &id, &parent, &postorder(&parent));
         build_assembly_tree(&parent, &counts, mf_sparse::Symmetry::Symmetric, opts)
     }
 

@@ -1,36 +1,78 @@
-//! Exact column counts of the Cholesky factor.
+//! Exact column counts of the Cholesky factor: the Gilbert–Ng–Peyton
+//! skeleton count, `O(nnz · α(n))`, without forming the factor's pattern.
 
 use crate::etree::NONE;
-use mf_sparse::CscMatrix;
+use mf_sparse::{CscMatrix, Permutation};
 
-/// Exact nonzero count of every column of `L` (diagonal included), for a
-/// structurally symmetric pattern with elimination tree `parent`.
+/// Exact nonzero count of every column of `L` (diagonal included) for
+/// `P A Pᵀ`, read through `p` as [`crate::etree::etree`] reads it. `a` is
+/// structurally symmetric, `parent` is the elimination tree of `P A Pᵀ`
+/// and `post` a postorder of it; the counts are in `parent`'s labels.
 ///
-/// Uses the row-subtree characterization: `L(i, j) != 0` iff `j` lies on
-/// the etree path from some `k` with `A(i, k) != 0, k <= i`, up to `i`.
-/// Walking each row's subtree with per-row marks visits every factor entry
-/// exactly once, so the cost is `O(|L|)` with `O(n)` memory.
-pub fn col_counts(a: &CscMatrix, parent: &[usize]) -> Vec<usize> {
-    let n = a.ncols();
-    let mut counts = vec![1usize; n]; // the diagonal
-    let mut mark = vec![NONE; n]; // last row that visited each column
-    for i in 0..n {
-        mark[i] = i;
-        // Upper-triangle entries of column i are the row-i pattern.
-        for &k in a.rows_in_col(i) {
-            if k >= i {
-                continue;
-            }
-            let mut j = k;
-            while mark[j] != i {
-                mark[j] = i;
-                counts[j] += 1;
-                j = parent[j];
-                debug_assert_ne!(j, NONE, "row subtree must stay below the diagonal");
-            }
+/// Row `i` of `L` is the union of the etree paths from the columns
+/// `j < i` with `A(i, j) != 0` up to `i`: its *row subtree*. Column `j`
+/// gains an entry from every row subtree it is a leaf of and loses what
+/// two consecutive leaves share above their least common ancestor, so it
+/// is enough to visit the columns in postorder, recognise leaves by the
+/// first-descendant test (`first[j] > maxfirst[i]`), find the ancestor in
+/// a path-compressed disjoint-set forest, and sum the resulting deltas up
+/// the tree. No entry of `L` outside `A` is ever touched.
+pub fn col_counts(a: &CscMatrix, p: &Permutation, parent: &[usize], post: &[usize]) -> Vec<usize> {
+    let n = parent.len();
+    assert_eq!(a.ncols(), n, "col_counts: the tree has another order than the matrix");
+    // first[j]: postorder rank of j's first descendant. Deltas can dip
+    // below zero before they are summed, hence signed.
+    let mut first = vec![NONE; n];
+    let mut delta = vec![0isize; n];
+    for (k, &leaf) in post.iter().enumerate() {
+        if first[leaf] == NONE {
+            delta[leaf] = 1; // a leaf of the etree: its own diagonal
+        }
+        let mut j = leaf;
+        while j != NONE && first[j] == NONE {
+            first[j] = k;
+            j = parent[j];
         }
     }
-    counts
+    let mut maxfirst = vec![0usize; n]; // 1 + largest first[] seen in row i, 0 for none
+    let mut prevleaf = vec![NONE; n]; // previous leaf of row subtree i
+    let mut ancestor: Vec<usize> = (0..n).collect();
+    for &j in post {
+        if parent[j] != NONE {
+            delta[parent[j]] -= 1; // j is not a root
+        }
+        for &r in a.rows_in_col(p.old_of(j)) {
+            let i = p.new_of(r);
+            if i <= j || first[j] < maxfirst[i] {
+                continue; // not below the diagonal, or not a leaf of row subtree i
+            }
+            maxfirst[i] = first[j] + 1;
+            let jprev = std::mem::replace(&mut prevleaf[i], j);
+            delta[j] += 1;
+            if jprev != NONE {
+                // Least common ancestor of the two leaves, then compress.
+                let mut q = jprev;
+                while q != ancestor[q] {
+                    q = ancestor[q];
+                }
+                let mut s = jprev;
+                while s != q {
+                    s = std::mem::replace(&mut ancestor[s], q);
+                }
+                delta[q] -= 1;
+            }
+        }
+        if parent[j] != NONE {
+            ancestor[j] = parent[j];
+        }
+    }
+    // parent[j] > j, so index order sums children before parents.
+    for j in 0..n {
+        if parent[j] != NONE {
+            delta[parent[j]] += delta[j];
+        }
+    }
+    delta.into_iter().map(|d| usize::try_from(d).expect("column counts are positive")).collect()
 }
 
 /// Total factor entries `Σ counts[j]` (one triangle).
@@ -41,8 +83,14 @@ pub fn factor_entries(counts: &[usize]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::etree::etree;
+    use crate::etree::postorder;
+    use crate::testmat::natural_etree;
     use mf_sparse::CooMatrix;
+
+    fn natural_counts(a: &CscMatrix) -> Vec<usize> {
+        let parent = natural_etree(a);
+        col_counts(a, &Permutation::identity(a.ncols()), &parent, &postorder(&parent))
+    }
 
     fn dense_l_counts(a: &CscMatrix) -> Vec<usize> {
         // Reference: naive symbolic elimination.
@@ -63,8 +111,7 @@ mod tests {
     #[test]
     fn matches_naive_on_figure1() {
         let a = crate::testmat::figure1_matrix();
-        let parent = etree(&a);
-        let counts = col_counts(&a, &parent);
+        let counts = natural_counts(&a);
         assert_eq!(counts, dense_l_counts(&a));
         assert_eq!(counts, vec![4, 3, 4, 3, 2, 1]);
     }
@@ -72,15 +119,13 @@ mod tests {
     #[test]
     fn matches_naive_on_random_grid() {
         let a = mf_sparse::gen::grid::grid2d(7, 6, mf_sparse::gen::grid::Stencil::Box);
-        let parent = etree(&a);
-        assert_eq!(col_counts(&a, &parent), dense_l_counts(&a));
+        assert_eq!(natural_counts(&a), dense_l_counts(&a));
     }
 
     #[test]
     fn diagonal_matrix_counts_are_one() {
         let a = CscMatrix::identity(5, 1.0);
-        let parent = etree(&a);
-        assert_eq!(col_counts(&a, &parent), vec![1; 5]);
+        assert_eq!(natural_counts(&a), vec![1; 5]);
     }
 
     #[test]
@@ -94,8 +139,7 @@ mod tests {
             coo.push(i, i - 1, -1.0).unwrap();
         }
         let a = coo.to_csc();
-        let parent = etree(&a);
-        let c = col_counts(&a, &parent);
+        let c = natural_counts(&a);
         assert_eq!(c, vec![2, 2, 2, 2, 2, 1]);
         assert_eq!(factor_entries(&c), 11);
     }

@@ -1,24 +1,27 @@
 //! Elimination tree of a structurally symmetric pattern (Liu's algorithm).
 
-use mf_sparse::CscMatrix;
+use mf_sparse::{CscMatrix, Permutation};
 
 /// Parent pointer of a forest; `NONE` marks a root.
 pub const NONE: usize = usize::MAX;
 
-/// Computes the elimination tree of a square, structurally symmetric
-/// pattern: `parent[j]` is the smallest `i > j` with `L(i, j) != 0`, or
-/// [`NONE`] for a root. Runs Liu's algorithm with path compression
-/// (virtual ancestors), `O(nnz · α(n))`.
-pub fn etree(a: &CscMatrix) -> Vec<usize> {
+/// Computes the elimination tree of `P A Pᵀ` for a square, structurally
+/// symmetric `a`, without forming the permuted matrix: column `j` of it is
+/// column `p.old_of(j)` of `a` with its rows mapped through `p.new_of`.
+/// `parent[j]` is the smallest `i > j` with `L(i, j) != 0`, or [`NONE`]
+/// for a root. Runs Liu's algorithm with path compression (virtual
+/// ancestors), `O(nnz · α(n))`.
+pub fn etree(a: &CscMatrix, p: &Permutation) -> Vec<usize> {
     let n = a.ncols();
     assert_eq!(a.nrows(), n, "etree needs a square matrix");
+    assert_eq!(p.len(), n, "etree: permutation length differs from the order");
     let mut parent = vec![NONE; n];
     let mut ancestor = vec![NONE; n];
     for j in 0..n {
-        for &i in a.rows_in_col(j) {
+        for &r in a.rows_in_col(p.old_of(j)) {
             // Entries above the diagonal of column j = row j entries (by
             // structural symmetry); walk from each k < j towards the root.
-            let mut k = i;
+            let mut k = p.new_of(r);
             if k >= j {
                 continue;
             }
@@ -42,31 +45,34 @@ pub fn etree(a: &CscMatrix) -> Vec<usize> {
 /// deterministic.
 pub fn postorder(parent: &[usize]) -> Vec<usize> {
     let n = parent.len();
-    let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut roots = Vec::new();
-    for j in 0..n {
-        if parent[j] == NONE {
-            roots.push(j);
-        } else {
-            children[parent[j]].push(j);
-        }
+    // Child lists threaded through `head`/`next`; slot `n` heads the list
+    // of roots. Filling from the highest index down leaves every list in
+    // increasing order.
+    let mut head = vec![NONE; n + 1];
+    let mut next = vec![NONE; n];
+    for j in (0..n).rev() {
+        let list = if parent[j] == NONE { n } else { parent[j] };
+        next[j] = head[list];
+        head[list] = j;
     }
     let mut post = Vec::with_capacity(n);
-    // Iterative DFS with explicit child cursors (trees can be deep: AMF on
-    // band matrices produces O(n)-depth chains).
-    let mut stack: Vec<(usize, usize)> = Vec::new();
-    for &r in &roots {
-        stack.push((r, 0));
-        while let Some(&mut (v, ref mut cur)) = stack.last_mut() {
-            if *cur < children[v].len() {
-                let c = children[v][*cur];
-                *cur += 1;
-                stack.push((c, 0));
+    // Iterative DFS that unlinks each child as it descends (trees can be
+    // deep: AMF on band matrices produces O(n)-depth chains).
+    let mut stack: Vec<usize> = Vec::new();
+    let mut root = head[n];
+    while root != NONE {
+        stack.push(root);
+        while let Some(&v) = stack.last() {
+            let c = head[v];
+            if c != NONE {
+                head[v] = next[c];
+                stack.push(c);
             } else {
                 post.push(v);
                 stack.pop();
             }
         }
+        root = next[root];
     }
     debug_assert_eq!(post.len(), n);
     post
@@ -109,13 +115,13 @@ pub fn child_counts(parent: &[usize]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testmat::figure1_matrix;
+    use crate::testmat::{figure1_matrix, natural_etree};
     use mf_sparse::CooMatrix;
 
     #[test]
     fn figure1_etree() {
         let a = figure1_matrix();
-        let parent = etree(&a);
+        let parent = natural_etree(&a);
         assert_eq!(parent, vec![1, 4, 3, 4, 5, NONE]);
     }
 
@@ -128,14 +134,14 @@ mod tests {
         for i in 1..5 {
             coo.push(i, i - 1, -1.0).unwrap();
         }
-        let parent = etree(&coo.to_csc());
+        let parent = natural_etree(&coo.to_csc());
         assert_eq!(parent, vec![1, 2, 3, 4, NONE]);
     }
 
     #[test]
     fn diagonal_matrix_is_a_forest_of_singletons() {
         let a = mf_sparse::CscMatrix::identity(4, 1.0);
-        let parent = etree(&a);
+        let parent = natural_etree(&a);
         assert_eq!(parent, vec![NONE; 4]);
         let post = postorder(&parent);
         assert_eq!(post.len(), 4);
@@ -144,7 +150,7 @@ mod tests {
     #[test]
     fn postorder_parents_after_children() {
         let a = figure1_matrix();
-        let parent = etree(&a);
+        let parent = natural_etree(&a);
         let post = postorder(&parent);
         let mut pos = [0usize; 6];
         for (k, &v) in post.iter().enumerate() {
@@ -160,7 +166,7 @@ mod tests {
     #[test]
     fn figure1_is_already_postordered() {
         let a = figure1_matrix();
-        let parent = etree(&a);
+        let parent = natural_etree(&a);
         assert!(is_postordered(&parent));
     }
 

@@ -1,10 +1,14 @@
 //! Symbolic analysis for the multifrontal method.
 //!
-//! From a (permuted) sparse pattern this crate derives everything the
-//! factorization and the schedulers need *before* any number is touched:
+//! From a sparse pattern and a fill-reducing ordering this crate derives
+//! everything the factorization and the schedulers need *before* any
+//! number is touched:
 //!
-//! 1. the **elimination tree** ([`etree`]) and its postorder;
-//! 2. exact **column counts** of the factor ([`colcount`]);
+//! 1. the **elimination tree** ([`etree`]) of the permuted matrix, read
+//!    through the ordering without forming `P A Pᵀ`, and its postorder;
+//! 2. exact **column counts** of the factor ([`colcount`]): the
+//!    Gilbert–Ng–Peyton skeleton count, `O(nnz · α)`, through the same
+//!    ordering;
 //! 3. fundamental supernodes, relaxed **amalgamation** ([`amalg`]), and the
 //!    resulting **assembly tree** ([`tree::AssemblyTree`]) with per-front
 //!    sizes, contribution-block sizes and flop counts;
@@ -53,23 +57,46 @@ pub struct SymbolicAnalysis {
 
 /// One-call symbolic analysis.
 ///
-/// Permutes `a` by the fill-reducing ordering `p`, symmetrizes the pattern
-/// if `a` is unsymmetric (as MUMPS does), relabels by an elimination-tree
-/// postorder so supernode pivots are contiguous, and amalgamates
-/// fundamental supernodes into the assembly tree.
+/// Reads `a` through the fill-reducing ordering `p` instead of permuting
+/// it: structural symmetry is decided on `a` itself (a symmetric
+/// permutation cannot change it; an unsymmetric pattern is replaced by
+/// `A + Aᵀ`, as MUMPS does), the elimination tree and the column counts
+/// of `P A Pᵀ` are computed through `p`, and both are relabelled by an
+/// etree postorder so supernode pivots are contiguous — a topological
+/// relabelling changes neither. The one permutation applied to the matrix
+/// is the total one, to produce [`SymbolicAnalysis::pattern`]. Fundamental
+/// supernodes are then amalgamated into the assembly tree.
+///
+/// # Panics
+/// If `a` is not square or `p` is not a permutation of its columns.
 pub fn analyze(a: &CscMatrix, p: &Permutation, opts: &AmalgamationOptions) -> SymbolicAnalysis {
+    let n = a.ncols();
+    assert_eq!(a.nrows(), n, "analyze needs a square matrix");
+    assert_eq!(p.len(), n, "analyze: the ordering's length differs from the matrix order");
     let sym = a.symmetry();
-    let pa = a.permute_symmetric(p);
-    let pattern = if pa.is_structurally_symmetric() { pa } else { pa.symmetrized() };
-    let parent = etree::etree(&pattern);
+    let symmetrized;
+    let a = if a.is_structurally_symmetric() {
+        a
+    } else {
+        symmetrized = a.symmetrized();
+        &symmetrized
+    };
+    let parent = etree::etree(a, p);
     let post = etree::postorder(&parent);
+    let counts = colcount::col_counts(a, p, &parent, &post);
+    // Relabel both by the postorder: column `post[k]` becomes column `k`.
     let p2 = Permutation::from_elimination_order(post).expect("postorder is a bijection");
-    let pattern = pattern.permute_symmetric(&p2);
-    let parent = etree::etree(&pattern);
+    let post = p2.elimination_order();
+    let parent: Vec<usize> = post
+        .iter()
+        .map(|&j| if parent[j] == etree::NONE { etree::NONE } else { p2.new_of(parent[j]) })
+        .collect();
+    let counts: Vec<usize> = post.iter().map(|&j| counts[j]).collect();
     debug_assert!(etree::is_postordered(&parent));
-    let counts = colcount::col_counts(&pattern, &parent);
     let tree = amalg::build_assembly_tree(&parent, &counts, sym, opts);
-    SymbolicAnalysis { tree, perm: p.then(&p2), pattern }
+    let perm = p.then(&p2);
+    let pattern = a.permute_symmetric(&perm);
+    SymbolicAnalysis { tree, perm, pattern }
 }
 
 /// Convenience wrapper: symbolic analysis with the identity fill-reducing
@@ -81,4 +108,24 @@ pub fn analyze_natural(a: &CscMatrix, opts: &AmalgamationOptions) -> SymbolicAna
 /// Re-exported for convenience: symmetry tag of the analyzed problem.
 pub fn tree_symmetry(s: &SymbolicAnalysis) -> Symmetry {
     s.tree.sym
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "analyze needs a square matrix")]
+    fn analyze_rejects_a_rectangular_matrix() {
+        let mut coo = mf_sparse::CooMatrix::new(3, 2);
+        coo.push(2, 1, 1.0).unwrap();
+        analyze(&coo.to_csc(), &Permutation::identity(2), &AmalgamationOptions::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "the ordering's length differs from the matrix order")]
+    fn analyze_rejects_an_ordering_of_another_length() {
+        let a = testmat::figure1_matrix();
+        analyze(&a, &Permutation::identity(5), &AmalgamationOptions::default());
+    }
 }

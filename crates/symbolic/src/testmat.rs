@@ -1,6 +1,6 @@
 //! Shared test fixtures for the symbolic layer.
 
-use mf_sparse::{CooMatrix, CscMatrix};
+use mf_sparse::{CooMatrix, CscMatrix, Permutation};
 
 /// The 6x6 example of Figure 1 of the paper: assembly-tree supernodes
 /// {1,2}, {3,4}, {5,6} (0-based: {0,1}, {2,3}, {4,5}).
@@ -27,4 +27,9 @@ pub(crate) fn tridiag(n: usize) -> CscMatrix {
         coo.push(i, i - 1, -1.0).unwrap();
     }
     coo.to_csc()
+}
+
+/// Elimination tree of `a` in its own labels.
+pub(crate) fn natural_etree(a: &CscMatrix) -> Vec<usize> {
+    crate::etree::etree(a, &Permutation::identity(a.ncols()))
 }

@@ -3,6 +3,8 @@
 //! permutation algebra.
 
 use multifrontal::prelude::*;
+use multifrontal::symbolic::colcount::col_counts;
+use multifrontal::symbolic::etree::{etree, postorder, NONE};
 use multifrontal::symbolic::seqstack::{apply_liu_order, sequential_peak, AssemblyDiscipline};
 use proptest::prelude::*;
 
@@ -25,7 +27,67 @@ fn pattern(n: usize, edges: &[(usize, usize)]) -> CscMatrix {
     coo.to_csc()
 }
 
-fn naive_col_counts(a: &CscMatrix) -> Vec<usize> {
+/// The shapes the analysis has a special path for. Kind 0: connected,
+/// symmetric (`pattern`). Kind 1: the same couplings stored one-sided in a
+/// `General` matrix, so the pattern is unsymmetric and `analyze` takes the
+/// `A + Aᵀ` path. Kind 2: two blocks never linked plus isolated columns,
+/// one of them stored without its diagonal (a forest). Kind 3: diagonal only.
+fn shaped(kind: usize, n: usize, edges: &[(usize, usize)]) -> CscMatrix {
+    match kind % 4 {
+        0 => pattern(n, edges),
+        1 => {
+            let mut coo = CooMatrix::new(n, n);
+            for i in 0..n {
+                coo.push(i, i, 4.0).unwrap();
+            }
+            let mut seen = std::collections::HashSet::new();
+            for (k, &(a, b)) in edges.iter().enumerate() {
+                let (i, j) = (a % n, b % n);
+                if i != j && seen.insert((i, j)) {
+                    coo.push(i, j, -0.25 - k as f64).unwrap();
+                }
+            }
+            coo.to_csc()
+        }
+        2 => {
+            let (half, used) = (n / 2, n - n / 4);
+            let mut coo = CooMatrix::new_symmetric(n);
+            for i in 0..n - 1 {
+                coo.push(i, i, 4.0).unwrap();
+            }
+            let mut seen = std::collections::HashSet::new();
+            for &(a, b) in edges {
+                let (i, j) = (a % used, b % used);
+                if i != j && (i < half) == (j < half) && seen.insert((i.min(j), i.max(j))) {
+                    coo.push(i.max(j), i.min(j), -0.5).unwrap();
+                }
+            }
+            coo.to_csc()
+        }
+        _ => CscMatrix::identity(n, 2.0),
+    }
+}
+
+/// What `analyze` builds its tree on: `a`, or `A + Aᵀ` when the pattern
+/// is unsymmetric.
+fn symmetric_form(a: &CscMatrix) -> CscMatrix {
+    if a.is_structurally_symmetric() {
+        a.clone()
+    } else {
+        a.symmetrized()
+    }
+}
+
+/// Arg-sorts the first `n` keys into an elimination order.
+fn permutation(n: usize, keys: &[usize]) -> Permutation {
+    let mut idx: Vec<usize> = (0..n).collect();
+    idx.sort_by_key(|&i| (keys[i], i));
+    Permutation::from_elimination_order(idx).unwrap()
+}
+
+/// Naive symbolic elimination: the strictly lower pattern of every
+/// column of `L`.
+fn naive_fill(a: &CscMatrix) -> Vec<std::collections::BTreeSet<usize>> {
     let n = a.ncols();
     let mut adj: Vec<std::collections::BTreeSet<usize>> =
         (0..n).map(|j| a.rows_in_col(j).iter().copied().filter(|&i| i > j).collect()).collect();
@@ -37,7 +99,17 @@ fn naive_col_counts(a: &CscMatrix) -> Vec<usize> {
             }
         }
     }
-    (0..n).map(|j| adj[j].len() + 1).collect()
+    adj
+}
+
+fn naive_col_counts(a: &CscMatrix) -> Vec<usize> {
+    naive_fill(a).iter().map(|col| col.len() + 1).collect()
+}
+
+/// The etree by its definition: the first sub-diagonal entry of each
+/// column of `L`.
+fn naive_etree(a: &CscMatrix) -> Vec<usize> {
+    naive_fill(a).iter().map(|col| col.first().copied().unwrap_or(NONE)).collect()
 }
 
 proptest! {
@@ -63,19 +135,69 @@ proptest! {
 
     #[test]
     fn col_counts_match_naive_oracle(
+        kind in 0usize..4,
         n in 3usize..40,
         edges in prop::collection::vec((0usize..40, 0usize..40), 0..80),
+        keys in prop::collection::vec(0usize..1000, 40..41),
     ) {
-        let a = pattern(n, &edges);
-        // Counts are computed on the postordered pattern inside analyze();
-        // reproduce that pipeline explicitly.
-        let parent = multifrontal::symbolic::etree::etree(&a);
-        let post = multifrontal::symbolic::etree::postorder(&parent);
-        let p2 = Permutation::from_elimination_order(post).unwrap();
-        let ap = a.permute_symmetric(&p2);
-        let parent2 = multifrontal::symbolic::etree::etree(&ap);
-        let counts = multifrontal::symbolic::colcount::col_counts(&ap, &parent2);
-        prop_assert_eq!(counts, naive_col_counts(&ap));
+        // Counts read through a random ordering are the counts of the
+        // materialised permuted matrix.
+        let a = symmetric_form(&shaped(kind, n, &edges));
+        let p = permutation(n, &keys);
+        let parent = etree(&a, &p);
+        let counts = col_counts(&a, &p, &parent, &postorder(&parent));
+        prop_assert_eq!(counts, naive_col_counts(&a.permute_symmetric(&p)));
+    }
+
+    #[test]
+    fn etree_through_an_ordering_is_the_etree_of_the_permuted_matrix(
+        kind in 0usize..4,
+        n in 3usize..40,
+        edges in prop::collection::vec((0usize..40, 0usize..40), 0..80),
+        keys in prop::collection::vec(0usize..1000, 40..41),
+    ) {
+        let a = symmetric_form(&shaped(kind, n, &edges));
+        let p = permutation(n, &keys);
+        let pa = a.permute_symmetric(&p);
+        let parent = etree(&a, &p);
+        prop_assert_eq!(&parent, &etree(&pa, &Permutation::identity(n)));
+        prop_assert_eq!(&parent, &naive_etree(&pa));
+        // The postorder is a bijection that puts children first, in
+        // increasing index order among siblings.
+        let post = postorder(&parent);
+        let rank = Permutation::from_elimination_order(post).unwrap();
+        for j in 0..n {
+            if parent[j] != NONE {
+                prop_assert!(rank.new_of(j) < rank.new_of(parent[j]));
+            }
+            for k in j + 1..n {
+                if parent[j] == parent[k] {
+                    prop_assert!(rank.new_of(j) < rank.new_of(k));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn analysis_under_a_random_ordering(
+        kind in 0usize..4,
+        n in 3usize..60,
+        edges in prop::collection::vec((0usize..60, 0usize..60), 0..150),
+        keys in prop::collection::vec(0usize..1000, 60..61),
+    ) {
+        let a = shaped(kind, n, &edges);
+        let p = permutation(n, &keys);
+        let s = analyze(&a, &p, &AmalgamationOptions::none());
+        prop_assert!(s.tree.validate().is_ok(), "{:?}", s.tree.validate());
+        prop_assert_eq!(s.tree.sym, a.symmetry());
+        prop_assert_eq!(s.tree.nodes.iter().map(|nd| nd.npiv).sum::<usize>(), n);
+        prop_assert_eq!(&s.pattern, &symmetric_form(&a).permute_symmetric(&s.perm));
+        // Without amalgamation the tree holds exactly the factor.
+        let l: usize = naive_col_counts(&s.pattern).iter().sum();
+        prop_assert_eq!(s.tree.total_factor_entries(), match a.symmetry() {
+            Symmetry::Symmetric => l as u64,
+            Symmetry::General => (2 * l - n) as u64,
+        });
     }
 
     #[test]
@@ -117,14 +239,9 @@ proptest! {
 
     #[test]
     fn permutation_algebra(
-        order in prop::collection::vec(0usize..1000, 1..50).prop_map(|v| {
-            // Build a permutation from arbitrary numbers by arg-sorting.
-            let mut idx: Vec<usize> = (0..v.len()).collect();
-            idx.sort_by_key(|&i| (v[i], i));
-            idx
-        })
+        keys in prop::collection::vec(0usize..1000, 1..50),
     ) {
-        let p = Permutation::from_elimination_order(order).unwrap();
+        let p = permutation(keys.len(), &keys);
         let inv = p.inverse();
         prop_assert_eq!(p.then(&inv), Permutation::identity(p.len()));
         prop_assert_eq!(inv.then(&p), Permutation::identity(p.len()));
