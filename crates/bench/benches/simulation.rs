@@ -4,7 +4,6 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mf_bench::sweep::{build_tree, paper_scale_config};
-use mf_core::config::{SlaveSelection, SolverConfig, TaskSelection};
 use mf_core::mapping::compute_mapping;
 use mf_core::parsim;
 use mf_order::OrderingKind;
@@ -13,13 +12,7 @@ use mf_sparse::gen::paper::PaperMatrix;
 fn bench_simulation(c: &mut Criterion) {
     let tree = build_tree(PaperMatrix::TwoTone, OrderingKind::Amd, None);
     let base_cfg = paper_scale_config(32);
-    let mem_cfg = SolverConfig {
-        slave_selection: SlaveSelection::Memory,
-        task_selection: TaskSelection::MemoryAware,
-        use_subtree_info: true,
-        use_prediction: true,
-        ..base_cfg.clone()
-    };
+    let mem_cfg = base_cfg.clone().with_memory_strategy();
     let map = compute_mapping(&tree, &base_cfg);
 
     let mut group = c.benchmark_group("simulation/twotone-amd-32p");

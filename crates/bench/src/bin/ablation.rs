@@ -46,46 +46,24 @@ const VARIANTS: &[Variant] = &[
         name: "alg2 only",
         cfg: |c| SolverConfig { task_selection: TaskSelection::MemoryAware, ..c },
     },
-    Variant {
-        name: "full memory (paper)",
-        cfg: |c| SolverConfig {
-            slave_selection: SlaveSelection::Memory,
-            task_selection: TaskSelection::MemoryAware,
-            use_subtree_info: true,
-            use_prediction: true,
-            ..c
-        },
-    },
+    Variant { name: "full memory (paper)", cfg: |c| c.with_memory_strategy() },
     Variant {
         name: "full + global alg2",
         cfg: |c| SolverConfig {
-            slave_selection: SlaveSelection::Memory,
             task_selection: TaskSelection::MemoryAwareGlobal,
-            use_subtree_info: true,
-            use_prediction: true,
-            ..c
+            ..c.with_memory_strategy()
         },
     },
     Variant {
         name: "hybrid (conclusion)",
         cfg: |c| SolverConfig {
             slave_selection: SlaveSelection::Hybrid,
-            task_selection: TaskSelection::MemoryAware,
-            use_subtree_info: true,
-            use_prediction: true,
-            ..c
+            ..c.with_memory_strategy()
         },
     },
     Variant {
         name: "mem-aware subtrees",
-        cfg: |c| SolverConfig {
-            slave_selection: SlaveSelection::Memory,
-            task_selection: TaskSelection::MemoryAware,
-            use_subtree_info: true,
-            use_prediction: true,
-            subtree_peak_factor: Some(1.0),
-            ..c
-        },
+        cfg: |c| SolverConfig { subtree_peak_factor: Some(1.0), ..c.with_memory_strategy() },
     },
 ];
 

@@ -18,7 +18,7 @@
 //! job short; the full grid is the local acceptance run).
 
 use mf_bench::sweep::{build_tree, paper_scale_config};
-use mf_core::config::{SlaveSelection, SolverConfig, TaskSelection};
+use mf_core::config::SolverConfig;
 use mf_core::mapping::compute_mapping;
 use mf_core::parsim;
 use mf_core::CoreAlloc;
@@ -46,29 +46,13 @@ fn main() {
 
     type CfgOf = fn(usize) -> SolverConfig;
     let strategies: [(&str, CfgOf); 3] = [
-        ("workload", |n| SolverConfig {
-            slave_selection: SlaveSelection::Workload,
-            task_selection: TaskSelection::Lifo,
-            use_subtree_info: false,
-            use_prediction: false,
-            ..paper_scale_config(n)
-        }),
-        ("memory", |n| SolverConfig {
-            slave_selection: SlaveSelection::Memory,
-            task_selection: TaskSelection::MemoryAware,
-            use_subtree_info: true,
-            use_prediction: true,
-            ..paper_scale_config(n)
-        }),
+        ("workload", |n| paper_scale_config(n).with_workload_strategy()),
+        ("memory", |n| paper_scale_config(n).with_memory_strategy()),
         // Malleable grants feed the shared speedup-curve duration model;
         // both backends must still agree tick for tick.
         ("malleable", |n| SolverConfig {
-            slave_selection: SlaveSelection::Memory,
-            task_selection: TaskSelection::MemoryAware,
-            use_subtree_info: true,
-            use_prediction: true,
             core_alloc: CoreAlloc::malleable(4 * n),
-            ..paper_scale_config(n)
+            ..paper_scale_config(n).with_memory_strategy()
         }),
     ];
 

@@ -26,7 +26,7 @@
 //! Usage: `malleable_table [--nprocs N]` (default 32).
 
 use mf_bench::sweep::{build_tree, paper_scale_config};
-use mf_core::config::{SlaveSelection, SolverConfig, TaskSelection};
+use mf_core::config::SolverConfig;
 use mf_core::mapping::compute_mapping;
 use mf_core::{parsim, CoreAlloc};
 use mf_order::OrderingKind;
@@ -40,14 +40,7 @@ const STATIC_BUDGETS: [usize; 3] = [1, 2, 4];
 const ORACLE_BUDGET: usize = 8;
 
 fn cfg_with(nprocs: usize, alloc: CoreAlloc) -> SolverConfig {
-    SolverConfig {
-        slave_selection: SlaveSelection::Memory,
-        task_selection: TaskSelection::MemoryAware,
-        use_subtree_info: true,
-        use_prediction: true,
-        core_alloc: alloc,
-        ..paper_scale_config(nprocs)
-    }
+    SolverConfig { core_alloc: alloc, ..paper_scale_config(nprocs).with_memory_strategy() }
 }
 
 fn main() {

@@ -1,133 +1,155 @@
-//! `mf-obs` — run auditing, cross-run diffing, and telemetry timelines.
-//!
-//! The observability companion to the table binaries: where `explain`
-//! narrates *why* a run peaked, `mf-obs` checks that runs are *correct*
-//! and tells two runs apart. Three subcommands:
+//! `mf-obs` — the observability tool: explains, audits and compares runs
+//! from their flight recordings.
 //!
 //! ```text
-//! mf-obs audit [MATRIX] [ORDERING] [--nprocs N] [--split] [--check-all]
-//!              [--kill IDX:PROC]... [--join IDX:PROC]...
-//! mf-obs diff backends   [MATRIX] [ORDERING] [--nprocs N]
-//! mf-obs diff strategies [MATRIX] [ORDERING] [--nprocs N]
-//! mf-obs diff faults     [MATRIX] [ORDERING] [--nprocs N]
-//!                        [--kill IDX:PROC]... [--join IDX:PROC]...
+//! mf-obs explain   [MATRIX] [ORDERING] [--nprocs N] [--split] [--obs-dir DIR]
+//!                  [--cores] [--kill IDX:PROC]... [--join IDX:PROC]...
+//! mf-obs audit     [MATRIX] [ORDERING] [--nprocs N] [--split]
+//!                  [--kill IDX:PROC]... [--join IDX:PROC]...
+//! mf-obs check-all [ORDERING] [--nprocs N] [--split] [--obs-dir DIR]
+//! mf-obs diff backends|strategies [MATRIX] [ORDERING] [--nprocs N] [--split]
+//! mf-obs diff faults [MATRIX] [ORDERING] [--nprocs N] [--split]
+//!                    [--kill IDX:PROC]... [--join IDX:PROC]...
 //! mf-obs diff sweeps OLD.json NEW.json
-//! mf-obs timeline [MATRIX] [ORDERING] [--nprocs N] [--every TICKS]
-//!                 [--strategy baseline|memory] [--format csv|jsonl|prom]
+//! mf-obs timeline  [MATRIX] [ORDERING] [--nprocs N] [--split] [--every TICKS]
+//!                  [--strategy baseline|memory] [--format csv|jsonl|prom]
 //! ```
 //!
-//! * **audit** replays a cell with the flight recorder on and verifies
-//!   the protocol invariants (`mf_sim::audit`): memory-account balance,
-//!   compute-span pairing, activation epochs, membership fencing. Every
-//!   violation prints as a typed finding naming the processor, node and
-//!   area; any finding exits nonzero. `--check-all` sweeps every paper
-//!   matrix under both strategies (CI runs this on both backends via
-//!   `MF_BACKEND`); `--kill`/`--join` audit a recovery run under the
-//!   given membership-fault schedule.
+//! Default cell: TWOTONE / AMD / 32 processors, no splitting. An unknown
+//! flag or word, or a flag without its value, is a usage error (exit 2)
+//! on every subcommand; only `diff sweeps` takes paths.
+//!
+//! * **explain** answers what the tables cannot — *why* did a run peak
+//!   where it did? The cell is run under both strategies with the flight
+//!   recorder on, each recording is replayed, and the report prints the
+//!   peak instant and live-front **composition** of every processor's
+//!   active-memory peak (entries per front/stack item, asserted to sum
+//!   bit-exactly to the solver's `active_peak`), the **decision chain**
+//!   into the machine-wide peak (what the deciding master *believed* —
+//!   the recorded metric vector and view ages — against the ground truth
+//!   replayed from the same recording), and the **strategy diff** that
+//!   `diff strategies` prints. With `--obs-dir` the cell's Perfetto
+//!   traces and run summary are exported too. `--kill`/`--join` replace
+//!   the report with a **recovery replay**: the memory-based run under
+//!   that membership-fault schedule (kill/join processor `PROC` at
+//!   delivered-event index `IDX`), narrated from its recording — every
+//!   loss, the subtree reassignment chain, every join with its
+//!   migrations — then the recovery counters and the factor-digest
+//!   comparison against the fault-free run. `--cores` replaces it with a
+//!   **core-allocation timeline**: the run under `CoreAlloc::Malleable`,
+//!   every `CoreGrant` replayed against the granted front's depth in the
+//!   assembly tree (leaf storms run one core per front; the root chain
+//!   collects the pool), then the makespan against the static run.
+//! * **audit** verifies the protocol invariants on the same recordings
+//!   (`mf_sim::audit`): memory-account balance, compute-span pairing,
+//!   activation epochs, membership fencing. Every violation prints as a
+//!   typed finding naming the processor, node and area; any finding
+//!   exits 1. `--kill`/`--join` audit a recovery run instead.
+//! * **check-all** is the acceptance sweep: every paper matrix is run
+//!   once under both strategies (on the backend `MF_BACKEND` names) and
+//!   each recording gets the composition-sums-to-peak check *and* the
+//!   audit.
 //! * **diff** compares two runs. `backends` runs the same cell on the
 //!   simulator and the thread pool and reports the first divergent
 //!   recorded event (the bit-identity contract means there should be
 //!   none). `strategies` contrasts workload vs memory-based scheduling:
-//!   first divergent event, per-processor peak deltas, and how the
-//!   machine peak's composition moved. `faults` contrasts a fault-free
-//!   memory-strategy run with its twin under a kill/join schedule
-//!   (default: kill processor 1 at control-message 128) — the runs are
-//!   identical up to the membership event, and the diff shows what the
-//!   recovery machinery cost. `sweeps` diffs two
+//!   first divergent event, metric deltas, how the machine peak's
+//!   composition moved, per-processor peaks. `faults` contrasts a
+//!   fault-free memory-strategy run with its twin under a kill/join
+//!   schedule (default: kill processor 1 at delivered event 128) — the
+//!   runs are identical up to the membership event, and the diff shows
+//!   what the recovery machinery cost. `sweeps` diffs two
 //!   `BENCH_sweep.json`-style artifacts (commit vs commit) and names
 //!   every metric that moved.
 //! * **timeline** runs one strategy with the telemetry sampler armed
 //!   and dumps the time series to stdout as CSV, JSONL, or Prometheus
 //!   text exposition.
-//!
-//! Default cell: TWOTONE / AMD / 32 processors, matching `explain`.
 
 use mf_bench::obs::{self, die, parse_fault, parse_matrix, parse_ordering};
 use mf_bench::sweep::{
-    build_tree, paper_scale_config, split_threshold_for, sweep_cell_captured, Backend, CellResult,
-    DEFAULT_SAMPLE_INTERVAL,
+    build_tree, paper_scale_config, split_threshold_for, sweep_cell, Backend, CellResult,
 };
-use mf_core::config::{RecoveryConfig, SlaveSelection, SolverConfig, TaskSelection};
+use mf_core::config::{RecoveryConfig, SolverConfig};
 use mf_core::mapping::compute_mapping;
 use mf_core::parsim::{self, RunResult};
-use mf_order::OrderingKind;
-use mf_sim::{attribute_peaks, audit_recording, FaultModel, Recording};
+use mf_core::CoreAlloc;
+use mf_order::{OrderingKind, ALL_ORDERINGS};
+use mf_sim::recorder::{EventRef, SchedEvent};
+use mf_sim::{
+    active_before, attribute_peaks, audit_recording, FaultModel, PeakAttribution, Recording,
+};
 use mf_sparse::gen::paper::{PaperMatrix, ALL_PAPER_MATRICES};
 
-/// Options shared by the cell-running subcommands.
+/// `timeline`'s default sampling interval (virtual ticks). Paper-scale
+/// makespans run to a few hundred thousand ticks, so this yields on the
+/// order of a hundred samples per processor — dense enough for
+/// memory-evolution plots at one timer event per processor per interval.
+const DEFAULT_SAMPLE_INTERVAL: u64 = 10_000;
+
+/// Everything the command line can say; each subcommand reads its part.
 struct CellArgs {
     matrix: PaperMatrix,
     ordering: OrderingKind,
     nprocs: usize,
     split: Option<u64>,
-    check_all: bool,
+    cores: bool,
     kills: Vec<(u64, usize)>,
     joins: Vec<(u64, usize)>,
     every: u64,
     strategy: String,
     format: String,
-    rest: Vec<String>,
+    paths: Vec<String>,
 }
 
-fn parse_cell_args(args: impl Iterator<Item = String>) -> CellArgs {
+/// The one argument parser. Words are a matrix or an ordering — or, for
+/// `diff sweeps` (`paths`), file paths; anything else exits 2.
+fn parse_args(mut args: impl Iterator<Item = String>, paths: bool) -> CellArgs {
     let mut out = CellArgs {
         matrix: PaperMatrix::TwoTone,
         ordering: OrderingKind::Amd,
         nprocs: 32,
         split: None,
-        check_all: false,
+        cores: false,
         kills: Vec::new(),
         joins: Vec::new(),
         every: DEFAULT_SAMPLE_INTERVAL,
         strategy: "memory".into(),
         format: "csv".into(),
-        rest: Vec::new(),
+        paths: Vec::new(),
     };
-    let mut args = args.peekable();
     while let Some(a) = args.next() {
+        let mut value =
+            |what: &str| args.next().unwrap_or_else(|| die(&format!("{a} needs {what}")));
+        let one_of = |v: String, allowed: &[&str]| {
+            if !allowed.contains(&v.as_str()) {
+                die(&format!("{a} must be one of {}, got {v:?}", allowed.join(", ")));
+            }
+            v
+        };
         match a.as_str() {
-            "--nprocs" => {
-                let v = args.next().and_then(|v| v.parse().ok());
-                out.nprocs = v.unwrap_or_else(|| die("--nprocs needs an integer"));
-            }
+            "--nprocs" => out.nprocs = number(&a, &value("an integer")),
+            "--every" => out.every = number(&a, &value("a tick count")),
             "--split" => out.split = Some(split_threshold_for()),
-            "--check-all" => out.check_all = true,
-            "--kill" => {
-                let v = args.next().unwrap_or_else(|| die("--kill needs IDX:PROC"));
-                out.kills.push(parse_fault(&v, "--kill"));
-            }
-            "--join" => {
-                let v = args.next().unwrap_or_else(|| die("--join needs IDX:PROC"));
-                out.joins.push(parse_fault(&v, "--join"));
-            }
-            "--every" => {
-                let v = args.next().and_then(|v| v.parse().ok());
-                out.every = v.unwrap_or_else(|| die("--every needs a tick count"));
-            }
+            "--cores" => out.cores = true,
+            "--kill" => out.kills.push(parse_fault(&value("IDX:PROC"), "--kill")),
+            "--join" => out.joins.push(parse_fault(&value("IDX:PROC"), "--join")),
             "--strategy" => {
-                let v = args.next().unwrap_or_else(|| die("--strategy needs baseline|memory"));
-                if v != "baseline" && v != "memory" {
-                    die(&format!("--strategy must be baseline or memory, got {v:?}"));
-                }
-                out.strategy = v;
+                out.strategy = one_of(value("baseline|memory"), &["baseline", "memory"])
             }
-            "--format" => {
-                let v = args.next().unwrap_or_else(|| die("--format needs csv|jsonl|prom"));
-                if !matches!(v.as_str(), "csv" | "jsonl" | "prom") {
-                    die(&format!("--format must be csv, jsonl or prom, got {v:?}"));
-                }
-                out.format = v;
-            }
-            "--obs-dir" => {
-                args.next(); // consumed by obs::obs_dir()
-            }
-            other => {
-                if let Some(m) = parse_matrix(other) {
+            "--format" => out.format = one_of(value("csv|jsonl|prom"), &["csv", "jsonl", "prom"]),
+            "--obs-dir" => drop(value("a directory")), // read by obs::obs_dir()
+            word if paths && !word.starts_with("--") => out.paths.push(word.to_string()),
+            word => {
+                if let Some(m) = parse_matrix(word) {
                     out.matrix = m;
-                } else if let Some(k) = parse_ordering(other) {
+                } else if let Some(k) = parse_ordering(word) {
                     out.ordering = k;
                 } else {
-                    out.rest.push(other.to_string());
+                    die(&format!(
+                        "unknown argument {word:?}; matrices: {}; orderings: {}",
+                        ALL_PAPER_MATRICES.map(|m| m.name()).join(", "),
+                        ALL_ORDERINGS.map(|k| k.name()).join(", ")
+                    ));
                 }
             }
         }
@@ -135,31 +157,435 @@ fn parse_cell_args(args: impl Iterator<Item = String>) -> CellArgs {
     out
 }
 
-/// Strategy knobs for one arm of a cell, on top of a base config.
-fn strategy_cfg(strategy: &str, base: &SolverConfig) -> SolverConfig {
-    match strategy {
-        "baseline" => SolverConfig {
-            slave_selection: SlaveSelection::Workload,
-            task_selection: TaskSelection::Lifo,
-            use_subtree_info: false,
-            use_prediction: false,
-            ..base.clone()
-        },
-        _ => SolverConfig {
-            slave_selection: SlaveSelection::Memory,
-            task_selection: TaskSelection::MemoryAware,
-            use_subtree_info: true,
-            use_prediction: true,
-            ..base.clone()
-        },
+fn number<T: std::str::FromStr>(flag: &str, v: &str) -> T {
+    v.parse().unwrap_or_else(|_| die(&format!("{flag} needs an integer, got {v:?}")))
+}
+
+/// Paper scale with the flight recorder on (unbounded, so peak
+/// attribution is exact).
+fn recorded_cfg(nprocs: usize) -> SolverConfig {
+    SolverConfig { record_events: true, ..paper_scale_config(nprocs) }
+}
+
+/// The cell of `matrix` under both strategies, recorded.
+fn captured_cell(a: &CellArgs, matrix: PaperMatrix) -> CellResult {
+    sweep_cell(matrix, a.ordering, a.split, &recorded_cfg(a.nprocs))
+}
+
+/// The recorded memory-based strategy under a membership-fault schedule,
+/// recovery layer armed.
+fn recovery_cfg(nprocs: usize, kills: &[(u64, usize)], joins: &[(u64, usize)]) -> SolverConfig {
+    SolverConfig {
+        recovery: Some(RecoveryConfig::default()),
+        fault: Some(FaultModel {
+            kill_at: kills.to_vec(),
+            join_at: joins.to_vec(),
+            ..FaultModel::quiet(7)
+        }),
+        ..recorded_cfg(nprocs).with_memory_strategy()
     }
 }
 
-// ---------------------------------------------------------------- audit
+/// One simulated run of the cell's cached tree under `cfg`.
+fn run_sim(a: &CellArgs, cfg: &SolverConfig) -> RunResult {
+    let tree = build_tree(a.matrix, a.ordering, a.split);
+    let map = compute_mapping(&tree, cfg);
+    parsim::run(&tree, &map, cfg).unwrap_or_else(|e| die(&format!("run failed: {e}")))
+}
+
+fn recording(r: &RunResult) -> &Recording {
+    r.recording.as_ref().expect("the run was recorded")
+}
+
+// -------------------------------------------------------------- explain
+
+/// Asserts the report's central invariant for one run: the replayed
+/// composition of every processor's peak sums bit-exactly to the
+/// solver's own `active_peak`. Returns the attributions.
+fn checked_attribution(r: &RunResult) -> Vec<PeakAttribution> {
+    let rec = recording(r);
+    assert_eq!(rec.dropped(), 0, "peak attribution needs an uncapped recording");
+    let att = attribute_peaks(r.peaks.len(), rec);
+    for (p, a) in att.iter().enumerate() {
+        let sum: u64 = a.composition.iter().map(|it| it.entries).sum();
+        assert_eq!(sum, a.peak, "proc {p}: composition must sum to the replayed peak");
+        assert_eq!(
+            a.peak, r.peaks[p],
+            "proc {p}: replayed peak must equal the solver's active_peak"
+        );
+    }
+    att
+}
+
+/// Stream index of the event that first set processor `p`'s peak.
+fn peak_event_index(rec: &Recording, p: usize) -> Option<usize> {
+    let mut active = 0u64;
+    let mut peak = 0u64;
+    let mut idx = None;
+    for (i, te) in rec.events().enumerate() {
+        match te.ev {
+            EventRef::MemAlloc { proc, entries, .. } if proc == p => {
+                active += entries;
+                if active > peak {
+                    peak = active;
+                    idx = Some(i);
+                }
+            }
+            EventRef::MemFree { proc, entries, .. } if proc == p => {
+                active = active.saturating_sub(entries);
+            }
+            _ => {}
+        }
+    }
+    idx
+}
+
+/// Is this a scheduling *decision* involving processor `p`?
+fn involves(e: EventRef<'_>, p: usize) -> bool {
+    match e {
+        EventRef::Activate { proc, .. }
+        | EventRef::PoolDecision { proc, .. }
+        | EventRef::Forced { proc, .. } => proc == p,
+        EventRef::SlaveSelection { master, picked, .. } => {
+            master == p || picked.iter().any(|s| s.proc == p)
+        }
+        EventRef::Reselect { master, dropped, .. } => master == p || dropped.contains(p),
+        EventRef::StatusApply { to, .. } => to == p,
+        _ => false,
+    }
+}
+
+fn describe(e: &SchedEvent, p: usize, truth: &[u64]) -> String {
+    match e {
+        SchedEvent::Activate { proc, node, class } => {
+            format!("proc {proc} activates {} front n{node}", class.name())
+        }
+        SchedEvent::PoolDecision { proc, depth, picked } => match picked {
+            Some(n) => format!("proc {proc} picks n{n} from a pool of {depth}"),
+            None => format!("proc {proc} defers all {depth} pooled tasks (capacity verdict)"),
+        },
+        SchedEvent::Forced { proc, node, cost } => {
+            format!("stall-breaker forces n{node} on proc {proc} (cost {cost})")
+        }
+        SchedEvent::SlaveSelection {
+            master,
+            node,
+            metric,
+            view_age,
+            picked,
+            rounds,
+            serialized,
+        } => {
+            let mut s = format!("master {master} selects slaves for type-2 n{node}: ");
+            if *serialized {
+                s.push_str("serialized on master");
+            } else {
+                let parts: Vec<String> =
+                    picked.iter().map(|sl| format!("p{}\u{2190}{}", sl.proc, sl.entries)).collect();
+                s.push_str(&parts.join(" "));
+            }
+            if *rounds > 0 {
+                s.push_str(&format!(" after {rounds} capacity round(s)"));
+            }
+            // The believed-vs-actual contrast for the processor under the
+            // microscope: what the master's (stale) view said against the
+            // ground truth replayed at the same stream position.
+            s.push_str(&format!(
+                "; believed metric[p{p}]={} (view age {}), actual active={}",
+                metric[p], view_age[p], truth[p]
+            ));
+            s
+        }
+        SchedEvent::Reselect { master, node, dropped } => {
+            let procs: Vec<String> = dropped.iter().map(|q| format!("p{q}")).collect();
+            format!("master {master} drops {} over capacity on n{node}", procs.join(","))
+        }
+        SchedEvent::StatusApply { to, from, about, kind, age } => format!(
+            "proc {to} refreshes its view of p{about} ({} from p{from}, was {age} stale)",
+            kind.name()
+        ),
+        SchedEvent::CoreGrant { proc, node, cores, busy } => {
+            format!("proc {proc} grants n{node} {cores} core(s) ({busy} peer(s) believed busy)")
+        }
+        _ => String::new(),
+    }
+}
+
+/// Prints the decision chain leading into processor `p`'s peak: the last
+/// `limit` decisions involving `p` before (and including) the
+/// peak-setting instant.
+fn print_decision_chain(rec: &Recording, nprocs: usize, p: usize, limit: usize) {
+    let Some(peak_idx) = peak_event_index(rec, p) else {
+        println!("  (no memory traffic recorded for proc {p})");
+        return;
+    };
+    let decisions: Vec<(usize, mf_sim::Time, SchedEvent)> = rec
+        .events()
+        .enumerate()
+        .take(peak_idx + 1)
+        .filter(|(_, te)| involves(te.ev, p))
+        .map(|(i, te)| (i, te.at, te.ev.to_owned()))
+        .collect();
+    let skipped = decisions.len().saturating_sub(limit);
+    if skipped > 0 {
+        println!("  ... {skipped} earlier decision(s) elided ...");
+    }
+    for (i, at, e) in decisions.iter().rev().take(limit).rev() {
+        let truth = active_before(nprocs, rec, *i);
+        println!("  t={at:>8}  {}", describe(e, p, &truth));
+    }
+}
+
+fn print_report(name: &str, r: &RunResult) {
+    let att = checked_attribution(r);
+    let rec = recording(r);
+    println!("\n=== {name} strategy ===");
+    println!("{} ({} recorded events)", r.summary_line(), rec.len());
+    println!("\nper-processor peaks (composition verified to sum to active_peak):");
+    println!("{:>5} {:>12} {:>10} {:>6}  top fronts at the peak", "proc", "peak", "at", "live");
+    for a in &att {
+        let mut top: Vec<_> = a.composition.iter().collect();
+        top.sort_by_key(|it| std::cmp::Reverse(it.entries));
+        let head: Vec<String> = top
+            .iter()
+            .take(3)
+            .map(|it| format!("n{}/{}:{}", it.node, it.area.name(), it.entries))
+            .collect();
+        println!(
+            "{:>5} {:>12} {:>10} {:>6}  {}",
+            a.proc,
+            a.peak,
+            a.at,
+            a.composition.len(),
+            head.join("  ")
+        );
+    }
+
+    let worst = att.iter().max_by_key(|a| a.peak).expect("at least one processor");
+    println!(
+        "\nmachine peak: proc {} at t={} with {} entries across {} live items:",
+        worst.proc,
+        worst.at,
+        worst.peak,
+        worst.composition.len()
+    );
+    let mut comp: Vec<_> = worst.composition.iter().collect();
+    comp.sort_by_key(|it| std::cmp::Reverse(it.entries));
+    for it in comp.iter().take(12) {
+        println!(
+            "    n{:<6} {:6} {:>12} entries ({:>5.1}%)",
+            it.node,
+            it.area.name(),
+            it.entries,
+            100.0 * it.entries as f64 / worst.peak.max(1) as f64
+        );
+    }
+    if comp.len() > 12 {
+        let rest: u64 = comp.iter().skip(12).map(|it| it.entries).sum();
+        println!("    ... {} more items, {} entries", comp.len() - 12, rest);
+    }
+
+    println!("\ndecision chain into the machine peak (believed vs actual):");
+    print_decision_chain(rec, r.peaks.len(), worst.proc, 10);
+
+    println!("\n{}", r.metrics.traffic_line());
+    println!("{}", r.metrics.decisions_line());
+}
+
+/// `--kill`/`--join`: the recovery replay. Runs the cell under the given
+/// membership-fault schedule with the recorder on (memory-based
+/// strategy, recovery layer armed) and narrates the recording: losses,
+/// the subtree reassignment chain, joins with their migrations —
+/// asserting along the way that the run completed, the survivors
+/// drained, and the factors are exactly the fault-free run's.
+fn recovery_replay(args: &CellArgs) {
+    let plain = run_sim(args, &recorded_cfg(args.nprocs).with_memory_strategy());
+    let r = run_sim(args, &recovery_cfg(args.nprocs, &args.kills, &args.joins));
+    let rec = recording(&r);
+
+    println!("\n=== recovery replay ===");
+    println!("schedule: kills {:?}, joins {:?}", args.kills, args.joins);
+    println!("fault-free: {}", plain.summary_line());
+    println!("recovered:  {}", r.summary_line());
+
+    println!("\nmembership narrative (from the flight recording):");
+    let mut lines = 0usize;
+    for te in rec.events() {
+        match te.ev {
+            EventRef::ProcLost { proc, nodes_lost } => {
+                println!(
+                    "  t={:>8}  processor {proc} declared dead: {nodes_lost} unfinished \
+                     node(s) reclaimed for re-execution",
+                    te.at
+                );
+                lines += 1;
+            }
+            EventRef::SubtreeReassigned { root, from, to } => {
+                println!(
+                    "  t={:>8}    subtree rooted at n{root} reassigned p{from} -> p{to}",
+                    te.at
+                );
+                lines += 1;
+            }
+            EventRef::ProcJoined { proc, migrated } => {
+                println!(
+                    "  t={:>8}  processor {proc} joined: {migrated} pooled task(s) migrated \
+                     to it by rebalancing",
+                    te.at
+                );
+                lines += 1;
+            }
+            _ => {}
+        }
+    }
+    if lines == 0 {
+        println!("  (no membership change fired: the schedule lies past the run's end)");
+    }
+
+    assert_eq!(r.nodes_done, r.total_nodes, "recovered run lost fronts");
+    for (p, &a) in r.final_active.iter().enumerate() {
+        if !r.dead.contains(&p) {
+            assert_eq!(a, 0, "survivor {p} leaked {a} stack entries");
+        }
+    }
+    assert_eq!(
+        r.factor_digest, plain.factor_digest,
+        "recovered factors diverged from the fault-free run"
+    );
+
+    let rec_counters = r.metrics.recovery;
+    let summary = rec_counters.summary();
+    if !summary.is_empty() {
+        println!("\n{summary}");
+    }
+    println!(
+        "\nfactor digest {:016x}: recovered run identical to the fault-free run",
+        r.factor_digest
+    );
+    println!(
+        "degradation: makespan x{:.3}, survivor peak x{:.3}",
+        r.makespan as f64 / plain.makespan.max(1) as f64,
+        r.peaks
+            .iter()
+            .enumerate()
+            .filter(|(p, _)| !r.dead.contains(p))
+            .map(|(_, &pk)| pk)
+            .max()
+            .unwrap_or(0) as f64
+            / plain.max_peak.max(1) as f64
+    );
+}
+
+/// `--cores`: the core-allocation timeline. Re-runs the cell under
+/// `CoreAlloc::Malleable` with the recorder on and replays every
+/// `CoreGrant` against the granted front's assembly-tree depth, then
+/// summarizes grants per depth band — the malleable trade (tree
+/// parallelism near the leaves, front parallelism near the root) read
+/// straight off the flight recording.
+fn core_timeline(args: &CellArgs) {
+    let tree = build_tree(args.matrix, args.ordering, args.split);
+    let cfg_static = recorded_cfg(args.nprocs).with_memory_strategy();
+    let cfg_mall =
+        SolverConfig { core_alloc: CoreAlloc::malleable(4 * args.nprocs), ..cfg_static.clone() };
+    let fixed = run_sim(args, &cfg_static);
+    let r = run_sim(args, &cfg_mall);
+    let rec = recording(&r);
+
+    // Depth of every front below its root (roots at depth 0): parents
+    // precede children when the topological order is walked backwards.
+    let mut depth = vec![0usize; tree.len()];
+    for &v in tree.topo_order().iter().rev() {
+        for &c in &tree.nodes[v].children {
+            depth[c] = depth[v] + 1;
+        }
+    }
+
+    let grants: Vec<(mf_sim::Time, usize, usize, u32, u64)> = rec
+        .events()
+        .filter_map(|te| match te.ev {
+            EventRef::CoreGrant { proc, node, cores, busy } => {
+                Some((te.at, proc, node, cores, busy))
+            }
+            _ => None,
+        })
+        .collect();
+
+    println!("\n=== core-allocation timeline (malleable) ===");
+    println!("static:    {}", fixed.summary_line());
+    println!("malleable: {}", r.summary_line());
+    println!(
+        "\n{} grant decision(s) recorded; pool {} cores over {} processors:",
+        grants.len(),
+        4 * args.nprocs,
+        args.nprocs
+    );
+    let show = 20usize.min(grants.len());
+    for &(at, proc, node, cores, busy) in &grants[grants.len() - show..] {
+        println!(
+            "  t={at:>8}  p{proc:<3} n{node:<6} depth {:>2}: {cores} core(s), {busy} peer(s) busy",
+            depth[node]
+        );
+    }
+    if grants.len() > show {
+        println!("  (showing the last {show}; earlier grants elided)");
+    }
+
+    // Grants vs depth: the leaf storm should sit at 1 core/front, the
+    // root chain should collect the pool.
+    let maxd = grants.iter().map(|g| depth[g.2]).max().unwrap_or(0);
+    println!("\n{:>6} {:>8} {:>10} {:>10}", "depth", "grants", "mean", "max");
+    for d in 0..=maxd {
+        let at_d: Vec<u32> = grants.iter().filter(|g| depth[g.2] == d).map(|g| g.3).collect();
+        if at_d.is_empty() {
+            continue;
+        }
+        let mean = at_d.iter().map(|&c| c as f64).sum::<f64>() / at_d.len() as f64;
+        let max = at_d.iter().max().copied().unwrap_or(1);
+        println!("{:>6} {:>8} {:>10.2} {:>10}", d, at_d.len(), mean, max);
+    }
+    println!(
+        "\nmakespan: static {} -> malleable {} ({:+.1}%)",
+        fixed.makespan,
+        r.makespan,
+        100.0 * (r.makespan as f64 - fixed.makespan as f64) / fixed.makespan.max(1) as f64
+    );
+    assert_eq!(r.nodes_done, r.total_nodes, "malleable run must finish every front");
+}
+
+fn cmd_explain(args: &CellArgs) {
+    let header = format!(
+        "explain {} / {} on {} processors",
+        args.matrix.name(),
+        args.ordering.name(),
+        args.nprocs
+    );
+    if args.cores {
+        println!("{header} (core-allocation timeline)");
+        return core_timeline(args);
+    }
+    if !args.kills.is_empty() || !args.joins.is_empty() {
+        println!("{header} (recovery replay)");
+        return recovery_replay(args);
+    }
+    match args.split {
+        Some(t) => println!("{header}, split at {t} entries"),
+        None => println!("{header}"),
+    }
+    let c = captured_cell(args, args.matrix);
+    print_report("workload (baseline)", &c.baseline);
+    print_report("memory-based", &c.memory);
+    print_strategy_diff(&c);
+    let written = obs::maybe_export_cell(&c);
+    if written > 0 {
+        eprintln!("explain: exported {written} artifact(s)");
+    }
+}
+
+// ------------------------------------------------- audit and check-all
 
 /// Audits one run's recording; prints findings and returns their count.
 fn audit_run(what: &str, nprocs: usize, r: &RunResult) -> usize {
-    let rec = r.recording.as_ref().expect("audited runs carry a recording");
+    let rec = recording(r);
     let findings = audit_recording(nprocs, rec);
     if findings.is_empty() {
         println!("{what}: {} events, 0 findings", rec.len());
@@ -172,52 +598,56 @@ fn audit_run(what: &str, nprocs: usize, r: &RunResult) -> usize {
     findings.len()
 }
 
-fn audit_cell(c: &CellResult) -> usize {
-    let label = obs::cell_label(c);
-    let nprocs = c.baseline.peaks.len();
-    audit_run(&format!("{label} workload"), nprocs, &c.baseline)
-        + audit_run(&format!("{label} memory"), nprocs, &c.memory)
-}
-
-/// Audits a recovery run: the memory-based strategy under the given
-/// membership-fault schedule, recovery layer armed, recorder on.
-fn audit_recovery(a: &CellArgs) -> usize {
-    let tree = build_tree(a.matrix, a.ordering, a.split);
-    let cfg = SolverConfig {
-        recovery: Some(RecoveryConfig::default()),
-        fault: Some(FaultModel {
-            kill_at: a.kills.clone(),
-            join_at: a.joins.clone(),
-            ..FaultModel::quiet(7)
-        }),
-        record_events: true,
-        ..strategy_cfg("memory", &paper_scale_config(a.nprocs))
-    };
-    let map = compute_mapping(&tree, &cfg);
-    let r = parsim::run(&tree, &map, &cfg)
-        .unwrap_or_else(|e| die(&format!("recovery run failed: {e}")));
-    println!("recovery run (kills {:?}, joins {:?}): {}", a.kills, a.joins, r.summary_line());
-    audit_run(&format!("{} memory+recovery", a.matrix.name().to_lowercase()), a.nprocs, &r)
+/// Exits 1 naming the count if an audit found anything.
+fn exit_on_findings(cmd: &str, findings: usize) {
+    if findings > 0 {
+        eprintln!("mf-obs {cmd}: {findings} finding(s)");
+        std::process::exit(1);
+    }
 }
 
 fn cmd_audit(a: &CellArgs) {
-    let mut findings = 0usize;
-    if !a.kills.is_empty() || !a.joins.is_empty() {
-        findings += audit_recovery(a);
-    } else if a.check_all {
-        for m in ALL_PAPER_MATRICES {
-            let c = sweep_cell_captured(m, a.ordering, a.nprocs, a.split);
-            findings += audit_cell(&c);
-        }
+    let findings = if !a.kills.is_empty() || !a.joins.is_empty() {
+        let r = run_sim(a, &recovery_cfg(a.nprocs, &a.kills, &a.joins));
+        println!("recovery run (kills {:?}, joins {:?}): {}", a.kills, a.joins, r.summary_line());
+        audit_run(&format!("{} memory+recovery", a.matrix.name().to_lowercase()), a.nprocs, &r)
     } else {
-        let c = sweep_cell_captured(a.matrix, a.ordering, a.nprocs, a.split);
-        findings += audit_cell(&c);
-    }
-    if findings > 0 {
-        eprintln!("mf-obs audit: {findings} finding(s)");
-        std::process::exit(1);
-    }
+        let c = captured_cell(a, a.matrix);
+        let label = obs::cell_label(&c);
+        audit_run(&format!("{label} workload"), a.nprocs, &c.baseline)
+            + audit_run(&format!("{label} memory"), a.nprocs, &c.memory)
+    };
+    exit_on_findings("audit", findings);
     println!("audit: every invariant holds");
+}
+
+/// The acceptance sweep: every paper matrix run once, recorder on, and
+/// on each strategy's recording both checks — composition-sums-to-peak
+/// for every processor (via [`checked_attribution`]) and the audit.
+fn cmd_check_all(a: &CellArgs) {
+    let mut findings = 0usize;
+    for m in ALL_PAPER_MATRICES {
+        let c = captured_cell(a, m);
+        let label = obs::cell_label(&c);
+        for (name, r) in [("workload", &c.baseline), ("memory", &c.memory)] {
+            let att = checked_attribution(r);
+            let worst = att.iter().max_by_key(|at| at.peak).expect("at least one processor");
+            println!(
+                "{:12} {:5} {:8}: {} procs verified, machine peak {} on proc {} at t={}",
+                m.name(),
+                a.ordering.name(),
+                name,
+                att.len(),
+                worst.peak,
+                worst.proc,
+                worst.at
+            );
+            findings += audit_run(&format!("{label} {name}"), a.nprocs, r);
+        }
+        obs::maybe_export_cell(&c);
+    }
+    exit_on_findings("check-all", findings);
+    println!("check-all: every composition sums to its active_peak and every invariant holds");
 }
 
 // ----------------------------------------------------------------- diff
@@ -269,9 +699,8 @@ fn print_metric_deltas(aname: &str, bname: &str, a: &RunResult, b: &RunResult) {
 
 /// How the machine peak's composition moved between two runs.
 fn print_peak_composition_diff(a: &RunResult, b: &RunResult) {
-    let (ra, rb) = (a.recording.as_ref().unwrap(), b.recording.as_ref().unwrap());
-    let aa = attribute_peaks(a.peaks.len(), ra);
-    let ab = attribute_peaks(b.peaks.len(), rb);
+    let aa = attribute_peaks(a.peaks.len(), recording(a));
+    let ab = attribute_peaks(b.peaks.len(), recording(b));
     let wa = aa.iter().max_by_key(|x| x.peak).expect("procs");
     let wb = ab.iter().max_by_key(|x| x.peak).expect("procs");
     println!(
@@ -292,8 +721,7 @@ fn print_peak_composition_diff(a: &RunResult, b: &RunResult) {
 
 fn cmd_diff_backends(a: &CellArgs) {
     let tree = build_tree(a.matrix, a.ordering, a.split);
-    let base =
-        SolverConfig { record_events: true, event_capacity: None, ..paper_scale_config(a.nprocs) };
+    let base = recorded_cfg(a.nprocs);
     println!(
         "diff backends: {} / {} on {} processors (sim vs threads)",
         a.matrix.name(),
@@ -301,16 +729,17 @@ fn cmd_diff_backends(a: &CellArgs) {
         a.nprocs
     );
     let mut diverged = false;
-    for strategy in ["baseline", "memory"] {
-        let cfg = strategy_cfg(strategy, &base);
+    for (strategy, cfg) in [
+        ("baseline", base.clone().with_workload_strategy()),
+        ("memory", base.with_memory_strategy()),
+    ] {
         let map = compute_mapping(&tree, &cfg);
         let sim = Backend::Sim.run(&tree, &map, &cfg);
         let thr = Backend::Threads.run(&tree, &map, &cfg);
-        let (rs, rt) = (sim.recording.as_ref().unwrap(), thr.recording.as_ref().unwrap());
-        match first_divergence(rs, rt) {
+        match first_divergence(recording(&sim), recording(&thr)) {
             None => println!(
                 "{strategy}: identical — {} events, peaks and makespan agree bit-exactly",
-                rs.len()
+                recording(&sim).len()
             ),
             Some((i, x, y)) => {
                 diverged = true;
@@ -326,15 +755,12 @@ fn cmd_diff_backends(a: &CellArgs) {
     }
 }
 
-fn cmd_diff_strategies(a: &CellArgs) {
-    println!(
-        "diff strategies: {} / {} on {} processors (workload vs memory)",
-        a.matrix.name(),
-        a.ordering.name(),
-        a.nprocs
-    );
-    let c = sweep_cell_captured(a.matrix, a.ordering, a.nprocs, a.split);
-    let (ra, rb) = (c.baseline.recording.as_ref().unwrap(), c.memory.recording.as_ref().unwrap());
+/// The strategy-vs-strategy block, shared by `explain` and
+/// `diff strategies`: where the two schedules part, what that did to the
+/// run's totals, and where each processor's peak ended up.
+fn print_strategy_diff(c: &CellResult) {
+    println!("\n=== strategy vs strategy ===");
+    let (ra, rb) = (recording(&c.baseline), recording(&c.memory));
     match first_divergence(ra, rb) {
         None => println!("schedules identical ({} events)", ra.len()),
         Some((i, x, y)) => {
@@ -345,7 +771,27 @@ fn cmd_diff_strategies(a: &CellArgs) {
     }
     print_metric_deltas("workload", "memory", &c.baseline, &c.memory);
     print_peak_composition_diff(&c.baseline, &c.memory);
+    println!("{:>5} {:>12} {:>12} {:>8}", "proc", "workload", "memory", "delta%");
+    for (p, (&b, &m)) in c.baseline.peaks.iter().zip(&c.memory.peaks).enumerate() {
+        let delta = if b == 0 { 0.0 } else { 100.0 * (m as f64 - b as f64) / b as f64 };
+        println!("{p:>5} {b:>12} {m:>12} {delta:>+8.1}");
+    }
+    println!(
+        "view staleness mean {:.0} -> {:.0} ticks",
+        c.baseline.metrics.view_staleness.mean(),
+        c.memory.metrics.view_staleness.mean()
+    );
     println!("peak gain {:.1}%, time loss {:.1}%", c.gain_percent(), c.time_loss_percent());
+}
+
+fn cmd_diff_strategies(a: &CellArgs) {
+    println!(
+        "diff strategies: {} / {} on {} processors (workload vs memory)",
+        a.matrix.name(),
+        a.ordering.name(),
+        a.nprocs
+    );
+    print_strategy_diff(&captured_cell(a, a.matrix));
 }
 
 /// Fault-free memory-strategy run vs its twin under a membership-fault
@@ -366,23 +812,8 @@ fn cmd_diff_faults(a: &CellArgs) {
         kills,
         joins
     );
-    let tree = build_tree(a.matrix, a.ordering, a.split);
-    let base = SolverConfig {
-        record_events: true,
-        event_capacity: None,
-        ..strategy_cfg("memory", &paper_scale_config(a.nprocs))
-    };
-    let fault_cfg = SolverConfig {
-        recovery: Some(RecoveryConfig::default()),
-        fault: Some(FaultModel { kill_at: kills, join_at: joins, ..FaultModel::quiet(7) }),
-        ..base.clone()
-    };
-    let map = compute_mapping(&tree, &base);
-    let run = |cfg: &SolverConfig| {
-        parsim::run(&tree, &map, cfg).unwrap_or_else(|e| die(&format!("run failed: {e}")))
-    };
-    let clean = run(&base);
-    let faulty = run(&fault_cfg);
+    let clean = run_sim(a, &recorded_cfg(a.nprocs).with_memory_strategy());
+    let faulty = run_sim(a, &recovery_cfg(a.nprocs, &kills, &joins));
     for (what, r) in [("fault-free", &clean), ("faulted", &faulty)] {
         let n = audit_run(what, a.nprocs, r);
         if n > 0 {
@@ -390,7 +821,7 @@ fn cmd_diff_faults(a: &CellArgs) {
             std::process::exit(1);
         }
     }
-    let (ra, rb) = (clean.recording.as_ref().unwrap(), faulty.recording.as_ref().unwrap());
+    let (ra, rb) = (recording(&clean), recording(&faulty));
     match first_divergence(ra, rb) {
         None => println!("schedules identical ({} events) — the fault never fired", ra.len()),
         Some((i, x, y)) => {
@@ -457,9 +888,10 @@ fn cmd_diff_sweeps(old_path: &str, new_path: &str) {
 
 fn cmd_timeline(a: &CellArgs) {
     let tree = build_tree(a.matrix, a.ordering, a.split);
-    let cfg = SolverConfig {
-        sample_every: Some(a.every),
-        ..strategy_cfg(&a.strategy, &paper_scale_config(a.nprocs))
+    let base = SolverConfig { sample_every: Some(a.every), ..paper_scale_config(a.nprocs) };
+    let cfg = match a.strategy.as_str() {
+        "baseline" => base.with_workload_strategy(),
+        _ => base.with_memory_strategy(),
     };
     let map = compute_mapping(&tree, &cfg);
     let r = Backend::from_env().run(&tree, &map, &cfg);
@@ -484,28 +916,27 @@ fn cmd_timeline(a: &CellArgs) {
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let cmd = args.next().unwrap_or_else(|| die("usage: mf-obs <audit|diff|timeline> ..."));
+    let usage = "usage: mf-obs <explain|audit|check-all|diff|timeline> ...";
+    let cmd = args.next().unwrap_or_else(|| die(usage));
     match cmd.as_str() {
-        "audit" => cmd_audit(&parse_cell_args(args)),
+        "explain" => cmd_explain(&parse_args(args, false)),
+        "audit" => cmd_audit(&parse_args(args, false)),
+        "check-all" => cmd_check_all(&parse_args(args, false)),
         "diff" => {
-            let mode = args.next().unwrap_or_else(|| {
-                die("usage: mf-obs diff <backends|strategies|faults|sweeps> ...")
-            });
+            let usage = "usage: mf-obs diff <backends|strategies|faults|sweeps> ...";
+            let mode = args.next().unwrap_or_else(|| die(usage));
             match mode.as_str() {
-                "backends" => cmd_diff_backends(&parse_cell_args(args)),
-                "strategies" => cmd_diff_strategies(&parse_cell_args(args)),
-                "faults" => cmd_diff_faults(&parse_cell_args(args)),
-                "sweeps" => {
-                    let a = parse_cell_args(args);
-                    match a.rest.as_slice() {
-                        [old, new] => cmd_diff_sweeps(old, new),
-                        _ => die("usage: mf-obs diff sweeps OLD.json NEW.json"),
-                    }
-                }
-                other => die(&format!("unknown diff mode {other:?}")),
+                "backends" => cmd_diff_backends(&parse_args(args, false)),
+                "strategies" => cmd_diff_strategies(&parse_args(args, false)),
+                "faults" => cmd_diff_faults(&parse_args(args, false)),
+                "sweeps" => match parse_args(args, true).paths.as_slice() {
+                    [old, new] => cmd_diff_sweeps(old, new),
+                    _ => die("usage: mf-obs diff sweeps OLD.json NEW.json"),
+                },
+                other => die(&format!("unknown diff mode {other:?}; {usage}")),
             }
         }
-        "timeline" => cmd_timeline(&parse_cell_args(args)),
-        other => die(&format!("unknown subcommand {other:?}; try audit, diff or timeline")),
+        "timeline" => cmd_timeline(&parse_args(args, false)),
+        other => die(&format!("unknown subcommand {other:?}; {usage}")),
     }
 }

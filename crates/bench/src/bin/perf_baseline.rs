@@ -3,8 +3,14 @@
 //! then writes the numbers to `BENCH_sweep.json` (see DESIGN.md,
 //! "Performance").
 //!
-//! Three sections:
+//! What observing a run costs (recorder, sampler, audit) is the
+//! benchmark's `sweep_observed` workload and is not measured here.
 //!
+//! 0. **layers** — the per-layer ledger of ROADMAP item 1, one child so
+//!    far: `order`, the wall time of each ordering over the eight paper
+//!    matrices (what one column of a table costs before any analysis),
+//!    as the median of a few repeats with its MAD and the prior run's
+//!    median.
 //! 1. **sweep subset** — a representative slice of the Table 2/3 grid
 //!    run (a) the old way: one cell at a time, rebuilding the matrix,
 //!    permutation and tree from scratch per cell; and (b) the current
@@ -20,36 +26,21 @@
 //!    estimate, and two guards: a gflop/s floor on the blocked kernel
 //!    (SIMD-level dependent) and a ≥3× self-speedup check at 8 threads
 //!    (only on hosts with ≥8 cores).
-//! 4. **recorder overhead** — the same warm-cache sweep with the flight
-//!    recorder off vs on: the *identical* cell set, in the same process,
-//!    with `record_events` the only configuration difference between the
-//!    two arms, each timed as the best of a few alternating rounds to
-//!    reject scheduler noise. The disabled path must stay free (its warm time is
-//!    compared against the previous `BENCH_sweep.json`, guarded to <3%
-//!    regression plus a fixed noise floor); the enabled path is guarded
-//!    to <=5x the disabled time (plus the same noise floor) and reported
-//!    both as overhead_percent and as amortized ns/event. Both paths
-//!    must agree peak-for-peak.
-//! 5. **sampler overhead** — the same discipline for the telemetry
-//!    sampler (`sample_every` the only difference between arms):
-//!    schedules must be bit-identical and the end-to-end cost is
-//!    guarded to <=3% at the default interval. Afterwards the whole
-//!    artifact is diffed against the prior `BENCH_sweep.json` and every
-//!    metric that moved is named (the trajectory report).
-//! 6. **layers** — the per-layer ledger of ROADMAP item 1, one child so
-//!    far: `order`, the wall time of each ordering over the eight paper
-//!    matrices (what one column of a table costs before any analysis),
-//!    as the median of a few repeats with its MAD and the prior run's
-//!    median.
+//! 4. **core allocation** — static vs malleable makespan over the subset;
+//!    the summed malleable makespan may not exceed the static one.
+//! 5. **end to end** — one real numeric factorization through the full
+//!    stack, as gflop/s with the prior run's value.
+//!
+//! Afterwards the whole artifact is diffed against the prior
+//! `BENCH_sweep.json` and every metric that moved is named (the
+//! trajectory report).
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use mf_bench::sweep::{
-    sweep_cell, sweep_cell_recorded, sweep_cell_sampled, sweep_cells, CellResult, CellSpec,
-    DEFAULT_SAMPLE_INTERVAL,
-};
-use mf_core::config::{SlaveSelection, SolverConfig, TaskSelection};
+use mf_bench::sweep::{paper_scale_config, run_strategies, sweep_cell, sweep_cells, CellSpec};
+use mf_core::config::SolverConfig;
+use mf_core::parsim::RunResult;
 use mf_core::CoreAlloc;
 use mf_frontal::dense::{partial_lu_blocked_mt, partial_lu_blocked_rank1_panel, DenseMat};
 use mf_frontal::gemm;
@@ -58,7 +49,6 @@ use mf_sim::engine::{EventPayload, Sim};
 use mf_sparse::gen::paper::{PaperMatrix, ALL_PAPER_MATRICES};
 use mf_symbolic::seqstack::{apply_liu_order, AssemblyDiscipline};
 use mf_symbolic::AmalgamationOptions;
-use rayon::prelude::*;
 
 /// The timed sweep subset mirrors the Table 5 driver's shape: each
 /// (matrix, ordering) pair swept across split settings and processor
@@ -74,7 +64,7 @@ fn subset() -> Vec<CellSpec> {
     {
         for nprocs in [16usize, 32] {
             for split in [None, Some(thr)] {
-                specs.push((m, k, nprocs, split, false));
+                specs.push((m, k, nprocs, split));
             }
         }
     }
@@ -83,8 +73,9 @@ fn subset() -> Vec<CellSpec> {
 
 /// One cell the way the pre-cache drivers ran it: every artifact rebuilt
 /// from scratch, nothing shared, strictly sequential at the call site.
-fn uncached_cell(spec: &CellSpec) -> CellResult {
-    let &(matrix, ordering, nprocs, split, traces) = spec;
+/// Returns the `(baseline, memory)` runs.
+fn uncached_runs(spec: &CellSpec) -> (RunResult, RunResult) {
+    let &(matrix, ordering, nprocs, split) = spec;
     let a = matrix.instantiate();
     let perm = ordering.compute(&a);
     let mut s = mf_symbolic::analyze(&a, &perm, &AmalgamationOptions::default());
@@ -92,34 +83,7 @@ fn uncached_cell(spec: &CellSpec) -> CellResult {
     if let Some(t) = split {
         mf_symbolic::split::split_large_masters(&mut s.tree, t);
     }
-    // The simulation part is identical to sweep_cell's; only the tree
-    // construction differs (fresh vs cached). Reuse sweep_cell for the
-    // runs by... no: sweep_cell would hit the cache. Run the two
-    // strategies directly instead.
-    let base_cfg = SolverConfig {
-        slave_selection: SlaveSelection::Workload,
-        task_selection: TaskSelection::Lifo,
-        use_subtree_info: false,
-        use_prediction: false,
-        record_traces: traces,
-        ..mf_bench::sweep::paper_scale_config(nprocs)
-    };
-    let mem_cfg = SolverConfig {
-        slave_selection: SlaveSelection::Memory,
-        task_selection: TaskSelection::MemoryAware,
-        use_subtree_info: true,
-        use_prediction: true,
-        record_traces: traces,
-        ..mf_bench::sweep::paper_scale_config(nprocs)
-    };
-    let map = mf_core::mapping::compute_mapping(&s.tree, &base_cfg);
-    let run = |cfg: &SolverConfig, what: &str| {
-        mf_core::parsim::run(&s.tree, &map, cfg)
-            .unwrap_or_else(|e| panic!("{what} failed: {e} [{}]", e.diagnostics().summary_line()))
-    };
-    let baseline = run(&base_cfg, "baseline run");
-    let memory = run(&mem_cfg, "memory run");
-    CellResult { matrix, ordering, split, stats: s.tree.stats(), baseline, memory }
+    run_strategies(&s.tree, &paper_scale_config(nprocs))
 }
 
 /// Section 2: ns/event for schedule+next through the single-heap queue,
@@ -318,9 +282,6 @@ fn main() {
     // Read before this run overwrites the file (the full text is kept
     // for the end-of-run trajectory diff).
     let prior_text = std::fs::read_to_string("BENCH_sweep.json").ok();
-    let prior_warm_ms = prior_json_number("BENCH_sweep.json", "warm_cache_ms");
-    let prior_enabled_ms = prior_json_number("BENCH_sweep.json", "recorder_enabled_ms");
-    let prior_overhead_percent = prior_json_number("BENCH_sweep.json", "overhead_percent");
     let prior_lu: Vec<Option<(f64, f64)>> =
         [256usize, 512, 1024].iter().map(|&f| prior_lu_stats("BENCH_sweep.json", f)).collect();
     let prior_e2e_gflops = prior_json_number("BENCH_sweep.json", "e2e_gflops");
@@ -330,21 +291,21 @@ fn main() {
         .map(|k| prior_json_number("BENCH_sweep.json", &format!("{}_ms", k.name().to_lowercase())))
         .collect();
 
-    eprintln!("[0/7] layers.order: four orderings over the eight paper matrices ...");
+    eprintln!("[0/5] layers.order: four orderings over the eight paper matrices ...");
     let order_ms = order_layer();
 
-    eprintln!("[1/7] sweep subset, {} cells, sequential + uncached ...", specs.len());
+    eprintln!("[1/5] sweep subset, {} cells, sequential + uncached ...", specs.len());
     let start = Instant::now();
-    let slow: Vec<CellResult> = specs.iter().map(uncached_cell).collect();
+    let slow: Vec<(RunResult, RunResult)> = specs.iter().map(uncached_runs).collect();
     let sequential_uncached_ms = start.elapsed().as_secs_f64() * 1e3;
 
-    eprintln!("[2/7] sweep subset, parallel + shared artifact cache ...");
+    eprintln!("[2/5] sweep subset, parallel + shared artifact cache ...");
     let start = Instant::now();
     let fast = sweep_cells(&specs);
     let parallel_cached_ms = start.elapsed().as_secs_f64() * 1e3;
 
     for (s, f) in slow.iter().zip(&fast) {
-        for (a, b) in [(&s.baseline, &f.baseline), (&s.memory, &f.memory)] {
+        for (a, b) in [(&s.0, &f.baseline), (&s.1, &f.memory)] {
             assert_eq!(
                 (a.max_peak, a.makespan),
                 (b.max_peak, b.makespan),
@@ -361,7 +322,7 @@ fn main() {
     assert_eq!(warm.len(), fast.len());
     let speedup = sequential_uncached_ms / parallel_cached_ms;
 
-    eprintln!("[3/7] event queue + LU kernel + packed GEMM ...");
+    eprintln!("[3/5] event queue + LU kernel + packed GEMM ...");
     let eq_depth = 10_000;
     let eq_events = 2_000_000u64;
     let eq_ns = event_queue_ns(eq_depth, eq_events);
@@ -447,7 +408,7 @@ fn main() {
         );
     }
 
-    eprintln!("[4/7] malleable core allocation: static vs malleable makespan ...");
+    eprintln!("[4/5] malleable core allocation: static vs malleable makespan ...");
     // Static(1) reproduces the historical scheduler tick for tick; the
     // malleable allocator may only help (the speedup curve never
     // lengthens a duration, and idle cores are free), so the summed
@@ -456,18 +417,11 @@ fn main() {
     // trajectory fields for `mf-obs diff sweeps`.
     let mall_rows: Vec<_> = specs
         .iter()
-        .map(|&(m, k, nprocs, split, _)| {
+        .map(|&(m, k, nprocs, split)| {
             let tree = mf_bench::sweep::build_tree(m, k, split);
-            let mk = |alloc: CoreAlloc| SolverConfig {
-                slave_selection: SlaveSelection::Memory,
-                task_selection: TaskSelection::MemoryAware,
-                use_subtree_info: true,
-                use_prediction: true,
-                core_alloc: alloc,
-                ..mf_bench::sweep::paper_scale_config(nprocs)
-            };
-            let cfg_s = mk(CoreAlloc::Static(1));
-            let cfg_m = mk(CoreAlloc::malleable(4 * nprocs));
+            let cfg_s = paper_scale_config(nprocs).with_memory_strategy();
+            let cfg_m =
+                SolverConfig { core_alloc: CoreAlloc::malleable(4 * nprocs), ..cfg_s.clone() };
             let map = mf_core::mapping::compute_mapping(&tree, &cfg_s);
             let st = mf_core::parsim::run(&tree, &map, &cfg_s)
                 .unwrap_or_else(|e| panic!("static run failed: {e}"));
@@ -505,7 +459,7 @@ fn main() {
         mall_rows.len()
     );
 
-    eprintln!("[5/7] end-to-end numeric factorization ...");
+    eprintln!("[5/5] end-to-end numeric factorization ...");
     // Real factor bytes through the full stack (assembly + recursive
     // panels + packed trailing GEMM), timed end to end; the gflop/s
     // lands in the artifact as a trajectory field.
@@ -525,134 +479,10 @@ fn main() {
     };
     eprintln!("end-to-end: n={e2e_n}, {e2e_flops} flops, {e2e_ms:.1} ms, {e2e_gflops:.2} gflop/s");
 
-    eprintln!("[6/7] recorder overhead: identical cells, same process, off vs on ...");
-    // Both arms run the identical spec list through the same warm cache
-    // with the same parallel driver; `record_events` is the *only*
-    // difference, so the timing delta is the recorder's cost and nothing
-    // else (the old measurement compared different runs/configurations).
-    // Each arm is timed as the best of a few alternating rounds — the
-    // same minimum-of-reps noise rejection as the LU-kernel section —
-    // so a transient stall on a loaded box cannot masquerade as
-    // recorder cost.
-    const REC_ROUNDS: u32 = 3;
-    let mut recorder_disabled_ms = f64::INFINITY;
-    let mut recorder_enabled_ms = f64::INFINITY;
-    let mut plain = Vec::new();
-    let mut recorded = Vec::new();
-    for _ in 0..REC_ROUNDS {
-        let start = Instant::now();
-        plain = sweep_cells(&specs);
-        recorder_disabled_ms = recorder_disabled_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        let start = Instant::now();
-        recorded = specs
-            .par_iter()
-            .map(|&(m, k, nprocs, split, _)| sweep_cell_recorded(m, k, nprocs, split))
-            .collect();
-        recorder_enabled_ms = recorder_enabled_ms.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    // Recording must observe, never perturb: same schedule either way.
-    for (a, b) in plain.iter().zip(&recorded) {
-        assert_eq!(a.baseline.peaks, b.baseline.peaks, "recorder changed baseline peaks");
-        assert_eq!(a.memory.peaks, b.memory.peaks, "recorder changed memory peaks");
-        assert_eq!(a.baseline.makespan, b.baseline.makespan, "recorder moved baseline time");
-        assert_eq!(a.memory.makespan, b.memory.makespan, "recorder moved memory time");
-    }
-    let events_recorded: usize = recorded
-        .iter()
-        .flat_map(|c| [&c.baseline.recording, &c.memory.recording])
-        .map(|r| r.as_ref().map_or(0, |rec| rec.len()))
-        .sum();
-    let overhead_percent = 100.0 * (recorder_enabled_ms / recorder_disabled_ms.max(1e-9) - 1.0);
-    let ns_per_event = ((recorder_enabled_ms - recorder_disabled_ms).max(0.0) * 1e6)
-        / events_recorded.max(1) as f64;
-
-    // Enabled-overhead budget: recording the full event stream may cost
-    // at most 5x the recorder-off sweep (same noise floor as the
-    // disabled guard, so tiny absolute times cannot trip the ratio).
-    let enabled_allowed = recorder_disabled_ms * 5.0 + 250.0;
-    assert!(
-        recorder_enabled_ms <= enabled_allowed,
-        "recorder-on sweep exceeded its overhead budget: {recorder_enabled_ms:.1} ms vs \
-         disabled {recorder_disabled_ms:.1} ms (allowed {enabled_allowed:.1} ms = \
-         disabled x5 + 250 ms noise floor)"
-    );
-    eprintln!(
-        "recorder-on guard: {recorder_enabled_ms:.1} ms vs disabled {recorder_disabled_ms:.1} ms \
-         (<=5x + floor, {ns_per_event:.0} ns/event) OK"
-    );
-
-    eprintln!("[7/7] sampler overhead: identical cells, sampler off vs on ...");
-    // Same discipline as the recorder arms: the identical spec list,
-    // `sample_every` the only difference, best of alternating rounds.
-    // The sampler is a timer chain through the cores' own protocol, so
-    // beyond never perturbing the schedule it must also be nearly free:
-    // the acceptance guard is <=3% end-to-end at the default interval
-    // (plus the usual noise floor for tiny absolute times).
-    let mut sampler_off_ms = f64::INFINITY;
-    let mut sampler_on_ms = f64::INFINITY;
-    let mut unsampled = Vec::new();
-    let mut sampled = Vec::new();
-    for _ in 0..REC_ROUNDS {
-        let start = Instant::now();
-        unsampled = sweep_cells(&specs);
-        sampler_off_ms = sampler_off_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        let start = Instant::now();
-        sampled = specs
-            .par_iter()
-            .map(|&(m, k, nprocs, split, _)| {
-                sweep_cell_sampled(m, k, nprocs, split, DEFAULT_SAMPLE_INTERVAL)
-            })
-            .collect();
-        sampler_on_ms = sampler_on_ms.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    // Sampling must observe, never perturb: same schedule either way.
-    for (a, b) in unsampled.iter().zip(&sampled) {
-        assert_eq!(a.baseline.peaks, b.baseline.peaks, "sampler changed baseline peaks");
-        assert_eq!(a.memory.peaks, b.memory.peaks, "sampler changed memory peaks");
-        assert_eq!(a.baseline.makespan, b.baseline.makespan, "sampler moved baseline time");
-        assert_eq!(a.memory.makespan, b.memory.makespan, "sampler moved memory time");
-    }
-    let samples_total: usize = sampled
-        .iter()
-        .flat_map(|c| [&c.baseline.timeseries, &c.memory.timeseries])
-        .map(|ts| ts.as_ref().map_or(0, |t| t.total_len() + t.total_dropped() as usize))
-        .sum();
-    assert!(samples_total > 0, "sampled sweep produced no samples");
-    let sampler_overhead_percent = 100.0 * (sampler_on_ms / sampler_off_ms.max(1e-9) - 1.0);
-    let sampler_allowed = sampler_off_ms * 1.03 + 250.0;
-    assert!(
-        sampler_on_ms <= sampler_allowed,
-        "sampler-on sweep exceeded its overhead budget: {sampler_on_ms:.1} ms vs off \
-         {sampler_off_ms:.1} ms (allowed {sampler_allowed:.1} ms = off x1.03 + 250 ms noise floor)"
-    );
-    eprintln!(
-        "sampler guard: {sampler_on_ms:.1} ms vs off {sampler_off_ms:.1} ms \
-         ({sampler_overhead_percent:+.1}%, {samples_total} samples, <=3% + floor) OK"
-    );
-
-    // Regression guard for the disabled path: the recorder hooks must be
-    // free when off. Compare the better of the two warm disabled timings
-    // against the previous run's file, with a fixed noise floor so tiny
-    // absolute times cannot trip the percentage.
-    let best_disabled_ms = warm_cache_ms.min(recorder_disabled_ms);
-    if let Some(prior) = prior_warm_ms {
-        let allowed = prior * 1.03 + 250.0;
-        assert!(
-            best_disabled_ms <= allowed,
-            "recorder-off warm sweep regressed: {best_disabled_ms:.1} ms vs prior \
-             {prior:.1} ms (allowed {allowed:.1} ms = prior x1.03 + 250 ms noise floor)"
-        );
-        eprintln!(
-            "recorder-off guard: {best_disabled_ms:.1} ms vs prior {prior:.1} ms (<=3% + floor) OK"
-        );
-    } else {
-        eprintln!("recorder-off guard: no prior BENCH_sweep.json, recording first baseline");
-    }
-
     // Degradation counters over the (unperturbed, uncapped) subset: all
     // structurally zero here, surfaced so any nonzero value in a future
     // run is visible in the artifact diff.
-    let count = |f: fn(&mf_core::parsim::RunResult) -> u64| -> u64 {
+    let count = |f: fn(&RunResult) -> u64| -> u64 {
         fast.iter().flat_map(|c| [&c.baseline, &c.memory]).map(f).sum()
     };
     let dropped_total = count(|r| r.dropped_messages);
@@ -732,49 +562,6 @@ fn main() {
         Some(prior) => writeln!(json, "    \"prior_e2e_gflops\": {prior:.2}").unwrap(),
         None => writeln!(json, "    \"prior_e2e_gflops\": null").unwrap(),
     }
-    writeln!(json, "  }},").unwrap();
-    writeln!(json, "  \"recorder_overhead\": {{").unwrap();
-    writeln!(
-        json,
-        "    \"measurement\": \"identical cell set, same process; arms differ only in \
-         record_events\","
-    )
-    .unwrap();
-    writeln!(json, "    \"recorder_disabled_ms\": {recorder_disabled_ms:.1},").unwrap();
-    writeln!(json, "    \"recorder_enabled_ms\": {recorder_enabled_ms:.1},").unwrap();
-    writeln!(json, "    \"overhead_percent\": {overhead_percent:.1},").unwrap();
-    writeln!(json, "    \"ns_per_event\": {ns_per_event:.1},").unwrap();
-    writeln!(json, "    \"events_recorded\": {events_recorded},").unwrap();
-    match prior_warm_ms {
-        Some(prior) => writeln!(json, "    \"prior_warm_cache_ms\": {prior:.1},").unwrap(),
-        None => writeln!(json, "    \"prior_warm_cache_ms\": null,").unwrap(),
-    }
-    match prior_enabled_ms {
-        Some(prior) => writeln!(json, "    \"prior_recorder_enabled_ms\": {prior:.1},").unwrap(),
-        None => writeln!(json, "    \"prior_recorder_enabled_ms\": null,").unwrap(),
-    }
-    match prior_overhead_percent {
-        Some(prior) => writeln!(json, "    \"prior_overhead_percent\": {prior:.1},").unwrap(),
-        None => writeln!(json, "    \"prior_overhead_percent\": null,").unwrap(),
-    }
-    writeln!(json, "    \"disabled_regression_guard\": \"<=3% + 250 ms floor\",").unwrap();
-    writeln!(json, "    \"enabled_overhead_guard\": \"<=5x disabled + 250 ms floor\",").unwrap();
-    writeln!(json, "    \"schedule_unperturbed\": true").unwrap();
-    writeln!(json, "  }},").unwrap();
-    writeln!(json, "  \"sampler_overhead\": {{").unwrap();
-    writeln!(
-        json,
-        "    \"measurement\": \"identical cell set, same process; arms differ only in \
-         sample_every\","
-    )
-    .unwrap();
-    writeln!(json, "    \"sample_interval_ticks\": {DEFAULT_SAMPLE_INTERVAL},").unwrap();
-    writeln!(json, "    \"sampler_off_ms\": {sampler_off_ms:.1},").unwrap();
-    writeln!(json, "    \"sampler_on_ms\": {sampler_on_ms:.1},").unwrap();
-    writeln!(json, "    \"overhead_percent\": {sampler_overhead_percent:.1},").unwrap();
-    writeln!(json, "    \"samples_total\": {samples_total},").unwrap();
-    writeln!(json, "    \"overhead_guard\": \"<=3% of sampler-off + 250 ms floor\",").unwrap();
-    writeln!(json, "    \"schedule_unperturbed\": true").unwrap();
     writeln!(json, "  }},").unwrap();
     writeln!(json, "  \"event_queue\": {{").unwrap();
     writeln!(json, "    \"queue_depth\": {eq_depth},").unwrap();
@@ -879,11 +666,9 @@ fn main() {
     eprintln!(
         "sweep subset: {sequential_uncached_ms:.0} ms -> {parallel_cached_ms:.0} ms \
          ({speedup:.1}x; warm cache {warm_cache_ms:.0} ms); \
-         event queue {eq_ns:.0} ns/event; \
-         recorder {recorder_disabled_ms:.0} -> {recorder_enabled_ms:.0} ms \
-         ({overhead_percent:+.1}%, {events_recorded} events, {ns_per_event:.0} ns/event)"
+         event queue {eq_ns:.0} ns/event"
     );
     // Re-running a cell sequentially now also hits the warm cache.
-    let c = sweep_cell(specs[0].0, specs[0].1, specs[0].2, specs[0].3, false);
+    let c = sweep_cell(specs[0].0, specs[0].1, specs[0].3, &paper_scale_config(specs[0].2));
     assert_eq!(c.baseline.max_peak, fast[0].baseline.max_peak);
 }

@@ -48,13 +48,7 @@ const STRATEGIES: [Strategy; 3] = [
 ];
 
 fn workload_cfg() -> SolverConfig {
-    SolverConfig {
-        slave_selection: SlaveSelection::Workload,
-        task_selection: TaskSelection::Lifo,
-        use_subtree_info: false,
-        use_prediction: false,
-        ..paper_scale_config(NPROCS)
-    }
+    paper_scale_config(NPROCS).with_workload_strategy()
 }
 
 fn memory_cfg() -> SolverConfig {
@@ -69,11 +63,8 @@ fn memory_cfg() -> SolverConfig {
 
 fn improved_cfg() -> SolverConfig {
     SolverConfig {
-        slave_selection: SlaveSelection::Memory,
         task_selection: TaskSelection::MemoryAwareGlobal,
-        use_subtree_info: true,
-        use_prediction: true,
-        ..paper_scale_config(NPROCS)
+        ..paper_scale_config(NPROCS).with_memory_strategy()
     }
 }
 

@@ -28,7 +28,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use mf_bench::scenarios::{synth_nd_tree, SynthConfig};
-use mf_core::config::{SlaveSelection, SolverConfig, TaskSelection};
+use mf_core::config::SolverConfig;
 use mf_core::mapping::compute_mapping;
 use mf_core::parsim::{self, RunResult};
 use mf_symbolic::AssemblyTree;
@@ -43,11 +43,7 @@ fn scale_config(nprocs: usize) -> SolverConfig {
         type2_front_min: 150,
         type3_front_min: 500,
         min_rows_per_slave: 12,
-        slave_selection: SlaveSelection::Memory,
-        task_selection: TaskSelection::MemoryAware,
-        use_subtree_info: true,
-        use_prediction: true,
-        ..SolverConfig::mumps_baseline(nprocs)
+        ..SolverConfig::memory_based(nprocs)
     }
 }
 

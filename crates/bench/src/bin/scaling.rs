@@ -11,7 +11,6 @@
 //! `seq_peak / (nprocs * max_peak)`, plus the makespan speedup.
 
 use mf_bench::sweep::{build_tree, paper_scale_config};
-use mf_core::config::{SlaveSelection, SolverConfig, TaskSelection};
 use mf_core::mapping::compute_mapping;
 use mf_core::parsim;
 use mf_order::OrderingKind;
@@ -39,13 +38,7 @@ fn main() {
         .map(|&(nprocs, _, memory)| {
             let mut cfg = paper_scale_config(nprocs);
             if memory {
-                cfg = SolverConfig {
-                    slave_selection: SlaveSelection::Memory,
-                    task_selection: TaskSelection::MemoryAware,
-                    use_subtree_info: true,
-                    use_prediction: true,
-                    ..cfg
-                };
+                cfg = cfg.with_memory_strategy();
             }
             let map = compute_mapping(&tree, &cfg);
             parsim::run(&tree, &map, &cfg).expect("scaling run failed")

@@ -12,7 +12,7 @@ fn main() {
     let nprocs = 32;
     let specs: Vec<CellSpec> = ALL_PAPER_MATRICES
         .into_iter()
-        .flat_map(|m| ALL_ORDERINGS.into_iter().map(move |k| (m, k, nprocs, None, false)))
+        .flat_map(|m| ALL_ORDERINGS.into_iter().map(move |k| (m, k, nprocs, None)))
         .collect();
     // All 32 cells run in parallel; results come back in spec order, so
     // the rendered table is identical to the sequential loop's.

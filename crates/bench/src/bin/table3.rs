@@ -14,7 +14,7 @@ fn main() {
         ALL_PAPER_MATRICES.into_iter().filter(|m| m.is_unsymmetric()).collect();
     let specs: Vec<CellSpec> = matrices
         .iter()
-        .flat_map(|&m| ALL_ORDERINGS.into_iter().map(move |k| (m, k, nprocs, Some(thr), false)))
+        .flat_map(|&m| ALL_ORDERINGS.into_iter().map(move |k| (m, k, nprocs, Some(thr))))
         .collect();
     run_percent_table(
         &format!("Table 3: % decrease of max stack peak on split trees (threshold {thr} entries)"),

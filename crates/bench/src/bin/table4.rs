@@ -17,7 +17,7 @@ fn main() {
     // Per case: the unsplit cell, then the split cell.
     let specs: Vec<CellSpec> = cases
         .iter()
-        .flat_map(|&(m, k, _)| [(m, k, nprocs, None, false), (m, k, nprocs, Some(thr), false)])
+        .flat_map(|&(m, k, _)| [(m, k, nprocs, None), (m, k, nprocs, Some(thr))])
         .collect();
     let cells = sweep_cells(&specs);
     mf_bench::obs::maybe_export_cells(&cells);

@@ -20,7 +20,7 @@ fn main() {
         .flat_map(|&m| {
             ALL_ORDERINGS
                 .into_iter()
-                .flat_map(move |k| [(m, k, nprocs, None, false), (m, k, nprocs, Some(thr), false)])
+                .flat_map(move |k| [(m, k, nprocs, None), (m, k, nprocs, Some(thr))])
         })
         .collect();
     run_percent_table(

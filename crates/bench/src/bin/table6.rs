@@ -21,7 +21,7 @@ fn main() {
             let split = m.is_unsymmetric().then_some(thr);
             ALL_ORDERINGS
                 .into_iter()
-                .flat_map(move |k| [(m, k, nprocs, None, false), (m, k, nprocs, split, false)])
+                .flat_map(move |k| [(m, k, nprocs, None), (m, k, nprocs, split)])
         })
         .collect();
     run_percent_table(

@@ -8,7 +8,7 @@
 //! strategy.
 
 use mf_bench::sweep::{build_tree, paper_scale_config};
-use mf_core::config::{SlaveSelection, SolverConfig, TaskSelection};
+use mf_core::config::SolverConfig;
 use mf_core::mapping::compute_mapping;
 use mf_core::parsim;
 use mf_order::OrderingKind;
@@ -46,13 +46,7 @@ fn main() {
     {
         let tree = build_tree(m, k, None);
         let base = paper_scale_config(32);
-        let mem = SolverConfig {
-            slave_selection: SlaveSelection::Memory,
-            task_selection: TaskSelection::MemoryAware,
-            use_subtree_info: true,
-            use_prediction: true,
-            ..base.clone()
-        };
+        let mem = base.clone().with_memory_strategy();
         for (name, cfg) in [("workload", &base), ("memory", &mem)] {
             let (min, max, mean) = spread(&tree, cfg, seeds);
             println!(

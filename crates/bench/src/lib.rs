@@ -10,11 +10,16 @@
 //! * `table5` — combined static + dynamic vs. original MUMPS strategy;
 //! * `table6` — factorization-time loss of the memory strategies;
 //! * `figures` — scenario reproductions of Figures 4, 5, 6 and 8;
+//! * `ablation`, `scaling`, `variability`, `reordering_memory`,
+//!   `malleable_table` — the studies beyond the paper's tables;
 //! * `probe` — quick timing/shape scan of all matrix × ordering cells;
-//! * `explain` — flight-recorder peak-attribution report (see [`obs`]);
-//! * `mf-obs` — protocol audit of recordings, cross-run diffing
-//!   (backends, strategies, sweep artifacts), and sampled telemetry
-//!   timelines.
+//! * `robustness`, `scale`, `perf_baseline`, `backend_equiv` — the
+//!   harnesses behind `BENCH_*.json` and the backend-equivalence check;
+//! * `mf-obs` — the observability tool over flight recordings (see
+//!   [`obs`]): `explain` (peak attribution, `--cores` timeline, kill/join
+//!   replay), `audit` (protocol invariants), `check-all` (both, on every
+//!   matrix), `diff` (backends, strategies, faults, sweep artifacts) and
+//!   `timeline` (sampled telemetry).
 //!
 //! The library part holds the shared experiment-sweep machinery so the
 //! binaries stay thin and the sweeps are testable.
@@ -28,6 +33,5 @@ pub mod sweep;
 
 pub use sweep::{
     paper_scale_config, render_percent_table, sample_every_from_env, split_threshold_for,
-    sweep_cell, sweep_cell_captured, sweep_cell_sampled, sweep_cells, CellResult, CellSpec,
-    DEFAULT_SAMPLE_INTERVAL,
+    sweep_cell, sweep_cells, CellResult, CellSpec,
 };

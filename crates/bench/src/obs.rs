@@ -7,15 +7,14 @@
 //! loadable in `ui.perfetto.dev` or `chrome://tracing`.
 //!
 //! Exports are opt-in and off by default: they trigger only when an
-//! output directory is given, either with a `--obs-dir <dir>` pair on
-//! the command line or through the `MF_OBS_DIR` environment variable
-//! (the flag wins). Without it every hook below is a no-op, so the
-//! binaries' default stdout stays byte-identical.
+//! output directory is given with a `--obs-dir <dir>` pair on the command
+//! line. Without it every hook below is a no-op, so the binaries' default
+//! stdout stays byte-identical.
 //!
-//! The module also carries a small recursive-descent JSON validator used
-//! by the exporters' tests and the CI `observability` job: the repo
-//! renders all JSON by hand (no serde), so well-formedness is asserted,
-//! not assumed.
+//! The module also carries a small recursive-descent JSON walker used by
+//! the exporters' tests, the CI `observability` job and the artifact
+//! diff: the repo renders all JSON by hand (no serde), so well-formedness
+//! is asserted, not assumed.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -25,16 +24,17 @@ use mf_order::{OrderingKind, ALL_ORDERINGS};
 use mf_sparse::gen::paper::{PaperMatrix, ALL_PAPER_MATRICES};
 
 /// Observability output directory, if exporting was requested: the value
-/// following `--obs-dir` on the command line, else `MF_OBS_DIR` from the
-/// environment, else `None` (all exports disabled).
+/// following `--obs-dir` on the command line, else `None` (all exports
+/// disabled). The flag without a value is a usage error.
 pub fn obs_dir() -> Option<PathBuf> {
     let mut args = std::env::args();
     while let Some(a) = args.next() {
         if a == "--obs-dir" {
-            return args.next().map(PathBuf::from);
+            let dir = args.next().unwrap_or_else(|| die("--obs-dir needs a directory"));
+            return Some(PathBuf::from(dir));
         }
     }
-    std::env::var_os("MF_OBS_DIR").map(PathBuf::from)
+    None
 }
 
 /// Usage error: prints `<tool>: <msg>` to stderr, `<tool>` being the
@@ -199,13 +199,29 @@ pub fn maybe_export_cells(cells: &[CellResult]) -> usize {
 pub fn validate_json(s: &str) -> Result<(), String> {
     let b = s.as_bytes();
     let mut pos = 0usize;
-    skip_ws(b, &mut pos);
-    value(b, &mut pos)?;
+    value(b, &mut pos, &mut String::new(), None)?;
     skip_ws(b, &mut pos);
     if pos != b.len() {
         return Err(format!("trailing garbage at byte {pos}"));
     }
     Ok(())
+}
+
+/// Extracts every numeric leaf of a JSON document as
+/// (dotted-path, value) pairs in document order: object members append
+/// `.key`, array elements append `[i]` — e.g.
+/// `sweep_subset.warm_cache_ms` or `lu_kernel_blocked[1].gflops`.
+///
+/// This powers cross-run artifact diffing (`mf-obs diff sweeps`, the
+/// `perf_baseline` trajectory report): two runs of the same harness
+/// yield the same paths, so a regression is named by the exact metric
+/// that moved. Input is expected to be well-formed (validate with
+/// [`validate_json`] first); on malformed input the pairs collected up
+/// to the defect are returned.
+pub fn json_numbers(s: &str) -> Vec<(String, f64)> {
+    let mut out = Vec::new();
+    let _ = value(s.as_bytes(), &mut 0, &mut String::new(), Some(&mut out));
+    out
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -214,68 +230,94 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn value(b: &[u8], pos: &mut usize) -> Result<(), String> {
+/// The one walker over the JSON grammar: checks the value at `pos` and,
+/// given a `sink`, pushes each number under its dotted `path`.
+fn value(
+    b: &[u8],
+    pos: &mut usize,
+    path: &mut String,
+    mut sink: Option<&mut Vec<(String, f64)>>,
+) -> Result<(), String> {
+    skip_ws(b, pos);
+    let depth = path.len();
     match b.get(*pos) {
-        Some(b'{') => object(b, pos),
-        Some(b'[') => array(b, pos),
+        Some(b'{') => {
+            *pos += 1;
+            skip_ws(b, pos);
+            if b.get(*pos) == Some(&b'}') {
+                *pos += 1;
+                return Ok(());
+            }
+            loop {
+                skip_ws(b, pos);
+                let key_start = *pos + 1;
+                string(b, pos)?;
+                if sink.is_some() {
+                    let key = std::str::from_utf8(&b[key_start..*pos - 1]);
+                    path.push_str(if depth == 0 { "" } else { "." });
+                    path.push_str(key.map_err(|e| e.to_string())?);
+                }
+                skip_ws(b, pos);
+                if b.get(*pos) != Some(&b':') {
+                    return Err(format!("expected ':' at byte {pos}", pos = *pos));
+                }
+                *pos += 1;
+                value(b, pos, path, sink.as_deref_mut())?;
+                path.truncate(depth);
+                skip_ws(b, pos);
+                match b.get(*pos) {
+                    Some(b',') => *pos += 1,
+                    Some(b'}') => {
+                        *pos += 1;
+                        return Ok(());
+                    }
+                    _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
+                }
+            }
+        }
+        Some(b'[') => {
+            *pos += 1;
+            skip_ws(b, pos);
+            if b.get(*pos) == Some(&b']') {
+                *pos += 1;
+                return Ok(());
+            }
+            let mut i = 0usize;
+            loop {
+                if sink.is_some() {
+                    path.push_str(&format!("[{i}]"));
+                }
+                value(b, pos, path, sink.as_deref_mut())?;
+                path.truncate(depth);
+                i += 1;
+                skip_ws(b, pos);
+                match b.get(*pos) {
+                    Some(b',') => *pos += 1,
+                    Some(b']') => {
+                        *pos += 1;
+                        return Ok(());
+                    }
+                    _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
+                }
+            }
+        }
         Some(b'"') => string(b, pos),
         Some(b't') => literal(b, pos, "true"),
         Some(b'f') => literal(b, pos, "false"),
         Some(b'n') => literal(b, pos, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, pos),
+        Some(c) if c.is_ascii_digit() || *c == b'-' => {
+            let start = *pos;
+            number(b, pos)?;
+            if let Some(out) = sink {
+                let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
+                if let Ok(v) = text.parse::<f64>() {
+                    out.push((path.clone(), v));
+                }
+            }
+            Ok(())
+        }
         Some(c) => Err(format!("unexpected byte {c:?} at {pos}", pos = *pos)),
         None => Err("unexpected end of input".into()),
-    }
-}
-
-fn object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // {
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}", pos = *pos));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
-        }
-    }
-}
-
-fn array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // [
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
-        }
     }
 }
 
@@ -341,115 +383,6 @@ fn number(b: &[u8], pos: &mut usize) -> Result<(), String> {
     Ok(())
 }
 
-/// Extracts every numeric leaf of a JSON document as
-/// (dotted-path, value) pairs in document order: object members append
-/// `.key`, array elements append `[i]` — e.g.
-/// `sweep_subset.warm_cache_ms` or `lu_kernel_blocked[1].gflops`.
-///
-/// This powers cross-run artifact diffing (`mf-obs diff sweeps`, the
-/// `perf_baseline` trajectory report): two runs of the same harness
-/// yield the same paths, so a regression is named by the exact metric
-/// that moved. Input is expected to be well-formed (validate with
-/// [`validate_json`] first); on malformed input the pairs collected up
-/// to the defect are returned.
-pub fn json_numbers(s: &str) -> Vec<(String, f64)> {
-    let b = s.as_bytes();
-    let mut pos = 0usize;
-    let mut out = Vec::new();
-    let mut path = String::new();
-    skip_ws(b, &mut pos);
-    let _ = collect_numbers(b, &mut pos, &mut path, &mut out);
-    out
-}
-
-fn collect_numbers(
-    b: &[u8],
-    pos: &mut usize,
-    path: &mut String,
-    out: &mut Vec<(String, f64)>,
-) -> Result<(), String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => {
-            *pos += 1;
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(());
-            }
-            loop {
-                skip_ws(b, pos);
-                let key_start = *pos + 1;
-                string(b, pos)?;
-                let key =
-                    std::str::from_utf8(&b[key_start..*pos - 1]).map_err(|e| e.to_string())?;
-                let key = key.to_string();
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}", pos = *pos));
-                }
-                *pos += 1;
-                let depth = path.len();
-                if !path.is_empty() {
-                    path.push('.');
-                }
-                path.push_str(&key);
-                collect_numbers(b, pos, path, out)?;
-                path.truncate(depth);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(());
-            }
-            let mut i = 0usize;
-            loop {
-                let depth = path.len();
-                path.push_str(&format!("[{i}]"));
-                collect_numbers(b, pos, path, out)?;
-                path.truncate(depth);
-                i += 1;
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(b'"') => string(b, pos),
-        Some(b't') => literal(b, pos, "true"),
-        Some(b'f') => literal(b, pos, "false"),
-        Some(b'n') => literal(b, pos, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => {
-            let start = *pos;
-            number(b, pos)?;
-            let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-            if let Ok(v) = text.parse::<f64>() {
-                out.push((path.clone(), v));
-            }
-            Ok(())
-        }
-        Some(c) => Err(format!("unexpected byte {c:?} at {pos}", pos = *pos)),
-        None => Err("unexpected end of input".into()),
-    }
-}
-
 fn literal(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     if b.get(*pos..*pos + lit.len()) == Some(lit.as_bytes()) {
         *pos += lit.len();
@@ -513,12 +446,9 @@ mod tests {
 
     #[test]
     fn summary_of_a_real_cell_is_valid_json() {
-        let c = crate::sweep::sweep_cell_captured(
-            mf_sparse::gen::paper::PaperMatrix::TwoTone,
-            mf_order::OrderingKind::Amd,
-            4,
-            None,
-        );
+        let base =
+            mf_core::config::SolverConfig { record_events: true, ..crate::paper_scale_config(4) };
+        let c = crate::sweep_cell(PaperMatrix::TwoTone, OrderingKind::Amd, None, &base);
         let s = cell_summary_json(&c);
         validate_json(&s).expect("summary must be well-formed");
         assert!(s.contains("\"recorded_events\""));

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use mf_core::config::{SlaveSelection, SolverConfig, TaskSelection};
+use mf_core::config::SolverConfig;
 use mf_core::mapping::{compute_mapping, StaticMapping};
 use mf_core::parsim::{self, RunResult};
 use mf_order::OrderingKind;
@@ -90,16 +90,6 @@ impl CellResult {
     }
 }
 
-/// Default telemetry sampling interval (virtual ticks) used by the
-/// `timeline` tooling and the sampler-overhead guard when no explicit
-/// interval is given. Paper-scale makespans run to a few hundred
-/// thousand ticks, so this yields on the order of a hundred samples per
-/// processor — dense enough for memory-evolution plots, sparse enough
-/// that the sampler's cost (one timer event per processor per interval,
-/// ~350 ns each of event-queue churn) stays within the perf guard's 3%
-/// budget.
-pub const DEFAULT_SAMPLE_INTERVAL: u64 = 10_000;
-
 /// Telemetry sampling interval from the `MF_SAMPLE_EVERY` environment
 /// variable (virtual ticks; unset or `0` disables the sampler). Panics
 /// on a non-integer value — silently ignoring it would make a CI
@@ -156,153 +146,38 @@ pub fn build_tree(
     crate::cache::cached_tree(matrix, ordering, split)
 }
 
-/// Runs one cell: same tree and static mapping, both dynamic strategies.
+/// The paper's two configurations on one tree: `base` under the workload
+/// baseline and under the memory-based strategy, over one static mapping,
+/// on the backend `MF_BACKEND` names. Returns `(baseline, memory)`.
+pub fn run_strategies(tree: &AssemblyTree, base: &SolverConfig) -> (RunResult, RunResult) {
+    let base_cfg = base.clone().with_workload_strategy();
+    let mem_cfg = base.clone().with_memory_strategy();
+    let map = compute_mapping(tree, &base_cfg);
+    let backend = Backend::from_env();
+    (backend.run(tree, &map, &base_cfg), backend.run(tree, &map, &mem_cfg))
+}
+
+/// Runs one cell: the cached tree of `(matrix, ordering, split)` through
+/// [`run_strategies`]. Whatever else `base` switches on — traces, the
+/// flight recorder (`record_events`), the sampler (`sample_every`) —
+/// applies to both runs and observes without perturbing: peaks,
+/// makespans and message counts are those of the quiet cell (pinned by
+/// `mf_core`'s `recording_is_deterministic_and_absent_when_disabled` and
+/// `sampler_is_schedule_invariant_and_absent_when_disabled`).
 pub fn sweep_cell(
     matrix: PaperMatrix,
     ordering: OrderingKind,
-    nprocs: usize,
     split: Option<u64>,
-    record_traces: bool,
+    base: &SolverConfig,
 ) -> CellResult {
     let tree = build_tree(matrix, ordering, split);
-    let base_cfg = SolverConfig {
-        slave_selection: SlaveSelection::Workload,
-        task_selection: TaskSelection::Lifo,
-        use_subtree_info: false,
-        use_prediction: false,
-        record_traces,
-        ..paper_scale_config(nprocs)
-    };
-    let mem_cfg = SolverConfig {
-        slave_selection: SlaveSelection::Memory,
-        task_selection: TaskSelection::MemoryAware,
-        use_subtree_info: true,
-        use_prediction: true,
-        record_traces,
-        ..paper_scale_config(nprocs)
-    };
-    let map = compute_mapping(&tree, &base_cfg);
-    let backend = Backend::from_env();
-    let baseline = backend.run(&tree, &map, &base_cfg);
-    let memory = backend.run(&tree, &map, &mem_cfg);
+    let (baseline, memory) = run_strategies(&tree, base);
     CellResult { matrix, ordering, split, stats: tree.stats(), baseline, memory }
 }
 
-/// Runs one cell exactly like [`sweep_cell`], but with the full
-/// observability surface enabled on both strategies: per-processor
-/// memory traces *and* the structured flight recording (unbounded, so
-/// peak attribution is exact). Schedules are guaranteed unperturbed —
-/// the recorder's disabled/enabled paths produce identical peaks,
-/// makespans and message counts (pinned by `mf_core`'s
-/// `recording_is_deterministic_and_absent_when_disabled` test).
-pub fn sweep_cell_captured(
-    matrix: PaperMatrix,
-    ordering: OrderingKind,
-    nprocs: usize,
-    split: Option<u64>,
-) -> CellResult {
-    let tree = build_tree(matrix, ordering, split);
-    let observed = SolverConfig {
-        record_traces: true,
-        record_events: true,
-        event_capacity: None,
-        ..paper_scale_config(nprocs)
-    };
-    let base_cfg = SolverConfig {
-        slave_selection: SlaveSelection::Workload,
-        task_selection: TaskSelection::Lifo,
-        use_subtree_info: false,
-        use_prediction: false,
-        ..observed.clone()
-    };
-    let mem_cfg = SolverConfig {
-        slave_selection: SlaveSelection::Memory,
-        task_selection: TaskSelection::MemoryAware,
-        use_subtree_info: true,
-        use_prediction: true,
-        ..observed
-    };
-    let map = compute_mapping(&tree, &base_cfg);
-    let backend = Backend::from_env();
-    let baseline = backend.run(&tree, &map, &base_cfg);
-    let memory = backend.run(&tree, &map, &mem_cfg);
-    CellResult { matrix, ordering, split, stats: tree.stats(), baseline, memory }
-}
-
-/// Runs one cell exactly like [`sweep_cell`] with traces off, but with
-/// the structured flight recorder on (unbounded). This is the honest
-/// recorder-overhead arm: the *only* difference from
-/// `sweep_cell(.., false)` is `record_events`, so timing the two on the
-/// same cell set in the same process isolates the recorder's cost.
-pub fn sweep_cell_recorded(
-    matrix: PaperMatrix,
-    ordering: OrderingKind,
-    nprocs: usize,
-    split: Option<u64>,
-) -> CellResult {
-    let tree = build_tree(matrix, ordering, split);
-    let observed =
-        SolverConfig { record_events: true, event_capacity: None, ..paper_scale_config(nprocs) };
-    let base_cfg = SolverConfig {
-        slave_selection: SlaveSelection::Workload,
-        task_selection: TaskSelection::Lifo,
-        use_subtree_info: false,
-        use_prediction: false,
-        ..observed.clone()
-    };
-    let mem_cfg = SolverConfig {
-        slave_selection: SlaveSelection::Memory,
-        task_selection: TaskSelection::MemoryAware,
-        use_subtree_info: true,
-        use_prediction: true,
-        ..observed
-    };
-    let map = compute_mapping(&tree, &base_cfg);
-    let backend = Backend::from_env();
-    let baseline = backend.run(&tree, &map, &base_cfg);
-    let memory = backend.run(&tree, &map, &mem_cfg);
-    CellResult { matrix, ordering, split, stats: tree.stats(), baseline, memory }
-}
-
-/// Runs one cell exactly like [`sweep_cell`] (traces and recorder off),
-/// but with the telemetry sampler armed at the given interval on both
-/// strategies. This is the sampler-overhead arm of `perf_baseline`: the
-/// *only* difference from `sweep_cell(.., false)` is `sample_every`, so
-/// timing the two isolates the sampler's end-to-end cost — and the
-/// schedule-invariance contract means peaks and makespans must agree
-/// bit-exactly with the unsampled run.
-pub fn sweep_cell_sampled(
-    matrix: PaperMatrix,
-    ordering: OrderingKind,
-    nprocs: usize,
-    split: Option<u64>,
-    every: u64,
-) -> CellResult {
-    let tree = build_tree(matrix, ordering, split);
-    let observed = SolverConfig { sample_every: Some(every), ..paper_scale_config(nprocs) };
-    let base_cfg = SolverConfig {
-        slave_selection: SlaveSelection::Workload,
-        task_selection: TaskSelection::Lifo,
-        use_subtree_info: false,
-        use_prediction: false,
-        ..observed.clone()
-    };
-    let mem_cfg = SolverConfig {
-        slave_selection: SlaveSelection::Memory,
-        task_selection: TaskSelection::MemoryAware,
-        use_subtree_info: true,
-        use_prediction: true,
-        ..observed
-    };
-    let map = compute_mapping(&tree, &base_cfg);
-    let backend = Backend::from_env();
-    let baseline = backend.run(&tree, &map, &base_cfg);
-    let memory = backend.run(&tree, &map, &mem_cfg);
-    CellResult { matrix, ordering, split, stats: tree.stats(), baseline, memory }
-}
-
-/// One entry of a parallel sweep: the arguments of [`sweep_cell`].
-pub type CellSpec = (PaperMatrix, OrderingKind, usize, Option<u64>, bool);
+/// One entry of a parallel sweep: matrix, ordering, processor count and
+/// splitting threshold of a cell run at [`paper_scale_config`].
+pub type CellSpec = (PaperMatrix, OrderingKind, usize, Option<u64>);
 
 /// Runs many sweep cells in parallel, returning the results **in input
 /// order** — cell `i` of the output is `sweep_cell(specs[i])`, whatever
@@ -314,7 +189,7 @@ pub type CellSpec = (PaperMatrix, OrderingKind, usize, Option<u64>, bool);
 pub fn sweep_cells(specs: &[CellSpec]) -> Vec<CellResult> {
     specs
         .par_iter()
-        .map(|&(m, k, nprocs, split, traces)| sweep_cell(m, k, nprocs, split, traces))
+        .map(|&(m, k, nprocs, split)| sweep_cell(m, k, split, &paper_scale_config(nprocs)))
         .collect()
 }
 
@@ -394,8 +269,9 @@ mod tests {
 
     #[test]
     fn cell_runs_both_strategies_deterministically() {
-        let c1 = sweep_cell(PaperMatrix::TwoTone, OrderingKind::Amd, 8, None, false);
-        let c2 = sweep_cell(PaperMatrix::TwoTone, OrderingKind::Amd, 8, None, false);
+        let base = paper_scale_config(8);
+        let c1 = sweep_cell(PaperMatrix::TwoTone, OrderingKind::Amd, None, &base);
+        let c2 = sweep_cell(PaperMatrix::TwoTone, OrderingKind::Amd, None, &base);
         assert_eq!(c1.baseline.max_peak, c2.baseline.max_peak);
         assert_eq!(c1.memory.max_peak, c2.memory.max_peak);
         assert!(c1.baseline.max_peak > 0);

@@ -3,7 +3,7 @@
 //! number. Every table binary depends on it (see DESIGN.md,
 //! "Performance").
 
-use mf_bench::sweep::{sweep_cell, sweep_cells, CellResult, CellSpec};
+use mf_bench::sweep::{paper_scale_config, sweep_cell, sweep_cells, CellResult, CellSpec};
 use mf_order::OrderingKind;
 use mf_sparse::gen::paper::PaperMatrix;
 use rayon::ThreadPoolBuilder;
@@ -19,7 +19,7 @@ fn grid() -> Vec<CellSpec> {
     {
         for nprocs in [8usize, 32] {
             for split in [None, Some(thr)] {
-                specs.push((m, k, nprocs, split, false));
+                specs.push((m, k, nprocs, split));
             }
         }
     }
@@ -50,8 +50,8 @@ fn render(cells: &[CellResult]) -> String {
 
 #[test]
 fn sweep_cell_is_reproducible() {
-    let a = sweep_cell(PaperMatrix::Gupta3, OrderingKind::Amd, 16, None, false);
-    let b = sweep_cell(PaperMatrix::Gupta3, OrderingKind::Amd, 16, None, false);
+    let a = sweep_cell(PaperMatrix::Gupta3, OrderingKind::Amd, None, &paper_scale_config(16));
+    let b = sweep_cell(PaperMatrix::Gupta3, OrderingKind::Amd, None, &paper_scale_config(16));
     assert_eq!(a.baseline.peaks, b.baseline.peaks);
     assert_eq!(a.baseline.makespan, b.baseline.makespan);
     assert_eq!(a.memory.peaks, b.memory.peaks);
@@ -81,7 +81,7 @@ fn parallel_sweep_is_deterministic() {
     // And a third pass through the now-warm cache, single-threaded calls
     // straight into sweep_cell, must agree with both.
     for (spec, p) in specs.iter().zip(&par) {
-        let c = sweep_cell(spec.0, spec.1, spec.2, spec.3, spec.4);
+        let c = sweep_cell(spec.0, spec.1, spec.3, &paper_scale_config(spec.2));
         assert_eq!(c.baseline.peaks, p.baseline.peaks);
         assert_eq!(c.memory.peaks, p.memory.peaks);
     }

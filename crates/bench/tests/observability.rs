@@ -3,7 +3,8 @@
 //! bit-identical recordings across rayon thread-pool widths.
 
 use mf_bench::obs::{cell_summary_json, validate_json};
-use mf_bench::sweep::{sweep_cell_captured, CellResult};
+use mf_bench::sweep::{paper_scale_config, sweep_cell, CellResult};
+use mf_core::config::SolverConfig;
 use mf_order::OrderingKind;
 use mf_sim::recorder::{FrontClass, MemArea, SchedEvent, TaskRole};
 use mf_sim::{write_chrome_trace, Recording};
@@ -36,6 +37,11 @@ fn sample_recording() -> Recording {
     rec
 }
 
+/// The cell under both strategies with the flight recorder on.
+fn recorded_cell(m: PaperMatrix, k: OrderingKind, nprocs: usize) -> CellResult {
+    sweep_cell(m, k, None, &SolverConfig { record_events: true, ..paper_scale_config(nprocs) })
+}
+
 fn render(rec: &Recording, nprocs: usize) -> String {
     let mut buf = Vec::new();
     write_chrome_trace(&mut buf, nprocs, rec).expect("in-memory export cannot fail");
@@ -62,7 +68,6 @@ fn golden_perfetto_export_is_stable() {
 /// the recorder on, Perfetto export — must stay byte-stable.
 #[test]
 fn golden_small_paper_matrix_trace_is_stable() {
-    use mf_core::config::SolverConfig;
     use mf_symbolic::seqstack::{apply_liu_order, AssemblyDiscipline};
 
     let nprocs = 4;
@@ -70,7 +75,7 @@ fn golden_small_paper_matrix_trace_is_stable() {
     let perm = OrderingKind::Amd.compute(&a);
     let mut s = mf_symbolic::analyze(&a, &perm, &mf_symbolic::AmalgamationOptions::default());
     apply_liu_order(&mut s.tree, AssemblyDiscipline::FrontThenFree);
-    let cfg = SolverConfig { record_events: true, ..mf_bench::paper_scale_config(nprocs) };
+    let cfg = SolverConfig { record_events: true, ..paper_scale_config(nprocs) };
     let map = mf_core::mapping::compute_mapping(&s.tree, &cfg);
     let r = mf_core::parsim::run(&s.tree, &map, &cfg).expect("small run completes");
     let rec = r.recording.expect("recorder was on");
@@ -106,7 +111,7 @@ fn int_values(s: &str, key: &str) -> Vec<i64> {
 #[test]
 fn real_trace_is_valid_monotone_and_balanced() {
     let nprocs = 4;
-    let c = sweep_cell_captured(PaperMatrix::TwoTone, OrderingKind::Amd, nprocs, None);
+    let c = recorded_cell(PaperMatrix::TwoTone, OrderingKind::Amd, nprocs);
     for run in [&c.baseline, &c.memory] {
         let rec = run.recording.as_ref().expect("captured run records");
         let s = render(rec, nprocs);
@@ -146,7 +151,7 @@ fn real_trace_is_valid_monotone_and_balanced() {
 #[test]
 fn compact_recording_round_trips_through_owned_events() {
     let nprocs = 4;
-    let c = sweep_cell_captured(PaperMatrix::TwoTone, OrderingKind::Amd, nprocs, None);
+    let c = recorded_cell(PaperMatrix::TwoTone, OrderingKind::Amd, nprocs);
     for run in [&c.baseline, &c.memory] {
         let rec = run.recording.as_ref().expect("captured run records");
         assert!(rec.payload_refs_valid(), "payload refs must be in-bounds and non-overlapping");
@@ -233,27 +238,16 @@ fn golden_prometheus_exposition_is_stable() {
 #[test]
 fn sampler_on_recordings_and_tables_are_byte_identical() {
     use mf_bench::render_percent_table;
-    use mf_core::config::{SlaveSelection, SolverConfig, TaskSelection};
 
     let nprocs = 8;
     let tree = mf_bench::sweep::build_tree(PaperMatrix::TwoTone, OrderingKind::Amd, None);
     let arm = |memory: bool, sample_every: Option<u64>| {
-        let observed = SolverConfig {
-            record_events: true,
-            event_capacity: None,
-            sample_every,
-            ..mf_bench::paper_scale_config(nprocs)
-        };
+        let observed =
+            SolverConfig { record_events: true, sample_every, ..paper_scale_config(nprocs) };
         let cfg = if memory {
-            observed
+            observed.with_memory_strategy()
         } else {
-            SolverConfig {
-                slave_selection: SlaveSelection::Workload,
-                task_selection: TaskSelection::Lifo,
-                use_subtree_info: false,
-                use_prediction: false,
-                ..observed
-            }
+            observed.with_workload_strategy()
         };
         let map = mf_core::mapping::compute_mapping(&tree, &cfg);
         mf_core::parsim::run(&tree, &map, &cfg).expect("run completes")
@@ -300,9 +294,7 @@ fn recordings_identical_across_thread_pool_widths() {
             .num_threads(threads)
             .build()
             .expect("build local pool")
-            .install(|| {
-                specs.par_iter().map(|&(m, k)| sweep_cell_captured(m, k, 4, None)).collect()
-            })
+            .install(|| specs.par_iter().map(|&(m, k)| recorded_cell(m, k, 4)).collect())
     };
     let narrow = run_with(1);
     let wide = run_with(4);
@@ -349,7 +341,7 @@ fn full_scale_recordings_match_their_pinned_digests() {
         (PaperMatrix::Ship003, OrderingKind::Metis, [0x33e3_e60e_8355_502f, 0x818a_7132_b81d_8ae1]),
     ];
     for (m, k, want) in cells {
-        let c = mf_bench::sweep::sweep_cell_recorded(m, k, 32, None);
+        let c = recorded_cell(m, k, 32);
         let got = [&c.baseline, &c.memory]
             .map(|r| recording_digest(r.recording.as_ref().expect("recorder was on")));
         eprintln!("{}/{k:?}: [{:#018x}, {:#018x}]", m.name(), got[0], got[1]);

@@ -292,22 +292,41 @@ impl Default for SolverConfig {
 }
 
 impl SolverConfig {
-    /// The paper's baseline: original MUMPS dynamic workload strategy.
-    pub fn mumps_baseline(nprocs: usize) -> Self {
-        SolverConfig { nprocs, ..Default::default() }
+    /// This configuration under the paper's baseline: the original MUMPS
+    /// workload-based slave selection and LIFO pool, no Section 5.1
+    /// information. Every other field is kept.
+    pub fn with_workload_strategy(self) -> Self {
+        SolverConfig {
+            slave_selection: SlaveSelection::Workload,
+            task_selection: TaskSelection::Lifo,
+            use_subtree_info: false,
+            use_prediction: false,
+            ..self
+        }
     }
 
-    /// The paper's full memory-based configuration: Algorithm 1 with the
-    /// Section 5.1 mechanisms, plus Algorithm 2 task selection.
-    pub fn memory_based(nprocs: usize) -> Self {
+    /// This configuration under the paper's full memory-based strategy:
+    /// Algorithm 1 with the Section 5.1 mechanisms, plus Algorithm 2 task
+    /// selection. Every other field is kept.
+    pub fn with_memory_strategy(self) -> Self {
         SolverConfig {
-            nprocs,
             slave_selection: SlaveSelection::Memory,
             task_selection: TaskSelection::MemoryAware,
             use_subtree_info: true,
             use_prediction: true,
-            ..Default::default()
+            ..self
         }
+    }
+
+    /// The paper's baseline at the default machine model.
+    pub fn mumps_baseline(nprocs: usize) -> Self {
+        SolverConfig { nprocs, ..Default::default() }.with_workload_strategy()
+    }
+
+    /// The paper's full memory-based configuration at the default machine
+    /// model.
+    pub fn memory_based(nprocs: usize) -> Self {
+        SolverConfig { nprocs, ..Default::default() }.with_memory_strategy()
     }
 }
 
@@ -324,6 +343,36 @@ mod tests {
         assert_eq!(base.nprocs, mem.nprocs);
         assert_eq!(base.type2_front_min, mem.type2_front_min);
         assert!(mem.use_subtree_info && mem.use_prediction);
+
+        // The presets are transforms of any base: on a non-default one
+        // (the fields `mf_bench::paper_scale_config` sets, observers on)
+        // each equals the literal the experiment binaries used to spell
+        // out, and touches nothing else.
+        let base = SolverConfig {
+            type2_front_min: 150,
+            type3_front_min: 500,
+            min_rows_per_slave: 12,
+            record_events: true,
+            sample_every: Some(1000),
+            ..SolverConfig::memory_based(16)
+        };
+        let workload = SolverConfig {
+            slave_selection: SlaveSelection::Workload,
+            task_selection: TaskSelection::Lifo,
+            use_subtree_info: false,
+            use_prediction: false,
+            ..base.clone()
+        };
+        let memory = SolverConfig {
+            slave_selection: SlaveSelection::Memory,
+            task_selection: TaskSelection::MemoryAware,
+            use_subtree_info: true,
+            use_prediction: true,
+            ..base.clone()
+        };
+        let debug = |c: &SolverConfig| format!("{c:?}");
+        assert_eq!(debug(&base.clone().with_workload_strategy()), debug(&workload));
+        assert_eq!(debug(&workload.with_memory_strategy()), debug(&memory));
     }
 
     #[test]

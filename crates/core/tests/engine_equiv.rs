@@ -38,19 +38,11 @@ fn strategy_cfg(which: usize, nprocs: usize) -> SolverConfig {
     let base = SolverConfig { type2_front_min: 24, ..SolverConfig::mumps_baseline(nprocs) };
     match which {
         0 => base,
-        1 => SolverConfig {
-            slave_selection: SlaveSelection::Memory,
-            task_selection: TaskSelection::MemoryAware,
-            use_subtree_info: true,
-            use_prediction: true,
-            ..base
-        },
+        1 => base.with_memory_strategy(),
         _ => SolverConfig {
             slave_selection: SlaveSelection::Hybrid,
             task_selection: TaskSelection::MemoryAwareGlobal,
-            use_subtree_info: true,
-            use_prediction: true,
-            ..base
+            ..base.with_memory_strategy()
         },
     }
 }

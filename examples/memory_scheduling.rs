@@ -29,13 +29,7 @@ fn main() {
         type3_front_min: 500,
         ..SolverConfig::mumps_baseline(nprocs)
     };
-    let mem_cfg = SolverConfig {
-        slave_selection: SlaveSelection::Memory,
-        task_selection: TaskSelection::MemoryAware,
-        use_subtree_info: true,
-        use_prediction: true,
-        ..base_cfg.clone()
-    };
+    let mem_cfg = base_cfg.clone().with_memory_strategy();
     let map = compute_mapping(&s.tree, &base_cfg);
     let base = multifrontal::core::parsim::run(&s.tree, &map, &base_cfg).unwrap();
     let mem = multifrontal::core::parsim::run(&s.tree, &map, &mem_cfg).unwrap();

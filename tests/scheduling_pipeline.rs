@@ -53,17 +53,7 @@ fn both_strategies_are_deterministic() {
     let a = small_input(PaperMatrix::Xenon2, OrderingKind::Amd);
     let input = ExperimentInput { matrix: &a, ordering: OrderingKind::Amd };
     for base in [true, false] {
-        let c = if base {
-            cfg(8)
-        } else {
-            SolverConfig {
-                slave_selection: SlaveSelection::Memory,
-                task_selection: TaskSelection::MemoryAware,
-                use_subtree_info: true,
-                use_prediction: true,
-                ..cfg(8)
-            }
-        };
+        let c = if base { cfg(8) } else { cfg(8).with_memory_strategy() };
         let r1 = run_experiment(&input, &c).unwrap();
         let r2 = run_experiment(&input, &c).unwrap();
         assert_eq!(r1.peaks, r2.peaks);
