@@ -353,6 +353,14 @@ fn main() {
     writeln!(json, "{{").unwrap();
     writeln!(json, "  \"generated_by\": \"cargo run --release -p mf-bench --bin robustness\",")
         .unwrap();
+    writeln!(
+        json,
+        "  \"note\": \"jitter, delay and drops are drawn per message and kill/join indices count \
+         delivered events, so perturbed and membership rows move with the message count (a \
+         step's same-kind status deltas travel as one broadcast); intensity-0 and capacity \
+         rows compare exactly across commits\","
+    )
+    .unwrap();
     writeln!(json, "  \"nprocs\": {NPROCS},").unwrap();
     writeln!(json, "  \"seeds_per_level\": {},", SEEDS.len()).unwrap();
     writeln!(json, "  \"perturbation\": [").unwrap();

@@ -11,7 +11,8 @@
 //! * wall-clock, delivered events, ns/event and events/sec — the
 //!   engine's end-to-end cost per point;
 //! * makespan, peaks, and the status-coherence traffic (status message
-//!   and byte counts) — how the paper's protocol scales with P;
+//!   and byte counts, status broadcasts per front) — how the paper's
+//!   protocol scales with P;
 //! * the point's own resident memory: the RSS high-water mark is reset
 //!   before each point, so `rss_hwm_kb` is that point's peak,
 //!   `rss_delta_kb` what the run added to the RSS it started from, and
@@ -20,9 +21,10 @@
 //!   cumulative and later points over-report.
 //!
 //! `--smoke` runs one 256-processor cell on the small smoke instance
-//! under a hard wall-clock ceiling and an RSS-delta ceiling, and
-//! validates the rendered JSON with `mf_bench::obs` — the CI guard that
-//! the full sweep stays runnable and the simulator's footprint small.
+//! under a hard wall-clock ceiling, an RSS-delta ceiling and a ceiling on
+//! the status broadcasts per front, and validates the rendered JSON with
+//! `mf_bench::obs` — the CI guard that the full sweep stays runnable, the
+//! simulator's footprint small and a step's status deltas folded.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -58,11 +60,17 @@ fn status_kb(field: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// `rss_hwm_kb` of the sweep before the per-node scheduler state became
-/// sparse (each figure cumulative over the points before it), kept in the
-/// artifact for comparison.
-const PRIOR_RSS_HWM_KB: [(usize, u64); 4] =
-    [(32, 28872), (128, 103992), (512, 402264), (1024, 818036)];
+/// Per processor count, two figures of earlier sweeps kept in the
+/// artifact for comparison: `rss_hwm_kb` before the per-node scheduler
+/// state became sparse (each cumulative over the points before it), and
+/// `status_msgs` before a step's same-kind status deltas were folded
+/// into one broadcast.
+const PRIOR: [(usize, u64, u64); 4] = [
+    (32, 28872, 1516861),
+    (128, 103992, 8832215),
+    (512, 402264, 40812037),
+    (1024, 818036, 93065379),
+];
 
 struct Point {
     nprocs: usize,
@@ -72,6 +80,15 @@ struct Point {
     rss_hwm_kb: u64,
     rss_delta_kb: u64,
     r: RunResult,
+}
+
+impl Point {
+    /// Status broadcasts per front: every status message of a quiet run
+    /// is one of the `nprocs - 1` copies of a broadcast.
+    fn status_broadcasts_per_front(&self) -> f64 {
+        let broadcasts = self.r.metrics.status_msgs / (self.nprocs as u64 - 1).max(1);
+        broadcasts as f64 / self.r.total_nodes as f64
+    }
 }
 
 fn run_point(tree: &AssemblyTree, nprocs: usize) -> Point {
@@ -155,11 +172,21 @@ fn render_json(shape: &SynthConfig, tree: &AssemblyTree, points: &[Point]) -> St
             m.status_msgs as f64 / p.r.events_delivered.max(1) as f64
         )
         .unwrap();
+        writeln!(
+            json,
+            "      \"status_broadcasts_per_front\": {:.2},",
+            p.status_broadcasts_per_front()
+        )
+        .unwrap();
         writeln!(json, "      \"view_staleness_p95\": {},", m.view_staleness.quantile(0.95))
             .unwrap();
+        let prior = PRIOR.iter().find(|(n, ..)| *n == p.nprocs);
+        if let Some((_, _, status_msgs)) = prior {
+            writeln!(json, "      \"prior_status_msgs\": {status_msgs},").unwrap();
+        }
         writeln!(json, "      \"rss_hwm_kb\": {},", p.rss_hwm_kb).unwrap();
-        if let Some((_, prior)) = PRIOR_RSS_HWM_KB.iter().find(|(n, _)| *n == p.nprocs) {
-            writeln!(json, "      \"prior_rss_hwm_kb\": {prior},").unwrap();
+        if let Some((_, rss_hwm_kb, _)) = prior {
+            writeln!(json, "      \"prior_rss_hwm_kb\": {rss_hwm_kb},").unwrap();
         }
         writeln!(json, "      \"rss_delta_kb\": {},", p.rss_delta_kb).unwrap();
         writeln!(
@@ -187,6 +214,9 @@ fn main() {
         // 511 fronts x 256 processors: ~5 MB of views, queue and result.
         // Full-length per-node vectors in every core added 13 MB.
         const RSS_DELTA_CEILING_KB: u64 = 10 * 1024;
+        // 7.99 here; 9.27 when every memory movement and load change of
+        // a step was broadcast on its own.
+        const BROADCASTS_PER_FRONT_CEILING: f64 = 8.6;
         let shape = SynthConfig::smoke(42);
         let tree = synth_nd_tree(&shape);
         let start = Instant::now();
@@ -208,16 +238,24 @@ fn main() {
             "scale smoke grew the RSS by {} kB, over its ceiling of {RSS_DELTA_CEILING_KB} kB",
             p.rss_delta_kb
         );
+        assert!(
+            p.status_broadcasts_per_front() <= BROADCASTS_PER_FRONT_CEILING,
+            "scale smoke broadcast {:.2} status deltas per front, over its ceiling of \
+             {BROADCASTS_PER_FRONT_CEILING}: is every step folding its same-kind deltas?",
+            p.status_broadcasts_per_front()
+        );
         println!("{json}");
         eprintln!(
             "scale smoke OK: P=256, {} events in {:.0} ms ({:.0} ns/event, ceiling {:.0} ms), \
-             RSS +{} kB (ceiling {} kB)",
+             RSS +{} kB (ceiling {} kB), {:.2} status broadcasts per front (ceiling {})",
             p.r.events_delivered,
             total_ms,
             p.ns_per_event,
             CEILING_MS,
             p.rss_delta_kb,
-            RSS_DELTA_CEILING_KB
+            RSS_DELTA_CEILING_KB,
+            p.status_broadcasts_per_front(),
+            BROADCASTS_PER_FRONT_CEILING
         );
         return;
     }
@@ -236,12 +274,13 @@ fn main() {
         let p = run_point(&tree, nprocs);
         eprintln!(
             "  {} events in {:.0} ms: {:.0} ns/event, {:.2e} events/s, \
-             {} status msgs, rss {} MB (+{} MB)",
+             {} status msgs ({:.2} broadcasts per front), rss {} MB (+{} MB)",
             p.r.events_delivered,
             p.wall_ms,
             p.ns_per_event,
             p.events_per_sec,
             p.r.metrics.status_msgs,
+            p.status_broadcasts_per_front(),
             p.rss_hwm_kb / 1024,
             p.rss_delta_kb / 1024
         );

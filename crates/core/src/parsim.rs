@@ -244,10 +244,10 @@ struct SimDriver<'a, Q> {
     ledger: crate::recovery::ObligationLedger,
     /// Whether to maintain `ledger` (membership orchestration active).
     track_obligations: bool,
-    /// All fronts are done; the run only keeps going to drain in-flight
-    /// live traffic (so the makespan matches the recovery-off run), and
-    /// the failure detector stops re-arming so its chain dies out.
-    finishing: bool,
+    /// Timers refused while [`SimDriver::finishing`], as `(processor,
+    /// key, after)`: a kill that takes completed fronts with it re-arms
+    /// them, or nobody would be left to declare the loss.
+    refused: Vec<(usize, u64, Time)>,
     /// Sampled telemetry series; `None` = sampling disabled (the
     /// zero-cost path: cores never arm the sampling timer).
     ts: Option<RunTimeseries>,
@@ -278,11 +278,19 @@ impl<'a, Q: EventQueue<Msg>> SimDriver<'a, Q> {
             dead: Vec::new(),
             ledger: Default::default(),
             track_obligations: false,
-            finishing: false,
+            refused: Vec::new(),
             ts: cfg
                 .sample_every
                 .map(|every| RunTimeseries::new(cfg.nprocs, every, DEFAULT_SERIES_CAPACITY)),
         }
+    }
+
+    /// All fronts are done over the live processors; the run only keeps
+    /// going to drain in-flight live traffic (so the makespan matches the
+    /// recovery-off run), and the failure detector and the sampler stop
+    /// re-arming so their chains die out.
+    fn finishing(&self) -> bool {
+        self.done >= self.tree.len()
     }
 
     /// True once the fault model's network kill threshold was crossed.
@@ -459,12 +467,16 @@ impl<'a, Q: EventQueue<Msg>> SimDriver<'a, Q> {
                 self.sim.schedule_timer(p, duration, key);
             }
             Effect::Arm { key, after } => {
-                // A partitioned network starves the detector too:
-                // refusing to re-arm lets the run drain and fail with
-                // a typed `Partitioned` instead of spinning forever.
-                // Same once all fronts are done: the detector chain
-                // dies out and the queue drains.
-                if !self.partitioned() && !self.finishing {
+                if self.partitioned() {
+                    // A partitioned network starves the detector too:
+                    // refusing to re-arm lets the run drain and fail with
+                    // a typed `Partitioned` instead of spinning forever.
+                } else if self.finishing() {
+                    // Same once all fronts are done: the detector chain
+                    // dies out and the queue drains — unless a kill takes
+                    // the completion back, see `kill_proc`.
+                    self.refused.push((p, key, after));
+                } else {
                     self.sim.schedule_timer(p, after, key);
                 }
             }
@@ -547,7 +559,9 @@ impl<'a, Q: EventQueue<Msg>> SimDriver<'a, Q> {
 
     /// Fail-stops processor `d`: snapshots the dying core (the last
     /// coherent view of what dies with it) and marks it dead. Detection
-    /// and recovery happen later, through the lease protocol.
+    /// and recovery happen later, through the lease protocol — so a kill
+    /// that takes completed fronts with it while the run was finishing
+    /// puts the survivors' wound-down timers back.
     fn kill_proc(&mut self, host: &mut impl CoreHost<'a>, ms: &mut Membership, d: usize) {
         if !ms.alive[d] {
             return;
@@ -561,6 +575,13 @@ impl<'a, Q: EventQueue<Msg>> SimDriver<'a, Q> {
         self.dead.push(d);
         self.done -= std::mem::take(&mut self.nodes_done[d]);
         self.metrics.recovery.kills_observed += 1;
+        if !self.finishing() {
+            for (p, key, after) in std::mem::take(&mut self.refused) {
+                if ms.alive[p] {
+                    self.sim.schedule_timer(p, after, key);
+                }
+            }
+        }
     }
 
     /// Arbitrates the death declarations the cores' lease checks emitted:
@@ -891,11 +912,10 @@ fn run_on<'a, Q: EventQueue<Msg>>(
                 // so completion is checked per event — over the survivors
                 // only (a dead processor's completions were recomputed
                 // elsewhere and must not double-count).
-                if drv.done >= n {
+                if drv.finishing() {
                     // Keep draining in-flight live traffic so the final
                     // time matches the recovery-off run exactly; the
                     // detector stops re-arming and its chain dies out.
-                    drv.finishing = true;
                     if drv.live_events == 0 {
                         break 'run;
                     }
@@ -913,15 +933,14 @@ fn run_on<'a, Q: EventQueue<Msg>>(
                 {
                     drv.force_one_deferred(host, Some(&*ms))?;
                 }
-            } else if cfg.sample_every.is_some() && drv.done >= n {
+            } else if cfg.sample_every.is_some() && drv.finishing() {
                 // Sampler-aware termination: without membership the
                 // sampler's self-re-arming timer chain never lets the
                 // queue drain, so completion is checked per event. Once
-                // every front is done the sampler stops re-arming
-                // (`finishing`) and the run breaks the moment the last
-                // live event is processed — the clock never advances
-                // past the sampler-off makespan.
-                drv.finishing = true;
+                // every front is done the sampler stops re-arming and
+                // the run breaks the moment the last live event is
+                // processed — the clock never advances past the
+                // sampler-off makespan.
                 if drv.live_events == 0 {
                     break 'run;
                 }

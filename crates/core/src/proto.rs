@@ -52,6 +52,41 @@ pub const TIMER_LEASE: u64 = u64::MAX - 1;
 /// protocol chatter rather than live work).
 pub const TIMER_SAMPLE: u64 = u64::MAX - 2;
 
+/// Wire size of every status message. One size is what makes folding
+/// same-kind deltas exact: equal sizes mean equal arrival instants.
+const STATUS_BYTES: u64 = 16;
+
+/// Status kinds that fold: every one but `Assigned`.
+const FOLD_SLOTS: usize = 4;
+
+/// Index of a foldable status kind in `SchedulerCore::pending`. An
+/// `Assigned` is about a third party and never folds.
+fn fold_slot(delta: &StatusDelta) -> Option<usize> {
+    match delta {
+        StatusDelta::Mem { .. } => Some(0),
+        StatusDelta::Load { .. } => Some(1),
+        StatusDelta::Subtree { .. } => Some(2),
+        StatusDelta::Predicted { .. } => Some(3),
+        StatusDelta::Assigned { .. } => None,
+    }
+}
+
+/// `prev` then `next` of one foldable kind as a single delta: increments
+/// add up, absolute values are replaced.
+fn folded(prev: StatusDelta, next: StatusDelta) -> StatusDelta {
+    match (prev, next) {
+        (StatusDelta::Mem { delta: a }, StatusDelta::Mem { delta: b }) => {
+            StatusDelta::Mem { delta: a + b }
+        }
+        (StatusDelta::Load { delta: a }, StatusDelta::Load { delta: b }) => {
+            StatusDelta::Load { delta: a + b }
+        }
+        (StatusDelta::Subtree { .. }, StatusDelta::Subtree { .. })
+        | (StatusDelta::Predicted { .. }, StatusDelta::Predicted { .. }) => next,
+        _ => unreachable!("folded {next:?} into {prev:?}"),
+    }
+}
+
 /// Inter-processor messages of the scheduling protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Msg {
@@ -467,6 +502,10 @@ pub struct SchedulerCore<'a> {
     now: Time,
     /// Effect buffer drained by `handle` (reused across calls).
     out: Vec<Effect>,
+    /// Per foldable status kind ([`fold_slot`]), the position in `out` of
+    /// the broadcast a new delta of that kind folds into: set by the
+    /// broadcast, cleared at `handle` entry and by every `Effect::Send`.
+    pending: [Option<usize>; FOLD_SLOTS],
     mem: ProcMemory,
     /// Out-of-core mode: virtual time until which this processor's disk
     /// is busy writing factors.
@@ -551,6 +590,7 @@ impl<'a> SchedulerCore<'a> {
             record: cfg.record_events,
             now: 0,
             out: Vec::new(),
+            pending: [None; FOLD_SLOTS],
             mem: ProcMemory::new(cfg.record_traces),
             disk_busy_until: 0,
             views: Views::new(cfg.nprocs, initial_load),
@@ -596,6 +636,7 @@ impl<'a> SchedulerCore<'a> {
     pub fn handle(&mut self, now: Time, input: Input) -> std::vec::Drain<'_, Effect> {
         debug_assert!(self.out.is_empty(), "effects of the previous input were not drained");
         self.now = now;
+        self.pending = [None; FOLD_SLOTS];
         match input {
             Input::Tick => {
                 self.maybe_arm_detector();
@@ -860,7 +901,7 @@ impl<'a> SchedulerCore<'a> {
         let every = rc.heartbeat_every;
         for q in 0..self.cfg.nprocs {
             if q != self.id && self.reachable(q) {
-                self.out.push(Effect::Send { to: q, msg: Msg::Heartbeat, bytes: 8 });
+                self.send(q, Msg::Heartbeat, 8);
             }
         }
         self.out.push(Effect::Arm { key: TIMER_HEARTBEAT, after: every });
@@ -927,7 +968,7 @@ impl<'a> SchedulerCore<'a> {
                         self.current_subtree = None;
                         if self.cfg.use_subtree_info {
                             self.views[self.id].subtree = 0;
-                            self.broadcast(Msg::Status(StatusDelta::Subtree { peak: 0 }), 16);
+                            self.broadcast(StatusDelta::Subtree { peak: 0 });
                         }
                     }
                 }
@@ -1152,12 +1193,32 @@ impl<'a> SchedulerCore<'a> {
             self.deliver(self.id, msg);
             return;
         }
+        // A receiver may decide on this message: what was broadcast
+        // before it must stay apart from what is broadcast after it.
+        self.pending = [None; FOLD_SLOTS];
         self.out.push(Effect::Send { to, msg, bytes });
     }
 
-    fn broadcast(&mut self, msg: Msg, bytes: u64) {
-        debug_assert!(matches!(msg.class(), MsgClass::Status), "broadcast is status-only");
-        self.out.push(Effect::Broadcast { msg, bytes });
+    /// Broadcasts one status delta — at most one per kind between two
+    /// sends of a step: a delta whose kind already has a broadcast
+    /// pending in `out` is folded into it. Exact, not approximate: every
+    /// status message has the same size, so the parts would have reached
+    /// every receiver at one instant, with contiguous sequence numbers and
+    /// nothing scheduled between them — no decision anywhere could read a
+    /// view between the parts. A fold that sums to zero is still sent: it
+    /// refreshes the receivers' stamps exactly as its parts did.
+    fn broadcast(&mut self, delta: StatusDelta) {
+        if let Some(slot) = fold_slot(&delta) {
+            if let Some(i) = self.pending[slot] {
+                let Effect::Broadcast { msg: Msg::Status(prev), .. } = &mut self.out[i] else {
+                    unreachable!("pending[{slot}] points at a status broadcast");
+                };
+                *prev = folded(*prev, delta);
+                return;
+            }
+            self.pending[slot] = Some(self.out.len());
+        }
+        self.out.push(Effect::Broadcast { msg: Msg::Status(delta), bytes: STATUS_BYTES });
     }
 
     // ---------- memory (every change refreshes the exact local
@@ -1216,7 +1277,7 @@ impl<'a> SchedulerCore<'a> {
         // The self-view is exact: keep its freshness stamp current so
         // decision-time staleness reads 0 for the deciding processor.
         self.views.touch(self.id, self.now);
-        self.broadcast(Msg::Status(StatusDelta::Mem { delta }), 16);
+        self.broadcast(StatusDelta::Mem { delta });
     }
 
     fn load_change(&mut self, delta: i64) {
@@ -1224,7 +1285,7 @@ impl<'a> SchedulerCore<'a> {
             return;
         }
         self.views.apply_load_delta(self.id, delta);
-        self.broadcast(Msg::Status(StatusDelta::Load { delta }), 16);
+        self.broadcast(StatusDelta::Load { delta });
     }
 
     // ---------- scheduling ----------
@@ -1389,7 +1450,7 @@ impl<'a> SchedulerCore<'a> {
                     // to (base + subtree peak), Section 5.1.
                     let peak = self.subtree_base + self.map.subtree_peak[s];
                     self.views[self.id].subtree = peak;
-                    self.broadcast(Msg::Status(StatusDelta::Subtree { peak }), 16);
+                    self.broadcast(StatusDelta::Subtree { peak });
                 }
             }
         }
@@ -1546,7 +1607,7 @@ impl<'a> SchedulerCore<'a> {
             // the slave's own memory reports catch up (Section 4).
             self.views.apply_mem_delta(a.proc, entries as i64);
             self.views.touch(a.proc, now);
-            self.broadcast(Msg::Status(StatusDelta::Assigned { proc: a.proc, entries }), 16);
+            self.broadcast(StatusDelta::Assigned { proc: a.proc, entries });
         }
         // Work handed to the slaves leaves the master's workload.
         self.load_change(-(delegated as i64));
@@ -1718,7 +1779,7 @@ impl<'a> SchedulerCore<'a> {
                 self.current_subtree = None;
                 if self.cfg.use_subtree_info {
                     self.views[self.id].subtree = 0;
-                    self.broadcast(Msg::Status(StatusDelta::Subtree { peak: 0 }), 16);
+                    self.broadcast(StatusDelta::Subtree { peak: 0 });
                 }
             }
         }
@@ -1908,7 +1969,7 @@ impl<'a> SchedulerCore<'a> {
         let max = self.soon.values().copied().max().unwrap_or(0);
         if self.views[self.id].predicted != max {
             self.views[self.id].predicted = max;
-            self.broadcast(Msg::Status(StatusDelta::Predicted { cost: max }), 16);
+            self.broadcast(StatusDelta::Predicted { cost: max });
         }
     }
 }

@@ -333,13 +333,16 @@ fn fingerprint(r: &RunResult) -> u64 {
 /// *inside* a broadcast block — at its first, a middle and its last
 /// target — behave exactly as they did when the engine unrolled blocks
 /// one event per pop: the fingerprints below are whole-`RunResult`
-/// digests (recording on) captured on the commit before block delivery,
-/// where the positions were read off a log of the delivered-event
-/// stream. With everybody up, events 1018..=1022 are one block from
-/// processor 2 (targets 0, 1, 3, 4, 5); with processor 5 dormant, events
-/// 701..=705 are one block from processor 3 (targets 0, 1, 2, 4, 5).
-/// After an intentional schedule change, re-derive both the positions
-/// and the digests (`-- --nocapture` prints them).
+/// digests (recording on), and every case also runs on the single-heap
+/// reference engine. The positions are read off a log of the
+/// delivered-event stream. With everybody up, events 613..=617 are one
+/// block from processor 2 (targets 0, 1, 3, 4, 5); with processor 5
+/// dormant, events 376..=380 are one block from processor 3 (targets 0,
+/// 1, 2, 4, 5). After a change in what is delivered, find the same two
+/// blocks again (processor 2's and 3's first memory delta at t=28 and
+/// t=27) and re-derive the digests (`-- --nocapture` prints them):
+/// `peaks`, `makespan`, `factor_digest` and `nodes_done` of the seven
+/// cases should not move when only the traffic did.
 #[test]
 fn kills_and_joins_inside_a_block_match_the_per_event_engine() {
     let tree = tree_for(14);
@@ -348,18 +351,18 @@ fn kills_and_joins_inside_a_block_match_the_per_event_engine() {
     type Schedule = (&'static [(u64, usize)], &'static [(u64, usize)]);
     let cases: [(Schedule, u64); 7] = [
         // Kill at the block's first target; the victim is a later target.
-        ((&[(1018, 4)], &[]), 0xaeeb_7756_89d0_ff4c),
+        ((&[(613, 4)], &[]), 0x86f4_f2a2_a5f9_6b9d),
         // Kill at a middle target; the victim is that very target.
-        ((&[(1020, 3)], &[]), 0xa67c_1817_1f09_92df),
+        ((&[(615, 3)], &[]), 0x4958_5e6e_808e_9034),
         // Kill at the last target; the victim is the block's sender.
-        ((&[(1022, 2)], &[]), 0x1cf7_b07f_f44a_797b),
+        ((&[(617, 2)], &[]), 0xf8ef_5a3f_26a9_ed00),
         // Join at the first, a middle and the last target (the joiner
         // itself: delivered, not parked).
-        ((&[], &[(701, 5)]), 0xbcb5_6e27_98d8_9283),
-        ((&[], &[(703, 5)]), 0x4427_1960_6bd9_51c3),
-        ((&[], &[(705, 5)]), 0xb9ad_88d5_29db_b413),
+        ((&[], &[(376, 5)]), 0xf466_da23_2e3a_ccb7),
+        ((&[], &[(378, 5)]), 0xfce7_6c93_a651_19e7),
+        ((&[], &[(380, 5)]), 0xe9a9_889e_9072_c1e3),
         // A kill and a join inside the same block.
-        ((&[(702, 1)], &[(704, 5)]), 0xfa4f_707f_cc72_6950),
+        ((&[(377, 1)], &[(379, 5)]), 0x9d4d_acf5_edc7_f421),
     ];
     for ((kill_at, join_at), want) in cases {
         let cfg = SolverConfig {

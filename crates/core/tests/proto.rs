@@ -12,14 +12,20 @@
 //!   account ever goes negative mid-run;
 //! * the effect stream *is* the memory story: replaying just the
 //!   `Alloc`/`Free` effects through the flight-recorder attribution pass
-//!   reproduces every processor's `active_peak` bit-exactly.
+//!   reproduces every processor's `active_peak` bit-exactly;
+//! * a step broadcasts at most one status delta per kind between two
+//!   sends, and what it broadcasts is what its parts would have been: an
+//!   observer applying the folded deltas holds the views it would hold
+//!   had every memory movement been broadcast on its own, and the very
+//!   values each core keeps about itself.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use mf_core::config::{SlaveSelection, SolverConfig, TaskSelection};
 use mf_core::mapping::{compute_mapping, StaticMapping};
 use mf_core::proto::{initial_loads, Effect, Input, Msg, SchedulerCore};
-use mf_core::views::Views;
+use mf_core::views::{StatusDelta, Views};
 use mf_order::OrderingKind;
 use mf_sim::engine::{Event, EventPayload, Sim};
 use mf_sim::recorder::SchedEvent;
@@ -55,6 +61,8 @@ fn strategy_cfg(which: usize, nprocs: usize) -> SolverConfig {
 /// and views.
 struct Captured {
     effects: Vec<(usize, Time, Effect)>,
+    /// The slice of `effects` each `handle` call emitted, in call order.
+    steps: Vec<Range<usize>>,
     active_peaks: Vec<u64>,
     nodes_done: usize,
     views: Vec<Views>,
@@ -70,8 +78,9 @@ fn step(
     now: Time,
     input: Input,
     effects: &mut Vec<(usize, Time, Effect)>,
-) {
+) -> Range<usize> {
     let p = core.id();
+    let start = effects.len();
     for e in core.handle(now, input) {
         effects.push((p, now, e.clone()));
         match e {
@@ -92,31 +101,39 @@ fn step(
         }
     }
     assert!(core.take_violation().is_none(), "protocol violation in a healthy run");
+    start..effects.len()
 }
 
 /// Runs an uncapped, unperturbed factorization through the raw cores,
 /// returning the complete effect stream.
 fn drive(tree: &AssemblyTree, map: &StaticMapping, cfg: &SolverConfig) -> Captured {
-    drive_with(tree, map, cfg, false)
+    drive_with(tree, map, cfg, false, |_, _, _| {})
 }
 
 /// [`drive`], delivering status deltas either through `handle` like
 /// every other message or — `status_direct` — through
 /// [`SchedulerCore::apply_status`], with the harness building the
-/// `StatusApply` record the way a block-delivering driver does.
+/// `StatusApply` record the way a block-delivering driver does. After
+/// every `handle` call, `after_step` sees the core that stepped, the
+/// slave block the input enrolled it for (entries, 0 if none) and the
+/// effects the call emitted.
 fn drive_with(
     tree: &AssemblyTree,
     map: &StaticMapping,
     cfg: &SolverConfig,
     status_direct: bool,
+    mut after_step: impl FnMut(&SchedulerCore<'_>, u64, &[(usize, Time, Effect)]),
 ) -> Captured {
     let load0 = initial_loads(tree, map, cfg.nprocs);
     let mut cores: Vec<SchedulerCore<'_>> =
         (0..cfg.nprocs).map(|p| SchedulerCore::new(p, tree, map, cfg, &load0)).collect();
     let mut sim: Sim<Msg> = Sim::new();
     let mut effects = Vec::new();
+    let mut steps = Vec::new();
     for core in cores.iter_mut() {
-        step(core, &mut sim, cfg, 0, Input::Tick, &mut effects);
+        let emitted = step(core, &mut sim, cfg, 0, Input::Tick, &mut effects);
+        after_step(core, 0, &effects[emitted.clone()]);
+        steps.push(emitted);
     }
     while let Some(Event { at, payload }) = sim.next() {
         let (p, input) = match payload {
@@ -133,10 +150,17 @@ fn drive_with(
             EventPayload::Message { from, to, msg } => (to, Input::Deliver { from, msg }),
             EventPayload::Timer { proc, key } => (proc, Input::TimerFired { key }),
         };
-        step(&mut cores[p], &mut sim, cfg, at, input, &mut effects);
+        let enrolled = match &input {
+            Input::Deliver { msg: Msg::SlaveTask { entries, .. }, .. } => *entries,
+            _ => 0,
+        };
+        let emitted = step(&mut cores[p], &mut sim, cfg, at, input, &mut effects);
+        after_step(&cores[p], enrolled, &effects[emitted.clone()]);
+        steps.push(emitted);
     }
     Captured {
         effects,
+        steps,
         active_peaks: cores.iter().map(|c| c.memory().active_peak()).collect(),
         nodes_done: cores.iter().map(|c| c.nodes_done()).sum(),
         views: cores.iter().map(|c| c.views().clone()).collect(),
@@ -263,13 +287,207 @@ proptest! {
         let cfg = SolverConfig { record_events: record, ..strategy_cfg(strategy, nprocs) };
         let map = compute_mapping(&tree, &cfg);
         let handled = drive(&tree, &map, &cfg);
-        let direct = drive_with(&tree, &map, &cfg, true);
+        let direct = drive_with(&tree, &map, &cfg, true, |_, _, _| {});
         prop_assert_eq!(handled.nodes_done, tree.len());
         prop_assert!(handled.effects == direct.effects, "effect streams diverged");
         prop_assert!(handled.views == direct.views, "final views diverged");
         prop_assert_eq!(handled.active_peaks, direct.active_peaks);
 
     }
+}
+
+/// The foldable kind of a broadcast effect: `Mem`, `Load`, `Subtree` and
+/// `Predicted` deltas fold, an `Assigned` (about a third party) and
+/// everything that is not a status broadcast do not.
+fn foldable_kind(e: &Effect) -> Option<std::mem::Discriminant<StatusDelta>> {
+    match e {
+        Effect::Broadcast { msg: Msg::Status(StatusDelta::Assigned { .. }), .. } => None,
+        Effect::Broadcast { msg: Msg::Status(d), .. } => Some(std::mem::discriminant(d)),
+        _ => None,
+    }
+}
+
+/// What an omniscient zero-latency observer makes of a run: two `Views`
+/// fed every step's status traffic the moment it is emitted — `folded`
+/// applies the broadcasts as the cores emit them, `parts` applies one
+/// `Mem` delta per memory movement instead (the `Alloc`/`Free` effects:
+/// exactly the deltas the cores broadcast before same-kind deltas of a
+/// step were folded) and every other kind as emitted.
+struct Observer {
+    folded: Views,
+    parts: Views,
+    /// Per processor, entries announced by an `Assigned` whose slave
+    /// task has not been delivered yet.
+    announced: Vec<u64>,
+    /// `Mem` broadcasts whose parts cancelled out.
+    zero_sum: usize,
+}
+
+impl Observer {
+    fn new(tree: &AssemblyTree, map: &StaticMapping, cfg: &SolverConfig) -> Self {
+        let views = Views::new(cfg.nprocs, &initial_loads(tree, map, cfg.nprocs));
+        Observer {
+            folded: views.clone(),
+            parts: views,
+            announced: vec![0; cfg.nprocs],
+            zero_sum: 0,
+        }
+    }
+
+    /// Applies one step of `core`, checking the two views against each
+    /// other wherever a receiver could look — at every `Send` and at the
+    /// end of the step — and then against what the core knows about
+    /// itself.
+    fn after_step(
+        &mut self,
+        core: &SchedulerCore<'_>,
+        enrolled: u64,
+        emitted: &[(usize, Time, Effect)],
+    ) {
+        let p = core.id();
+        // The enrolment's own allocation, the first effect of its step,
+        // is the one memory movement that was never broadcast: the
+        // master's `Assigned` announced it.
+        let mut silent = enrolled > 0;
+        self.announced[p] -= enrolled;
+        for (_, now, e) in emitted {
+            match *e {
+                Effect::Alloc { .. } if silent => silent = false,
+                Effect::Alloc { entries, .. } if entries > 0 => {
+                    self.parts.apply(p, StatusDelta::Mem { delta: entries as i64 }, *now);
+                }
+                Effect::Free { entries, .. } if entries > 0 => {
+                    self.parts.apply(p, StatusDelta::Mem { delta: -(entries as i64) }, *now);
+                }
+                Effect::Broadcast { msg: Msg::Status(d), .. } => {
+                    self.folded.apply(d.about(p), d, *now);
+                    match d {
+                        StatusDelta::Mem { delta } => self.zero_sum += (delta == 0) as usize,
+                        StatusDelta::Assigned { proc, entries } => {
+                            self.announced[proc] += entries;
+                            self.parts.apply(proc, d, *now);
+                        }
+                        _ => {
+                            self.parts.apply(p, d, *now);
+                        }
+                    }
+                }
+                Effect::Send { .. } => {
+                    assert!(self.folded == self.parts, "proc {p}: a fold crossed a send");
+                }
+                _ => {}
+            }
+        }
+        assert!(self.folded == self.parts, "proc {p}: folded deltas are not their parts");
+        let (seen, own) = (self.folded[p], core.views()[p]);
+        assert_eq!(seen.mem, own.mem + self.announced[p], "proc {p}: memory");
+        assert_eq!(
+            (seen.load, seen.subtree, seen.predicted),
+            (own.load, own.subtree, own.predicted),
+            "proc {p}: load, subtree peak, prediction"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    /// No `handle` output holds two status broadcasts of one foldable
+    /// kind without a `Send` between them — on both lockstep machines,
+    /// whatever sequence of inputs the run feeds each core.
+    #[test]
+    fn a_step_broadcasts_each_kind_once_between_sends(
+        strategy in 0usize..3,
+        nprocs in 2usize..9,
+        nx in 10usize..16,
+        status_direct in any::<bool>(),
+    ) {
+        let tree = tree_for(nx);
+        let cfg = strategy_cfg(strategy, nprocs);
+        let map = compute_mapping(&tree, &cfg);
+        let cap = drive_with(&tree, &map, &cfg, status_direct, |_, _, _| {});
+        prop_assert_eq!(cap.nodes_done, tree.len());
+        let mut broadcasts = 0usize;
+        for emitted in &cap.steps {
+            let mut since_send = Vec::new();
+            for (p, _, e) in &cap.effects[emitted.clone()] {
+                if matches!(e, Effect::Send { .. }) {
+                    since_send.clear();
+                } else if let Some(kind) = foldable_kind(e) {
+                    prop_assert!(!since_send.contains(&kind), "proc {} repeats {:?}", p, e);
+                    since_send.push(kind);
+                    broadcasts += 1;
+                }
+            }
+        }
+        prop_assert!(broadcasts > 0);
+    }
+
+    /// Folding is exact: an observer applying each step's folded
+    /// broadcasts holds, after every step, the `Views` it would hold had
+    /// every memory movement been broadcast on its own — and the memory,
+    /// load, subtree peak and prediction the stepping core keeps about
+    /// itself.
+    #[test]
+    fn folded_broadcasts_apply_like_their_parts(
+        strategy in 0usize..3,
+        nprocs in 2usize..9,
+        nx in 10usize..16,
+    ) {
+        let tree = tree_for(nx);
+        let cfg = strategy_cfg(strategy, nprocs);
+        let map = compute_mapping(&tree, &cfg);
+        let mut obs = Observer::new(&tree, &map, &cfg);
+        let cap = drive_with(&tree, &map, &cfg, false, |core, enrolled, emitted| {
+            obs.after_step(core, enrolled, emitted)
+        });
+        prop_assert_eq!(cap.nodes_done, tree.len());
+        prop_assert!(obs.announced.iter().all(|&a| a == 0), "every enrolment was delivered");
+    }
+}
+
+/// A step whose memory movements cancel out with no send in between —
+/// here a finished front of 36 entries leaves, its contribution block of
+/// 21 is stacked and the next front of 15 comes in — still broadcasts
+/// its `Mem` delta of zero: the parts would have refreshed every
+/// receiver's stamp for the sender, and so does their sum.
+#[test]
+fn a_fold_that_sums_to_zero_is_still_broadcast() {
+    let tree = tree_for(15);
+    let cfg = strategy_cfg(1, 3);
+    let map = compute_mapping(&tree, &cfg);
+    let mut obs = Observer::new(&tree, &map, &cfg);
+    let cap = drive_with(&tree, &map, &cfg, false, |core, enrolled, emitted| {
+        obs.after_step(core, enrolled, emitted)
+    });
+    assert_eq!(cap.nodes_done, tree.len());
+    assert_eq!(obs.zero_sum, 1, "this run has one such step");
+    let zero = Effect::Broadcast { msg: Msg::Status(StatusDelta::Mem { delta: 0 }), bytes: 16 };
+    let emitted = cap
+        .steps
+        .iter()
+        .map(|r| &cap.effects[r.clone()])
+        .find(|emitted| emitted.iter().any(|(_, _, e)| *e == zero))
+        .expect("the zero-sum broadcast is in some step");
+    let (p, now, _) = emitted[0];
+    let moved: Vec<i64> = emitted
+        .iter()
+        .filter_map(|(_, _, e)| match *e {
+            Effect::Alloc { entries, .. } => Some(entries as i64),
+            Effect::Free { entries, .. } => Some(-(entries as i64)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(moved, [-36, 21, 15]);
+    assert!(
+        !emitted.iter().any(|(_, _, e)| matches!(e, Effect::Send { .. })),
+        "no send anywhere in this step"
+    );
+    // What a receiver makes of it: the belief stands, its stamp moves.
+    let mut views = Views::new(cfg.nprocs, &initial_loads(&tree, &map, cfg.nprocs));
+    views.apply(p, StatusDelta::Mem { delta: 77 }, 1);
+    views.apply(p, StatusDelta::Mem { delta: 0 }, now);
+    assert_eq!((views[p].mem, views[p].updated_at), (77, now));
 }
 
 /// The `Effect` enum is the core's hot currency: every message, memory

@@ -7,7 +7,6 @@
 use mf_core::config::{RecoveryConfig, SlaveSelection, SolverConfig, TaskSelection};
 use mf_core::mapping::compute_mapping;
 use mf_core::parsim;
-use mf_core::SimError;
 use mf_order::OrderingKind;
 use mf_sim::FaultModel;
 use mf_sparse::gen::grid::{grid2d, Stencil};
@@ -221,14 +220,14 @@ proptest! {
 /// Kills scheduled around the finishing-drain window — after the last
 /// front completed, while in-flight live traffic still drains and the
 /// failure detector winds down. The scan is dense over the last events
-/// of the run (the window's position depends on the schedule) and over
-/// every victim: a kill before the window recovers to the fault-free
-/// digest, a kill past the end of the run never fires, and a kill inside
-/// the window — the detector no longer re-arms, so nobody can declare
-/// the loss — ends in a typed `Stalled` naming the victim with every
-/// front accounted for. Nothing hangs, panics, or moves the digest.
+/// of the run (the window's position depends on the schedule; it has
+/// been the last ~70 events here) and over every victim: a kill up to
+/// the last event — inside the window too, where the driver puts the
+/// wound-down detector back so the loss is declared — recovers to the
+/// fault-free digest, and a kill past the end of the run never fires.
+/// Nothing stalls, hangs, panics, or moves the digest.
 #[test]
-fn kills_around_the_finishing_drain_window_recover_stall_or_never_fire() {
+fn kills_around_the_finishing_drain_window_recover_or_never_fire() {
     let tree = tree_for(14);
     let quiet = SolverConfig { recovery: Some(RecoveryConfig::default()), ..strategy_cfg(0, 4) };
     let map = compute_mapping(&tree, &quiet);
@@ -236,34 +235,24 @@ fn kills_around_the_finishing_drain_window_recover_stall_or_never_fire() {
     // The fault schedule is keyed on delivered-event indices: the last
     // event of the fault-free run is the last index a kill can fire on.
     let end = plain.events_delivered;
-    let (mut recovered, mut stalled) = (0usize, 0usize);
+    let (mut recovered, mut never_fired) = (0usize, 0usize);
     for idx in end - 300..=end + 20 {
         for victim in 0..4usize {
             let cfg = SolverConfig {
                 fault: Some(FaultModel { kill_at: vec![(idx, victim)], ..FaultModel::quiet(1) }),
                 ..quiet.clone()
             };
-            match parsim::run(&tree, &map, &cfg) {
-                Ok(r) => {
-                    assert_eq!(r.nodes_done, r.total_nodes, "kill_at=({idx},{victim})");
-                    assert_eq!(r.factor_digest, plain.factor_digest, "kill_at=({idx},{victim})");
-                    let fired = if idx <= end { vec![victim] } else { vec![] };
-                    assert_eq!(r.dead, fired, "kill_at=({idx},{victim})");
-                    recovered += fired.len();
-                }
-                Err(SimError::Stalled { diag }) => {
-                    assert_eq!(diag.dead, vec![victim], "kill_at=({idx},{victim})");
-                    assert_eq!(
-                        diag.nodes_done, diag.total_nodes,
-                        "kill_at=({idx},{victim}): a stall is only legitimate in the drain window"
-                    );
-                    stalled += 1;
-                }
-                Err(e) => panic!("kill_at=({idx},{victim}): {e}"),
-            }
+            let r = parsim::run(&tree, &map, &cfg)
+                .unwrap_or_else(|e| panic!("kill_at=({idx},{victim}): {e}"));
+            assert_eq!(r.nodes_done, r.total_nodes, "kill_at=({idx},{victim})");
+            assert_eq!(r.factor_digest, plain.factor_digest, "kill_at=({idx},{victim})");
+            let fired = if idx <= end { vec![victim] } else { vec![] };
+            assert_eq!(r.dead, fired, "kill_at=({idx},{victim})");
+            recovered += fired.len();
+            never_fired += fired.is_empty() as usize;
         }
     }
-    assert!(recovered > 0 && stalled > 0, "the scan must straddle the drain window");
+    assert!(recovered > 0 && never_fired > 0, "the scan must straddle the end of the run");
 }
 
 /// The full paper suite under single kills, both memory strategies:

@@ -86,11 +86,14 @@ impl Histogram {
         }
     }
 
-    /// Upper-bound estimate of the `q`-quantile (`0.0 ..= 1.0`) from
-    /// the log2 buckets: the upper edge of the bucket where the
-    /// cumulative count crosses `ceil(q · count)`, clamped to the exact
-    /// `[min, max]` range. Returns 0 on an empty histogram — never the
-    /// internal `u64::MAX` min sentinel.
+    /// Estimate of the `q`-quantile (`0.0 ..= 1.0`) from the log2
+    /// buckets: in the bucket where the cumulative count crosses
+    /// `ceil(q · count)`, the bucket's observations are taken as evenly
+    /// spread over its range — narrowed to the exact `[min, max]` — and
+    /// the one of the crossing rank is read off (a bucket's only
+    /// observation reads as its upper edge). Rank 1 is therefore the
+    /// exact minimum and rank `count` the exact maximum. Returns 0 on an
+    /// empty histogram — never the internal `u64::MAX` min sentinel.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -99,13 +102,23 @@ impl Histogram {
         let target = ((q * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
+            if seen + c >= target {
                 // Bucket 0 holds zeros; bucket i (i ≥ 1) holds
-                // [2^(i-1), 2^i), upper edge 2^i − 1.
-                let edge = if i == 0 { 0 } else { (1u64 << i) - 1 };
-                return edge.min(self.max).max(self.min_or_zero());
+                // [2^(i-1), 2^i), the last one everything above.
+                let (lo, hi) = match i {
+                    0 => (0, 0),
+                    _ if i == HIST_BUCKETS - 1 => (1u64 << (i - 1), u64::MAX),
+                    _ => (1u64 << (i - 1), (1u64 << i) - 1),
+                };
+                let (lo, hi) = (lo.max(self.min), hi.min(self.max));
+                if c == 1 {
+                    return hi;
+                }
+                let rank = target - seen; // 1 ..= c
+                let step = (hi - lo) as u128 * (rank - 1) as u128 / (c - 1) as u128;
+                return lo + step as u64;
             }
+            seen += c;
         }
         self.max
     }
@@ -644,8 +657,9 @@ mod tests {
             h.observe(v);
         }
         assert_eq!(h.quantile(0.0), 0, "q=0 lands in the zero bucket");
-        // 4 of 7 observations are ≤ 3: the median's bucket edge is 3.
-        assert_eq!(h.quantile(0.5), 3);
+        // The median is the 4th of 7: the first of the two observations
+        // in [2, 3].
+        assert_eq!(h.quantile(0.5), 2);
         // The top quantile is clamped to the exact max, not the bucket
         // edge (1023 for the bucket holding 1000).
         assert_eq!(h.quantile(1.0), 1000);
@@ -657,6 +671,39 @@ mod tests {
         // Out-of-range q is clamped, not a panic.
         assert_eq!(h.quantile(-1.0), 0);
         assert_eq!(h.quantile(2.0), 1000);
+    }
+
+    #[test]
+    fn quantile_interpolates_by_rank_inside_the_crossing_bucket() {
+        // One bucket, [64, 127], narrowed to the exact [70, 120]: the
+        // five observations read as evenly spread from min to max.
+        let mut one = Histogram::default();
+        for v in [70, 80, 90, 100, 120] {
+            one.observe(v);
+        }
+        let got: Vec<u64> = [0.0, 0.2, 0.4, 0.5, 0.8, 1.0].map(|q| one.quantile(q)).to_vec();
+        assert_eq!(got, [70, 70, 82, 95, 107, 120]);
+        // Two buckets, five observations each: [16, 31] and [64, 127]
+        // (narrowed to the max, 100). Nothing is ever read in the empty
+        // bucket between them.
+        let mut two = Histogram::default();
+        for v in [16, 18, 20, 25, 30, 64, 70, 80, 90, 100] {
+            two.observe(v);
+        }
+        assert_eq!(two.quantile(0.0), 16, "rank 1 is the exact min");
+        assert_eq!(two.quantile(0.3), 23, "3rd of 5 over [16, 31]");
+        assert_eq!(two.quantile(0.5), 31, "last of the low bucket: its upper edge");
+        assert_eq!(two.quantile(0.6), 64, "first of the high bucket: its lower edge");
+        assert_eq!(two.quantile(0.8), 82, "3rd of 5 over [64, 100]");
+        assert_eq!(two.quantile(0.95), 100);
+        assert_eq!(two.quantile(1.0), 100, "rank count is the exact max");
+        // A quantile can now move without crossing a power of two.
+        assert_ne!(two.quantile(0.7), two.quantile(0.8));
+        // Observations past the last bucket's lower edge stay in range.
+        let mut top = Histogram::default();
+        top.observe(1 << 40);
+        top.observe(1 << 50);
+        assert_eq!((top.quantile(0.0), top.quantile(1.0)), (1 << 40, 1 << 50));
     }
 
     #[test]
