@@ -61,7 +61,7 @@ fn bench_trailing_update(c: &mut Criterion) {
 }
 
 /// The full blocked front kernel with the within-front thread budget —
-/// the shape `perf_baseline`'s floor guard watches.
+/// the shape `mf-frontal`'s `kernel_floor` test holds a floor on.
 fn bench_blocked_lu_mt(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm/blocked_lu");
     group.sample_size(10);

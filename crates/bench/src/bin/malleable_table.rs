@@ -21,7 +21,7 @@
 //! *best feasible* static budget (chosen per matrix, with hindsight) on
 //! at least 6 of the 8 paper matrices. EXPERIMENTS.md reproduces the
 //! printed table; CI does not run this binary (it is the local
-//! acceptance run — `perf_baseline` carries the cheap subset guard).
+//! acceptance run — `tests/malleable.rs` carries the cheap subset guard).
 //!
 //! Usage: `malleable_table [--nprocs N]` (default 32).
 

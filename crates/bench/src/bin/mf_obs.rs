@@ -59,7 +59,7 @@
 //!   schedule (default: kill processor 1 at delivered event 128) — the
 //!   runs are identical up to the membership event, and the diff shows
 //!   what the recovery machinery cost. `sweeps` diffs two
-//!   `BENCH_sweep.json`-style artifacts (commit vs commit) and names
+//!   `BENCH_scale.json`-style artifacts (commit vs commit) and names
 //!   every metric that moved.
 //! * **timeline** runs one strategy with the telemetry sampler armed
 //!   and dumps the time series to stdout as CSV, JSONL, or Prometheus

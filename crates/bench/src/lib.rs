@@ -13,8 +13,8 @@
 //! * `ablation`, `scaling`, `variability`, `reordering_memory`,
 //!   `malleable_table` — the studies beyond the paper's tables;
 //! * `probe` — quick timing/shape scan of all matrix × ordering cells;
-//! * `robustness`, `scale`, `perf_baseline`, `backend_equiv` — the
-//!   harnesses behind `BENCH_*.json` and the backend-equivalence check;
+//! * `robustness`, `scale`, `backend_equiv` — the harnesses behind
+//!   `BENCH_*.json` and the backend-equivalence check;
 //! * `mf-obs` — the observability tool over flight recordings (see
 //!   [`obs`]): `explain` (peak attribution, `--cores` timeline, kill/join
 //!   replay), `audit` (protocol invariants), `check-all` (both, on every

@@ -210,12 +210,11 @@ pub fn validate_json(s: &str) -> Result<(), String> {
 /// Extracts every numeric leaf of a JSON document as
 /// (dotted-path, value) pairs in document order: object members append
 /// `.key`, array elements append `[i]` — e.g.
-/// `sweep_subset.warm_cache_ms` or `lu_kernel_blocked[1].gflops`.
+/// `instance.fronts` or `points[1].ns_per_event`.
 ///
-/// This powers cross-run artifact diffing (`mf-obs diff sweeps`, the
-/// `perf_baseline` trajectory report): two runs of the same harness
-/// yield the same paths, so a regression is named by the exact metric
-/// that moved. Input is expected to be well-formed (validate with
+/// This powers cross-run artifact diffing (`mf-obs diff sweeps`): two
+/// runs of the same harness yield the same paths, so a regression is
+/// named by the exact metric that moved. Input is expected to be well-formed (validate with
 /// [`validate_json`] first); on malformed input the pairs collected up
 /// to the defect are returned.
 pub fn json_numbers(s: &str) -> Vec<(String, f64)> {

@@ -158,8 +158,8 @@ pub fn run_strategies(tree: &AssemblyTree, base: &SolverConfig) -> (RunResult, R
 }
 
 /// Runs one cell: the cached tree of `(matrix, ordering, split)` through
-/// [`run_strategies`]. Whatever else `base` switches on — traces, the
-/// flight recorder (`record_events`), the sampler (`sample_every`) —
+/// [`run_strategies`]. Whatever else `base` switches on — the flight
+/// recorder (`record_events`), the sampler (`sample_every`) —
 /// applies to both runs and observes without perturbing: peaks,
 /// makespans and message counts are those of the quiet cell (pinned by
 /// `mf_core`'s `recording_is_deterministic_and_absent_when_disabled` and

@@ -3,7 +3,11 @@
 //! number. Every table binary depends on it (see DESIGN.md,
 //! "Performance").
 
-use mf_bench::sweep::{paper_scale_config, sweep_cell, sweep_cells, CellResult, CellSpec};
+use mf_bench::sweep::{
+    paper_scale_config, run_strategies, sweep_cell, sweep_cells, CellResult, CellSpec,
+};
+use mf_core::config::SolverConfig;
+use mf_core::driver::{prepare_tree, ExperimentInput};
 use mf_order::OrderingKind;
 use mf_sparse::gen::paper::PaperMatrix;
 use rayon::ThreadPoolBuilder;
@@ -84,5 +88,28 @@ fn parallel_sweep_is_deterministic() {
         let c = sweep_cell(spec.0, spec.1, spec.3, &paper_scale_config(spec.2));
         assert_eq!(c.baseline.peaks, p.baseline.peaks);
         assert_eq!(c.memory.peaks, p.memory.peaks);
+    }
+}
+
+#[test]
+fn cached_sweep_equals_cells_rebuilt_from_scratch() {
+    // Every cell once more the way a library caller runs it — matrix,
+    // ordering, analysis, Liu child order and splitting rebuilt per cell
+    // by `prepare_tree`, nothing shared — must give the numbers the
+    // artifact cache gives.
+    let specs = grid();
+    for (&(m, k, nprocs, split), c) in specs.iter().zip(&sweep_cells(&specs)) {
+        let cfg = SolverConfig { split_threshold: split, ..paper_scale_config(nprocs) };
+        let tree = prepare_tree(&ExperimentInput { matrix: &m.instantiate(), ordering: k }, &cfg);
+        let (baseline, memory) = run_strategies(&tree, &cfg);
+        for (scratch, cached) in [(&baseline, &c.baseline), (&memory, &c.memory)] {
+            assert_eq!(
+                (scratch.max_peak, scratch.makespan),
+                (cached.max_peak, cached.makespan),
+                "cached sweep changed results: from scratch [{}] vs cached [{}]",
+                scratch.summary_line(),
+                cached.summary_line()
+            );
+        }
     }
 }

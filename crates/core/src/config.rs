@@ -189,8 +189,6 @@ pub struct SolverConfig {
     /// `subtree_peak_factor x (sequential peak / nprocs)`.
     /// `None` keeps the purely flops-based definition of Section 3.
     pub subtree_peak_factor: Option<f64>,
-    /// Record per-processor active-memory traces (for the figures).
-    pub record_traces: bool,
     /// Record the structured flight recording ([`mf_sim::Recording`]):
     /// every scheduling decision, memory movement, and status message,
     /// replayable by the `explain` report and exportable to Perfetto.
@@ -201,12 +199,6 @@ pub struct SolverConfig {
     /// which exact peak attribution requires; a bound keeps only the most
     /// recent events and counts evictions).
     pub event_capacity: Option<usize>,
-    /// Out-of-core execution (the conclusion's coupling argument +
-    /// reference \[6\]): factors are streamed to a per-processor disk at
-    /// this bandwidth (bytes per tick) instead of occupying memory.
-    /// Writes overlap computation; the disk only extends the makespan
-    /// when it becomes the bottleneck. `None` keeps factors in core.
-    pub out_of_core: Option<u64>,
     /// Emulated non-determinism: task durations are perturbed by up to
     /// `pct` (multiplicatively), seeded for reproducibility. The paper
     /// attributes small cross-run differences to "the non-deterministic
@@ -276,10 +268,8 @@ impl Default for SolverConfig {
             use_prediction: false,
             split_threshold: None,
             subtree_peak_factor: None,
-            record_traces: false,
             record_events: false,
             event_capacity: None,
-            out_of_core: None,
             jitter: None,
             fault: None,
             recovery: None,

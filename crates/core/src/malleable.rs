@@ -36,9 +36,8 @@ pub struct SpeedupCurve {
 
 impl Default for SpeedupCurve {
     fn default() -> Self {
-        // Calibrated from the perf_baseline self-speedup measurement:
-        // ~3x at 8 within-front threads on a front of order 512
-        // (~46 Mflop partial LU), i.e. serial fraction 5/21 ≈ 0.238.
+        // Calibration point: ~3x at 8 within-front threads on a front of
+        // order 512 (~46 Mflop partial LU), i.e. serial fraction 5/21 ≈ 0.238.
         SpeedupCurve { serial_ref: 0.238, flops_ref: 46_000_000, floor: 0.02 }
     }
 }

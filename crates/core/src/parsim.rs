@@ -23,7 +23,7 @@ use crate::views::StatusDelta;
 use mf_sim::recorder::TaskRole;
 use mf_sim::{
     CompactEvent, Delivery, Event, EventPayload, EventQueue, FaultInjector, MsgClass, NetworkModel,
-    ProcMemory, Recording, RunMetrics, RunTimeseries, SampleRow, Sim, SingleHeapSim, Time, Trace,
+    ProcMemory, Recording, RunMetrics, RunTimeseries, SampleRow, Sim, SingleHeapSim, Time,
     DEFAULT_SERIES_CAPACITY,
 };
 use mf_symbolic::AssemblyTree;
@@ -49,9 +49,6 @@ pub struct RunResult {
     /// of the scale bench's ns/event figure. The same on every backend —
     /// they share the queue and the loop.
     pub events_delivered: u64,
-    /// Per-processor active-memory traces when
-    /// [`SolverConfig::record_traces`] was set.
-    pub traces: Option<Vec<Trace>>,
     /// Per-processor peak of active memory *plus factors* — what an
     /// in-core execution must provision; the gap to `peaks` is exactly
     /// the out-of-core argument of the paper's conclusion (factors can be
@@ -767,8 +764,8 @@ pub fn run(
 
 /// [`run`] on the historical single-global-heap engine
 /// ([`SingleHeapSim`]). Same contract, same results, bit for bit — the
-/// engine-equivalence tests and the `engine` criterion bench compare the
-/// two; everything else should use [`run`].
+/// engine-equivalence tests compare the two; everything else should use
+/// [`run`].
 pub fn run_reference(
     tree: &AssemblyTree,
     map: &StaticMapping,
@@ -965,8 +962,7 @@ fn run_on<'a, Q: EventQueue<Msg>>(
     }
 
     let cores = host.finish();
-    let disk_end = cores.iter().map(|c| c.disk_busy_until()).max().unwrap_or(0);
-    let makespan = drv.sim.now().max(disk_end);
+    let makespan = drv.sim.now();
     let mems: Vec<&ProcMemory> = cores.iter().map(|c| c.memory()).collect();
     let peaks: Vec<u64> = mems.iter().map(|m| m.active_peak()).collect();
     let total_peaks: Vec<u64> = mems.iter().map(|m| m.total_peak()).collect();
@@ -995,9 +991,6 @@ fn run_on<'a, Q: EventQueue<Msg>>(
         makespan,
         messages: drv.messages,
         events_delivered: drv.sim.delivered(),
-        traces: cfg
-            .record_traces
-            .then(|| mems.iter().map(|m| m.trace().cloned().unwrap_or_default()).collect()),
         nodes_done: drv.done,
         total_nodes: n,
         dropped_messages: drv.fault.as_ref().map_or(0, |f| f.dropped()),
@@ -1083,27 +1076,6 @@ mod tests {
     }
 
     #[test]
-    fn out_of_core_removes_factor_memory() {
-        let tree = tree_for(20);
-        let cfg0 = SolverConfig { type2_front_min: 24, ..SolverConfig::mumps_baseline(4) };
-        let map = compute_mapping(&tree, &cfg0);
-        let incore = run(&tree, &map, &cfg0).unwrap();
-        // Fast disk: factors stream out, stack behaviour unchanged.
-        let fast = SolverConfig { out_of_core: Some(u64::MAX), ..cfg0.clone() };
-        let r = run(&tree, &map, &fast).unwrap();
-        assert_eq!(r.nodes_done, r.total_nodes);
-        assert_eq!(r.peaks, incore.peaks, "stack behaviour must not change");
-        assert_eq!(r.total_peaks, r.peaks, "no factors in core");
-        assert!(r.factor_entries.iter().all(|&f| f == 0));
-        assert!(incore.total_peaks.iter().sum::<u64>() > incore.peaks.iter().sum::<u64>());
-        // Slow disk: same memory, longer makespan (disk is the bottleneck).
-        let slow = SolverConfig { out_of_core: Some(1), ..cfg0 };
-        let rs = run(&tree, &map, &slow).unwrap();
-        assert_eq!(rs.peaks, incore.peaks);
-        assert!(rs.makespan > incore.makespan, "{} !> {}", rs.makespan, incore.makespan);
-    }
-
-    #[test]
     fn jitter_is_seeded_and_bounded() {
         let tree = tree_for(20);
         let cfg0 = SolverConfig { type2_front_min: 24, ..SolverConfig::mumps_baseline(4) };
@@ -1123,28 +1095,6 @@ mod tests {
         // A different seed generally yields a different schedule.
         let r3 = run(&tree, &map, &SolverConfig { jitter: Some((8, 0.1)), ..cfg0 }).unwrap();
         assert!(r3.makespan != r1.makespan || r3.peaks != r1.peaks);
-    }
-
-    #[test]
-    fn traces_cover_all_processors() {
-        let tree = tree_for(16);
-        let cfg = SolverConfig {
-            record_traces: true,
-            type2_front_min: 24,
-            ..SolverConfig::mumps_baseline(4)
-        };
-        let map = compute_mapping(&tree, &cfg);
-        let r = run(&tree, &map, &cfg).unwrap();
-        let traces = r.traces.unwrap();
-        assert_eq!(traces.len(), 4);
-        // Traces keep within-instant transients (TraceSample::high), so
-        // their max agrees exactly with the accounting peak — per
-        // processor and globally.
-        for (t, &pk) in traces.iter().zip(&r.peaks) {
-            assert_eq!(t.max(), pk, "trace max must equal active_peak");
-        }
-        let tmax = traces.iter().map(|t| t.max()).max().unwrap();
-        assert_eq!(tmax, r.max_peak, "tmax={tmax} peak={}", r.max_peak);
     }
 
     #[test]

@@ -507,9 +507,6 @@ pub struct SchedulerCore<'a> {
     /// broadcast, cleared at `handle` entry and by every `Effect::Send`.
     pending: [Option<usize>; FOLD_SLOTS],
     mem: ProcMemory,
-    /// Out-of-core mode: virtual time until which this processor's disk
-    /// is busy writing factors.
-    disk_busy_until: Time,
     views: Views,
     pool: TaskPool,
     busy: bool,
@@ -591,8 +588,7 @@ impl<'a> SchedulerCore<'a> {
             now: 0,
             out: Vec::new(),
             pending: [None; FOLD_SLOTS],
-            mem: ProcMemory::new(cfg.record_traces),
-            disk_busy_until: 0,
+            mem: ProcMemory::new(),
             views: Views::new(cfg.nprocs, initial_load),
             pool: TaskPool::new(map.initial_pool[id].clone()),
             busy: false,
@@ -718,12 +714,6 @@ impl<'a> SchedulerCore<'a> {
     /// The core's (stale) beliefs about its peers, lease stamps included.
     pub fn views(&self) -> &Views {
         &self.views
-    }
-
-    /// Out-of-core mode: virtual time until which this processor's disk
-    /// is busy writing factors (0 in-core).
-    pub fn disk_busy_until(&self) -> Time {
-        self.disk_busy_until
     }
 
     /// Stall-breaker support: the cheapest deferred ready task
@@ -992,10 +982,7 @@ impl<'a> SchedulerCore<'a> {
             if old.done_by_me {
                 self.nodes_done -= 1;
             }
-            if old.factors > 0
-                && self.cfg.out_of_core.is_none()
-                && !self.mem.forget_factors(self.now, old.factors)
-            {
+            if old.factors > 0 && !self.mem.forget_factors(old.factors) {
                 self.flag(Violation::Accounting { proc: self.id, area: "factors" });
             }
             if self.soon.remove(&v).is_some() && self.cfg.use_prediction {
@@ -1226,13 +1213,13 @@ impl<'a> SchedulerCore<'a> {
 
     fn mem_alloc_front(&mut self, node: usize, entries: u64) {
         self.out.push(Effect::Alloc { node, area: MemArea::Front, entries });
-        self.mem.alloc_front(self.now, entries);
+        self.mem.alloc_front(entries);
         self.after_mem_change(entries as i64);
     }
 
     fn mem_free_front(&mut self, node: usize, entries: u64) {
         self.out.push(Effect::Free { node, area: MemArea::Front, entries });
-        if !self.mem.free_front(self.now, entries) {
+        if !self.mem.free_front(entries) {
             self.flag(Violation::Accounting { proc: self.id, area: "fronts" });
         }
         self.after_mem_change(-(entries as i64));
@@ -1240,32 +1227,23 @@ impl<'a> SchedulerCore<'a> {
 
     fn mem_push_cb(&mut self, node: usize, entries: u64) {
         self.out.push(Effect::Alloc { node, area: MemArea::Stack, entries });
-        self.mem.push_cb(self.now, entries);
+        self.mem.push_cb(entries);
         self.after_mem_change(entries as i64);
     }
 
     fn mem_pop_cb(&mut self, node: usize, entries: u64) {
         self.out.push(Effect::Free { node, area: MemArea::Stack, entries });
-        if !self.mem.pop_cb(self.now, entries) {
+        if !self.mem.pop_cb(entries) {
             self.flag(Violation::Accounting { proc: self.id, area: "stack" });
         }
         self.after_mem_change(-(entries as i64));
     }
 
-    /// Stores factor entries of `node`: in core they join the factors
-    /// area; out of core they stream to the processor's disk (overlapped
-    /// with compute, tracked only as potential makespan). Either way the
-    /// per-node total is tracked for the factor digest.
+    /// Stores factor entries of `node` in the factors area; the per-node
+    /// total is tracked for the factor digest.
     fn store_factors(&mut self, node: usize, entries: u64) {
         self.nodes.at(node).factors += entries;
-        match self.cfg.out_of_core {
-            None => self.mem.store_factors(self.now, entries),
-            Some(bw) => {
-                let dur = (entries * 8 / bw.max(1)).max(1);
-                let start = self.disk_busy_until.max(self.now);
-                self.disk_busy_until = start + dur;
-            }
-        }
+        self.mem.store_factors(entries);
     }
 
     fn after_mem_change(&mut self, delta: i64) {
@@ -1871,7 +1849,7 @@ impl<'a> SchedulerCore<'a> {
                 // increment is broadcast — the master's Assigned message
                 // already announced this allocation to everyone.
                 self.out.push(Effect::Alloc { node, area: MemArea::Front, entries });
-                self.mem.alloc_front(self.now, entries);
+                self.mem.alloc_front(entries);
                 let active = self.mem.active();
                 self.views[to].mem = active;
                 self.views.touch(to, self.now);

@@ -347,10 +347,10 @@ mod tests {
                 capacity: Some(1),
                 ..SolverConfig::mumps_baseline(4)
             },
-            // Observability rides the shared loop: the flight recording,
-            // the memory traces and the sampled series are part of the
-            // result and must be bit-identical too.
-            SolverConfig { record_events: true, record_traces: true, ..base.clone() },
+            // Observability rides the shared loop: the flight recording
+            // and the sampled series are part of the result and must be
+            // bit-identical too.
+            SolverConfig { record_events: true, ..base.clone() },
             SolverConfig { sample_every: Some(50), ..base },
         ] {
             let map = compute_mapping(&tree, &cfg);

@@ -541,8 +541,7 @@ pub fn partial_lu_blocked_mt(
 /// [`partial_lu_blocked`] with the *rank-1* panel of the pre-recursive
 /// kernel: identical pivot rule and trailing update, but the panel
 /// columns advance by `axpy_sub` alone. Kept as the reference the
-/// `panel` benchmark and the recursive-panel tests compare against —
-/// the drivers never call it.
+/// recursive-panel tests compare against — the drivers never call it.
 pub fn partial_lu_blocked_rank1_panel(
     w: &mut DenseMat,
     npiv: usize,
@@ -640,8 +639,8 @@ pub fn partial_ldlt_blocked_mt(
 /// kernel for pivot blocks large enough to benefit, the rank-1 kernel
 /// otherwise. Both compute the same factorization (identical pivot
 /// choices; floating-point results differ only by summation order).
-/// The threshold follows the `numeric/kernel` benchmarks: below it the
-/// rank-1 kernel wins on this workload's cache-resident fronts.
+/// Below the threshold the rank-1 kernel wins on this workload's
+/// cache-resident fronts.
 pub fn factor_front_lu(
     w: &mut DenseMat,
     npiv: usize,
@@ -688,17 +687,16 @@ pub fn factor_front_ldlt_mt(
 }
 
 /// Pivot-block size above which the numeric drivers switch from the
-/// rank-1 kernels to the packed-GEMM blocked kernels. Set from the
-/// `numeric/kernel` benchmarks; with the packed microkernels the
-/// crossover sits far below the old axpy-based value of 512.
+/// rank-1 kernels to the packed-GEMM blocked kernels; with the packed
+/// microkernels the crossover sits far below the old axpy-based value
+/// of 512.
 const BLOCK_THRESHOLD: usize = 128;
 /// Panel width used by the drivers' blocked kernels. With the recursive
 /// panel and triangular solves the panel is no longer axpy-bound, so the
 /// width is set by the trailing update alone: a wide panel (large GEMM
 /// inner dimension `kc`) amortizes the compulsory C read+write traffic
-/// over more flops. 128 wins across front sizes 256–1024 in the
-/// `perf_baseline` nb sweep; public so the harness benchmarks the
-/// production configuration.
+/// over more flops. 128 wins over 32 and 64 at front sizes 256–1024;
+/// public so benchmarks time the production configuration.
 pub const FRONT_NB: usize = 128;
 
 /// Full dense LU solve used as a test oracle: solves `A x = b` with

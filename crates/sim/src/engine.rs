@@ -12,11 +12,11 @@
 //!   [`Block`]). Built for 1000+-processor sweeps where a single global
 //!   heap of depth `O(total events)` dominates the run time.
 //! * [`SingleHeapSim`] — the historical single global binary heap, kept
-//!   as the differential-testing reference and microbenchmark baseline.
+//!   as the differential-testing reference.
 //!
 //! Both engines pop the globally smallest `(time, seq)` pair, so their
 //! delivery sequences are bit-identical — the property the engine-equivalence
-//! proptests in `mf-core` and the `engine` criterion bench both lean on.
+//! proptests in `mf-core` lean on.
 
 use std::collections::BinaryHeap;
 
@@ -587,9 +587,7 @@ impl<M> Ord for HeapEntry<M> {
 /// The historical single-global-heap engine, kept as the
 /// differential-testing reference: same API, same delivery contract,
 /// `O(log total-events)` per operation. The engine-equivalence proptests
-/// assert [`Sim`] reproduces its delivery sequence bit for bit; the
-/// `engine` criterion bench measures what the lanes buy at high processor
-/// counts.
+/// assert [`Sim`] reproduces its delivery sequence bit for bit.
 #[derive(Debug)]
 pub struct SingleHeapSim<M> {
     now: Time,

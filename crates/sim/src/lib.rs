@@ -12,8 +12,8 @@
 //! * [`fault`] — seeded deterministic perturbations (jitter, delay,
 //!   status-message loss, stragglers) for robustness experiments;
 //! * [`memory`] — per-processor memory accounts (factors area + CB stack +
-//!   active fronts) with running peaks and optional time-series traces,
-//!   the measurement instrument behind every table of the reproduction;
+//!   active fronts) with running peaks, the measurement instrument
+//!   behind every table of the reproduction;
 //! * [`recorder`] — an opt-in structured flight recorder of scheduling
 //!   events (decisions, memory movements, status traffic);
 //! * [`metrics`] — an always-on registry of run-wide counters and
@@ -39,7 +39,6 @@ pub mod network;
 pub mod perfetto;
 pub mod recorder;
 pub mod timeseries;
-pub mod trace;
 
 pub use attribution::{active_before, attribute_peaks, LiveItem, PeakAttribution};
 pub use audit::{audit_recording, Finding};
@@ -54,4 +53,3 @@ pub use recorder::{
     SlavePick, SlavePicks, StatusKind, TaskRole,
 };
 pub use timeseries::{ProcSeries, RunTimeseries, SampleRow, DEFAULT_SERIES_CAPACITY};
-pub use trace::{Trace, TraceSample};

@@ -1,7 +1,4 @@
-//! Per-processor memory accounting with running peaks and traces.
-
-use crate::engine::Time;
-use crate::trace::Trace;
+//! Per-processor memory accounting with running peaks.
 
 /// Memory account of one simulated processor, in entries (f64 words).
 ///
@@ -18,17 +15,15 @@ pub struct ProcMemory {
     active_peak: u64,
     total_peak: u64,
     underflows: u64,
-    trace: Option<Trace>,
 }
 
 impl ProcMemory {
-    /// Fresh account; pass `record_trace = true` to keep the time series
-    /// of active memory (used to draw Figure 4/6/8-style evolutions).
-    pub fn new(record_trace: bool) -> Self {
-        ProcMemory { trace: record_trace.then(Trace::new), ..Default::default() }
+    /// Fresh, empty account.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    fn bump(&mut self, at: Time) {
+    fn bump(&mut self) {
         let active = self.stack + self.fronts;
         if active > self.active_peak {
             self.active_peak = active;
@@ -37,15 +32,12 @@ impl ProcMemory {
         if total > self.total_peak {
             self.total_peak = total;
         }
-        if let Some(t) = &mut self.trace {
-            t.push(at, active);
-        }
     }
 
     /// Allocates a frontal matrix.
-    pub fn alloc_front(&mut self, at: Time, entries: u64) {
+    pub fn alloc_front(&mut self, entries: u64) {
         self.fronts += entries;
-        self.bump(at);
+        self.bump();
     }
 
     /// Releases a frontal matrix. Returns `false` on underflow (an
@@ -53,39 +45,39 @@ impl ProcMemory {
     /// wrapping, the event is counted in [`Self::underflows`], and the
     /// caller's watchdog reports it — in release builds too.
     #[must_use = "an underflow is an accounting bug the caller must surface"]
-    pub fn free_front(&mut self, at: Time, entries: u64) -> bool {
+    pub fn free_front(&mut self, entries: u64) -> bool {
         let ok = self.fronts >= entries;
         if !ok {
             self.underflows += 1;
         }
         self.fronts = self.fronts.saturating_sub(entries);
-        self.bump(at);
+        self.bump();
         ok
     }
 
     /// Pushes a contribution block.
-    pub fn push_cb(&mut self, at: Time, entries: u64) {
+    pub fn push_cb(&mut self, entries: u64) {
         self.stack += entries;
-        self.bump(at);
+        self.bump();
     }
 
     /// Pops a contribution block. Returns `false` on underflow, with the
     /// same saturate-and-count semantics as [`Self::free_front`].
     #[must_use = "an underflow is an accounting bug the caller must surface"]
-    pub fn pop_cb(&mut self, at: Time, entries: u64) -> bool {
+    pub fn pop_cb(&mut self, entries: u64) -> bool {
         let ok = self.stack >= entries;
         if !ok {
             self.underflows += 1;
         }
         self.stack = self.stack.saturating_sub(entries);
-        self.bump(at);
+        self.bump();
         ok
     }
 
     /// Appends factor entries.
-    pub fn store_factors(&mut self, at: Time, entries: u64) {
+    pub fn store_factors(&mut self, entries: u64) {
         self.factors += entries;
-        self.bump(at);
+        self.bump();
     }
 
     /// Removes factor entries again (crash recovery: a node whose factors
@@ -94,13 +86,13 @@ impl ProcMemory {
     /// underflow with the same saturate-and-count semantics as
     /// [`Self::free_front`]; peaks keep their history.
     #[must_use = "an underflow is an accounting bug the caller must surface"]
-    pub fn forget_factors(&mut self, at: Time, entries: u64) -> bool {
+    pub fn forget_factors(&mut self, entries: u64) -> bool {
         let ok = self.factors >= entries;
         if !ok {
             self.underflows += 1;
         }
         self.factors = self.factors.saturating_sub(entries);
-        self.bump(at);
+        self.bump();
         ok
     }
 
@@ -134,11 +126,6 @@ impl ProcMemory {
     pub fn underflows(&self) -> u64 {
         self.underflows
     }
-
-    /// Recorded time series, if tracing was enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
-    }
 }
 
 #[cfg(test)]
@@ -147,11 +134,11 @@ mod tests {
 
     #[test]
     fn active_peak_counts_stack_plus_fronts() {
-        let mut m = ProcMemory::new(false);
-        m.push_cb(0, 100);
-        m.alloc_front(1, 50);
-        assert!(m.pop_cb(2, 100));
-        assert!(m.free_front(3, 50));
+        let mut m = ProcMemory::new();
+        m.push_cb(100);
+        m.alloc_front(50);
+        assert!(m.pop_cb(100));
+        assert!(m.free_front(50));
         assert_eq!(m.active(), 0);
         assert_eq!(m.active_peak(), 150);
         assert_eq!(m.underflows(), 0);
@@ -159,42 +146,33 @@ mod tests {
 
     #[test]
     fn factors_do_not_count_in_active() {
-        let mut m = ProcMemory::new(false);
-        m.store_factors(0, 1000);
-        m.push_cb(1, 10);
+        let mut m = ProcMemory::new();
+        m.store_factors(1000);
+        m.push_cb(10);
         assert_eq!(m.active_peak(), 10);
         assert_eq!(m.total_peak(), 1010);
     }
 
     #[test]
     fn forget_factors_reverses_store_but_keeps_peaks() {
-        let mut m = ProcMemory::new(false);
-        m.store_factors(0, 500);
-        assert!(m.forget_factors(1, 200));
+        let mut m = ProcMemory::new();
+        m.store_factors(500);
+        assert!(m.forget_factors(200));
         assert_eq!(m.factors(), 300);
         assert_eq!(m.total_peak(), 500, "peaks keep their history");
-        assert!(!m.forget_factors(2, 400), "over-forgetting underflows");
+        assert!(!m.forget_factors(400), "over-forgetting underflows");
         assert_eq!(m.factors(), 0);
         assert_eq!(m.underflows(), 1);
     }
 
     #[test]
-    fn trace_records_every_change() {
-        let mut m = ProcMemory::new(true);
-        m.alloc_front(5, 7);
-        assert!(m.free_front(9, 7));
-        let t = m.trace().unwrap();
-        assert_eq!(t.samples(), &[(5, 7).into(), (9, 0).into()]);
-    }
-
-    #[test]
     fn underflow_saturates_and_is_counted() {
         // Always-on checked accounting: release builds must not wrap.
-        let mut m = ProcMemory::new(false);
-        m.push_cb(0, 5);
-        assert!(!m.pop_cb(1, 8));
+        let mut m = ProcMemory::new();
+        m.push_cb(5);
+        assert!(!m.pop_cb(8));
         assert_eq!(m.stack(), 0);
-        assert!(!m.free_front(2, 1));
+        assert!(!m.free_front(1));
         assert_eq!(m.active(), 0);
         assert_eq!(m.underflows(), 2);
         // Peaks are unaffected by the saturated releases.

@@ -8,11 +8,19 @@
 use multifrontal::core::driver::percent_decrease;
 use multifrontal::core::mapping::compute_mapping;
 use multifrontal::prelude::*;
+use multifrontal::sim::ProcSeries;
 use multifrontal::symbolic::seqstack::{apply_liu_order, AssemblyDiscipline};
 
-fn sparkline(samples: &[(u64, u64)], max: u64) -> String {
+/// One character per 1/60th of the run: the highest sampled active
+/// memory in that slice, on a scale of `max`.
+fn sparkline(series: &ProcSeries, makespan: u64, max: u64) -> String {
     const LEVELS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    samples.iter().map(|&(_, v)| LEVELS[((v * 7) / max.max(1)) as usize]).collect()
+    let mut cols = [0u64; 60];
+    for s in series.iter() {
+        let c = (s.at * 60 / (makespan + 1)) as usize;
+        cols[c] = cols[c].max(s.active);
+    }
+    cols.iter().map(|&v| LEVELS[((v * 7) / max.max(1)) as usize]).collect()
 }
 
 fn main() {
@@ -24,7 +32,7 @@ fn main() {
 
     let nprocs = 16;
     let base_cfg = SolverConfig {
-        record_traces: true,
+        sample_every: Some(100),
         type2_front_min: 150,
         type3_front_min: 500,
         ..SolverConfig::mumps_baseline(nprocs)
@@ -46,10 +54,10 @@ fn main() {
     let global_max = base.max_peak.max(mem.max_peak);
     for (name, r) in [("baseline", &base), ("memory-based", &mem)] {
         println!("\nactive-memory evolution per processor ({name}):");
-        let traces = r.traces.as_ref().unwrap();
-        for (p, t) in traces.iter().enumerate() {
-            let line = sparkline(&t.resample(r.makespan, 60), global_max);
-            println!("  P{p:<2} {line} peak {:>8}", t.max());
+        let series = r.timeseries.as_ref().unwrap();
+        for (p, &peak) in r.peaks.iter().enumerate() {
+            let line = sparkline(series.proc(p), r.makespan, global_max);
+            println!("  P{p:<2} {line} peak {peak:>8}");
         }
     }
 }

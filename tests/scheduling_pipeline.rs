@@ -137,13 +137,15 @@ fn paper_cfg(memory: bool) -> SolverConfig {
 fn traces_reconstruct_the_peaks() {
     let a = small_input(PaperMatrix::MsDoor, OrderingKind::Pord);
     let input = ExperimentInput { matrix: &a, ordering: OrderingKind::Pord };
-    let c = SolverConfig { record_traces: true, ..cfg(4) };
+    let c = SolverConfig { sample_every: Some(200), ..cfg(4) };
     let r = run_experiment(&input, &c).unwrap();
-    let traces = r.traces.expect("traces requested");
-    assert_eq!(traces.len(), 4);
-    for (p, t) in traces.iter().enumerate() {
-        assert!(t.max() <= r.peaks[p], "trace max cannot exceed the recorded peak (P{p})");
-        assert!(!t.samples().is_empty(), "P{p} must have touched memory");
+    let series = r.timeseries.expect("sampling requested");
+    assert_eq!(series.nprocs(), 4);
+    for p in 0..4 {
+        let rows = series.proc(p);
+        let max = rows.iter().map(|s| s.active).max().unwrap_or(0);
+        assert!(max <= r.peaks[p], "sampled memory cannot exceed the recorded peak (P{p})");
+        assert!(max > 0, "P{p} must have touched memory");
     }
 }
 
