@@ -12,7 +12,6 @@
 //! * `figures` — scenario reproductions of Figures 4, 5, 6 and 8;
 //! * `ablation`, `scaling`, `variability`, `reordering_memory`,
 //!   `malleable_table` — the studies beyond the paper's tables;
-//! * `probe` — quick timing/shape scan of all matrix × ordering cells;
 //! * `robustness`, `scale`, `backend_equiv` — the harnesses behind
 //!   `BENCH_*.json` and the backend-equivalence check;
 //! * `mf-obs` — the observability tool over flight recordings (see

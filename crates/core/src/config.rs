@@ -1,16 +1,11 @@
 //! Solver configuration: machine model, static thresholds, and the
 //! dynamic-strategy switches the paper's experiments toggle.
 //!
-//! The strategy enums are *factory names*: every variant resolves to a
-//! static [`SlaveSelector`] / [`TaskSelector`] trait object through
-//! [`SlaveSelection::selector`] / [`TaskSelection::selector`], and the
-//! `by_name` registries map the stable CLI names back to variants. The
-//! scheduler core only ever holds the trait objects, so new strategies
-//! plug in without touching the protocol state machine.
+//! The strategy enums *are* the strategies: the decision each variant
+//! takes is its `match` arm in `SlaveSelection::select`
+//! ([`crate::slavesel`]) and `TaskSelection::pick` ([`crate::pool`]).
 
 use crate::malleable::CoreAlloc;
-use crate::pool::{LifoSelector, MemoryAwareGlobalSelector, MemoryAwareSelector, TaskSelector};
-use crate::slavesel::{HybridSelector, MemorySelector, SlaveSelector, WorkloadSelector};
 use mf_sim::{FaultModel, NetworkModel, Time};
 
 /// Dynamic slave-selection strategy for type-2 fronts.
@@ -42,80 +37,6 @@ pub enum TaskSelection {
     /// Section 6: a task's activation cost is offset by the contribution
     /// blocks (local and remote) its activation releases.
     MemoryAwareGlobal,
-}
-
-static WORKLOAD_SELECTOR: WorkloadSelector = WorkloadSelector;
-static MEMORY_SELECTOR: MemorySelector = MemorySelector;
-static HYBRID_SELECTOR: HybridSelector = HybridSelector;
-
-impl SlaveSelection {
-    /// Every registered slave-selection strategy.
-    pub const ALL: [SlaveSelection; 3] =
-        [SlaveSelection::Workload, SlaveSelection::Memory, SlaveSelection::Hybrid];
-
-    /// Resolves the factory name to its strategy implementation.
-    pub fn selector(self) -> &'static dyn SlaveSelector {
-        match self {
-            SlaveSelection::Workload => &WORKLOAD_SELECTOR,
-            SlaveSelection::Memory => &MEMORY_SELECTOR,
-            SlaveSelection::Hybrid => &HYBRID_SELECTOR,
-        }
-    }
-
-    /// Stable CLI/registry name (the implementation's own name).
-    pub fn name(self) -> &'static str {
-        self.selector().name()
-    }
-
-    /// Looks a strategy up by its registry name.
-    pub fn by_name(name: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|s| s.name() == name)
-    }
-}
-
-static LIFO_SELECTOR: LifoSelector = LifoSelector;
-static MEMORY_AWARE_SELECTOR: MemoryAwareSelector = MemoryAwareSelector;
-static MEMORY_AWARE_GLOBAL_SELECTOR: MemoryAwareGlobalSelector = MemoryAwareGlobalSelector;
-
-impl TaskSelection {
-    /// Every registered task-selection strategy.
-    pub const ALL: [TaskSelection; 3] =
-        [TaskSelection::Lifo, TaskSelection::MemoryAware, TaskSelection::MemoryAwareGlobal];
-
-    /// Resolves the factory name to its strategy implementation.
-    pub fn selector(self) -> &'static dyn TaskSelector {
-        match self {
-            TaskSelection::Lifo => &LIFO_SELECTOR,
-            TaskSelection::MemoryAware => &MEMORY_AWARE_SELECTOR,
-            TaskSelection::MemoryAwareGlobal => &MEMORY_AWARE_GLOBAL_SELECTOR,
-        }
-    }
-
-    /// Stable CLI/registry name (the implementation's own name).
-    pub fn name(self) -> &'static str {
-        self.selector().name()
-    }
-
-    /// Looks a strategy up by its registry name.
-    pub fn by_name(name: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|s| s.name() == name)
-    }
-}
-
-/// Order in which a processor's subtrees are queued in its initial pool
-/// (reference \[11\] of the paper shows the treatment order of subtrees
-/// matters for memory).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubtreeOrder {
-    /// The deterministic order the mapping produced (default; matches the
-    /// paper's setup).
-    AsMapped,
-    /// Memory-hungry subtrees first: their peaks happen while the rest of
-    /// the stack is still shallow (usually the better choice).
-    PeakDescending,
-    /// Memory-hungry subtrees last (the adversarial order, useful in the
-    /// ablation).
-    PeakAscending,
 }
 
 /// Lease/heartbeat failure-detection parameters. Present (as
@@ -154,19 +75,12 @@ pub struct SolverConfig {
     pub nprocs: usize,
     /// Message cost model.
     pub network: NetworkModel,
-    /// Compute speed, flops per tick (1 tick = 1 µs; 1000 ≈ 1 Gflop/s).
-    pub flops_per_tick: u64,
     /// Fronts at least this large (order) outside leaf subtrees become
     /// type-2 (1-D parallel) nodes.
     pub type2_front_min: usize,
     /// A root front at least this large becomes the type-3 (2-D, all
     /// processors) node.
     pub type3_front_min: usize,
-    /// Target number of leaf subtrees per processor for the Geist–Ng
-    /// construction.
-    pub subtrees_per_proc: usize,
-    /// Order in which each processor works through its subtrees.
-    pub subtree_order: SubtreeOrder,
     /// Minimum rows per slave task (granularity constraint of Section 3).
     pub min_rows_per_slave: usize,
     /// Slave-selection strategy.
@@ -256,11 +170,8 @@ impl Default for SolverConfig {
         SolverConfig {
             nprocs: 32,
             network: NetworkModel::sp_like(),
-            flops_per_tick: 1000,
             type2_front_min: 200,
             type3_front_min: 600,
-            subtrees_per_proc: 4,
-            subtree_order: SubtreeOrder::AsMapped,
             min_rows_per_slave: 16,
             slave_selection: SlaveSelection::Workload,
             task_selection: TaskSelection::Lifo,
@@ -372,19 +283,5 @@ mod tests {
         assert_eq!(SolverConfig::default().core_alloc, CoreAlloc::Static(1));
         assert_eq!(SolverConfig::mumps_baseline(32).core_alloc, CoreAlloc::Static(1));
         assert_eq!(SolverConfig::memory_based(32).core_alloc, CoreAlloc::Static(1));
-    }
-
-    #[test]
-    fn strategy_registry_round_trips_names() {
-        for s in SlaveSelection::ALL {
-            assert_eq!(SlaveSelection::by_name(s.name()), Some(s));
-            assert_eq!(s.selector().name(), s.name());
-        }
-        for t in TaskSelection::ALL {
-            assert_eq!(TaskSelection::by_name(t.name()), Some(t));
-            assert_eq!(t.selector().name(), t.name());
-        }
-        assert_eq!(SlaveSelection::by_name("no-such-strategy"), None);
-        assert_eq!(TaskSelection::by_name("no-such-strategy"), None);
     }
 }

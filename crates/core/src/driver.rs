@@ -11,7 +11,7 @@ use crate::parsim;
 pub use crate::parsim::RunResult;
 use mf_order::OrderingKind;
 use mf_sparse::CscMatrix;
-use mf_symbolic::seqstack::{apply_liu_order, sequential_peak, AssemblyDiscipline};
+use mf_symbolic::seqstack::{apply_liu_order, AssemblyDiscipline};
 use mf_symbolic::{AmalgamationOptions, AssemblyTree};
 
 /// What to factorize: a matrix and the reordering applied to it.
@@ -50,13 +50,6 @@ pub fn run_experiment(
 pub fn run_on_tree(tree: &AssemblyTree, cfg: &SolverConfig) -> Result<RunResult, SimError> {
     let map = compute_mapping(tree, cfg);
     parsim::run(tree, &map, cfg)
-}
-
-/// Sequential stack peak of the same tree (reference point for the
-/// memory-scalability discussions of the paper).
-pub fn sequential_reference(input: &ExperimentInput<'_>, cfg: &SolverConfig) -> u64 {
-    let tree = prepare_tree(input, cfg);
-    sequential_peak(&tree, AssemblyDiscipline::FrontThenFree)
 }
 
 /// Percentage decrease of `candidate` relative to `baseline`

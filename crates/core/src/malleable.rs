@@ -127,17 +127,21 @@ impl Default for CoreAlloc {
     }
 }
 
+/// Compute speed of one core, flops per tick (1 tick = 1 µs, so this is
+/// 1 Gflop/s).
+pub const FLOPS_PER_TICK: u64 = 1000;
+
 /// Modelled compute duration of a `flops` task on `cores` cores at
-/// `flops_per_tick` speed — the **single** duration formula both
-/// backends use, so their event streams stay byte-identical.
+/// [`FLOPS_PER_TICK`] — the **single** duration formula both backends
+/// use, so their event streams stay byte-identical.
 ///
-/// At one core this is exactly the historical integer path
-/// `(flops / fpt).max(1)`; with more cores the integer duration is
-/// divided by the curve's speedup in f64 (division and `ceil` are
-/// IEEE-exact, hence cross-platform deterministic) and floored at one
-/// tick.
-pub fn compute_ticks(flops: u64, flops_per_tick: u64, cores: u32, curve: &SpeedupCurve) -> u64 {
-    let exact = (flops / flops_per_tick.max(1)).max(1);
+/// At one core this is exactly the integer path
+/// `(flops / FLOPS_PER_TICK).max(1)`; with more cores the integer
+/// duration is divided by the curve's speedup in f64 (division and `ceil`
+/// are IEEE-exact, hence cross-platform deterministic) and floored at
+/// one tick.
+pub fn compute_ticks(flops: u64, cores: u32, curve: &SpeedupCurve) -> u64 {
+    let exact = (flops / FLOPS_PER_TICK).max(1);
     if cores <= 1 {
         return exact;
     }
@@ -153,7 +157,7 @@ mod tests {
     fn one_core_is_the_exact_integer_path() {
         let curve = SpeedupCurve::default();
         for flops in [0u64, 1, 999, 1000, 123_456_789] {
-            assert_eq!(compute_ticks(flops, 1000, 1, &curve), (flops / 1000).max(1));
+            assert_eq!(compute_ticks(flops, 1, &curve), (flops / FLOPS_PER_TICK).max(1));
         }
     }
 
@@ -192,7 +196,7 @@ mod tests {
         let curve = SpeedupCurve::default();
         let mut prev = u64::MAX;
         for c in 1..=16u32 {
-            let d = compute_ticks(80_000_000, 1000, c, &curve);
+            let d = compute_ticks(80_000_000, c, &curve);
             assert!(d <= prev, "duration rose from {prev} to {d} at {c} cores");
             prev = d;
         }

@@ -8,11 +8,15 @@
 //! (c) the *master* processor of every upper node, balancing the memory
 //! of the corresponding factors.
 
-use crate::config::{SolverConfig, SubtreeOrder};
+use crate::config::SolverConfig;
 use mf_symbolic::seqstack::{subtree_peaks, AssemblyDiscipline};
 use mf_symbolic::AssemblyTree;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// Target number of leaf subtrees per processor for the Geist–Ng
+/// construction.
+const SUBTREES_PER_PROC: usize = 4;
 
 /// Parallelism type of a node (Figure 2 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,7 +60,7 @@ pub fn compute_mapping(tree: &AssemblyTree, cfg: &SolverConfig) -> StaticMapping
     let subtree_flops = tree.subtree_sum(|v| flops[v]);
 
     // ---- Geist-Ng: peel roots until enough, balanced, subtrees. ----
-    let target = (cfg.subtrees_per_proc * cfg.nprocs).max(1);
+    let target = (SUBTREES_PER_PROC * cfg.nprocs).max(1);
     let total: u64 = tree.roots().iter().map(|&r| subtree_flops[r]).sum();
     let balance_cap = (total / cfg.nprocs.max(1) as u64).max(1);
     // Memory-aware subtree definition (paper's conclusion): also split
@@ -180,21 +184,9 @@ pub fn compute_mapping(tree: &AssemblyTree, cfg: &SolverConfig) -> StaticMapping
     // ---- Initial pools: leaves, grouped subtree by subtree. ----
     // The pool pops from the back, so the *first* task to run must be
     // pushed last: reverse the natural (subtree-major, leaves-in-DFS)
-    // order. The subtree sequence itself follows cfg.subtree_order
-    // (reference [11]: the treatment order of subtrees matters).
-    let mut subtree_seq: Vec<usize> = (0..nsub).collect();
-    match cfg.subtree_order {
-        SubtreeOrder::AsMapped => {}
-        SubtreeOrder::PeakDescending => {
-            subtree_seq.sort_by_key(|&s| (Reverse(all_peaks[subtree_roots[s]]), s));
-        }
-        SubtreeOrder::PeakAscending => {
-            subtree_seq.sort_by_key(|&s| (all_peaks[subtree_roots[s]], s));
-        }
-    }
+    // order.
     let mut initial_pool: Vec<Vec<usize>> = vec![Vec::new(); cfg.nprocs];
-    for &s in &subtree_seq {
-        let r = subtree_roots[s];
+    for (s, &r) in subtree_roots.iter().enumerate() {
         let p = subtree_proc[s];
         // Leaves of subtree s in DFS (tree child order = Liu order).
         let mut leaves = Vec::new();
@@ -344,38 +336,6 @@ mod tests {
                 // The task popped first must be a leaf of a subtree on p.
                 assert!(tree.nodes[top].children.is_empty());
                 assert_eq!(m.owner[top], p);
-            }
-        }
-    }
-
-    #[test]
-    fn subtree_order_policies_reorder_pools() {
-        use crate::config::SubtreeOrder;
-        let tree = sample_tree(24);
-        let desc = compute_mapping(
-            &tree,
-            &SolverConfig { subtree_order: SubtreeOrder::PeakDescending, ..cfg(2) },
-        );
-        let asc = compute_mapping(
-            &tree,
-            &SolverConfig { subtree_order: SubtreeOrder::PeakAscending, ..cfg(2) },
-        );
-        // Same subtrees, same owners — only the pool order differs.
-        assert_eq!(desc.subtree_roots, asc.subtree_roots);
-        assert_eq!(desc.subtree_proc, asc.subtree_proc);
-        // First task popped under Descending belongs to the proc's
-        // highest-peak subtree, under Ascending to its lowest-peak one.
-        for p in 0..2 {
-            let peak_of = |m: &StaticMapping, pool: &Vec<usize>| -> Option<u64> {
-                pool.last().map(|&v| m.subtree_peak[m.subtree_of[v].unwrap()])
-            };
-            let subs: Vec<u64> = (0..desc.subtree_roots.len())
-                .filter(|&s| desc.subtree_proc[s] == p)
-                .map(|s| desc.subtree_peak[s])
-                .collect();
-            if subs.len() >= 2 {
-                assert_eq!(peak_of(&desc, &desc.initial_pool[p]), subs.iter().copied().max());
-                assert_eq!(peak_of(&asc, &asc.initial_pool[p]), subs.iter().copied().min());
             }
         }
     }

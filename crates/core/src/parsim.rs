@@ -382,7 +382,7 @@ impl<'a, Q: EventQueue<Msg>> SimDriver<'a, Q> {
     /// perturbed by seeded multiplicative jitter and the fault model's
     /// straggler factor.
     fn duration_of(&mut self, p: usize, flops: u64, cores: u32) -> Time {
-        let exact = compute_ticks(flops, self.cfg.flops_per_tick, cores, &self.curve);
+        let exact = compute_ticks(flops, cores, &self.curve);
         let base = match &mut self.jitter {
             None => exact,
             Some((rng, pct)) => {

@@ -6,6 +6,8 @@
 //! and delays upper-tree tasks that would raise the memory peak observed
 //! since the beginning of the factorization (Figure 8).
 
+use crate::config::TaskSelection;
+
 /// Pool of ready tasks (node ids). The top of the stack is the back.
 #[derive(Debug, Clone, Default)]
 pub struct TaskPool {
@@ -172,74 +174,30 @@ impl std::fmt::Debug for TaskCtx<'_> {
     }
 }
 
-/// A pluggable task-selection strategy (which ready task to activate).
-///
-/// Implementations are stateless: each decision maps a pool plus a
-/// [`TaskCtx`] to a choice. `None` over a non-empty pool means every
-/// ready task was deferred (the capacity verdict) and the processor
-/// stalls until memory frees. Register new strategies by adding a static
-/// instance and a [`crate::config::TaskSelection`] factory name.
-pub trait TaskSelector: Send + Sync {
-    /// Stable CLI/registry name of the strategy.
-    fn name(&self) -> &'static str;
-
-    /// Picks (and removes) the next task from `pool`.
-    fn pick(&self, pool: &mut TaskPool, ctx: &TaskCtx<'_>) -> Option<usize>;
-}
-
-/// Baseline LIFO (depth-first) selection as a [`TaskSelector`].
-pub struct LifoSelector;
-
-impl TaskSelector for LifoSelector {
-    fn name(&self) -> &'static str {
-        "lifo"
-    }
-
-    fn pick(&self, pool: &mut TaskPool, ctx: &TaskCtx<'_>) -> Option<usize> {
-        if ctx.capped {
-            pool.pick_lifo_admissible(|v| (ctx.admissible)(v))
-        } else {
-            pool.pick_lifo()
+impl TaskSelection {
+    /// Picks (and removes) the next task from `pool`. `None` over a
+    /// non-empty pool means every ready task was deferred (the capacity
+    /// verdict) and the processor stalls until memory frees.
+    pub fn pick(self, pool: &mut TaskPool, ctx: &TaskCtx<'_>) -> Option<usize> {
+        match self {
+            TaskSelection::Lifo if ctx.capped => pool.pick_lifo_admissible(ctx.admissible),
+            TaskSelection::Lifo => pool.pick_lifo(),
+            TaskSelection::MemoryAware => pool.pick_memory_aware(
+                ctx.in_subtree,
+                ctx.cost,
+                ctx.current_memory,
+                ctx.observed_peak,
+                ctx.admissible,
+            ),
+            TaskSelection::MemoryAwareGlobal => pool.pick_memory_aware_global(
+                ctx.in_subtree,
+                ctx.cost,
+                ctx.released,
+                ctx.current_memory,
+                ctx.observed_peak,
+                ctx.admissible,
+            ),
         }
-    }
-}
-
-/// Algorithm 2 memory-aware selection as a [`TaskSelector`].
-pub struct MemoryAwareSelector;
-
-impl TaskSelector for MemoryAwareSelector {
-    fn name(&self) -> &'static str {
-        "memory_aware"
-    }
-
-    fn pick(&self, pool: &mut TaskPool, ctx: &TaskCtx<'_>) -> Option<usize> {
-        pool.pick_memory_aware(
-            |v| (ctx.in_subtree)(v),
-            |v| (ctx.cost)(v),
-            ctx.current_memory,
-            ctx.observed_peak,
-            |v| (ctx.admissible)(v),
-        )
-    }
-}
-
-/// Algorithm 2 with the Section 6 global refinement as a [`TaskSelector`].
-pub struct MemoryAwareGlobalSelector;
-
-impl TaskSelector for MemoryAwareGlobalSelector {
-    fn name(&self) -> &'static str {
-        "memory_aware_global"
-    }
-
-    fn pick(&self, pool: &mut TaskPool, ctx: &TaskCtx<'_>) -> Option<usize> {
-        pool.pick_memory_aware_global(
-            |v| (ctx.in_subtree)(v),
-            |v| (ctx.cost)(v),
-            |v| (ctx.released)(v),
-            ctx.current_memory,
-            ctx.observed_peak,
-            |v| (ctx.admissible)(v),
-        )
     }
 }
 
@@ -342,6 +300,32 @@ mod tests {
         assert_eq!(p.as_slice(), &[1, 3]);
         assert_eq!(p.pick_lifo_admissible(|_| false), None);
         assert_eq!(p.len(), 2);
+    }
+
+    #[test]
+    fn each_strategy_runs_its_own_algorithm() {
+        // Task 100 releases 80 entries of stacked CBs; task 200 is refused
+        // by the capacity verdict. At 50 entries held and a peak of 75
+        // the three strategies take three different tasks.
+        let pick = |strategy: TaskSelection, capped: bool| {
+            let ctx = TaskCtx {
+                in_subtree: &|_| false,
+                cost: &|t| t as u64,
+                released: &|t| if t == 100 { 80 } else { 0 },
+                admissible: &|t| t != 200,
+                capped,
+                current_memory: 50,
+                observed_peak: 75,
+            };
+            strategy.pick(&mut TaskPool::new(vec![5, 100, 200]), &ctx)
+        };
+        // LIFO consults the verdict iff a capacity is configured.
+        assert_eq!(pick(TaskSelection::Lifo, false), Some(200));
+        assert_eq!(pick(TaskSelection::Lifo, true), Some(100));
+        // Algorithm 2: 100 + 50 > 75, so the small task goes first ...
+        assert_eq!(pick(TaskSelection::MemoryAware, true), Some(5));
+        // ... unless the release is counted: 100 - 80 + 50 <= 75.
+        assert_eq!(pick(TaskSelection::MemoryAwareGlobal, true), Some(100));
     }
 
     #[test]

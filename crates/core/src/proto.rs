@@ -11,9 +11,9 @@
 //! and on one OS thread each (the `mf-exec` crate), which is the proof
 //! that the protocol is runtime-agnostic.
 //!
-//! Strategy decisions go through the [`SlaveSelector`] /
-//! [`TaskSelector`] traits, so new policies from the literature plug in
-//! without touching this state machine.
+//! Strategy decisions are [`crate::config::SlaveSelection::select`] and
+//! [`crate::config::TaskSelection::pick`]: a new policy is a variant and
+//! its `match` arm there, not a change to this state machine.
 //!
 //! Two conventions keep the protocol deterministic across backends:
 //!
@@ -30,9 +30,9 @@ use crate::config::SolverConfig;
 use crate::error::ProcDiag;
 use crate::malleable::CoreAlloc;
 use crate::mapping::{NodeKind, StaticMapping};
-use crate::pool::{TaskCtx, TaskPool, TaskSelector};
+use crate::pool::{TaskCtx, TaskPool};
 use crate::recovery::{RecoveryPlan, RecoverySnapshot};
-use crate::slavesel::{SlaveAssignment, SlaveCtx, SlaveSelector};
+use crate::slavesel::{SlaveAssignment, SlaveCtx};
 use crate::views::{StatusDelta, Views};
 use mf_sim::recorder::{FrontClass, MemArea, SlavePick, StatusKind, TaskRole};
 use mf_sim::{CompactEvent, CoreMetrics, MsgClass, ProcMemory, Time};
@@ -493,8 +493,6 @@ pub struct SchedulerCore<'a> {
     tree: &'a AssemblyTree,
     map: &'a StaticMapping,
     cfg: &'a SolverConfig,
-    slave_sel: &'static dyn SlaveSelector,
-    task_sel: &'static dyn TaskSelector,
     /// Whether to build (expensive) recorder events; mirrors
     /// `cfg.record_events`.
     record: bool,
@@ -582,8 +580,6 @@ impl<'a> SchedulerCore<'a> {
             tree,
             map,
             cfg,
-            slave_sel: cfg.slave_selection.selector(),
-            task_sel: cfg.task_selection.selector(),
             record: cfg.record_events,
             now: 0,
             out: Vec::new(),
@@ -1303,7 +1299,7 @@ impl<'a> SchedulerCore<'a> {
             self.out.push(Effect::StartCompute { key: key as u64, node, role, flops, cores });
             return;
         }
-        // Taken out so that what the selector consults can borrow `self`.
+        // Taken out so that what the strategy consults can borrow `self`.
         let mut pool = std::mem::take(&mut self.pool);
         let pieces = |v: usize| self.nodes.get(v).cb_pieces.iter();
         let cost = |v: usize| self.activation_cost(v);
@@ -1337,7 +1333,7 @@ impl<'a> SchedulerCore<'a> {
             observed_peak: self.mem.active_peak(),
         };
         let depth = pool.len();
-        let picked = self.task_sel.pick(&mut pool, &ctx);
+        let picked = self.cfg.task_selection.pick(&mut pool, &ctx);
         self.pool = pool;
         if depth > 0 {
             // A real decision was taken over a non-empty pool: observe it.
@@ -1466,7 +1462,7 @@ impl<'a> SchedulerCore<'a> {
             sym: self.tree.sym,
             min_rows_per_slave: self.cfg.min_rows_per_slave,
         };
-        self.slave_sel.select(&ctx)
+        self.cfg.slave_selection.select(&ctx)
     }
 
     fn start_type2(&mut self, v: usize) {

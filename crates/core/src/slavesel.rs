@@ -11,7 +11,8 @@
 //!   preserved whenever possible (Figure 4).
 
 use crate::blocking::{blocks_from_entry_budgets, equal_entry_blocks, slave_surface};
-use crate::views::Views;
+use crate::config::SlaveSelection;
+use crate::views::{PeerView, Views};
 use mf_sparse::Symmetry;
 
 /// A slave assignment: processor plus its contiguous row block
@@ -172,8 +173,8 @@ pub fn select_hybrid(
 
 /// Everything a slave-selection strategy may consult: the master's (stale)
 /// [`Views`] of the machine plus the geometry of the front being split.
-/// Strategies derive their own metric vectors from the views, so the
-/// protocol state machine never pattern-matches on a strategy name.
+/// [`SlaveSelection::select`] derives each strategy's metric vectors from
+/// the views.
 #[derive(Debug)]
 pub struct SlaveCtx<'a> {
     /// The master's stale views of every processor.
@@ -198,21 +199,6 @@ pub struct SlaveCtx<'a> {
     pub min_rows_per_slave: usize,
 }
 
-/// A pluggable slave-selection strategy for type-2 fronts.
-///
-/// Implementations are stateless: one decision maps the context to an
-/// assignment plus the per-processor metric vector the decision was made
-/// from (the flight recorder captures what the master *believed*, not
-/// what was true). Register new strategies by adding a static instance
-/// and a [`crate::config::SlaveSelection`] factory name.
-pub trait SlaveSelector: Send + Sync {
-    /// Stable CLI/registry name of the strategy.
-    fn name(&self) -> &'static str;
-
-    /// One selection decision over `ctx.candidates`.
-    fn select(&self, ctx: &SlaveCtx<'_>) -> (Vec<SlaveAssignment>, Vec<u64>);
-}
-
 fn input_of<'a>(
     ctx: &'a SlaveCtx<'_>,
     metric: &'a [u64],
@@ -230,57 +216,32 @@ fn input_of<'a>(
     }
 }
 
-/// Workload baseline (Section 3) as a [`SlaveSelector`].
-pub struct WorkloadSelector;
-
-impl SlaveSelector for WorkloadSelector {
-    fn name(&self) -> &'static str {
-        "workload"
-    }
-
-    fn select(&self, ctx: &SlaveCtx<'_>) -> (Vec<SlaveAssignment>, Vec<u64>) {
-        let metric: Vec<u64> = ctx.views.iter().map(|v| v.load).collect();
-        let assignment = select_workload(&input_of(ctx, &metric, None));
-        (assignment, metric)
-    }
-}
-
-/// Algorithm 1 memory waterfill (Section 4) as a [`SlaveSelector`].
-pub struct MemorySelector;
-
-impl SlaveSelector for MemorySelector {
-    fn name(&self) -> &'static str {
-        "memory"
-    }
-
-    fn select(&self, ctx: &SlaveCtx<'_>) -> (Vec<SlaveAssignment>, Vec<u64>) {
-        let metric: Vec<u64> = (0..ctx.nprocs)
-            .map(|q| ctx.views.memory_metric(q, ctx.use_subtree_info, ctx.use_prediction))
-            .collect();
-        let mem: Vec<u64> = ctx.views.iter().map(|v| v.mem).collect();
-        let assignment = select_memory(&input_of(ctx, &metric, Some(&mem)));
-        (assignment, metric)
-    }
-}
-
-/// Conclusion-sketch hybrid (workload filter, memory waterfill) as a
-/// [`SlaveSelector`].
-pub struct HybridSelector;
-
-impl SlaveSelector for HybridSelector {
-    fn name(&self) -> &'static str {
-        "hybrid"
-    }
-
-    fn select(&self, ctx: &SlaveCtx<'_>) -> (Vec<SlaveAssignment>, Vec<u64>) {
-        let metric: Vec<u64> = (0..ctx.nprocs)
-            .map(|q| ctx.views.memory_metric(q, ctx.use_subtree_info, ctx.use_prediction))
-            .collect();
-        let mem: Vec<u64> = ctx.views.iter().map(|v| v.mem).collect();
-        let load: Vec<u64> = ctx.views.iter().map(|v| v.load).collect();
-        let input = input_of(ctx, &metric, Some(&mem));
-        let assignment = select_hybrid(&input, &load, load[ctx.master]);
-        (assignment, metric)
+impl SlaveSelection {
+    /// One selection decision over `ctx.candidates`: the assignment plus
+    /// the per-processor metric vector it was made from (the flight
+    /// recorder captures what the master *believed*, not what was true).
+    pub fn select(self, ctx: &SlaveCtx<'_>) -> (Vec<SlaveAssignment>, Vec<u64>) {
+        let column = |f: fn(&PeerView) -> u64| ctx.views.iter().map(f).collect::<Vec<u64>>();
+        let memory_metric = || -> Vec<u64> {
+            (0..ctx.nprocs)
+                .map(|q| ctx.views.memory_metric(q, ctx.use_subtree_info, ctx.use_prediction))
+                .collect()
+        };
+        match self {
+            SlaveSelection::Workload => {
+                let metric = column(|v| v.load);
+                (select_workload(&input_of(ctx, &metric, None)), metric)
+            }
+            SlaveSelection::Memory => {
+                let (metric, mem) = (memory_metric(), column(|v| v.mem));
+                (select_memory(&input_of(ctx, &metric, Some(&mem))), metric)
+            }
+            SlaveSelection::Hybrid => {
+                let (metric, mem, load) = (memory_metric(), column(|v| v.mem), column(|v| v.load));
+                let input = input_of(ctx, &metric, Some(&mem));
+                (select_hybrid(&input, &load, load[ctx.master]), metric)
+            }
+        }
     }
 }
 
@@ -426,6 +387,73 @@ mod tests {
         assert_eq!(sel.len(), 1);
         assert_eq!(sel[0].proc, 2); // least loaded wins the fallback
         assert_eq!(sel[0].nrows, 30);
+    }
+
+    #[test]
+    fn each_strategy_derives_its_own_metric_from_the_views() {
+        // Master 0 and three candidates with every view field distinct:
+        // proc 2 is the busiest and heads for a 5000-entry subtree peak,
+        // proc 3 is the idlest and about to activate a 3000-entry master.
+        let mut views = Views::new(4, &[600, 100, 900, 50]);
+        views[1].mem = 1000;
+        views[2] = PeerView { mem: 100, subtree: 5000, ..views[2] };
+        views[3] = PeerView { mem: 600, predicted: 3000, ..views[3] };
+        let (load, mem) = (vec![600, 100, 900, 50], vec![0, 1000, 100, 600]);
+        let cands = [1, 2, 3];
+        let ctx = |use_subtree_info, use_prediction| SlaveCtx {
+            views: &views,
+            master: 0,
+            nprocs: 4,
+            use_subtree_info,
+            use_prediction,
+            candidates: &cands,
+            nfront: 100,
+            npiv: 20,
+            sym: Symmetry::General,
+            min_rows_per_slave: 4,
+        };
+        let by_hand = |metric: &[u64], fill_metric: Option<&[u64]>| {
+            let inp = input(&cands, metric, metric[0], 100, 20);
+            select_memory(&SelectionInput { fill_metric, ..inp })
+        };
+        let procs = |sel: &[SlaveAssignment]| sel.iter().map(|a| a.proc).collect::<Vec<_>>();
+
+        // Workload: loads, whatever the Section 5.1 flags say; only the
+        // processors less loaded than the master, idlest first.
+        let (sel, metric) = SlaveSelection::Workload.select(&ctx(true, true));
+        assert_eq!(metric, load);
+        assert_eq!(procs(&sel), vec![3, 1]);
+
+        // Memory and Hybrid: the memory metric under each flag pair.
+        for (sub, pred) in [(false, false), (true, false), (false, true), (true, true)] {
+            let want: Vec<u64> = (0..4).map(|q| views.memory_metric(q, sub, pred)).collect();
+            for strategy in [SlaveSelection::Memory, SlaveSelection::Hybrid] {
+                assert_eq!(strategy.select(&ctx(sub, pred)).1, want, "{strategy:?} {sub} {pred}");
+            }
+        }
+
+        // Memory ranks by the enriched metric (1, 3, 2) but levels the
+        // instantaneous memories 1000 / 600 / 100: the later a slave
+        // ranks here, the more rows it takes. Levelling the enriched
+        // metric would hand out the opposite budgets.
+        let enriched = [0, 1000, 5000, 3600];
+        let (sel, metric) = SlaveSelection::Memory.select(&ctx(true, true));
+        assert_eq!(metric, enriched);
+        assert_eq!(sel, by_hand(&enriched, Some(&mem)));
+        assert_eq!(procs(&sel), vec![1, 3, 2]);
+        assert!(sel[0].nrows < sel[1].nrows && sel[1].nrows < sel[2].nrows, "{sel:?}");
+        let on_metric = by_hand(&enriched, None);
+        assert!(on_metric[0].nrows > on_metric[2].nrows, "{on_metric:?}");
+
+        // Flags off, the least-memory processor 2 leads Algorithm 1; the
+        // hybrid drops it for carrying more work than the master.
+        let (sel, _) = SlaveSelection::Memory.select(&ctx(false, false));
+        assert_eq!(sel, by_hand(&mem, Some(&mem)));
+        assert_eq!(sel[0].proc, 2);
+        let (sel, _) = SlaveSelection::Hybrid.select(&ctx(false, false));
+        let inp = SelectionInput { fill_metric: Some(&mem), ..input(&cands, &mem, 0, 100, 20) };
+        assert_eq!(sel, select_hybrid(&inp, &load, 600));
+        assert_eq!(procs(&sel), vec![3, 1]);
     }
 
     #[test]

@@ -23,6 +23,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 
 use mf_core::config::{SlaveSelection, SolverConfig, TaskSelection};
+use mf_core::malleable::FLOPS_PER_TICK;
 use mf_core::mapping::{compute_mapping, StaticMapping};
 use mf_core::proto::{initial_loads, Effect, Input, Msg, SchedulerCore};
 use mf_core::views::{StatusDelta, Views};
@@ -89,7 +90,7 @@ fn step(
                 cfg.network.broadcast(sim, p, cfg.nprocs, msg, bytes)
             }
             Effect::StartCompute { key, flops, .. } => {
-                sim.schedule_timer(p, (flops / cfg.flops_per_tick.max(1)).max(1), key)
+                sim.schedule_timer(p, (flops / FLOPS_PER_TICK).max(1), key)
             }
             Effect::Alloc { .. } | Effect::Free { .. } | Effect::Record(_) => {}
             // This harness drives quiet runs only: no recovery config and

@@ -76,15 +76,14 @@ impl FrontWorkspace {
 /// Processes front `v`: assembles the original entries and the
 /// children's contribution blocks (popped off `stack`, last child first
 /// — the order that fixes every entry's summation), factors the pivot
-/// block with the thread budget `threads` grants on kernel entry, and
-/// extracts the factor panel; the front's own contribution block is
-/// pushed on `stack`.
+/// block on `threads` threads, and extracts the factor panel; the front's
+/// own contribution block is pushed on `stack`.
 pub(crate) fn factor_front(
     env: &FrontEnv<'_>,
     ws: &mut FrontWorkspace,
     stack: &mut CbStack,
     v: usize,
-    threads: impl FnOnce() -> usize,
+    threads: usize,
 ) -> Result<FrontFactor, FactorError> {
     let (tree, sym) = (env.tree, env.tree.sym);
     let nd = &tree.nodes[v];
@@ -165,7 +164,6 @@ pub(crate) fn factor_front(
     }
 
     // ---- Partial factorization. ----
-    let threads = threads();
     match sym {
         Symmetry::General => factor_front_lu_mt(w, p, row_perm, threads),
         Symmetry::Symmetric => factor_front_ldlt_mt(w, p, threads),
@@ -211,7 +209,7 @@ mod tests {
             let env = FrontEnv::new(&a, &s, &fs);
             let (mut ws, mut stack) = (FrontWorkspace::new(n), CbStack::new());
             for v in s.tree.topo_order() {
-                factor_front(&env, &mut ws, &mut stack, v, || 1).unwrap();
+                factor_front(&env, &mut ws, &mut stack, v, 1).unwrap();
             }
             assert_eq!(stack.depth(), 0);
             let modelled = Factorization::from_symbolic(&a, &s).unwrap().stats.stack_peak;

@@ -26,21 +26,11 @@ pub struct NumericOptions {
     /// invariant — so it is purely a performance knob. `1` (the default)
     /// keeps every front sequential.
     pub cores_per_front: usize,
-    /// When set, the parallel driver allots within-front threads
-    /// *malleably*: a front entering its factorization kernel is granted
-    /// `pool / busy` threads (clamped to `[1, cores_per_front]`), where
-    /// `busy` counts the fronts concurrently inside their kernels. Leaf
-    /// storms run one thread per front; the root chain collects the
-    /// whole pool. Factor bytes stay independent of the grants (same
-    /// invariant as `cores_per_front` itself — see the determinism
-    /// suite). Ignored by the sequential driver, where `busy` is always
-    /// one.
-    pub malleable_pool: Option<usize>,
 }
 
 impl Default for NumericOptions {
     fn default() -> Self {
-        NumericOptions { cores_per_front: 1, malleable_pool: None }
+        NumericOptions { cores_per_front: 1 }
     }
 }
 
@@ -347,7 +337,7 @@ fn factorize_sequential(
 
     for &v in &topo {
         account.alloc_front(tree.front_entries(v));
-        fronts[v] = Some(factor_front(&env, &mut ws, &mut cb_stack, v, || threads)?);
+        fronts[v] = Some(factor_front(&env, &mut ws, &mut cb_stack, v, threads)?);
         for &ch in &tree.nodes[v].children {
             account.pop_cb(tree.cb_entries(ch));
         }

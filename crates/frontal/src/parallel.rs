@@ -4,7 +4,7 @@
 //! parallelism across MPI ranks — maps directly onto fork-join threading:
 //! independent subtrees factorize concurrently, each front sequentially.
 //! This module provides that shared-memory variant. Every front runs the
-//! sequential driver's pipeline ([`crate::front`]); the one global LIFO
+//! sequential driver's pipeline (`crate::front`); the one global LIFO
 //! stack (meaningless under concurrency) becomes one stack per parallel
 //! branch, and memory is tracked with atomic high-water counters instead
 //! ([`factorize_parallel`]'s `NumericStats` reports the honest peak of
@@ -18,7 +18,7 @@ use mf_symbolic::frontstruct::front_structures;
 use mf_symbolic::SymbolicAnalysis;
 use parking_lot::Mutex;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Atomic high-water accounting of live numeric memory (entries, i.e.
 /// `f64` words), shared by all workers. `live` counts every currently
@@ -62,39 +62,11 @@ impl ParAccount {
 struct Ctx<'a> {
     env: FrontEnv<'a>,
     threads: usize,
-    /// `Some(pool)` makes the within-front thread budget a scheduling
-    /// decision (see [`NumericOptions::malleable_pool`]); `threads` then
-    /// acts as the per-front cap.
-    pool: Option<usize>,
-    /// Fronts currently inside their factorization kernel (malleable
-    /// grant denominator).
-    in_kernel: AtomicUsize,
     acct: ParAccount,
     /// Idle front workspaces: a front takes one (or makes one) and puts
     /// it back, so at most one per worker thread ever exists.
     workspaces: Mutex<Vec<FrontWorkspace>>,
     slots: Vec<Mutex<Option<FrontFactor>>>,
-}
-
-impl Ctx<'_> {
-    /// Thread budget granted to a front entering its kernel. Purely a
-    /// performance decision: the kernels produce bit-identical factors
-    /// for any budget, so a racy `busy` count cannot perturb results.
-    fn grant_threads(&self) -> usize {
-        match self.pool {
-            None => self.threads,
-            Some(pool) => {
-                let busy = self.in_kernel.fetch_add(1, Ordering::Relaxed) + 1;
-                (pool / busy).clamp(1, self.threads.max(1))
-            }
-        }
-    }
-
-    fn release_threads(&self) {
-        if self.pool.is_some() {
-            self.in_kernel.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
 }
 
 /// Factorizes `a` over the symbolic analysis `s`, exploiting tree
@@ -124,8 +96,6 @@ pub fn factorize_parallel_with(
     let ctx = Ctx {
         env: FrontEnv::new(a, s, &fs),
         threads: opts.cores_per_front.max(1),
-        pool: opts.malleable_pool,
-        in_kernel: AtomicUsize::new(0),
         acct: ParAccount::default(),
         workspaces: Mutex::new(Vec::new()),
         slots: (0..s.tree.len()).map(|_| Mutex::new(None)).collect(),
@@ -179,8 +149,7 @@ fn process(ctx: &Ctx<'_>, v: usize, stack: &mut CbStack) -> Result<(), FactorErr
     let front = (nd.nfront * nd.nfront) as u64;
     ctx.acct.alloc_front(front);
     let mut ws = (ctx.workspaces.lock().pop()).unwrap_or_else(|| FrontWorkspace::new(tree.n));
-    let factored = factor_front(&ctx.env, &mut ws, stack, v, || ctx.grant_threads());
-    ctx.release_threads();
+    let factored = factor_front(&ctx.env, &mut ws, stack, v, ctx.threads);
     ctx.workspaces.lock().push(ws);
     *ctx.slots[v].lock() = Some(factored?);
     for &ch in &nd.children {

@@ -17,7 +17,6 @@
 pub mod mindeg;
 pub mod nd;
 pub mod pord;
-pub mod rcm;
 pub mod stats;
 
 use mf_sparse::{CscMatrix, Graph, Permutation};

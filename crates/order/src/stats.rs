@@ -6,21 +6,6 @@
 
 use mf_sparse::{Graph, Permutation};
 
-/// Profile/envelope size of the reordered pattern: `Σ_i (i − min_j)` over
-/// rows, a classic cheap proxy for how "banded" the permuted matrix is.
-pub fn envelope(g: &Graph, p: &Permutation) -> u64 {
-    let mut total = 0u64;
-    for v in 0..g.n() {
-        let iv = p.new_of(v) as u64;
-        let mut lo = iv;
-        for &w in g.neighbors(v) {
-            lo = lo.min(p.new_of(w) as u64);
-        }
-        total += iv - lo;
-    }
-    total
-}
-
 /// Exact fill-in of an elimination order, by naive symbolic elimination.
 ///
 /// Quadratic in the worst case — intended for matrices up to a few
@@ -52,13 +37,6 @@ mod tests {
     use super::*;
     use mf_sparse::gen::grid::{grid2d, Stencil};
     use mf_sparse::Graph;
-
-    #[test]
-    fn envelope_zero_for_diagonal() {
-        let a = mf_sparse::CscMatrix::identity(5, 1.0);
-        let g = Graph::from_matrix(&a);
-        assert_eq!(envelope(&g, &Permutation::identity(5)), 0);
-    }
 
     #[test]
     fn all_orderings_beat_reversed_natural_fill_on_grid() {

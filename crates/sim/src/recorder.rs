@@ -16,7 +16,7 @@
 //! Recording millions of events must cost nanoseconds, not microseconds,
 //! per event, so the store is columnar rather than an enum buffer:
 //!
-//! * every event is one fixed-size POD [`SchedEventRecord`] row (40
+//! * every event is one fixed-size POD `SchedEventRecord` row (40
 //!   bytes: timestamp, a signed value, three small ids, a kind and a tag
 //!   byte, and a payload reference) appended to preallocated pages —
 //!   no per-event heap allocation;
@@ -290,7 +290,7 @@ struct SchedEventRecord {
 }
 
 /// One event in wire form, as carried by `mf-core`'s `Effect::Record`:
-/// the fixed-size header of a [`SchedEventRecord`] plus an optional
+/// the fixed-size header of a `SchedEventRecord` plus an optional
 /// boxed payload for the two variable-length variants (slave selections
 /// and capacity re-selections). POD events (the overwhelming majority)
 /// construct without touching the heap, which keeps the `Effect` enum
@@ -466,7 +466,7 @@ impl CompactEvent {
 
 /// One structured scheduling event in owned form — the builder/output
 /// type. Emission and storage use the compact forms ([`CompactEvent`] /
-/// [`SchedEventRecord`]); this enum is what tests construct and what
+/// `SchedEventRecord`); this enum is what tests construct and what
 /// [`EventRef::to_owned`] decodes back to. Node and processor ids refer
 /// to the assembly tree and machine of the recorded run.
 #[derive(Debug, Clone, PartialEq)]

@@ -57,11 +57,6 @@ impl CooMatrix {
         self.ncols
     }
 
-    /// Number of triplets pushed so far (before duplicate summation).
-    pub fn ntriplets(&self) -> usize {
-        self.vals.len()
-    }
-
     /// Symmetry tag this builder was created with.
     pub fn symmetry(&self) -> Symmetry {
         self.symmetry

@@ -48,11 +48,6 @@ impl Graph {
         self.ptr.len().saturating_sub(1)
     }
 
-    /// Number of directed edges stored (twice the undirected edge count).
-    pub fn nedges(&self) -> usize {
-        self.adj.len()
-    }
-
     /// Neighbors of node `i`.
     #[inline]
     pub fn neighbors(&self, i: usize) -> &[usize] {

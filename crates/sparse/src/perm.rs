@@ -71,11 +71,6 @@ impl Permutation {
         self.old_of[new]
     }
 
-    /// The full `new_of` vector.
-    pub fn new_order(&self) -> &[usize] {
-        &self.new_of
-    }
-
     /// The full elimination-order vector.
     pub fn elimination_order(&self) -> &[usize] {
         &self.old_of

@@ -38,7 +38,7 @@ pub mod tree;
 pub use amalg::AmalgamationOptions;
 pub use tree::{AssemblyTree, FrontNode};
 
-use mf_sparse::{CscMatrix, Permutation, Symmetry};
+use mf_sparse::{CscMatrix, Permutation};
 
 /// Result of [`analyze`]: the assembly tree together with the *total*
 /// permutation it is expressed in.
@@ -97,17 +97,6 @@ pub fn analyze(a: &CscMatrix, p: &Permutation, opts: &AmalgamationOptions) -> Sy
     let perm = p.then(&p2);
     let pattern = a.permute_symmetric(&perm);
     SymbolicAnalysis { tree, perm, pattern }
-}
-
-/// Convenience wrapper: symbolic analysis with the identity fill-reducing
-/// ordering (pure postorder relabeling).
-pub fn analyze_natural(a: &CscMatrix, opts: &AmalgamationOptions) -> SymbolicAnalysis {
-    analyze(a, &Permutation::identity(a.ncols()), opts)
-}
-
-/// Re-exported for convenience: symmetry tag of the analyzed problem.
-pub fn tree_symmetry(s: &SymbolicAnalysis) -> Symmetry {
-    s.tree.sym
 }
 
 #[cfg(test)]

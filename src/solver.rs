@@ -29,7 +29,6 @@ pub struct SolverBuilder {
     amalgamation: AmalgamationOptions,
     parallel: bool,
     cores_per_front: usize,
-    malleable_pool: Option<usize>,
     refine_steps: usize,
     refine_tol: f64,
 }
@@ -41,7 +40,6 @@ impl Default for SolverBuilder {
             amalgamation: AmalgamationOptions::default(),
             parallel: false,
             cores_per_front: 1,
-            malleable_pool: None,
             refine_steps: 0,
             refine_tol: 1e-12,
         }
@@ -75,17 +73,6 @@ impl SolverBuilder {
         self
     }
 
-    /// Make the within-front thread budget malleable: each front
-    /// entering its kernel is granted `pool / busy` threads (capped by
-    /// [`cores_per_front`](Self::cores_per_front)), where `busy` counts
-    /// fronts concurrently factorizing. With tree parallelism on, leaf
-    /// storms run one thread per front while the root chain collects
-    /// the whole pool. Factor bytes are independent of the grants.
-    pub fn malleable(mut self, pool: usize) -> Self {
-        self.malleable_pool = Some(pool.max(1));
-        self
-    }
-
     /// Apply up to `steps` iterative-refinement corrections per solve,
     /// stopping at relative residual `tol`.
     pub fn refinement(mut self, steps: usize, tol: f64) -> Self {
@@ -98,10 +85,7 @@ impl SolverBuilder {
     pub fn build(self, a: &CscMatrix) -> Result<Solver, FactorError> {
         let perm = self.ordering.compute(a);
         let analysis = mf_symbolic::analyze(a, &perm, &self.amalgamation);
-        let opts = NumericOptions {
-            cores_per_front: self.cores_per_front,
-            malleable_pool: self.malleable_pool,
-        };
+        let opts = NumericOptions { cores_per_front: self.cores_per_front };
         let factorization = if self.parallel {
             factorize_parallel_with(a, &analysis, &opts)?
         } else {
@@ -233,28 +217,6 @@ mod tests {
             s8.factorization.content_digest(),
             "cores_per_front changed the factor bytes"
         );
-    }
-
-    #[test]
-    fn malleable_grants_are_bit_invariant() {
-        // Malleable grants are racy by design (the busy count depends
-        // on thread timing) — safe only because the kernels are
-        // budget-invariant. Pin that end to end.
-        let a = grid2d(18, 17, Stencil::Box);
-        let fixed = Solver::builder().parallel(true).cores_per_front(4).build(&a).unwrap();
-        for pool in [1usize, 2, 8] {
-            let m = Solver::builder()
-                .parallel(true)
-                .cores_per_front(4)
-                .malleable(pool)
-                .build(&a)
-                .unwrap();
-            assert_eq!(
-                fixed.factorization.content_digest(),
-                m.factorization.content_digest(),
-                "malleable pool {pool} changed the factor bytes"
-            );
-        }
     }
 
     #[test]

@@ -139,11 +139,9 @@ proptest! {
         prediction in any::<bool>(),
         split in any::<bool>(),
         subtree_peaks in any::<bool>(),
-        subtree_order in 0usize..3,
         jitter in any::<bool>(),
         nx in 10usize..18,
     ) {
-        use multifrontal::core::config::SubtreeOrder;
         let a = multifrontal::sparse::gen::grid::grid2d(nx, nx, Stencil::Star);
         let cfg = SolverConfig {
             nprocs,
@@ -156,7 +154,6 @@ proptest! {
             use_prediction: prediction,
             split_threshold: split.then_some(2_000),
             subtree_peak_factor: subtree_peaks.then_some(1.0),
-            subtree_order: [SubtreeOrder::AsMapped, SubtreeOrder::PeakDescending, SubtreeOrder::PeakAscending][subtree_order],
             jitter: jitter.then_some((42, 0.1)),
             ..SolverConfig::mumps_baseline(nprocs)
         };
