@@ -8,8 +8,9 @@
 //! events into the cores and performs the effects they emit — in
 //! emission order, which is what keeps it bit-identical to the
 //! historical monolithic scheduler — and reaches the cores only through
-//! a [`CoreHost`]: [`run`] keeps them in a `Vec` on the calling thread,
-//! the `mf-exec` crate keeps each on its own OS thread.
+//! a [`CoreHost`]: [`run`] keeps them in a `Vec` on the calling thread
+//! over one shared [`ViewTable`] ([`LocalCores`]), the `mf-exec` crate
+//! keeps each on its own OS thread.
 
 use crate::config::SolverConfig;
 use crate::error::{RunDiagnostics, SimError};
@@ -19,7 +20,7 @@ use crate::proto::{
     initial_loads, Effect, Input, Migration, Msg, SchedulerCore, Violation, TIMER_SAMPLE,
 };
 use crate::recovery::{digest_factors, Membership, MembershipChange, RecoverySnapshot};
-use crate::views::StatusDelta;
+use crate::views::{StatusDelta, ViewTable};
 use mf_sim::recorder::TaskRole;
 use mf_sim::{
     CompactEvent, Delivery, Event, EventPayload, EventQueue, FaultInjector, MsgClass, NetworkModel,
@@ -130,7 +131,9 @@ pub trait CoreHost<'a> {
         input: Input,
         perform: impl FnMut(Effect),
     ) -> (usize, Option<Violation>);
-    /// [`SchedulerCore::apply_status`] on core `p`.
+    /// [`SchedulerCore::apply_status`] on core `p`: processor `p`'s side
+    /// of one delivered status delta, which writes its views and nothing
+    /// else.
     fn apply_status(&mut self, p: usize, at: Time, from: usize, delta: StatusDelta)
         -> Option<Time>;
     /// [`SchedulerCore::cheapest_deferred`] on core `p`.
@@ -142,8 +145,14 @@ pub trait CoreHost<'a> {
     fn finish(&mut self) -> Vec<SchedulerCore<'a>>;
 }
 
-/// The in-process host: the cores in a `Vec` on the calling thread.
-impl<'a> CoreHost<'a> for Vec<SchedulerCore<'a>> {
+/// The in-process host: the cores in a `Vec` on the calling thread, each
+/// holding its column of one shared `P × P` [`ViewTable`].
+pub struct LocalCores<'a> {
+    cores: Vec<SchedulerCore<'a>>,
+    views: ViewTable,
+}
+
+impl<'a> CoreHost<'a> for LocalCores<'a> {
     #[inline]
     fn step(
         &mut self,
@@ -152,11 +161,13 @@ impl<'a> CoreHost<'a> for Vec<SchedulerCore<'a>> {
         input: Input,
         perform: impl FnMut(Effect),
     ) -> (usize, Option<Violation>) {
-        self[p].handle(now, input).for_each(perform);
-        (self[p].nodes_done(), self[p].take_violation())
+        let core = &mut self.cores[p];
+        core.handle(now, input).for_each(perform);
+        (core.nodes_done(), core.take_violation())
     }
-    // The hot path of every broadcast block: one call per target must
-    // cost what `cores[p].apply_status(..)` cost in the loop body.
+    // The hot path of every broadcast block. Straight to the table, not
+    // through the core: the block's targets are consecutive slots of one
+    // row, so the block is a sequential sweep.
     #[inline(always)]
     fn apply_status(
         &mut self,
@@ -165,27 +176,29 @@ impl<'a> CoreHost<'a> for Vec<SchedulerCore<'a>> {
         from: usize,
         delta: StatusDelta,
     ) -> Option<Time> {
-        self[p].apply_status(at, from, delta)
+        self.views.deliver(p, at, from, delta)
     }
     fn cheapest_deferred(&mut self, p: usize) -> Option<(u64, usize)> {
-        self[p].cheapest_deferred()
+        self.cores[p].cheapest_deferred()
     }
     fn snapshot(&mut self, p: usize) -> RecoverySnapshot {
-        self[p].snapshot()
+        self.cores[p].snapshot()
     }
     fn finish(&mut self) -> Vec<SchedulerCore<'a>> {
-        std::mem::take(self)
+        std::mem::take(&mut self.cores)
     }
 }
 
-/// One fresh core per processor, for the in-process host.
+/// One fresh core per processor over one fresh view table, for the
+/// in-process host.
 pub fn local_cores<'a>(
     tree: &'a AssemblyTree,
     map: &'a StaticMapping,
     cfg: &'a SolverConfig,
-) -> Vec<SchedulerCore<'a>> {
-    let load0 = initial_loads(tree, map, cfg.nprocs);
-    (0..cfg.nprocs).map(|p| SchedulerCore::new(p, tree, map, cfg, &load0)).collect()
+) -> LocalCores<'a> {
+    let views = ViewTable::new(0..cfg.nprocs, &initial_loads(tree, map, cfg.nprocs));
+    let cores = (0..cfg.nprocs).map(|p| SchedulerCore::new(p, tree, map, cfg, &views)).collect();
+    LocalCores { cores, views }
 }
 
 /// The runtime: transport, time, noise, membership and observability.
@@ -858,6 +871,8 @@ fn run_on<'a, Q: EventQueue<Msg>>(
                 // `Record`, schedules nothing, and cannot move `done`,
                 // `pending_dead`, a violation or the clock — so of the
                 // per-event epilogues only the last target's can act.
+                // In-process, the targets' slots are one row of the view
+                // table, so the applies are a sequential sweep.
                 Delivery::Block(block) => {
                     let Msg::Status(delta) = block.msg else {
                         unreachable!("broadcast is status-only");

@@ -33,7 +33,7 @@ use crate::mapping::{NodeKind, StaticMapping};
 use crate::pool::{TaskCtx, TaskPool};
 use crate::recovery::{RecoveryPlan, RecoverySnapshot};
 use crate::slavesel::{SlaveAssignment, SlaveCtx};
-use crate::views::{StatusDelta, Views};
+use crate::views::{StatusDelta, ViewTable, Views};
 use mf_sim::recorder::{FrontClass, MemArea, SlavePick, StatusKind, TaskRole};
 use mf_sim::{CompactEvent, CoreMetrics, MsgClass, ProcMemory, Time};
 use mf_symbolic::AssemblyTree;
@@ -566,14 +566,16 @@ pub struct SchedulerCore<'a> {
 }
 
 impl<'a> SchedulerCore<'a> {
-    /// A fresh core for processor `id`. `initial_load` is the machine-wide
-    /// static workload vector from [`initial_loads`].
+    /// A fresh core for processor `id`, holding column `id` of `views`
+    /// (a table built over the machine-wide static workloads from
+    /// [`initial_loads`]: shared by every core of the in-process host,
+    /// one column of its own on a threaded worker).
     pub fn new(
         id: usize,
         tree: &'a AssemblyTree,
         map: &'a StaticMapping,
         cfg: &'a SolverConfig,
-        initial_load: &[u64],
+        views: &ViewTable,
     ) -> Self {
         SchedulerCore {
             id,
@@ -585,7 +587,7 @@ impl<'a> SchedulerCore<'a> {
             out: Vec::new(),
             pending: [None; FOLD_SLOTS],
             mem: ProcMemory::new(),
-            views: Views::new(cfg.nprocs, initial_load),
+            views: views.column(id),
             pool: TaskPool::new(map.initial_pool[id].clone()),
             busy: false,
             slave_queue: VecDeque::new(),
@@ -637,7 +639,7 @@ impl<'a> SchedulerCore<'a> {
             }
             Input::Deliver { from, msg } => {
                 if from != self.id {
-                    self.views[from].last_heard = now;
+                    self.views.hear(from, now);
                 }
                 self.deliver(from, msg);
             }
@@ -662,14 +664,15 @@ impl<'a> SchedulerCore<'a> {
     /// whose self-view is exact). `handle` delegates here, so a driver
     /// that delivers a whole broadcast block through this entry point and
     /// one that feeds `handle` per message leave identical cores.
+    ///
+    /// It writes this core's column of the view table and nothing else —
+    /// it is [`ViewTable::deliver`], which is how the in-process host
+    /// delivers a block without touching the cores at all. In particular
+    /// it does not set the core's clock: `now` is read only by the
+    /// handlers `handle` dispatches to, after `handle` has set it.
     #[inline]
     pub fn apply_status(&mut self, now: Time, from: usize, delta: StatusDelta) -> Option<Time> {
-        self.now = now;
-        if from != self.id {
-            self.views[from].last_heard = now;
-        }
-        let about = delta.about(from);
-        (about != self.id).then(|| self.views.apply(about, delta, now))
+        self.views.deliver(now, from, delta)
     }
 
     // ---------- driver-facing accessors ----------
@@ -843,7 +846,7 @@ impl<'a> SchedulerCore<'a> {
         self.timers_armed = true;
         let now = self.now;
         for p in 0..self.cfg.nprocs {
-            self.views[p].last_heard = now;
+            self.views.hear(p, now);
         }
         self.out.push(Effect::Arm { key: TIMER_HEARTBEAT, after: rc.heartbeat_every });
         self.out.push(Effect::Arm { key: TIMER_LEASE, after: rc.heartbeat_every });
@@ -901,7 +904,7 @@ impl<'a> SchedulerCore<'a> {
         for q in 0..self.cfg.nprocs {
             if q != self.id
                 && self.reachable(q)
-                && self.now.saturating_sub(self.views[q].last_heard) > timeout
+                && self.now.saturating_sub(self.views.get(q).last_heard) > timeout
             {
                 self.out.push(Effect::DeclareDead { proc: q });
             }
@@ -953,7 +956,7 @@ impl<'a> SchedulerCore<'a> {
                     if self.map.subtree_of[node] == Some(s) {
                         self.current_subtree = None;
                         if self.cfg.use_subtree_info {
-                            self.views[self.id].subtree = 0;
+                            self.views.set_subtree(self.id, 0);
                             self.broadcast(StatusDelta::Subtree { peak: 0 });
                         }
                     }
@@ -1084,10 +1087,10 @@ impl<'a> SchedulerCore<'a> {
         let now = self.now;
         if proc == self.id {
             for p in 0..self.cfg.nprocs {
-                self.views[p].last_heard = now;
+                self.views.hear(p, now);
             }
         } else {
-            self.views[proc].last_heard = now;
+            self.views.hear(proc, now);
         }
     }
 
@@ -1156,7 +1159,7 @@ impl<'a> SchedulerCore<'a> {
                     return 1;
                 }
                 let busy = (0..self.alive.len())
-                    .filter(|&q| self.alive[q] && self.joined[q] && self.views[q].load > 0)
+                    .filter(|&q| self.alive[q] && self.joined[q] && self.views.get(q).load > 0)
                     .count()
                     .max(1);
                 let grant = (pool_cores / busy).clamp(1, max_per_front.max(1)) as u32;
@@ -1247,7 +1250,7 @@ impl<'a> SchedulerCore<'a> {
             return;
         }
         let active = self.mem.active();
-        self.views[self.id].mem = active;
+        self.views.set_mem(self.id, active);
         // The self-view is exact: keep its freshness stamp current so
         // decision-time staleness reads 0 for the deciding processor.
         self.views.touch(self.id, self.now);
@@ -1423,7 +1426,7 @@ impl<'a> SchedulerCore<'a> {
                     // Broadcast the absolute level this stack is heading
                     // to (base + subtree peak), Section 5.1.
                     let peak = self.subtree_base + self.map.subtree_peak[s];
-                    self.views[self.id].subtree = peak;
+                    self.views.set_subtree(self.id, peak);
                     self.broadcast(StatusDelta::Subtree { peak });
                 }
             }
@@ -1493,7 +1496,7 @@ impl<'a> SchedulerCore<'a> {
                         a.offset,
                         a.nrows,
                     );
-                    self.views[a.proc].mem + entries > cap
+                    self.views.get(a.proc).mem + entries > cap
                 })
                 .map(|a| a.proc)
                 .collect();
@@ -1752,7 +1755,7 @@ impl<'a> SchedulerCore<'a> {
             if self.map.subtree_roots[s] == node {
                 self.current_subtree = None;
                 if self.cfg.use_subtree_info {
-                    self.views[self.id].subtree = 0;
+                    self.views.set_subtree(self.id, 0);
                     self.broadcast(StatusDelta::Subtree { peak: 0 });
                 }
             }
@@ -1847,7 +1850,7 @@ impl<'a> SchedulerCore<'a> {
                 self.out.push(Effect::Alloc { node, area: MemArea::Front, entries });
                 self.mem.alloc_front(entries);
                 let active = self.mem.active();
-                self.views[to].mem = active;
+                self.views.set_mem(to, active);
                 self.views.touch(to, self.now);
                 self.metrics.me.slave_tasks += 1;
                 self.load_change(flops_share as i64);
@@ -1941,8 +1944,8 @@ impl<'a> SchedulerCore<'a> {
 
     fn rebroadcast_prediction(&mut self) {
         let max = self.soon.values().copied().max().unwrap_or(0);
-        if self.views[self.id].predicted != max {
-            self.views[self.id].predicted = max;
+        if self.views.get(self.id).predicted != max {
+            self.views.set_predicted(self.id, max);
             self.broadcast(StatusDelta::Predicted { cost: max });
         }
     }
@@ -1984,7 +1987,8 @@ mod tests {
         let tree = mf_symbolic::analyze(&a, &p, &AmalgamationOptions::default()).tree;
         let cfg = SolverConfig::mumps_baseline(2);
         let map = compute_mapping(&tree, &cfg);
-        let mut core = SchedulerCore::new(0, &tree, &map, &cfg, &initial_loads(&tree, &map, 2));
+        let views = ViewTable::new(0..2, &initial_loads(&tree, &map, 2));
+        let mut core = SchedulerCore::new(0, &tree, &map, &cfg, &views);
 
         // Spelled out field by field, so a new field has to say here what
         // an untouched node reads as.

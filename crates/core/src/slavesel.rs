@@ -221,7 +221,7 @@ impl SlaveSelection {
     /// the per-processor metric vector it was made from (the flight
     /// recorder captures what the master *believed*, not what was true).
     pub fn select(self, ctx: &SlaveCtx<'_>) -> (Vec<SlaveAssignment>, Vec<u64>) {
-        let column = |f: fn(&PeerView) -> u64| ctx.views.iter().map(f).collect::<Vec<u64>>();
+        let column = |f: fn(PeerView) -> u64| ctx.views.iter().map(f).collect::<Vec<u64>>();
         let memory_metric = || -> Vec<u64> {
             (0..ctx.nprocs)
                 .map(|q| ctx.views.memory_metric(q, ctx.use_subtree_info, ctx.use_prediction))
@@ -394,10 +394,12 @@ mod tests {
         // Master 0 and three candidates with every view field distinct:
         // proc 2 is the busiest and heads for a 5000-entry subtree peak,
         // proc 3 is the idlest and about to activate a 3000-entry master.
-        let mut views = Views::new(4, &[600, 100, 900, 50]);
-        views[1].mem = 1000;
-        views[2] = PeerView { mem: 100, subtree: 5000, ..views[2] };
-        views[3] = PeerView { mem: 600, predicted: 3000, ..views[3] };
+        let mut views = Views::new(0, &[600, 100, 900, 50]);
+        views.set_mem(1, 1000);
+        views.set_mem(2, 100);
+        views.set_subtree(2, 5000);
+        views.set_mem(3, 600);
+        views.set_predicted(3, 3000);
         let (load, mem) = (vec![600, 100, 900, 50], vec![0, 1000, 100, 600]);
         let cands = [1, 2, 3];
         let ctx = |use_subtree_info, use_prediction| SlaveCtx {

@@ -7,8 +7,17 @@
 //! message and is therefore stale by at least one network latency — the
 //! coherence problem of Figure 5 is real in this simulator, not modeled
 //! away.
+//!
+//! The beliefs live in a [`ViewTable`] stored slot-major — one row per
+//! processor believed *about*, one column per *receiver* — so the
+//! receivers of one broadcast form one contiguous row and delivering it
+//! is a sequential sweep. A processor reads and writes its own column
+//! through [`Views`].
 
 use mf_sim::{StatusKind, Time};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 
 /// One index-based status update: which belief slot changes and by how
 /// much. This is the compact payload every status broadcast carries —
@@ -73,11 +82,10 @@ impl StatusDelta {
 
 /// What one processor believes about one peer, plus when it last heard
 /// from it: everything a delivered status delta touches, side by side in
-/// 48 bytes, so an apply costs the receiver one cache line (two when the
-/// entry straddles) whatever the machine size. Deliberately not padded
-/// to a 64-byte line: a broadcast walks entry `from` of *every*
-/// receiver's table, and power-of-two-sized tables put those entries in
-/// the same cache sets (measured 2x slower at 1024 processors).
+/// 48 bytes. A [`ViewTable`] slot holds exactly these six words, so a
+/// master's walk down its own column (slave selection, the recorder's
+/// view ages) costs one cache line per peer (two when a slot straddles),
+/// while a broadcast's receivers sit next to each other in one row.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PeerView {
     /// Believed active memory (entries).
@@ -102,68 +110,222 @@ pub struct PeerView {
     pub last_heard: Time,
 }
 
-/// One processor's beliefs about the whole machine, indexed by processor
-/// id (its own entry is kept exact by the state machine).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Views {
-    peers: Vec<PeerView>,
+/// A [`PeerView`] as a table stores it: the same six words, each a
+/// relaxed atomic. Relaxed loads and stores compile to plain moves; they
+/// are atomics only so that a core holding its column stays `Send` (the
+/// threaded backend hands cores across threads). A table is never used
+/// from two threads at once — the in-process host and its cores share
+/// one thread, a threaded worker's table is its own, and a core changes
+/// threads only through a channel, whose send orders every write before
+/// it — so `Relaxed` publishes nothing another thread relies on, and a
+/// read-modify-write is a load then a store.
+#[derive(Default)]
+struct Slot {
+    mem: AtomicU64,
+    load: AtomicU64,
+    subtree: AtomicU64,
+    predicted: AtomicU64,
+    updated_at: AtomicU64,
+    last_heard: AtomicU64,
 }
 
-impl std::ops::Index<usize> for Views {
-    type Output = PeerView;
+const _: () = assert!(std::mem::size_of::<Slot>() == std::mem::size_of::<PeerView>());
 
-    fn index(&self, p: usize) -> &PeerView {
-        &self.peers[p]
+fn get(word: &AtomicU64) -> u64 {
+    word.load(Relaxed)
+}
+
+fn set(word: &AtomicU64, value: u64) {
+    word.store(value, Relaxed)
+}
+
+fn add(word: &AtomicU64, delta: i64) {
+    set(word, add_signed(get(word), delta))
+}
+
+impl Slot {
+    fn get(&self) -> PeerView {
+        PeerView {
+            mem: get(&self.mem),
+            load: get(&self.load),
+            subtree: get(&self.subtree),
+            predicted: get(&self.predicted),
+            updated_at: get(&self.updated_at),
+            last_heard: get(&self.last_heard),
+        }
+    }
+
+    /// Stamps the refresh instant and returns the age of the belief it
+    /// replaced; then increments add up (saturating at zero) and absolute
+    /// values are replaced. The single mutation path of the coherence
+    /// protocol: one field plus `updated_at`, whatever the machine size.
+    #[inline]
+    fn apply(&self, delta: StatusDelta, now: Time) -> Time {
+        let age = now.saturating_sub(get(&self.updated_at));
+        set(&self.updated_at, now);
+        match delta {
+            StatusDelta::Mem { delta } => add(&self.mem, delta),
+            StatusDelta::Load { delta } => add(&self.load, delta),
+            StatusDelta::Subtree { peak } => set(&self.subtree, peak),
+            StatusDelta::Predicted { cost } => set(&self.predicted, cost),
+            StatusDelta::Assigned { entries, .. } => add(&self.mem, entries as i64),
+        }
+        age
     }
 }
 
-impl std::ops::IndexMut<usize> for Views {
-    fn index_mut(&mut self, p: usize) -> &mut PeerView {
-        &mut self.peers[p]
+/// The beliefs of the receivers `first..first + width` about every
+/// processor, in one slot-major allocation: the slot of (`about`,
+/// `receiver`) sits at `about × width + (receiver − first)`. Row `about`
+/// is what every receiver believes about one processor — the receivers
+/// of its broadcast, side by side — and column `receiver` is one
+/// processor's [`Views`].
+///
+/// A cheap handle (`Arc`): the in-process host and each of its cores hold
+/// the same `P × P` table; a threaded worker's core holds a one-column
+/// table of its own.
+#[derive(Clone)]
+pub struct ViewTable {
+    slots: Arc<[Slot]>,
+    first: usize,
+    width: usize,
+}
+
+impl ViewTable {
+    /// Fresh beliefs of `receivers` about the `initial_load.len()`
+    /// processors of the machine, with their initial workloads.
+    pub fn new(receivers: Range<usize>, initial_load: &[u64]) -> Self {
+        let width = receivers.len();
+        // A mapped range has an exact length, so the slots are written in
+        // place: no `Vec` staging copy doubling the table's peak RSS.
+        let slots = (0..initial_load.len() * width)
+            .map(|i| Slot { load: AtomicU64::new(initial_load[i / width]), ..Slot::default() })
+            .collect();
+        ViewTable { slots, first: receivers.start, width }
+    }
+
+    #[inline]
+    fn slot(&self, about: usize, receiver: usize) -> &Slot {
+        debug_assert!((self.first..self.first + self.width).contains(&receiver));
+        &self.slots[about * self.width + (receiver - self.first)]
+    }
+
+    /// Processors the table holds beliefs about.
+    fn nprocs(&self) -> usize {
+        self.slots.len() / self.width.max(1)
+    }
+
+    /// `receiver`'s side of one status delta delivered from `from` at
+    /// `at`: renew `from`'s lease stamp, then apply the delta to the
+    /// belief about its subject — unless that subject is `receiver`
+    /// itself (an `Assigned` reaching the enrolled slave, whose self-view
+    /// is exact). Returns the age of the belief replaced, `None` when
+    /// nothing was applied. What a broadcast block does per target, and
+    /// all [`crate::proto::SchedulerCore::apply_status`] does.
+    #[inline]
+    pub fn deliver(
+        &self,
+        receiver: usize,
+        at: Time,
+        from: usize,
+        delta: StatusDelta,
+    ) -> Option<Time> {
+        if from != receiver {
+            set(&self.slot(from, receiver).last_heard, at);
+        }
+        let about = delta.about(from);
+        (about != receiver).then(|| self.slot(about, receiver).apply(delta, at))
+    }
+
+    /// `receiver`'s column.
+    pub fn column(&self, receiver: usize) -> Views {
+        assert!(
+            (self.first..self.first + self.width).contains(&receiver),
+            "receiver {receiver} is not a column of this table"
+        );
+        Views { table: self.clone(), me: receiver }
+    }
+}
+
+/// One processor's beliefs about the whole machine, indexed by processor
+/// id: its column of a [`ViewTable`] (its own entry is kept exact by the
+/// state machine).
+pub struct Views {
+    table: ViewTable,
+    me: usize,
+}
+
+impl std::fmt::Debug for Views {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
 impl Views {
-    /// Fresh views of `nprocs` processors, with initial workloads.
-    pub fn new(nprocs: usize, initial_load: &[u64]) -> Self {
-        assert_eq!(initial_load.len(), nprocs);
-        Views {
-            peers: initial_load
-                .iter()
-                .map(|&load| PeerView { load, ..Default::default() })
-                .collect(),
-        }
+    /// Processor `me`'s beliefs in a one-column table of their own.
+    pub fn new(me: usize, initial_load: &[u64]) -> Self {
+        ViewTable::new(me..me + 1, initial_load).column(me)
     }
 
-    /// Every processor's entry, in processor order.
-    pub fn iter(&self) -> std::slice::Iter<'_, PeerView> {
-        self.peers.iter()
+    #[inline]
+    fn at(&self, p: usize) -> &Slot {
+        self.table.slot(p, self.me)
+    }
+
+    /// The belief about processor `p`.
+    pub fn get(&self, p: usize) -> PeerView {
+        self.at(p).get()
+    }
+
+    /// Every belief, in processor order.
+    pub fn iter(&self) -> impl Iterator<Item = PeerView> + '_ {
+        (0..self.table.nprocs()).map(|p| self.get(p))
+    }
+
+    /// Sets the believed memory of `p` (the exact self-view).
+    pub fn set_mem(&mut self, p: usize, mem: u64) {
+        set(&self.at(p).mem, mem);
+    }
+
+    /// Sets the believed subtree projection of `p` (the exact self-view).
+    pub fn set_subtree(&mut self, p: usize, subtree: u64) {
+        set(&self.at(p).subtree, subtree);
+    }
+
+    /// Sets the believed predicted master cost of `p` (the exact
+    /// self-view).
+    pub fn set_predicted(&mut self, p: usize, predicted: u64) {
+        set(&self.at(p).predicted, predicted);
+    }
+
+    /// Renews processor `p`'s lease stamp: a message from it arrived at
+    /// `now`.
+    pub fn hear(&mut self, p: usize, now: Time) {
+        set(&self.at(p).last_heard, now);
     }
 
     /// Marks processor `p`'s entry as refreshed at `now`, returning the
     /// age of the belief it replaced.
     pub fn touch(&mut self, p: usize, now: Time) -> Time {
-        let v = &mut self.peers[p];
-        let age = now.saturating_sub(v.updated_at);
-        v.updated_at = now;
+        let v = self.at(p);
+        let age = now.saturating_sub(get(&v.updated_at));
+        set(&v.updated_at, now);
         age
     }
 
     /// Ticks since processor `p`'s entry was last refreshed.
     pub fn age(&self, p: usize, now: Time) -> Time {
-        now.saturating_sub(self.peers[p].updated_at)
+        now.saturating_sub(get(&self.at(p).updated_at))
     }
 
     /// Applies a (possibly negative) memory increment for processor `p`.
     pub fn apply_mem_delta(&mut self, p: usize, delta: i64) {
-        let v = &mut self.peers[p];
-        v.mem = add_signed(v.mem, delta);
+        add(&self.at(p).mem, delta);
     }
 
     /// Applies a workload increment for processor `p`.
     pub fn apply_load_delta(&mut self, p: usize, delta: i64) {
-        let v = &mut self.peers[p];
-        v.load = add_signed(v.load, delta);
+        add(&self.at(p).load, delta);
     }
 
     /// Applies one status delta about processor `about`, stamping that
@@ -172,17 +334,12 @@ impl Views {
     /// mutation path of the coherence protocol: one field of one
     /// [`PeerView`] plus its `updated_at`, regardless of the machine size.
     pub fn apply(&mut self, about: usize, delta: StatusDelta, now: Time) -> Time {
-        let v = &mut self.peers[about];
-        let age = now.saturating_sub(v.updated_at);
-        v.updated_at = now;
-        match delta {
-            StatusDelta::Mem { delta } => v.mem = add_signed(v.mem, delta),
-            StatusDelta::Load { delta } => v.load = add_signed(v.load, delta),
-            StatusDelta::Subtree { peak } => v.subtree = peak,
-            StatusDelta::Predicted { cost } => v.predicted = cost,
-            StatusDelta::Assigned { entries, .. } => v.mem = add_signed(v.mem, entries as i64),
-        }
-        age
+        self.at(about).apply(delta, now)
+    }
+
+    /// [`ViewTable::deliver`] to this column.
+    pub fn deliver(&mut self, at: Time, from: usize, delta: StatusDelta) -> Option<Time> {
+        self.table.deliver(self.me, at, from, delta)
     }
 
     /// The memory metric of Algorithm 1 for processor `p`: instantaneous
@@ -190,13 +347,13 @@ impl Views {
     /// processor is known to be heading to), plus the predicted cost of
     /// its next master task when enabled (Section 5.1).
     pub fn memory_metric(&self, p: usize, use_subtree: bool, use_prediction: bool) -> u64 {
-        let v = &self.peers[p];
-        let mut m = v.mem;
+        let v = self.at(p);
+        let mut m = get(&v.mem);
         if use_subtree {
-            m = m.max(v.subtree);
+            m = m.max(get(&v.subtree));
         }
         if use_prediction {
-            m += v.predicted;
+            m += get(&v.predicted);
         }
         m
     }
@@ -215,31 +372,33 @@ mod tests {
     use super::*;
 
     /// One field of every entry, in processor order.
-    fn col(v: &Views, f: impl Fn(&PeerView) -> u64) -> Vec<u64> {
+    fn col(v: &Views, f: impl Fn(PeerView) -> u64) -> Vec<u64> {
         v.iter().map(f).collect()
     }
 
     #[test]
     fn deltas_accumulate() {
-        let mut v = Views::new(3, &[0, 0, 0]);
+        let mut v = Views::new(0, &[0, 0, 0]);
         v.apply_mem_delta(1, 100);
         v.apply_mem_delta(1, -30);
-        assert_eq!(v[1].mem, 70);
+        assert_eq!(v.get(1).mem, 70);
     }
 
     #[test]
     fn negative_overshoot_saturates() {
         // Out-of-order arrival can momentarily drive a believed value
         // negative; the view clamps instead of panicking.
-        let mut v = Views::new(1, &[0]);
+        let mut v = Views::new(0, &[0]);
         v.apply_mem_delta(0, -5);
-        assert_eq!(v[0].mem, 0);
+        assert_eq!(v.get(0).mem, 0);
     }
 
     #[test]
     fn metric_composition() {
-        let mut v = Views::new(2, &[0, 0]);
-        v[1] = PeerView { mem: 10, subtree: 100, predicted: 1000, ..v[1] };
+        let mut v = Views::new(0, &[0, 0]);
+        v.set_mem(1, 10);
+        v.set_subtree(1, 100);
+        v.set_predicted(1, 1000);
         assert_eq!(v.memory_metric(1, false, false), 10);
         assert_eq!(v.memory_metric(1, true, false), 100);
         assert_eq!(v.memory_metric(1, false, true), 1010);
@@ -248,13 +407,13 @@ mod tests {
 
     #[test]
     fn initial_load_is_respected() {
-        let v = Views::new(2, &[5, 7]);
+        let v = Views::new(0, &[5, 7]);
         assert_eq!(col(&v, |p| p.load), vec![5, 7]);
     }
 
     #[test]
     fn apply_touches_exactly_one_slot() {
-        let mut v = Views::new(3, &[0, 0, 0]);
+        let mut v = Views::new(0, &[0, 0, 0]);
         let age = v.apply(1, StatusDelta::Mem { delta: 40 }, 25);
         assert_eq!(age, 25, "replaced the initial (t=0) belief");
         assert_eq!(col(&v, |p| p.mem), vec![0, 40, 0]);
@@ -264,7 +423,7 @@ mod tests {
         v.apply(1, StatusDelta::Predicted { cost: 7 }, 31);
         assert_eq!(col(&v, |p| p.predicted), vec![0, 7, 0]);
         v.apply(1, StatusDelta::Load { delta: -3 }, 32);
-        assert_eq!(v[1].load, 0, "negative overshoot saturates through apply too");
+        assert_eq!(v.get(1).load, 0, "negative overshoot saturates through apply too");
         // Assigned credits the enrolled slave's memory belief.
         let age = v.apply(2, StatusDelta::Assigned { proc: 2, entries: 11 }, 40);
         assert_eq!(age, 40);
@@ -281,10 +440,24 @@ mod tests {
 
     #[test]
     fn touch_tracks_staleness() {
-        let mut v = Views::new(2, &[0, 0]);
+        let mut v = Views::new(0, &[0, 0]);
         assert_eq!(v.age(1, 50), 50, "never refreshed: age since t=0");
         assert_eq!(v.touch(1, 50), 50);
         assert_eq!(v.age(1, 80), 30);
         assert_eq!(v.age(0, 80), 80, "other entries untouched");
+    }
+
+    #[test]
+    fn a_broadcast_writes_one_row() {
+        // Three receivers of one table: a delivery from 2 lands in row 2,
+        // one slot per receiver, and each column reads it back as its own.
+        let table = ViewTable::new(0..3, &[0, 0, 0]);
+        for to in [0, 1] {
+            assert_eq!(table.deliver(to, 9, 2, StatusDelta::Mem { delta: 5 }), Some(9));
+        }
+        let row: Vec<PeerView> = (0..3).map(|r| table.column(r).get(2)).collect();
+        let fresh = PeerView { mem: 5, updated_at: 9, last_heard: 9, ..PeerView::default() };
+        assert_eq!(row, [fresh, fresh, PeerView::default()]);
+        assert_eq!(table.column(0).get(1), PeerView::default(), "other rows untouched");
     }
 }

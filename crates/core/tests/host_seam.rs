@@ -2,11 +2,12 @@
 //! cores only through [`CoreHost`]. A wrapper that counts every call
 //! around the in-process host must see all five entry points used and
 //! leave the result exactly [`parsim::run`]'s — a loop that kept (or
-//! built) cores of its own would leave the counters at zero.
+//! built) cores or a view table of its own would leave the counters at
+//! zero.
 
 use mf_core::config::{RecoveryConfig, SolverConfig};
 use mf_core::mapping::compute_mapping;
-use mf_core::parsim::{self, CoreHost};
+use mf_core::parsim::{self, CoreHost, LocalCores};
 use mf_core::proto::{Effect, Input, SchedulerCore, Violation};
 use mf_core::recovery::RecoverySnapshot;
 use mf_core::views::StatusDelta;
@@ -18,12 +19,19 @@ use mf_symbolic::AmalgamationOptions;
 
 #[derive(Default)]
 struct Counting<'a> {
-    cores: Vec<SchedulerCore<'a>>,
+    /// The in-process host of the current run.
+    cores: Option<LocalCores<'a>>,
     steps: u64,
     status_applies: u64,
     deferred_queries: u64,
     snapshots: u64,
     finishes: u64,
+}
+
+impl<'a> Counting<'a> {
+    fn cores(&mut self) -> &mut LocalCores<'a> {
+        self.cores.as_mut().expect("a run installed its cores")
+    }
 }
 
 impl<'a> CoreHost<'a> for Counting<'a> {
@@ -35,7 +43,7 @@ impl<'a> CoreHost<'a> for Counting<'a> {
         perform: impl FnMut(Effect),
     ) -> (usize, Option<Violation>) {
         self.steps += 1;
-        self.cores.step(p, now, input, perform)
+        self.cores().step(p, now, input, perform)
     }
     fn apply_status(
         &mut self,
@@ -45,19 +53,19 @@ impl<'a> CoreHost<'a> for Counting<'a> {
         delta: StatusDelta,
     ) -> Option<Time> {
         self.status_applies += 1;
-        self.cores.apply_status(p, at, from, delta)
+        self.cores().apply_status(p, at, from, delta)
     }
     fn cheapest_deferred(&mut self, p: usize) -> Option<(u64, usize)> {
         self.deferred_queries += 1;
-        self.cores.cheapest_deferred(p)
+        self.cores().cheapest_deferred(p)
     }
     fn snapshot(&mut self, p: usize) -> RecoverySnapshot {
         self.snapshots += 1;
-        self.cores.snapshot(p)
+        self.cores().snapshot(p)
     }
     fn finish(&mut self) -> Vec<SchedulerCore<'a>> {
         self.finishes += 1;
-        self.cores.finish()
+        self.cores().finish()
     }
 }
 
@@ -88,7 +96,7 @@ fn the_loop_reaches_the_cores_only_through_the_host() {
     for (cfg, dead, joins) in [(&quiet, vec![], 0), (&membership, vec![1], 1)] {
         let want = parsim::run(&tree, &map, cfg).unwrap();
         assert!(want.forced_activations > 0);
-        host.cores = parsim::local_cores(&tree, &map, cfg);
+        host.cores = Some(parsim::local_cores(&tree, &map, cfg));
         let got = parsim::run_hosted(&tree, &map, cfg, &mut host).unwrap();
         assert_eq!(got, want);
         assert_eq!((got.dead, got.metrics.recovery.joins_observed), (dead, joins));

@@ -17,7 +17,10 @@
 //!   sends, and what it broadcasts is what its parts would have been: an
 //!   observer applying the folded deltas holds the views it would hold
 //!   had every memory movement been broadcast on its own, and the very
-//!   values each core keeps about itself.
+//!   values each core keeps about itself;
+//! * a broadcast block swept along one row of the shared view table
+//!   leaves every receiver's column, and returns every age, exactly as
+//!   that receiver applying the delta to views of its own would.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -25,8 +28,9 @@ use std::ops::Range;
 use mf_core::config::{SlaveSelection, SolverConfig, TaskSelection};
 use mf_core::malleable::FLOPS_PER_TICK;
 use mf_core::mapping::{compute_mapping, StaticMapping};
+use mf_core::parsim::{self, CoreHost};
 use mf_core::proto::{initial_loads, Effect, Input, Msg, SchedulerCore};
-use mf_core::views::{StatusDelta, Views};
+use mf_core::views::{PeerView, StatusDelta, ViewTable, Views};
 use mf_order::OrderingKind;
 use mf_sim::engine::{Event, EventPayload, Sim};
 use mf_sim::recorder::SchedEvent;
@@ -66,7 +70,7 @@ struct Captured {
     steps: Vec<Range<usize>>,
     active_peaks: Vec<u64>,
     nodes_done: usize,
-    views: Vec<Views>,
+    views: Vec<Vec<PeerView>>,
 }
 
 /// Feeds one input into a core, captures the drained effects verbatim,
@@ -125,9 +129,9 @@ fn drive_with(
     status_direct: bool,
     mut after_step: impl FnMut(&SchedulerCore<'_>, u64, &[(usize, Time, Effect)]),
 ) -> Captured {
-    let load0 = initial_loads(tree, map, cfg.nprocs);
+    let views = ViewTable::new(0..cfg.nprocs, &initial_loads(tree, map, cfg.nprocs));
     let mut cores: Vec<SchedulerCore<'_>> =
-        (0..cfg.nprocs).map(|p| SchedulerCore::new(p, tree, map, cfg, &load0)).collect();
+        (0..cfg.nprocs).map(|p| SchedulerCore::new(p, tree, map, cfg, &views)).collect();
     let mut sim: Sim<Msg> = Sim::new();
     let mut effects = Vec::new();
     let mut steps = Vec::new();
@@ -164,7 +168,7 @@ fn drive_with(
         steps,
         active_peaks: cores.iter().map(|c| c.memory().active_peak()).collect(),
         nodes_done: cores.iter().map(|c| c.nodes_done()).sum(),
-        views: cores.iter().map(|c| c.views().clone()).collect(),
+        views: cores.iter().map(|c| c.views().iter().collect()).collect(),
     }
 }
 
@@ -325,11 +329,15 @@ struct Observer {
 }
 
 impl Observer {
+    fn agree(&self) -> bool {
+        self.folded.iter().eq(self.parts.iter())
+    }
+
     fn new(tree: &AssemblyTree, map: &StaticMapping, cfg: &SolverConfig) -> Self {
-        let views = Views::new(cfg.nprocs, &initial_loads(tree, map, cfg.nprocs));
+        let load0 = initial_loads(tree, map, cfg.nprocs);
         Observer {
-            folded: views.clone(),
-            parts: views,
+            folded: Views::new(0, &load0),
+            parts: Views::new(0, &load0),
             announced: vec![0; cfg.nprocs],
             zero_sum: 0,
         }
@@ -374,13 +382,13 @@ impl Observer {
                     }
                 }
                 Effect::Send { .. } => {
-                    assert!(self.folded == self.parts, "proc {p}: a fold crossed a send");
+                    assert!(self.agree(), "proc {p}: a fold crossed a send");
                 }
                 _ => {}
             }
         }
-        assert!(self.folded == self.parts, "proc {p}: folded deltas are not their parts");
-        let (seen, own) = (self.folded[p], core.views()[p]);
+        assert!(self.agree(), "proc {p}: folded deltas are not their parts");
+        let (seen, own) = (self.folded.get(p), core.views().get(p));
         assert_eq!(seen.mem, own.mem + self.announced[p], "proc {p}: memory");
         assert_eq!(
             (seen.load, seen.subtree, seen.predicted),
@@ -485,10 +493,73 @@ fn a_fold_that_sums_to_zero_is_still_broadcast() {
         "no send anywhere in this step"
     );
     // What a receiver makes of it: the belief stands, its stamp moves.
-    let mut views = Views::new(cfg.nprocs, &initial_loads(&tree, &map, cfg.nprocs));
+    let mut views = Views::new(0, &initial_loads(&tree, &map, cfg.nprocs));
     views.apply(p, StatusDelta::Mem { delta: 77 }, 1);
     views.apply(p, StatusDelta::Mem { delta: 0 }, now);
-    assert_eq!((views[p].mem, views[p].updated_at), (77, now));
+    let seen = views.get(p);
+    assert_eq!((seen.mem, seen.updated_at), (77, now));
+}
+
+/// One broadcast of the sweep property from a raw draw: its sender and
+/// a delta of any kind. Values run either side of zero, so increments
+/// saturate below it; an `Assigned` names any processor — a third
+/// party, the sender, or one of the receivers the block reaches.
+fn broadcast_of(
+    nprocs: usize,
+    (from, kind, value, proc): (usize, u8, i64, usize),
+) -> (usize, StatusDelta) {
+    let size = value.unsigned_abs();
+    let delta = match kind {
+        0 => StatusDelta::Mem { delta: value },
+        1 => StatusDelta::Load { delta: value },
+        2 => StatusDelta::Subtree { peak: size },
+        3 => StatusDelta::Predicted { cost: size },
+        _ => StatusDelta::Assigned { proc: proc % nprocs, entries: size },
+    };
+    (from % nprocs, delta)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// A broadcast block delivered the way the run loop delivers it — one
+    /// `apply_status` per target, through the in-process host, whose
+    /// targets are consecutive slots of one row of the shared table — is
+    /// `P` independent receivers each stamping the sender's lease and
+    /// applying the delta to views of their own (a threaded worker's
+    /// one-column table), unless the delta is about the receiver itself:
+    /// every returned age, and at the end every receiver's whole column,
+    /// slot for slot.
+    #[test]
+    fn a_row_sweep_is_every_receiver_applying_on_its_own(
+        nprocs in 2usize..9,
+        raw in prop::collection::vec((0usize..64, 0u8..5, -50_000i64..50_000, 0usize..64), 1..96),
+        gaps in prop::collection::vec(0u64..40, 96),
+    ) {
+        let tree = tree_for(10);
+        let cfg = strategy_cfg(1, nprocs);
+        let map = compute_mapping(&tree, &cfg);
+        let load0 = initial_loads(&tree, &map, nprocs);
+        let mut host = parsim::local_cores(&tree, &map, &cfg);
+        let mut own: Vec<Views> = (0..nprocs).map(|r| Views::new(r, &load0)).collect();
+        let mut at = 0;
+        for (&draw, gap) in raw.iter().zip(&gaps) {
+            at += gap;
+            let (from, delta) = broadcast_of(nprocs, draw);
+            for to in (0..nprocs).filter(|&to| to != from) {
+                let swept = host.apply_status(to, at, from, delta);
+                let mine = &mut own[to];
+                mine.hear(from, at);
+                let about = delta.about(from);
+                let applied = (about != to).then(|| mine.apply(about, delta, at));
+                prop_assert_eq!(swept, applied, "{:?} from {} at receiver {}", delta, from, to);
+            }
+        }
+        for (r, core) in host.finish().iter().enumerate() {
+            let (swept, mine): (Vec<_>, Vec<_>) = (core.views().iter().collect(), own[r].iter().collect());
+            prop_assert_eq!(swept, mine, "receiver {}'s column", r);
+        }
+    }
 }
 
 /// The `Effect` enum is the core's hot currency: every message, memory

@@ -25,7 +25,7 @@ use mf_core::mapping::StaticMapping;
 use mf_core::parsim::{run_hosted, CoreHost, RunResult};
 use mf_core::proto::{initial_loads, Effect, Input, SchedulerCore, Violation};
 use mf_core::recovery::RecoverySnapshot;
-use mf_core::views::StatusDelta;
+use mf_core::views::{StatusDelta, ViewTable};
 use mf_sim::recorder::MemArea;
 use mf_sim::Time;
 use mf_symbolic::AssemblyTree;
@@ -158,7 +158,8 @@ fn worker<'a>(
     rx: mpsc::Receiver<Cmd>,
     tx: mpsc::Sender<Reply<'a>>,
 ) {
-    let mut core = SchedulerCore::new(p, tree, map, cfg, load0);
+    // The core's beliefs: a one-column view table of its own.
+    let mut core = SchedulerCore::new(p, tree, map, cfg, &ViewTable::new(p..p + 1, load0));
     let mut ledger = Ledger::default();
     for cmd in rx {
         let reply = match cmd {

@@ -1,11 +1,22 @@
 //! Nested dissection (METIS-like) ordering.
 //!
-//! Recursive vertex bisection: a pseudo-peripheral BFS level structure
-//! provides the initial separator, which is then shrunk to a minimal vertex
-//! separator and lightly refined for balance. Small subgraphs are ordered
-//! with the minimum-degree engine, as graph-partitioning packages do.
-//! The separators end up last in the ordering, which is what produces the
-//! wide, well-balanced assembly trees characteristic of METIS in the paper.
+//! Recursive vertex bisection, and each split is exactly three steps:
+//!
+//! 1. **A BFS level cut.** A pseudo-peripheral BFS level structure of the
+//!    node set; the cut falls below the thinnest level among the cuts
+//!    whose sides keep `max(below, above) / n` within
+//!    [`NdOptions::max_imbalance`] (the thinnest of all when none does),
+//!    and that level's nodes adjacent to the near side are the separator.
+//! 2. **A one-sided shrink.** Separator nodes with no neighbour on the
+//!    far side move to the near side.
+//! 3. **Minimum degree** ([`crate::mindeg`]) orders every subgraph of at
+//!    most [`NdOptions::leaf_size`] nodes, and every separator.
+//!
+//! There is no multilevel coarsening and no Fiduccia–Mattheyses (FM) or
+//! other refinement pass. The separators end up last in the ordering,
+//! which is what produces the wide, well-balanced assembly trees
+//! characteristic of METIS in the paper. [`crate::pord`] is this same code
+//! with other options.
 
 use crate::mindeg::{Engine, Metric};
 use mf_sparse::{Graph, LevelStructure, Permutation};
@@ -17,8 +28,9 @@ pub struct NdOptions {
     pub leaf_size: usize,
     /// Metric used on the leaves.
     pub leaf_metric: Metric,
-    /// Maximum imbalance `max(|A|,|B|)/(|A|+|B|)` accepted before nudging
-    /// the level cut (0.5 = perfectly balanced).
+    /// Largest imbalance `max(below, above) / n` of a level cut that
+    /// counts as balanced (0.5 = perfectly balanced): the thinnest
+    /// balanced cut wins, an unbalanced one only when no cut is balanced.
     pub max_imbalance: f64,
 }
 
@@ -134,8 +146,10 @@ impl Dissection<'_> {
             return None; // clique or single level: no separator possible
         }
 
-        // Level sizes, then choose the cut level closest to the weight median
-        // within the balance constraint, preferring small levels (thin cuts).
+        // Level sizes, then the cut whose next level (the separator
+        // candidate) is thinnest among the balanced cuts: an unbalanced cut
+        // is penalised by the whole set's size, so it wins only when no cut
+        // is balanced.
         let mut level_sizes = vec![0usize; depth + 1];
         for &v in nodes {
             if levels.level(v) != usize::MAX {

@@ -1,12 +1,14 @@
-//! PORD-like bottom-up/top-down hybrid ordering.
+//! PORD-like ordering.
 //!
 //! Schulze's PORD couples a bottom-up (minimum-degree-like) process with
-//! top-down separator refinement. We approximate its behaviour with a
-//! dissection skeleton that (a) switches to a *fill-metric* local ordering
-//! on much larger subgraphs than METIS would, and (b) uses a more
-//! aggressive separator-thinning pass. The resulting trees sit between the
-//! wide METIS trees and the deep AMD/AMF trees — which is exactly the role
-//! PORD plays in the paper's sweep.
+//! top-down separator refinement. Neither is here: this is [`crate::nd`]'s
+//! dissection — BFS level cut, one-sided separator shrink, minimum degree
+//! on leaves and separators — run with other [`NdOptions`]: leaves of
+//! about `n / 8` nodes (clamped to 240–6000) ordered by approximate
+//! *fill* instead of degree, and a looser balance bound (0.75 where
+//! `metis_like` takes 0.65). The much larger fill-metric leaves are meant
+//! to put its trees between the wide METIS-like trees and the deep
+//! AMD/AMF ones — the role PORD plays in the paper's sweep.
 
 use crate::mindeg::Metric;
 use crate::nd::{nested_dissection, NdOptions};
