@@ -1,5 +1,5 @@
 //! Processor-count scaling sweep on full-size synthetic instances —
-//! the workload the lane-sharded event core exists for.
+//! the workload the event queue and the view table are sized for.
 //!
 //! The paper's tables stop at 32 processors because its matrices do; the
 //! engine itself is sized for three more doublings. This binary runs the

@@ -23,9 +23,8 @@ use crate::recovery::{digest_factors, Membership, MembershipChange, RecoverySnap
 use crate::views::{StatusDelta, ViewTable};
 use mf_sim::recorder::TaskRole;
 use mf_sim::{
-    CompactEvent, Delivery, Event, EventPayload, EventQueue, FaultInjector, MsgClass, NetworkModel,
-    ProcMemory, Recording, RunMetrics, RunTimeseries, SampleRow, Sim, SingleHeapSim, Time,
-    DEFAULT_SERIES_CAPACITY,
+    CompactEvent, Delivery, Event, EventPayload, FaultInjector, MsgClass, NetworkModel, ProcMemory,
+    Recording, RunMetrics, RunTimeseries, SampleRow, Sim, Time, DEFAULT_SERIES_CAPACITY,
 };
 use mf_symbolic::AssemblyTree;
 use rand::rngs::SmallRng;
@@ -204,11 +203,11 @@ pub fn local_cores<'a>(
 /// The runtime: transport, time, noise, membership and observability.
 /// Everything *between* the cores lives here; everything *inside* a
 /// processor lives in its [`SchedulerCore`].
-struct SimDriver<'a, Q> {
+struct SimDriver<'a> {
     tree: &'a AssemblyTree,
     map: &'a StaticMapping,
     cfg: &'a SolverConfig,
-    sim: Q,
+    sim: Sim<Msg>,
     net: NetworkModel,
     messages: u64,
     jitter: Option<(SmallRng, f64)>,
@@ -263,13 +262,13 @@ struct SimDriver<'a, Q> {
     ts: Option<RunTimeseries>,
 }
 
-impl<'a, Q: EventQueue<Msg>> SimDriver<'a, Q> {
-    fn new(tree: &'a AssemblyTree, map: &'a StaticMapping, cfg: &'a SolverConfig, sim: Q) -> Self {
+impl<'a> SimDriver<'a> {
+    fn new(tree: &'a AssemblyTree, map: &'a StaticMapping, cfg: &'a SolverConfig) -> Self {
         SimDriver {
             tree,
             map,
             cfg,
-            sim,
+            sim: Sim::new(),
             net: cfg.network,
             messages: 0,
             jitter: cfg.jitter.map(|(seed, pct)| (SmallRng::seed_from_u64(seed), pct)),
@@ -775,18 +774,6 @@ pub fn run(
     run_hosted(tree, map, cfg, &mut local_cores(tree, map, cfg))
 }
 
-/// [`run`] on the historical single-global-heap engine
-/// ([`SingleHeapSim`]). Same contract, same results, bit for bit — the
-/// engine-equivalence tests compare the two; everything else should use
-/// [`run`].
-pub fn run_reference(
-    tree: &AssemblyTree,
-    map: &StaticMapping,
-    cfg: &SolverConfig,
-) -> Result<RunResult, SimError> {
-    run_on(tree, map, cfg, SingleHeapSim::new(), &mut local_cores(tree, map, cfg))
-}
-
 /// [`run`] over cores that live wherever `host` keeps them — the entry
 /// point of the `mf-exec` backend. Same loop, same results, bit for bit.
 pub fn run_hosted<'a>(
@@ -795,18 +782,8 @@ pub fn run_hosted<'a>(
     cfg: &'a SolverConfig,
     host: &mut impl CoreHost<'a>,
 ) -> Result<RunResult, SimError> {
-    run_on(tree, map, cfg, Sim::with_procs(cfg.nprocs), host)
-}
-
-fn run_on<'a, Q: EventQueue<Msg>>(
-    tree: &'a AssemblyTree,
-    map: &'a StaticMapping,
-    cfg: &'a SolverConfig,
-    sim: Q,
-    host: &mut impl CoreHost<'a>,
-) -> Result<RunResult, SimError> {
     let n = tree.len();
-    let mut drv = SimDriver::new(tree, map, cfg, sim);
+    let mut drv = SimDriver::new(tree, map, cfg);
     // Membership orchestration only on runs that need it — the quiet
     // path takes none of the branches below.
     let mut membership = Membership::needed(cfg.recovery.is_some(), cfg.fault.as_ref())

@@ -42,7 +42,7 @@ pub mod timeseries;
 
 pub use attribution::{active_before, attribute_peaks, LiveItem, PeakAttribution};
 pub use audit::{audit_recording, Finding};
-pub use engine::{Block, Delivery, Event, EventPayload, EventQueue, Sim, SingleHeapSim, Time};
+pub use engine::{Block, Delivery, Event, EventPayload, Sim, Time};
 pub use fault::{FaultInjector, FaultModel, MsgClass};
 pub use memory::ProcMemory;
 pub use metrics::{CoreMetrics, Histogram, ProcMetrics, RecoveryCounters, RunMetrics};

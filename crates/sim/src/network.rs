@@ -1,6 +1,6 @@
 //! Message-passing cost model.
 
-use crate::engine::{EventPayload, EventQueue, Time};
+use crate::engine::{EventPayload, Sim, Time};
 
 /// Linear latency + bandwidth network model (the classic α-β model):
 /// a message of `bytes` arrives `latency + bytes / bytes_per_tick` after
@@ -37,19 +37,11 @@ impl NetworkModel {
         }
     }
 
-    /// Sends `msg` of `bytes` from `from` to `to` through `sim` (any
-    /// [`EventQueue`] engine).
+    /// Sends `msg` of `bytes` from `from` to `to` through `sim`.
     ///
     /// Self-sends are delivered after the latency too (MUMPS treats local
     /// task messages uniformly), keeping event ordering uniform.
-    pub fn send<M: Clone, Q: EventQueue<M>>(
-        &self,
-        sim: &mut Q,
-        from: usize,
-        to: usize,
-        msg: M,
-        bytes: u64,
-    ) {
+    pub fn send<M>(&self, sim: &mut Sim<M>, from: usize, to: usize, msg: M, bytes: u64) {
         sim.schedule(self.transfer_time(bytes), EventPayload::Message { from, to, msg });
     }
 
@@ -57,15 +49,8 @@ impl NetworkModel {
     /// except `from` (the usual "inform the others" pattern). Delivery
     /// order and times are exactly those of per-target [`Self::send`]
     /// calls in ascending target order, but the whole block costs one
-    /// queue entry (see [`EventQueue::schedule_broadcast`]).
-    pub fn broadcast<M: Clone, Q: EventQueue<M>>(
-        &self,
-        sim: &mut Q,
-        from: usize,
-        nprocs: usize,
-        msg: M,
-        bytes: u64,
-    ) {
+    /// queue entry (see [`Sim::schedule_broadcast`]).
+    pub fn broadcast<M>(&self, sim: &mut Sim<M>, from: usize, nprocs: usize, msg: M, bytes: u64) {
         sim.schedule_broadcast(self.transfer_time(bytes), from, nprocs, msg);
     }
 }
@@ -73,7 +58,6 @@ impl NetworkModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{EventPayload, Sim};
 
     #[test]
     fn transfer_time_includes_bandwidth() {
