@@ -74,9 +74,9 @@ use mf_core::mapping::compute_mapping;
 use mf_core::parsim::{self, RunResult};
 use mf_core::CoreAlloc;
 use mf_order::{OrderingKind, ALL_ORDERINGS};
-use mf_sim::recorder::{EventRef, SchedEvent};
 use mf_sim::{
     active_before, attribute_peaks, audit_recording, FaultModel, PeakAttribution, Recording,
+    SchedEvent, Time,
 };
 use mf_sparse::gen::paper::{PaperMatrix, ALL_PAPER_MATRICES};
 
@@ -222,16 +222,16 @@ fn peak_event_index(rec: &Recording, p: usize) -> Option<usize> {
     let mut active = 0u64;
     let mut peak = 0u64;
     let mut idx = None;
-    for (i, te) in rec.events().enumerate() {
-        match te.ev {
-            EventRef::MemAlloc { proc, entries, .. } if proc == p => {
+    for (i, (_, ev)) in rec.events().enumerate() {
+        match *ev {
+            SchedEvent::MemAlloc { proc, entries, .. } if proc as usize == p => {
                 active += entries;
                 if active > peak {
                     peak = active;
                     idx = Some(i);
                 }
             }
-            EventRef::MemFree { proc, entries, .. } if proc == p => {
+            SchedEvent::MemFree { proc, entries, .. } if proc as usize == p => {
                 active = active.saturating_sub(entries);
             }
             _ => {}
@@ -241,16 +241,18 @@ fn peak_event_index(rec: &Recording, p: usize) -> Option<usize> {
 }
 
 /// Is this a scheduling *decision* involving processor `p`?
-fn involves(e: EventRef<'_>, p: usize) -> bool {
-    match e {
-        EventRef::Activate { proc, .. }
-        | EventRef::PoolDecision { proc, .. }
-        | EventRef::Forced { proc, .. } => proc == p,
-        EventRef::SlaveSelection { master, picked, .. } => {
-            master == p || picked.iter().any(|s| s.proc == p)
+fn involves(e: &SchedEvent, p: usize) -> bool {
+    match *e {
+        SchedEvent::Activate { proc, .. }
+        | SchedEvent::PoolDecision { proc, .. }
+        | SchedEvent::Forced { proc, .. } => proc as usize == p,
+        SchedEvent::SlaveSelection { master, ref choice, .. } => {
+            master as usize == p || choice.picked.iter().any(|s| s.proc == p)
         }
-        EventRef::Reselect { master, dropped, .. } => master == p || dropped.contains(p),
-        EventRef::StatusApply { to, .. } => to == p,
+        SchedEvent::Reselect { master, ref dropped, .. } => {
+            master as usize == p || dropped.contains(&p)
+        }
+        SchedEvent::StatusApply { to, .. } => to as usize == p,
         _ => false,
     }
 }
@@ -267,21 +269,16 @@ fn describe(e: &SchedEvent, p: usize, truth: &[u64]) -> String {
         SchedEvent::Forced { proc, node, cost } => {
             format!("stall-breaker forces n{node} on proc {proc} (cost {cost})")
         }
-        SchedEvent::SlaveSelection {
-            master,
-            node,
-            metric,
-            view_age,
-            picked,
-            rounds,
-            serialized,
-        } => {
+        SchedEvent::SlaveSelection { master, node, choice, rounds, serialized } => {
             let mut s = format!("master {master} selects slaves for type-2 n{node}: ");
             if *serialized {
                 s.push_str("serialized on master");
             } else {
-                let parts: Vec<String> =
-                    picked.iter().map(|sl| format!("p{}\u{2190}{}", sl.proc, sl.entries)).collect();
+                let parts: Vec<String> = choice
+                    .picked
+                    .iter()
+                    .map(|sl| format!("p{}\u{2190}{}", sl.proc, sl.entries))
+                    .collect();
                 s.push_str(&parts.join(" "));
             }
             if *rounds > 0 {
@@ -292,7 +289,7 @@ fn describe(e: &SchedEvent, p: usize, truth: &[u64]) -> String {
             // ground truth replayed at the same stream position.
             s.push_str(&format!(
                 "; believed metric[p{p}]={} (view age {}), actual active={}",
-                metric[p], view_age[p], truth[p]
+                choice.metric[p], choice.view_age[p], truth[p]
             ));
             s
         }
@@ -319,12 +316,12 @@ fn print_decision_chain(rec: &Recording, nprocs: usize, p: usize, limit: usize) 
         println!("  (no memory traffic recorded for proc {p})");
         return;
     };
-    let decisions: Vec<(usize, mf_sim::Time, SchedEvent)> = rec
+    let decisions: Vec<(usize, Time, &SchedEvent)> = rec
         .events()
         .enumerate()
         .take(peak_idx + 1)
-        .filter(|(_, te)| involves(te.ev, p))
-        .map(|(i, te)| (i, te.at, te.ev.to_owned()))
+        .filter(|(_, (_, e))| involves(e, p))
+        .map(|(i, (at, e))| (i, at, e))
         .collect();
     let skipped = decisions.len().saturating_sub(limit);
     if skipped > 0 {
@@ -410,28 +407,23 @@ fn recovery_replay(args: &CellArgs) {
 
     println!("\nmembership narrative (from the flight recording):");
     let mut lines = 0usize;
-    for te in rec.events() {
-        match te.ev {
-            EventRef::ProcLost { proc, nodes_lost } => {
+    for (at, ev) in rec.events() {
+        match *ev {
+            SchedEvent::ProcLost { proc, nodes_lost } => {
                 println!(
-                    "  t={:>8}  processor {proc} declared dead: {nodes_lost} unfinished \
-                     node(s) reclaimed for re-execution",
-                    te.at
+                    "  t={at:>8}  processor {proc} declared dead: {nodes_lost} unfinished \
+                     node(s) reclaimed for re-execution"
                 );
                 lines += 1;
             }
-            EventRef::SubtreeReassigned { root, from, to } => {
-                println!(
-                    "  t={:>8}    subtree rooted at n{root} reassigned p{from} -> p{to}",
-                    te.at
-                );
+            SchedEvent::SubtreeReassigned { root, from, to } => {
+                println!("  t={at:>8}    subtree rooted at n{root} reassigned p{from} -> p{to}");
                 lines += 1;
             }
-            EventRef::ProcJoined { proc, migrated } => {
+            SchedEvent::ProcJoined { proc, migrated } => {
                 println!(
-                    "  t={:>8}  processor {proc} joined: {migrated} pooled task(s) migrated \
-                     to it by rebalancing",
-                    te.at
+                    "  t={at:>8}  processor {proc} joined: {migrated} pooled task(s) migrated \
+                     to it by rebalancing"
                 );
                 lines += 1;
             }
@@ -500,11 +492,11 @@ fn core_timeline(args: &CellArgs) {
         }
     }
 
-    let grants: Vec<(mf_sim::Time, usize, usize, u32, u64)> = rec
+    let grants: Vec<(Time, u32, usize, u32, u64)> = rec
         .events()
-        .filter_map(|te| match te.ev {
-            EventRef::CoreGrant { proc, node, cores, busy } => {
-                Some((te.at, proc, node, cores, busy))
+        .filter_map(|(at, ev)| match *ev {
+            SchedEvent::CoreGrant { proc, node, cores, busy } => {
+                Some((at, proc, node as usize, cores, busy))
             }
             _ => None,
         })
@@ -655,29 +647,17 @@ fn cmd_check_all(a: &CellArgs) {
 /// First index at which two recordings disagree, with a rendering of
 /// both sides; `None` when one is a prefix of the other of equal length.
 fn first_divergence(a: &Recording, b: &Recording) -> Option<(usize, String, String)> {
-    let mut ia = a.events();
-    let mut ib = b.events();
+    let show = |e: Option<(Time, &SchedEvent)>| {
+        e.map_or_else(|| "<end>".into(), |(at, ev)| format!("t={at} {ev:?}"))
+    };
+    let (mut ia, mut ib) = (a.events(), b.events());
     let mut i = 0usize;
     loop {
         match (ia.next(), ib.next()) {
             (None, None) => return None,
-            (Some(x), Some(y)) => {
-                if x != y {
-                    return Some((
-                        i,
-                        format!("t={} {:?}", x.at, x.ev.to_owned()),
-                        format!("t={} {:?}", y.at, y.ev.to_owned()),
-                    ));
-                }
-            }
-            (Some(x), None) => {
-                return Some((i, format!("t={} {:?}", x.at, x.ev.to_owned()), "<end>".into()))
-            }
-            (None, Some(y)) => {
-                return Some((i, "<end>".into(), format!("t={} {:?}", y.at, y.ev.to_owned())))
-            }
+            (x, y) if x != y => return Some((i, show(x), show(y))),
+            _ => i += 1,
         }
-        i += 1;
     }
 }
 

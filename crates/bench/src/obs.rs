@@ -159,7 +159,7 @@ pub fn maybe_export_cell(c: &CellResult) -> usize {
             let path = dir.join(format!("{label}.{strategy}.trace.json"));
             let file = std::fs::File::create(&path).expect("create trace file");
             let mut w = std::io::BufWriter::new(file);
-            mf_sim::write_chrome_trace_with_series(&mut w, nprocs, rec, run.timeseries.as_ref())
+            mf_sim::write_chrome_trace(&mut w, nprocs, rec, run.timeseries.as_ref())
                 .expect("write Perfetto trace");
             written += 1;
         }

@@ -1,13 +1,14 @@
 //! Integration tests for the observability layer: Perfetto export
-//! stability (golden file), schema validity of real exported traces, and
-//! bit-identical recordings across rayon thread-pool widths.
+//! stability (golden file), schema validity of real exported traces, the
+//! bounded ring on a real run, and bit-identical recordings across rayon
+//! thread-pool widths.
 
 use mf_bench::obs::{cell_summary_json, validate_json};
 use mf_bench::sweep::{paper_scale_config, sweep_cell, CellResult};
 use mf_core::config::SolverConfig;
 use mf_order::OrderingKind;
-use mf_sim::recorder::{EventRef, FrontClass, MemArea, SchedEvent, TaskRole};
-use mf_sim::{write_chrome_trace, Recording};
+use mf_sim::recorder::{FrontClass, MemArea, SchedEvent, TaskRole};
+use mf_sim::{audit_recording, write_chrome_trace, Finding, Recording};
 use mf_sparse::gen::paper::PaperMatrix;
 use rayon::prelude::*;
 
@@ -44,7 +45,7 @@ fn recorded_cell(m: PaperMatrix, k: OrderingKind, nprocs: usize) -> CellResult {
 
 fn render(rec: &Recording, nprocs: usize) -> String {
     let mut buf = Vec::new();
-    write_chrome_trace(&mut buf, nprocs, rec).expect("in-memory export cannot fail");
+    write_chrome_trace(&mut buf, nprocs, rec, None).expect("in-memory export cannot fail");
     String::from_utf8(buf).expect("trace is ASCII")
 }
 
@@ -144,36 +145,34 @@ fn real_trace_is_valid_monotone_and_balanced() {
     }
 }
 
-/// Round-trip equivalence of the compact columnar encoding: decoding a
-/// real recording to owned events and re-recording them must reproduce
-/// the identical logical stream, a byte-identical Perfetto export, and a
-/// peak attribution that still sums to the solver's `active_peak`.
+/// The bounded store on a real run: TWOTONE/AMD at P=8 under the memory
+/// strategy, recorded unbounded and into a ring a third of the stream
+/// long. The ring holds exactly the newest events and counts the rest,
+/// its audit reports the truncation and nothing else, and recording into
+/// it moves no peak and no makespan.
 #[test]
-fn compact_recording_round_trips_through_owned_events() {
-    let nprocs = 4;
-    let c = recorded_cell(PaperMatrix::TwoTone, OrderingKind::Amd, nprocs);
-    for run in [&c.baseline, &c.memory] {
-        let rec = run.recording.as_ref().expect("captured run records");
-        assert!(rec.payload_refs_valid(), "payload refs must be in-bounds and non-overlapping");
-
-        let mut rebuilt = Recording::new(None);
-        for te in rec.events() {
-            rebuilt.record(te.at, te.ev.to_owned());
-        }
-        assert!(&rebuilt == rec, "re-recording decoded events must reproduce the stream");
-        assert_eq!(
-            render(rec, nprocs),
-            render(&rebuilt, nprocs),
-            "exports must agree byte-for-byte"
-        );
-
-        let att = mf_sim::attribute_peaks(nprocs, &rebuilt);
-        for (p, a) in att.iter().enumerate() {
-            let sum: u64 = a.composition.iter().map(|it| it.entries).sum();
-            assert_eq!(sum, a.peak, "proc {p}: composition must sum to the replayed peak");
-            assert_eq!(a.peak, run.peaks[p], "proc {p}: replayed peak must equal active_peak");
-        }
-    }
+fn a_ring_on_a_real_run_keeps_the_newest_events_and_audits_as_truncated() {
+    let nprocs = 8;
+    let tree = mf_bench::sweep::build_tree(PaperMatrix::TwoTone, OrderingKind::Amd, None);
+    let run = |event_capacity| {
+        let cfg =
+            SolverConfig { record_events: true, event_capacity, ..paper_scale_config(nprocs) }
+                .with_memory_strategy();
+        let map = mf_core::mapping::compute_mapping(&tree, &cfg);
+        mf_core::parsim::run(&tree, &map, &cfg).expect("run completes")
+    };
+    let full = run(None);
+    let all = full.recording.as_ref().expect("recorder was on");
+    let (len, k) = (all.len(), all.len() / 3);
+    let bounded = run(Some(k));
+    let ring = bounded.recording.as_ref().expect("recorder was on");
+    let dropped = (len - k) as u64;
+    assert_eq!(ring.len(), k);
+    assert_eq!(ring.dropped(), dropped);
+    assert!(ring.events().eq(all.events().skip(len - k)), "the ring must hold the last {k} events");
+    assert_eq!(audit_recording(nprocs, ring), vec![Finding::Truncated { dropped }]);
+    assert_eq!(bounded.peaks, full.peaks);
+    assert_eq!(bounded.makespan, full.makespan);
 }
 
 /// The Prometheus exposition (run metrics + sampled time-series) is
@@ -320,10 +319,11 @@ fn recording_digests(rec: &Recording) -> [u64; 2] {
     use std::fmt::Write as _;
     let mut line = String::new();
     let mut h = [0xcbf2_9ce4_8422_2325u64; 2];
-    for te in rec.events() {
+    for row in rec.events() {
         line.clear();
-        write!(line, "{te:?}").expect("writing to a String cannot fail");
-        let status = matches!(te.ev, EventRef::StatusSend { .. } | EventRef::StatusApply { .. });
+        write!(line, "{row:?}").expect("writing to a String cannot fail");
+        let status =
+            matches!(row.1, SchedEvent::StatusSend { .. } | SchedEvent::StatusApply { .. });
         for h in &mut h[..2 - status as usize] {
             *h = line.bytes().fold(*h, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3));
         }
@@ -336,7 +336,9 @@ fn recording_digests(rec: &Recording) -> [u64; 2] {
 /// the status traffic does. The second leaves the status traffic out and
 /// was taken before a step's same-kind status deltas were folded into one
 /// broadcast: how views are kept fresh may change, what was decided from
-/// them, when, and on which beliefs may not. After an intentional
+/// them, when, and on which beliefs may not. Both hash the rendering of
+/// `(Time, &SchedEvent)` rows; they were carried over to it by rendering
+/// the previous store's streams the same way. After an intentional
 /// schedule change, re-derive with `-- --nocapture`.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release suite: run with --release")]
@@ -346,16 +348,16 @@ fn full_scale_recordings_match_their_pinned_digests() {
             PaperMatrix::TwoTone,
             OrderingKind::Amd,
             [
-                [0x33e2_beef_0d66_873bu64, 0xc669_7804_bcde_7460],
-                [0x7a9d_3095_23ff_5ec6, 0x1bfd_824d_05ea_3140],
+                [0xb3f0_9e8a_b4f6_0f8eu64, 0x5a55_5f4d_45ca_d091],
+                [0x75d1_9e7e_c616_b135, 0x01d0_550b_bb9f_09f1],
             ],
         ),
         (
             PaperMatrix::Ship003,
             OrderingKind::Metis,
             [
-                [0x846b_a005_ee52_eed2, 0x780a_89f1_9b71_7b2e],
-                [0x1628_b0e6_e230_c417, 0xf65f_c31d_bcea_9544],
+                [0x3d8d_b014_f430_93fa, 0x7314_b6c9_6bfd_a6de],
+                [0x817e_3bf9_5b70_22d5, 0xa1ec_6963_0ad5_7d76],
             ],
         ),
     ];

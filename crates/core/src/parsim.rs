@@ -21,10 +21,10 @@ use crate::proto::{
 };
 use crate::recovery::{digest_factors, Membership, MembershipChange, RecoverySnapshot};
 use crate::views::{StatusDelta, ViewTable};
-use mf_sim::recorder::TaskRole;
+use mf_sim::recorder::{id32, SchedEvent, TaskRole};
 use mf_sim::{
-    CompactEvent, Delivery, Event, EventPayload, FaultInjector, MsgClass, NetworkModel, ProcMemory,
-    Recording, RunMetrics, RunTimeseries, SampleRow, Sim, Time, DEFAULT_SERIES_CAPACITY,
+    Delivery, Event, EventPayload, FaultInjector, MsgClass, NetworkModel, ProcMemory, Recording,
+    RunMetrics, RunTimeseries, SampleRow, Sim, Time, DEFAULT_SERIES_CAPACITY,
 };
 use mf_symbolic::AssemblyTree;
 use rand::rngs::SmallRng;
@@ -309,11 +309,21 @@ impl<'a> SimDriver<'a> {
 
     /// Records an event when the recorder is enabled.
     #[inline]
-    fn record(&mut self, build: impl FnOnce() -> CompactEvent) {
+    fn record(&mut self, build: impl FnOnce() -> SchedEvent) {
         let now = self.sim.now();
         if let Some(rec) = self.rec.as_mut() {
             rec.record(now, build());
         }
+    }
+
+    /// Records an event a core emitted. Kept out of line: inlined, the
+    /// drop of a `SchedEvent` sits in the per-effect loop of every run,
+    /// recording or not, and measurably slowed the recording-off
+    /// `sim_scale` workload on a 2-CPU host.
+    #[cold]
+    #[inline(never)]
+    fn record_emitted(&mut self, ev: SchedEvent) {
+        self.record(|| ev);
     }
 
     fn send(&mut self, from: usize, to: usize, msg: Msg, bytes: u64) {
@@ -353,7 +363,7 @@ impl<'a> SimDriver<'a> {
                     }
                     None => {
                         self.metrics.dropped_status += 1;
-                        self.record(|| CompactEvent::fault_drop(from, to));
+                        self.record(|| SchedEvent::FaultDrop { from: id32(from), to: id32(to) });
                     }
                 }
             }
@@ -365,7 +375,7 @@ impl<'a> SimDriver<'a> {
         // per receiver) with its payload value.
         if self.rec.is_some() {
             if let Some((kind, value)) = msg.status_kind() {
-                self.record(|| CompactEvent::status_send(from, kind, value));
+                self.record(|| SchedEvent::StatusSend { from: id32(from), kind, value });
             }
         }
         debug_assert!(matches!(msg.class(), MsgClass::Status), "broadcast is status-only");
@@ -434,7 +444,11 @@ impl<'a> SimDriver<'a> {
             // handler sits in the event order).
             if let Input::TimerFired { key } = &input {
                 if let Some(&(node, role)) = self.work_info[p].get(*key as usize) {
-                    self.record(|| CompactEvent::compute_end(p, node, role));
+                    self.record(|| SchedEvent::ComputeEnd {
+                        proc: id32(p),
+                        node: id32(node),
+                        role,
+                    });
                 }
             }
         }
@@ -462,7 +476,11 @@ impl<'a> SimDriver<'a> {
             Effect::Broadcast { msg, bytes } => self.broadcast(p, msg, bytes),
             Effect::StartCompute { key, node, role, flops, cores } => {
                 if self.rec.is_some() {
-                    self.record(|| CompactEvent::compute_start(p, node, role));
+                    self.record(|| SchedEvent::ComputeStart {
+                        proc: id32(p),
+                        node: id32(node),
+                        role,
+                    });
                     let info = &mut self.work_info[p];
                     let k = key as usize;
                     if info.len() <= k {
@@ -491,17 +509,22 @@ impl<'a> SimDriver<'a> {
             }
             Effect::DeclareDead { proc } => self.pending_dead.push(proc),
             Effect::Alloc { node, area, entries } => {
-                self.record(|| CompactEvent::mem_alloc(p, node, area, entries));
+                self.record(|| SchedEvent::MemAlloc {
+                    proc: id32(p),
+                    node: id32(node),
+                    area,
+                    entries,
+                });
             }
             Effect::Free { node, area, entries } => {
-                self.record(|| CompactEvent::mem_free(p, node, area, entries));
+                self.record(|| SchedEvent::MemFree {
+                    proc: id32(p),
+                    node: id32(node),
+                    area,
+                    entries,
+                });
             }
-            Effect::Record(ev) => {
-                let now = self.sim.now();
-                if let Some(rec) = self.rec.as_mut() {
-                    rec.record(now, ev);
-                }
-            }
+            Effect::Record(ev) => self.record_emitted(ev),
             Effect::Sample { active, stack, pool_depth, queued, busy, stalled } => {
                 // The driver stamps the snapshot with the virtual time
                 // and its cumulative traffic counters.
@@ -628,9 +651,16 @@ impl<'a> SimDriver<'a> {
                 self.metrics.recovery.subtrees_reassigned += plan.roots.len() as u64;
                 self.metrics.recovery.nodes_recomputed += plan.recompute.len() as u64;
                 self.metrics.recovery.orphaned_cb_entries += plan.dead_stack_entries;
-                self.record(|| CompactEvent::proc_lost(d, plan.recompute.len()));
+                self.record(|| SchedEvent::ProcLost {
+                    proc: id32(d),
+                    nodes_lost: plan.recompute.len(),
+                });
                 for &(root, adopter) in &plan.roots {
-                    self.record(|| CompactEvent::subtree_reassigned(root, d, adopter));
+                    self.record(|| SchedEvent::SubtreeReassigned {
+                        root: id32(root),
+                        from: id32(d),
+                        to: id32(adopter),
+                    });
                 }
                 let now = self.sim.now();
                 for p in 0..self.cfg.nprocs {
@@ -716,7 +746,7 @@ impl<'a> SimDriver<'a> {
                 migrated += 1;
             }
         }
-        self.record(|| CompactEvent::proc_joined(q, migrated));
+        self.record(|| SchedEvent::ProcJoined { proc: id32(q), migrated });
         Ok(())
     }
 
@@ -873,7 +903,13 @@ pub fn run_hosted<'a>(
                         }
                         if let Some(age) = host.apply_status(to, at, from, delta) {
                             let (about, (kind, _)) = (delta.about(from), delta.kind());
-                            drv.record(|| CompactEvent::status_apply(to, from, about, kind, age));
+                            drv.record(|| SchedEvent::StatusApply {
+                                to: id32(to),
+                                from: id32(from),
+                                about: id32(about),
+                                kind,
+                                age,
+                            });
                         }
                         (any, last) = (true, true);
                     }
@@ -964,11 +1000,6 @@ pub fn run_hosted<'a>(
     let mut metrics = drv.metrics;
     for core in &cores {
         metrics.merge_core(core.id(), core.metrics());
-    }
-    if let Some(rec) = &drv.rec {
-        // Finalization invariant: every payload reference of the finished
-        // recording is in-bounds and non-overlapping.
-        rec.debug_validate();
     }
     let alive = |p: usize| membership.as_ref().is_none_or(|m| m.alive[p]);
     let factor_digest = digest_factors(
@@ -1215,10 +1246,10 @@ mod tests {
         assert!(r.makespan >= free.makespan);
         // The recording saw the same story.
         let rec = r.recording.unwrap();
-        assert!(rec.events().any(|te| matches!(te.ev, mf_sim::EventRef::Forced { .. })));
+        assert!(rec.events().any(|(_, e)| matches!(e, SchedEvent::Forced { .. })));
         assert!(rec
             .events()
-            .any(|te| matches!(te.ev, mf_sim::EventRef::PoolDecision { picked: None, .. })));
+            .any(|(_, e)| matches!(e, SchedEvent::PoolDecision { picked: None, .. })));
     }
 
     #[test]

@@ -34,8 +34,10 @@ use crate::pool::{TaskCtx, TaskPool};
 use crate::recovery::{RecoveryPlan, RecoverySnapshot};
 use crate::slavesel::{SlaveAssignment, SlaveCtx};
 use crate::views::{StatusDelta, ViewTable, Views};
-use mf_sim::recorder::{FrontClass, MemArea, SlavePick, StatusKind, TaskRole};
-use mf_sim::{CompactEvent, CoreMetrics, MsgClass, ProcMemory, Time};
+use mf_sim::recorder::{
+    id32, FrontClass, MemArea, SchedEvent, SlaveChoice, SlavePick, StatusKind, TaskRole,
+};
+use mf_sim::{CoreMetrics, MsgClass, ProcMemory, Time};
 use mf_symbolic::AssemblyTree;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, DefaultHasher};
@@ -384,13 +386,13 @@ pub enum Effect {
         /// Whether the core was stalled by the capacity check.
         stalled: bool,
     },
-    /// A flight-recorder decision event in compact wire form (only
-    /// emitted when the core was built with recording enabled,
-    /// preserving the recorder's zero-cost-off contract). Carrying the
-    /// POD [`CompactEvent`] — payloads boxed, and only for the rare
-    /// selection events — keeps this variant from inflating the whole
-    /// `Effect` enum the hot paths move through.
-    Record(CompactEvent),
+    /// A flight-recorder decision event (only emitted when the core was
+    /// built with recording enabled, preserving the recorder's
+    /// zero-cost-off contract). A [`SchedEvent`] is 24 bytes — payloads
+    /// boxed, and only for the rare selection events — so this variant
+    /// does not inflate the whole `Effect` enum the hot paths move
+    /// through.
+    Record(SchedEvent),
 }
 
 /// Work units whose completion is signalled by [`Input::TimerFired`].
@@ -1134,7 +1136,7 @@ impl<'a> SchedulerCore<'a> {
     /// path of the core's inner loops carries no recording branches at
     /// all; only the cold decision sites and status applies reach here.
     #[inline]
-    fn emit_record(&mut self, build: impl FnOnce() -> CompactEvent) {
+    fn emit_record(&mut self, build: impl FnOnce() -> SchedEvent) {
         if self.record {
             let ev = build();
             self.out.push(Effect::Record(ev));
@@ -1164,7 +1166,12 @@ impl<'a> SchedulerCore<'a> {
                     .max(1);
                 let grant = (pool_cores / busy).clamp(1, max_per_front.max(1)) as u32;
                 let id = self.id;
-                self.emit_record(|| CompactEvent::core_grant(id, node, grant, busy as u64));
+                self.emit_record(|| SchedEvent::CoreGrant {
+                    proc: id32(id),
+                    node: id32(node),
+                    cores: grant,
+                    busy: busy as u64,
+                });
                 grant
             }
         }
@@ -1341,7 +1348,11 @@ impl<'a> SchedulerCore<'a> {
         if depth > 0 {
             // A real decision was taken over a non-empty pool: observe it.
             self.metrics.pool_depth.observe(depth as u64);
-            self.emit_record(|| CompactEvent::pool_decision(id, depth, picked));
+            self.emit_record(|| SchedEvent::PoolDecision {
+                proc: id32(id),
+                depth,
+                picked: picked.map(id32),
+            });
             if picked.is_none() {
                 // The Algorithm-2 / capacity verdict deferred everything:
                 // the processor is stalled until memory frees.
@@ -1374,7 +1385,7 @@ impl<'a> SchedulerCore<'a> {
         self.forced += 1;
         self.metrics.forced_activations += 1;
         let p = self.id;
-        self.emit_record(|| CompactEvent::forced(p, v, cost));
+        self.emit_record(|| SchedEvent::Forced { proc: id32(p), node: id32(v), cost });
         self.activate_node(v);
     }
 
@@ -1403,7 +1414,7 @@ impl<'a> SchedulerCore<'a> {
             NodeKind::Type3 => FrontClass::Type3,
         };
         let p = self.id;
-        self.emit_record(|| CompactEvent::activate(p, v, class));
+        self.emit_record(|| SchedEvent::Activate { proc: id32(p), node: id32(v), class });
 
         if self.cfg.use_prediction {
             // This task is no longer "upcoming": refresh the broadcast.
@@ -1506,7 +1517,11 @@ impl<'a> SchedulerCore<'a> {
             rounds += 1;
             self.metrics.reselect_rounds += 1;
             let master = self.id;
-            self.emit_record(|| CompactEvent::reselect(master, v, &violators));
+            self.emit_record(|| SchedEvent::Reselect {
+                master: id32(master),
+                node: id32(v),
+                dropped: Box::new(violators.clone()),
+            });
             candidates.retain(|q| !violators.contains(q));
             if candidates.is_empty() {
                 // Last resort: serialize the whole front on the master.
@@ -1541,10 +1556,13 @@ impl<'a> SchedulerCore<'a> {
                     ),
                 })
                 .collect();
-            let serialized = serialized || assignment.is_empty();
-            self.out.push(Effect::Record(CompactEvent::slave_selection(
-                self.id, v, &metric, &view_age, &picked, rounds, serialized,
-            )));
+            self.out.push(Effect::Record(SchedEvent::SlaveSelection {
+                master: id32(self.id),
+                node: id32(v),
+                choice: Box::new(SlaveChoice { metric, view_age, picked }),
+                rounds,
+                serialized: serialized || assignment.is_empty(),
+            }));
         }
 
         if assignment.is_empty() {
@@ -1888,7 +1906,13 @@ impl<'a> SchedulerCore<'a> {
             Msg::Status(d) => {
                 if let Some(age) = self.apply_status(self.now, from, d) {
                     let (about, (kind, _)) = (d.about(from), d.kind());
-                    self.emit_record(|| CompactEvent::status_apply(to, from, about, kind, age));
+                    self.emit_record(|| SchedEvent::StatusApply {
+                        to: id32(to),
+                        from: id32(from),
+                        about: id32(about),
+                        kind,
+                        age,
+                    });
                 }
             }
             Msg::ChildStarted { node } => {

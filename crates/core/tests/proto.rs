@@ -33,8 +33,8 @@ use mf_core::proto::{initial_loads, Effect, Input, Msg, SchedulerCore};
 use mf_core::views::{PeerView, StatusDelta, ViewTable, Views};
 use mf_order::OrderingKind;
 use mf_sim::engine::{Event, EventPayload, Sim};
-use mf_sim::recorder::SchedEvent;
-use mf_sim::{attribute_peaks, CompactEvent, Recording, Time};
+use mf_sim::recorder::{id32, SchedEvent};
+use mf_sim::{attribute_peaks, Recording, Time};
 use mf_sparse::gen::grid::{grid2d, Stencil};
 use mf_symbolic::seqstack::{apply_liu_order, AssemblyDiscipline};
 use mf_symbolic::{AmalgamationOptions, AssemblyTree};
@@ -145,8 +145,13 @@ fn drive_with(
             EventPayload::Message { from, to, msg: Msg::Status(d) } if status_direct => {
                 if let Some(age) = cores[to].apply_status(at, from, d) {
                     if cfg.record_events {
-                        let ev =
-                            CompactEvent::status_apply(to, from, d.about(from), d.kind().0, age);
+                        let ev = SchedEvent::StatusApply {
+                            to: id32(to),
+                            from: id32(from),
+                            about: id32(d.about(from)),
+                            kind: d.kind().0,
+                            age,
+                        };
                         effects.push((to, at, Effect::Record(ev)));
                     }
                 }
@@ -252,10 +257,10 @@ proptest! {
         for (p, at, e) in &cap.effects {
             match *e {
                 Effect::Alloc { node, area, entries } => {
-                    rec.record(*at, SchedEvent::MemAlloc { proc: *p, node, area, entries });
+                    rec.record(*at, SchedEvent::MemAlloc { proc: id32(*p), node: id32(node), area, entries });
                 }
                 Effect::Free { node, area, entries } => {
-                    rec.record(*at, SchedEvent::MemFree { proc: *p, node, area, entries });
+                    rec.record(*at, SchedEvent::MemFree { proc: id32(*p), node: id32(node), area, entries });
                 }
                 _ => {}
             }
@@ -563,9 +568,10 @@ proptest! {
 }
 
 /// The `Effect` enum is the core's hot currency: every message, memory
-/// movement, and compute start moves through it. The columnar recorder
-/// rebuild shrank it from ~112 bytes (when `Record` carried `SchedEvent`
-/// with four inline `Vec`s) to 64; this pin keeps it from growing back.
+/// movement, and compute start moves through it. It was ~112 bytes when
+/// `Record` carried a `SchedEvent` with four inline `Vec`s; with `u32`
+/// ids and boxed payloads the event is 24 bytes, and this pin keeps the
+/// enum at 64.
 #[test]
 fn effect_enum_stays_slim() {
     assert!(

@@ -11,7 +11,7 @@
 //! bit-exactly to the solver's `active_peak`.
 
 use crate::engine::Time;
-use crate::recorder::{EventRef, MemArea, Recording};
+use crate::recorder::{MemArea, Recording, SchedEvent};
 
 /// One live allocation at a peak instant.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,17 +83,19 @@ pub fn attribute_peaks(nprocs: usize, rec: &Recording) -> Vec<PeakAttribution> {
     let mut peak = vec![0u64; nprocs];
     let mut peak_idx = vec![usize::MAX; nprocs];
     let mut peak_at = vec![0 as Time; nprocs];
-    for (idx, te) in rec.events().enumerate() {
-        match te.ev {
-            EventRef::MemAlloc { proc, entries, .. } => {
+    for (idx, (at, ev)) in rec.events().enumerate() {
+        match *ev {
+            SchedEvent::MemAlloc { proc, entries, .. } => {
+                let proc = proc as usize;
                 active[proc] += entries;
                 if active[proc] > peak[proc] {
                     peak[proc] = active[proc];
                     peak_idx[proc] = idx;
-                    peak_at[proc] = te.at;
+                    peak_at[proc] = at;
                 }
             }
-            EventRef::MemFree { proc, entries, .. } => {
+            SchedEvent::MemFree { proc, entries, .. } => {
+                let proc = proc as usize;
                 active[proc] = active[proc].saturating_sub(entries);
             }
             _ => {}
@@ -106,10 +108,11 @@ pub fn attribute_peaks(nprocs: usize, rec: &Recording) -> Vec<PeakAttribution> {
     let mut out: Vec<PeakAttribution> = (0..nprocs)
         .map(|p| PeakAttribution { proc: p, at: 0, peak: 0, composition: Vec::new() })
         .collect();
-    for (idx, te) in rec.events().enumerate() {
-        match te.ev {
-            EventRef::MemAlloc { proc, node, area, entries } => {
-                replays[proc].alloc(node, area, entries);
+    for (idx, (_, ev)) in rec.events().enumerate() {
+        match *ev {
+            SchedEvent::MemAlloc { proc, node, area, entries } => {
+                let proc = proc as usize;
+                replays[proc].alloc(node as usize, area, entries);
                 if idx == peak_idx[proc] {
                     let mut comp = replays[proc].live.clone();
                     comp.sort_by_key(|it| (it.node, it.area));
@@ -121,8 +124,8 @@ pub fn attribute_peaks(nprocs: usize, rec: &Recording) -> Vec<PeakAttribution> {
                     };
                 }
             }
-            EventRef::MemFree { proc, node, area, entries } => {
-                replays[proc].free(node, area, entries);
+            SchedEvent::MemFree { proc, node, area, entries } => {
+                replays[proc as usize].free(node as usize, area, entries);
             }
             _ => {}
         }
@@ -138,10 +141,11 @@ pub fn attribute_peaks(nprocs: usize, rec: &Recording) -> Vec<PeakAttribution> {
 /// instant.
 pub fn active_before(nprocs: usize, rec: &Recording, idx: usize) -> Vec<u64> {
     let mut active = vec![0u64; nprocs];
-    for te in rec.events().take(idx) {
-        match te.ev {
-            EventRef::MemAlloc { proc, entries, .. } => active[proc] += entries,
-            EventRef::MemFree { proc, entries, .. } => {
+    for (_, ev) in rec.events().take(idx) {
+        match *ev {
+            SchedEvent::MemAlloc { proc, entries, .. } => active[proc as usize] += entries,
+            SchedEvent::MemFree { proc, entries, .. } => {
+                let proc = proc as usize;
                 active[proc] = active[proc].saturating_sub(entries)
             }
             _ => {}
@@ -153,12 +157,11 @@ pub fn active_before(nprocs: usize, rec: &Recording, idx: usize) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::SchedEvent;
 
-    fn alloc(proc: usize, node: usize, area: MemArea, entries: u64) -> SchedEvent {
+    fn alloc(proc: u32, node: u32, area: MemArea, entries: u64) -> SchedEvent {
         SchedEvent::MemAlloc { proc, node, area, entries }
     }
-    fn free(proc: usize, node: usize, area: MemArea, entries: u64) -> SchedEvent {
+    fn free(proc: u32, node: u32, area: MemArea, entries: u64) -> SchedEvent {
         SchedEvent::MemFree { proc, node, area, entries }
     }
 

@@ -31,7 +31,7 @@
 //! readable when a human has to chase one.
 
 use crate::engine::Time;
-use crate::recorder::{EventRef, MemArea, Recording};
+use crate::recorder::{MemArea, Recording, SchedEvent};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -40,14 +40,12 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Finding {
     /// The recording dropped events (bounded ring overflow), so balance
-    /// and pairing checks are not conclusive for this run.
+    /// and pairing checks are not conclusive for this run: a free whose
+    /// alloc, or an end whose start, was evicted is not reported.
     Truncated {
         /// Events evicted from the ring before iteration.
         dropped: u64,
     },
-    /// The recording's internal payload references failed validation —
-    /// the store itself is corrupt.
-    CorruptPayloads,
     /// An event was recorded with a timestamp earlier than its
     /// predecessor.
     TimeRegression {
@@ -151,9 +149,6 @@ impl fmt::Display for Finding {
             Finding::Truncated { dropped } => {
                 write!(f, "recording truncated: {dropped} events dropped; audit inconclusive")
             }
-            Finding::CorruptPayloads => {
-                write!(f, "recording payload references are corrupt")
-            }
             Finding::TimeRegression { index, prev, at } => {
                 write!(f, "event {index} at t={at} recorded after t={prev}: time went backwards")
             }
@@ -212,12 +207,11 @@ impl fmt::Display for Finding {
 /// exactly what recovery reclaims out-of-band.
 pub fn audit_recording(nprocs: usize, rec: &Recording) -> Vec<Finding> {
     let mut findings = Vec::new();
-    if rec.dropped() > 0 {
+    // A ring that evicted its head lost the allocs and starts some of its
+    // frees and ends pair with.
+    let truncated = rec.dropped() > 0;
+    if truncated {
         findings.push(Finding::Truncated { dropped: rec.dropped() });
-    }
-    if !rec.payload_refs_valid() {
-        findings.push(Finding::CorruptPayloads);
-        return findings;
     }
 
     // Outstanding entries per (proc, node, area) account.
@@ -234,8 +228,7 @@ pub fn audit_recording(nprocs: usize, rec: &Recording) -> Vec<Finding> {
     let mut ever_lost: HashSet<usize> = HashSet::new();
     let mut prev_at: Time = 0;
 
-    for (index, view) in rec.events().enumerate() {
-        let at = view.at;
+    for (index, (at, ev)) in rec.events().enumerate() {
         if at < prev_at {
             findings.push(Finding::TimeRegression { index, prev: prev_at, at });
         }
@@ -246,45 +239,54 @@ pub fn audit_recording(nprocs: usize, rec: &Recording) -> Vec<Finding> {
                 findings.push(Finding::ProcOutOfRange { at, proc: p, nprocs });
             }
         };
-        match view.ev {
-            EventRef::MemAlloc { proc, node, area, entries } => {
+        match *ev {
+            SchedEvent::MemAlloc { proc, node, area, entries } => {
+                let (proc, node) = (proc as usize, node as usize);
                 check_proc(&mut findings, proc);
                 *balance.entry((proc, node, area)).or_default() += entries;
             }
-            EventRef::MemFree { proc, node, area, entries } => {
+            SchedEvent::MemFree { proc, node, area, entries } => {
+                let (proc, node) = (proc as usize, node as usize);
                 check_proc(&mut findings, proc);
                 let slot = balance.entry((proc, node, area)).or_default();
                 if *slot < entries {
-                    findings.push(Finding::NegativeBalance {
-                        at,
-                        proc,
-                        node,
-                        area,
-                        freed: entries,
-                        outstanding: *slot,
-                    });
+                    if !truncated {
+                        findings.push(Finding::NegativeBalance {
+                            at,
+                            proc,
+                            node,
+                            area,
+                            freed: entries,
+                            outstanding: *slot,
+                        });
+                    }
                     *slot = 0;
                 } else {
                     *slot -= entries;
                 }
             }
-            EventRef::ComputeStart { proc, node, .. } => {
+            SchedEvent::ComputeStart { proc, node, .. } => {
+                let (proc, node) = (proc as usize, node as usize);
                 check_proc(&mut findings, proc);
                 if dead.contains(&proc) {
                     findings.push(Finding::ActivityFromDeadProc { at, proc, node });
                 }
                 *open_spans.entry((proc, node)).or_default() += 1;
             }
-            EventRef::ComputeEnd { proc, node, .. } => {
+            SchedEvent::ComputeEnd { proc, node, .. } => {
+                let (proc, node) = (proc as usize, node as usize);
                 check_proc(&mut findings, proc);
                 let slot = open_spans.entry((proc, node)).or_default();
                 if *slot == 0 {
-                    findings.push(Finding::UnmatchedComputeEnd { at, proc, node });
+                    if !truncated {
+                        findings.push(Finding::UnmatchedComputeEnd { at, proc, node });
+                    }
                 } else {
                     *slot -= 1;
                 }
             }
-            EventRef::Activate { proc, node, .. } => {
+            SchedEvent::Activate { proc, node, .. } => {
+                let (proc, node) = (proc as usize, node as usize);
                 check_proc(&mut findings, proc);
                 if dead.contains(&proc) {
                     findings.push(Finding::ActivityFromDeadProc { at, proc, node });
@@ -303,24 +305,27 @@ pub fn audit_recording(nprocs: usize, rec: &Recording) -> Vec<Finding> {
                     }
                 }
             }
-            EventRef::StatusApply { to, from, .. } => {
+            SchedEvent::StatusApply { to, from, .. } => {
+                let (to, from) = (to as usize, from as usize);
                 check_proc(&mut findings, to);
                 if dead.contains(&from) {
                     findings.push(Finding::StaleStatusAfterLoss { at, from, to });
                 }
             }
-            EventRef::ProcLost { proc, .. } => {
+            SchedEvent::ProcLost { proc, .. } => {
+                let proc = proc as usize;
                 check_proc(&mut findings, proc);
                 dead.insert(proc);
                 ever_lost.insert(proc);
                 epoch += 1;
             }
-            EventRef::ProcJoined { proc, .. } => {
+            SchedEvent::ProcJoined { proc, .. } => {
+                let proc = proc as usize;
                 check_proc(&mut findings, proc);
                 dead.remove(&proc);
                 epoch += 1;
             }
-            EventRef::SubtreeReassigned { .. } => epoch += 1,
+            SchedEvent::SubtreeReassigned { .. } => epoch += 1,
             // Selection, pool, status-send, fault, and forced events are
             // context, not conserved quantities.
             _ => {}
@@ -364,10 +369,10 @@ mod tests {
     use super::*;
     use crate::recorder::{FrontClass, SchedEvent, StatusKind, TaskRole};
 
-    fn alloc(proc: usize, node: usize, area: MemArea, entries: u64) -> SchedEvent {
+    fn alloc(proc: u32, node: u32, area: MemArea, entries: u64) -> SchedEvent {
         SchedEvent::MemAlloc { proc, node, area, entries }
     }
-    fn free(proc: usize, node: usize, area: MemArea, entries: u64) -> SchedEvent {
+    fn free(proc: u32, node: u32, area: MemArea, entries: u64) -> SchedEvent {
         SchedEvent::MemFree { proc, node, area, entries }
     }
 
@@ -507,11 +512,21 @@ mod tests {
 
     #[test]
     fn truncated_rings_are_inconclusive() {
-        let mut rec = Recording::new(Some(4));
-        for i in 0..16u64 {
-            rec.record(i, alloc(0, i as usize, MemArea::Front, 1));
-        }
-        let f = audit_recording(1, &rec);
-        assert!(matches!(f[0], Finding::Truncated { dropped } if dropped > 0));
+        // The ring evicts node 1's alloc and compute start: its free and
+        // end are no evidence of a fault. Node 2's alloc is retained and
+        // never freed: that leak still counts.
+        let mut rec = Recording::new(Some(3));
+        rec.record(0, alloc(0, 1, MemArea::Front, 5));
+        rec.record(0, SchedEvent::ComputeStart { proc: 0, node: 1, role: TaskRole::Elim });
+        rec.record(1, SchedEvent::ComputeEnd { proc: 0, node: 1, role: TaskRole::Elim });
+        rec.record(1, free(0, 1, MemArea::Front, 5));
+        rec.record(2, alloc(0, 2, MemArea::Stack, 3));
+        assert_eq!(
+            audit_recording(1, &rec),
+            vec![
+                Finding::Truncated { dropped: 2 },
+                Finding::LeakedAllocation { proc: 0, node: 2, area: MemArea::Stack, entries: 3 },
+            ]
+        );
     }
 }

@@ -15,7 +15,8 @@
 //!   active fronts) with running peaks, the measurement instrument
 //!   behind every table of the reproduction;
 //! * [`recorder`] — an opt-in structured flight recorder of scheduling
-//!   events (decisions, memory movements, status traffic);
+//!   events (decisions, memory movements, status traffic), one
+//!   [`SchedEvent`] type from emission to replay;
 //! * [`metrics`] — an always-on registry of run-wide counters and
 //!   histograms;
 //! * [`timeseries`] — columnar ring buffers for the sampling timer's
@@ -47,9 +48,8 @@ pub use fault::{FaultInjector, FaultModel, MsgClass};
 pub use memory::ProcMemory;
 pub use metrics::{CoreMetrics, Histogram, ProcMetrics, RecoveryCounters, RunMetrics};
 pub use network::NetworkModel;
-pub use perfetto::{write_chrome_trace, write_chrome_trace_with_series};
+pub use perfetto::write_chrome_trace;
 pub use recorder::{
-    CompactEvent, EventRef, EventView, FrontClass, MemArea, ProcList, Recording, SchedEvent,
-    SlavePick, SlavePicks, StatusKind, TaskRole,
+    id32, FrontClass, MemArea, Recording, SchedEvent, SlaveChoice, SlavePick, StatusKind, TaskRole,
 };
 pub use timeseries::{ProcSeries, RunTimeseries, SampleRow, DEFAULT_SERIES_CAPACITY};

@@ -11,7 +11,7 @@
 //! The output is plain ASCII JSON, emitted deterministically in event
 //! order — byte-identical for byte-identical recordings.
 
-use crate::recorder::{EventRef, MemArea, Recording};
+use crate::recorder::{MemArea, Recording, SchedEvent};
 use crate::timeseries::RunTimeseries;
 use std::io::{self, Write};
 
@@ -20,21 +20,13 @@ use std::io::{self, Write};
 ///
 /// Counter tracks replay the recording's memory events, so they agree
 /// exactly with the solver's accounting (including transient
-/// same-instant peaks that a sampled trace would collapse). To overlay
-/// the telemetry sampler's coarser view, use
-/// [`write_chrome_trace_with_series`].
-pub fn write_chrome_trace<W: Write>(w: &mut W, nprocs: usize, rec: &Recording) -> io::Result<()> {
-    write_chrome_trace_with_series(w, nprocs, rec, None)
-}
-
-/// Like [`write_chrome_trace`], but when a sampled [`RunTimeseries`] is
-/// supplied it additionally renders per-processor `C` counter tracks
-/// from the telemetry sampler: `sampled memory` (active/stack entries)
-/// and `scheduler load` (pool depth and queued slave tasks). The
-/// event-replayed counters stay exact; the sampled tracks show what an
-/// external monitor polling at the sampling interval would see, so the
-/// two can be compared directly in the viewer.
-pub fn write_chrome_trace_with_series<W: Write>(
+/// same-instant peaks that a sampled trace would collapse). When a
+/// sampled [`RunTimeseries`] is supplied, per-processor `C` counter
+/// tracks from the telemetry sampler are rendered too: `sampled memory`
+/// (active/stack entries) and `scheduler load` (pool depth and queued
+/// slave tasks) — what an external monitor polling at the sampling
+/// interval would see, next to the exact replay in the viewer.
+pub fn write_chrome_trace<W: Write>(
     w: &mut W,
     nprocs: usize,
     rec: &Recording,
@@ -76,10 +68,9 @@ pub fn write_chrome_trace_with_series<W: Write>(
     let mut front = vec![0u64; nprocs];
     let mut stack = vec![0u64; nprocs];
 
-    for te in rec.events() {
-        let ts = te.at;
-        match te.ev {
-            EventRef::ComputeStart { proc, node, role } => {
+    for (ts, ev) in rec.events() {
+        match *ev {
+            SchedEvent::ComputeStart { proc, node, role } => {
                 emit(
                     w,
                     &format!(
@@ -89,7 +80,7 @@ pub fn write_chrome_trace_with_series<W: Write>(
                     ),
                 )?;
             }
-            EventRef::ComputeEnd { proc, node, role } => {
+            SchedEvent::ComputeEnd { proc, node, role } => {
                 emit(
                     w,
                     &format!(
@@ -99,21 +90,23 @@ pub fn write_chrome_trace_with_series<W: Write>(
                     ),
                 )?;
             }
-            EventRef::MemAlloc { proc, area, entries, .. } => {
+            SchedEvent::MemAlloc { proc, area, entries, .. } => {
+                let proc = proc as usize;
                 match area {
                     MemArea::Front => front[proc] += entries,
                     MemArea::Stack => stack[proc] += entries,
                 }
                 emit(w, &counter_line(proc, ts, front[proc], stack[proc]))?;
             }
-            EventRef::MemFree { proc, area, entries, .. } => {
+            SchedEvent::MemFree { proc, area, entries, .. } => {
+                let proc = proc as usize;
                 match area {
                     MemArea::Front => front[proc] = front[proc].saturating_sub(entries),
                     MemArea::Stack => stack[proc] = stack[proc].saturating_sub(entries),
                 }
                 emit(w, &counter_line(proc, ts, front[proc], stack[proc]))?;
             }
-            EventRef::Activate { proc, node, class } => {
+            SchedEvent::Activate { proc, node, class } => {
                 emit(
                     w,
                     &format!(
@@ -124,7 +117,7 @@ pub fn write_chrome_trace_with_series<W: Write>(
                     ),
                 )?;
             }
-            EventRef::Forced { proc, node, .. } => {
+            SchedEvent::Forced { proc, node, .. } => {
                 emit(
                     w,
                     &format!(
@@ -179,7 +172,7 @@ fn counter_line(proc: usize, ts: crate::engine::Time, front: u64, stack: u64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{Recording, SchedEvent, TaskRole};
+    use crate::recorder::TaskRole;
 
     #[test]
     fn slices_and_counters_render() {
@@ -190,7 +183,7 @@ mod tests {
         rec.record(5, SchedEvent::MemFree { proc: 0, node: 1, area: MemArea::Front, entries: 10 });
 
         let mut buf = Vec::new();
-        write_chrome_trace(&mut buf, 1, &rec).unwrap();
+        write_chrome_trace(&mut buf, 1, &rec, None).unwrap();
         let s = String::from_utf8(buf).unwrap();
         assert!(s.contains("\"ph\": \"B\""));
         assert!(s.contains("\"ph\": \"E\""));
@@ -219,18 +212,17 @@ mod tests {
             },
         );
         let mut buf = Vec::new();
-        write_chrome_trace_with_series(&mut buf, 2, &rec, Some(&ts)).unwrap();
+        write_chrome_trace(&mut buf, 2, &rec, Some(&ts)).unwrap();
         let s = String::from_utf8(buf).unwrap();
         assert!(s.contains("\"name\": \"sampled memory\""));
         assert!(s.contains("\"active\": 7, \"stack\": 3"));
         assert!(s.contains("\"name\": \"scheduler load\""));
         assert!(s.contains("\"pool\": 2, \"queued\": 1"));
 
-        // Without a series the output is byte-identical to the plain export.
+        // Without a series none of the sampled tracks are rendered.
         let mut plain = Vec::new();
-        write_chrome_trace(&mut plain, 2, &rec).unwrap();
-        let mut none = Vec::new();
-        write_chrome_trace_with_series(&mut none, 2, &rec, None).unwrap();
-        assert_eq!(plain, none);
+        write_chrome_trace(&mut plain, 2, &rec, None).unwrap();
+        let plain = String::from_utf8(plain).unwrap();
+        assert!(!plain.contains("sampled memory") && !plain.contains("scheduler load"));
     }
 }

@@ -11,27 +11,22 @@
 //! sends/applies with view staleness, fault perturbations, and capacity
 //! re-selections.
 //!
-//! # Storage layout (the production-grade cost model)
+//! # One event type
 //!
-//! Recording millions of events must cost nanoseconds, not microseconds,
-//! per event, so the store is columnar rather than an enum buffer:
+//! An event is a [`SchedEvent`] from end to end: the scheduler core
+//! builds it, `mf-core`'s `Effect::Record` carries it, the recording
+//! stores it and [`Recording::events`] lends it back. Millions of them
+//! must cost nanoseconds each, so the enum is kept to 24 bytes and a
+//! stored `(Time, SchedEvent)` row to 32:
 //!
-//! * every event is one fixed-size POD `SchedEventRecord` row (40
-//!   bytes: timestamp, a signed value, three small ids, a kind and a tag
-//!   byte, and a payload reference) appended to preallocated pages —
-//!   no per-event heap allocation;
-//! * the rare variable-length payloads (slave-selection metric vectors,
-//!   view ages, picked blocks, re-selection drop lists) are
-//!   bump-allocated as plain `u64` words into a per-recording arena and
-//!   referenced by `(offset, len)`;
-//! * consumers iterate [`Recording::events`], which decodes each row
-//!   into a borrowed [`EventRef`] on the fly — slices point straight
-//!   into the arena, so replay allocates nothing either.
-//!
-//! On the wire between the scheduler core and its driver an event is a
-//! [`CompactEvent`]: the same POD header plus an optional boxed payload
-//! (only slave selections and re-selections carry one), which keeps the
-//! `mf-core` `Effect` enum small.
+//! * processor and node ids are `u32`, narrowed at the emit sites by
+//!   [`id32`];
+//! * the two variable-length payloads — a slave selection's metric
+//!   vector, view ages and picks ([`SlaveChoice`]), and a re-selection's
+//!   drop list — sit behind thin boxes, so only those rare events touch
+//!   the heap;
+//! * rows are appended to preallocated 16 Ki-row pages (unbounded), to a
+//!   preallocated ring (bounded), or only counted (capacity 0).
 //!
 //! Recording is opt-in and zero-cost when disabled: the solver holds an
 //! `Option<Recording>` and every emission site is a branch on `None`
@@ -41,6 +36,7 @@
 //! recordings diffable across strategies and thread-pool widths.
 
 use crate::engine::Time;
+use std::fmt;
 
 /// Which of the two active-memory areas a movement touches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -58,20 +54,6 @@ impl MemArea {
         match self {
             MemArea::Front => "front",
             MemArea::Stack => "stack",
-        }
-    }
-
-    fn tag(self) -> u8 {
-        match self {
-            MemArea::Front => 0,
-            MemArea::Stack => 1,
-        }
-    }
-
-    fn from_tag(t: u8) -> Self {
-        match t {
-            0 => MemArea::Front,
-            _ => MemArea::Stack,
         }
     }
 }
@@ -100,24 +82,6 @@ impl TaskRole {
             TaskRole::Root => "root",
         }
     }
-
-    fn tag(self) -> u8 {
-        match self {
-            TaskRole::Elim => 0,
-            TaskRole::Master => 1,
-            TaskRole::Slave => 2,
-            TaskRole::Root => 3,
-        }
-    }
-
-    fn from_tag(t: u8) -> Self {
-        match t {
-            0 => TaskRole::Elim,
-            1 => TaskRole::Master,
-            2 => TaskRole::Slave,
-            _ => TaskRole::Root,
-        }
-    }
 }
 
 /// Node classification of an activated front (mirrors the static
@@ -142,24 +106,6 @@ impl FrontClass {
             FrontClass::Type1 => "type1",
             FrontClass::Type2 => "type2",
             FrontClass::Type3 => "type3",
-        }
-    }
-
-    fn tag(self) -> u8 {
-        match self {
-            FrontClass::Subtree => 0,
-            FrontClass::Type1 => 1,
-            FrontClass::Type2 => 2,
-            FrontClass::Type3 => 3,
-        }
-    }
-
-    fn from_tag(t: u8) -> Self {
-        match t {
-            0 => FrontClass::Subtree,
-            1 => FrontClass::Type1,
-            2 => FrontClass::Type2,
-            _ => FrontClass::Type3,
         }
     }
 }
@@ -190,26 +136,6 @@ impl StatusKind {
             StatusKind::Assigned => "assigned",
         }
     }
-
-    fn tag(self) -> u8 {
-        match self {
-            StatusKind::MemDelta => 0,
-            StatusKind::LoadDelta => 1,
-            StatusKind::SubtreePeak => 2,
-            StatusKind::Predicted => 3,
-            StatusKind::Assigned => 4,
-        }
-    }
-
-    fn from_tag(t: u8) -> Self {
-        match t {
-            0 => StatusKind::MemDelta,
-            1 => StatusKind::LoadDelta,
-            2 => StatusKind::SubtreePeak,
-            3 => StatusKind::Predicted,
-            _ => StatusKind::Assigned,
-        }
-    }
 }
 
 /// One slave block chosen by a type-2 master.
@@ -221,262 +147,38 @@ pub struct SlavePick {
     pub entries: u64,
 }
 
-/// Discriminant of an encoded event row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-enum Kind {
-    MemAlloc = 0,
-    MemFree = 1,
-    Activate = 2,
-    ComputeStart = 3,
-    ComputeEnd = 4,
-    SlaveSelection = 5,
-    Reselect = 6,
-    PoolDecision = 7,
-    StatusSend = 8,
-    StatusApply = 9,
-    FaultDrop = 10,
-    Forced = 11,
-    ProcLost = 12,
-    ProcJoined = 13,
-    SubtreeReassigned = 14,
-    CoreGrant = 15,
-}
-
-impl Kind {
-    fn from_u8(k: u8) -> Self {
-        match k {
-            0 => Kind::MemAlloc,
-            1 => Kind::MemFree,
-            2 => Kind::Activate,
-            3 => Kind::ComputeStart,
-            4 => Kind::ComputeEnd,
-            5 => Kind::SlaveSelection,
-            6 => Kind::Reselect,
-            7 => Kind::PoolDecision,
-            8 => Kind::StatusSend,
-            9 => Kind::StatusApply,
-            10 => Kind::FaultDrop,
-            11 => Kind::Forced,
-            12 => Kind::ProcLost,
-            13 => Kind::ProcJoined,
-            14 => Kind::SubtreeReassigned,
-            _ => Kind::CoreGrant,
-        }
-    }
-}
-
-/// One fixed-size event row: the columnar store appends these to
-/// preallocated pages. 40 bytes, `Copy`, no drop glue — the whole record
-/// path is a branch, a possible arena append, and one 40-byte store.
-///
-/// Field meaning depends on `kind` (see [`EventRef`] for the decoded
-/// view): `a`/`b`/`c` carry small ids (processor, node, depth, rounds),
-/// `value` the signed magnitude (entries, delta, age, cost), `tag` the
-/// area/role/class/kind sub-discriminant, and `(payload_off,
-/// payload_len)` reference `u64` words in the recording's arena (len 0 =
-/// no payload).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SchedEventRecord {
-    at: Time,
-    value: i64,
-    payload_off: u32,
-    payload_len: u32,
-    a: u32,
-    b: u32,
-    c: u32,
-    kind: u8,
-    tag: u8,
-}
-
-/// One event in wire form, as carried by `mf-core`'s `Effect::Record`:
-/// the fixed-size header of a `SchedEventRecord` plus an optional
-/// boxed payload for the two variable-length variants (slave selections
-/// and capacity re-selections). POD events (the overwhelming majority)
-/// construct without touching the heap, which keeps the `Effect` enum
-/// small and the emission path cheap.
+/// What a type-2 master decided from and what it chose: the boxed
+/// payload of [`SchedEvent::SlaveSelection`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct CompactEvent {
-    value: i64,
-    payload: Option<Box<[u64]>>,
-    a: u32,
-    b: u32,
-    c: u32,
-    kind: u8,
-    tag: u8,
+pub struct SlaveChoice {
+    /// Metric per processor as the master believed it.
+    pub metric: Vec<u64>,
+    /// View age per processor (ticks since last status apply).
+    pub view_age: Vec<Time>,
+    /// Chosen blocks (empty = serialized on the master).
+    pub picked: Vec<SlavePick>,
 }
 
+/// Narrows a processor or node id to the `u32` a [`SchedEvent`] stores.
+///
+/// # Panics
+///
+/// If `x` does not fit in 32 bits.
 #[inline]
-fn id32(x: usize) -> u32 {
-    debug_assert!(x <= u32::MAX as usize, "id {x} does not fit the compact event header");
-    x as u32
+pub fn id32(x: usize) -> u32 {
+    u32::try_from(x).unwrap_or_else(|_| panic!("id {x} does not fit a recorded event"))
 }
 
-impl CompactEvent {
-    #[inline]
-    fn pod(kind: Kind, tag: u8, a: u32, b: u32, c: u32, value: i64) -> Self {
-        CompactEvent { value, payload: None, a, b, c, kind: kind as u8, tag }
-    }
-
-    /// `entries` allocated in `area` on `proc`, attributed to `node`.
-    #[inline]
-    pub fn mem_alloc(proc: usize, node: usize, area: MemArea, entries: u64) -> Self {
-        Self::pod(Kind::MemAlloc, area.tag(), id32(proc), id32(node), 0, entries as i64)
-    }
-
-    /// `entries` released from `area` on `proc`, attributed to `node`.
-    #[inline]
-    pub fn mem_free(proc: usize, node: usize, area: MemArea, entries: u64) -> Self {
-        Self::pod(Kind::MemFree, area.tag(), id32(proc), id32(node), 0, entries as i64)
-    }
-
-    /// `proc` activated front `node` (the owner-side decision).
-    #[inline]
-    pub fn activate(proc: usize, node: usize, class: FrontClass) -> Self {
-        Self::pod(Kind::Activate, class.tag(), id32(proc), id32(node), 0, 0)
-    }
-
-    /// `proc` started computing its `role` part of `node`.
-    #[inline]
-    pub fn compute_start(proc: usize, node: usize, role: TaskRole) -> Self {
-        Self::pod(Kind::ComputeStart, role.tag(), id32(proc), id32(node), 0, 0)
-    }
-
-    /// `proc` finished computing its `role` part of `node`.
-    #[inline]
-    pub fn compute_end(proc: usize, node: usize, role: TaskRole) -> Self {
-        Self::pod(Kind::ComputeEnd, role.tag(), id32(proc), id32(node), 0, 0)
-    }
-
-    /// A type-2 master resolved its slave selection (see
-    /// [`EventRef::SlaveSelection`] for the field meaning). The metric
-    /// and view-age vectors must have one entry per processor.
-    pub fn slave_selection(
-        master: usize,
-        node: usize,
-        metric: &[u64],
-        view_age: &[Time],
-        picked: &[SlavePick],
-        rounds: u32,
-        serialized: bool,
-    ) -> Self {
-        debug_assert_eq!(metric.len(), view_age.len());
-        let n = metric.len();
-        let mut words = Vec::with_capacity(2 + 2 * n + 2 * picked.len());
-        words.push(n as u64);
-        words.extend_from_slice(metric);
-        words.extend_from_slice(view_age);
-        words.push(picked.len() as u64);
-        for p in picked {
-            words.push(p.proc as u64);
-            words.push(p.entries);
-        }
-        CompactEvent {
-            value: 0,
-            payload: Some(words.into_boxed_slice()),
-            a: id32(master),
-            b: id32(node),
-            c: rounds,
-            kind: Kind::SlaveSelection as u8,
-            tag: serialized as u8,
-        }
-    }
-
-    /// A capacity re-selection on `master` dropped the `dropped`
-    /// candidates for type-2 `node`.
-    pub fn reselect(master: usize, node: usize, dropped: &[usize]) -> Self {
-        let words: Vec<u64> = dropped.iter().map(|&p| p as u64).collect();
-        CompactEvent {
-            value: 0,
-            payload: Some(words.into_boxed_slice()),
-            a: id32(master),
-            b: id32(node),
-            c: 0,
-            kind: Kind::Reselect as u8,
-            tag: 0,
-        }
-    }
-
-    /// A pool decision on `proc` over `depth` ready tasks; `picked:
-    /// None` = everything deferred.
-    #[inline]
-    pub fn pool_decision(proc: usize, depth: usize, picked: Option<usize>) -> Self {
-        let value = match picked {
-            Some(v) => v as i64,
-            None => -1,
-        };
-        Self::pod(Kind::PoolDecision, 0, id32(proc), 0, id32(depth), value)
-    }
-
-    /// A status broadcast of `kind` left `from` with payload `value`.
-    #[inline]
-    pub fn status_send(from: usize, kind: StatusKind, value: i64) -> Self {
-        Self::pod(Kind::StatusSend, kind.tag(), id32(from), 0, 0, value)
-    }
-
-    /// A status message of `kind` from `from` was applied at `to`,
-    /// refreshing a view entry of `about` that was `age` ticks old.
-    #[inline]
-    pub fn status_apply(to: usize, from: usize, about: usize, kind: StatusKind, age: Time) -> Self {
-        Self::pod(Kind::StatusApply, kind.tag(), id32(to), id32(about), id32(from), age as i64)
-    }
-
-    /// The fault injector dropped a status message `from` → `to`.
-    #[inline]
-    pub fn fault_drop(from: usize, to: usize) -> Self {
-        Self::pod(Kind::FaultDrop, 0, id32(from), id32(to), 0, 0)
-    }
-
-    /// The capacity stall-breaker force-activated `node` (activation
-    /// cost `cost`) on `proc`.
-    #[inline]
-    pub fn forced(proc: usize, node: usize, cost: u64) -> Self {
-        Self::pod(Kind::Forced, 0, id32(proc), id32(node), 0, cost as i64)
-    }
-
-    /// Processor `proc` fail-stopped (killed by the fault schedule or
-    /// declared dead by the lease protocol); `nodes_lost` of its nodes
-    /// must be re-executed.
-    #[inline]
-    pub fn proc_lost(proc: usize, nodes_lost: usize) -> Self {
-        Self::pod(Kind::ProcLost, 0, id32(proc), 0, 0, nodes_lost as i64)
-    }
-
-    /// Processor `proc` joined the running computation and received
-    /// `migrated` rebalanced tasks.
-    #[inline]
-    pub fn proc_joined(proc: usize, migrated: usize) -> Self {
-        Self::pod(Kind::ProcJoined, 0, id32(proc), 0, 0, migrated as i64)
-    }
-
-    /// Recovery reassigned the orphaned subtree rooted at `root` from the
-    /// dead `from` to the adopting `to`.
-    #[inline]
-    pub fn subtree_reassigned(root: usize, from: usize, to: usize) -> Self {
-        Self::pod(Kind::SubtreeReassigned, 0, id32(from), id32(root), id32(to), 0)
-    }
-
-    /// The malleable allocator granted `cores` cores to `node`'s compute
-    /// task on `proc` while it believed `busy` peers still had tree work.
-    #[inline]
-    pub fn core_grant(proc: usize, node: usize, cores: u32, busy: u64) -> Self {
-        Self::pod(Kind::CoreGrant, 0, id32(proc), id32(node), cores, busy as i64)
-    }
-}
-
-/// One structured scheduling event in owned form — the builder/output
-/// type. Emission and storage use the compact forms ([`CompactEvent`] /
-/// `SchedEventRecord`); this enum is what tests construct and what
-/// [`EventRef::to_owned`] decodes back to. Node and processor ids refer
-/// to the assembly tree and machine of the recorded run.
+/// One structured scheduling event. Node and processor ids refer to the
+/// assembly tree and machine of the recorded run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SchedEvent {
     /// `entries` were allocated in `area` on `proc`, attributed to `node`.
     MemAlloc {
         /// Processor whose account grew.
-        proc: usize,
+        proc: u32,
         /// Node the allocation belongs to.
-        node: usize,
+        node: u32,
         /// Which area.
         area: MemArea,
         /// Entries allocated.
@@ -486,9 +188,9 @@ pub enum SchedEvent {
     /// in [`SchedEvent::MemAlloc`]).
     MemFree {
         /// Processor whose account shrank.
-        proc: usize,
+        proc: u32,
         /// Node the release belongs to.
-        node: usize,
+        node: u32,
         /// Which area.
         area: MemArea,
         /// Entries released.
@@ -497,27 +199,27 @@ pub enum SchedEvent {
     /// `proc` activated front `node` (the owner-side decision).
     Activate {
         /// Activating (owner) processor.
-        proc: usize,
+        proc: u32,
         /// Activated node.
-        node: usize,
+        node: u32,
         /// Node classification.
         class: FrontClass,
     },
     /// `proc` started computing its part of `node`.
     ComputeStart {
         /// Computing processor.
-        proc: usize,
+        proc: u32,
         /// Node computed.
-        node: usize,
+        node: u32,
         /// Which part.
         role: TaskRole,
     },
     /// `proc` finished computing its part of `node`.
     ComputeEnd {
         /// Computing processor.
-        proc: usize,
+        proc: u32,
         /// Node computed.
-        node: usize,
+        node: u32,
         /// Which part.
         role: TaskRole,
     },
@@ -528,15 +230,11 @@ pub enum SchedEvent {
     /// Figure 5 staleness), and the outcome.
     SlaveSelection {
         /// The master processor.
-        master: usize,
+        master: u32,
         /// The type-2 node.
-        node: usize,
-        /// Metric per processor as the master believed it.
-        metric: Vec<u64>,
-        /// View age per processor (ticks since last status apply).
-        view_age: Vec<Time>,
-        /// Chosen blocks (empty = serialized on the master).
-        picked: Vec<SlavePick>,
+        node: u32,
+        /// Metric vector, view ages and chosen blocks.
+        choice: Box<SlaveChoice>,
         /// Capacity re-selection rounds before the outcome (0 = first
         /// selection stood).
         rounds: u32,
@@ -547,28 +245,29 @@ pub enum SchedEvent {
     /// would breach the cap.
     Reselect {
         /// The master processor.
-        master: usize,
+        master: u32,
         /// The type-2 node being re-selected.
-        node: usize,
-        /// Candidates removed this round.
-        dropped: Vec<usize>,
+        node: u32,
+        /// Candidates removed this round (a thin box keeps the row at 32
+        /// bytes).
+        dropped: Box<Vec<usize>>,
     },
     /// A pool (task-selection) decision on `proc`: Algorithm 2 / LIFO
     /// verdict over a non-empty pool.
     PoolDecision {
         /// Deciding processor.
-        proc: usize,
+        proc: u32,
         /// Ready tasks in the pool at decision time.
         depth: usize,
         /// Activated task (`None` = every ready task was deferred by the
         /// Algorithm-2 admissibility/capacity verdict).
-        picked: Option<usize>,
+        picked: Option<u32>,
     },
     /// A status broadcast left `from` (recorded once per broadcast, not
     /// per receiver).
     StatusSend {
         /// Broadcasting processor.
-        from: usize,
+        from: u32,
         /// Which mechanism.
         kind: StatusKind,
         /// Signed payload value (delta or absolute level).
@@ -578,11 +277,11 @@ pub enum SchedEvent {
     /// `about`.
     StatusApply {
         /// Receiving processor.
-        to: usize,
+        to: u32,
         /// Sender.
-        from: usize,
+        from: u32,
         /// Processor whose view entry was refreshed.
-        about: usize,
+        about: u32,
         /// Which mechanism.
         kind: StatusKind,
         /// Age of the replaced view entry (ticks since its last refresh).
@@ -591,49 +290,49 @@ pub enum SchedEvent {
     /// The fault injector dropped a status message.
     FaultDrop {
         /// Sender of the lost message.
-        from: usize,
+        from: u32,
         /// Intended receiver.
-        to: usize,
+        to: u32,
     },
     /// The capacity stall-breaker force-activated a deferred task.
     Forced {
         /// Processor forced to activate.
-        proc: usize,
+        proc: u32,
         /// Activated node.
-        node: usize,
+        node: u32,
         /// Its activation cost (entries).
         cost: u64,
     },
     /// A processor fail-stopped and recovery reclaimed its work.
     ProcLost {
         /// The dead processor.
-        proc: usize,
+        proc: u32,
         /// Nodes whose (re-)execution the recovery plan scheduled.
         nodes_lost: usize,
     },
     /// A processor joined the running computation.
     ProcJoined {
         /// The joining processor.
-        proc: usize,
+        proc: u32,
         /// Ready tasks migrated to it by the rebalancer.
         migrated: usize,
     },
     /// Recovery reassigned an orphaned subtree to a surviving adopter.
     SubtreeReassigned {
         /// Root of the reassigned subtree.
-        root: usize,
+        root: u32,
         /// The dead previous owner.
-        from: usize,
+        from: u32,
         /// The adopting survivor.
-        to: usize,
+        to: u32,
     },
     /// The malleable allocator granted a front more than its static
     /// share of cores (emitted only under `CoreAlloc::Malleable`).
     CoreGrant {
         /// The granting (and computing) processor.
-        proc: usize,
+        proc: u32,
         /// The front whose compute task received the grant.
-        node: usize,
+        node: u32,
         /// Cores granted.
         cores: u32,
         /// Peers the grantor believed still had tree work.
@@ -641,272 +340,34 @@ pub enum SchedEvent {
     },
 }
 
-impl From<&SchedEvent> for CompactEvent {
-    fn from(ev: &SchedEvent) -> Self {
-        match *ev {
-            SchedEvent::MemAlloc { proc, node, area, entries } => {
-                CompactEvent::mem_alloc(proc, node, area, entries)
-            }
-            SchedEvent::MemFree { proc, node, area, entries } => {
-                CompactEvent::mem_free(proc, node, area, entries)
-            }
-            SchedEvent::Activate { proc, node, class } => CompactEvent::activate(proc, node, class),
-            SchedEvent::ComputeStart { proc, node, role } => {
-                CompactEvent::compute_start(proc, node, role)
-            }
-            SchedEvent::ComputeEnd { proc, node, role } => {
-                CompactEvent::compute_end(proc, node, role)
-            }
-            SchedEvent::SlaveSelection {
-                master,
-                node,
-                ref metric,
-                ref view_age,
-                ref picked,
-                rounds,
-                serialized,
-            } => CompactEvent::slave_selection(
-                master, node, metric, view_age, picked, rounds, serialized,
-            ),
-            SchedEvent::Reselect { master, node, ref dropped } => {
-                CompactEvent::reselect(master, node, dropped)
-            }
-            SchedEvent::PoolDecision { proc, depth, picked } => {
-                CompactEvent::pool_decision(proc, depth, picked)
-            }
-            SchedEvent::StatusSend { from, kind, value } => {
-                CompactEvent::status_send(from, kind, value)
-            }
-            SchedEvent::StatusApply { to, from, about, kind, age } => {
-                CompactEvent::status_apply(to, from, about, kind, age)
-            }
-            SchedEvent::FaultDrop { from, to } => CompactEvent::fault_drop(from, to),
-            SchedEvent::Forced { proc, node, cost } => CompactEvent::forced(proc, node, cost),
-            SchedEvent::ProcLost { proc, nodes_lost } => CompactEvent::proc_lost(proc, nodes_lost),
-            SchedEvent::ProcJoined { proc, migrated } => CompactEvent::proc_joined(proc, migrated),
-            SchedEvent::SubtreeReassigned { root, from, to } => {
-                CompactEvent::subtree_reassigned(root, from, to)
-            }
-            SchedEvent::CoreGrant { proc, node, cores, busy } => {
-                CompactEvent::core_grant(proc, node, cores, busy)
-            }
-        }
-    }
-}
-
-impl From<SchedEvent> for CompactEvent {
-    fn from(ev: SchedEvent) -> Self {
-        CompactEvent::from(&ev)
-    }
-}
-
-/// The chosen slave blocks of a decoded [`EventRef::SlaveSelection`],
-/// backed by `(proc, entries)` word pairs in the recording's arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlavePicks<'a>(&'a [u64]);
-
-impl<'a> SlavePicks<'a> {
-    /// Number of chosen blocks.
-    pub fn len(&self) -> usize {
-        self.0.len() / 2
-    }
-
-    /// True when the selection chose nobody (serialized on the master).
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// The picks, in selection order.
-    pub fn iter(&self) -> impl Iterator<Item = SlavePick> + 'a {
-        self.0.chunks_exact(2).map(|w| SlavePick { proc: w[0] as usize, entries: w[1] })
-    }
-}
-
-/// A processor list of a decoded [`EventRef::Reselect`], backed by words
-/// in the recording's arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProcList<'a>(&'a [u64]);
-
-impl<'a> ProcList<'a> {
-    /// Number of processors in the list.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True when the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// The processors, in recorded order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + 'a {
-        self.0.iter().map(|&p| p as usize)
-    }
-
-    /// True when `p` is in the list.
-    pub fn contains(&self, p: usize) -> bool {
-        self.0.contains(&(p as u64))
-    }
-}
-
-/// A decoded event borrowed from a [`Recording`]: the zero-copy view
-/// consumers iterate. Variable-length fields are slices straight into
-/// the recording's payload arena; [`EventRef::to_owned`] converts to the
-/// owned [`SchedEvent`] form. Field meanings match [`SchedEvent`]
-/// variant for variant.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[allow(missing_docs)] // field docs live on the owned SchedEvent mirror
-pub enum EventRef<'a> {
-    /// See [`SchedEvent::MemAlloc`].
-    MemAlloc { proc: usize, node: usize, area: MemArea, entries: u64 },
-    /// See [`SchedEvent::MemFree`].
-    MemFree { proc: usize, node: usize, area: MemArea, entries: u64 },
-    /// See [`SchedEvent::Activate`].
-    Activate { proc: usize, node: usize, class: FrontClass },
-    /// See [`SchedEvent::ComputeStart`].
-    ComputeStart { proc: usize, node: usize, role: TaskRole },
-    /// See [`SchedEvent::ComputeEnd`].
-    ComputeEnd { proc: usize, node: usize, role: TaskRole },
-    /// See [`SchedEvent::SlaveSelection`].
-    SlaveSelection {
-        master: usize,
-        node: usize,
-        metric: &'a [u64],
-        view_age: &'a [Time],
-        picked: SlavePicks<'a>,
-        rounds: u32,
-        serialized: bool,
-    },
-    /// See [`SchedEvent::Reselect`].
-    Reselect { master: usize, node: usize, dropped: ProcList<'a> },
-    /// See [`SchedEvent::PoolDecision`].
-    PoolDecision { proc: usize, depth: usize, picked: Option<usize> },
-    /// See [`SchedEvent::StatusSend`].
-    StatusSend { from: usize, kind: StatusKind, value: i64 },
-    /// See [`SchedEvent::StatusApply`].
-    StatusApply { to: usize, from: usize, about: usize, kind: StatusKind, age: Time },
-    /// See [`SchedEvent::FaultDrop`].
-    FaultDrop { from: usize, to: usize },
-    /// See [`SchedEvent::Forced`].
-    Forced { proc: usize, node: usize, cost: u64 },
-    /// See [`SchedEvent::ProcLost`].
-    ProcLost { proc: usize, nodes_lost: usize },
-    /// See [`SchedEvent::ProcJoined`].
-    ProcJoined { proc: usize, migrated: usize },
-    /// See [`SchedEvent::SubtreeReassigned`].
-    SubtreeReassigned { root: usize, from: usize, to: usize },
-    /// See [`SchedEvent::CoreGrant`].
-    CoreGrant { proc: usize, node: usize, cores: u32, busy: u64 },
-}
-
-impl EventRef<'_> {
-    /// Decodes this borrowed view into the owned [`SchedEvent`] form
-    /// (allocates for the variable-length variants).
-    pub fn to_owned(&self) -> SchedEvent {
-        match *self {
-            EventRef::MemAlloc { proc, node, area, entries } => {
-                SchedEvent::MemAlloc { proc, node, area, entries }
-            }
-            EventRef::MemFree { proc, node, area, entries } => {
-                SchedEvent::MemFree { proc, node, area, entries }
-            }
-            EventRef::Activate { proc, node, class } => SchedEvent::Activate { proc, node, class },
-            EventRef::ComputeStart { proc, node, role } => {
-                SchedEvent::ComputeStart { proc, node, role }
-            }
-            EventRef::ComputeEnd { proc, node, role } => {
-                SchedEvent::ComputeEnd { proc, node, role }
-            }
-            EventRef::SlaveSelection {
-                master,
-                node,
-                metric,
-                view_age,
-                picked,
-                rounds,
-                serialized,
-            } => SchedEvent::SlaveSelection {
-                master,
-                node,
-                metric: metric.to_vec(),
-                view_age: view_age.to_vec(),
-                picked: picked.iter().collect(),
-                rounds,
-                serialized,
-            },
-            EventRef::Reselect { master, node, dropped } => {
-                SchedEvent::Reselect { master, node, dropped: dropped.iter().collect() }
-            }
-            EventRef::PoolDecision { proc, depth, picked } => {
-                SchedEvent::PoolDecision { proc, depth, picked }
-            }
-            EventRef::StatusSend { from, kind, value } => {
-                SchedEvent::StatusSend { from, kind, value }
-            }
-            EventRef::StatusApply { to, from, about, kind, age } => {
-                SchedEvent::StatusApply { to, from, about, kind, age }
-            }
-            EventRef::FaultDrop { from, to } => SchedEvent::FaultDrop { from, to },
-            EventRef::Forced { proc, node, cost } => SchedEvent::Forced { proc, node, cost },
-            EventRef::ProcLost { proc, nodes_lost } => SchedEvent::ProcLost { proc, nodes_lost },
-            EventRef::ProcJoined { proc, migrated } => SchedEvent::ProcJoined { proc, migrated },
-            EventRef::SubtreeReassigned { root, from, to } => {
-                SchedEvent::SubtreeReassigned { root, from, to }
-            }
-            EventRef::CoreGrant { proc, node, cores, busy } => {
-                SchedEvent::CoreGrant { proc, node, cores, busy }
-            }
-        }
-    }
-}
-
-/// One iterated event of a [`Recording`]: its timestamp plus the decoded
-/// borrowed view.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EventView<'a> {
-    /// Virtual time of the event.
-    pub at: Time,
-    /// The decoded event.
-    pub ev: EventRef<'a>,
-}
-
-/// Rows per preallocated page of the unbounded store (~640 KiB of
-/// 40-byte rows): big enough to amortize page allocation to noise,
-/// small enough that short recordings stay cheap.
+/// Rows per preallocated page of the unbounded store (512 KiB of 32-byte
+/// rows): big enough to amortize page allocation to noise, small enough
+/// that short recordings stay cheap.
 const PAGE: usize = 1 << 14;
 
-/// Ring mode: compact the payload arena once the garbage left behind by
-/// evicted payloads exceeds the live payload bytes plus this slack.
-const COMPACT_SLACK_WORDS: usize = 4096;
-
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 enum Store {
     /// Unbounded: full pages are immutable, the last page has room.
-    Paged(Vec<Vec<SchedEventRecord>>),
+    Paged(Vec<Vec<(Time, SchedEvent)>>),
     /// Bounded: a preallocated circular buffer; `head` indexes the
     /// oldest retained row once the buffer has wrapped.
-    Ring { buf: Vec<SchedEventRecord>, head: usize, cap: usize },
+    Ring { buf: Vec<(Time, SchedEvent)>, head: usize, cap: usize },
     /// Capacity 0: retain nothing, count everything.
     Null,
 }
 
-/// Columnar store of timestamped scheduling events. With `capacity:
-/// None` it grows unbounded in preallocated pages (what `explain` needs:
-/// peak attribution replays the full memory-event history); with a
-/// capacity it keeps the most recent events in a preallocated circular
-/// buffer and counts what it dropped, so long-running services can fly
-/// with a bounded black box.
+/// Store of timestamped scheduling events. With `capacity: None` it grows
+/// unbounded in preallocated pages (what `explain` needs: peak
+/// attribution replays the full memory-event history); with a capacity
+/// it keeps the most recent events in a preallocated circular buffer and
+/// counts what it dropped, so long-running services can fly with a
+/// bounded black box.
 ///
-/// Variable-length payloads live in a per-recording `u64` arena,
-/// referenced by `(offset, len)` from their rows; in ring mode the arena
-/// is compacted when evictions leave too much garbage behind.
-#[derive(Debug, Clone)]
+/// Equality and `Debug` both see the logical stream — the retained
+/// `(at, event)` sequence and the drop count — not the pages or the ring.
+#[derive(Clone)]
 pub struct Recording {
     store: Store,
-    arena: Vec<u64>,
-    /// Arena words referenced by retained rows (ring-mode compaction
-    /// bookkeeping; equals `arena.len()` in paged mode).
-    live_words: usize,
     dropped: u64,
 }
 
@@ -917,12 +378,17 @@ impl Default for Recording {
 }
 
 impl PartialEq for Recording {
-    /// Logical-stream equality: same retained `(at, event)` sequence and
-    /// the same drop count, independent of page/ring internals.
     fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len()
-            && self.dropped == other.dropped
-            && self.events().zip(other.events()).all(|(x, y)| x == y)
+        self.dropped == other.dropped && self.events().eq(other.events())
+    }
+}
+
+impl fmt::Debug for Recording {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Recording")
+            .field("events", &self.events().collect::<Vec<_>>())
+            .field("dropped", &self.dropped)
+            .finish()
     }
 }
 
@@ -934,199 +400,46 @@ impl Recording {
             Some(0) => Store::Null,
             Some(cap) => Store::Ring { buf: Vec::with_capacity(cap), head: 0, cap },
         };
-        Recording { store, arena: Vec::new(), live_words: 0, dropped: 0 }
+        Recording { store, dropped: 0 }
     }
 
     /// Appends an event, evicting the oldest when at capacity. The hot
-    /// path: one branch on the (absent) payload, a 40-byte row store,
-    /// and a page-boundary check.
+    /// path: a 32-byte row store and a page-boundary check.
     #[inline]
-    pub fn record(&mut self, at: Time, event: impl Into<CompactEvent>) {
-        let ce = event.into();
-        if matches!(self.store, Store::Null) {
-            self.dropped += 1;
-            return;
-        }
-        let (payload_off, payload_len) = match &ce.payload {
-            None => (0, 0),
-            Some(words) => self.push_payload(words),
-        };
-        let row = SchedEventRecord {
-            at,
-            value: ce.value,
-            payload_off,
-            payload_len,
-            a: ce.a,
-            b: ce.b,
-            c: ce.c,
-            kind: ce.kind,
-            tag: ce.tag,
-        };
+    pub fn record(&mut self, at: Time, event: SchedEvent) {
         match &mut self.store {
             Store::Paged(pages) => match pages.last_mut() {
-                Some(page) if page.len() < PAGE => page.push(row),
+                Some(page) if page.len() < PAGE => page.push((at, event)),
                 _ => {
                     let mut page = Vec::with_capacity(PAGE);
-                    page.push(row);
+                    page.push((at, event));
                     pages.push(page);
                 }
             },
             Store::Ring { buf, head, cap } => {
                 if buf.len() < *cap {
-                    buf.push(row);
+                    buf.push((at, event));
                 } else {
-                    let evicted = std::mem::replace(&mut buf[*head], row);
+                    buf[*head] = (at, event);
                     *head = (*head + 1) % *cap;
-                    self.live_words -= evicted.payload_len as usize;
                     self.dropped += 1;
-                    if self.arena.len() > 2 * self.live_words + COMPACT_SLACK_WORDS {
-                        self.compact_arena();
-                    }
                 }
             }
-            Store::Null => unreachable!("handled above"),
-        }
-    }
-
-    /// Bump-allocates a payload into the arena, returning its
-    /// `(offset, len)` reference.
-    fn push_payload(&mut self, words: &[u64]) -> (u32, u32) {
-        let off = self.arena.len();
-        assert!(
-            off + words.len() <= u32::MAX as usize,
-            "recording payload arena exceeds the u32 offset space"
-        );
-        self.arena.extend_from_slice(words);
-        self.live_words += words.len();
-        (off as u32, words.len() as u32)
-    }
-
-    /// Ring mode: rebuild the arena from the retained rows in logical
-    /// order, dropping the garbage evicted payloads left behind. Offsets
-    /// stay monotonically increasing, preserving the non-overlap
-    /// invariant [`Recording::payload_refs_valid`] checks.
-    fn compact_arena(&mut self) {
-        let old = std::mem::take(&mut self.arena);
-        let mut arena = Vec::with_capacity(self.live_words);
-        if let Store::Ring { buf, head, .. } = &mut self.store {
-            let n = buf.len();
-            for i in 0..n {
-                let row = &mut buf[(*head + i) % n];
-                if row.payload_len > 0 {
-                    let start = row.payload_off as usize;
-                    let end = start + row.payload_len as usize;
-                    row.payload_off = arena.len() as u32;
-                    arena.extend_from_slice(&old[start..end]);
-                }
-            }
-        }
-        self.arena = arena;
-    }
-
-    fn row(&self, i: usize) -> &SchedEventRecord {
-        match &self.store {
-            Store::Paged(pages) => &pages[i / PAGE][i % PAGE],
-            Store::Ring { buf, head, .. } => &buf[(head + i) % buf.len()],
-            Store::Null => unreachable!("a null store has no rows"),
-        }
-    }
-
-    fn decode(&self, r: &SchedEventRecord) -> EventRef<'_> {
-        let pay = &self.arena[r.payload_off as usize..(r.payload_off + r.payload_len) as usize];
-        match Kind::from_u8(r.kind) {
-            Kind::MemAlloc => EventRef::MemAlloc {
-                proc: r.a as usize,
-                node: r.b as usize,
-                area: MemArea::from_tag(r.tag),
-                entries: r.value as u64,
-            },
-            Kind::MemFree => EventRef::MemFree {
-                proc: r.a as usize,
-                node: r.b as usize,
-                area: MemArea::from_tag(r.tag),
-                entries: r.value as u64,
-            },
-            Kind::Activate => EventRef::Activate {
-                proc: r.a as usize,
-                node: r.b as usize,
-                class: FrontClass::from_tag(r.tag),
-            },
-            Kind::ComputeStart => EventRef::ComputeStart {
-                proc: r.a as usize,
-                node: r.b as usize,
-                role: TaskRole::from_tag(r.tag),
-            },
-            Kind::ComputeEnd => EventRef::ComputeEnd {
-                proc: r.a as usize,
-                node: r.b as usize,
-                role: TaskRole::from_tag(r.tag),
-            },
-            Kind::SlaveSelection => {
-                let n = pay[0] as usize;
-                let metric = &pay[1..1 + n];
-                let view_age = &pay[1 + n..1 + 2 * n];
-                let npicked = pay[1 + 2 * n] as usize;
-                let picks = &pay[2 + 2 * n..2 + 2 * n + 2 * npicked];
-                EventRef::SlaveSelection {
-                    master: r.a as usize,
-                    node: r.b as usize,
-                    metric,
-                    view_age,
-                    picked: SlavePicks(picks),
-                    rounds: r.c,
-                    serialized: r.tag != 0,
-                }
-            }
-            Kind::Reselect => EventRef::Reselect {
-                master: r.a as usize,
-                node: r.b as usize,
-                dropped: ProcList(pay),
-            },
-            Kind::PoolDecision => EventRef::PoolDecision {
-                proc: r.a as usize,
-                depth: r.c as usize,
-                picked: (r.value >= 0).then_some(r.value as usize),
-            },
-            Kind::StatusSend => EventRef::StatusSend {
-                from: r.a as usize,
-                kind: StatusKind::from_tag(r.tag),
-                value: r.value,
-            },
-            Kind::StatusApply => EventRef::StatusApply {
-                to: r.a as usize,
-                from: r.c as usize,
-                about: r.b as usize,
-                kind: StatusKind::from_tag(r.tag),
-                age: r.value as Time,
-            },
-            Kind::FaultDrop => EventRef::FaultDrop { from: r.a as usize, to: r.b as usize },
-            Kind::Forced => {
-                EventRef::Forced { proc: r.a as usize, node: r.b as usize, cost: r.value as u64 }
-            }
-            Kind::ProcLost => {
-                EventRef::ProcLost { proc: r.a as usize, nodes_lost: r.value as usize }
-            }
-            Kind::ProcJoined => {
-                EventRef::ProcJoined { proc: r.a as usize, migrated: r.value as usize }
-            }
-            Kind::SubtreeReassigned => EventRef::SubtreeReassigned {
-                root: r.b as usize,
-                from: r.a as usize,
-                to: r.c as usize,
-            },
-            Kind::CoreGrant => EventRef::CoreGrant {
-                proc: r.a as usize,
-                node: r.b as usize,
-                cores: r.c,
-                busy: r.value as u64,
-            },
+            Store::Null => self.dropped += 1,
         }
     }
 
     /// Recorded events, oldest first (time-ordered: the solver emits in
-    /// virtual-time order), decoded on the fly into borrowed views.
-    pub fn events(&self) -> Events<'_> {
-        Events { rec: self, next: 0, len: self.len() }
+    /// virtual-time order), lent as they were stored.
+    pub fn events(&self) -> impl ExactSizeIterator<Item = (Time, &SchedEvent)> + '_ {
+        (0..self.len()).map(move |i| {
+            let (at, ev) = match &self.store {
+                Store::Paged(pages) => &pages[i / PAGE][i % PAGE],
+                Store::Ring { buf, head, .. } => &buf[(head + i) % buf.len()],
+                Store::Null => unreachable!("a null store has no rows"),
+            };
+            (*at, ev)
+        })
     }
 
     /// Number of retained events.
@@ -1151,87 +464,25 @@ impl Recording {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// Payload words currently held by the arena (capacity diagnostics;
-    /// includes ring-mode garbage awaiting compaction).
-    pub fn arena_words(&self) -> usize {
-        self.arena.len()
-    }
-
-    /// Structural soundness of the payload side table: every `(offset,
-    /// len)` reference of a retained row is in-bounds, and in logical
-    /// event order the references are non-overlapping with strictly
-    /// increasing offsets (the bump-allocation discipline).
-    pub fn payload_refs_valid(&self) -> bool {
-        let mut prev_end = 0usize;
-        for i in 0..self.len() {
-            let r = self.row(i);
-            if r.payload_len == 0 {
-                continue;
-            }
-            let start = r.payload_off as usize;
-            let end = start + r.payload_len as usize;
-            if start < prev_end || end > self.arena.len() {
-                return false;
-            }
-            prev_end = end;
-        }
-        true
-    }
-
-    /// Finalization check, called once by the drivers when a run
-    /// completes: in debug builds, asserts [`Recording::payload_refs_valid`].
-    pub fn debug_validate(&self) {
-        debug_assert!(
-            self.payload_refs_valid(),
-            "recording payload references are out of bounds or overlapping"
-        );
-    }
 }
-
-/// Iterator over a [`Recording`]'s events (see [`Recording::events`]).
-#[derive(Debug, Clone)]
-pub struct Events<'a> {
-    rec: &'a Recording,
-    next: usize,
-    len: usize,
-}
-
-impl<'a> Iterator for Events<'a> {
-    type Item = EventView<'a>;
-
-    fn next(&mut self) -> Option<EventView<'a>> {
-        if self.next >= self.len {
-            return None;
-        }
-        let row = self.rec.row(self.next);
-        self.next += 1;
-        Some(EventView { at: row.at, ev: self.rec.decode(row) })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.len - self.next;
-        (rem, Some(rem))
-    }
-}
-
-impl ExactSizeIterator for Events<'_> {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ev(node: usize) -> SchedEvent {
+    fn ev(node: u32) -> SchedEvent {
         SchedEvent::MemAlloc { proc: 0, node, area: MemArea::Front, entries: 1 }
     }
 
-    fn selection(node: usize) -> SchedEvent {
+    fn selection(node: u32) -> SchedEvent {
         SchedEvent::SlaveSelection {
             master: 1,
             node,
-            metric: vec![10, 20, 30],
-            view_age: vec![0, 5, 9],
-            picked: vec![SlavePick { proc: 2, entries: 64 }, SlavePick { proc: 0, entries: 8 }],
+            choice: Box::new(SlaveChoice {
+                metric: vec![10, 20, 30],
+                view_age: vec![0, 5, 9],
+                picked: vec![SlavePick { proc: 2, entries: 64 }, SlavePick { proc: 0, entries: 8 }],
+            }),
             rounds: 2,
             serialized: false,
         }
@@ -1241,34 +492,76 @@ mod tests {
     fn unbounded_recording_keeps_everything() {
         let mut r = Recording::new(None);
         for k in 0..1000 {
-            r.record(k, ev(k as usize));
+            r.record(k, ev(k as u32));
         }
         assert_eq!(r.len(), 1000);
         assert_eq!(r.dropped(), 0);
-        assert_eq!(r.events().next().unwrap().at, 0);
-        r.debug_validate();
+        assert_eq!(r.events().next().unwrap().0, 0);
     }
 
     #[test]
     fn ring_evicts_oldest_and_counts() {
-        let mut r = Recording::new(Some(3));
-        for k in 0..5 {
-            r.record(k, ev(k as usize));
+        let mut r = Recording::new(Some(4));
+        for k in 0..200 {
+            r.record(k, ev(k as u32));
         }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.dropped(), 2);
-        let first = r.events().next().unwrap();
-        assert_eq!(first.at, 2, "oldest two evicted");
-        r.debug_validate();
+        assert_eq!(r.len(), 4);
+        assert_eq!(r.dropped(), 196);
+        let kept: Vec<(Time, SchedEvent)> = r.events().map(|(at, e)| (at, e.clone())).collect();
+        let want: Vec<(Time, SchedEvent)> = (196..200).map(|k| (k, ev(k as u32))).collect();
+        assert_eq!(kept, want);
+    }
+
+    #[test]
+    fn ring_with_payloads_compacts_and_stays_valid() {
+        // Small cap, many payload-carrying events: every eviction drops a
+        // boxed payload in place, and the retained rows must still own
+        // their original content.
+        let mut r = Recording::new(Some(4));
+        for k in 0..200 {
+            r.record(k, selection(k as u32));
+        }
+        assert_eq!(r.len(), 4);
+        assert_eq!(r.dropped(), 196);
+        let nodes: Vec<u32> = r
+            .events()
+            .map(|(_, e)| match e {
+                SchedEvent::SlaveSelection { node, .. } => *node,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(nodes, vec![196, 197, 198, 199]);
+        for (at, e) in r.events() {
+            assert_eq!(e, &selection(at as u32));
+        }
+    }
+
+    #[test]
+    fn slave_selection_decodes_borrowed_slices() {
+        let mut r = Recording::new(None);
+        r.record(5, selection(11));
+        let (at, e) = r.events().next().unwrap();
+        assert_eq!(at, 5);
+        match e {
+            SchedEvent::SlaveSelection { master, node, choice, rounds, serialized } => {
+                assert_eq!((*master, *node, *rounds, *serialized), (1, 11, 2, false));
+                let metric: &[u64] = &choice.metric;
+                let view_age: &[Time] = &choice.view_age;
+                assert_eq!(metric, &[10, 20, 30]);
+                assert_eq!(view_age, &[0, 5, 9]);
+                assert_eq!(choice.picked.len(), 2);
+                assert!(choice.picked.iter().any(|p| p.proc == 2 && p.entries == 64));
+            }
+            other => panic!("expected SlaveSelection, got {other:?}"),
+        }
     }
 
     #[test]
     fn zero_capacity_drops_everything() {
         let mut r = Recording::new(Some(0));
-        r.record(1, ev(0));
+        r.record(1, selection(0));
         assert!(r.is_empty());
         assert_eq!(r.dropped(), 1);
-        assert_eq!(r.arena_words(), 0, "a null store must not grow the arena");
     }
 
     #[test]
@@ -1280,17 +573,7 @@ mod tests {
             SchedEvent::ComputeStart { proc: 2, node: 5, role: TaskRole::Master },
             SchedEvent::ComputeEnd { proc: 2, node: 5, role: TaskRole::Slave },
             selection(11),
-            SchedEvent::SlaveSelection {
-                master: 0,
-                node: 12,
-                metric: vec![1, 2],
-                view_age: vec![3, 4],
-                picked: vec![],
-                rounds: 0,
-                serialized: true,
-            },
-            SchedEvent::Reselect { master: 2, node: 6, dropped: vec![1, 3, 5] },
-            SchedEvent::Reselect { master: 2, node: 7, dropped: vec![] },
+            SchedEvent::Reselect { master: 2, node: 6, dropped: Box::new(vec![1, 3, 5]) },
             SchedEvent::PoolDecision { proc: 0, depth: 4, picked: Some(17) },
             SchedEvent::PoolDecision { proc: 1, depth: 2, picked: None },
             SchedEvent::StatusSend { from: 3, kind: StatusKind::LoadDelta, value: -77 },
@@ -1312,80 +595,23 @@ mod tests {
         for (t, e) in originals.iter().enumerate() {
             r.record(t as Time, e.clone());
         }
-        assert!(r.payload_refs_valid());
-        let decoded: Vec<SchedEvent> = r.events().map(|te| te.ev.to_owned()).collect();
-        assert_eq!(decoded, originals, "compact encode/decode must be lossless");
-        for (t, te) in r.events().enumerate() {
-            assert_eq!(te.at, t as Time);
-        }
-    }
-
-    #[test]
-    fn slave_selection_decodes_borrowed_slices() {
-        let mut r = Recording::new(None);
-        r.record(5, selection(11));
-        let te = r.events().next().unwrap();
-        match te.ev {
-            EventRef::SlaveSelection {
-                master,
-                node,
-                metric,
-                view_age,
-                picked,
-                rounds,
-                serialized,
-            } => {
-                assert_eq!((master, node, rounds, serialized), (1, 11, 2, false));
-                assert_eq!(metric, &[10, 20, 30]);
-                assert_eq!(view_age, &[0, 5, 9]);
-                assert_eq!(picked.len(), 2);
-                assert!(picked.iter().any(|p| p.proc == 2 && p.entries == 64));
-            }
-            other => panic!("expected SlaveSelection, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn ring_with_payloads_compacts_and_stays_valid() {
-        // Small cap, many payload-carrying events: evictions leave arena
-        // garbage behind and the compactor must reclaim it without
-        // corrupting the retained references.
-        let mut r = Recording::new(Some(4));
-        for k in 0..200 {
-            r.record(k, selection(k as usize));
-        }
-        assert_eq!(r.len(), 4);
-        assert_eq!(r.dropped(), 196);
-        assert!(r.payload_refs_valid());
-        // Arena stays bounded: 4 live payloads of 12 words each, plus
-        // bounded slack.
-        assert!(r.arena_words() <= 2 * 4 * 12 + COMPACT_SLACK_WORDS + 12);
-        let nodes: Vec<usize> = r
-            .events()
-            .map(|te| match te.ev {
-                EventRef::SlaveSelection { node, .. } => node,
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert_eq!(nodes, vec![196, 197, 198, 199]);
-        // Every retained payload still decodes to the original content.
-        for te in r.events() {
-            match te.ev {
-                EventRef::SlaveSelection { metric, .. } => assert_eq!(metric, &[10, 20, 30]),
-                other => panic!("unexpected {other:?}"),
-            }
-        }
+        let back: Vec<SchedEvent> = r.events().map(|(_, e)| e.clone()).collect();
+        assert_eq!(back, originals);
+        assert!(r.events().enumerate().all(|(t, (at, _))| at == t as Time));
     }
 
     #[test]
     fn recordings_compare_by_logical_stream() {
-        let mut a = Recording::new(None);
-        let mut b = Recording::new(None);
+        let (mut a, mut b, mut ring) =
+            (Recording::new(None), Recording::new(None), Recording::new(Some(200)));
         for k in 0..100 {
-            a.record(k, ev(k as usize));
-            b.record(k, ev(k as usize));
+            a.record(k, ev(k as u32));
+            b.record(k, ev(k as u32));
+            ring.record(k, ev(k as u32));
         }
         assert_eq!(a, b);
+        assert_eq!(a, ring, "a ring that never wrapped holds the paged stream");
+        assert_eq!(format!("{a:?}"), format!("{ring:?}"));
         b.record(100, ev(100));
         assert_ne!(a, b);
     }
@@ -1395,23 +621,24 @@ mod tests {
         let mut r = Recording::new(None);
         let n = PAGE * 2 + 17;
         for k in 0..n {
-            r.record(k as Time, ev(k));
+            r.record(k as Time, ev(k as u32));
         }
         assert_eq!(r.len(), n);
-        let last = r.events().last().unwrap();
-        assert_eq!(last.at, (n - 1) as Time);
+        assert_eq!(r.events().last().unwrap().0, (n - 1) as Time);
         assert_eq!(r.events().count(), n);
     }
 
     #[test]
-    fn compact_event_is_small() {
-        // The wire type must stay lean: POD header + niche-optimized
-        // payload option. This is what Effect::Record embeds.
-        assert!(
-            std::mem::size_of::<CompactEvent>() <= 48,
-            "CompactEvent grew to {} bytes",
-            std::mem::size_of::<CompactEvent>()
-        );
-        assert_eq!(std::mem::size_of::<SchedEventRecord>(), 40);
+    fn a_stored_row_is_32_bytes() {
+        // Eight paper-scale recordings stay alive at once in the observed
+        // sweep: the row width is its resident memory.
+        assert!(std::mem::size_of::<SchedEvent>() <= 24);
+        assert!(std::mem::size_of::<(Time, SchedEvent)>() <= 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn ids_wider_than_32_bits_are_refused() {
+        id32(u32::MAX as usize + 1);
     }
 }
