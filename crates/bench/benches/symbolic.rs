@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the symbolic analysis pipeline: elimination tree,
-//! column counts, amalgamation, Liu reordering and splitting.
+//! column counts, amalgamation, Liu reordering and splitting, and the
+//! front structures the numeric layer builds on its permuted matrix.
 //!
 //! `symbolic/gupta3` times the stages of `analyze` one by one on the
 //! dense-row instance, where the factor outgrows the matrix the most.
@@ -7,6 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mf_order::OrderingKind;
 use mf_sparse::gen::paper::PaperMatrix;
+use mf_sparse::Symmetry;
 use mf_symbolic::colcount::col_counts;
 use mf_symbolic::etree::{etree, postorder};
 use mf_symbolic::seqstack::{apply_liu_order, AssemblyDiscipline};
@@ -36,8 +38,12 @@ fn bench_symbolic(c: &mut Criterion) {
             criterion::BatchSize::SmallInput,
         )
     });
+    // What the numeric layer hands over: `P·A·Pᵀ` (and its transpose for
+    // an unsymmetric tree), prepared outside the timed closure.
+    let pa = a.permute_symmetric(&s.perm);
+    let pat = (s.tree.sym == Symmetry::General).then(|| pa.transpose());
     group.bench_function("front_structures", |b| {
-        b.iter(|| mf_symbolic::frontstruct::front_structures(&s))
+        b.iter(|| mf_symbolic::frontstruct::front_structures(&s.tree, &pa, pat.as_ref()))
     });
     group.finish();
 }

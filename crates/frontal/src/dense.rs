@@ -228,6 +228,17 @@ const PAR_COL_CHUNK: usize = 8 * gemm::NR;
 /// its thread handoff; stay on the single-chunk path.
 const PAR_MIN_COLS: usize = 2 * PAR_COL_CHUNK;
 
+/// Packing buffers of one trailing sweep, reused through its whole
+/// recursion: `ws` takes the `L` blocks the triangular solves push down,
+/// `bp` every packed `B` panel. Separate from the workspace holding the
+/// sweep's own packed `L21`, which stays live across it. The buffers are
+/// cleared before every pack, so reuse cannot change a single bit.
+#[derive(Default)]
+struct SweepScratch {
+    ws: GemmWorkspace,
+    bp: Vec<f64>,
+}
+
 /// One chunk of the LU trailing update: for every column of `cols`
 /// (whole front columns, length `f` each), solve `L11` against the
 /// fully-summed rows `k0..kend` (forming `U12`), then subtract
@@ -239,12 +250,12 @@ fn lu_trailing_chunk(
     kend: usize,
     panel: &[f64],
     ap: &gemm::APack<'_>,
+    scratch: &mut SweepScratch,
 ) {
     let nc = cols.len() / f;
-    solve_u12_rec(cols, f, k0, kend, panel);
-    let mut bp = Vec::new();
-    gemm::pack_b(&mut bp, &cols[k0..], f, kend - k0, nc);
-    gemm::gemm_sub_packed(ap, &bp, nc, &mut cols[kend..], f);
+    solve_u12_rec(cols, f, k0, kend, panel, scratch);
+    gemm::pack_b(&mut scratch.bp, &cols[k0..], f, kend - k0, nc);
+    gemm::gemm_sub_packed(ap, &scratch.bp, nc, &mut cols[kend..], f);
 }
 
 /// Width at which the recursive triangular solves fall back to the
@@ -260,7 +271,14 @@ const TRSM_BASE: usize = 16;
 /// ascending-`k` order per element; only the rounding granularity of
 /// the accumulation changes (axpy two-op steps vs one fused GEMM
 /// chain), which the blocked-vs-unblocked tolerance tests cover.
-fn solve_u12_rec(cols: &mut [f64], f: usize, k0: usize, kend: usize, panel: &[f64]) {
+fn solve_u12_rec(
+    cols: &mut [f64],
+    f: usize,
+    k0: usize,
+    kend: usize,
+    panel: &[f64],
+    scratch: &mut SweepScratch,
+) {
     let kb = kend - k0;
     if kb <= TRSM_BASE {
         for colj in cols.chunks_exact_mut(f) {
@@ -277,14 +295,13 @@ fn solve_u12_rec(cols: &mut [f64], f: usize, k0: usize, kend: usize, panel: &[f6
     }
     let h = kb / 2;
     let mid = k0 + h;
-    solve_u12_rec(cols, f, k0, mid, panel);
+    solve_u12_rec(cols, f, k0, mid, panel, scratch);
     let nc = cols.len() / f;
-    let mut ws = GemmWorkspace::new();
-    let ap = gemm::pack_a(&mut ws, &panel[k0 * f + mid..], f, kend - mid, h);
-    let mut bp = Vec::new();
-    gemm::pack_b(&mut bp, &cols[k0..], f, h, nc);
-    gemm::gemm_sub_packed(&ap, &bp, nc, &mut cols[mid..], f);
-    solve_u12_rec(cols, f, mid, kend, panel);
+    let SweepScratch { ws, bp } = scratch;
+    let ap = gemm::pack_a(ws, &panel[k0 * f + mid..], f, kend - mid, h);
+    gemm::pack_b(bp, &cols[k0..], f, h, nc);
+    gemm::gemm_sub_packed(&ap, bp, nc, &mut cols[mid..], f);
+    solve_u12_rec(cols, f, mid, kend, panel, scratch);
 }
 
 /// One chunk of the LDLᵀ trailing update, lower triangle only. `cols`
@@ -303,30 +320,32 @@ fn ldlt_trailing_chunk(
     kend: usize,
     panel: &[f64],
     ap: &gemm::APack<'_>,
+    bp: &mut Vec<f64>,
 ) {
     let nc = cols.len() / f;
-    let mut bp = Vec::new();
     let l = &panel[k0 * f + r0 + c0..];
-    gemm::pack_b_scaled_transpose(&mut bp, l, f, kend - k0, nc, |k| panel[(k0 + k) * (f + 1)]);
-    gemm::gemm_sub_packed_lower(ap, &bp, nc, &mut cols[r0..], f, c0);
+    gemm::pack_b_scaled_transpose(bp, l, f, kend - k0, nc, |k| panel[(k0 + k) * (f + 1)]);
+    gemm::gemm_sub_packed_lower(ap, bp, nc, &mut cols[r0..], f, c0);
 }
 
 /// Runs `chunk_fn` over the trailing columns, either as one sequential
-/// chunk or as fixed-width chunks fanned out over up to `threads` rayon
-/// workers. Chunks write disjoint whole columns and read only the shared
-/// packed panel, so there is **no cross-thread reduction to order**: the
-/// per-element accumulation order is pinned inside the microkernel
-/// (ascending `k`), and the output is bit-identical for every thread
-/// count and chunk partition.
+/// chunk on the caller's `scratch` or as fixed-width chunks fanned out
+/// over up to `threads` rayon workers, each on scratch of its own. Chunks
+/// write disjoint whole columns and read only the shared packed panel, so
+/// there is **no cross-thread reduction to order**: the per-element
+/// accumulation order is pinned inside the microkernel (ascending `k`),
+/// and the output is bit-identical for every thread count and chunk
+/// partition.
 fn dispatch_trailing(
     trailing: &mut [f64],
     f: usize,
     threads: usize,
-    chunk_fn: impl Fn(usize, &mut [f64]) + Sync,
+    scratch: &mut SweepScratch,
+    chunk_fn: impl Fn(usize, &mut [f64], &mut SweepScratch) + Sync,
 ) {
     let ncols = trailing.len() / f;
     if threads <= 1 || ncols < PAR_MIN_COLS {
-        chunk_fn(0, trailing);
+        chunk_fn(0, trailing, scratch);
         return;
     }
     let chunks: Vec<(usize, &mut [f64])> = trailing
@@ -336,7 +355,9 @@ fn dispatch_trailing(
         .collect();
     let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
     pool.install(|| {
-        chunks.into_par_iter().for_each(|(c0, cols)| chunk_fn(c0, cols));
+        chunks.into_par_iter().for_each(|(c0, cols)| {
+            chunk_fn(c0, cols, &mut SweepScratch::default());
+        });
     });
 }
 
@@ -410,21 +431,22 @@ fn panel_lu_rec(
     k0: usize,
     kb: usize,
     ws: &mut GemmWorkspace,
+    scratch: &mut SweepScratch,
 ) -> Result<(), KernelError> {
     let f = w.nrows;
     if kb <= PANEL_BASE {
         return panel_lu_rank1(w, npiv, row_perm, k0, kb);
     }
     let h = kb / 2;
-    panel_lu_rec(w, npiv, row_perm, k0, h, ws)?;
+    panel_lu_rec(w, npiv, row_perm, k0, h, ws, scratch)?;
     let mid = k0 + h;
     {
         let (panel, rest) = w.data.split_at_mut(mid * f);
         let cols = &mut rest[..(kb - h) * f];
         let ap = gemm::pack_a(ws, &panel[k0 * f + mid..], f, f - mid, h);
-        lu_trailing_chunk(cols, f, k0, mid, panel, &ap);
+        lu_trailing_chunk(cols, f, k0, mid, panel, &ap, scratch);
     }
-    panel_lu_rec(w, npiv, row_perm, mid, kb - h, ws)
+    panel_lu_rec(w, npiv, row_perm, mid, kb - h, ws, scratch)
 }
 
 /// Rank-1 LDLᵀ steps `k0..kend` on the lower triangle of `w`: scale
@@ -463,21 +485,22 @@ fn panel_ldlt_rec(
     k0: usize,
     kb: usize,
     ws: &mut GemmWorkspace,
+    bp: &mut Vec<f64>,
 ) -> Result<(), KernelError> {
     let f = w.nrows;
     if kb <= PANEL_BASE {
         return ldlt_rank1(w, k0, k0 + kb, k0 + kb);
     }
     let h = kb / 2;
-    panel_ldlt_rec(w, k0, h, ws)?;
+    panel_ldlt_rec(w, k0, h, ws, bp)?;
     let mid = k0 + h;
     {
         let (panel, rest) = w.data.split_at_mut(mid * f);
         let cols = &mut rest[..(kb - h) * f];
         let ap = gemm::pack_a(ws, &panel[k0 * f + mid..], f, f - mid, h);
-        ldlt_trailing_chunk(cols, mid, 0, f, k0, mid, panel, &ap);
+        ldlt_trailing_chunk(cols, mid, 0, f, k0, mid, panel, &ap, bp);
     }
-    panel_ldlt_rec(w, mid, kb - h, ws)
+    panel_ldlt_rec(w, mid, kb - h, ws, bp)
 }
 
 /// Cache-blocked variant of [`partial_lu`]: identical result (same pivot
@@ -514,13 +537,13 @@ pub fn partial_lu_blocked_mt(
     let nb = nb.max(1);
     row_perm.clear();
     row_perm.extend(0..f);
-    let mut ws = GemmWorkspace::new();
+    let (mut ws, mut scratch) = (GemmWorkspace::new(), SweepScratch::default());
     let mut k0 = 0;
     while k0 < npiv {
         let kb = nb.min(npiv - k0);
         // ---- Panel factorization (recursive, GEMM-rich) on columns
         // k0..k0+kb. ----
-        panel_lu_rec(w, npiv, row_perm, k0, kb, &mut ws)?;
+        panel_lu_rec(w, npiv, row_perm, k0, kb, &mut ws, &mut scratch)?;
         let kend = k0 + kb;
         // ---- Columns right of the panel: the triangular U12 solve
         // (rows k0..kend) followed by the GEMM update of rows kend..f,
@@ -529,8 +552,8 @@ pub fn partial_lu_blocked_mt(
         if kend < f {
             let (panel, trailing) = w.data.split_at_mut(kend * f);
             let ap = gemm::pack_a(&mut ws, &panel[k0 * f + kend..], f, f - kend, kb);
-            dispatch_trailing(trailing, f, threads, |_, cols| {
-                lu_trailing_chunk(cols, f, k0, kend, panel, &ap);
+            dispatch_trailing(trailing, f, threads, &mut scratch, |_, cols, scratch| {
+                lu_trailing_chunk(cols, f, k0, kend, panel, &ap, scratch);
             });
         }
         k0 = kend;
@@ -554,7 +577,7 @@ pub fn partial_lu_blocked_rank1_panel(
     let nb = nb.max(1);
     row_perm.clear();
     row_perm.extend(0..f);
-    let mut ws = GemmWorkspace::new();
+    let (mut ws, mut scratch) = (GemmWorkspace::new(), SweepScratch::default());
     let mut k0 = 0;
     while k0 < npiv {
         let kb = nb.min(npiv - k0);
@@ -563,8 +586,8 @@ pub fn partial_lu_blocked_rank1_panel(
         if kend < f {
             let (panel, trailing) = w.data.split_at_mut(kend * f);
             let ap = gemm::pack_a(&mut ws, &panel[k0 * f + kend..], f, f - kend, kb);
-            dispatch_trailing(trailing, f, 1, |_, cols| {
-                lu_trailing_chunk(cols, f, k0, kend, panel, &ap);
+            dispatch_trailing(trailing, f, 1, &mut scratch, |_, cols, scratch| {
+                lu_trailing_chunk(cols, f, k0, kend, panel, &ap, scratch);
             });
         }
         k0 = kend;
@@ -611,7 +634,7 @@ pub fn partial_ldlt_blocked_mt(
     assert_eq!(f, w.ncols());
     assert!(npiv <= f);
     let nb = nb.max(1);
-    let mut ws = GemmWorkspace::new();
+    let (mut ws, mut scratch) = (GemmWorkspace::new(), SweepScratch::default());
     let mut k0 = 0;
     while k0 < npiv {
         let kb = nb.min(npiv - k0);
@@ -619,15 +642,15 @@ pub fn partial_ldlt_blocked_mt(
         // ---- Panel factorization (recursive, GEMM-rich) over the panel
         // columns only: same pivot sequence as the unblocked kernel
         // restricted to these columns. ----
-        panel_ldlt_rec(w, k0, kb, &mut ws)?;
+        panel_ldlt_rec(w, k0, kb, &mut ws, &mut scratch.bp)?;
         // ---- Trailing columns: `L21` is packed once per panel and
         // read-shared by every chunk; each chunk scales its own rows of
         // it by `D` (the panel's diagonal keeps `d_k`). ----
         if kend < f {
             let (panel, trailing) = w.data.split_at_mut(kend * f);
             let ap = gemm::pack_a(&mut ws, &panel[k0 * f + kend..], f, f - kend, kb);
-            dispatch_trailing(trailing, f, threads, |c0, cols| {
-                ldlt_trailing_chunk(cols, kend, c0, f, k0, kend, panel, &ap);
+            dispatch_trailing(trailing, f, threads, &mut scratch, |c0, cols, scratch| {
+                ldlt_trailing_chunk(cols, kend, c0, f, k0, kend, panel, &ap, &mut scratch.bp);
             });
         }
         k0 = kend;

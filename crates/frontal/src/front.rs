@@ -11,7 +11,7 @@ use crate::arena::CbStack;
 use crate::dense::{add_assign_slice, factor_front_ldlt_mt, factor_front_lu_mt, DenseMat};
 use crate::numeric::FactorError;
 use mf_sparse::{CscMatrix, Symmetry};
-use mf_symbolic::frontstruct::FrontStructures;
+use mf_symbolic::frontstruct::{front_structures, FrontStructures};
 use mf_symbolic::{AssemblyTree, SymbolicAnalysis};
 
 /// Factors of one front (its variable list is the front structure's).
@@ -30,11 +30,12 @@ pub(crate) struct FrontFactor {
     pub(crate) u12: DenseMat,
 }
 
-/// What every front of one factorization reads: the tree, the front
-/// structures and the permuted matrix.
+/// What every front of one factorization reads: the tree, the one
+/// permuted copy of the matrix, and the front structures built from the
+/// two (moved into the returned `Factorization` at the end).
 pub(crate) struct FrontEnv<'a> {
     pub(crate) tree: &'a AssemblyTree,
-    pub(crate) fs: &'a FrontStructures,
+    pub(crate) fs: FrontStructures,
     /// `P A Pᵀ`.
     pa: CscMatrix,
     /// Its transpose, for the row parts of unsymmetric fronts.
@@ -42,10 +43,17 @@ pub(crate) struct FrontEnv<'a> {
 }
 
 impl<'a> FrontEnv<'a> {
-    pub(crate) fn new(a: &CscMatrix, s: &'a SymbolicAnalysis, fs: &'a FrontStructures) -> Self {
+    pub(crate) fn new(a: &CscMatrix, s: &'a SymbolicAnalysis) -> Self {
         let pa = a.permute_symmetric(&s.perm);
         let pat = (s.tree.sym == Symmetry::General).then(|| pa.transpose());
+        let fs = front_structures(&s.tree, &pa, pat.as_ref());
         FrontEnv { tree: &s.tree, fs, pa, pat }
+    }
+
+    /// The front structures, for the `Factorization`; the permuted matrix
+    /// is freed here.
+    pub(crate) fn into_structures(self) -> FrontStructures {
+        self.fs
     }
 }
 
@@ -191,7 +199,6 @@ mod tests {
     use crate::Factorization;
     use mf_sparse::gen::grid::{grid2d, grid3d, Stencil};
     use mf_sparse::Permutation;
-    use mf_symbolic::frontstruct::front_structures;
     use mf_symbolic::AmalgamationOptions;
 
     #[test]
@@ -205,8 +212,7 @@ mod tests {
             let n = a.nrows();
             let reversed = Permutation::from_new_order((0..n).rev().collect()).unwrap();
             let s = mf_symbolic::analyze(&a, &reversed, &AmalgamationOptions::none());
-            let fs = front_structures(&s);
-            let env = FrontEnv::new(&a, &s, &fs);
+            let env = FrontEnv::new(&a, &s);
             let (mut ws, mut stack) = (FrontWorkspace::new(n), CbStack::new());
             for v in s.tree.topo_order() {
                 factor_front(&env, &mut ws, &mut stack, v, 1).unwrap();

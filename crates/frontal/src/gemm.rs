@@ -166,18 +166,24 @@ pub fn pack_a<'w>(
     kc: usize,
 ) -> APack<'w> {
     let strips = m.div_ceil(MR);
+    let len = strips * kc * MR;
+    // The microkernels load one `MR`-row group (64 bytes) per `k`; a
+    // group straddling two cache lines costs two loads, so the strips
+    // start on a 64-byte boundary inside a buffer seven `f64`s longer.
     ws.apack.clear();
-    ws.apack.resize(strips * kc * MR, 0.0);
+    ws.apack.resize(len + 7, 0.0);
+    let skip = ws.apack.as_ptr().align_offset(64).min(7);
+    let packed = &mut ws.apack[skip..skip + len];
     for s in 0..strips {
         let i0 = s * MR;
         let rows = MR.min(m - i0);
         let base = s * kc * MR;
         for k in 0..kc {
             let src = &a[k * lda + i0..k * lda + i0 + rows];
-            ws.apack[base + k * MR..base + k * MR + rows].copy_from_slice(src);
+            packed[base + k * MR..base + k * MR + rows].copy_from_slice(src);
         }
     }
-    APack { data: &ws.apack, m, kc }
+    APack { data: packed, m, kc }
 }
 
 /// Packs `B` (`kc × n`, column-major with column stride `ldb`, first

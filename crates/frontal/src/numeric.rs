@@ -12,7 +12,7 @@ use crate::dense::{DenseMat, KernelError};
 use crate::front::{factor_front, FrontEnv, FrontFactor, FrontWorkspace};
 use crate::gemm::axpy_sub;
 use mf_sparse::{CscMatrix, Permutation, Symmetry};
-use mf_symbolic::frontstruct::{front_structures, FrontStructures};
+use mf_symbolic::frontstruct::FrontStructures;
 use mf_symbolic::{AmalgamationOptions, SymbolicAnalysis};
 
 /// Knobs of the numeric factorization drivers.
@@ -117,7 +117,7 @@ impl Factorization {
         if a.nrows() != a.ncols() {
             return Err(FactorError::NotSquare);
         }
-        factorize_sequential(a, s, front_structures(s), opts)
+        factorize_sequential(a, s, opts)
     }
 
     /// Order-stable FNV-1a digest of the complete numeric content:
@@ -315,12 +315,11 @@ impl Factorization {
 fn factorize_sequential(
     a: &CscMatrix,
     s: &SymbolicAnalysis,
-    fs: FrontStructures,
     opts: &NumericOptions,
 ) -> Result<Factorization, FactorError> {
     let threads = opts.cores_per_front.max(1);
     let tree = &s.tree;
-    let env = FrontEnv::new(a, s, &fs);
+    let env = FrontEnv::new(a, s);
     let topo = tree.topo_order();
     let mut fronts: Vec<Option<FrontFactor>> = vec![None; tree.len()];
     // The stack area is allocated once, at the peak this traversal will
@@ -355,12 +354,12 @@ fn factorize_sequential(
     // The real stack is the modelled one: packed symmetric CBs hold
     // exactly `cb_entries` words.
     debug_assert_eq!(cb_stack.peak(), account.stack_peak());
-    drop(env);
+    let rows = env.into_structures();
     Ok(Factorization {
         sym: tree.sym,
         n: tree.n,
         perm: s.perm.clone(),
-        rows: fs,
+        rows,
         fronts,
         topo,
         stats: NumericStats {

@@ -14,7 +14,6 @@ use crate::arena::CbStack;
 use crate::front::{factor_front, FrontEnv, FrontFactor, FrontWorkspace};
 use crate::numeric::{FactorError, Factorization, NumericOptions, NumericStats};
 use mf_sparse::CscMatrix;
-use mf_symbolic::frontstruct::front_structures;
 use mf_symbolic::SymbolicAnalysis;
 use parking_lot::Mutex;
 use rayon::prelude::*;
@@ -92,9 +91,8 @@ pub fn factorize_parallel_with(
     if a.nrows() != a.ncols() {
         return Err(FactorError::NotSquare);
     }
-    let fs = front_structures(s);
     let ctx = Ctx {
-        env: FrontEnv::new(a, s, &fs),
+        env: FrontEnv::new(a, s),
         threads: opts.cores_per_front.max(1),
         acct: ParAccount::default(),
         workspaces: Mutex::new(Vec::new()),
@@ -102,12 +100,13 @@ pub fn factorize_parallel_with(
     };
     let roots = s.tree.roots();
     roots.par_iter().map(|&r| process(&ctx, r, &mut CbStack::new())).collect::<Result<(), _>>()?;
-    let Ctx { acct, slots, .. } = ctx;
+    let Ctx { env, acct, slots, .. } = ctx;
+    let rows = env.into_structures();
     Ok(Factorization {
         sym: s.tree.sym,
         n: s.tree.n,
         perm: s.perm.clone(),
-        rows: fs,
+        rows,
         fronts: slots.into_iter().map(|m| m.into_inner()).collect(),
         topo: s.tree.topo_order(),
         stats: NumericStats {

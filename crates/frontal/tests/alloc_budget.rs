@@ -15,10 +15,13 @@
 //!
 //! where the constant covers what is per factorization (permuted matrix,
 //! workspace, stack) and the packing buffers the blocked kernels take for
-//! the few fronts with 128 pivots or more. Measured: 14 104 allocations
-//! for the 6 971 fronts of the symmetric instance and 458 for the 89 of
+//! the few fronts with 128 pivots or more. Measured: 14 017 allocations
+//! for the 6 971 fronts of the symmetric instance and 344 for the 89 of
 //! the unsymmetric one (a few of them through the blocked LU), 2.0x and
-//! 1.65x under the budget; the old driver made 63 225 and 974.
+//! 2.2x under the budget; the old pipeline made 63 225 and 974. The blocked
+//! kernels reuse one set of packing buffers through a front's whole
+//! recursion; when every level of the LU recursion packed into buffers
+//! of its own, the counts were 14 103 and 457.
 //!
 //! On the symmetric instance the peak live heap above what was live
 //! before the call must stay under the old driver's own figure, 11.75 MB

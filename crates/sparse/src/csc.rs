@@ -236,41 +236,54 @@ impl CscMatrix {
     /// Symmetric permutation `P A Pᵀ`: entry `(i, j)` moves to
     /// `(perm.new_of(i), perm.new_of(j))`.
     ///
-    /// One pass per destination column: the source column's rows are
-    /// mapped, sorted as `(new_row << 32) | position` keys, and rows and
-    /// values gathered straight from the source in key order.
+    /// Two counting passes, `O(n + nnz)`: every entry is bucketed under
+    /// its new row (the source read in storage order), then the buckets
+    /// are emptied in ascending new-row order into the new columns, which
+    /// leaves every column's rows ascending.
     ///
     /// # Panics
-    /// If the matrix is not square, if `perm` has another length, or if
-    /// the order exceeds `u32::MAX` (a sort key holds a row index and a
-    /// position within the column in 32 bits each).
+    /// If the matrix is not square or `perm` has another length.
     pub fn permute_symmetric(&self, perm: &Permutation) -> CscMatrix {
         let n = self.ncols;
         assert_eq!(self.nrows, n, "permute_symmetric needs a square matrix");
         assert_eq!(perm.len(), n, "permute_symmetric: permutation length differs from the order");
-        assert!(
-            n <= u32::MAX as usize,
-            "permute_symmetric: order {n} exceeds u32::MAX, the range of its packed sort keys"
-        );
+        let nnz = self.nnz();
+        // Pass 1: entry `(i, j)` goes to bucket `new_of(i)` as
+        // `(new_of(j), value)`; `next[i]` is the cursor of old row `i`.
+        let mut next = vec![0usize; n];
+        for &i in &self.row_idx {
+            next[i] += 1;
+        }
+        let mut bucket_ptr = Vec::with_capacity(n + 1);
+        bucket_ptr.push(0);
+        for r in 0..n {
+            let (i, start) = (perm.old_of(r), bucket_ptr[r]);
+            bucket_ptr.push(start + next[i]);
+            next[i] = start;
+        }
+        let mut buckets = vec![(0usize, 0f64); nnz];
+        for j in 0..n {
+            let new_j = perm.new_of(j);
+            for p in self.col_range(j) {
+                let q = &mut next[self.row_idx[p]];
+                buckets[*q] = (new_j, self.values[p]);
+                *q += 1;
+            }
+        }
+        // Pass 2: empty the buckets, in new-row order, into the new columns.
         let mut col_ptr = Vec::with_capacity(n + 1);
-        let mut rows = Vec::with_capacity(self.nnz());
-        let mut vals = Vec::with_capacity(self.nnz());
-        let mut keys: Vec<u64> = Vec::new();
         col_ptr.push(0);
         for new_j in 0..n {
-            let src = self.col_range(perm.old_of(new_j));
-            let (src_rows, src_vals) = (&self.row_idx[src.clone()], &self.values[src]);
-            keys.clear();
-            keys.extend(
-                src_rows
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &i)| ((perm.new_of(i) as u64) << 32) | k as u64),
-            );
-            keys.sort_unstable();
-            rows.extend(keys.iter().map(|&key| (key >> 32) as usize));
-            vals.extend(keys.iter().map(|&key| src_vals[key as u32 as usize]));
-            col_ptr.push(rows.len());
+            col_ptr.push(col_ptr[new_j] + self.col_range(perm.old_of(new_j)).len());
+        }
+        next.copy_from_slice(&col_ptr[..n]);
+        let (mut rows, mut vals) = (vec![0usize; nnz], vec![0f64; nnz]);
+        for (r, bucket) in bucket_ptr.windows(2).enumerate() {
+            for &(new_j, v) in &buckets[bucket[0]..bucket[1]] {
+                let p = &mut next[new_j];
+                (rows[*p], vals[*p]) = (r, v);
+                *p += 1;
+            }
         }
         CscMatrix::from_raw_parts(n, n, col_ptr, rows, vals, self.symmetry)
     }
@@ -467,6 +480,48 @@ mod tests {
                 let k = pb.row_idx()[col.clone()].binary_search(&p.new_of(i)).unwrap();
                 assert_eq!(pb.values()[col.start + k].to_bits(), v.to_bits());
             }
+        }
+    }
+
+    /// The sort-based `P A Pᵀ` the counting passes replaced: each new
+    /// column's rows mapped, sorted as `(new_row << 32) | position` keys,
+    /// and rows and values gathered in key order.
+    fn permute_by_sorting(a: &CscMatrix, perm: &Permutation) -> CscMatrix {
+        let n = a.ncols();
+        let (mut col_ptr, mut rows, mut vals) = (vec![0], Vec::new(), Vec::new());
+        for new_j in 0..n {
+            let src = a.col_range(perm.old_of(new_j));
+            let (src_rows, src_vals) = (&a.row_idx()[src.clone()], &a.values()[src]);
+            let mut keys: Vec<u64> = src_rows
+                .iter()
+                .enumerate()
+                .map(|(k, &i)| ((perm.new_of(i) as u64) << 32) | k as u64)
+                .collect();
+            keys.sort_unstable();
+            rows.extend(keys.iter().map(|&key| (key >> 32) as usize));
+            vals.extend(keys.iter().map(|&key| src_vals[key as u32 as usize]));
+            col_ptr.push(rows.len());
+        }
+        CscMatrix::from_raw_parts(n, n, col_ptr, rows, vals, a.symmetry())
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn permute_symmetric_equals_the_sorting_reference(
+            n in 0usize..90,
+            symmetric in proptest::prelude::any::<bool>(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let sym = if symmetric { Symmetry::Symmetric } else { Symmetry::General };
+            let a = random_square(n, sym, &mut rng);
+            let p = random_permutation(n, &mut rng);
+            let (got, want) = (a.permute_symmetric(&p), permute_by_sorting(&a, &p));
+            proptest::prop_assert_eq!(got.col_ptr(), want.col_ptr());
+            proptest::prop_assert_eq!(got.row_idx(), want.row_idx());
+            let bits = |m: &CscMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
+            proptest::prop_assert_eq!(got.symmetry(), sym);
         }
     }
 

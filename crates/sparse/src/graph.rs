@@ -14,22 +14,53 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Builds the graph of `A + Aᵀ` minus the diagonal. Only the pattern
-    /// is read, and `A + Aᵀ` is formed only when that pattern is unsymmetric.
+    /// Builds the graph of `A + Aᵀ` minus the diagonal from the pattern
+    /// alone: when that pattern is unsymmetric, the pattern of `Aᵀ` is
+    /// counting-sorted and merged into `A`'s rows column by column.
+    ///
+    /// # Panics
+    /// If `a` is not square.
     pub fn from_matrix(a: &CscMatrix) -> Self {
-        let symmetrized;
-        let s = if a.is_structurally_symmetric() {
-            a
-        } else {
-            symmetrized = a.symmetrized();
-            &symmetrized
-        };
-        let n = s.ncols();
+        let n = a.ncols();
+        assert_eq!(a.nrows(), n, "a graph needs a square matrix");
+        // Column `j` of `Aᵀ`'s pattern is `at_rows[at_ptr[j]..at_ptr[j + 1]]`.
+        let (mut at_ptr, mut at_rows) = (vec![0; n + 1], Vec::new());
+        if !a.is_structurally_symmetric() {
+            for &i in a.row_idx() {
+                at_ptr[i + 1] += 1;
+            }
+            for i in 0..n {
+                at_ptr[i + 1] += at_ptr[i];
+            }
+            let mut next = at_ptr[..n].to_vec();
+            at_rows = vec![0; a.nnz()];
+            for j in 0..n {
+                for &i in a.rows_in_col(j) {
+                    at_rows[next[i]] = j;
+                    next[i] += 1;
+                }
+            }
+        }
         let mut ptr = Vec::with_capacity(n + 1);
-        let mut adj = Vec::with_capacity(s.nnz());
+        let mut adj = Vec::with_capacity(a.nnz() + at_rows.len());
         ptr.push(0);
         for j in 0..n {
-            adj.extend(s.rows_in_col(j).iter().copied().filter(|&i| i != j));
+            let (x, y) = (a.rows_in_col(j), &at_rows[at_ptr[j]..at_ptr[j + 1]]);
+            if y.is_empty() {
+                adj.extend(x.iter().copied().filter(|&i| i != j));
+            } else {
+                // Sorted merge, a row held by both taken once.
+                let (mut p, mut q) = (0, 0);
+                while p < x.len() || q < y.len() {
+                    let (ra, rb) = (x.get(p).copied(), y.get(q).copied());
+                    let i = ra.unwrap_or(usize::MAX).min(rb.unwrap_or(usize::MAX));
+                    p += (ra == Some(i)) as usize;
+                    q += (rb == Some(i)) as usize;
+                    if i != j {
+                        adj.push(i);
+                    }
+                }
+            }
             ptr.push(adj.len());
         }
         Graph { ptr, adj }
@@ -212,6 +243,18 @@ mod tests {
         for i in 0..3 {
             assert!(!g.neighbors(i).contains(&i));
         }
+    }
+
+    #[test]
+    fn an_unsymmetric_pattern_gives_the_graph_of_a_plus_at() {
+        // (1,0) and (0,2) are one-sided; (3,1) and (1,3) are both stored.
+        let mut coo = CooMatrix::new(4, 4);
+        for (i, j) in [(0, 0), (1, 0), (0, 2), (2, 2), (3, 1), (1, 3), (3, 3)] {
+            coo.push(i, j, 1.0).unwrap();
+        }
+        let g = Graph::from_matrix(&coo.to_csc());
+        let adj: Vec<&[usize]> = (0..4).map(|i| g.neighbors(i)).collect();
+        assert_eq!(adj, [&[1, 2][..], &[0, 3], &[0], &[1]]);
     }
 
     #[test]

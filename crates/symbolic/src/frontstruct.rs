@@ -1,7 +1,7 @@
 //! Explicit per-front variable lists for the numeric factorization.
 
 use crate::tree::AssemblyTree;
-use crate::SymbolicAnalysis;
+use mf_sparse::CscMatrix;
 
 /// Row/column index lists of every front.
 ///
@@ -22,14 +22,24 @@ impl FrontStructures {
 }
 
 /// Computes the explicit variable list of every front, bottom-up:
-/// `rows(v) = pivots(v) ∪ pattern(A) of the pivot columns ∪ CB(children)`.
+/// `rows(v) = pivots(v) ∪ pattern(A + Aᵀ) of the pivot columns ∪
+/// CB(children)`, all under the analysis' permutation.
+///
+/// `pa` is `P·A·Pᵀ` for the permutation the tree is expressed in. `pat` is
+/// its transpose for a `General` tree, whose pattern may be unsymmetric,
+/// and `None` for a `Symmetric` one (such a matrix stores both triangles,
+/// so `pa` alone holds the pattern). The rows of column `c` of
+/// `P(A + Aᵀ)Pᵀ` are the union of the rows of column `c` in the two, which
+/// the stamp below merges.
 ///
 /// For a consistent symbolic analysis the computed length equals the
 /// tree's `nfront`; this is asserted in debug builds and relied on by the
 /// dense kernels.
-pub fn front_structures(s: &SymbolicAnalysis) -> FrontStructures {
-    let tree = &s.tree;
-    let a = &s.pattern;
+pub fn front_structures(
+    tree: &AssemblyTree,
+    pa: &CscMatrix,
+    pat: Option<&CscMatrix>,
+) -> FrontStructures {
     let n = tree.n;
     let mut rows: Vec<Vec<usize>> = vec![Vec::new(); tree.len()];
     let mut stamp = vec![usize::MAX; n];
@@ -61,7 +71,8 @@ pub fn front_structures(s: &SymbolicAnalysis) -> FrontStructures {
         }
         // Original-matrix entries below the pivot block (of the full chain).
         for c in nd.first_col..nd.first_col + span {
-            for &i in a.rows_in_col(c) {
+            let transposed = pat.map_or(&[][..], |t| t.rows_in_col(c));
+            for &i in pa.rows_in_col(c).iter().chain(transposed) {
                 if i >= nd.first_col + span && stamp[i] != v {
                     stamp[i] = v;
                     list.push(i);
@@ -99,14 +110,21 @@ pub fn front_structures(s: &SymbolicAnalysis) -> FrontStructures {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AmalgamationOptions;
-    use mf_sparse::Permutation;
+    use crate::{AmalgamationOptions, SymbolicAnalysis};
+    use mf_sparse::{Permutation, Symmetry};
+
+    /// The structures over `a` permuted as the numeric layer permutes it.
+    fn structures(a: &CscMatrix, s: &SymbolicAnalysis) -> FrontStructures {
+        let pa = a.permute_symmetric(&s.perm);
+        let pat = (s.tree.sym == Symmetry::General).then(|| pa.transpose());
+        front_structures(&s.tree, &pa, pat.as_ref())
+    }
 
     #[test]
     fn figure1_front_structures() {
         let a = crate::testmat::figure1_matrix();
         let s = crate::analyze(&a, &Permutation::identity(6), &AmalgamationOptions::none());
-        let fs = front_structures(&s);
+        let fs = structures(&a, &s);
         assert_eq!(s.tree.len(), 3);
         // Node {0,1}: front {0,1,4,5}; node {2,3}: {2,3,4,5}; root {4,5}.
         assert_eq!(fs.rows[0], vec![0, 1, 4, 5]);
@@ -120,7 +138,7 @@ mod tests {
         let a = mf_sparse::gen::grid::grid2d(10, 10, mf_sparse::gen::grid::Stencil::Box);
         let p = mf_order_for_test(&a);
         let s = crate::analyze(&a, &p, &AmalgamationOptions::default());
-        let fs = front_structures(&s);
+        let fs = structures(&a, &s);
         for v in 0..s.tree.len() {
             assert_eq!(fs.rows[v].len(), s.tree.nodes[v].nfront, "node {v}");
             // Pivot prefix.
@@ -146,7 +164,7 @@ mod tests {
     fn cb_rows_subset_of_parent_front() {
         let a = mf_sparse::gen::grid::grid2d(8, 8, mf_sparse::gen::grid::Stencil::Star);
         let s = crate::analyze(&a, &Permutation::identity(64), &AmalgamationOptions::default());
-        let fs = front_structures(&s);
+        let fs = structures(&a, &s);
         for v in 0..s.tree.len() {
             if let Some(p) = s.tree.nodes[v].parent {
                 for &i in fs.cb_rows(&s.tree, v) {

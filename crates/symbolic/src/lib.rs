@@ -17,8 +17,8 @@
 //! 5. **sequential stack analysis** ([`seqstack`]): Liu-style optimal child
 //!    ordering and the resulting stack peak, used both to order leaf
 //!    subtrees in the pool (Section 5.2) and as a reference point;
-//! 6. explicit per-front index lists ([`frontstruct`]) for the numeric
-//!    factorization.
+//! 6. explicit per-front index lists ([`frontstruct`]), built by the
+//!    numeric factorization from the tree and the permuted matrix it holds.
 //!
 //! All symbolic quantities are counted in *entries* (f64 words), matching
 //! the unit of the paper's tables ("millions of entries").
@@ -41,18 +41,16 @@ pub use tree::{AssemblyTree, FrontNode};
 use mf_sparse::{CscMatrix, Permutation};
 
 /// Result of [`analyze`]: the assembly tree together with the *total*
-/// permutation it is expressed in.
+/// permutation it is expressed in. No copy of the matrix is kept: the
+/// numeric layer permutes the matrix it factors by [`SymbolicAnalysis::perm`].
 #[derive(Debug, Clone)]
 pub struct SymbolicAnalysis {
     /// The amalgamated assembly tree; its column indices are positions
     /// under [`SymbolicAnalysis::perm`].
     pub tree: AssemblyTree,
-    /// Total permutation actually applied (fill-reducing ordering composed
-    /// with the etree postorder relabeling).
+    /// Total permutation to apply (fill-reducing ordering composed with
+    /// the etree postorder relabeling).
     pub perm: Permutation,
-    /// The permuted, structurally symmetric pattern the tree was built on
-    /// (values of `P(A+Aᵀ)Pᵀ`; used by the numeric layer for assembly).
-    pub pattern: CscMatrix,
 }
 
 /// One-call symbolic analysis.
@@ -63,9 +61,9 @@ pub struct SymbolicAnalysis {
 /// `A + Aᵀ`, as MUMPS does), the elimination tree and the column counts
 /// of `P A Pᵀ` are computed through `p`, and both are relabelled by an
 /// etree postorder so supernode pivots are contiguous — a topological
-/// relabelling changes neither. The one permutation applied to the matrix
-/// is the total one, to produce [`SymbolicAnalysis::pattern`]. Fundamental
-/// supernodes are then amalgamated into the assembly tree.
+/// relabelling changes neither. Fundamental supernodes are then
+/// amalgamated into the assembly tree. The matrix is never permuted: the
+/// result holds the tree and the total permutation only.
 ///
 /// # Panics
 /// If `a` is not square or `p` is not a permutation of its columns.
@@ -94,9 +92,7 @@ pub fn analyze(a: &CscMatrix, p: &Permutation, opts: &AmalgamationOptions) -> Sy
     let counts: Vec<usize> = post.iter().map(|&j| counts[j]).collect();
     debug_assert!(etree::is_postordered(&parent));
     let tree = amalg::build_assembly_tree(&parent, &counts, sym, opts);
-    let perm = p.then(&p2);
-    let pattern = a.permute_symmetric(&perm);
-    SymbolicAnalysis { tree, perm, pattern }
+    SymbolicAnalysis { tree, perm: p.then(&p2) }
 }
 
 #[cfg(test)]

@@ -144,7 +144,7 @@ impl Solver {
         self.factorization.stats
     }
 
-    /// The symbolic analysis (assembly tree, total permutation, pattern).
+    /// The symbolic analysis (assembly tree and total permutation).
     pub fn analysis(&self) -> &SymbolicAnalysis {
         &self.analysis
     }

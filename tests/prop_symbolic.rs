@@ -191,9 +191,10 @@ proptest! {
         prop_assert!(s.tree.validate().is_ok(), "{:?}", s.tree.validate());
         prop_assert_eq!(s.tree.sym, a.symmetry());
         prop_assert_eq!(s.tree.nodes.iter().map(|nd| nd.npiv).sum::<usize>(), n);
-        prop_assert_eq!(&s.pattern, &symmetric_form(&a).permute_symmetric(&s.perm));
-        // Without amalgamation the tree holds exactly the factor.
-        let l: usize = naive_col_counts(&s.pattern).iter().sum();
+        // Without amalgamation the tree holds exactly the factor of the
+        // permuted pattern it was built on.
+        let l: usize =
+            naive_col_counts(&symmetric_form(&a).permute_symmetric(&s.perm)).iter().sum();
         prop_assert_eq!(s.tree.total_factor_entries(), match a.symmetry() {
             Symmetry::Symmetric => l as u64,
             Symmetry::General => (2 * l - n) as u64,
@@ -252,12 +253,18 @@ proptest! {
 
     #[test]
     fn front_structures_are_consistent(
+        kind in 0usize..4,
         n in 3usize..50,
         edges in prop::collection::vec((0usize..50, 0usize..50), 0..100),
     ) {
-        let a = pattern(n, &edges);
+        // Built as the numeric layer builds them: on `P·A·Pᵀ`, plus its
+        // transpose for an unsymmetric tree (kind 1 stores couplings
+        // one-sided, so only the two together hold `A + Aᵀ`).
+        let a = shaped(kind, n, &edges);
         let s = analyze(&a, &Permutation::identity(n), &AmalgamationOptions::default());
-        let fs = multifrontal::symbolic::frontstruct::front_structures(&s);
+        let pa = a.permute_symmetric(&s.perm);
+        let pat = (s.tree.sym == Symmetry::General).then(|| pa.transpose());
+        let fs = multifrontal::symbolic::frontstruct::front_structures(&s.tree, &pa, pat.as_ref());
         for v in 0..s.tree.len() {
             let nd = &s.tree.nodes[v];
             prop_assert_eq!(fs.rows[v].len(), nd.nfront);

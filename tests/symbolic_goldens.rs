@@ -1,16 +1,20 @@
 //! Golden analyses: the refactoring oracle of `mf_symbolic::analyze`.
 //!
 //! Every table of the paper is a function of the assembly tree built per
-//! (matrix × ordering) cell, and the numeric layer assembles from the
-//! permuted pattern `analyze` returns, so a rewrite of the analysis for
-//! speed must reproduce all three of its outputs bit for bit. Each cell
-//! pins three FNV-1a digests: of `perm.elimination_order()`, of `pattern`
-//! (`col_ptr`, `row_idx`, the bits of `values`, the symmetry tag) and of
-//! the tree (`first_col`, `npiv`, `nfront`, `parent`, `children` of every
-//! node, then `stats()`). The digests were taken from the analysis as it
-//! stood before PR 20 (`P A Pᵀ` materialised, an etree, a second permute,
-//! the same etree again, an `O(|L|)` row-subtree count); that pipeline is
-//! not kept as a twin, these numbers are what is left of it.
+//! (matrix × ordering) cell, so a rewrite of the analysis for speed must
+//! reproduce its outputs bit for bit. Each cell pins three FNV-1a
+//! digests: of `perm.elimination_order()`, of the permuted pattern the
+//! tree describes (`col_ptr`, `row_idx`, the bits of `values`, the
+//! symmetry tag) and of the tree (`first_col`, `npiv`, `nfront`, `parent`,
+//! `children` of every node, then `stats()`). The analysis no longer
+//! returns the pattern: the test computes it as
+//! `symmetric_form(a).permute_symmetric(&s.perm)`, so that column pins
+//! `CscMatrix::{symmetrized, permute_symmetric}` and the permutation
+//! together. The digests were taken from the analysis as it stood before
+//! it read the matrix through the ordering (`P A Pᵀ` materialised, an
+//! etree, a second permute, the same etree again, an `O(|L|)` row-subtree
+//! count); that pipeline is not kept as a twin, these numbers are what is
+//! left of it.
 //!
 //! After an intentional change of behaviour, run
 //!
@@ -43,16 +47,27 @@ impl Fnv {
     }
 }
 
-/// `[perm, pattern, tree]` digests of one analysis.
-fn digests(s: &SymbolicAnalysis) -> [u64; 3] {
+/// The pattern `analyze` builds its tree on: `a`, or `A + Aᵀ` when the
+/// pattern is unsymmetric.
+fn symmetric_form(a: &CscMatrix) -> CscMatrix {
+    if a.is_structurally_symmetric() {
+        a.clone()
+    } else {
+        a.symmetrized()
+    }
+}
+
+/// `[perm, pattern, tree]` digests of the analysis `s` of `a`.
+fn digests(a: &CscMatrix, s: &SymbolicAnalysis) -> [u64; 3] {
     let mut perm = Fnv::new();
     perm.words(s.perm.elimination_order());
 
+    let pattern = symmetric_form(a).permute_symmetric(&s.perm);
     let mut pat = Fnv::new();
-    pat.words(s.pattern.col_ptr());
-    pat.words(s.pattern.row_idx());
-    s.pattern.values().iter().for_each(|v| pat.word(v.to_bits()));
-    pat.word((s.pattern.symmetry() == Symmetry::Symmetric) as u64);
+    pat.words(pattern.col_ptr());
+    pat.words(pattern.row_idx());
+    pattern.values().iter().for_each(|v| pat.word(v.to_bits()));
+    pat.word((pattern.symmetry() == Symmetry::Symmetric) as u64);
 
     let mut tree = Fnv::new();
     tree.word(s.tree.n as u64);
@@ -70,7 +85,7 @@ fn digests(s: &SymbolicAnalysis) -> [u64; 3] {
 }
 
 fn cell(a: &CscMatrix, p: &Permutation) -> [u64; 3] {
-    digests(&analyze(a, p, &AmalgamationOptions::default()))
+    digests(a, &analyze(a, p, &AmalgamationOptions::default()))
 }
 
 /// Panics with the table in source form when `got` differs from `want`.
@@ -206,7 +221,7 @@ fn hand_built_forest() {
         for p in [Permutation::identity(9), scramble.clone()] {
             let s = analyze(&a, &p, &none);
             assert!(s.tree.validate().is_ok(), "{:?}", s.tree.validate());
-            got.push(digests(&s));
+            got.push(digests(&a, &s));
         }
     }
     compare("forest", &FOREST, &got);
