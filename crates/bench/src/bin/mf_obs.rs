@@ -12,12 +12,13 @@
 //!                    [--kill IDX:PROC]... [--join IDX:PROC]...
 //! mf-obs diff sweeps OLD.json NEW.json
 //! mf-obs timeline  [MATRIX] [ORDERING] [--nprocs N] [--split] [--every TICKS]
-//!                  [--strategy baseline|memory] [--format csv|jsonl|prom]
+//!                  [--strategy baseline|memory]
 //! ```
 //!
 //! Default cell: TWOTONE / AMD / 32 processors, no splitting. An unknown
 //! flag or word, or a flag without its value, is a usage error (exit 2)
-//! on every subcommand; only `diff sweeps` takes paths.
+//! on every subcommand; only `diff sweeps` takes paths. Every run goes to
+//! the backend `MF_BACKEND` names (`diff backends` runs both).
 //!
 //! * **explain** answers what the tables cannot — *why* did a run peak
 //!   where it did? The cell is run under both strategies with the flight
@@ -28,8 +29,8 @@
 //!   into the machine-wide peak (what the deciding master *believed* —
 //!   the recorded metric vector and view ages — against the ground truth
 //!   replayed from the same recording), and the **strategy diff** that
-//!   `diff strategies` prints. With `--obs-dir` the cell's Perfetto
-//!   traces and run summary are exported too. `--kill`/`--join` replace
+//!   `diff strategies` prints. With `--obs-dir` the cell's artifacts are
+//!   exported too (see below). `--kill`/`--join` replace
 //!   the report with a **recovery replay**: the memory-based run under
 //!   that membership-fault schedule (kill/join processor `PROC` at
 //!   delivered-event index `IDX`), narrated from its recording — every
@@ -46,9 +47,8 @@
 //!   typed finding naming the processor, node and area; any finding
 //!   exits 1. `--kill`/`--join` audit a recovery run instead.
 //! * **check-all** is the acceptance sweep: every paper matrix is run
-//!   once under both strategies (on the backend `MF_BACKEND` names) and
-//!   each recording gets the composition-sums-to-peak check *and* the
-//!   audit.
+//!   once under both strategies and each recording gets the
+//!   composition-sums-to-peak check *and* the audit.
 //! * **diff** compares two runs. `backends` runs the same cell on the
 //!   simulator and the thread pool and reports the first divergent
 //!   recorded event (the bit-identity contract means there should be
@@ -62,8 +62,12 @@
 //!   `BENCH_scale.json`-style artifacts (commit vs commit) and names
 //!   every metric that moved.
 //! * **timeline** runs one strategy with the telemetry sampler armed
-//!   and dumps the time series to stdout as CSV, JSONL, or Prometheus
-//!   text exposition.
+//!   and prints the time series to stdout as JSON Lines.
+//!
+//! `explain` and `check-all` are the only exporters: given `--obs-dir
+//! DIR`, they write each cell's run summary, per strategy its Perfetto
+//! trace and, when `MF_SAMPLE_EVERY` armed the sampler, its time series
+//! as JSON Lines (`mf_bench::obs::export_cell`).
 
 use mf_bench::obs::{self, die, parse_fault, parse_matrix, parse_ordering};
 use mf_bench::sweep::{
@@ -71,7 +75,7 @@ use mf_bench::sweep::{
 };
 use mf_core::config::{RecoveryConfig, SolverConfig};
 use mf_core::mapping::compute_mapping;
-use mf_core::parsim::{self, RunResult};
+use mf_core::parsim::RunResult;
 use mf_core::CoreAlloc;
 use mf_order::{OrderingKind, ALL_ORDERINGS};
 use mf_sim::{
@@ -79,6 +83,7 @@ use mf_sim::{
     SchedEvent, Time,
 };
 use mf_sparse::gen::paper::{PaperMatrix, ALL_PAPER_MATRICES};
+use std::path::PathBuf;
 
 /// `timeline`'s default sampling interval (virtual ticks). Paper-scale
 /// makespans run to a few hundred thousand ticks, so this yields on the
@@ -97,7 +102,7 @@ struct CellArgs {
     joins: Vec<(u64, usize)>,
     every: u64,
     strategy: String,
-    format: String,
+    obs_dir: Option<PathBuf>,
     paths: Vec<String>,
 }
 
@@ -114,7 +119,7 @@ fn parse_args(mut args: impl Iterator<Item = String>, paths: bool) -> CellArgs {
         joins: Vec::new(),
         every: DEFAULT_SAMPLE_INTERVAL,
         strategy: "memory".into(),
-        format: "csv".into(),
+        obs_dir: None,
         paths: Vec::new(),
     };
     while let Some(a) = args.next() {
@@ -136,8 +141,7 @@ fn parse_args(mut args: impl Iterator<Item = String>, paths: bool) -> CellArgs {
             "--strategy" => {
                 out.strategy = one_of(value("baseline|memory"), &["baseline", "memory"])
             }
-            "--format" => out.format = one_of(value("csv|jsonl|prom"), &["csv", "jsonl", "prom"]),
-            "--obs-dir" => drop(value("a directory")), // read by obs::obs_dir()
+            "--obs-dir" => out.obs_dir = Some(value("a directory").into()),
             word if paths && !word.starts_with("--") => out.paths.push(word.to_string()),
             word => {
                 if let Some(m) = parse_matrix(word) {
@@ -186,11 +190,12 @@ fn recovery_cfg(nprocs: usize, kills: &[(u64, usize)], joins: &[(u64, usize)]) -
     }
 }
 
-/// One simulated run of the cell's cached tree under `cfg`.
-fn run_sim(a: &CellArgs, cfg: &SolverConfig) -> RunResult {
+/// One run of the cell's cached tree under `cfg`, on the backend
+/// `MF_BACKEND` names.
+fn run_cell(a: &CellArgs, cfg: &SolverConfig) -> RunResult {
     let tree = build_tree(a.matrix, a.ordering, a.split);
     let map = compute_mapping(&tree, cfg);
-    parsim::run(&tree, &map, cfg).unwrap_or_else(|e| die(&format!("run failed: {e}")))
+    Backend::from_env().run(&tree, &map, cfg)
 }
 
 fn recording(r: &RunResult) -> &Recording {
@@ -215,29 +220,6 @@ fn checked_attribution(r: &RunResult) -> Vec<PeakAttribution> {
         );
     }
     att
-}
-
-/// Stream index of the event that first set processor `p`'s peak.
-fn peak_event_index(rec: &Recording, p: usize) -> Option<usize> {
-    let mut active = 0u64;
-    let mut peak = 0u64;
-    let mut idx = None;
-    for (i, (_, ev)) in rec.events().enumerate() {
-        match *ev {
-            SchedEvent::MemAlloc { proc, entries, .. } if proc as usize == p => {
-                active += entries;
-                if active > peak {
-                    peak = active;
-                    idx = Some(i);
-                }
-            }
-            SchedEvent::MemFree { proc, entries, .. } if proc as usize == p => {
-                active = active.saturating_sub(entries);
-            }
-            _ => {}
-        }
-    }
-    idx
 }
 
 /// Is this a scheduling *decision* involving processor `p`?
@@ -308,11 +290,12 @@ fn describe(e: &SchedEvent, p: usize, truth: &[u64]) -> String {
     }
 }
 
-/// Prints the decision chain leading into processor `p`'s peak: the last
-/// `limit` decisions involving `p` before (and including) the
-/// peak-setting instant.
-fn print_decision_chain(rec: &Recording, nprocs: usize, p: usize, limit: usize) {
-    let Some(peak_idx) = peak_event_index(rec, p) else {
+/// Prints the decision chain leading into the peak of `att`'s
+/// processor: the last `limit` decisions involving it before (and
+/// including) the peak-setting event.
+fn print_decision_chain(rec: &Recording, nprocs: usize, att: &PeakAttribution, limit: usize) {
+    let p = att.proc;
+    let Some(peak_idx) = att.index else {
         println!("  (no memory traffic recorded for proc {p})");
         return;
     };
@@ -383,7 +366,7 @@ fn print_report(name: &str, r: &RunResult) {
     }
 
     println!("\ndecision chain into the machine peak (believed vs actual):");
-    print_decision_chain(rec, r.peaks.len(), worst.proc, 10);
+    print_decision_chain(rec, r.peaks.len(), worst, 10);
 
     println!("\n{}", r.metrics.traffic_line());
     println!("{}", r.metrics.decisions_line());
@@ -396,8 +379,8 @@ fn print_report(name: &str, r: &RunResult) {
 /// asserting along the way that the run completed, the survivors
 /// drained, and the factors are exactly the fault-free run's.
 fn recovery_replay(args: &CellArgs) {
-    let plain = run_sim(args, &recorded_cfg(args.nprocs).with_memory_strategy());
-    let r = run_sim(args, &recovery_cfg(args.nprocs, &args.kills, &args.joins));
+    let plain = run_cell(args, &recorded_cfg(args.nprocs).with_memory_strategy());
+    let r = run_cell(args, &recovery_cfg(args.nprocs, &args.kills, &args.joins));
     let rec = recording(&r);
 
     println!("\n=== recovery replay ===");
@@ -479,8 +462,8 @@ fn core_timeline(args: &CellArgs) {
     let cfg_static = recorded_cfg(args.nprocs).with_memory_strategy();
     let cfg_mall =
         SolverConfig { core_alloc: CoreAlloc::malleable(4 * args.nprocs), ..cfg_static.clone() };
-    let fixed = run_sim(args, &cfg_static);
-    let r = run_sim(args, &cfg_mall);
+    let fixed = run_cell(args, &cfg_static);
+    let r = run_cell(args, &cfg_mall);
     let rec = recording(&r);
 
     // Depth of every front below its root (roots at depth 0): parents
@@ -567,9 +550,9 @@ fn cmd_explain(args: &CellArgs) {
     print_report("workload (baseline)", &c.baseline);
     print_report("memory-based", &c.memory);
     print_strategy_diff(&c);
-    let written = obs::maybe_export_cell(&c);
-    if written > 0 {
-        eprintln!("explain: exported {written} artifact(s)");
+    if let Some(dir) = &args.obs_dir {
+        obs::export_cell(dir, &c);
+        eprintln!("explain: exported the cell's artifacts to {}", dir.display());
     }
 }
 
@@ -600,7 +583,7 @@ fn exit_on_findings(cmd: &str, findings: usize) {
 
 fn cmd_audit(a: &CellArgs) {
     let findings = if !a.kills.is_empty() || !a.joins.is_empty() {
-        let r = run_sim(a, &recovery_cfg(a.nprocs, &a.kills, &a.joins));
+        let r = run_cell(a, &recovery_cfg(a.nprocs, &a.kills, &a.joins));
         println!("recovery run (kills {:?}, joins {:?}): {}", a.kills, a.joins, r.summary_line());
         audit_run(&format!("{} memory+recovery", a.matrix.name().to_lowercase()), a.nprocs, &r)
     } else {
@@ -636,7 +619,9 @@ fn cmd_check_all(a: &CellArgs) {
             );
             findings += audit_run(&format!("{label} {name}"), a.nprocs, r);
         }
-        obs::maybe_export_cell(&c);
+        if let Some(dir) = &a.obs_dir {
+            obs::export_cell(dir, &c);
+        }
     }
     exit_on_findings("check-all", findings);
     println!("check-all: every composition sums to its active_peak and every invariant holds");
@@ -792,8 +777,8 @@ fn cmd_diff_faults(a: &CellArgs) {
         kills,
         joins
     );
-    let clean = run_sim(a, &recorded_cfg(a.nprocs).with_memory_strategy());
-    let faulty = run_sim(a, &recovery_cfg(a.nprocs, &kills, &joins));
+    let clean = run_cell(a, &recorded_cfg(a.nprocs).with_memory_strategy());
+    let faulty = run_cell(a, &recovery_cfg(a.nprocs, &kills, &joins));
     for (what, r) in [("fault-free", &clean), ("faulted", &faulty)] {
         let n = audit_run(what, a.nprocs, r);
         if n > 0 {
@@ -867,14 +852,12 @@ fn cmd_diff_sweeps(old_path: &str, new_path: &str) {
 // ------------------------------------------------------------- timeline
 
 fn cmd_timeline(a: &CellArgs) {
-    let tree = build_tree(a.matrix, a.ordering, a.split);
     let base = SolverConfig { sample_every: Some(a.every), ..paper_scale_config(a.nprocs) };
     let cfg = match a.strategy.as_str() {
         "baseline" => base.with_workload_strategy(),
         _ => base.with_memory_strategy(),
     };
-    let map = compute_mapping(&tree, &cfg);
-    let r = Backend::from_env().run(&tree, &map, &cfg);
+    let r = run_cell(a, &cfg);
     let ts = r.timeseries.as_ref().expect("sampled run carries a time series");
     eprintln!(
         "timeline: {} / {} / {} on {} processors, interval {} ticks, {} samples",
@@ -885,13 +868,8 @@ fn cmd_timeline(a: &CellArgs) {
         a.every,
         ts.total_len()
     );
-    let mut out = std::io::stdout().lock();
-    let res = match a.format.as_str() {
-        "jsonl" => ts.write_jsonl(&mut out),
-        "prom" => ts.write_prometheus(&mut out),
-        _ => ts.write_csv(&mut out),
-    };
-    res.unwrap_or_else(|e| die(&format!("writing timeline: {e}")));
+    ts.write_jsonl(&mut std::io::stdout().lock())
+        .unwrap_or_else(|e| die(&format!("writing timeline: {e}")));
 }
 
 fn main() {

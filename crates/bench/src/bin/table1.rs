@@ -5,6 +5,7 @@ use mf_sparse::gen::paper::ALL_PAPER_MATRICES;
 use mf_sparse::stats::matrix_stats;
 
 fn main() {
+    mf_bench::obs::reject_args();
     println!("Table 1: test problems (paper instance -> synthetic analogue)");
     println!(
         "{:12} {:>9} {:>10} {:4}  {:>8} {:>9} {:>7} {:>5}  Description",

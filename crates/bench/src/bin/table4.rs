@@ -8,6 +8,7 @@ use mf_order::OrderingKind;
 use mf_sparse::gen::paper::PaperMatrix;
 
 fn main() {
+    mf_bench::obs::reject_args();
     let nprocs = 32;
     let thr = split_threshold_for();
     let cases = [
@@ -20,7 +21,6 @@ fn main() {
         .flat_map(|&(m, k, _)| [(m, k, nprocs, None), (m, k, nprocs, Some(thr))])
         .collect();
     let cells = sweep_cells(&specs);
-    mf_bench::obs::maybe_export_cells(&cells);
     println!("Table 4: max stack peak, millions of entries (measured | paper)");
     println!(
         "{:18} {:16} {:>10} {:>10}   {:>7} {:>7}",

@@ -18,7 +18,8 @@
 //!   [`obs`]): `explain` (peak attribution, `--cores` timeline, kill/join
 //!   replay), `audit` (protocol invariants), `check-all` (both, on every
 //!   matrix), `diff` (backends, strategies, faults, sweep artifacts) and
-//!   `timeline` (sampled telemetry).
+//!   `timeline` (sampled telemetry as JSONL). Only `explain` and
+//!   `check-all` export artifacts, into their `--obs-dir`.
 //!
 //! The library part holds the shared experiment-sweep machinery so the
 //! binaries stay thin and the sweeps are testable.

@@ -1,15 +1,11 @@
 //! Observability plumbing shared by the experiment binaries.
 //!
-//! Every binary can export machine-readable run artifacts next to its
-//! human-readable table: a per-cell **run summary** JSON (always
-//! derivable — the metrics registry is always on) and, when the cell was
-//! run with the flight recorder, a **Perfetto/Chrome trace** JSON
-//! loadable in `ui.perfetto.dev` or `chrome://tracing`.
-//!
-//! Exports are opt-in and off by default: they trigger only when an
-//! output directory is given with a `--obs-dir <dir>` pair on the command
-//! line. Without it every hook below is a no-op, so the binaries' default
-//! stdout stays byte-identical.
+//! `mf-obs` is the one tool that exports machine-readable run artifacts,
+//! and only when given `--obs-dir <dir>`: per cell a **run summary** JSON
+//! (the metrics registry is always on), per recorded strategy a
+//! **Perfetto/Chrome trace** JSON loadable in `ui.perfetto.dev` or
+//! `chrome://tracing`, and per sampled strategy the **time series** as
+//! JSON Lines. The table binaries take no arguments and export nothing.
 //!
 //! The module also carries a small recursive-descent JSON walker used by
 //! the exporters' tests, the CI `observability` job and the artifact
@@ -17,25 +13,12 @@
 //! is asserted, not assumed.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::io::Write as _;
+use std::path::Path;
 
 use crate::sweep::CellResult;
 use mf_order::{OrderingKind, ALL_ORDERINGS};
 use mf_sparse::gen::paper::{PaperMatrix, ALL_PAPER_MATRICES};
-
-/// Observability output directory, if exporting was requested: the value
-/// following `--obs-dir` on the command line, else `None` (all exports
-/// disabled). The flag without a value is a usage error.
-pub fn obs_dir() -> Option<PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--obs-dir" {
-            let dir = args.next().unwrap_or_else(|| die("--obs-dir needs a directory"));
-            return Some(PathBuf::from(dir));
-        }
-    }
-    None
-}
 
 /// Usage error: prints `<tool>: <msg>` to stderr, `<tool>` being the
 /// running binary's name, and exits with status 2.
@@ -44,6 +27,14 @@ pub fn die(msg: &str) -> ! {
     let tool = std::path::Path::new(&exe).file_name().unwrap_or_default();
     eprintln!("{}: {msg}", tool.to_string_lossy());
     std::process::exit(2);
+}
+
+/// Usage error unless the command line is empty: the table binaries take
+/// no arguments, and one given any would otherwise run as if it had none.
+pub fn reject_args() {
+    if let Some(a) = std::env::args().nth(1) {
+        die(&format!("unexpected argument {a:?}: this binary takes none"));
+    }
 }
 
 /// The paper matrix named `s` (case-insensitive).
@@ -129,64 +120,33 @@ pub fn cell_summary_json(c: &CellResult) -> String {
     out
 }
 
-/// Exports whatever a cell carries into `obs_dir()`, if set: always the
-/// summary (`<label>.summary.json`) and a Prometheus exposition of each
-/// strategy's metrics registry (`<label>.<strategy>.metrics.prom`,
-/// recovery counters included); plus, per recorded strategy, a Perfetto
-/// trace (`<label>.<strategy>.trace.json`, with sampled counter tracks
-/// overlaid when the cell ran with the telemetry sampler); plus, per
-/// sampled strategy, the time series as JSONL and Prometheus text
-/// (`<label>.<strategy>.timeseries.{jsonl,prom}`). No-op without an obs
-/// dir. Returns the number of files written.
-pub fn maybe_export_cell(c: &CellResult) -> usize {
-    let Some(dir) = obs_dir() else { return 0 };
-    std::fs::create_dir_all(&dir).expect("create obs dir");
+/// Writes a cell's artifacts into `dir`: the summary
+/// (`<label>.summary.json`); per recorded strategy, a Perfetto trace
+/// (`<label>.<strategy>.trace.json`, with sampled counter tracks overlaid
+/// when the cell ran with the telemetry sampler); per sampled strategy,
+/// the time series (`<label>.<strategy>.timeseries.jsonl`).
+pub fn export_cell(dir: &Path, c: &CellResult) {
+    std::fs::create_dir_all(dir).expect("create obs dir");
     let label = cell_label(c);
-    let mut written = 0;
     let summary = cell_summary_json(c);
     debug_assert!(validate_json(&summary).is_ok());
     std::fs::write(dir.join(format!("{label}.summary.json")), summary).expect("write run summary");
-    written += 1;
     for (strategy, run) in [("baseline", &c.baseline), ("memory", &c.memory)] {
-        std::fs::write(
-            dir.join(format!("{label}.{strategy}.metrics.prom")),
-            run.metrics.to_prometheus(run.makespan),
-        )
-        .expect("write metrics exposition");
-        written += 1;
+        let create = |kind: &str| {
+            let path = dir.join(format!("{label}.{strategy}.{kind}"));
+            std::io::BufWriter::new(std::fs::File::create(path).expect("create artifact"))
+        };
         if let Some(rec) = &run.recording {
-            let nprocs = run.peaks.len();
-            let path = dir.join(format!("{label}.{strategy}.trace.json"));
-            let file = std::fs::File::create(&path).expect("create trace file");
-            let mut w = std::io::BufWriter::new(file);
-            mf_sim::write_chrome_trace(&mut w, nprocs, rec, run.timeseries.as_ref())
+            let mut w = create("trace.json");
+            mf_sim::write_chrome_trace(&mut w, run.peaks.len(), rec, run.timeseries.as_ref())
+                .and_then(|()| w.flush())
                 .expect("write Perfetto trace");
-            written += 1;
         }
         if let Some(ts) = &run.timeseries {
-            let path = dir.join(format!("{label}.{strategy}.timeseries.jsonl"));
-            let mut w = std::io::BufWriter::new(std::fs::File::create(&path).expect("create"));
-            ts.write_jsonl(&mut w).expect("write timeseries JSONL");
-            let path = dir.join(format!("{label}.{strategy}.timeseries.prom"));
-            let mut w = std::io::BufWriter::new(std::fs::File::create(&path).expect("create"));
-            ts.write_prometheus(&mut w).expect("write timeseries exposition");
-            written += 2;
+            let mut w = create("timeseries.jsonl");
+            ts.write_jsonl(&mut w).and_then(|()| w.flush()).expect("write timeseries JSONL");
         }
     }
-    written
-}
-
-/// Exports every cell of a sweep (see [`maybe_export_cell`]); returns
-/// the number of files written (0 when exporting is off).
-pub fn maybe_export_cells(cells: &[CellResult]) -> usize {
-    let mut written = 0;
-    for c in cells {
-        written += maybe_export_cell(c);
-    }
-    if written > 0 {
-        eprintln!("obs: exported {written} file(s) to {}", obs_dir().unwrap().display());
-    }
-    written
 }
 
 /// Validates that `s` is one well-formed JSON value (RFC 8259 subset:

@@ -226,11 +226,12 @@ pub fn render_percent_table(
 }
 
 /// The full paper-style table pipeline shared by the `tableN` binaries:
-/// run `specs` in parallel ([`sweep_cells`]), export observability
-/// artifacts if requested, then fold each matrix's four ordering columns
-/// through `cell` — which receives the `group` consecutive cells of one
-/// (matrix, ordering) entry and returns the percentage plus the progress
-/// line to print on stderr — and render against the paper's numbers.
+/// refuse any command-line argument ([`crate::obs::reject_args`]), run
+/// `specs` in parallel ([`sweep_cells`]), then fold each matrix's four
+/// ordering columns through `cell` — which receives the `group`
+/// consecutive cells of one (matrix, ordering) entry and returns the
+/// percentage plus the progress line to print on stderr — and render
+/// against the paper's numbers.
 ///
 /// `specs` must hold `matrices.len() × 4 orderings × group` cells in
 /// matrix-major, ordering-minor order (the natural order the binaries
@@ -243,13 +244,13 @@ pub fn run_percent_table(
     specs: &[CellSpec],
     cell: impl Fn(PaperMatrix, &[CellResult]) -> (f64, String),
 ) {
+    crate::obs::reject_args();
     assert_eq!(
         specs.len(),
         matrices.len() * 4 * group,
         "specs must cover every (matrix, ordering) entry exactly once"
     );
     let cells = sweep_cells(specs);
-    crate::obs::maybe_export_cells(&cells);
     let mut rows = Vec::new();
     for (&m, row) in matrices.iter().zip(cells.chunks_exact(4 * group)) {
         let mut vals = [0.0f64; 4];

@@ -175,61 +175,6 @@ fn a_ring_on_a_real_run_keeps_the_newest_events_and_audits_as_truncated() {
     assert_eq!(bounded.makespan, full.makespan);
 }
 
-/// The Prometheus exposition (run metrics + sampled time-series) is
-/// pinned by a committed golden file: renaming a metric family, a
-/// label, or a bucket edge is a deliberate, reviewed diff (regenerate
-/// with `UPDATE_GOLDEN=1 cargo test -p mf-bench`).
-#[test]
-fn golden_prometheus_exposition_is_stable() {
-    use mf_sim::{RunMetrics, RunTimeseries, SampleRow};
-    const GOLDEN_PROM: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/metrics.prom");
-
-    let mut m = RunMetrics::new(2);
-    m.control_msgs = 3;
-    m.control_bytes = 480;
-    m.status_msgs = 5;
-    m.status_bytes = 200;
-    m.reselect_rounds = 2;
-    m.forced_activations = 1;
-    m.view_staleness.observe(0);
-    m.view_staleness.observe(9);
-    m.pool_depth.observe(4);
-    m.procs[0].busy_ticks = 70;
-    m.procs[0].activations = 3;
-    m.procs[1].busy_ticks = 40;
-    m.procs[1].stalled_ticks = 10;
-    m.procs[1].slave_tasks = 2;
-    m.recovery.kills_observed = 1;
-    m.recovery.subtrees_reassigned = 2;
-
-    let mut ts = RunTimeseries::new(2, 50, 16);
-    let row = |at, active, stack, pool_depth, queued, busy, stalled, cm, sm| SampleRow {
-        at,
-        active,
-        stack,
-        pool_depth,
-        queued,
-        busy,
-        stalled,
-        control_msgs: cm,
-        status_msgs: sm,
-    };
-    ts.push(0, row(50, 120, 30, 2, 0, true, false, 1, 2));
-    ts.push(1, row(50, 0, 0, 0, 1, false, true, 1, 2));
-    ts.push(0, row(100, 90, 60, 1, 0, true, false, 3, 5));
-
-    let mut buf = m.to_prometheus(100).into_bytes();
-    ts.write_prometheus(&mut buf).expect("in-memory export cannot fail");
-    let s = String::from_utf8(buf).expect("exposition is ASCII");
-
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(GOLDEN_PROM, &s).expect("write golden file");
-        return;
-    }
-    let golden = std::fs::read_to_string(GOLDEN_PROM).expect("golden file is committed");
-    assert_eq!(s, golden, "Prometheus exposition drifted from the golden file");
-}
-
 /// Turning the sampler on is pure observation at bench scale: the
 /// recorded event stream, peaks, makespan, and metrics of both strategy
 /// arms are identical with and without `sample_every`, and the

@@ -24,7 +24,7 @@ use crate::views::{StatusDelta, ViewTable};
 use mf_sim::recorder::{id32, SchedEvent, TaskRole};
 use mf_sim::{
     Delivery, Event, EventPayload, FaultInjector, MsgClass, NetworkModel, ProcMemory, Recording,
-    RunMetrics, RunTimeseries, SampleRow, Sim, Time, DEFAULT_SERIES_CAPACITY,
+    RunMetrics, RunTimeseries, SampleRow, Sim, Time,
 };
 use mf_symbolic::AssemblyTree;
 use rand::rngs::SmallRng;
@@ -288,9 +288,7 @@ impl<'a> SimDriver<'a> {
             ledger: Default::default(),
             track_obligations: false,
             refused: Vec::new(),
-            ts: cfg
-                .sample_every
-                .map(|every| RunTimeseries::new(cfg.nprocs, every, DEFAULT_SERIES_CAPACITY)),
+            ts: cfg.sample_every.map(|every| RunTimeseries::new(cfg.nprocs, every)),
         }
     }
 

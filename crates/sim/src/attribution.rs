@@ -35,6 +35,9 @@ pub struct PeakAttribution {
     pub peak: u64,
     /// Live allocations at the peak instant, ordered by node then area.
     pub composition: Vec<LiveItem>,
+    /// Stream index of the event that first set the peak; `None` when
+    /// the processor recorded no memory traffic.
+    pub index: Option<usize>,
 }
 
 /// Per-processor live state during a replay.
@@ -81,7 +84,7 @@ pub fn attribute_peaks(nprocs: usize, rec: &Recording) -> Vec<PeakAttribution> {
     // event that first set it.
     let mut active = vec![0u64; nprocs];
     let mut peak = vec![0u64; nprocs];
-    let mut peak_idx = vec![usize::MAX; nprocs];
+    let mut peak_idx = vec![None; nprocs];
     let mut peak_at = vec![0 as Time; nprocs];
     for (idx, (at, ev)) in rec.events().enumerate() {
         match *ev {
@@ -90,7 +93,7 @@ pub fn attribute_peaks(nprocs: usize, rec: &Recording) -> Vec<PeakAttribution> {
                 active[proc] += entries;
                 if active[proc] > peak[proc] {
                     peak[proc] = active[proc];
-                    peak_idx[proc] = idx;
+                    peak_idx[proc] = Some(idx);
                     peak_at[proc] = at;
                 }
             }
@@ -106,14 +109,14 @@ pub fn attribute_peaks(nprocs: usize, rec: &Recording) -> Vec<PeakAttribution> {
     // its peak-setting event.
     let mut replays: Vec<Replay> = (0..nprocs).map(|_| Replay::new()).collect();
     let mut out: Vec<PeakAttribution> = (0..nprocs)
-        .map(|p| PeakAttribution { proc: p, at: 0, peak: 0, composition: Vec::new() })
+        .map(|p| PeakAttribution { proc: p, at: 0, peak: 0, composition: Vec::new(), index: None })
         .collect();
     for (idx, (_, ev)) in rec.events().enumerate() {
         match *ev {
             SchedEvent::MemAlloc { proc, node, area, entries } => {
                 let proc = proc as usize;
                 replays[proc].alloc(node as usize, area, entries);
-                if idx == peak_idx[proc] {
+                if peak_idx[proc] == Some(idx) {
                     let mut comp = replays[proc].live.clone();
                     comp.sort_by_key(|it| (it.node, it.area));
                     out[proc] = PeakAttribution {
@@ -121,6 +124,7 @@ pub fn attribute_peaks(nprocs: usize, rec: &Recording) -> Vec<PeakAttribution> {
                         at: peak_at[proc],
                         peak: peak[proc],
                         composition: comp,
+                        index: Some(idx),
                     };
                 }
             }
@@ -176,7 +180,7 @@ mod tests {
 
         let att = attribute_peaks(1, &rec);
         assert_eq!(att[0].peak, 175);
-        assert_eq!(att[0].at, 3);
+        assert_eq!((att[0].at, att[0].index), (3, Some(2)));
         let sum: u64 = att[0].composition.iter().map(|it| it.entries).sum();
         assert_eq!(sum, att[0].peak);
         assert_eq!(att[0].composition.len(), 3);
@@ -202,7 +206,7 @@ mod tests {
         let mut rec = Recording::new(None);
         rec.record(1, alloc(0, 1, MemArea::Front, 10));
         let att = attribute_peaks(2, &rec);
-        assert_eq!(att[1].peak, 0);
+        assert_eq!((att[1].peak, att[1].index), (0, None));
         assert!(att[1].composition.is_empty());
     }
 

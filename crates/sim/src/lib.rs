@@ -19,8 +19,8 @@
 //!   [`SchedEvent`] type from emission to replay;
 //! * [`metrics`] — an always-on registry of run-wide counters and
 //!   histograms;
-//! * [`timeseries`] — columnar ring buffers for the sampling timer's
-//!   periodic telemetry snapshots, with CSV/JSONL/Prometheus export;
+//! * [`timeseries`] — the sampling timer's periodic telemetry snapshots,
+//!   kept whole per processor and exported as JSONL;
 //! * [`audit`] — replays a recording and verifies the protocol's
 //!   conservation and ordering invariants as typed findings;
 //! * [`perfetto`] / [`attribution`] — exporters that turn a recording
@@ -52,4 +52,4 @@ pub use perfetto::write_chrome_trace;
 pub use recorder::{
     id32, FrontClass, MemArea, Recording, SchedEvent, SlaveChoice, SlavePick, StatusKind, TaskRole,
 };
-pub use timeseries::{ProcSeries, RunTimeseries, SampleRow, DEFAULT_SERIES_CAPACITY};
+pub use timeseries::{RunTimeseries, SampleRow};

@@ -135,25 +135,6 @@ impl Histogram {
         )
         .unwrap();
     }
-
-    /// Writes this histogram in the Prometheus text exposition format:
-    /// cumulative `_bucket{le=…}` lines on the log2 edges (up to the
-    /// highest populated bucket), then `+Inf`, `_sum`, and `_count`.
-    fn prometheus_into(&self, out: &mut String, name: &str, help: &str) {
-        writeln!(out, "# HELP {name} {help}").unwrap();
-        writeln!(out, "# TYPE {name} histogram").unwrap();
-        if let Some(top) = self.buckets.iter().rposition(|&c| c > 0) {
-            let mut cum = 0u64;
-            for (i, &c) in self.buckets.iter().enumerate().take(top + 1) {
-                cum += c;
-                let le = if i == 0 { 0 } else { (1u64 << i) - 1 };
-                writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cum}").unwrap();
-            }
-        }
-        writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", self.count).unwrap();
-        writeln!(out, "{name}_sum {}", self.sum).unwrap();
-        writeln!(out, "{name}_count {}", self.count).unwrap();
-    }
 }
 
 /// Per-processor time and decision counters.
@@ -437,164 +418,6 @@ impl RunMetrics {
         out.push_str("      ]\n    }");
         out
     }
-
-    /// Renders the registry in the Prometheus text exposition format
-    /// (trailing newline included): traffic and decision counters, the
-    /// staleness/pool-depth histograms with cumulative log2 buckets,
-    /// the failure-recovery counters, and per-processor time/decision
-    /// gauges. This is the machine-facing counterpart of
-    /// [`RunMetrics::to_json`] — and the only export that surfaces
-    /// [`RecoveryCounters`] outside the JSON blob.
-    pub fn to_prometheus(&self, makespan: Time) -> String {
-        fn counter(out: &mut String, name: &str, help: &str, v: u64) {
-            writeln!(out, "# HELP {name} {help}").unwrap();
-            writeln!(out, "# TYPE {name} counter").unwrap();
-            writeln!(out, "{name} {v}").unwrap();
-        }
-        fn per_proc(out: &mut String, name: &str, help: &str, values: &[u64]) {
-            writeln!(out, "# HELP {name} {help}").unwrap();
-            writeln!(out, "# TYPE {name} gauge").unwrap();
-            for (p, v) in values.iter().enumerate() {
-                writeln!(out, "{name}{{proc=\"{p}\"}} {v}").unwrap();
-            }
-        }
-        let mut out = String::new();
-        writeln!(out, "# HELP mf_makespan_ticks Virtual completion time of the run.").unwrap();
-        writeln!(out, "# TYPE mf_makespan_ticks gauge").unwrap();
-        writeln!(out, "mf_makespan_ticks {makespan}").unwrap();
-        counter(
-            &mut out,
-            "mf_control_msgs_total",
-            "Control messages delivered.",
-            self.control_msgs,
-        );
-        counter(
-            &mut out,
-            "mf_control_bytes_total",
-            "Payload bytes of control messages.",
-            self.control_bytes,
-        );
-        counter(
-            &mut out,
-            "mf_status_msgs_total",
-            "Status messages sent (point-to-point count).",
-            self.status_msgs,
-        );
-        counter(
-            &mut out,
-            "mf_status_bytes_total",
-            "Payload bytes of status messages.",
-            self.status_bytes,
-        );
-        counter(
-            &mut out,
-            "mf_dropped_status_total",
-            "Status messages lost to fault injection.",
-            self.dropped_status,
-        );
-        counter(
-            &mut out,
-            "mf_reselect_rounds_total",
-            "Capacity re-selection rounds across all type-2 selections.",
-            self.reselect_rounds,
-        );
-        counter(
-            &mut out,
-            "mf_serialized_fronts_total",
-            "Serialize-on-master fallbacks.",
-            self.serialized_fronts,
-        );
-        counter(
-            &mut out,
-            "mf_forced_activations_total",
-            "Deferred tasks force-activated by the stall-breaker.",
-            self.forced_activations,
-        );
-        self.view_staleness.prometheus_into(
-            &mut out,
-            "mf_view_staleness_ticks",
-            "View staleness observed at each slave-selection decision.",
-        );
-        self.pool_depth.prometheus_into(
-            &mut out,
-            "mf_pool_depth",
-            "Ready-pool depth observed at each pool decision.",
-        );
-        let rc = &self.recovery;
-        counter(
-            &mut out,
-            "mf_recovery_kills_observed_total",
-            "Processor deaths observed (lease protocol or fault schedule).",
-            rc.kills_observed,
-        );
-        counter(
-            &mut out,
-            "mf_recovery_joins_observed_total",
-            "Processors that joined mid-run.",
-            rc.joins_observed,
-        );
-        counter(
-            &mut out,
-            "mf_recovery_subtrees_reassigned_total",
-            "Orphaned subtree roots reassigned to an adopter.",
-            rc.subtrees_reassigned,
-        );
-        counter(
-            &mut out,
-            "mf_recovery_nodes_recomputed_total",
-            "Fronts whose elimination was re-executed.",
-            rc.nodes_recomputed,
-        );
-        counter(
-            &mut out,
-            "mf_recovery_rebalance_migrations_total",
-            "Pool tasks migrated by join-time rebalancing.",
-            rc.rebalance_migrations,
-        );
-        counter(
-            &mut out,
-            "mf_recovery_orphaned_cb_entries_total",
-            "Orphaned contribution-block entries reclaimed during recovery.",
-            rc.orphaned_cb_entries,
-        );
-        let col = |f: fn(&ProcMetrics) -> u64| self.procs.iter().map(f).collect::<Vec<u64>>();
-        per_proc(&mut out, "mf_proc_busy_ticks", "Ticks spent computing.", &col(|p| p.busy_ticks));
-        per_proc(
-            &mut out,
-            "mf_proc_stalled_ticks",
-            "Ticks spent stalled by the capacity verdict.",
-            &col(|p| p.stalled_ticks),
-        );
-        per_proc(
-            &mut out,
-            "mf_proc_idle_ticks",
-            "Derived idle time (makespan - busy - stalled).",
-            &self
-                .procs
-                .iter()
-                .map(|p| makespan.saturating_sub(p.busy_ticks + p.stalled_ticks))
-                .collect::<Vec<u64>>(),
-        );
-        per_proc(
-            &mut out,
-            "mf_proc_activations",
-            "Fronts activated as owner.",
-            &col(|p| p.activations),
-        );
-        per_proc(
-            &mut out,
-            "mf_proc_deferrals",
-            "Pool decisions that deferred every ready task.",
-            &col(|p| p.deferrals),
-        );
-        per_proc(
-            &mut out,
-            "mf_proc_slave_tasks",
-            "Slave blocks computed for remote masters.",
-            &col(|p| p.slave_tasks),
-        );
-        out
-    }
 }
 
 #[cfg(test)]
@@ -639,8 +462,6 @@ mod tests {
         let j = m.to_json(10);
         assert!(j.contains("\"min\": 0"), "empty min must export as 0: {j}");
         assert!(!j.contains(&u64::MAX.to_string()), "sentinel leaked: {j}");
-        let prom = m.to_prometheus(10);
-        assert!(!prom.contains(&u64::MAX.to_string()), "sentinel leaked: {prom}");
         // A real observation after the empty merges keeps exact min/max.
         a.observe(7);
         let mut b = Histogram::default();
@@ -704,34 +525,6 @@ mod tests {
         top.observe(1 << 40);
         top.observe(1 << 50);
         assert_eq!((top.quantile(0.0), top.quantile(1.0)), (1 << 40, 1 << 50));
-    }
-
-    #[test]
-    fn prometheus_exposition_shape() {
-        let mut m = RunMetrics::new(2);
-        m.control_msgs = 3;
-        m.status_msgs = 5;
-        m.view_staleness.observe(0);
-        m.view_staleness.observe(9);
-        m.procs[1].busy_ticks = 40;
-        m.recovery.kills_observed = 1;
-        let prom = m.to_prometheus(100);
-        assert!(prom.contains("# TYPE mf_control_msgs_total counter"));
-        assert!(prom.contains("mf_control_msgs_total 3"));
-        assert!(prom.contains("mf_makespan_ticks 100"));
-        // Histogram: cumulative buckets on log2 edges plus +Inf/sum/count.
-        assert!(prom.contains("mf_view_staleness_ticks_bucket{le=\"0\"} 1"));
-        assert!(prom.contains("mf_view_staleness_ticks_bucket{le=\"15\"} 2"));
-        assert!(prom.contains("mf_view_staleness_ticks_bucket{le=\"+Inf\"} 2"));
-        assert!(prom.contains("mf_view_staleness_ticks_sum 9"));
-        assert!(prom.contains("mf_view_staleness_ticks_count 2"));
-        // Recovery counters are surfaced (the satellite this pins).
-        assert!(prom.contains("mf_recovery_kills_observed_total 1"));
-        assert!(prom.contains("mf_recovery_joins_observed_total 0"));
-        // Per-proc gauges with derived idle time.
-        assert!(prom.contains("mf_proc_busy_ticks{proc=\"1\"} 40"));
-        assert!(prom.contains("mf_proc_idle_ticks{proc=\"1\"} 60"));
-        assert!(prom.ends_with('\n'));
     }
 
     #[test]

@@ -196,7 +196,7 @@ mod tests {
     fn sampled_series_adds_counter_tracks() {
         use crate::timeseries::{RunTimeseries, SampleRow};
         let rec = Recording::new(None);
-        let mut ts = RunTimeseries::new(2, 25, 16);
+        let mut ts = RunTimeseries::new(2, 25);
         ts.push(
             1,
             SampleRow {

@@ -1,7 +1,7 @@
 //! Time-resolved telemetry series sampled by the scheduler core.
 //!
-//! The PR 3 metrics registry folds a run to one end-of-run snapshot;
-//! this module keeps the *trajectory*. A sampling timer in `mf-core`
+//! The metrics registry folds a run to one end-of-run snapshot; this
+//! module keeps the *trajectory*. A sampling timer in `mf-core`
 //! (`TIMER_SAMPLE`, armed only when the solver configuration sets a
 //! sampling interval) emits one read-only snapshot per processor per
 //! simulated-time interval, and the driver appends it here stamped
@@ -11,26 +11,16 @@
 //! and sampling provably never perturbs the schedule (the drivers
 //! assert this in their invariance tests).
 //!
-//! Storage is columnar per processor — one preallocated ring buffer
-//! per column — so a sample costs a handful of stores and a bounded
-//! black box evicts (and counts) old rows instead of growing without
-//! limit.
+//! Every sample is kept: a run yields one row per processor per
+//! interval, a few hundred at paper scale and the default interval.
 //!
-//! Consumers: [`RunTimeseries::write_csv`] and
-//! [`RunTimeseries::write_jsonl`] for plotting, \
-//! [`RunTimeseries::write_prometheus`] for scrape-style text
-//! exposition, and the Perfetto exporter's sampled counter tracks.
+//! Consumers: [`RunTimeseries::write_jsonl`], the series' one machine
+//! format, and the Perfetto exporter's sampled counter tracks.
 
 use crate::engine::Time;
 use std::io::{self, Write};
 
-/// Default per-processor ring capacity used by the drivers: large
-/// enough to retain the full trajectory of every paper-scale run at
-/// the default interval, small enough to bound a long-running
-/// service's footprint.
-pub const DEFAULT_SERIES_CAPACITY: usize = 1 << 16;
-
-/// One decoded sample of a single processor at one instant.
+/// One sample of a single processor at one instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SampleRow {
     /// Virtual time the sampling timer fired.
@@ -53,152 +43,21 @@ pub struct SampleRow {
     pub status_msgs: u64,
 }
 
-/// Columnar ring buffer holding one processor's samples, oldest
-/// first. Each column is a preallocated `Vec`; once `cap` rows are
-/// retained the oldest row is overwritten and counted in
-/// [`ProcSeries::dropped`].
-#[derive(Debug, Clone)]
-pub struct ProcSeries {
-    at: Vec<Time>,
-    active: Vec<u64>,
-    stack: Vec<u64>,
-    pool: Vec<u32>,
-    queued: Vec<u32>,
-    flags: Vec<u8>,
-    control: Vec<u64>,
-    status: Vec<u64>,
-    head: usize,
-    cap: usize,
-    dropped: u64,
-}
-
-const FLAG_BUSY: u8 = 1;
-const FLAG_STALLED: u8 = 2;
-
-impl ProcSeries {
-    fn new(cap: usize) -> Self {
-        let cap = cap.max(1);
-        ProcSeries {
-            at: Vec::with_capacity(cap.min(1024)),
-            active: Vec::with_capacity(cap.min(1024)),
-            stack: Vec::with_capacity(cap.min(1024)),
-            pool: Vec::with_capacity(cap.min(1024)),
-            queued: Vec::with_capacity(cap.min(1024)),
-            flags: Vec::with_capacity(cap.min(1024)),
-            control: Vec::with_capacity(cap.min(1024)),
-            status: Vec::with_capacity(cap.min(1024)),
-            head: 0,
-            cap,
-            dropped: 0,
-        }
-    }
-
-    fn push(&mut self, row: SampleRow) {
-        let flags =
-            if row.busy { FLAG_BUSY } else { 0 } | if row.stalled { FLAG_STALLED } else { 0 };
-        if self.at.len() < self.cap {
-            self.at.push(row.at);
-            self.active.push(row.active);
-            self.stack.push(row.stack);
-            self.pool.push(row.pool_depth);
-            self.queued.push(row.queued);
-            self.flags.push(flags);
-            self.control.push(row.control_msgs);
-            self.status.push(row.status_msgs);
-        } else {
-            let i = self.head;
-            self.at[i] = row.at;
-            self.active[i] = row.active;
-            self.stack[i] = row.stack;
-            self.pool[i] = row.pool_depth;
-            self.queued[i] = row.queued;
-            self.flags[i] = flags;
-            self.control[i] = row.control_msgs;
-            self.status[i] = row.status_msgs;
-            self.head = (self.head + 1) % self.cap;
-            self.dropped += 1;
-        }
-    }
-
-    /// Number of retained samples.
-    pub fn len(&self) -> usize {
-        self.at.len()
-    }
-
-    /// True when nothing was retained.
-    pub fn is_empty(&self) -> bool {
-        self.at.is_empty()
-    }
-
-    /// Samples evicted by the ring (0 means the series is complete).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The `i`-th retained sample, oldest first.
-    pub fn get(&self, i: usize) -> SampleRow {
-        let k = (self.head + i) % self.at.len();
-        SampleRow {
-            at: self.at[k],
-            active: self.active[k],
-            stack: self.stack[k],
-            pool_depth: self.pool[k],
-            queued: self.queued[k],
-            busy: self.flags[k] & FLAG_BUSY != 0,
-            stalled: self.flags[k] & FLAG_STALLED != 0,
-            control_msgs: self.control[k],
-            status_msgs: self.status[k],
-        }
-    }
-
-    /// Retained samples, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = SampleRow> + '_ {
-        (0..self.len()).map(move |i| self.get(i))
-    }
-
-    /// The most recent retained sample.
-    pub fn last(&self) -> Option<SampleRow> {
-        if self.is_empty() {
-            None
-        } else {
-            Some(self.get(self.len() - 1))
-        }
-    }
-}
-
-/// The sampled trajectory of one run: one [`ProcSeries`] per
-/// processor plus the configured interval. Built by the drivers (both
-/// backends, identically) whenever sampling is enabled; equality is
-/// logical-stream equality, which is what the cross-backend
-/// invariance tests assert.
-#[derive(Debug, Clone)]
+/// The sampled trajectory of one run: every processor's samples, oldest
+/// first, plus the configured interval. Built by the drivers (both
+/// backends, identically) whenever sampling is enabled; the
+/// cross-backend invariance tests assert its equality.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunTimeseries {
     interval: Time,
-    procs: Vec<ProcSeries>,
-}
-
-impl PartialEq for RunTimeseries {
-    fn eq(&self, other: &Self) -> bool {
-        self.interval == other.interval
-            && self.procs.len() == other.procs.len()
-            && self.procs.iter().zip(other.procs.iter()).all(|(a, b)| {
-                a.len() == b.len()
-                    && a.dropped == b.dropped
-                    && a.iter().zip(b.iter()).all(|(x, y)| x == y)
-            })
-    }
+    procs: Vec<Vec<SampleRow>>,
 }
 
 impl RunTimeseries {
     /// Empty series for `nprocs` processors sampled every `interval`
-    /// ticks, each ring bounded to `capacity` rows.
-    pub fn new(nprocs: usize, interval: Time, capacity: usize) -> Self {
-        RunTimeseries { interval, procs: (0..nprocs).map(|_| ProcSeries::new(capacity)).collect() }
-    }
-
-    /// The configured sampling interval (virtual ticks).
-    pub fn interval(&self) -> Time {
-        self.interval
+    /// ticks.
+    pub fn new(nprocs: usize, interval: Time) -> Self {
+        RunTimeseries { interval, procs: vec![Vec::new(); nprocs] }
     }
 
     /// Number of processors.
@@ -206,8 +65,8 @@ impl RunTimeseries {
         self.procs.len()
     }
 
-    /// The series of processor `p`.
-    pub fn proc(&self, p: usize) -> &ProcSeries {
+    /// The samples of processor `p`, oldest first.
+    pub fn proc(&self, p: usize) -> &[SampleRow] {
         &self.procs[p]
     }
 
@@ -216,52 +75,20 @@ impl RunTimeseries {
         self.procs[p].push(row);
     }
 
-    /// Total retained samples across all processors.
+    /// Total samples across all processors.
     pub fn total_len(&self) -> usize {
-        self.procs.iter().map(|s| s.len()).sum()
+        self.procs.iter().map(Vec::len).sum()
     }
 
-    /// Total evicted samples across all processors.
-    pub fn total_dropped(&self) -> u64 {
-        self.procs.iter().map(|s| s.dropped()).sum()
-    }
-
-    /// All retained samples merged into `(proc, row)` pairs ordered by
-    /// `(at, proc)` — the deterministic flat order the text exports
-    /// use.
+    /// All samples merged into `(proc, row)` pairs ordered by
+    /// `(at, proc)` — the deterministic flat order the exports use.
     pub fn merged(&self) -> Vec<(usize, SampleRow)> {
         let mut rows: Vec<(usize, SampleRow)> = Vec::with_capacity(self.total_len());
         for (p, s) in self.procs.iter().enumerate() {
-            rows.extend(s.iter().map(|r| (p, r)));
+            rows.extend(s.iter().map(|&r| (p, r)));
         }
         rows.sort_by_key(|(p, r)| (r.at, *p));
         rows
-    }
-
-    /// Writes the series as CSV (header + one line per sample,
-    /// ordered by `(at, proc)`).
-    pub fn write_csv<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        writeln!(
-            w,
-            "at,proc,active,stack,pool_depth,queued,busy,stalled,control_msgs,status_msgs"
-        )?;
-        for (p, r) in self.merged() {
-            writeln!(
-                w,
-                "{},{},{},{},{},{},{},{},{},{}",
-                r.at,
-                p,
-                r.active,
-                r.stack,
-                r.pool_depth,
-                r.queued,
-                u8::from(r.busy),
-                u8::from(r.stalled),
-                r.control_msgs,
-                r.status_msgs
-            )?;
-        }
-        Ok(())
     }
 
     /// Writes the series as JSON Lines (one object per sample, ordered
@@ -283,61 +110,6 @@ impl RunTimeseries {
                 r.control_msgs,
                 r.status_msgs
             )?;
-        }
-        Ok(())
-    }
-
-    /// Writes the *latest* sample per processor in the Prometheus text
-    /// exposition format (plus per-proc sample counters), the shape a
-    /// scrape endpoint would serve.
-    pub fn write_prometheus<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        writeln!(
-            w,
-            "# HELP mf_sample_interval_ticks Configured sampling interval (virtual ticks)."
-        )?;
-        writeln!(w, "# TYPE mf_sample_interval_ticks gauge")?;
-        writeln!(w, "mf_sample_interval_ticks {}", self.interval)?;
-        let gauge = |name: &str, help: &str, pick: &dyn Fn(&SampleRow) -> u64| -> Vec<String> {
-            let mut out = Vec::new();
-            out.push(format!("# HELP {name} {help}"));
-            out.push(format!("# TYPE {name} gauge"));
-            for (p, s) in self.procs.iter().enumerate() {
-                if let Some(r) = s.last() {
-                    out.push(format!("{name}{{proc=\"{p}\"}} {}", pick(&r)));
-                }
-            }
-            out
-        };
-        let sections: Vec<Vec<String>> = vec![
-            gauge("mf_active_entries", "Sampled active (front-area) entries.", &|r| r.active),
-            gauge("mf_stack_entries", "Sampled contribution-block stack entries.", &|r| r.stack),
-            gauge("mf_pool_depth", "Sampled ready tasks in the local pool.", &|r| {
-                u64::from(r.pool_depth)
-            }),
-            gauge("mf_queued_slave_tasks", "Sampled queued slave tasks.", &|r| u64::from(r.queued)),
-            gauge("mf_busy", "1 when the processor was computing at sample time.", &|r| {
-                u64::from(r.busy)
-            }),
-            gauge(
-                "mf_stalled",
-                "1 when the processor was capacity-stalled at sample time.",
-                &|r| u64::from(r.stalled),
-            ),
-        ];
-        for s in sections {
-            for line in s {
-                writeln!(w, "{line}")?;
-            }
-        }
-        writeln!(w, "# HELP mf_samples_total Samples taken per processor (retained + evicted).")?;
-        writeln!(w, "# TYPE mf_samples_total counter")?;
-        for (p, s) in self.procs.iter().enumerate() {
-            writeln!(w, "mf_samples_total{{proc=\"{p}\"}} {}", s.len() as u64 + s.dropped())?;
-        }
-        writeln!(w, "# HELP mf_samples_dropped_total Samples evicted by the ring per processor.")?;
-        writeln!(w, "# TYPE mf_samples_dropped_total counter")?;
-        for (p, s) in self.procs.iter().enumerate() {
-            writeln!(w, "mf_samples_dropped_total{{proc=\"{p}\"}} {}", s.dropped())?;
         }
         Ok(())
     }
@@ -363,33 +135,18 @@ mod tests {
 
     #[test]
     fn push_and_get_round_trip() {
-        let mut ts = RunTimeseries::new(2, 50, 16);
+        let mut ts = RunTimeseries::new(2, 50);
         ts.push(0, row(50, 100));
         ts.push(1, row(50, 7));
         ts.push(0, row(100, 200));
         assert_eq!(ts.total_len(), 3);
-        assert_eq!(ts.proc(0).len(), 2);
-        assert_eq!(ts.proc(0).get(1), row(100, 200));
-        assert_eq!(ts.proc(1).last(), Some(row(50, 7)));
-        assert_eq!(ts.total_dropped(), 0);
-    }
-
-    #[test]
-    fn ring_evicts_oldest_and_counts() {
-        let mut ts = RunTimeseries::new(1, 10, 3);
-        for k in 0..5 {
-            ts.push(0, row(k * 10, k));
-        }
-        let s = ts.proc(0);
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.dropped(), 2);
-        let ats: Vec<Time> = s.iter().map(|r| r.at).collect();
-        assert_eq!(ats, vec![20, 30, 40], "oldest two evicted");
+        assert_eq!(ts.proc(0), [row(50, 100), row(100, 200)]);
+        assert_eq!(ts.proc(1).last(), Some(&row(50, 7)));
     }
 
     #[test]
     fn merged_orders_by_time_then_proc() {
-        let mut ts = RunTimeseries::new(2, 10, 16);
+        let mut ts = RunTimeseries::new(2, 10);
         ts.push(1, row(10, 1));
         ts.push(0, row(10, 2));
         ts.push(0, row(20, 3));
@@ -399,8 +156,8 @@ mod tests {
 
     #[test]
     fn logical_stream_equality() {
-        let mut a = RunTimeseries::new(1, 10, 8);
-        let mut b = RunTimeseries::new(1, 10, 8);
+        let mut a = RunTimeseries::new(1, 10);
+        let mut b = RunTimeseries::new(1, 10);
         for k in 0..4 {
             a.push(0, row(k * 10, k));
             b.push(0, row(k * 10, k));
@@ -408,41 +165,24 @@ mod tests {
         assert_eq!(a, b);
         b.push(0, row(40, 9));
         assert_ne!(a, b);
-        let c = RunTimeseries::new(1, 20, 8);
-        assert_ne!(RunTimeseries::new(1, 10, 8), c, "interval is part of identity");
+        let c = RunTimeseries::new(1, 20);
+        assert_ne!(RunTimeseries::new(1, 10), c, "interval is part of identity");
     }
 
     #[test]
-    fn csv_and_jsonl_shapes() {
-        let mut ts = RunTimeseries::new(1, 10, 8);
-        ts.push(0, row(10, 5));
-        let mut csv = Vec::new();
-        ts.write_csv(&mut csv).unwrap();
-        let csv = String::from_utf8(csv).unwrap();
-        assert!(csv.starts_with("at,proc,active,"));
-        assert!(csv.contains("\n10,0,5,2,3,1,"));
+    fn jsonl_shape() {
+        let mut ts = RunTimeseries::new(2, 10);
+        ts.push(1, row(10, 5));
+        ts.push(0, row(20, 4));
         let mut jl = Vec::new();
         ts.write_jsonl(&mut jl).unwrap();
         let jl = String::from_utf8(jl).unwrap();
-        assert_eq!(jl.lines().count(), 1);
-        assert!(jl.contains("\"at\":10"));
-        assert!(jl.contains("\"active\":5"));
-        assert!(jl.contains("\"busy\":false"));
-    }
-
-    #[test]
-    fn prometheus_exposes_latest_sample() {
-        let mut ts = RunTimeseries::new(2, 25, 8);
-        ts.push(0, row(25, 100));
-        ts.push(0, row(50, 200));
-        ts.push(1, row(25, 7));
-        let mut out = Vec::new();
-        ts.write_prometheus(&mut out).unwrap();
-        let out = String::from_utf8(out).unwrap();
-        assert!(out.contains("mf_sample_interval_ticks 25"));
-        assert!(out.contains("mf_active_entries{proc=\"0\"} 200"), "latest, not first");
-        assert!(out.contains("mf_active_entries{proc=\"1\"} 7"));
-        assert!(out.contains("mf_samples_total{proc=\"0\"} 2"));
-        assert!(out.contains("# TYPE mf_samples_dropped_total counter"));
+        assert_eq!(
+            jl,
+            "{\"at\":10,\"proc\":1,\"active\":5,\"stack\":2,\"pool_depth\":3,\"queued\":1,\
+             \"busy\":false,\"stalled\":false,\"control_msgs\":20,\"status_msgs\":30}\n\
+             {\"at\":20,\"proc\":0,\"active\":4,\"stack\":2,\"pool_depth\":3,\"queued\":1,\
+             \"busy\":true,\"stalled\":false,\"control_msgs\":30,\"status_msgs\":40}\n"
+        );
     }
 }

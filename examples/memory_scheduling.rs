@@ -8,12 +8,12 @@
 use multifrontal::core::driver::percent_decrease;
 use multifrontal::core::mapping::compute_mapping;
 use multifrontal::prelude::*;
-use multifrontal::sim::ProcSeries;
+use multifrontal::sim::SampleRow;
 use multifrontal::symbolic::seqstack::{apply_liu_order, AssemblyDiscipline};
 
 /// One character per 1/60th of the run: the highest sampled active
 /// memory in that slice, on a scale of `max`.
-fn sparkline(series: &ProcSeries, makespan: u64, max: u64) -> String {
+fn sparkline(series: &[SampleRow], makespan: u64, max: u64) -> String {
     const LEVELS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
     let mut cols = [0u64; 60];
     for s in series.iter() {
