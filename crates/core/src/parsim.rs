@@ -23,8 +23,8 @@ use crate::recovery::{digest_factors, Membership, MembershipChange, RecoverySnap
 use crate::views::{StatusDelta, ViewTable};
 use mf_sim::recorder::{id32, SchedEvent, TaskRole};
 use mf_sim::{
-    Delivery, Event, EventPayload, FaultInjector, MsgClass, NetworkModel, ProcMemory, Recording,
-    RunMetrics, RunTimeseries, SampleRow, Sim, Time,
+    Delivery, Event, EventPayload, FaultInjector, FaultModel, MsgClass, NetworkModel, ProcMemory,
+    Recording, RunMetrics, RunTimeseries, SampleRow, Sim, Time,
 };
 use mf_symbolic::AssemblyTree;
 use rand::rngs::SmallRng;
@@ -273,9 +273,10 @@ impl<'a> SimDriver<'a> {
             messages: 0,
             jitter: cfg.jitter.map(|(seed, pct)| (SmallRng::seed_from_u64(seed), pct)),
             curve: cfg.core_alloc.curve(),
-            // A quiet model cannot perturb anything: keep the exact fast
-            // paths (broadcast blocks) so such runs stay bit-identical.
-            fault: cfg.fault.clone().filter(|m| !m.is_quiet()).map(FaultInjector::new),
+            // Only message-level noise needs the injector. Without one
+            // every broadcast stays one block; kill and join schedules
+            // are `Membership`'s and fire inside blocks too.
+            fault: cfg.fault.clone().filter(FaultModel::perturbs_messages).map(FaultInjector::new),
             metrics: RunMetrics::new(cfg.nprocs),
             rec: cfg.record_events.then(|| Recording::new(cfg.event_capacity)),
             work_info: if cfg.record_events { vec![Vec::new(); cfg.nprocs] } else { Vec::new() },
@@ -386,9 +387,9 @@ impl<'a> SimDriver<'a> {
             self.net.broadcast(&mut self.sim, from, self.cfg.nprocs, msg, bytes);
             return;
         }
-        // Under fault every target is routed independently (jitter, delay
-        // and drops are per-message), so the single-entry broadcast fast
-        // path cannot apply.
+        // Under message noise every target is routed independently
+        // (jitter, delay and drops are per-message), so the single-entry
+        // broadcast fast path cannot apply.
         for to in 0..self.cfg.nprocs {
             if to != from {
                 self.send(from, to, msg.clone(), bytes);

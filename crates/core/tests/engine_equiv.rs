@@ -156,7 +156,10 @@ fn fingerprint(r: &RunResult) -> u64 {
 /// *inside* a broadcast block — at its first, a middle and its last
 /// target — behave exactly as they did when the engine unrolled blocks
 /// one event per pop: the fingerprints below are whole-`RunResult`
-/// digests (recording on). The positions are read off a log of the
+/// digests (recording on). The models only kill and join, so the run
+/// builds no fault injector and its broadcasts stay blocks (a model that
+/// touches messages routes every target alone and would never reach the
+/// block branch). The positions are read off a log of the
 /// delivered-event stream. With everybody up, events 613..=617 are one
 /// block from processor 2 (targets 0, 1, 3, 4, 5); with processor 5
 /// dormant, events 376..=380 are one block from processor 3 (targets 0,
@@ -193,13 +196,18 @@ fn kills_and_joins_inside_a_block_match_the_per_event_engine() {
         ((&[(377, 1)], &[(379, 5)]), 0xdf34_2252_1a63_2e62),
     ];
     for ((kill_at, join_at), want) in cases {
+        let model = FaultModel {
+            kill_at: kill_at.to_vec(),
+            join_at: join_at.to_vec(),
+            ..FaultModel::quiet(1)
+        };
+        // The premise: a model that touches no message gets no injector,
+        // so every broadcast arrives as one block and the kill or join
+        // fires between its targets.
+        assert!(!model.perturbs_messages(), "kills {kill_at:?} joins {join_at:?}");
         let cfg = SolverConfig {
             recovery: Some(RecoveryConfig::default()),
-            fault: Some(FaultModel {
-                kill_at: kill_at.to_vec(),
-                join_at: join_at.to_vec(),
-                ..FaultModel::quiet(1)
-            }),
+            fault: Some(model),
             ..cfg0.clone()
         };
         let a = parsim::run(&tree, &map, &cfg).unwrap();

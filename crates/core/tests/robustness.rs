@@ -6,11 +6,11 @@
 
 use mf_core::config::{RecoveryConfig, SlaveSelection, SolverConfig, TaskSelection};
 use mf_core::mapping::compute_mapping;
-use mf_core::parsim;
+use mf_core::parsim::{self, RunResult};
 use mf_order::OrderingKind;
 use mf_sim::FaultModel;
 use mf_sparse::gen::grid::{grid2d, Stencil};
-use mf_sparse::gen::paper::ALL_PAPER_MATRICES;
+use mf_sparse::gen::paper::{PaperMatrix, ALL_PAPER_MATRICES};
 use mf_symbolic::seqstack::{apply_liu_order, AssemblyDiscipline};
 use mf_symbolic::{AmalgamationOptions, AssemblyTree};
 use proptest::prelude::*;
@@ -215,6 +215,97 @@ proptest! {
         prop_assert!(r.peaks.iter().all(|&pk| pk <= cap),
             "peaks {:?} exceed capacity {} during recovery", r.peaks, cap);
     }
+}
+
+/// Runs `cfg`, whose fault model only kills and joins, and the same run
+/// forced onto the per-message path by a network kill switch that never
+/// trips. Without an injector every broadcast is delivered as one block
+/// and the schedule fires between its targets; with one, every target is
+/// its own queue entry. The two runs must agree bit for bit, recording
+/// included. Returns the block-path run.
+fn block_path_matches_per_message_path(tree: &AssemblyTree, cfg: &SolverConfig) -> RunResult {
+    let model = cfg.fault.as_ref().expect("a kill/join model");
+    assert!(!model.perturbs_messages(), "the block path needs a membership-only model");
+    let forced = SolverConfig {
+        fault: Some(FaultModel { kill_network_after: Some(u64::MAX), ..model.clone() }),
+        ..cfg.clone()
+    };
+    let map = compute_mapping(tree, cfg);
+    let blocks = parsim::run(tree, &map, cfg).unwrap();
+    let per_message = parsim::run(tree, &map, &forced).unwrap();
+    let schedule = (&model.kill_at, &model.join_at);
+    assert_eq!(blocks.peaks, per_message.peaks, "{schedule:?}");
+    assert_eq!(blocks.makespan, per_message.makespan, "{schedule:?}");
+    assert_eq!(blocks.messages, per_message.messages, "{schedule:?}");
+    assert_eq!(blocks.events_delivered, per_message.events_delivered, "{schedule:?}");
+    assert_eq!(blocks.factor_digest, per_message.factor_digest, "{schedule:?}");
+    assert_eq!(blocks.dead, per_message.dead, "{schedule:?}");
+    assert!(blocks.recording.is_some(), "the recorder must be on");
+    assert!(blocks.recording == per_message.recording, "{schedule:?}: recordings differ");
+    assert!(blocks == per_message, "{schedule:?}: results differ");
+    blocks
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    /// A kill/join schedule needs no fault injector: random victims,
+    /// indices and seeds, on both strategies, give the same run with
+    /// every broadcast one block as with every target routed alone.
+    #[test]
+    fn membership_only_runs_match_the_per_message_path(
+        seed in any::<u64>(),
+        kill_idx in 0u64..4000,
+        victim_pick in any::<usize>(),
+        join_idx in 0u64..4000,
+        with_join in any::<bool>(),
+        strategy in 0usize..2,
+        nprocs in 3usize..6,
+    ) {
+        let tree = tree_for(14);
+        // The joiner is the last processor; the victim is another one.
+        let joiner = nprocs - 1;
+        let victim = victim_pick % joiner;
+        let cfg = SolverConfig {
+            record_events: true,
+            recovery: Some(RecoveryConfig::default()),
+            fault: Some(FaultModel {
+                kill_at: vec![(kill_idx, victim)],
+                join_at: if with_join { vec![(join_idx, joiner)] } else { Vec::new() },
+                ..FaultModel::quiet(seed)
+            }),
+            ..strategy_cfg(strategy, nprocs)
+        };
+        let r = block_path_matches_per_message_path(&tree, &cfg);
+        prop_assert_eq!(r.nodes_done, r.total_nodes);
+    }
+}
+
+/// The benchmark's recovered cell: TWOTONE under AMD at P=32 with the
+/// paper-scale machine, two kills and a join, takes the block path and
+/// equals its per-message twin.
+#[test]
+fn the_benchmark_recovery_cell_matches_the_per_message_path() {
+    let a = PaperMatrix::TwoTone.instantiate();
+    let p = OrderingKind::Amd.compute(&a);
+    let mut s = mf_symbolic::analyze(&a, &p, &AmalgamationOptions::default());
+    apply_liu_order(&mut s.tree, AssemblyDiscipline::FrontThenFree);
+    let cfg = SolverConfig {
+        type2_front_min: 150,
+        type3_front_min: 500,
+        min_rows_per_slave: 12,
+        record_events: true,
+        recovery: Some(RecoveryConfig::default()),
+        fault: Some(FaultModel {
+            kill_at: vec![(1000, 3), (2500, 11)],
+            join_at: vec![(3000, 31)],
+            ..FaultModel::quiet(7)
+        }),
+        ..SolverConfig::mumps_baseline(32).with_memory_strategy()
+    };
+    let r = block_path_matches_per_message_path(&s.tree, &cfg);
+    assert_eq!(r.dead, vec![3, 11]);
+    assert_eq!(r.metrics.recovery.joins_observed, 1);
 }
 
 /// Kills scheduled around the finishing-drain window — after the last

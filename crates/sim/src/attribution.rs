@@ -106,11 +106,13 @@ pub fn attribute_peaks(nprocs: usize, rec: &Recording) -> Vec<PeakAttribution> {
     }
 
     // Pass 2: replay live compositions, snapshotting each processor at
-    // its peak-setting event.
+    // its peak-setting event. Nothing after the last such event can
+    // change a snapshot, so the replay stops there.
     let mut replays: Vec<Replay> = (0..nprocs).map(|_| Replay::new()).collect();
     let mut out: Vec<PeakAttribution> = (0..nprocs)
         .map(|p| PeakAttribution { proc: p, at: 0, peak: 0, composition: Vec::new(), index: None })
         .collect();
+    let last = peak_idx.iter().flatten().max().copied();
     for (idx, (_, ev)) in rec.events().enumerate() {
         match *ev {
             SchedEvent::MemAlloc { proc, node, area, entries } => {
@@ -126,6 +128,9 @@ pub fn attribute_peaks(nprocs: usize, rec: &Recording) -> Vec<PeakAttribution> {
                         composition: comp,
                         index: Some(idx),
                     };
+                    if last == Some(idx) {
+                        break;
+                    }
                 }
             }
             SchedEvent::MemFree { proc, node, area, entries } => {
@@ -208,6 +213,70 @@ mod tests {
         let att = attribute_peaks(2, &rec);
         assert_eq!((att[1].peak, att[1].index), (0, None));
         assert!(att[1].composition.is_empty());
+    }
+
+    /// The replay stops after the last peak-setting event: on a stream
+    /// whose peaks are all set mid-stream and followed by a long tail of
+    /// traffic, it must report what replaying the whole stream reports.
+    #[test]
+    fn early_stop_equals_a_full_replay() {
+        let (nprocs, mut rec) = (3usize, Recording::new(None));
+        let mut t = 0;
+        let mut push = |rec: &mut Recording, e| {
+            t += 1;
+            rec.record(t, e);
+        };
+        for k in 0..40u32 {
+            let (p, area) = (k % 3, if k % 2 == 0 { MemArea::Front } else { MemArea::Stack });
+            push(&mut rec, alloc(p, k % 7, area, u64::from(10 + k)));
+            if k % 4 == 3 {
+                push(&mut rec, free(p, (k + 3) % 7, area, 9));
+            }
+        }
+        let tail_start = rec.len();
+        for k in 0..200u32 {
+            let (p, node) = (k % 3, k % 7);
+            push(&mut rec, free(p, node, MemArea::Front, 40));
+            push(&mut rec, alloc(p, node + 100, MemArea::Stack, 3));
+        }
+
+        // The reference: replay every event, snapshotting at each strict
+        // new maximum.
+        let mut replays: Vec<Replay> = (0..nprocs).map(|_| Replay::new()).collect();
+        let mut want: Vec<PeakAttribution> = (0..nprocs)
+            .map(|p| PeakAttribution {
+                proc: p,
+                at: 0,
+                peak: 0,
+                composition: Vec::new(),
+                index: None,
+            })
+            .collect();
+        for (idx, (at, ev)) in rec.events().enumerate() {
+            match *ev {
+                SchedEvent::MemAlloc { proc, node, area, entries } => {
+                    let (p, r) = (proc as usize, &mut replays[proc as usize]);
+                    r.alloc(node as usize, area, entries);
+                    if r.active > want[p].peak {
+                        let mut composition = r.live.clone();
+                        composition.sort_by_key(|it| (it.node, it.area));
+                        want[p] = PeakAttribution {
+                            proc: p,
+                            at,
+                            peak: r.active,
+                            composition,
+                            index: Some(idx),
+                        };
+                    }
+                }
+                SchedEvent::MemFree { proc, node, area, entries } => {
+                    replays[proc as usize].free(node as usize, area, entries)
+                }
+                _ => {}
+            }
+        }
+        assert!(want.iter().all(|a| a.index.is_some_and(|i| i < tail_start)), "peaks mid-stream");
+        assert_eq!(attribute_peaks(nprocs, &rec), want);
     }
 
     #[test]

@@ -108,12 +108,13 @@ impl FaultModel {
         }
     }
 
-    /// True when the model cannot change any run (every knob neutral).
-    pub fn is_quiet(&self) -> bool {
-        self.is_message_quiet()
-            && self.kill_network_after.is_none()
-            && self.kill_at.is_empty()
-            && self.join_at.is_empty()
+    /// True when the model can touch an individual message or compute
+    /// duration: per-message noise (see [`FaultModel::is_message_quiet`])
+    /// or the `kill_network_after` partition. Only such a model needs a
+    /// [`FaultInjector`]; kill and join schedules are membership changes,
+    /// which the run loop executes itself.
+    pub fn perturbs_messages(&self) -> bool {
+        !self.is_message_quiet() || self.kill_network_after.is_some()
     }
 
     /// True when *per-message* perturbations are all neutral: no jitter,
@@ -224,8 +225,8 @@ mod tests {
             assert_eq!(inj.route(bytes, MsgClass::Control), Some(bytes));
         }
         assert_eq!(inj.dropped(), 0);
-        assert!(FaultModel::quiet(7).is_quiet());
-        assert!(!FaultModel::intensity(7, 2.0).is_quiet());
+        assert!(!FaultModel::quiet(7).perturbs_messages());
+        assert!(FaultModel::intensity(7, 2.0).perturbs_messages());
     }
 
     #[test]
@@ -274,18 +275,23 @@ mod tests {
         assert!(inj.partitioned());
     }
 
+    /// Kill and join schedules change the run but touch no message: they
+    /// need no injector. The network kill switch does, although it is no
+    /// per-message noise, and so does every noise knob.
     #[test]
     fn membership_schedules_break_quietness_but_not_message_quietness() {
         let mut m = FaultModel::quiet(3);
-        assert!(m.is_quiet() && m.is_message_quiet());
+        assert!(m.is_message_quiet() && !m.perturbs_messages());
         m.kill_at = vec![(100, 2)];
-        assert!(!m.is_quiet(), "a kill schedule changes the run");
-        assert!(m.is_message_quiet(), "but perturbs no individual message");
-        let mut j = FaultModel::quiet(3);
-        j.join_at = vec![(50, 1)];
-        assert!(!j.is_quiet() && j.is_message_quiet());
+        m.join_at = vec![(50, 1)];
+        assert!(m.is_message_quiet(), "a kill/join schedule perturbs no individual message");
+        assert!(!m.perturbs_messages(), "so it needs no injector");
+        let cut = FaultModel { kill_network_after: Some(u64::MAX), ..m };
+        assert!(cut.is_message_quiet() && cut.perturbs_messages());
         let noisy = FaultModel::intensity(3, 2.0);
-        assert!(!noisy.is_message_quiet());
+        assert!(!noisy.is_message_quiet() && noisy.perturbs_messages());
+        let slow = FaultModel { stragglers: vec![(1, 1.5)], ..FaultModel::quiet(3) };
+        assert!(slow.perturbs_messages(), "a straggler's durations come from the injector");
     }
 
     #[test]

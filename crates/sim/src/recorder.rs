@@ -345,13 +345,16 @@ pub enum SchedEvent {
 /// that short recordings stay cheap.
 const PAGE: usize = 1 << 14;
 
+/// One stored event with its virtual time.
+type Row = (Time, SchedEvent);
+
 #[derive(Clone)]
 enum Store {
     /// Unbounded: full pages are immutable, the last page has room.
-    Paged(Vec<Vec<(Time, SchedEvent)>>),
+    Paged(Vec<Vec<Row>>),
     /// Bounded: a preallocated circular buffer; `head` indexes the
     /// oldest retained row once the buffer has wrapped.
-    Ring { buf: Vec<(Time, SchedEvent)>, head: usize, cap: usize },
+    Ring { buf: Vec<Row>, head: usize, cap: usize },
     /// Capacity 0: retain nothing, count everything.
     Null,
 }
@@ -430,16 +433,16 @@ impl Recording {
     }
 
     /// Recorded events, oldest first (time-ordered: the solver emits in
-    /// virtual-time order), lent as they were stored.
-    pub fn events(&self) -> impl ExactSizeIterator<Item = (Time, &SchedEvent)> + '_ {
-        (0..self.len()).map(move |i| {
-            let (at, ev) = match &self.store {
-                Store::Paged(pages) => &pages[i / PAGE][i % PAGE],
-                Store::Ring { buf, head, .. } => &buf[(head + i) % buf.len()],
-                Store::Null => unreachable!("a null store has no rows"),
-            };
-            (*at, ev)
-        })
+    /// virtual-time order), lent as they were stored: the pages in order,
+    /// or the ring's older half then its newer one, each walked as a
+    /// slice.
+    pub fn events(&self) -> impl DoubleEndedIterator<Item = (Time, &SchedEvent)> + '_ {
+        let (pages, ring): (&[Vec<Row>], [&[Row]; 2]) = match &self.store {
+            Store::Paged(pages) => (pages, [&[], &[]]),
+            Store::Ring { buf, head, .. } => (&[], [&buf[*head..], &buf[..*head]]),
+            Store::Null => (&[], [&[], &[]]),
+        };
+        pages.iter().flatten().chain(ring.into_iter().flatten()).map(|(at, ev)| (*at, ev))
     }
 
     /// Number of retained events.
@@ -626,6 +629,43 @@ mod tests {
         assert_eq!(r.len(), n);
         assert_eq!(r.events().last().unwrap().0, (n - 1) as Time);
         assert_eq!(r.events().count(), n);
+    }
+
+    /// The slice walk yields every stored row in order, across page
+    /// boundaries and across the seam of a ring that wrapped mid-buffer,
+    /// and `skip`, `last` and `next_back` land on the right rows.
+    #[test]
+    fn events_walk_pages_and_a_wrapped_ring_in_stored_order() {
+        let n = PAGE * 2 + 17;
+        let mut paged = Recording::new(None);
+        for k in 0..n {
+            paged.record(k as Time, ev(k as u32));
+        }
+        let (cap, total) = (5, 13); // head ends at 13 % 5 = 3: mid-buffer
+        let mut ring = Recording::new(Some(cap));
+        for k in 0..total {
+            ring.record(k as Time, ev(k as u32));
+        }
+        assert!(matches!(ring.store, Store::Ring { head: 3, .. }));
+        for (r, first) in [(&paged, 0), (&ring, total - cap)] {
+            let len = r.len();
+            assert_eq!(r.events().count(), len);
+            for (i, (at, e)) in r.events().enumerate() {
+                let k = first + i;
+                assert_eq!((at, e), (k as Time, &ev(k as u32)));
+            }
+            for skip in [0, 1, len / 2, len - 1, len] {
+                let want: Vec<Time> = (first + skip..first + len).map(|k| k as Time).collect();
+                let got: Vec<Time> = r.events().skip(skip).map(|(at, _)| at).collect();
+                assert_eq!(got, want, "skip {skip}");
+                assert_eq!(r.events().nth(skip).map(|(at, _)| at), want.first().copied());
+            }
+            let last = (first + len - 1) as Time;
+            assert_eq!(r.events().last().map(|(at, _)| at), Some(last));
+            assert_eq!(r.events().next_back().map(|(at, _)| at), Some(last));
+        }
+        assert_eq!(Recording::new(Some(0)).events().count(), 0);
+        assert_eq!(Recording::new(None).events().next(), None);
     }
 
     #[test]
