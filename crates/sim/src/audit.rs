@@ -34,6 +34,12 @@ use crate::engine::Time;
 use crate::recorder::{MemArea, Recording, SchedEvent};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, DefaultHasher};
+
+/// Hashed with fixed keys, so a replay's rehash pattern (and time) is the
+/// same in every process; findings are sorted, so the keys never show.
+type FixedMap<K, V> = HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
+type FixedSet<K> = HashSet<K, BuildHasherDefault<DefaultHasher>>;
 
 /// One audit violation, carrying enough context to locate the defect in
 /// the recording without re-running the audit.
@@ -215,17 +221,17 @@ pub fn audit_recording(nprocs: usize, rec: &Recording) -> Vec<Finding> {
     }
 
     // Outstanding entries per (proc, node, area) account.
-    let mut balance: HashMap<(usize, usize, MemArea), u64> = HashMap::new();
+    let mut balance: FixedMap<(usize, usize, MemArea), u64> = FixedMap::default();
     // Open compute spans per (proc, node) — a count, since role nesting
     // on one node is legal for master fronts.
-    let mut open_spans: HashMap<(usize, usize), u32> = HashMap::new();
+    let mut open_spans: FixedMap<(usize, usize), u32> = FixedMap::default();
     // node -> (owner proc, membership epoch of the activation).
-    let mut activated: HashMap<usize, (usize, u64)> = HashMap::new();
+    let mut activated: FixedMap<usize, (usize, u64)> = FixedMap::default();
     // Bumped on every membership change; re-activation across epochs is
     // legitimate re-execution.
     let mut epoch = 0u64;
-    let mut dead: HashSet<usize> = HashSet::new();
-    let mut ever_lost: HashSet<usize> = HashSet::new();
+    let mut dead: FixedSet<usize> = FixedSet::default();
+    let mut ever_lost: FixedSet<usize> = FixedSet::default();
     let mut prev_at: Time = 0;
 
     for (index, (at, ev)) in rec.events().enumerate() {

@@ -25,8 +25,12 @@
 //!   vector, view ages and picks ([`SlaveChoice`]), and a re-selection's
 //!   drop list — sit behind thin boxes, so only those rare events touch
 //!   the heap;
-//! * rows are appended to preallocated 16 Ki-row pages (unbounded), to a
-//!   preallocated ring (bounded), or only counted (capacity 0).
+//! * rows are appended to 16 Ki-row pages (unbounded), to a ring
+//!   allocated up front (bounded), or only counted (capacity 0). A page's
+//!   cost is the kernel's first touch of its fresh memory, not its
+//!   allocation, so a dropped recording's pages are recycled to the next
+//!   one: the recorder keeps its high-water mark of pages for the life of
+//!   the process.
 //!
 //! Recording is opt-in and zero-cost when disabled: the solver holds an
 //! `Option<Recording>` and every emission site is a branch on `None`
@@ -37,6 +41,8 @@
 
 use crate::engine::Time;
 use std::fmt;
+use std::mem;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Which of the two active-memory areas a movement touches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -340,19 +346,65 @@ pub enum SchedEvent {
     },
 }
 
-/// Rows per preallocated page of the unbounded store (512 KiB of 32-byte
-/// rows): big enough to amortize page allocation to noise, small enough
-/// that short recordings stay cheap.
+/// Rows per page of the unbounded store (512 KiB of 32-byte rows): one
+/// page-boundary check per 16 Ki events, and a short recording holds one
+/// page. Pages come from and return to [`FREE_PAGES`].
 const PAGE: usize = 1 << 14;
 
 /// One stored event with its virtual time.
 type Row = (Time, SchedEvent);
 
+/// Empty pages of dropped unbounded recordings, waiting for the next one.
+///
+/// The system allocator hands a freed block this size back to the OS, and
+/// a fresh one costs the kernel a zeroed page fault per 4 KiB on first
+/// touch —
+/// more than storing the rows does. Recycled pages are already
+/// resident. `record` allocates a page only when the list is empty, so
+/// the pages it has taken, live plus free, never outnumber the most that
+/// were ever live at once (a clone copies into pages of its own); they
+/// are kept until the process exits.
+struct FreePages(Mutex<Vec<Vec<Row>>>);
+
+/// The process's one free list.
+static FREE_PAGES: FreePages = FreePages::new();
+
+impl FreePages {
+    const fn new() -> Self {
+        FreePages(Mutex::new(Vec::new()))
+    }
+
+    /// Every update is one push, pop or append of empty pages, so a list
+    /// poisoned by a panicking holder is still valid; `Drop` must not panic.
+    fn lock(&self) -> MutexGuard<'_, Vec<Vec<Row>>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// An empty page with room for `PAGE` rows, recycled when one is free.
+    fn take(&self) -> Vec<Row> {
+        self.lock().pop().unwrap_or_else(|| Vec::with_capacity(PAGE))
+    }
+
+    /// Empties the pages of an unbounded recording into the list. Only
+    /// pages of capacity exactly `PAGE` are kept (a clone's short last
+    /// page is freed); a ring or null store gives nothing.
+    fn reclaim(&self, rec: &mut Recording) {
+        if let Store::Paged(pages) = &mut rec.store {
+            let mut pages = mem::take(pages);
+            pages.retain_mut(|page| {
+                page.clear();
+                page.capacity() == PAGE
+            });
+            self.lock().append(&mut pages);
+        }
+    }
+}
+
 #[derive(Clone)]
 enum Store {
     /// Unbounded: full pages are immutable, the last page has room.
     Paged(Vec<Vec<Row>>),
-    /// Bounded: a preallocated circular buffer; `head` indexes the
+    /// Bounded: a circular buffer allocated up front; `head` indexes the
     /// oldest retained row once the buffer has wrapped.
     Ring { buf: Vec<Row>, head: usize, cap: usize },
     /// Capacity 0: retain nothing, count everything.
@@ -360,11 +412,11 @@ enum Store {
 }
 
 /// Store of timestamped scheduling events. With `capacity: None` it grows
-/// unbounded in preallocated pages (what `explain` needs: peak
-/// attribution replays the full memory-event history); with a capacity
-/// it keeps the most recent events in a preallocated circular buffer and
-/// counts what it dropped, so long-running services can fly with a
-/// bounded black box.
+/// unbounded in recycled pages (what `explain` needs: peak attribution
+/// replays the full memory-event history); with a capacity it keeps the
+/// most recent events in a circular buffer allocated up front and counts
+/// what it dropped, so long-running services can fly with a bounded
+/// black box.
 ///
 /// Equality and `Debug` both see the logical stream — the retained
 /// `(at, event)` sequence and the drop count — not the pages or the ring.
@@ -377,6 +429,12 @@ pub struct Recording {
 impl Default for Recording {
     fn default() -> Self {
         Recording::new(None)
+    }
+}
+
+impl Drop for Recording {
+    fn drop(&mut self) {
+        FREE_PAGES.reclaim(self);
     }
 }
 
@@ -414,7 +472,7 @@ impl Recording {
             Store::Paged(pages) => match pages.last_mut() {
                 Some(page) if page.len() < PAGE => page.push((at, event)),
                 _ => {
-                    let mut page = Vec::with_capacity(PAGE);
+                    let mut page = FREE_PAGES.take();
                     page.push((at, event));
                     pages.push(page);
                 }
@@ -666,6 +724,105 @@ mod tests {
         }
         assert_eq!(Recording::new(Some(0)).events().count(), 0);
         assert_eq!(Recording::new(None).events().next(), None);
+    }
+
+    /// A recording of payload-carrying events across three pages and a
+    /// bit is dropped, and a shorter, different stream is recorded next:
+    /// whatever pages it gets, recycled or fresh, it holds exactly its own
+    /// rows, and it equals the stream stored in a ring, which never
+    /// touches the free list.
+    #[test]
+    fn recycled_pages_record_the_same_stream() {
+        let mut first = Recording::new(None);
+        for k in 0..PAGE * 3 + 5 {
+            first.record(k as Time, selection(k as u32));
+        }
+        drop(first);
+        let n = PAGE * 2 + 9;
+        let (mut reused, mut fresh) = (Recording::new(None), Recording::new(Some(n)));
+        for k in 0..n {
+            reused.record(k as Time, ev(k as u32 + 7));
+            fresh.record(k as Time, ev(k as u32 + 7));
+        }
+        assert_eq!(reused.len(), n);
+        assert_eq!(reused, fresh);
+        assert!(reused.events().enumerate().all(|(k, row)| row == (k as Time, &ev(k as u32 + 7))));
+        let Store::Paged(pages) = &reused.store else { unreachable!() };
+        assert!(pages.iter().all(|page| page.capacity() == PAGE));
+    }
+
+    /// Only full-size pages of an unbounded store are kept, emptied: a
+    /// clone's short last page is freed, and a ring or null store keeps
+    /// its rows and gives nothing.
+    #[test]
+    fn the_free_list_keeps_only_full_size_pages() {
+        let list = FreePages::new();
+        let mut original = Recording::new(None);
+        for k in 0..PAGE * 2 + 3 {
+            original.record(k as Time, ev(k as u32));
+        }
+        let mut copy = original.clone();
+        list.reclaim(&mut copy);
+        assert_eq!(list.lock().len(), 2, "the clone's short last page is not kept");
+        list.reclaim(&mut original);
+        assert_eq!(list.lock().len(), 5);
+        assert!(original.is_empty() && copy.is_empty());
+        let (mut ring, mut null) = (Recording::new(Some(4)), Recording::new(Some(0)));
+        for k in 0..9 {
+            ring.record(k, ev(k as u32));
+            null.record(k, ev(k as u32));
+        }
+        list.reclaim(&mut ring);
+        list.reclaim(&mut null);
+        assert_eq!((ring.len(), ring.dropped(), null.dropped()), (4, 5, 9));
+        assert_eq!(list.lock().len(), 5);
+        assert!(list.lock().iter().all(|page| page.is_empty() && page.capacity() == PAGE));
+        let page = list.take();
+        assert_eq!((page.len(), page.capacity()), (0, PAGE), "a reused page keeps its size");
+    }
+
+    #[test]
+    fn pages_come_back_from_a_recording_dropped_on_another_thread() {
+        let list = FreePages::new();
+        let mut rec = Recording::new(None);
+        for k in 0..PAGE * 3 {
+            rec.record(k as Time, selection(k as u32));
+        }
+        std::thread::scope(|s| {
+            let list = &list;
+            s.spawn(move || list.reclaim(&mut { rec }));
+        });
+        assert_eq!(list.lock().len(), 3);
+    }
+
+    /// Recordings of varying page counts live and die in cycles on one
+    /// list: every page ever allocated is back on the list after each
+    /// cycle, and their number is the most pages that were live at once.
+    #[test]
+    fn the_free_list_never_outgrows_the_high_water_mark() {
+        let list = FreePages::new();
+        let (mut allocated, mut peak) = (std::collections::HashSet::new(), 0);
+        for live in [&[3, 1][..], &[2], &[1, 1, 2], &[4, 1], &[1]] {
+            let mut recs: Vec<Recording> = live
+                .iter()
+                .map(|&n| {
+                    let pages = (0..n)
+                        .map(|k| {
+                            let mut page = list.take();
+                            assert!(page.is_empty(), "a recycled page holds no stale row");
+                            allocated.insert(page.as_ptr());
+                            page.push((k, selection(k as u32)));
+                            page
+                        })
+                        .collect();
+                    Recording { store: Store::Paged(pages), dropped: 0 }
+                })
+                .collect();
+            peak = peak.max(live.iter().sum());
+            recs.iter_mut().for_each(|rec| list.reclaim(rec));
+            assert_eq!(list.lock().len(), allocated.len());
+        }
+        assert_eq!((allocated.len(), peak), (5, 5));
     }
 
     #[test]
