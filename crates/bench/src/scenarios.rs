@@ -311,20 +311,29 @@ pub fn synth_nd_tree(cfg: &SynthConfig) -> AssemblyTree {
 /// memory landscape. Returns `(memories, assignment)` for display: rows
 /// given to each candidate by Algorithm 1.
 pub fn figure4() -> (Vec<u64>, Vec<(usize, usize)>) {
-    use mf_core::slavesel::{select_memory, SelectionInput};
+    use mf_core::config::SlaveSelection;
+    use mf_core::slavesel::{FrontSplit, SlaveCtx};
+    use mf_core::views::Views;
     let memories: Vec<u64> = vec![90_000, 10_000, 35_000, 60_000, 20_000, 75_000, 45_000, 5_000];
     let candidates: Vec<usize> = (1..8).collect();
-    let input = SelectionInput {
+    let mut views = Views::new(0, &vec![0; memories.len()]);
+    for (p, &m) in memories.iter().enumerate() {
+        views.set_mem(p, m);
+    }
+    let ctx = SlaveCtx {
+        views: &views,
+        master: 0,
+        use_subtree_info: false,
+        use_prediction: false,
         candidates: &candidates,
-        metric: &memories,
-        fill_metric: None,
-        master_metric: memories[0],
-        nfront: 400,
-        npiv: 100,
-        sym: Symmetry::General,
-        min_rows_per_slave: 16,
+        front: FrontSplit {
+            nfront: 400,
+            npiv: 100,
+            sym: Symmetry::General,
+            min_rows_per_slave: 16,
+        },
     };
-    let sel = select_memory(&input);
+    let (sel, _) = SlaveSelection::Memory.select(&ctx);
     (memories, sel.into_iter().map(|a| (a.proc, a.nrows)).collect())
 }
 

@@ -30,9 +30,9 @@ use crate::config::SolverConfig;
 use crate::error::ProcDiag;
 use crate::malleable::CoreAlloc;
 use crate::mapping::{NodeKind, StaticMapping};
-use crate::pool::{TaskCtx, TaskPool};
+use crate::pool::{remove_task, TaskCtx};
 use crate::recovery::{RecoveryPlan, RecoverySnapshot};
-use crate::slavesel::{SlaveAssignment, SlaveCtx};
+use crate::slavesel::{FrontSplit, SlaveCtx};
 use crate::views::{StatusDelta, ViewTable, Views};
 use mf_sim::recorder::{
     id32, FrontClass, MemArea, SchedEvent, SlaveChoice, SlavePick, StatusKind, TaskRole,
@@ -508,7 +508,8 @@ pub struct SchedulerCore<'a> {
     pending: [Option<usize>; FOLD_SLOTS],
     mem: ProcMemory,
     views: Views,
-    pool: TaskPool,
+    /// Ready tasks, a stack (top at the back).
+    pool: Vec<usize>,
     busy: bool,
     slave_queue: VecDeque<usize>, // indices into self.works
     current_subtree: Option<usize>,
@@ -590,7 +591,7 @@ impl<'a> SchedulerCore<'a> {
             pending: [None; FOLD_SLOTS],
             mem: ProcMemory::new(),
             views: views.column(id),
-            pool: TaskPool::new(map.initial_pool[id].clone()),
+            pool: map.initial_pool[id].clone(),
             busy: false,
             slave_queue: VecDeque::new(),
             current_subtree: None,
@@ -727,7 +728,7 @@ impl<'a> SchedulerCore<'a> {
             return None;
         }
         let mut best: Option<(u64, usize)> = None;
-        for &v in self.pool.as_slice() {
+        for &v in &self.pool {
             let cand = (self.activation_cost(v), v);
             if best.is_none_or(|b| cand < b) {
                 best = Some(cand);
@@ -744,7 +745,7 @@ impl<'a> SchedulerCore<'a> {
             active: self.mem.active(),
             stack: self.mem.stack(),
             factors: self.mem.factors(),
-            pool: self.pool.as_slice().to_vec(),
+            pool: self.pool.clone(),
             queued_slave_tasks: self.slave_queue.len(),
             current_subtree: self.current_subtree,
             underflows: self.mem.underflows(),
@@ -778,7 +779,7 @@ impl<'a> SchedulerCore<'a> {
         let mut snap = RecoverySnapshot {
             proc: self.id,
             inflight,
-            pool: self.pool.as_slice().to_vec(),
+            pool: self.pool.clone(),
             active: self.mem.active(),
             ..Default::default()
         };
@@ -989,7 +990,7 @@ impl<'a> SchedulerCore<'a> {
             if self.soon.remove(&v).is_some() && self.cfg.use_prediction {
                 self.rebroadcast_prediction();
             }
-            if was_mine && self.pool.remove_task(v) && was_upper {
+            if was_mine && remove_task(&mut self.pool, v) && was_upper {
                 // An upper task's flops entered the load at readiness;
                 // losing the task takes them out again.
                 self.load_change(-(self.tree.flops(v) as i64));
@@ -1103,7 +1104,7 @@ impl<'a> SchedulerCore<'a> {
         self.owners.insert(m.node, m.to);
         let upper = self.subtree_of(m.node).is_none();
         if self.id == m.from {
-            self.pool.remove_task(m.node);
+            remove_task(&mut self.pool, m.node);
             self.nodes.at(m.node).cb_pieces.clear();
             if upper {
                 self.load_change(-(m.flops as i64));
@@ -1338,7 +1339,6 @@ impl<'a> SchedulerCore<'a> {
             cost: &cost,
             released: &released,
             admissible: &admissible,
-            capped: cap.is_some(),
             current_memory: self.effective_memory(),
             observed_peak: self.mem.active_peak(),
         };
@@ -1381,7 +1381,7 @@ impl<'a> SchedulerCore<'a> {
     /// [`SchedulerCore::cheapest_deferred`]).
     fn force_activate(&mut self, v: usize) {
         let cost = self.activation_cost(v);
-        self.pool.remove_task(v);
+        remove_task(&mut self.pool, v);
         self.forced += 1;
         self.metrics.forced_activations += 1;
         let p = self.id;
@@ -1457,37 +1457,30 @@ impl<'a> SchedulerCore<'a> {
         self.schedule_work(Work::Elim { node: v, flops });
     }
 
-    /// One slave-selection decision for the type-2 node `v` restricted to
-    /// `candidates` (the capacity filter shrinks the set and re-selects).
-    /// Also returns the per-processor metric vector the decision was made
-    /// from — the flight recorder captures exactly what the master
-    /// *believed*, not what was true.
-    fn select_slaves(&self, v: usize, candidates: &[usize]) -> (Vec<SlaveAssignment>, Vec<u64>) {
+    fn start_type2(&mut self, v: usize) {
         let nd = &self.tree.nodes[v];
-        let ctx = SlaveCtx {
-            views: &self.views,
-            master: self.id,
-            nprocs: self.cfg.nprocs,
-            use_subtree_info: self.cfg.use_subtree_info,
-            use_prediction: self.cfg.use_prediction,
-            candidates,
+        let front = FrontSplit {
             nfront: nd.nfront,
             npiv: nd.npiv,
             sym: self.tree.sym,
             min_rows_per_slave: self.cfg.min_rows_per_slave,
         };
-        self.cfg.slave_selection.select(&ctx)
-    }
-
-    fn start_type2(&mut self, v: usize) {
-        let nd = &self.tree.nodes[v];
-        let (nfront, npiv) = (nd.nfront, nd.npiv);
         let mut candidates: Vec<usize> =
             (0..self.cfg.nprocs).filter(|&q| q != self.id && self.reachable(q)).collect();
         let mut rounds = 0u32;
         let mut serialized = false;
         let (assignment, metric) = loop {
-            let picked = self.select_slaves(v, &candidates);
+            // One selection decision over the surviving candidates, with
+            // the per-processor metric vector it was made from: the
+            // flight recorder captures what the master *believed*.
+            let picked = self.cfg.slave_selection.select(&SlaveCtx {
+                views: &self.views,
+                master: self.id,
+                use_subtree_info: self.cfg.use_subtree_info,
+                use_prediction: self.cfg.use_prediction,
+                candidates: &candidates,
+                front,
+            });
             let Some(cap) = self.cfg.capacity else { break picked };
             let (assignment, metric) = picked;
             if assignment.is_empty() {
@@ -1499,16 +1492,7 @@ impl<'a> SchedulerCore<'a> {
             // larger shares on the processors that still have room.
             let violators: Vec<usize> = assignment
                 .iter()
-                .filter(|a| {
-                    let entries = crate::blocking::slave_block_entries(
-                        self.tree.sym,
-                        nfront,
-                        npiv,
-                        a.offset,
-                        a.nrows,
-                    );
-                    self.views.get(a.proc).mem + entries > cap
-                })
+                .filter(|a| self.views.get(a.proc).mem + a.entries > cap)
                 .map(|a| a.proc)
                 .collect();
             if violators.is_empty() {
@@ -1543,19 +1527,8 @@ impl<'a> SchedulerCore<'a> {
         if self.record {
             let view_age: Vec<Time> =
                 (0..self.cfg.nprocs).map(|q| self.views.age(q, now)).collect();
-            let picked: Vec<SlavePick> = assignment
-                .iter()
-                .map(|a| SlavePick {
-                    proc: a.proc,
-                    entries: crate::blocking::slave_block_entries(
-                        self.tree.sym,
-                        nfront,
-                        npiv,
-                        a.offset,
-                        a.nrows,
-                    ),
-                })
-                .collect();
+            let picked: Vec<SlavePick> =
+                assignment.iter().map(|a| SlavePick { proc: a.proc, entries: a.entries }).collect();
             self.out.push(Effect::Record(SchedEvent::SlaveSelection {
                 master: id32(self.id),
                 node: id32(v),
@@ -1582,14 +1555,9 @@ impl<'a> SchedulerCore<'a> {
         let pieces = assignment.len();
         let epoch = self.nodes.get(v).epoch;
         for a in &assignment {
-            let entries = crate::blocking::slave_block_entries(
-                self.tree.sym,
-                nfront,
-                npiv,
-                a.offset,
-                a.nrows,
-            );
-            let cb_share = cb_share_of_block(self.tree.sym, nfront, npiv, a.offset, a.nrows);
+            let entries = a.entries;
+            let cb_share =
+                cb_share_of_block(self.tree.sym, front.nfront, front.npiv, a.offset, a.nrows);
             let factor_share = entries - cb_share;
             let flops_share = total_flops * entries / front_entries.max(1);
             delegated += flops_share;

@@ -1,23 +1,39 @@
 //! Dynamic slave selection for type-2 fronts.
 //!
 //! The master of a type-2 node chooses its slaves at activation time from
-//! its (possibly stale) view of the other processors:
+//! its (possibly stale) view of the other processors. Every strategy runs
+//! the same three steps; each step has one arm per strategy:
 //!
-//! * the **workload baseline** (Section 3) picks processors less loaded
-//!   than itself and balances the *work* given to each;
-//! * **Algorithm 1** (Section 4) sorts candidates by *memory* load and
-//!   levels memory like water filling a basin, never exceeding the level
-//!   of the most-loaded selected processor — so the current peak is
-//!   preserved whenever possible (Figure 4).
+//! | step       | `Workload` (Section 3) | `Memory` (Algorithm 1)   | `Hybrid` (conclusion)    |
+//! |------------|------------------------|--------------------------|--------------------------|
+//! | candidates | less loaded than me    | all                      | less loaded than me      |
+//! | belief     | workload               | memory metric            | memory metric            |
+//! | split      | equal entries          | waterfill on memory      | waterfill on memory      |
+//!
+//! * **Candidates** — the workload filter keeps the processors strictly
+//!   less loaded than the master, or the least-loaded one when none is.
+//! * **Belief** — the per-processor metric the candidates are ranked by,
+//!   lowest first; the flight recorder captures it as
+//!   `SlaveChoice.metric`. The memory metric is the instantaneous memory
+//!   enriched by the Section 5.1 announcements.
+//! * **Split** — the equal-entry split balances the *work* given to each
+//!   slave (the 1-D distribution); Algorithm 1 levels *instantaneous*
+//!   memory like water filling a basin, never above the level of the
+//!   most-loaded selected processor, so the current peak is preserved
+//!   whenever possible (Figure 4).
+//!
+//! The granularity (`min_rows_per_slave`) caps the number of slaves.
 
-use crate::blocking::{blocks_from_entry_budgets, equal_entry_blocks, slave_surface};
+use crate::blocking::{
+    blocks_from_entry_budgets, equal_entry_blocks, slave_block_entries, slave_surface,
+};
 use crate::config::SlaveSelection;
-use crate::views::{PeerView, Views};
+use crate::views::Views;
 use mf_sparse::Symmetry;
 
 /// A slave assignment: processor plus its contiguous row block
 /// (`offset` is relative to the first non-pivot row, see
-/// [`crate::blocking`]).
+/// [`crate::blocking`]) and the entries that block holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlaveAssignment {
     /// Selected processor.
@@ -26,27 +42,16 @@ pub struct SlaveAssignment {
     pub offset: usize,
     /// Rows in the block.
     pub nrows: usize,
+    /// Entries of the block ([`slave_block_entries`]).
+    pub entries: u64,
 }
 
-/// Inputs of a selection decision.
-#[derive(Debug, Clone)]
-pub struct SelectionInput<'a> {
-    /// Candidate processors (excluding the master).
-    pub candidates: &'a [usize],
-    /// Metric per processor, indexed by processor id. For the workload
-    /// strategy this is flops-still-to-do; for Algorithm 1 it is the
-    /// memory metric (instantaneous + subtree + prediction, Section 5.1).
-    pub metric: &'a [u64],
-    /// Instantaneous memory per processor, used by Algorithm 1 for the
-    /// leveling *arithmetic* (the enriched metric ranks and filters the
-    /// candidates, but row budgets must level real memory, not projected
-    /// peaks). `None` falls back to `metric`.
-    pub fill_metric: Option<&'a [u64]>,
-    /// The master's own metric value.
-    pub master_metric: u64,
+/// The geometry of the type-2 front being split.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrontSplit {
     /// Front order.
     pub nfront: usize,
-    /// Pivot count.
+    /// Pivot count (the master's rows).
     pub npiv: usize,
     /// Symmetry (selects the Figure 3 blocking shape).
     pub sym: Symmetry,
@@ -54,166 +59,75 @@ pub struct SelectionInput<'a> {
     pub min_rows_per_slave: usize,
 }
 
-impl SelectionInput<'_> {
-    fn max_slaves(&self) -> usize {
-        let rows = self.nfront - self.npiv;
-        (rows / self.min_rows_per_slave.max(1)).max(1).min(self.candidates.len())
+impl FrontSplit {
+    /// Assigns `blocks` to `procs` in order.
+    fn assign(self, procs: &[usize], blocks: Vec<(usize, usize)>) -> Vec<SlaveAssignment> {
+        let FrontSplit { nfront, npiv, sym, .. } = self;
+        procs
+            .iter()
+            .zip(blocks)
+            .map(|(&proc, (offset, nrows))| SlaveAssignment {
+                proc,
+                offset,
+                nrows,
+                entries: slave_block_entries(sym, nfront, npiv, offset, nrows),
+            })
+            .collect()
     }
-}
-
-/// Workload-based baseline: keep the candidates strictly less loaded than
-/// the master (all of them when none is, to avoid starving the front),
-/// then give each an equal-entry block (equal work under the 1-D
-/// distribution).
-pub fn select_workload(input: &SelectionInput<'_>) -> Vec<SlaveAssignment> {
-    let rows = input.nfront - input.npiv;
-    if rows == 0 || input.candidates.is_empty() {
-        return Vec::new();
-    }
-    let mut cands: Vec<usize> = input
-        .candidates
-        .iter()
-        .copied()
-        .filter(|&p| input.metric[p] < input.master_metric)
-        .collect();
-    if cands.is_empty() {
-        // Nobody is less loaded: take the single least-loaded candidate so
-        // the type-2 node still runs in parallel (MUMPS keeps ≥1 slave).
-        match input.candidates.iter().min_by_key(|&&p| (input.metric[p], p)) {
-            Some(&best) => cands.push(best),
-            None => return Vec::new(),
-        }
-    }
-    cands.sort_by_key(|&p| (input.metric[p], p));
-    let k = cands.len().min(input.max_slaves()).min(rows);
-    let blocks = equal_entry_blocks(input.sym, input.nfront, input.npiv, k);
-    cands.truncate(k);
-    cands
-        .into_iter()
-        .zip(blocks)
-        .map(|(proc, (offset, nrows))| SlaveAssignment { proc, offset, nrows })
-        .collect()
-}
-
-/// The paper's Algorithm 1: memory-based waterfill.
-///
-/// Sort candidates by growing memory; find the largest `i` such that the
-/// deficit `Σ_{j<i} (MEM[i-1] - MEM[j])` stays below the surface of the
-/// slave part; give each selected processor its deficit in entries, then
-/// spread the remaining entries equitably.
-pub fn select_memory(input: &SelectionInput<'_>) -> Vec<SlaveAssignment> {
-    let rows = input.nfront - input.npiv;
-    if rows == 0 || input.candidates.is_empty() {
-        return Vec::new();
-    }
-    let mut cands: Vec<usize> = input.candidates.to_vec();
-    cands.sort_by_key(|&p| (input.metric[p], p));
-    let fill = input.fill_metric.unwrap_or(input.metric);
-    let surface = slave_surface(input.sym, input.nfront, input.npiv);
-    let kmax = input.max_slaves().min(rows);
-
-    // Largest i (1-based count) whose leveling deficit fits the surface.
-    // Candidates are ranked by the (possibly enriched) metric; the
-    // deficits level the instantaneous memory of the chosen set.
-    let level_of = |cands: &[usize], i: usize| -> u64 {
-        cands[..i].iter().map(|&p| fill[p]).max().unwrap_or(0)
-    };
-    let mut best_i = 1;
-    for i in 2..=kmax {
-        let level = level_of(&cands, i);
-        let deficit: u64 = cands[..i].iter().map(|&p| level - fill[p]).sum();
-        if deficit <= surface {
-            best_i = i;
-        }
-    }
-    let k = best_i;
-    let level = level_of(&cands, k);
-    let deficits: Vec<u64> = cands[..k].iter().map(|&p| level - fill[p]).collect();
-    let used: u64 = deficits.iter().sum();
-    let remaining = surface.saturating_sub(used);
-    let extra = remaining / k as u64;
-    let budgets: Vec<u64> = deficits.iter().map(|&d| d + extra).collect();
-    let blocks = blocks_from_entry_budgets(input.sym, input.nfront, input.npiv, &budgets);
-    cands[..k]
-        .iter()
-        .zip(blocks)
-        .map(|(&proc, (offset, nrows))| SlaveAssignment { proc, offset, nrows })
-        .collect()
-}
-
-/// The hybrid strategy sketched in the paper's conclusion: "hybrid
-/// strategies well adapted at both balancing the workload and the memory
-/// need to be designed".
-///
-/// Candidates are first filtered by workload like the baseline (only
-/// processors less loaded than the master, so the makespan is protected),
-/// then the *memory* waterfill of Algorithm 1 distributes the rows within
-/// that feasible set. `input.metric` must be the memory metric and
-/// `load` / `master_load` the workload view.
-pub fn select_hybrid(
-    input: &SelectionInput<'_>,
-    load: &[u64],
-    master_load: u64,
-) -> Vec<SlaveAssignment> {
-    let rows = input.nfront - input.npiv;
-    if rows == 0 || input.candidates.is_empty() {
-        return Vec::new();
-    }
-    let mut feasible: Vec<usize> =
-        input.candidates.iter().copied().filter(|&p| load[p] < master_load).collect();
-    if feasible.is_empty() {
-        match input.candidates.iter().min_by_key(|&&p| (load[p], p)) {
-            Some(&best) => feasible.push(best),
-            None => return Vec::new(),
-        }
-    }
-    let narrowed = SelectionInput { candidates: &feasible, ..input.clone() };
-    select_memory(&narrowed)
 }
 
 /// Everything a slave-selection strategy may consult: the master's (stale)
 /// [`Views`] of the machine plus the geometry of the front being split.
-/// [`SlaveSelection::select`] derives each strategy's metric vectors from
-/// the views.
 #[derive(Debug)]
 pub struct SlaveCtx<'a> {
     /// The master's stale views of every processor.
     pub views: &'a Views,
     /// The deciding (master) processor.
     pub master: usize,
-    /// Processors in the machine.
-    pub nprocs: usize,
     /// Whether subtree-peak announcements enrich the memory metric.
     pub use_subtree_info: bool,
     /// Whether ready-master predictions enrich the memory metric.
     pub use_prediction: bool,
     /// Candidate processors (the capacity re-selection loop shrinks this).
     pub candidates: &'a [usize],
-    /// Front order.
-    pub nfront: usize,
-    /// Pivot count.
-    pub npiv: usize,
-    /// Symmetry (selects the Figure 3 blocking shape).
-    pub sym: Symmetry,
-    /// Granularity: minimum rows per slave.
-    pub min_rows_per_slave: usize,
+    /// The front being split.
+    pub front: FrontSplit,
 }
 
-fn input_of<'a>(
-    ctx: &'a SlaveCtx<'_>,
-    metric: &'a [u64],
-    fill: Option<&'a [u64]>,
-) -> SelectionInput<'a> {
-    SelectionInput {
-        candidates: ctx.candidates,
-        metric,
-        fill_metric: fill,
-        master_metric: metric[ctx.master],
-        nfront: ctx.nfront,
-        npiv: ctx.npiv,
-        sym: ctx.sym,
-        min_rows_per_slave: ctx.min_rows_per_slave,
+/// The candidates strictly less loaded than `master`; when none is, the
+/// single least-loaded one, so the type-2 node still runs in parallel
+/// (MUMPS keeps at least one slave).
+fn less_loaded(views: &Views, master: usize, candidates: &[usize]) -> Vec<usize> {
+    let load = |p: usize| views.get(p).load;
+    let below: Vec<usize> =
+        candidates.iter().copied().filter(|&p| load(p) < load(master)).collect();
+    if !below.is_empty() {
+        return below;
     }
+    candidates.iter().copied().min_by_key(|&p| (load(p), p)).into_iter().collect()
+}
+
+/// The paper's Algorithm 1 over `ranked` (candidates, best first): find
+/// the largest `i` such that the deficit `Σ_{j<i} (MEM[i-1] - MEM[j])`
+/// stays within the surface of the slave part, give each of those `i`
+/// processors its deficit in entries, then spread the remaining entries
+/// equitably. `MEM` is the instantaneous memory: the belief ranks the
+/// candidates, but the budgets must level real memory, not projections.
+fn waterfill(front: FrontSplit, ranked: &[usize], views: &Views) -> Vec<SlaveAssignment> {
+    let mem: Vec<u64> = ranked.iter().map(|&p| views.get(p).mem).collect();
+    let surface = slave_surface(front.sym, front.nfront, front.npiv);
+    // The level of the first `i` candidates and what it takes to fill
+    // them all up to it.
+    let fill = |i: usize| {
+        let level = mem[..i].iter().copied().max().unwrap_or(0);
+        (level, mem[..i].iter().map(|&m| level - m).sum::<u64>())
+    };
+    let k = (2..=mem.len()).rev().find(|&i| fill(i).1 <= surface).unwrap_or(1);
+    let (level, deficit) = fill(k);
+    let extra = surface.saturating_sub(deficit) / k as u64;
+    let budgets: Vec<u64> = mem[..k].iter().map(|&m| level - m + extra).collect();
+    let blocks = blocks_from_entry_budgets(front.sym, front.nfront, front.npiv, &budgets);
+    front.assign(ranked, blocks)
 }
 
 impl SlaveSelection {
@@ -221,59 +135,81 @@ impl SlaveSelection {
     /// the per-processor metric vector it was made from (the flight
     /// recorder captures what the master *believed*, not what was true).
     pub fn select(self, ctx: &SlaveCtx<'_>) -> (Vec<SlaveAssignment>, Vec<u64>) {
-        let column = |f: fn(PeerView) -> u64| ctx.views.iter().map(f).collect::<Vec<u64>>();
-        let memory_metric = || -> Vec<u64> {
-            (0..ctx.nprocs)
-                .map(|q| ctx.views.memory_metric(q, ctx.use_subtree_info, ctx.use_prediction))
-                .collect()
-        };
-        match self {
-            SlaveSelection::Workload => {
-                let metric = column(|v| v.load);
-                (select_workload(&input_of(ctx, &metric, None)), metric)
-            }
-            SlaveSelection::Memory => {
-                let (metric, mem) = (memory_metric(), column(|v| v.mem));
-                (select_memory(&input_of(ctx, &metric, Some(&mem))), metric)
-            }
-            SlaveSelection::Hybrid => {
-                let (metric, mem, load) = (memory_metric(), column(|v| v.mem), column(|v| v.load));
-                let input = input_of(ctx, &metric, Some(&mem));
-                (select_hybrid(&input, &load, load[ctx.master]), metric)
-            }
+        let SlaveCtx { views, master, use_subtree_info, use_prediction, candidates, front } = *ctx;
+        let metric: Vec<u64> = views
+            .iter()
+            .map(|v| match self {
+                SlaveSelection::Workload => v.load,
+                SlaveSelection::Memory | SlaveSelection::Hybrid => {
+                    v.memory_metric(use_subtree_info, use_prediction)
+                }
+            })
+            .collect();
+        let rows = front.nfront - front.npiv;
+        if rows == 0 || candidates.is_empty() {
+            return (Vec::new(), metric);
         }
+        let mut ranked = match self {
+            SlaveSelection::Memory => candidates.to_vec(),
+            SlaveSelection::Workload | SlaveSelection::Hybrid => {
+                less_loaded(views, master, candidates)
+            }
+        };
+        ranked.sort_by_key(|&p| (metric[p], p));
+        ranked.truncate((rows / front.min_rows_per_slave.max(1)).max(1));
+        let assignment = match self {
+            SlaveSelection::Workload => {
+                let blocks = equal_entry_blocks(front.sym, front.nfront, front.npiv, ranked.len());
+                front.assign(&ranked, blocks)
+            }
+            SlaveSelection::Memory | SlaveSelection::Hybrid => waterfill(front, &ranked, views),
+        };
+        (assignment, metric)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocking::slave_block_entries;
 
-    fn input<'a>(
-        candidates: &'a [usize],
-        metric: &'a [u64],
-        master_metric: u64,
-        nfront: usize,
-        npiv: usize,
-    ) -> SelectionInput<'a> {
-        SelectionInput {
-            candidates,
-            metric,
-            fill_metric: None,
-            master_metric,
-            nfront,
-            npiv,
-            sym: Symmetry::General,
-            min_rows_per_slave: 4,
+    /// Master 0's views: `load` and `mem` per processor.
+    fn machine(load: &[u64], mem: &[u64]) -> Views {
+        let mut v = Views::new(0, load);
+        for (p, &m) in mem.iter().enumerate() {
+            v.set_mem(p, m);
         }
+        v
     }
+
+    fn front(nfront: usize, npiv: usize, min_rows_per_slave: usize) -> FrontSplit {
+        FrontSplit { nfront, npiv, sym: Symmetry::General, min_rows_per_slave }
+    }
+
+    /// One decision by master 0 without the Section 5.1 enrichments.
+    fn select(
+        strategy: SlaveSelection,
+        views: &Views,
+        candidates: &[usize],
+        front: FrontSplit,
+    ) -> Vec<SlaveAssignment> {
+        let ctx = SlaveCtx {
+            views,
+            master: 0,
+            use_subtree_info: false,
+            use_prediction: false,
+            candidates,
+            front,
+        };
+        strategy.select(&ctx).0
+    }
+
+    const ALL: [SlaveSelection; 3] =
+        [SlaveSelection::Workload, SlaveSelection::Memory, SlaveSelection::Hybrid];
 
     #[test]
     fn workload_prefers_less_loaded() {
-        let metric = vec![500, 100, 900, 50];
-        let cands = [1, 2, 3];
-        let sel = select_workload(&input(&cands, &metric, 600, 40, 10));
+        let v = machine(&[600, 100, 900, 50], &[0; 4]);
+        let sel = select(SlaveSelection::Workload, &v, &[1, 2, 3], front(40, 10, 4));
         let procs: Vec<usize> = sel.iter().map(|s| s.proc).collect();
         assert_eq!(procs, vec![3, 1]); // 900 is busier than the master
         let rows: usize = sel.iter().map(|s| s.nrows).sum();
@@ -282,9 +218,8 @@ mod tests {
 
     #[test]
     fn workload_falls_back_to_least_loaded() {
-        let metric = vec![0, 800, 900];
-        let cands = [1, 2];
-        let sel = select_workload(&input(&cands, &metric, 100, 40, 10));
+        let v = machine(&[100, 800, 900], &[0; 3]);
+        let sel = select(SlaveSelection::Workload, &v, &[1, 2], front(40, 10, 4));
         assert_eq!(sel.len(), 1);
         assert_eq!(sel[0].proc, 1);
         assert_eq!(sel[0].nrows, 30);
@@ -295,27 +230,24 @@ mod tests {
         // Figure 4's situation: uneven memories; the fill must bring the
         // selected processors to (at most) a common level bounded by the
         // highest selected processor's memory plus its equal share.
-        let metric = vec![0, 1000, 200, 600];
-        let cands = [1, 2, 3];
-        let inp = input(&cands, &metric, 0, 50, 20);
-        let sel = select_memory(&inp);
+        let v = machine(&[0; 4], &[0, 1000, 200, 600]);
+        let sel = select(SlaveSelection::Memory, &v, &[1, 2, 3], front(50, 20, 4));
         assert!(!sel.is_empty());
         // Candidates chosen in growing memory order: 2 (200), 3 (600), ...
         assert_eq!(sel[0].proc, 2);
-        // Every row distributed exactly once.
+        // Every row distributed exactly once, each block's entries its own.
         let rows: usize = sel.iter().map(|s| s.nrows).sum();
         assert_eq!(rows, 30);
         let mut off = 0;
         for s in &sel {
             assert_eq!(s.offset, off);
+            assert_eq!(s.entries, slave_block_entries(Symmetry::General, 50, 20, off, s.nrows));
             off += s.nrows;
         }
         // The lower-memory slave must receive at least as many entries as
         // the higher-memory one (the leveling property).
         if sel.len() >= 2 {
-            let e0 = slave_block_entries(Symmetry::General, 50, 20, sel[0].offset, sel[0].nrows);
-            let e1 = slave_block_entries(Symmetry::General, 50, 20, sel[1].offset, sel[1].nrows);
-            assert!(e0 >= e1, "{e0} < {e1}");
+            assert!(sel[0].entries >= sel[1].entries, "{sel:?}");
         }
     }
 
@@ -323,10 +255,8 @@ mod tests {
     fn memory_uses_fewest_procs_that_fit() {
         // Tiny front: leveling even two procs would exceed the surface, so
         // only the least-loaded is chosen (the "smallest set" property).
-        let metric = vec![0, 10_000, 0];
-        let cands = [1, 2];
-        let inp = SelectionInput { min_rows_per_slave: 1, ..input(&cands, &metric, 0, 12, 4) };
-        let sel = select_memory(&inp);
+        let v = machine(&[0; 3], &[0, 10_000, 0]);
+        let sel = select(SlaveSelection::Memory, &v, &[1, 2], front(12, 4, 1));
         assert_eq!(sel.len(), 1);
         assert_eq!(sel[0].proc, 2);
         assert_eq!(sel[0].nrows, 8);
@@ -334,10 +264,8 @@ mod tests {
 
     #[test]
     fn memory_with_equal_memories_splits_equitably() {
-        let metric = vec![0, 100, 100, 100];
-        let cands = [1, 2, 3];
-        let inp = SelectionInput { min_rows_per_slave: 1, ..input(&cands, &metric, 0, 60, 30) };
-        let sel = select_memory(&inp);
+        let v = machine(&[0; 4], &[0, 100, 100, 100]);
+        let sel = select(SlaveSelection::Memory, &v, &[1, 2, 3], front(60, 30, 1));
         assert_eq!(sel.len(), 3);
         let rows: Vec<usize> = sel.iter().map(|s| s.nrows).collect();
         assert_eq!(rows.iter().sum::<usize>(), 30);
@@ -346,30 +274,28 @@ mod tests {
 
     #[test]
     fn granularity_limits_slave_count() {
-        let metric = vec![0; 10];
+        let v = machine(&[0; 10], &[0; 10]);
         let cands: Vec<usize> = (1..10).collect();
         // 20 slave rows, min 8 rows/slave -> at most 2 slaves.
-        let inp = SelectionInput { min_rows_per_slave: 8, ..input(&cands, &metric, 0, 30, 10) };
-        assert!(select_memory(&inp).len() <= 2);
-        assert!(select_workload(&inp).len() <= 2);
+        for strategy in ALL {
+            assert!(select(strategy, &v, &cands, front(30, 10, 8)).len() <= 2, "{strategy:?}");
+        }
     }
 
     #[test]
     fn no_candidates_means_no_slaves() {
-        let metric = vec![0];
-        let sel = select_memory(&input(&[], &metric, 0, 30, 10));
-        assert!(sel.is_empty());
+        let v = machine(&[0], &[0]);
+        for strategy in ALL {
+            assert!(select(strategy, &v, &[], front(30, 10, 4)).is_empty(), "{strategy:?}");
+        }
     }
 
     #[test]
     fn hybrid_respects_the_workload_filter() {
         // Proc 3 has the least memory but too much work: the hybrid must
         // exclude it and waterfill memory among the less-loaded ones.
-        let mem = vec![0, 500, 900, 50];
-        let load = vec![1000, 100, 200, 5000];
-        let cands = [1, 2, 3];
-        let inp = input(&cands, &mem, 0, 50, 20);
-        let sel = select_hybrid(&inp, &load, 900);
+        let v = machine(&[900, 100, 200, 5000], &[0, 500, 900, 50]);
+        let sel = select(SlaveSelection::Hybrid, &v, &[1, 2, 3], front(50, 20, 4));
         assert!(!sel.is_empty());
         assert!(sel.iter().all(|a| a.proc != 3), "{sel:?}");
         // Memory ordering within the feasible set: proc 1 (mem 500) before
@@ -379,11 +305,8 @@ mod tests {
 
     #[test]
     fn hybrid_falls_back_to_least_loaded() {
-        let mem = vec![0, 10, 20];
-        let load = vec![0, 900, 800];
-        let cands = [1, 2];
-        let inp = input(&cands, &mem, 0, 50, 20);
-        let sel = select_hybrid(&inp, &load, 100);
+        let v = machine(&[100, 900, 800], &[0, 10, 20]);
+        let sel = select(SlaveSelection::Hybrid, &v, &[1, 2], front(50, 20, 4));
         assert_eq!(sel.len(), 1);
         assert_eq!(sel[0].proc, 2); // least loaded wins the fallback
         assert_eq!(sel[0].nrows, 30);
@@ -394,29 +317,19 @@ mod tests {
         // Master 0 and three candidates with every view field distinct:
         // proc 2 is the busiest and heads for a 5000-entry subtree peak,
         // proc 3 is the idlest and about to activate a 3000-entry master.
-        let mut views = Views::new(0, &[600, 100, 900, 50]);
-        views.set_mem(1, 1000);
-        views.set_mem(2, 100);
+        let load = [600, 100, 900, 50];
+        let mut views = machine(&load, &[0, 1000, 100, 600]);
         views.set_subtree(2, 5000);
-        views.set_mem(3, 600);
         views.set_predicted(3, 3000);
-        let (load, mem) = (vec![600, 100, 900, 50], vec![0, 1000, 100, 600]);
         let cands = [1, 2, 3];
+        let split = front(100, 20, 4);
         let ctx = |use_subtree_info, use_prediction| SlaveCtx {
             views: &views,
             master: 0,
-            nprocs: 4,
             use_subtree_info,
             use_prediction,
             candidates: &cands,
-            nfront: 100,
-            npiv: 20,
-            sym: Symmetry::General,
-            min_rows_per_slave: 4,
-        };
-        let by_hand = |metric: &[u64], fill_metric: Option<&[u64]>| {
-            let inp = input(&cands, metric, metric[0], 100, 20);
-            select_memory(&SelectionInput { fill_metric, ..inp })
+            front: split,
         };
         let procs = |sel: &[SlaveAssignment]| sel.iter().map(|a| a.proc).collect::<Vec<_>>();
 
@@ -428,7 +341,7 @@ mod tests {
 
         // Memory and Hybrid: the memory metric under each flag pair.
         for (sub, pred) in [(false, false), (true, false), (false, true), (true, true)] {
-            let want: Vec<u64> = (0..4).map(|q| views.memory_metric(q, sub, pred)).collect();
+            let want: Vec<u64> = views.iter().map(|v| v.memory_metric(sub, pred)).collect();
             for strategy in [SlaveSelection::Memory, SlaveSelection::Hybrid] {
                 assert_eq!(strategy.select(&ctx(sub, pred)).1, want, "{strategy:?} {sub} {pred}");
             }
@@ -441,28 +354,26 @@ mod tests {
         let enriched = [0, 1000, 5000, 3600];
         let (sel, metric) = SlaveSelection::Memory.select(&ctx(true, true));
         assert_eq!(metric, enriched);
-        assert_eq!(sel, by_hand(&enriched, Some(&mem)));
+        assert_eq!(sel, waterfill(split, &[1, 3, 2], &views));
         assert_eq!(procs(&sel), vec![1, 3, 2]);
         assert!(sel[0].nrows < sel[1].nrows && sel[1].nrows < sel[2].nrows, "{sel:?}");
-        let on_metric = by_hand(&enriched, None);
+        let on_metric = waterfill(split, &[1, 3, 2], &machine(&load, &enriched));
         assert!(on_metric[0].nrows > on_metric[2].nrows, "{on_metric:?}");
 
         // Flags off, the least-memory processor 2 leads Algorithm 1; the
         // hybrid drops it for carrying more work than the master.
         let (sel, _) = SlaveSelection::Memory.select(&ctx(false, false));
-        assert_eq!(sel, by_hand(&mem, Some(&mem)));
+        assert_eq!(sel, waterfill(split, &[2, 3, 1], &views));
         assert_eq!(sel[0].proc, 2);
         let (sel, _) = SlaveSelection::Hybrid.select(&ctx(false, false));
-        let inp = SelectionInput { fill_metric: Some(&mem), ..input(&cands, &mem, 0, 100, 20) };
-        assert_eq!(sel, select_hybrid(&inp, &load, 600));
+        assert_eq!(sel, waterfill(split, &[3, 1], &views));
         assert_eq!(procs(&sel), vec![3, 1]);
     }
 
     #[test]
     fn deterministic_tie_break_by_proc_id() {
-        let metric = vec![0, 7, 7, 7];
-        let cands = [3, 1, 2];
-        let sel = select_memory(&input(&cands, &metric, 0, 40, 20));
+        let v = machine(&[0; 4], &[0, 7, 7, 7]);
+        let sel = select(SlaveSelection::Memory, &v, &[3, 1, 2], front(40, 20, 4));
         assert_eq!(sel[0].proc, 1);
     }
 }

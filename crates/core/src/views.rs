@@ -110,6 +110,23 @@ pub struct PeerView {
     pub last_heard: Time,
 }
 
+impl PeerView {
+    /// The memory metric of Algorithm 1: instantaneous memory, raised to
+    /// the announced subtree projection (the level the processor is known
+    /// to be heading to), plus the predicted cost of its next master task
+    /// when enabled (Section 5.1).
+    pub fn memory_metric(self, use_subtree: bool, use_prediction: bool) -> u64 {
+        let mut m = self.mem;
+        if use_subtree {
+            m = m.max(self.subtree);
+        }
+        if use_prediction {
+            m += self.predicted;
+        }
+        m
+    }
+}
+
 /// A [`PeerView`] as a table stores it: the same six words, each a
 /// relaxed atomic. Relaxed loads and stores compile to plain moves; they
 /// are atomics only so that a core holding its column stays `Send` (the
@@ -341,22 +358,6 @@ impl Views {
     pub fn deliver(&mut self, at: Time, from: usize, delta: StatusDelta) -> Option<Time> {
         self.table.deliver(self.me, at, from, delta)
     }
-
-    /// The memory metric of Algorithm 1 for processor `p`: instantaneous
-    /// memory, raised to the announced subtree projection (the level the
-    /// processor is known to be heading to), plus the predicted cost of
-    /// its next master task when enabled (Section 5.1).
-    pub fn memory_metric(&self, p: usize, use_subtree: bool, use_prediction: bool) -> u64 {
-        let v = self.at(p);
-        let mut m = get(&v.mem);
-        if use_subtree {
-            m = m.max(get(&v.subtree));
-        }
-        if use_prediction {
-            m += get(&v.predicted);
-        }
-        m
-    }
 }
 
 fn add_signed(value: u64, delta: i64) -> u64 {
@@ -399,10 +400,11 @@ mod tests {
         v.set_mem(1, 10);
         v.set_subtree(1, 100);
         v.set_predicted(1, 1000);
-        assert_eq!(v.memory_metric(1, false, false), 10);
-        assert_eq!(v.memory_metric(1, true, false), 100);
-        assert_eq!(v.memory_metric(1, false, true), 1010);
-        assert_eq!(v.memory_metric(1, true, true), 1100);
+        let p = v.get(1);
+        assert_eq!(p.memory_metric(false, false), 10);
+        assert_eq!(p.memory_metric(true, false), 100);
+        assert_eq!(p.memory_metric(false, true), 1010);
+        assert_eq!(p.memory_metric(true, true), 1100);
     }
 
     #[test]

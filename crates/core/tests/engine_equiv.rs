@@ -217,3 +217,58 @@ fn kills_and_joins_inside_a_block_match_the_per_event_engine() {
         assert_eq!(fingerprint(&a), want, "kills {kill_at:?} joins {join_at:?}");
     }
 }
+
+/// Every slave × task strategy pair under hard capacities tight enough
+/// to fire all three capacity arms — re-selection, serialize-on-master
+/// and forced activation — reproduces its pinned whole-`RunResult`
+/// digest (recording on): uncapped, at 30% and 20% of the pair's own
+/// uncapped `max_peak`, and at a cap of one entry. The digests were
+/// taken before the pool scan and the slave-selection pipeline were each
+/// folded into one function; `-- --nocapture` prints them. On this tree
+/// the three task selections take the same decisions (one pinned row per
+/// slave selection); the pool scan is held to the pickers it replaced by
+/// `tests/prop_scheduling.rs`.
+#[test]
+fn every_strategy_pair_under_tight_caps_is_pinned() {
+    use mf_core::config::{SlaveSelection, TaskSelection};
+    let tree = tree_for(80);
+    let base =
+        SolverConfig { type2_front_min: 16, record_events: true, ..SolverConfig::memory_based(16) };
+    let map = compute_mapping(&tree, &base);
+    let slave_selections =
+        [SlaveSelection::Workload, SlaveSelection::Memory, SlaveSelection::Hybrid];
+    for (slave_selection, want) in slave_selections.into_iter().zip(PINNED_CAPPED) {
+        for task_selection in
+            [TaskSelection::Lifo, TaskSelection::MemoryAware, TaskSelection::MemoryAwareGlobal]
+        {
+            let cfg = SolverConfig { slave_selection, task_selection, ..base.clone() };
+            let free = parsim::run(&tree, &map, &cfg).unwrap();
+            let mut row = vec![fingerprint(&free)];
+            for cap in [free.max_peak * 30 / 100, free.max_peak * 20 / 100, 1] {
+                let capped = SolverConfig { capacity: Some(cap), ..cfg.clone() };
+                let r = parsim::run(&tree, &map, &capped).unwrap();
+                let m = &r.metrics;
+                let fired = [m.reselect_rounds, m.serialized_fronts, m.forced_activations];
+                eprintln!("{slave_selection:?}/{task_selection:?} cap {cap}: {fired:?}");
+                if cap == free.max_peak * 20 / 100 {
+                    assert!(
+                        fired.iter().all(|&n| n > 0),
+                        "{slave_selection:?}/{task_selection:?} at cap {cap}: {fired:?}"
+                    );
+                }
+                row.push(fingerprint(&r));
+            }
+            eprintln!("{slave_selection:?}/{task_selection:?}: {row:#018x?}");
+            assert_eq!(row, want, "{slave_selection:?}/{task_selection:?}");
+        }
+    }
+}
+
+/// Per slave selection (`Workload`, `Memory`, `Hybrid`), whatever the
+/// task selection: the digests uncapped, at 30% and 20% of the uncapped
+/// peak, and at cap 1.
+const PINNED_CAPPED: [[u64; 4]; 3] = [
+    [0x94fc_1ff8_bcc6_f485, 0x318d_1dcb_1555_93c2, 0x59a7_6b68_da54_7dc9, 0xb42f_1e41_45b5_5033],
+    [0x7251_4910_f34c_ab79, 0xd441_d5bb_e5a7_4d7d, 0x2143_5983_4b86_f902, 0x3643_7484_f97f_020d],
+    [0x7251_4910_f34c_ab79, 0xd441_d5bb_e5a7_4d7d, 0x2143_5983_4b86_f902, 0x4d47_5435_4cf8_fa83],
+];
