@@ -67,14 +67,15 @@ fn status_kb(field: &str) -> u64 {
 /// for comparison: `rss_hwm_kb` before the per-node scheduler state
 /// became sparse (each cumulative over the points before it),
 /// `status_msgs` before a step's same-kind status deltas were folded
-/// into one broadcast, and `wall_ms`/`ns_per_event` before the views
-/// moved from one table per processor into one slot-major table (median
-/// of three sweeps on the host that measured the change).
+/// into one broadcast, and `wall_ms`/`ns_per_event` while a broadcast
+/// block still made one host call per target instead of one sweep per
+/// touched row of the view table (the last sweep committed with that
+/// loop).
 const PRIOR: [(usize, u64, u64, f64, f64); 4] = [
-    (32, 28872, 1516861, 13.6, 18.1),
-    (128, 103992, 8832215, 62.2, 11.3),
-    (512, 402264, 40812037, 499.7, 16.4),
-    (1024, 818036, 93065379, 1859.7, 23.2),
+    (32, 28872, 1516861, 13.4, 17.8),
+    (128, 103992, 8832215, 41.6, 7.5),
+    (512, 402264, 40812037, 191.7, 6.3),
+    (1024, 818036, 93065379, 466.8, 5.8),
 ];
 
 struct Point {

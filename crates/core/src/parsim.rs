@@ -30,6 +30,7 @@ use mf_symbolic::AssemblyTree;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
+use std::ops::Range;
 
 /// Outcome of a simulated parallel factorization.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,11 +131,21 @@ pub trait CoreHost<'a> {
         input: Input,
         perform: impl FnMut(Effect),
     ) -> (usize, Option<Violation>);
-    /// [`SchedulerCore::apply_status`] on core `p`: processor `p`'s side
-    /// of one delivered status delta, which writes its views and nothing
-    /// else.
-    fn apply_status(&mut self, p: usize, at: Time, from: usize, delta: StatusDelta)
-        -> Option<Time>;
+    /// One broadcast block of status deltas, or a contiguous segment of
+    /// one: [`SchedulerCore::apply_status`] on every core of `targets` but
+    /// the sender and those `skip` names, in ascending order, which writes
+    /// their views and nothing else. When `ages` is given, each core that
+    /// replaced a belief is pushed with that belief's age, in the same
+    /// order ([`ViewTable::deliver_block`]'s contract).
+    fn apply_block(
+        &mut self,
+        at: Time,
+        from: usize,
+        delta: StatusDelta,
+        targets: Range<usize>,
+        skip: impl Fn(usize) -> bool,
+        ages: Option<&mut Vec<(usize, Time)>>,
+    );
     /// [`SchedulerCore::cheapest_deferred`] on core `p`.
     fn cheapest_deferred(&mut self, p: usize) -> Option<(u64, usize)>;
     /// [`SchedulerCore::snapshot`] of core `p`.
@@ -165,17 +176,19 @@ impl<'a> CoreHost<'a> for LocalCores<'a> {
         (core.nodes_done(), core.take_violation())
     }
     // The hot path of every broadcast block. Straight to the table, not
-    // through the core: the block's targets are consecutive slots of one
-    // row, so the block is a sequential sweep.
+    // through the cores: the block's targets are consecutive slots of one
+    // row, so the block is one sweep of it.
     #[inline(always)]
-    fn apply_status(
+    fn apply_block(
         &mut self,
-        p: usize,
         at: Time,
         from: usize,
         delta: StatusDelta,
-    ) -> Option<Time> {
-        self.views.deliver(p, at, from, delta)
+        targets: Range<usize>,
+        skip: impl Fn(usize) -> bool,
+        ages: Option<&mut Vec<(usize, Time)>>,
+    ) {
+        self.views.deliver_block(at, from, delta, targets, skip, ages)
     }
     fn cheapest_deferred(&mut self, p: usize) -> Option<(u64, usize)> {
         self.cores[p].cheapest_deferred()
@@ -260,6 +273,9 @@ struct SimDriver<'a> {
     /// Sampled telemetry series; `None` = sampling disabled (the
     /// zero-cost path: cores never arm the sampling timer).
     ts: Option<RunTimeseries>,
+    /// The `(target, age)` pairs of the block being recorded, reused from
+    /// block to block (empty between blocks).
+    ages: Vec<(usize, Time)>,
 }
 
 impl<'a> SimDriver<'a> {
@@ -290,6 +306,7 @@ impl<'a> SimDriver<'a> {
             track_obligations: false,
             refused: Vec::new(),
             ts: cfg.sample_every.map(|every| RunTimeseries::new(cfg.nprocs, every)),
+            ages: Vec::new(),
         }
     }
 
@@ -768,6 +785,81 @@ impl<'a> SimDriver<'a> {
         Ok(())
     }
 
+    /// Delivers one status delta from `from` at `at` to the cores of
+    /// `targets` but the sender and those `skip` names, in one
+    /// [`CoreHost::apply_block`]; when recording, then appends one
+    /// `StatusApply` per replaced belief, in target order.
+    #[inline(always)]
+    fn apply_block(
+        &mut self,
+        host: &mut impl CoreHost<'a>,
+        at: Time,
+        from: usize,
+        delta: StatusDelta,
+        targets: Range<usize>,
+        skip: impl Fn(usize) -> bool,
+    ) {
+        if self.rec.is_none() {
+            return host.apply_block(at, from, delta, targets, skip, None);
+        }
+        let mut ages = std::mem::take(&mut self.ages);
+        host.apply_block(at, from, delta, targets, skip, Some(&mut ages));
+        let (about, (kind, _)) = (delta.about(from), delta.kind());
+        for (to, age) in ages.drain(..) {
+            self.record(|| SchedEvent::StatusApply {
+                to: id32(to),
+                from: id32(from),
+                about: id32(about),
+                kind,
+                age,
+            });
+        }
+        self.ages = ages;
+    }
+
+    /// A broadcast block of `len` targets on a kill/join run. The schedule
+    /// is keyed on delivered-event indices and fires before the event it
+    /// precedes, so the block is cut into contiguous segments at each due
+    /// index, and each segment is one [`SimDriver::apply_block`]: targets
+    /// that are dead (or all of them, when the sender is) lose the
+    /// message, dormant ones have it parked until their join. Returns
+    /// whether some target reached a core and whether the last one did.
+    fn membership_block(
+        &mut self,
+        host: &mut impl CoreHost<'a>,
+        ms: &mut Membership,
+        at: Time,
+        from: usize,
+        delta: StatusDelta,
+        len: usize,
+    ) -> Result<(bool, bool), SimError> {
+        // The target at position `k` of the block (the sender is skipped).
+        let target = |k: usize| k + usize::from(k >= from);
+        let (mut any, mut last) = (false, false);
+        let mut k = 0;
+        while k < len {
+            self.fire_due_membership(host, ms)?;
+            let seg = ms
+                .next_due()
+                .map_or(len - k, |due| (due - ms.delivered).min((len - k) as u64) as usize);
+            ms.delivered += seg as u64 - 1;
+            self.live_events -= seg as i64;
+            let targets = target(k)..target(k + seg - 1) + 1;
+            k += seg;
+            let reaches = |to: usize| ms.alive[to] && ms.joined[to];
+            if ms.alive[from] {
+                let dormant = |&to: &usize| to != from && ms.alive[to] && !ms.joined[to];
+                for to in targets.clone().filter(dormant) {
+                    self.buffered[to].push((from, Msg::Status(delta)));
+                }
+                self.apply_block(host, at, from, delta, targets.clone(), |to| !reaches(to));
+                any |= targets.clone().any(|to| to != from && reaches(to));
+            }
+            last = ms.alive[from] && reaches(targets.end - 1);
+        }
+        Ok((any, last))
+    }
+
     /// Ends the run on the host and snapshots the world for an error.
     fn diagnostics(&self, host: &mut impl CoreHost<'a>) -> Box<RunDiagnostics> {
         let cores = host.finish();
@@ -871,48 +963,27 @@ pub fn run_hosted<'a>(
                     drv.step(host, p, at, input)?;
                     (true, true)
                 }
-                // A broadcast block, delivered as one tight loop. Exact:
-                // its targets hold contiguous sequence numbers at one
-                // instant, and a status apply emits nothing but its
-                // `Record`, schedules nothing, and cannot move `done`,
-                // `pending_dead`, a violation or the clock — so of the
-                // per-event epilogues only the last target's can act.
-                // In-process, the targets' slots are one row of the view
-                // table, so the applies are a sequential sweep.
+                // A broadcast block, delivered as one sweep per touched
+                // row of the view table. Exact: its targets hold
+                // contiguous sequence numbers at one instant, and a status
+                // apply emits nothing but its `Record`, schedules nothing,
+                // and cannot move `done`, `pending_dead`, a violation or
+                // the clock — so of the per-event epilogues only the last
+                // target's can act. A kill/join run cuts the block where
+                // its schedule fires.
                 Delivery::Block(block) => {
                     let Msg::Status(delta) = block.msg else {
                         unreachable!("broadcast is status-only");
                     };
                     let (at, from) = (block.at, block.from);
-                    let (mut any, mut last) = (false, false);
-                    for to in block.targets() {
-                        last = false;
-                        if let Some(ms) = membership.as_mut() {
-                            drv.fire_due_membership(host, ms)?;
+                    match membership.as_mut() {
+                        None => {
+                            drv.live_events -= block.len() as i64;
+                            drv.apply_block(host, at, from, delta, 0..block.nprocs, |_| false);
+                            (true, true)
                         }
-                        drv.live_events -= 1;
-                        if let Some(ms) = membership.as_ref() {
-                            if !ms.alive[from] || !ms.alive[to] {
-                                continue; // a dead endpoint: the message is lost
-                            }
-                            if !ms.joined[to] {
-                                drv.buffered[to].push((from, Msg::Status(delta)));
-                                continue; // parked until the join
-                            }
-                        }
-                        if let Some(age) = host.apply_status(to, at, from, delta) {
-                            let (about, (kind, _)) = (delta.about(from), delta.kind());
-                            drv.record(|| SchedEvent::StatusApply {
-                                to: id32(to),
-                                from: id32(from),
-                                about: id32(about),
-                                kind,
-                                age,
-                            });
-                        }
-                        (any, last) = (true, true);
+                        Some(ms) => drv.membership_block(host, ms, at, from, delta, block.len())?,
                     }
-                    (any, last)
                 }
             };
             if any {

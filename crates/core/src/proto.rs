@@ -669,10 +669,12 @@ impl<'a> SchedulerCore<'a> {
     /// one that feeds `handle` per message leave identical cores.
     ///
     /// It writes this core's column of the view table and nothing else —
-    /// it is [`ViewTable::deliver`], which is how the in-process host
-    /// delivers a block without touching the cores at all. In particular
-    /// it does not set the core's clock: `now` is read only by the
-    /// handlers `handle` dispatches to, after `handle` has set it.
+    /// it is [`ViewTable::deliver`], whose per-receiver steps
+    /// [`ViewTable::deliver_block`] takes for a whole row at once: that
+    /// is how the in-process host delivers a block without touching the
+    /// cores at all. In particular it does not set the core's clock:
+    /// `now` is read only by the handlers `handle` dispatches to, after
+    /// `handle` has set it.
     #[inline]
     pub fn apply_status(&mut self, now: Time, from: usize, delta: StatusDelta) -> Option<Time> {
         self.views.deliver(now, from, delta)

@@ -466,6 +466,12 @@ impl Membership {
         }
     }
 
+    /// Index of the next scheduled kill or join, if any.
+    pub fn next_due(&self) -> Option<u64> {
+        let (kill, join) = (self.kills.front(), self.joins.front());
+        kill.into_iter().chain(join).map(|&(at, _)| at).min()
+    }
+
     /// Forces the next scheduled join regardless of its index (the drain
     /// path: with no events left, scheduled indices are never reached).
     pub fn take_next_join(&mut self) -> Option<usize> {

@@ -237,8 +237,8 @@ impl ViewTable {
     /// belief about its subject — unless that subject is `receiver`
     /// itself (an `Assigned` reaching the enrolled slave, whose self-view
     /// is exact). Returns the age of the belief replaced, `None` when
-    /// nothing was applied. What a broadcast block does per target, and
-    /// all [`crate::proto::SchedulerCore::apply_status`] does.
+    /// nothing was applied. What [`ViewTable::deliver_block`] does per
+    /// target, and all [`crate::proto::SchedulerCore::apply_status`] does.
     #[inline]
     pub fn deliver(
         &self,
@@ -252,6 +252,108 @@ impl ViewTable {
         }
         let about = delta.about(from);
         (about != receiver).then(|| self.slot(about, receiver).apply(delta, at))
+    }
+
+    /// One broadcast block, or a contiguous segment of one: what
+    /// [`ViewTable::deliver`] does to every receiver of `targets` but the
+    /// sender and those `skip` names, with the delta's `match` taken once
+    /// and not once per receiver. A delta about its sender is one pass
+    /// over row `from`, writing each slot's lease stamp, `updated_at` and
+    /// the delta's one field; an `Assigned` is a pass over row `from` for
+    /// the lease stamps, then one over its subject's row, which leaves
+    /// the subject's own slot alone. When `ages` is given, each receiver
+    /// whose belief was replaced is pushed with that belief's age, in
+    /// ascending receiver order: exactly the `(receiver, Some(age))`
+    /// sequence of per-receiver `deliver` calls.
+    pub fn deliver_block(
+        &self,
+        at: Time,
+        from: usize,
+        delta: StatusDelta,
+        targets: Range<usize>,
+        skip: impl Fn(usize) -> bool,
+        ages: Option<&mut Vec<(usize, Time)>>,
+    ) {
+        let lease = |s: &Slot| set(&s.last_heard, at);
+        match delta {
+            StatusDelta::Mem { delta } => self.refresh(from, targets, skip, at, ages, |s| {
+                lease(s);
+                add(&s.mem, delta)
+            }),
+            StatusDelta::Load { delta } => self.refresh(from, targets, skip, at, ages, |s| {
+                lease(s);
+                add(&s.load, delta)
+            }),
+            StatusDelta::Subtree { peak } => self.refresh(from, targets, skip, at, ages, |s| {
+                lease(s);
+                set(&s.subtree, peak)
+            }),
+            StatusDelta::Predicted { cost } => self.refresh(from, targets, skip, at, ages, |s| {
+                lease(s);
+                set(&s.predicted, cost)
+            }),
+            // The one delta about a third party: the lease stamps and the
+            // refresh are two rows, and the subject's own slot is exact.
+            StatusDelta::Assigned { proc, entries } => {
+                self.sweep(from, targets.clone(), &skip, |_, s| lease(s));
+                let skip = |to| to == from || skip(to);
+                self.refresh(proc, targets, skip, at, ages, |s| add(&s.mem, entries as i64))
+            }
+        }
+    }
+
+    /// The refresh pass of [`ViewTable::deliver_block`] over row `about`:
+    /// stamp `updated_at`, `write` the delta's field, and push the
+    /// replaced belief's age when asked, the `ages` test hoisted out of
+    /// the pass.
+    #[inline(always)]
+    fn refresh(
+        &self,
+        about: usize,
+        targets: Range<usize>,
+        skip: impl Fn(usize) -> bool,
+        at: Time,
+        ages: Option<&mut Vec<(usize, Time)>>,
+        write: impl Fn(&Slot),
+    ) {
+        match ages {
+            None => self.sweep(about, targets, skip, |_, s| {
+                set(&s.updated_at, at);
+                write(s);
+            }),
+            Some(ages) => self.sweep(about, targets, skip, |to, s| {
+                ages.push((to, at.saturating_sub(get(&s.updated_at))));
+                set(&s.updated_at, at);
+                write(s);
+            }),
+        }
+    }
+
+    /// Calls `visit` on the slots of row `row` that receivers `targets`
+    /// hold, in ascending receiver order, skipping those `skip` names and
+    /// receiver `row` itself: no delivery writes a processor's belief
+    /// about itself (the sender is no target, and the self-view is
+    /// exact), so the row is swept as the two runs around that slot.
+    #[inline(always)]
+    fn sweep(
+        &self,
+        row: usize,
+        targets: Range<usize>,
+        skip: impl Fn(usize) -> bool,
+        mut visit: impl FnMut(usize, &Slot),
+    ) {
+        debug_assert!(self.first <= targets.start && targets.end <= self.first + self.width);
+        let (lo, hi) = (targets.start, targets.end);
+        let halves = if targets.contains(&row) { [lo..row, row + 1..hi] } else { [lo..hi, hi..hi] };
+        let row = &self.slots[row * self.width..(row + 1) * self.width];
+        for part in halves {
+            let cells = &row[part.start - self.first..part.end - self.first];
+            for (to, s) in part.zip(cells) {
+                if !skip(to) {
+                    visit(to, s);
+                }
+            }
+        }
     }
 
     /// `receiver`'s column.
@@ -461,5 +563,84 @@ mod tests {
         let fresh = PeerView { mem: 5, updated_at: 9, last_heard: 9, ..PeerView::default() };
         assert_eq!(row, [fresh, fresh, PeerView::default()]);
         assert_eq!(table.column(0).get(1), PeerView::default(), "other rows untouched");
+    }
+
+    /// A table of `receivers` about `nprocs` processors, every word of
+    /// every slot drawn from `words` (cycled).
+    fn filled(nprocs: usize, receivers: Range<usize>, words: &[u64]) -> ViewTable {
+        let table = ViewTable::new(receivers.clone(), &vec![0; nprocs]);
+        let mut w = words.iter().copied().cycle();
+        for r in receivers {
+            let mut col = table.column(r);
+            for p in 0..nprocs {
+                col.set_mem(p, w.next().unwrap());
+                col.apply_load_delta(p, w.next().unwrap() as i64);
+                col.set_subtree(p, w.next().unwrap());
+                col.set_predicted(p, w.next().unwrap());
+                col.touch(p, w.next().unwrap());
+                col.hear(p, w.next().unwrap());
+            }
+        }
+        table
+    }
+
+    fn contents(table: &ViewTable, receivers: Range<usize>) -> Vec<Vec<PeerView>> {
+        receivers.map(|r| table.column(r).iter().collect()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 256, ..Default::default() })]
+
+        /// One sweep per row is per-receiver `deliver` in ascending order:
+        /// random table contents, every delta kind (an `Assigned` about a
+        /// third party), any sender, any contiguous segment of the table's
+        /// receivers with any skip mask, ages on or off. The whole table
+        /// and the pushed `(receiver, age)` sequence must agree.
+        #[test]
+        fn a_block_sweep_is_deliver_per_receiver_in_order(
+            nprocs in 2usize..10,
+            cut in (0usize..64, 0usize..64, 0usize..64, 0usize..64),
+            words in proptest::collection::vec(0u64..1_000, 1..64),
+            from_pick in 0usize..64,
+            kind in 0u8..5,
+            value in -2_000i64..2_000,
+            subject_pick in 1usize..64,
+            at in 0u64..2_000,
+            mask in proptest::collection::vec(0u8..5, 10),
+            with_ages in proptest::prelude::any::<bool>(),
+        ) {
+            // The table's receivers `lo..hi`, and the segment `a..b` of them.
+            let lo = cut.0 % nprocs;
+            let hi = lo + 1 + cut.1 % (nprocs - lo);
+            let a = lo + cut.2 % (hi - lo);
+            let b = a + 1 + cut.3 % (hi - a);
+            let from = from_pick % nprocs;
+            let delta = match kind {
+                0 => StatusDelta::Mem { delta: value },
+                1 => StatusDelta::Load { delta: value },
+                2 => StatusDelta::Subtree { peak: value.unsigned_abs() },
+                3 => StatusDelta::Predicted { cost: value.unsigned_abs() },
+                _ => StatusDelta::Assigned {
+                    proc: (from + subject_pick % (nprocs - 1) + 1) % nprocs,
+                    entries: value.unsigned_abs(),
+                },
+            };
+            let swept = filled(nprocs, lo..hi, &words);
+            let mut ages = Vec::new();
+            let skip = |to: usize| mask[to] == 0;
+            swept.deliver_block(at, from, delta, a..b, skip, with_ages.then_some(&mut ages));
+            let each = filled(nprocs, lo..hi, &words);
+            let mut want = Vec::new();
+            for to in (a..b).filter(|&to| to != from && !skip(to)) {
+                if let Some(age) = each.deliver(to, at, from, delta) {
+                    want.push((to, age));
+                }
+            }
+            if !with_ages {
+                want.clear();
+            }
+            proptest::prop_assert_eq!(ages, want, "{:?} from {} to {}..{}", delta, from, a, b);
+            proptest::prop_assert_eq!(contents(&swept, lo..hi), contents(&each, lo..hi));
+        }
     }
 }

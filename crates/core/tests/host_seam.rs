@@ -16,13 +16,14 @@ use mf_sim::{FaultModel, Time};
 use mf_sparse::gen::grid::{grid2d, Stencil};
 use mf_symbolic::seqstack::{apply_liu_order, AssemblyDiscipline};
 use mf_symbolic::AmalgamationOptions;
+use std::ops::Range;
 
 #[derive(Default)]
 struct Counting<'a> {
     /// The in-process host of the current run.
     cores: Option<LocalCores<'a>>,
     steps: u64,
-    status_applies: u64,
+    status_blocks: u64,
     deferred_queries: u64,
     snapshots: u64,
     finishes: u64,
@@ -45,15 +46,17 @@ impl<'a> CoreHost<'a> for Counting<'a> {
         self.steps += 1;
         self.cores().step(p, now, input, perform)
     }
-    fn apply_status(
+    fn apply_block(
         &mut self,
-        p: usize,
         at: Time,
         from: usize,
         delta: StatusDelta,
-    ) -> Option<Time> {
-        self.status_applies += 1;
-        self.cores().apply_status(p, at, from, delta)
+        targets: Range<usize>,
+        skip: impl Fn(usize) -> bool,
+        ages: Option<&mut Vec<(usize, Time)>>,
+    ) {
+        self.status_blocks += 1;
+        self.cores().apply_block(at, from, delta, targets, skip, ages)
     }
     fn cheapest_deferred(&mut self, p: usize) -> Option<(u64, usize)> {
         self.deferred_queries += 1;
@@ -76,7 +79,7 @@ fn the_loop_reaches_the_cores_only_through_the_host() {
     let mut tree = mf_symbolic::analyze(&a, &perm, &AmalgamationOptions::default()).tree;
     apply_liu_order(&mut tree, AssemblyDiscipline::FrontThenFree);
     // A hard capacity nothing fits under, first on a quiet machine
-    // (broadcast blocks take the `apply_status` path), then with a kill
+    // (broadcast blocks take the `apply_block` path), then with a kill
     // and a join (recovery plans, log replay and rebalancing snapshot the
     // cores; the forced-activation ladder queries them): between the two
     // runs every entry point of the host is on the path.
@@ -101,7 +104,7 @@ fn the_loop_reaches_the_cores_only_through_the_host() {
         assert_eq!(got, want);
         assert_eq!((got.dead, got.metrics.recovery.joins_observed), (dead, joins));
     }
-    assert!(host.steps > 0 && host.status_applies > 0, "events reach cores through the host");
+    assert!(host.steps > 0 && host.status_blocks > 0, "events reach cores through the host");
     assert!(host.deferred_queries > 0, "the capacity ladder asks through the host");
     assert!(host.snapshots > 0, "kill, plan and rebalance snapshot through the host");
     assert_eq!(host.finishes, 2);

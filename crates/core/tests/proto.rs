@@ -528,13 +528,13 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     /// A broadcast block delivered the way the run loop delivers it — one
-    /// `apply_status` per target, through the in-process host, whose
-    /// targets are consecutive slots of one row of the shared table — is
-    /// `P` independent receivers each stamping the sender's lease and
-    /// applying the delta to views of their own (a threaded worker's
-    /// one-column table), unless the delta is about the receiver itself:
-    /// every returned age, and at the end every receiver's whole column,
-    /// slot for slot.
+    /// `apply_block` through the in-process host, whose targets are
+    /// consecutive slots of one row of the shared table — is `P`
+    /// independent receivers each stamping the sender's lease and applying
+    /// the delta to views of their own (a threaded worker's one-column
+    /// table), unless the delta is about the receiver itself: every
+    /// pushed age, and at the end every receiver's whole column, slot for
+    /// slot.
     #[test]
     fn a_row_sweep_is_every_receiver_applying_on_its_own(
         nprocs in 2usize..9,
@@ -551,14 +551,18 @@ proptest! {
         for (&draw, gap) in raw.iter().zip(&gaps) {
             at += gap;
             let (from, delta) = broadcast_of(nprocs, draw);
+            let mut swept = Vec::new();
+            host.apply_block(at, from, delta, 0..nprocs, |_| false, Some(&mut swept));
+            let mut applied = Vec::new();
             for to in (0..nprocs).filter(|&to| to != from) {
-                let swept = host.apply_status(to, at, from, delta);
                 let mine = &mut own[to];
                 mine.hear(from, at);
                 let about = delta.about(from);
-                let applied = (about != to).then(|| mine.apply(about, delta, at));
-                prop_assert_eq!(swept, applied, "{:?} from {} at receiver {}", delta, from, to);
+                if about != to {
+                    applied.push((to, mine.apply(about, delta, at)));
+                }
             }
+            prop_assert_eq!(swept, applied, "{:?} from {}", delta, from);
         }
         for (r, core) in host.finish().iter().enumerate() {
             let (swept, mine): (Vec<_>, Vec<_>) = (core.views().iter().collect(), own[r].iter().collect());

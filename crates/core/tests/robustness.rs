@@ -217,14 +217,16 @@ proptest! {
     }
 }
 
-/// Runs `cfg`, whose fault model only kills and joins, and the same run
-/// forced onto the per-message path by a network kill switch that never
-/// trips. Without an injector every broadcast is delivered as one block
-/// and the schedule fires between its targets; with one, every target is
-/// its own queue entry. The two runs must agree bit for bit, recording
-/// included. Returns the block-path run.
+/// Runs `cfg`, whose fault model (if any) only kills and joins, and the
+/// same run forced onto the per-message path by a network kill switch
+/// that never trips. Without an injector every broadcast is delivered as
+/// one block, one row sweep per segment between the schedule's due
+/// indices; with one, every target is its own queue entry. The two runs
+/// must agree bit for bit, recording included. Returns the block-path
+/// run.
 fn block_path_matches_per_message_path(tree: &AssemblyTree, cfg: &SolverConfig) -> RunResult {
-    let model = cfg.fault.as_ref().expect("a kill/join model");
+    let model = cfg.fault.clone().unwrap_or_else(|| FaultModel::quiet(0));
+    let model = &model;
     assert!(!model.perturbs_messages(), "the block path needs a membership-only model");
     let forced = SolverConfig {
         fault: Some(FaultModel { kill_network_after: Some(u64::MAX), ..model.clone() }),
@@ -306,6 +308,91 @@ fn the_benchmark_recovery_cell_matches_the_per_message_path() {
     let r = block_path_matches_per_message_path(&s.tree, &cfg);
     assert_eq!(r.dead, vec![3, 11]);
     assert_eq!(r.metrics.recovery.joins_observed, 1);
+}
+
+/// The recorded and sampled path of the block loop: a block's row sweep
+/// pushes the replaced beliefs' ages into one reused buffer and the
+/// driver appends their `StatusApply` rows after it. On four paper
+/// matrices under four orderings at P=32, with the recorder and the
+/// sampler on, the result and the recording equal the per-message
+/// path's, which records every target as its own event.
+#[test]
+fn recorded_block_sweeps_match_the_per_message_path() {
+    use PaperMatrix::{Gupta3, Pre2, Ship003, TwoTone};
+    let cells = [
+        (TwoTone, OrderingKind::Amd),
+        (Gupta3, OrderingKind::Metis),
+        (Pre2, OrderingKind::Amf),
+        (Ship003, OrderingKind::Pord),
+    ];
+    for (matrix, ordering) in cells {
+        let a = matrix.instantiate();
+        let p = ordering.compute(&a);
+        let mut s = mf_symbolic::analyze(&a, &p, &AmalgamationOptions::default());
+        apply_liu_order(&mut s.tree, AssemblyDiscipline::FrontThenFree);
+        let cfg = SolverConfig {
+            type2_front_min: 150,
+            type3_front_min: 500,
+            min_rows_per_slave: 12,
+            record_events: true,
+            sample_every: Some(1000),
+            ..SolverConfig::mumps_baseline(32).with_memory_strategy()
+        };
+        let r = block_path_matches_per_message_path(&s.tree, &cfg);
+        assert_eq!(r.nodes_done, r.total_nodes, "{matrix:?}/{ordering:?}");
+        assert!(r.timeseries.is_some(), "the sampler must be on");
+    }
+}
+
+/// Kill/join runs cut a block into segments at each due index. The
+/// schedules below put the cut at a block's edges and in its middle, on
+/// the tree and configuration whose delivered-event log
+/// `engine_equiv::kills_and_joins_inside_a_block_match_the_per_event_engine`
+/// reads: with everybody up, events 613..=617 are one block from
+/// processor 2 (targets 0, 1, 3, 4, 5); with processor 5 dormant,
+/// events 376..=380 are one block from processor 3 (targets 0, 1, 2, 4,
+/// 5). A dormant processor 2 is a middle target of every block sent by
+/// 3, 4 or 5, so until its join each of those parks its message
+/// mid-block. Each run equals the per-message path.
+#[test]
+fn kills_and_joins_at_segment_edges_match_the_per_message_path() {
+    let tree = tree_for(14);
+    let base = SolverConfig {
+        record_events: true,
+        recovery: Some(RecoveryConfig::default()),
+        ..SolverConfig { type2_front_min: 24, ..SolverConfig::mumps_baseline(6) }
+            .with_memory_strategy()
+    };
+    type Schedule = (&'static [(u64, usize)], &'static [(u64, usize)]);
+    let cases: [Schedule; 6] = [
+        // A kill on the block's first target; the victim is a later one.
+        (&[(613, 4)], &[]),
+        // A kill on the block's first target; the victim is that target.
+        (&[(613, 0)], &[]),
+        // A kill on the block's last target; the victim is its sender.
+        (&[(617, 2)], &[]),
+        // A join in mid-block: targets 0 and 1 before it, 2, 4 and the
+        // joiner after it.
+        (&[], &[(378, 5)]),
+        // Processor 2 dormant until event 2000: parked in mid-block.
+        (&[], &[(2000, 2)]),
+        // Both: parked mid-block, then a kill, then the join.
+        (&[(1500, 4)], &[(2000, 2)]),
+    ];
+    for (kill_at, join_at) in cases {
+        let cfg = SolverConfig {
+            fault: Some(FaultModel {
+                kill_at: kill_at.to_vec(),
+                join_at: join_at.to_vec(),
+                ..FaultModel::quiet(1)
+            }),
+            ..base.clone()
+        };
+        let r = block_path_matches_per_message_path(&tree, &cfg);
+        assert_eq!(r.dead.len(), kill_at.len(), "kills {kill_at:?} must fire");
+        assert_eq!(r.metrics.recovery.joins_observed as usize, join_at.len());
+        assert_eq!(r.nodes_done, r.total_nodes);
+    }
 }
 
 /// Kills scheduled around the finishing-drain window — after the last

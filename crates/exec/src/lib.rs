@@ -30,6 +30,7 @@ use mf_sim::recorder::MemArea;
 use mf_sim::Time;
 use mf_symbolic::AssemblyTree;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::mpsc;
 
 /// Why a threaded run could not be performed or failed.
@@ -234,17 +235,25 @@ impl<'a> CoreHost<'a> for Workers<'a> {
         (nodes_done, violation)
     }
 
-    fn apply_status(
+    // One round trip per target: the cost of a block here is the
+    // channel, not the loop.
+    fn apply_block(
         &mut self,
-        p: usize,
         at: Time,
         from: usize,
         delta: StatusDelta,
-    ) -> Option<Time> {
-        let Reply::Age(age) = self.call(p, Cmd::Status { at, from, delta }) else {
-            unreachable!("one reply kind per command");
-        };
-        age
+        targets: Range<usize>,
+        skip: impl Fn(usize) -> bool,
+        mut ages: Option<&mut Vec<(usize, Time)>>,
+    ) {
+        for p in targets.filter(|&p| p != from && !skip(p)) {
+            let Reply::Age(age) = self.call(p, Cmd::Status { at, from, delta }) else {
+                unreachable!("one reply kind per command");
+            };
+            if let (Some(ages), Some(age)) = (ages.as_deref_mut(), age) {
+                ages.push((p, age));
+            }
+        }
     }
 
     fn cheapest_deferred(&mut self, p: usize) -> Option<(u64, usize)> {

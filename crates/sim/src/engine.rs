@@ -82,12 +82,6 @@ impl<M> Block<M> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// The receiving processors, ascending.
-    pub fn targets(&self) -> impl Iterator<Item = usize> {
-        let from = self.from;
-        (0..self.nprocs).filter(move |&to| to != from)
-    }
 }
 
 impl<M: Clone> Block<M> {
@@ -418,7 +412,6 @@ mod tests {
         assert_eq!(sim.pending(), 5);
         let Some(Delivery::Block(b)) = sim.pop() else { panic!("the block was queued first") };
         assert_eq!((b.at, b.from, b.msg, sim.now()), (4, 2, 9, 4));
-        assert_eq!(b.targets().collect::<Vec<_>>(), vec![0, 1, 3, 4]);
         // Every target counted at once; the block is gone from the queue.
         assert_eq!((sim.delivered(), sim.pending()), (4, 1));
         let tos: Vec<usize> = b

@@ -232,3 +232,31 @@ fn seeded_random_graphs() {
         .collect();
     compare("random graphs", &RANDOM, &got);
 }
+
+/// The Amestoy–Davis–Duff dense-row cutoff, `max(16, 10√n)`, and the
+/// number of rows of the graph of `A + Aᵀ` whose degree exceeds it: the
+/// rows a dense-row rule in `mindeg` would set aside.
+fn dense_rows(g: &Graph) -> (usize, usize) {
+    let cutoff = 16f64.max(10.0 * (g.n() as f64).sqrt()) as usize;
+    (cutoff, (0..g.n()).filter(|&v| g.degree(v) > cutoff).count())
+}
+
+/// The dense-row census of the paper matrices at ×1: only GUPTA3 has
+/// rows above the cutoff, 112 of 2000, with a largest degree of 904
+/// against a cutoff of 447. A dense-row rule in whole-graph minimum
+/// degree can therefore move only GUPTA3's AMD and AMF goldens above.
+/// (Nested dissection runs the same engine on its pieces, whose smaller
+/// `n` gives smaller cutoffs; this census does not cover them.)
+#[test]
+fn only_gupta3_has_dense_rows_at_scale_one() {
+    for m in ALL_PAPER_MATRICES {
+        let g = Graph::from_matrix(&m.instantiate());
+        let (cutoff, dense) = dense_rows(&g);
+        let max_degree = (0..g.n()).map(|v| g.degree(v)).max().unwrap_or(0);
+        if m.name() == "GUPTA3" {
+            assert_eq!((g.n(), cutoff, dense, max_degree), (2000, 447, 112, 904));
+        } else {
+            assert_eq!(dense, 0, "{}: max degree {max_degree}, cutoff {cutoff}", m.name());
+        }
+    }
+}
