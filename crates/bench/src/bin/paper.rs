@@ -1,0 +1,517 @@
+//! Every committed result, one report per `results/<name>.txt`:
+//! `paper <report>` prints that file.
+//!
+//! * `table1` — the test problems (synthetic analogues + paper metadata);
+//! * `table2` — % decrease of the max stack peak, memory strategies vs.
+//!   workload baseline, 8 matrices × 4 orderings, no splitting;
+//! * `table3` — same on trees with large type-2 masters split;
+//! * `table4` — absolute peaks, {no-split, split} × {workload, memory};
+//! * `table5` — combined static + dynamic vs. original MUMPS strategy;
+//! * `table6` — factorization-time loss of the memory strategies;
+//! * `figures` — scenario reproductions of Figures 3, 4, 5, 6 and 8;
+//! * `ablation` — which mechanism buys what;
+//! * `scaling` — memory scalability over 1..32 processors;
+//! * `variability` — sensitivity of each strategy to timing noise;
+//! * `reordering_memory` — the reordering study of the paper's \[12\].
+//!
+//! The command line is exactly one report name; anything else is a
+//! usage error (exit 2, nothing on stdout). Tables 2, 3, 5 and 6 print
+//! one progress line per entry on stderr.
+
+use mf_bench::obs::{die, parse_matrix};
+use mf_bench::paper_data::{PAPER_TABLE2, PAPER_TABLE3, PAPER_TABLE4, PAPER_TABLE5, PAPER_TABLE6};
+use mf_bench::scenarios::{figure4, figure5, figure6, figure8};
+use mf_bench::sweep::{
+    build_tree, paper_scale_config, render_percent_table, split_threshold_for, sweep_cells,
+    CellResult, CellSpec,
+};
+use mf_core::blocking::equal_entry_blocks;
+use mf_core::config::{SlaveSelection, SolverConfig, TaskSelection};
+use mf_core::driver::{percent_decrease, percent_increase};
+use mf_core::mapping::compute_mapping;
+use mf_core::parsim;
+use mf_order::{OrderingKind, ALL_ORDERINGS};
+use mf_sparse::gen::paper::{PaperMatrix, ALL_PAPER_MATRICES};
+use mf_sparse::stats::matrix_stats;
+use mf_sparse::Symmetry;
+use mf_symbolic::seqstack::{apply_liu_order, sequential_peak, AssemblyDiscipline};
+use mf_symbolic::AmalgamationOptions;
+use rayon::prelude::*;
+
+/// Report name (its `results/` file stem) → the function printing it.
+const REPORTS: [(&str, fn()); 11] = [
+    ("table1", table1),
+    ("table2", || percent_table(&TABLE2)),
+    ("table3", || percent_table(&TABLE3)),
+    ("table4", table4),
+    ("table5", || percent_table(&TABLE5)),
+    ("table6", || percent_table(&TABLE6)),
+    ("figures", figures),
+    ("ablation", ablation),
+    ("scaling", scaling),
+    ("variability", variability),
+    ("reordering_memory", reordering_memory),
+];
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some(name) = args.first() else {
+        let names: Vec<&str> = REPORTS.iter().map(|&(n, _)| n).collect();
+        die(&format!("expects one report name: {}", names.join(" | ")))
+    };
+    let Some(&(_, report)) = REPORTS.iter().find(|&&(n, _)| n == name) else {
+        die(&format!("unknown report {name:?}"))
+    };
+    if let Some(extra) = args.get(1) {
+        die(&format!("unexpected argument {extra:?}: a report takes none"));
+    }
+    report();
+}
+
+/// The simulated processor count of every table cell, as in the paper.
+const NPROCS: usize = 32;
+
+/// One sweep cell at [`NPROCS`]; `split` applies the splitting threshold
+/// to unsymmetric matrices only (the paper split no symmetric tree).
+fn cell(m: PaperMatrix, k: OrderingKind, split: bool) -> CellSpec {
+    (m, k, NPROCS, (split && m.is_unsymmetric()).then(split_threshold_for))
+}
+
+/// A matrix × ordering table of percentages, one entry per cell group.
+struct PercentTable {
+    /// Heading; `{thr}` stands for the splitting threshold.
+    title: &'static str,
+    /// The paper's numbers. Its rows are the matrices the table runs.
+    paper: &'static [(&'static str, [f64; 4])],
+    /// The cells of one (matrix, ordering) entry: `false` unsplit,
+    /// `true` split (see [`cell`]).
+    splits: &'static [bool],
+    /// The entry's percentage and its stderr progress line, from its
+    /// first and last cell (the same cell when `splits` has one).
+    entry: fn(&CellResult, &CellResult) -> (f64, String),
+}
+
+const TABLE2: PercentTable = PercentTable {
+    title: "Table 2: % decrease of max stack peak (dynamic memory strategies, no splitting)",
+    paper: &PAPER_TABLE2,
+    splits: &[false],
+    entry: |c, _| {
+        let val = c.gain_percent();
+        let log = format!(
+            "{:12} {:5}: baseline peak {:>9}, memory peak {:>9} -> {:+.1}%",
+            c.matrix.name(),
+            c.ordering.name(),
+            c.baseline.max_peak,
+            c.memory.max_peak,
+            val
+        );
+        (val, log)
+    },
+};
+
+const TABLE3: PercentTable = PercentTable {
+    title: "Table 3: % decrease of max stack peak on split trees (threshold {thr} entries)",
+    paper: &PAPER_TABLE3,
+    splits: &[true],
+    entry: |c, _| {
+        let val = c.gain_percent();
+        let log = format!(
+            "{:12} {:5}: split-baseline {:>9}, split-memory {:>9} -> {:+.1}% ({} fronts)",
+            c.matrix.name(),
+            c.ordering.name(),
+            c.baseline.max_peak,
+            c.memory.max_peak,
+            val,
+            c.stats.nodes,
+        );
+        (val, log)
+    },
+};
+
+const TABLE5: PercentTable = PercentTable {
+    title:
+        "Table 5: % decrease of max stack peak, static splitting + dynamic memory vs original MUMPS",
+    paper: &PAPER_TABLE5,
+    splits: &[false, true],
+    entry: |original, combined| {
+        let val = percent_decrease(original.baseline.max_peak, combined.memory.max_peak);
+        let log = format!(
+            "{:12} {:5}: original {:>9} -> split+memory {:>9} = {:+.1}%",
+            original.matrix.name(),
+            original.ordering.name(),
+            original.baseline.max_peak,
+            combined.memory.max_peak,
+            val
+        );
+        (val, log)
+    },
+};
+
+const TABLE6: PercentTable = PercentTable {
+    title: "Table 6: % loss of factorization time, memory-optimized vs original strategy",
+    paper: &PAPER_TABLE6,
+    splits: &[false, true],
+    entry: |original, optimized| {
+        let val = percent_increase(original.baseline.makespan, optimized.memory.makespan);
+        let log = format!(
+            "{:12} {:5}: makespan {:>9} -> {:>9} = {:+.1}%",
+            original.matrix.name(),
+            original.ordering.name(),
+            original.baseline.makespan,
+            optimized.memory.makespan,
+            val
+        );
+        (val, log)
+    },
+};
+
+/// Runs every cell of `t` in parallel (results come back in input
+/// order, so the table equals the sequential loop's), prints each
+/// entry's progress line on stderr and the table on stdout.
+fn percent_table(t: &PercentTable) {
+    let matrices: Vec<PaperMatrix> = t
+        .paper
+        .iter()
+        .map(|&(name, _)| parse_matrix(name).expect("a paper row names a paper matrix"))
+        .collect();
+    let specs: Vec<CellSpec> = matrices
+        .iter()
+        .flat_map(|&m| ALL_ORDERINGS.into_iter().map(move |k| (m, k)))
+        .flat_map(|(m, k)| t.splits.iter().map(move |&s| cell(m, k, s)))
+        .collect();
+    let cells = sweep_cells(&specs);
+    let mut rows = Vec::new();
+    for (m, row) in matrices.iter().zip(cells.chunks_exact(4 * t.splits.len())) {
+        let mut vals = [0.0f64; 4];
+        for (val, entry) in vals.iter_mut().zip(row.chunks_exact(t.splits.len())) {
+            let (v, log) = (t.entry)(&entry[0], entry.last().unwrap());
+            *val = v;
+            eprintln!("{log}");
+        }
+        rows.push((m.name(), vals));
+    }
+    let title = t.title.replace("{thr}", &split_threshold_for().to_string());
+    println!("{}", render_percent_table(&title, &rows, Some(t.paper)));
+}
+
+/// Table 1: the test problems — paper metadata and the synthetic
+/// analogues actually factorized in this reproduction.
+fn table1() {
+    println!("Table 1: test problems (paper instance -> synthetic analogue)");
+    println!(
+        "{:12} {:>9} {:>10} {:4}  {:>8} {:>9} {:>7} {:>5}  Description",
+        "Matrix", "Order", "NZ", "Type", "order*", "nz*", "nnz/n*", "sym*"
+    );
+    for m in ALL_PAPER_MATRICES {
+        let a = m.instantiate();
+        let st = matrix_stats(&a);
+        println!(
+            "{:12} {:>9} {:>10} {:4}  {:>8} {:>9} {:>7.1} {:>4.0}%  {}",
+            m.name(),
+            m.paper_order(),
+            m.paper_nnz(),
+            m.symmetry().tag(),
+            a.nrows(),
+            a.nnz(),
+            st.avg_row_nnz,
+            100.0 * st.structural_symmetry,
+            m.description(),
+        );
+    }
+    println!("\n(*) reproduction-scale analogue generated by mf-sparse::gen");
+}
+
+/// Table 4: absolute maximum stack peaks (millions of entries) on the two
+/// illustrative cases, isolating the gain of the static splitting from
+/// the gain of the dynamic memory strategies.
+fn table4() {
+    let cases = [
+        (PaperMatrix::Ultrasound3, OrderingKind::Metis, "ULTRASOUND3-METIS"),
+        (PaperMatrix::Xenon2, OrderingKind::Amf, "XENON2-AMF"),
+    ];
+    let specs: Vec<CellSpec> =
+        cases.iter().flat_map(|&(m, k, _)| [cell(m, k, false), cell(m, k, true)]).collect();
+    let cells = sweep_cells(&specs);
+    println!("Table 4: max stack peak, millions of entries (measured | paper)");
+    println!(
+        "{:18} {:16} {:>10} {:>10}   {:>7} {:>7}",
+        "Case", "Strategy", "No split", "Split", "paper:N", "paper:S"
+    );
+    for ((_, _, case), pair) in cases.iter().zip(cells.chunks_exact(2)) {
+        let (plain, split) = (&pair[0], &pair[1]);
+        let to_m = |v: u64| v as f64 / 1.0e6;
+        for (strategy, nosplit, withsplit) in [
+            ("MUMPS dynamic", plain.baseline.max_peak, split.baseline.max_peak),
+            ("memory-based", plain.memory.max_peak, split.memory.max_peak),
+        ] {
+            let paper = PAPER_TABLE4
+                .iter()
+                .find(|(c, s, _, _)| c == case && strategy.starts_with(&s[..5]))
+                .map(|&(_, _, a, b)| (a, b))
+                .unwrap_or((f64::NAN, f64::NAN));
+            println!(
+                "{:18} {:16} {:>10.3} {:>10.3}   {:>7.2} {:>7.2}",
+                case,
+                strategy,
+                to_m(nosplit),
+                to_m(withsplit),
+                paper.0,
+                paper.1
+            );
+        }
+    }
+    println!("\n(paper columns: IBM SP, full-scale matrices; ours: reproduction scale)");
+}
+
+/// Scenario reproductions of the paper's illustrative figures: the
+/// type-2 blockings (Figure 3), one memory-based slave selection
+/// (Figure 4), the stale-view coherence problem (Figure 5), predicting
+/// incoming master tasks (Figure 6), memory-aware task selection vs.
+/// LIFO (Figure 8).
+fn figures() {
+    fn bar(value: u64, unit: u64) -> String {
+        "#".repeat(((value + unit / 2) / unit.max(1)) as usize)
+    }
+
+    println!("== Figure 3: type-2 blocking, front 100 with 20 pivots, 4 slaves ==");
+    for sym in [Symmetry::General, Symmetry::Symmetric] {
+        let blocks = equal_entry_blocks(sym, 100, 20, 4);
+        let rows: Vec<usize> = blocks.iter().map(|&(_, n)| n).collect();
+        println!("  {:?}: rows per slave {:?}", sym, rows);
+    }
+
+    println!("\n== Figure 4: memory-based slave selection (Algorithm 1) ==");
+    let (memories, sel) = figure4();
+    println!("  memory load per processor (# = 10k entries):");
+    for (p, &m) in memories.iter().enumerate() {
+        let role = if p == 0 { " (master)" } else { "" };
+        println!("   P{p}: {:>7} {}{}", m, bar(m, 10_000), role);
+    }
+    println!("  Algorithm 1 row distribution (front 400, 100 pivots):");
+    for (p, rows) in &sel {
+        println!("   P{p}: {rows} rows");
+    }
+    let excluded: Vec<usize> = (1..8).filter(|p| !sel.iter().any(|&(q, _)| q == *p)).collect();
+    println!("  processors left alone (their load already at the peak): {excluded:?}");
+
+    println!("\n== Figure 5: the coherence problem ==");
+    let o = figure5();
+    println!("  slow control network  : P0 peak {:>7}, global {:>7}", o.bad.0, o.bad.1);
+    println!("  instantaneous network : P0 peak {:>7}, global {:>7}", o.good.0, o.good.1);
+    println!("  -> the stale memory view sends a slave block onto P0 while its");
+    println!("     big master front is live; fresh information avoids it.");
+
+    println!("\n== Figure 6: predicting the activation of ready tasks ==");
+    let o = figure6();
+    println!("  without prediction : P0 peak {:>7}, global {:>7}", o.bad.0, o.bad.1);
+    println!("  with prediction    : P0 peak {:>7}, global {:>7}", o.good.0, o.good.1);
+    println!("  -> every view of P0 is genuinely small at selection time; only the");
+    println!("     Section 5.1 prediction knows a large master is about to start.");
+
+    println!("\n== Figure 8: memory-aware task selection (Algorithm 2) ==");
+    let o = figure8();
+    println!("  LIFO pool          : P0 peak {:>7}, global {:>7}", o.bad.0, o.bad.1);
+    println!("  Algorithm 2        : P0 peak {:>7}, global {:>7}", o.good.0, o.good.1);
+    println!("  -> delaying the big type-2 master until the subtree finishes keeps");
+    println!("     its master part from stacking on the subtree's CBs.");
+}
+
+/// A strategy combination of the ablation study, applied to the
+/// baseline configuration.
+type Variant = (&'static str, fn(SolverConfig) -> SolverConfig);
+
+/// Every meaningful strategy combination: Algorithm 1 alone, with each
+/// of the two Section 5.1 information mechanisms, Algorithm 2 and its
+/// global refinement, and the hybrid strategy of the paper's conclusion.
+const VARIANTS: &[Variant] = &[
+    ("workload+lifo (baseline)", |c| c),
+    ("alg1 only", |c| SolverConfig { slave_selection: SlaveSelection::Memory, ..c }),
+    ("alg1 + subtree info", |c| SolverConfig {
+        slave_selection: SlaveSelection::Memory,
+        use_subtree_info: true,
+        ..c
+    }),
+    ("alg1 + prediction", |c| SolverConfig {
+        slave_selection: SlaveSelection::Memory,
+        use_prediction: true,
+        ..c
+    }),
+    ("alg2 only", |c| SolverConfig { task_selection: TaskSelection::MemoryAware, ..c }),
+    ("full memory (paper)", |c| c.with_memory_strategy()),
+    ("full + global alg2", |c| SolverConfig {
+        task_selection: TaskSelection::MemoryAwareGlobal,
+        ..c.with_memory_strategy()
+    }),
+    ("hybrid (conclusion)", |c| SolverConfig {
+        slave_selection: SlaveSelection::Hybrid,
+        ..c.with_memory_strategy()
+    }),
+    ("mem-aware subtrees", |c| SolverConfig {
+        subtree_peak_factor: Some(1.0),
+        ..c.with_memory_strategy()
+    }),
+];
+
+/// Ablation study of the design choices (beyond the paper's tables):
+/// the same cells under every [`VARIANTS`] entry, with max/avg stack
+/// peak and makespan for each.
+fn ablation() {
+    for (m, k) in [
+        (PaperMatrix::TwoTone, OrderingKind::Amd),
+        (PaperMatrix::Ultrasound3, OrderingKind::Amf),
+        (PaperMatrix::Ship003, OrderingKind::Metis),
+    ] {
+        println!("=== {} / {} ({NPROCS} processors) ===", m.name(), k.name());
+        let tree = build_tree(m, k, None);
+        println!(
+            "{:26} {:>10} {:>10} {:>10} {:>8}",
+            "variant", "max peak", "avg peak", "makespan", "vs base"
+        );
+        // The variants run in parallel on the cached tree; results keep
+        // VARIANTS order, and "vs base" is anchored on the first.
+        let results: Vec<_> = VARIANTS
+            .par_iter()
+            .map(|&(name, variant)| {
+                let cfg = variant(paper_scale_config(NPROCS));
+                let map = compute_mapping(&tree, &cfg);
+                parsim::run(&tree, &map, &cfg).unwrap_or_else(|e| panic!("{name} failed: {e}"))
+            })
+            .collect();
+        let base_peak = results[0].max_peak;
+        for (&(name, _), r) in VARIANTS.iter().zip(&results) {
+            println!(
+                "{:26} {:>10} {:>10.0} {:>10} {:>+7.1}%",
+                name,
+                r.max_peak,
+                r.avg_peak,
+                r.makespan,
+                100.0 * (base_peak as f64 - r.max_peak as f64) / base_peak as f64,
+            );
+        }
+        println!();
+    }
+}
+
+/// Memory scalability — the paper's motivation, quantified. For 1..32
+/// processors and each strategy: the maximum per-processor stack peak
+/// (what each node must provision), the *sum* of the peaks (perfect
+/// scalability would keep it flat at the sequential peak), the memory
+/// efficiency `seq_peak / (nprocs * max_peak)` and the makespan speedup.
+fn scaling() {
+    let tree = build_tree(PaperMatrix::Ultrasound3, OrderingKind::Metis, None);
+    let seq = sequential_peak(&tree, AssemblyDiscipline::FrontThenFree);
+    println!("ULTRASOUND3 / METIS; sequential stack peak = {seq} entries");
+    println!(
+        "{:>6} {:>10} {:>12} {:>12} {:>10} {:>8}  strategy",
+        "procs", "max peak", "sum peaks", "efficiency", "makespan", "speedup"
+    );
+    // The points run in parallel; results keep input order, so the
+    // speedup baselines are the two nprocs=1 rows.
+    let points: Vec<(usize, bool)> =
+        [1usize, 2, 4, 8, 16, 32].into_iter().flat_map(|np| [(np, false), (np, true)]).collect();
+    let results: Vec<_> = points
+        .par_iter()
+        .map(|&(nprocs, memory)| {
+            let mut cfg = paper_scale_config(nprocs);
+            if memory {
+                cfg = cfg.with_memory_strategy();
+            }
+            let map = compute_mapping(&tree, &cfg);
+            parsim::run(&tree, &map, &cfg).expect("scaling run failed")
+        })
+        .collect();
+    let t1 = [results[0].makespan, results[1].makespan];
+    for (&(nprocs, memory), r) in points.iter().zip(&results) {
+        let sum: u64 = r.peaks.iter().sum();
+        println!(
+            "{:>6} {:>10} {:>12} {:>11.1}% {:>10} {:>7.1}x  {}",
+            nprocs,
+            r.max_peak,
+            sum,
+            100.0 * seq as f64 / (nprocs as f64 * r.max_peak as f64),
+            r.makespan,
+            t1[memory as usize] as f64 / r.makespan as f64,
+            if memory { "memory" } else { "workload" },
+        );
+    }
+}
+
+/// Sensitivity of each strategy to execution-timing noise: task
+/// durations perturbed by ±10% under 16 seeds, and the spread of the
+/// maximum stack peak. The paper attributes small differences between
+/// its Tables 2 and 3 to "the non-deterministic execution scheme of
+/// MUMPS"; this is the analogous effect here.
+fn variability() {
+    let seeds = 16u64;
+    println!("max stack peak under ±10% duration noise, {seeds} seeds");
+    println!(
+        "{:22} {:>10} {:>10} {:>10} {:>8}",
+        "cell / strategy", "min", "mean", "max", "spread%"
+    );
+    for (m, k) in
+        [(PaperMatrix::TwoTone, OrderingKind::Amd), (PaperMatrix::Ultrasound3, OrderingKind::Amf)]
+    {
+        let tree = build_tree(m, k, None);
+        let base = paper_scale_config(NPROCS);
+        let mem = base.clone().with_memory_strategy();
+        for (name, cfg) in [("workload", &base), ("memory", &mem)] {
+            let map = compute_mapping(&tree, cfg);
+            // Each seed fully determines its jittered run, so the
+            // parallel fan-out changes nothing but wall time.
+            let peaks: Vec<u64> = (0..seeds)
+                .collect::<Vec<_>>()
+                .into_par_iter()
+                .map(|seed| {
+                    let jcfg = SolverConfig { jitter: Some((seed, 0.10)), ..cfg.clone() };
+                    parsim::run(&tree, &map, &jcfg).expect("jittered run failed").max_peak
+                })
+                .collect();
+            let min = *peaks.iter().min().unwrap();
+            let max = *peaks.iter().max().unwrap();
+            let mean = peaks.iter().sum::<u64>() as f64 / peaks.len() as f64;
+            println!(
+                "{:12} {:9} {:>10} {:>10.0} {:>10} {:>7.1}%",
+                m.name(),
+                name,
+                min,
+                mean,
+                max,
+                100.0 * (max - min) as f64 / mean,
+            );
+        }
+    }
+    println!("\n(the paper: \"the little difference on the gains measured between");
+    println!(" Table 2 and Table 3 is due to the non-deterministic execution scheme\")");
+}
+
+/// Impact of the reordering on memory (the paper's reference \[12\],
+/// Guermouche, L'Excellent & Utard, Parallel Computing 2003). For every
+/// matrix × ordering: sequential stack peak with and without Liu's
+/// optimal child order, total factor entries and elimination flops —
+/// minimum-degree orderings trade a smaller stack for more flops,
+/// dissection orderings the reverse.
+fn reordering_memory() {
+    println!(
+        "{:12} {:5} {:>12} {:>12} {:>7} {:>12} {:>12}",
+        "Matrix", "Ord", "stack(DFS)", "stack(Liu)", "gain%", "factors", "flops"
+    );
+    for m in ALL_PAPER_MATRICES {
+        let a = m.instantiate();
+        for k in ALL_ORDERINGS {
+            let perm = k.compute(&a);
+            let mut s = mf_symbolic::analyze(&a, &perm, &AmalgamationOptions::default());
+            let before = sequential_peak(&s.tree, AssemblyDiscipline::FrontThenFree);
+            let after = apply_liu_order(&mut s.tree, AssemblyDiscipline::FrontThenFree);
+            println!(
+                "{:12} {:5} {:>12} {:>12} {:>6.1}% {:>12} {:>12}",
+                m.name(),
+                k.name(),
+                before,
+                after,
+                100.0 * (before - after) as f64 / before.max(1) as f64,
+                s.tree.total_factor_entries(),
+                s.tree.total_flops(),
+            );
+        }
+    }
+}

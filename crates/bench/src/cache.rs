@@ -1,90 +1,71 @@
-//! Process-wide memoization of symbolic sweep artifacts.
+//! Process-wide memoization of the analyzed assembly tree.
 //!
-//! Every sweep cell starts from the same three pure computations —
-//! instantiate the matrix, compute the fill-reducing permutation, run the
-//! symbolic analysis — and the table drivers revisit the same
-//! `(matrix, ordering, split)` triples many times (two strategies per
-//! cell, several tables per binary, ablation variants, scaling curves).
-//! This module caches each level once per process behind `Arc`s:
+//! Every sweep cell starts from the same pure computation — instantiate
+//! the matrix, compute the fill-reducing permutation, run the symbolic
+//! analysis — and the reports revisit the same `(matrix, ordering,
+//! split)` triples many times (two strategies per cell, several tables
+//! and studies, mf-obs subcommands). This module caches the tree once per
+//! process behind an `Arc`, keyed by `(PaperMatrix, OrderingKind,
+//! Option<split>)`: the `None` entry holds the analyzed tree after the
+//! Liu child reordering, and a `Some(t)` entry is a clone of that tree
+//! with large type-2 masters split. The matrix and the permutation are
+//! dropped once the tree is built.
 //!
-//! * matrix      — keyed by [`PaperMatrix`];
-//! * permutation — keyed by `(PaperMatrix, OrderingKind)`;
-//! * tree        — keyed by `(PaperMatrix, OrderingKind, Option<split>)`,
-//!   where the `None` entry holds the analyzed tree after the Liu
-//!   child reordering and a `Some(t)` entry is a clone of that tree with
-//!   large type-2 masters split.
-//!
-//! All three computations are deterministic functions of their key, so
-//! sharing the artifact cannot change any number downstream — it only
-//! removes repeated work. The maps hold `Arc<OnceLock<..>>` slots so a
-//! miss computes outside the map lock (concurrent sweep workers don't
+//! The computation is a deterministic function of its key, so sharing
+//! the artifact cannot change any number downstream — it only removes
+//! repeated work. The map holds `Arc<OnceLock<..>>` slots so a miss
+//! computes outside the map lock (concurrent sweep workers don't
 //! serialize on each other) while concurrent misses of the *same* key
 //! still compute it exactly once.
 
 use std::collections::HashMap;
-use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use mf_core::config::SolverConfig;
+use mf_core::driver::{prepare_tree, ExperimentInput};
 use mf_order::OrderingKind;
 use mf_sparse::gen::paper::PaperMatrix;
-use mf_sparse::{CscMatrix, Permutation};
-use mf_symbolic::seqstack::{apply_liu_order, AssemblyDiscipline};
-use mf_symbolic::{AmalgamationOptions, AssemblyTree};
+use mf_symbolic::AssemblyTree;
 
-type Slot<V> = Arc<OnceLock<Arc<V>>>;
-type Memo<K, V> = Mutex<HashMap<K, Slot<V>>>;
+type Slot = Arc<OnceLock<Arc<AssemblyTree>>>;
 type TreeKey = (PaperMatrix, OrderingKind, Option<u64>);
-
-/// Returns the cached value for `key`, computing it at most once per
-/// process. The map lock is held only to fetch/insert the slot; the
-/// (possibly expensive) computation runs on the slot's `OnceLock`.
-fn memo<K, V, F>(map: &Memo<K, V>, key: K, f: F) -> Arc<V>
-where
-    K: Eq + Hash,
-    F: FnOnce() -> V,
-{
-    let slot = map.lock().unwrap().entry(key).or_default().clone();
-    slot.get_or_init(|| Arc::new(f())).clone()
-}
-
-/// The instantiated synthetic analogue of `m`, shared process-wide.
-pub fn cached_matrix(m: PaperMatrix) -> Arc<CscMatrix> {
-    static CACHE: OnceLock<Memo<PaperMatrix, CscMatrix>> = OnceLock::new();
-    memo(CACHE.get_or_init(Default::default), m, || m.instantiate())
-}
-
-/// The fill-reducing permutation of ordering `k` on matrix `m`.
-pub fn cached_permutation(m: PaperMatrix, k: OrderingKind) -> Arc<Permutation> {
-    static CACHE: OnceLock<Memo<(PaperMatrix, OrderingKind), Permutation>> = OnceLock::new();
-    memo(CACHE.get_or_init(Default::default), (m, k), || k.compute(&cached_matrix(m)))
-}
 
 /// The analyzed assembly tree for `(m, k, split)`: symbolic analysis with
 /// default amalgamation, Liu `FrontThenFree` child order, and — for
 /// `Some(t)` — large type-2 masters split at threshold `t` (computed on a
-/// clone of the cached unsplit tree).
+/// clone of the cached unsplit tree). Computed at most once per process:
+/// the map lock is held only to fetch/insert the slot, the analysis runs
+/// on the slot's `OnceLock`.
 pub fn cached_tree(m: PaperMatrix, k: OrderingKind, split: Option<u64>) -> Arc<AssemblyTree> {
-    static CACHE: OnceLock<Memo<TreeKey, AssemblyTree>> = OnceLock::new();
-    let cache = CACHE.get_or_init(Default::default);
-    memo(cache, (m, k, split), || match split {
-        None => {
-            let a = cached_matrix(m);
-            let perm = cached_permutation(m, k);
-            let mut s = mf_symbolic::analyze(&a, &perm, &AmalgamationOptions::default());
-            apply_liu_order(&mut s.tree, AssemblyDiscipline::FrontThenFree);
-            s.tree
-        }
-        Some(t) => {
-            let mut tree = (*cached_tree(m, k, None)).clone();
-            mf_symbolic::split::split_large_masters(&mut tree, t);
-            tree
-        }
+    static CACHE: OnceLock<Mutex<HashMap<TreeKey, Slot>>> = OnceLock::new();
+    let slot = CACHE
+        .get_or_init(Default::default)
+        .lock()
+        .unwrap()
+        .entry((m, k, split))
+        .or_default()
+        .clone();
+    slot.get_or_init(|| {
+        Arc::new(match split {
+            None => {
+                let input = ExperimentInput { matrix: &m.instantiate(), ordering: k };
+                prepare_tree(&input, &SolverConfig::default())
+            }
+            Some(t) => {
+                let mut tree = (*cached_tree(m, k, None)).clone();
+                mf_symbolic::split::split_large_masters(&mut tree, t);
+                tree
+            }
+        })
     })
+    .clone()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mf_symbolic::seqstack::{apply_liu_order, AssemblyDiscipline};
+    use mf_symbolic::AmalgamationOptions;
 
     #[test]
     fn cached_tree_is_shared_and_matches_uncached() {

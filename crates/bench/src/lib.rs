@@ -1,17 +1,11 @@
 //! Experiment harness regenerating the tables and figures of the paper.
 //!
-//! Binaries (`cargo run --release -p mf-bench --bin tableN`):
+//! Binaries (`cargo run --release -p mf-bench --bin <name>`):
 //!
-//! * `table1` — the test problems (synthetic analogues + paper metadata);
-//! * `table2` — % decrease of the max stack peak, memory strategies vs.
-//!   workload baseline, 8 matrices × 4 orderings, no splitting;
-//! * `table3` — same on trees with large type-2 masters split;
-//! * `table4` — absolute peaks, {no-split, split} × {workload, memory};
-//! * `table5` — combined static + dynamic vs. original MUMPS strategy;
-//! * `table6` — factorization-time loss of the memory strategies;
-//! * `figures` — scenario reproductions of Figures 4, 5, 6 and 8;
-//! * `ablation`, `scaling`, `variability`, `reordering_memory`,
-//!   `malleable_table` — the studies beyond the paper's tables;
+//! * `paper <report>` — every committed result: `paper table2` prints
+//!   `results/table2.txt`, and so on for `table1`–`table6`, `figures`,
+//!   `ablation`, `scaling`, `variability` and `reordering_memory`;
+//! * `malleable_table` — static vs. malleable core allocation;
 //! * `robustness`, `scale`, `backend_equiv` — the harnesses behind
 //!   `BENCH_*.json` and the backend-equivalence check;
 //! * `mf-obs` — the observability tool over flight recordings (see
@@ -22,7 +16,7 @@
 //!   `check-all` export artifacts, into their `--obs-dir`.
 //!
 //! The library part holds the shared experiment-sweep machinery so the
-//! binaries stay thin and the sweeps are testable.
+//! sweeps are testable.
 
 #![warn(missing_docs)]
 pub mod cache;

@@ -5,7 +5,8 @@
 //! (the metrics registry is always on), per recorded strategy a
 //! **Perfetto/Chrome trace** JSON loadable in `ui.perfetto.dev` or
 //! `chrome://tracing`, and per sampled strategy the **time series** as
-//! JSON Lines. The table binaries take no arguments and export nothing.
+//! JSON Lines. The `paper` binary takes one report name and exports
+//! nothing.
 //!
 //! The module also carries a small recursive-descent JSON walker used by
 //! the exporters' tests, the CI `observability` job and the artifact
@@ -27,14 +28,6 @@ pub fn die(msg: &str) -> ! {
     let tool = std::path::Path::new(&exe).file_name().unwrap_or_default();
     eprintln!("{}: {msg}", tool.to_string_lossy());
     std::process::exit(2);
-}
-
-/// Usage error unless the command line is empty: the table binaries take
-/// no arguments, and one given any would otherwise run as if it had none.
-pub fn reject_args() {
-    if let Some(a) = std::env::args().nth(1) {
-        die(&format!("unexpected argument {a:?}: this binary takes none"));
-    }
 }
 
 /// The paper matrix named `s` (case-insensitive).

@@ -1,5 +1,5 @@
 //! The paper's published numbers, for side-by-side comparison in the
-//! table binaries and in EXPERIMENTS.md.
+//! `paper` binary's tables and in EXPERIMENTS.md.
 
 /// Table 2 of the paper: % decrease of the maximum stack peak with the
 /// dynamic memory strategies (columns METIS, PORD, AMD, AMF).

@@ -1,6 +1,6 @@
 //! Shared experiment-sweep machinery: backend selection, cell execution,
-//! parallel sweeps, and the paper-style percent-table harness every
-//! `tableN` binary builds on.
+//! parallel sweeps, and the paper-style percent-table renderer the
+//! `paper` binary's tables print through.
 
 use std::sync::Arc;
 
@@ -96,7 +96,7 @@ impl CellResult {
 /// sampler-invariance check vacuous. The sampler never perturbs
 /// schedules (pinned by `mf_core`'s
 /// `sampler_is_schedule_invariant_and_absent_when_disabled`), so every
-/// table binary renders byte-identical stdout with this set or not.
+/// `paper` report renders byte-identical stdout with this set or not.
 pub fn sample_every_from_env() -> Option<u64> {
     match std::env::var("MF_SAMPLE_EVERY") {
         Ok(v) => match v.parse::<u64>() {
@@ -223,45 +223,6 @@ pub fn render_percent_table(
         }
     }
     out
-}
-
-/// The full paper-style table pipeline shared by the `tableN` binaries:
-/// refuse any command-line argument ([`crate::obs::reject_args`]), run
-/// `specs` in parallel ([`sweep_cells`]), then fold each matrix's four
-/// ordering columns through `cell` — which receives the `group`
-/// consecutive cells of one (matrix, ordering) entry and returns the
-/// percentage plus the progress line to print on stderr — and render
-/// against the paper's numbers.
-///
-/// `specs` must hold `matrices.len() × 4 orderings × group` cells in
-/// matrix-major, ordering-minor order (the natural order the binaries
-/// already build).
-pub fn run_percent_table(
-    title: &str,
-    paper: Option<&[(&str, [f64; 4])]>,
-    matrices: &[PaperMatrix],
-    group: usize,
-    specs: &[CellSpec],
-    cell: impl Fn(PaperMatrix, &[CellResult]) -> (f64, String),
-) {
-    crate::obs::reject_args();
-    assert_eq!(
-        specs.len(),
-        matrices.len() * 4 * group,
-        "specs must cover every (matrix, ordering) entry exactly once"
-    );
-    let cells = sweep_cells(specs);
-    let mut rows = Vec::new();
-    for (&m, row) in matrices.iter().zip(cells.chunks_exact(4 * group)) {
-        let mut vals = [0.0f64; 4];
-        for (i, entry) in row.chunks_exact(group).enumerate() {
-            let (val, log) = cell(m, entry);
-            vals[i] = val;
-            eprintln!("{log}");
-        }
-        rows.push((m.name(), vals));
-    }
-    println!("{}", render_percent_table(title, &rows, paper));
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! Drives the `mf-obs` binary itself: what its one argument parser
 //! refuses, what `check-all` and `timeline` print, and that `explain` and
-//! `diff strategies` render the same strategy diff. Also drives the table
-//! binaries, which take no arguments.
+//! `diff strategies` render the same strategy diff. Also drives `paper`:
+//! what its argument parser refuses, and that its cheap reports print
+//! their committed `results/` files.
 
 use std::process::{Command, Output};
 
@@ -14,7 +15,7 @@ fn mf_obs(args: &[&str]) -> Output {
 }
 
 fn stdout(o: &Output) -> String {
-    String::from_utf8(o.stdout.clone()).expect("mf-obs prints UTF-8")
+    String::from_utf8(o.stdout.clone()).expect("stdout is UTF-8")
 }
 
 /// A misspelt flag used to be ignored and a misspelt matrix silently ran
@@ -38,22 +39,58 @@ fn misspelt_arguments_are_usage_errors() {
     assert!(String::from_utf8_lossy(&o.stderr).contains("--format"), "error names --format");
 }
 
-/// A table binary exports nothing and takes no arguments: given any, it
-/// used to run as if given none.
+fn paper(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_paper"))
+        .args(args)
+        .env_remove("MF_BACKEND")
+        .env_remove("MF_SAMPLE_EVERY")
+        .output()
+        .expect("paper starts")
+}
+
+/// Every report `paper` knows, one per `results/*.txt`.
+const REPORTS: [&str; 11] = [
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "figures",
+    "ablation",
+    "scaling",
+    "variability",
+    "reordering_memory",
+];
+
+/// `paper` takes exactly one report name. The study reports used to run
+/// as if given no argument whatever they were given; now a missing or
+/// unknown name, or anything after it, is a usage error before any run.
 #[test]
-fn table_binaries_refuse_any_argument() {
-    for exe in [
-        env!("CARGO_BIN_EXE_table1"),
-        env!("CARGO_BIN_EXE_table2"),
-        env!("CARGO_BIN_EXE_table3"),
-        env!("CARGO_BIN_EXE_table4"),
-        env!("CARGO_BIN_EXE_table5"),
-        env!("CARGO_BIN_EXE_table6"),
-    ] {
-        let o = Command::new(exe).args(["--obs-dir", "d"]).output().expect("table binary starts");
-        assert_eq!(o.status.code(), Some(2), "{exe} --obs-dir d");
-        assert!(o.stdout.is_empty(), "{exe} --obs-dir d ran something");
-        assert!(String::from_utf8_lossy(&o.stderr).contains("--obs-dir"), "error names the flag");
+fn paper_takes_exactly_one_report_name() {
+    let cases = std::iter::once((vec![], "report name"))
+        .chain(std::iter::once((vec!["table9"], "table9")))
+        .chain(REPORTS.iter().map(|&r| (vec![r, "--obs-dir", "d"], "--obs-dir")));
+    for (args, named) in cases {
+        let o = paper(&args);
+        assert_eq!(o.status.code(), Some(2), "paper {args:?}");
+        assert!(o.stdout.is_empty(), "paper {args:?} ran something");
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert!(err.contains(named), "paper {args:?}: error names {named}: {err}");
+    }
+}
+
+/// The committed results are what `paper` prints: the five reports that
+/// run in about a second in a debug build, byte for byte (CI compares
+/// all eleven in release).
+#[test]
+fn cheap_reports_match_their_committed_results() {
+    for name in ["table1", "table4", "figures", "scaling", "ablation"] {
+        let o = paper(&[name]);
+        assert!(o.status.success(), "paper {name}: {}", String::from_utf8_lossy(&o.stderr));
+        let path = format!("{}/../../results/{name}.txt", env!("CARGO_MANIFEST_DIR"));
+        let want = std::fs::read_to_string(&path).expect("results file exists");
+        assert_eq!(stdout(&o), want, "paper {name} differs from {path}");
     }
 }
 

@@ -1,6 +1,6 @@
 //! Regression tests for the central invariant of the experiment harness:
 //! caching and parallel cell execution must not change a single output
-//! number. Every table binary depends on it (see DESIGN.md,
+//! number. Every `paper` table depends on it (see DESIGN.md,
 //! "Performance").
 
 use mf_bench::sweep::{
@@ -30,7 +30,7 @@ fn grid() -> Vec<CellSpec> {
     specs
 }
 
-/// Renders the fields the table binaries print, so byte-equal output
+/// Renders the fields the `paper` tables print, so byte-equal output
 /// here means byte-equal published tables.
 fn render(cells: &[CellResult]) -> String {
     let mut out = String::new();

@@ -34,23 +34,30 @@ pub enum AssemblyDiscipline {
 pub fn subtree_peaks(tree: &AssemblyTree, discipline: AssemblyDiscipline) -> Vec<u64> {
     let mut peaks = vec![0u64; tree.len()];
     for v in tree.topo_order() {
-        let nd = &tree.nodes[v];
-        let mut stacked = 0u64; // CBs of already-processed children
-        let mut peak = 0u64;
-        for &c in &nd.children {
-            peak = peak.max(stacked + peaks[c]);
-            stacked += tree.cb_entries(c);
-        }
-        let assembly = match discipline {
-            AssemblyDiscipline::FrontThenFree => stacked + tree.front_entries(v),
-            AssemblyDiscipline::InPlaceLastChild => {
-                let last_cb = nd.children.last().map(|&c| tree.cb_entries(c)).unwrap_or(0);
-                stacked - last_cb + tree.front_entries(v)
-            }
-        };
-        peaks[v] = peak.max(assembly);
+        peaks[v] = node_peak(tree, v, &peaks, discipline);
     }
     peaks
+}
+
+/// Stack peak of `v`'s subtree for its current child order, given the
+/// peaks of its children: the largest of each child's peak on top of its
+/// earlier siblings' CBs and of the assembly of `v`'s own front.
+fn node_peak(tree: &AssemblyTree, v: usize, peaks: &[u64], discipline: AssemblyDiscipline) -> u64 {
+    let nd = &tree.nodes[v];
+    let mut stacked = 0u64; // CBs of already-processed children
+    let mut peak = 0u64;
+    for &c in &nd.children {
+        peak = peak.max(stacked + peaks[c]);
+        stacked += tree.cb_entries(c);
+    }
+    let assembly = match discipline {
+        AssemblyDiscipline::FrontThenFree => stacked + tree.front_entries(v),
+        AssemblyDiscipline::InPlaceLastChild => {
+            let last_cb = nd.children.last().map(|&c| tree.cb_entries(c)).unwrap_or(0);
+            stacked - last_cb + tree.front_entries(v)
+        }
+    };
+    peak.max(assembly)
 }
 
 /// Stack peak of a full sequential factorization with the current child
@@ -73,21 +80,7 @@ pub fn apply_liu_order(tree: &mut AssemblyTree, discipline: AssemblyDiscipline) 
         let mut children = std::mem::take(&mut tree.nodes[v].children);
         children.sort_by_key(|&c| std::cmp::Reverse(peaks[c].saturating_sub(tree.cb_entries(c))));
         tree.nodes[v].children = children;
-        let nd = &tree.nodes[v];
-        let mut stacked = 0u64;
-        let mut peak = 0u64;
-        for &c in &nd.children {
-            peak = peak.max(stacked + peaks[c]);
-            stacked += tree.cb_entries(c);
-        }
-        let assembly = match discipline {
-            AssemblyDiscipline::FrontThenFree => stacked + tree.front_entries(v),
-            AssemblyDiscipline::InPlaceLastChild => {
-                let last_cb = nd.children.last().map(|&c| tree.cb_entries(c)).unwrap_or(0);
-                stacked - last_cb + tree.front_entries(v)
-            }
-        };
-        peaks[v] = peak.max(assembly);
+        peaks[v] = node_peak(tree, v, &peaks, discipline);
     }
     tree.roots().into_iter().map(|r| peaks[r]).max().unwrap_or(0)
 }
