@@ -28,10 +28,13 @@
 //!   bit-exactly to the solver's `active_peak`), the **decision chain**
 //!   into the machine-wide peak (what the deciding master *believed* —
 //!   the recorded metric vector and view ages — against the ground truth
-//!   replayed from the same recording), and the **strategy diff** that
-//!   `diff strategies` prints. With `--obs-dir` the cell's artifacts are
-//!   exported too (see below). `--kill`/`--join` replace
-//!   the report with a **recovery replay**: the memory-based run under
+//!   replayed from the same recording; a recorded status block counts one
+//!   decision per refresh of that processor's view, read from the
+//!   block's `(receiver, age)` pairs), and the **strategy diff** that
+//!   `diff strategies` prints. The recorded-event counts it prints are
+//!   rows: one per status block, not one per receiver. With `--obs-dir`
+//!   the cell's artifacts are exported too (see below). `--kill`/`--join`
+//!   replace the report with a **recovery replay**: the memory-based run under
 //!   that membership-fault schedule (kill/join processor `PROC` at
 //!   delivered-event index `IDX`), narrated from its recording — every
 //!   loss, the subtree reassignment chain, every join with its
@@ -52,9 +55,9 @@
 //! * **diff** compares two runs. `backends` runs the same cell on the
 //!   simulator and the thread pool and reports the first divergent
 //!   recorded event (the bit-identity contract means there should be
-//!   none). `strategies` contrasts workload vs memory-based scheduling:
-//!   first divergent event, metric deltas, how the machine peak's
-//!   composition moved, per-processor peaks. `faults` contrasts a
+//!   none; a divergence exits 1). `strategies` contrasts workload vs
+//!   memory-based scheduling: first divergent event, metric deltas, how
+//!   the machine peak's composition moved, per-processor peaks. `faults` contrasts a
 //!   fault-free memory-strategy run with its twin under a kill/join
 //!   schedule (default: kill processor 1 at delivered event 128) — the
 //!   runs are identical up to the membership event, and the diff shows
@@ -222,9 +225,12 @@ fn checked_attribution(r: &RunResult) -> Vec<PeakAttribution> {
     att
 }
 
-/// Is this a scheduling *decision* involving processor `p`?
-fn involves(e: &SchedEvent, p: usize) -> bool {
-    match *e {
+/// The scheduling *decisions* involving processor `p` that one row
+/// records, as positions in the row: `[0]` for a decision `p` takes or
+/// is picked in, and for a status block the position of each apply at
+/// `p` (one refresh of `p`'s view each).
+fn involves(e: &SchedEvent, p: usize) -> Vec<usize> {
+    let hit = match *e {
         SchedEvent::Activate { proc, .. }
         | SchedEvent::PoolDecision { proc, .. }
         | SchedEvent::Forced { proc, .. } => proc as usize == p,
@@ -234,12 +240,20 @@ fn involves(e: &SchedEvent, p: usize) -> bool {
         SchedEvent::Reselect { master, ref dropped, .. } => {
             master as usize == p || dropped.contains(&p)
         }
-        SchedEvent::StatusApply { to, .. } => to as usize == p,
+        SchedEvent::StatusApply { ref applied, .. } => {
+            return (0..applied.len()).filter(|&k| applied[k].0 as usize == p).collect();
+        }
         _ => false,
+    };
+    if hit {
+        vec![0]
+    } else {
+        Vec::new()
     }
 }
 
-fn describe(e: &SchedEvent, p: usize, truth: &[u64]) -> String {
+/// Renders decision `k` of row `e` (see [`involves`]) for processor `p`.
+fn describe(e: &SchedEvent, k: usize, p: usize, truth: &[u64]) -> String {
     match e {
         SchedEvent::Activate { proc, node, class } => {
             format!("proc {proc} activates {} front n{node}", class.name())
@@ -279,10 +293,13 @@ fn describe(e: &SchedEvent, p: usize, truth: &[u64]) -> String {
             let procs: Vec<String> = dropped.iter().map(|q| format!("p{q}")).collect();
             format!("master {master} drops {} over capacity on n{node}", procs.join(","))
         }
-        SchedEvent::StatusApply { to, from, about, kind, age } => format!(
-            "proc {to} refreshes its view of p{about} ({} from p{from}, was {age} stale)",
-            kind.name()
-        ),
+        SchedEvent::StatusApply { from, about, kind, applied } => {
+            let (to, age) = applied[k];
+            format!(
+                "proc {to} refreshes its view of p{about} ({} from p{from}, was {age} stale)",
+                kind.name()
+            )
+        }
         SchedEvent::CoreGrant { proc, node, cores, busy } => {
             format!("proc {proc} grants n{node} {cores} core(s) ({busy} peer(s) believed busy)")
         }
@@ -299,20 +316,19 @@ fn print_decision_chain(rec: &Recording, nprocs: usize, att: &PeakAttribution, l
         println!("  (no memory traffic recorded for proc {p})");
         return;
     };
-    let decisions: Vec<(usize, Time, &SchedEvent)> = rec
+    let decisions: Vec<(usize, Time, &SchedEvent, usize)> = rec
         .events()
         .enumerate()
         .take(peak_idx + 1)
-        .filter(|(_, (_, e))| involves(e, p))
-        .map(|(i, (at, e))| (i, at, e))
+        .flat_map(|(i, (at, e))| involves(e, p).into_iter().map(move |k| (i, at, e, k)))
         .collect();
     let skipped = decisions.len().saturating_sub(limit);
     if skipped > 0 {
         println!("  ... {skipped} earlier decision(s) elided ...");
     }
-    for (i, at, e) in decisions.iter().rev().take(limit).rev() {
-        let truth = active_before(nprocs, rec, *i);
-        println!("  t={at:>8}  {}", describe(e, p, &truth));
+    for &(i, at, e, k) in decisions.iter().rev().take(limit).rev() {
+        let truth = active_before(nprocs, rec, i);
+        println!("  t={at:>8}  {}", describe(e, k, p, &truth));
     }
 }
 
@@ -715,9 +731,11 @@ fn cmd_diff_backends(a: &CellArgs) {
             }
         }
     }
-    if !diverged {
-        println!("backends agree: the sans-io core is driven bit-identically");
+    if diverged {
+        eprintln!("mf-obs diff backends: sim and threads diverged");
+        std::process::exit(1);
     }
+    println!("backends agree: the sans-io core is driven bit-identically");
 }
 
 /// The strategy-vs-strategy block, shared by `explain` and

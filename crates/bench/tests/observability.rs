@@ -260,17 +260,39 @@ fn recordings_identical_across_thread_pool_widths() {
 /// and of what is left of it without the status traffic (`StatusSend`,
 /// `StatusApply`): every decision with the metric vector and view ages
 /// it was taken from, every memory movement, every compute span.
+///
+/// A status block row renders as the per-receiver rows it stands for,
+/// each in the text a one-receiver `StatusApply { to, from, about, kind,
+/// age }` row had before blocks were one row: the digests hash the
+/// per-receiver stream, so a block that lost, gained, reordered or
+/// re-aged one apply moves them exactly as a per-receiver row would.
 fn recording_digests(rec: &Recording) -> [u64; 2] {
     use std::fmt::Write as _;
+    let fnv = |h: &mut u64, line: &str| {
+        *h = line.bytes().fold(*h, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3));
+    };
     let mut line = String::new();
     let mut h = [0xcbf2_9ce4_8422_2325u64; 2];
     for row in rec.events() {
-        line.clear();
-        write!(line, "{row:?}").expect("writing to a String cannot fail");
-        let status =
-            matches!(row.1, SchedEvent::StatusSend { .. } | SchedEvent::StatusApply { .. });
-        for h in &mut h[..2 - status as usize] {
-            *h = line.bytes().fold(*h, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3));
+        match row {
+            (at, SchedEvent::StatusApply { from, about, kind, applied }) => {
+                for (to, age) in applied.iter() {
+                    line.clear();
+                    write!(
+                        line,
+                        "({at}, StatusApply {{ to: {to}, from: {from}, about: {about}, \
+                         kind: {kind:?}, age: {age} }})"
+                    )
+                    .expect("writing to a String cannot fail");
+                    fnv(&mut h[0], &line);
+                }
+            }
+            _ => {
+                line.clear();
+                write!(line, "{row:?}").expect("writing to a String cannot fail");
+                let status = matches!(row.1, SchedEvent::StatusSend { .. });
+                h[..2 - status as usize].iter_mut().for_each(|h| fnv(h, &line));
+            }
         }
     }
     h.map(|h| (h ^ rec.dropped()).wrapping_mul(0x0100_0000_01b3))

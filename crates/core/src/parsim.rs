@@ -144,7 +144,7 @@ pub trait CoreHost<'a> {
         delta: StatusDelta,
         targets: Range<usize>,
         skip: impl Fn(usize) -> bool,
-        ages: Option<&mut Vec<(usize, Time)>>,
+        ages: Option<&mut Vec<(u32, Time)>>,
     );
     /// [`SchedulerCore::cheapest_deferred`] on core `p`.
     fn cheapest_deferred(&mut self, p: usize) -> Option<(u64, usize)>;
@@ -186,7 +186,7 @@ impl<'a> CoreHost<'a> for LocalCores<'a> {
         delta: StatusDelta,
         targets: Range<usize>,
         skip: impl Fn(usize) -> bool,
-        ages: Option<&mut Vec<(usize, Time)>>,
+        ages: Option<&mut Vec<(u32, Time)>>,
     ) {
         self.views.deliver_block(at, from, delta, targets, skip, ages)
     }
@@ -273,9 +273,6 @@ struct SimDriver<'a> {
     /// Sampled telemetry series; `None` = sampling disabled (the
     /// zero-cost path: cores never arm the sampling timer).
     ts: Option<RunTimeseries>,
-    /// The `(target, age)` pairs of the block being recorded, reused from
-    /// block to block (empty between blocks).
-    ages: Vec<(usize, Time)>,
 }
 
 impl<'a> SimDriver<'a> {
@@ -306,7 +303,6 @@ impl<'a> SimDriver<'a> {
             track_obligations: false,
             refused: Vec::new(),
             ts: cfg.sample_every.map(|every| RunTimeseries::new(cfg.nprocs, every)),
-            ages: Vec::new(),
         }
     }
 
@@ -788,7 +784,7 @@ impl<'a> SimDriver<'a> {
     /// Delivers one status delta from `from` at `at` to the cores of
     /// `targets` but the sender and those `skip` names, in one
     /// [`CoreHost::apply_block`]; when recording, then appends one
-    /// `StatusApply` per replaced belief, in target order.
+    /// `StatusApply` holding every replaced belief's age, in target order.
     #[inline(always)]
     fn apply_block(
         &mut self,
@@ -802,19 +798,17 @@ impl<'a> SimDriver<'a> {
         if self.rec.is_none() {
             return host.apply_block(at, from, delta, targets, skip, None);
         }
-        let mut ages = std::mem::take(&mut self.ages);
-        host.apply_block(at, from, delta, targets, skip, Some(&mut ages));
-        let (about, (kind, _)) = (delta.about(from), delta.kind());
-        for (to, age) in ages.drain(..) {
+        let mut applied = Vec::with_capacity(targets.len());
+        host.apply_block(at, from, delta, targets, skip, Some(&mut applied));
+        if !applied.is_empty() {
+            let (about, (kind, _)) = (delta.about(from), delta.kind());
             self.record(|| SchedEvent::StatusApply {
-                to: id32(to),
                 from: id32(from),
                 about: id32(about),
                 kind,
-                age,
+                applied: Box::new(applied),
             });
         }
-        self.ages = ages;
     }
 
     /// A broadcast block of `len` targets on a kill/join run. The schedule

@@ -1877,11 +1877,10 @@ impl<'a> SchedulerCore<'a> {
                 if let Some(age) = self.apply_status(self.now, from, d) {
                     let (about, (kind, _)) = (d.about(from), d.kind());
                     self.emit_record(|| SchedEvent::StatusApply {
-                        to: id32(to),
                         from: id32(from),
                         about: id32(about),
                         kind,
-                        age,
+                        applied: Box::new(vec![(id32(to), age)]),
                     });
                 }
             }

@@ -14,7 +14,7 @@
 //! is a sequential sweep. A processor reads and writes its own column
 //! through [`Views`].
 
-use mf_sim::{StatusKind, Time};
+use mf_sim::{id32, StatusKind, Time};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
@@ -272,7 +272,7 @@ impl ViewTable {
         delta: StatusDelta,
         targets: Range<usize>,
         skip: impl Fn(usize) -> bool,
-        ages: Option<&mut Vec<(usize, Time)>>,
+        ages: Option<&mut Vec<(u32, Time)>>,
     ) {
         let lease = |s: &Slot| set(&s.last_heard, at);
         match delta {
@@ -313,7 +313,7 @@ impl ViewTable {
         targets: Range<usize>,
         skip: impl Fn(usize) -> bool,
         at: Time,
-        ages: Option<&mut Vec<(usize, Time)>>,
+        ages: Option<&mut Vec<(u32, Time)>>,
         write: impl Fn(&Slot),
     ) {
         match ages {
@@ -322,7 +322,7 @@ impl ViewTable {
                 write(s);
             }),
             Some(ages) => self.sweep(about, targets, skip, |to, s| {
-                ages.push((to, at.saturating_sub(get(&s.updated_at))));
+                ages.push((id32(to), at.saturating_sub(get(&s.updated_at))));
                 set(&s.updated_at, at);
                 write(s);
             }),
@@ -633,7 +633,7 @@ mod tests {
             let mut want = Vec::new();
             for to in (a..b).filter(|&to| to != from && !skip(to)) {
                 if let Some(age) = each.deliver(to, at, from, delta) {
-                    want.push((to, age));
+                    want.push((to as u32, age));
                 }
             }
             if !with_ages {

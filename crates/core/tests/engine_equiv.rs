@@ -169,7 +169,9 @@ fn fingerprint(r: &RunResult) -> u64 {
 /// `peaks`, `makespan`, `factor_digest` and `nodes_done` of the seven
 /// cases should not move when only the traffic did. A recording renders
 /// as its `(Time, SchedEvent)` stream and drop count; the pins were
-/// carried over to that rendering by rendering the same runs' streams.
+/// carried over to that rendering by rendering the same runs' streams,
+/// and again to one `StatusApply` row per status block by rendering the
+/// per-receiver streams with the recorder's merge rule applied.
 #[test]
 fn kills_and_joins_inside_a_block_match_the_per_event_engine() {
     let tree = tree_for(14);
@@ -182,18 +184,18 @@ fn kills_and_joins_inside_a_block_match_the_per_event_engine() {
     type Schedule = (&'static [(u64, usize)], &'static [(u64, usize)]);
     let cases: [(Schedule, u64); 7] = [
         // Kill at the block's first target; the victim is a later target.
-        ((&[(613, 4)], &[]), 0x6c5a_b368_1d51_4480),
+        ((&[(613, 4)], &[]), 0x228b_0e84_83f7_1fd7),
         // Kill at a middle target; the victim is that very target.
-        ((&[(615, 3)], &[]), 0x8a9f_a757_9192_9d80),
+        ((&[(615, 3)], &[]), 0x8e19_f2ee_3956_2d34),
         // Kill at the last target; the victim is the block's sender.
-        ((&[(617, 2)], &[]), 0x5bc4_36f4_644f_b98a),
+        ((&[(617, 2)], &[]), 0x5594_de63_856c_af09),
         // Join at the first, a middle and the last target (the joiner
         // itself: delivered, not parked).
-        ((&[], &[(376, 5)]), 0x3e46_968d_488d_7a5e),
-        ((&[], &[(378, 5)]), 0x3db2_07d7_0c99_9f40),
-        ((&[], &[(380, 5)]), 0x272f_879f_821c_2fc0),
+        ((&[], &[(376, 5)]), 0xd6b4_6e6b_005c_b61e),
+        ((&[], &[(378, 5)]), 0x5d8b_eed5_895d_0123),
+        ((&[], &[(380, 5)]), 0xaa82_befe_9f7e_ef6b),
         // A kill and a join inside the same block.
-        ((&[(377, 1)], &[(379, 5)]), 0xdf34_2252_1a63_2e62),
+        ((&[(377, 1)], &[(379, 5)]), 0x8f19_8b10_4b42_494d),
     ];
     for ((kill_at, join_at), want) in cases {
         let model = FaultModel {
@@ -224,7 +226,8 @@ fn kills_and_joins_inside_a_block_match_the_per_event_engine() {
 /// digest (recording on): uncapped, at 30% and 20% of the pair's own
 /// uncapped `max_peak`, and at a cap of one entry. The digests were
 /// taken before the pool scan and the slave-selection pipeline were each
-/// folded into one function; `-- --nocapture` prints them. On this tree
+/// folded into one function, and carried over to one `StatusApply` row
+/// per status block as above; `-- --nocapture` prints them. On this tree
 /// the three task selections take the same decisions (one pinned row per
 /// slave selection); the pool scan is held to the pickers it replaced by
 /// `tests/prop_scheduling.rs`.
@@ -268,7 +271,7 @@ fn every_strategy_pair_under_tight_caps_is_pinned() {
 /// task selection: the digests uncapped, at 30% and 20% of the uncapped
 /// peak, and at cap 1.
 const PINNED_CAPPED: [[u64; 4]; 3] = [
-    [0x94fc_1ff8_bcc6_f485, 0x318d_1dcb_1555_93c2, 0x59a7_6b68_da54_7dc9, 0xb42f_1e41_45b5_5033],
-    [0x7251_4910_f34c_ab79, 0xd441_d5bb_e5a7_4d7d, 0x2143_5983_4b86_f902, 0x3643_7484_f97f_020d],
-    [0x7251_4910_f34c_ab79, 0xd441_d5bb_e5a7_4d7d, 0x2143_5983_4b86_f902, 0x4d47_5435_4cf8_fa83],
+    [0x68d7_1e87_9b69_a8cf, 0x90af_9f16_4ac9_501a, 0x9a60_a43c_76ef_bb61, 0x70c4_2086_7172_f481],
+    [0xaa08_63a1_0fbd_224c, 0xd2ae_d66f_9378_71be, 0x22c3_254e_1476_f303, 0xf042_e5ea_1ff0_2e1d],
+    [0xaa08_63a1_0fbd_224c, 0xd2ae_d66f_9378_71be, 0x22c3_254e_1476_f303, 0x5e0f_ec60_16ba_92cb],
 ];

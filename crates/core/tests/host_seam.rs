@@ -53,7 +53,7 @@ impl<'a> CoreHost<'a> for Counting<'a> {
         delta: StatusDelta,
         targets: Range<usize>,
         skip: impl Fn(usize) -> bool,
-        ages: Option<&mut Vec<(usize, Time)>>,
+        ages: Option<&mut Vec<(u32, Time)>>,
     ) {
         self.status_blocks += 1;
         self.cores().apply_block(at, from, delta, targets, skip, ages)

@@ -146,11 +146,10 @@ fn drive_with(
                 if let Some(age) = cores[to].apply_status(at, from, d) {
                     if cfg.record_events {
                         let ev = SchedEvent::StatusApply {
-                            to: id32(to),
                             from: id32(from),
                             about: id32(d.about(from)),
                             kind: d.kind().0,
-                            age,
+                            applied: Box::new(vec![(id32(to), age)]),
                         };
                         effects.push((to, at, Effect::Record(ev)));
                     }
@@ -559,7 +558,7 @@ proptest! {
                 mine.hear(from, at);
                 let about = delta.about(from);
                 if about != to {
-                    applied.push((to, mine.apply(about, delta, at)));
+                    applied.push((id32(to), mine.apply(about, delta, at)));
                 }
             }
             prop_assert_eq!(swept, applied, "{:?} from {}", delta, from);

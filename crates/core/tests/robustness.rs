@@ -311,11 +311,11 @@ fn the_benchmark_recovery_cell_matches_the_per_message_path() {
 }
 
 /// The recorded and sampled path of the block loop: a block's row sweep
-/// pushes the replaced beliefs' ages into one reused buffer and the
-/// driver appends their `StatusApply` rows after it. On four paper
-/// matrices under four orderings at P=32, with the recorder and the
-/// sampler on, the result and the recording equal the per-message
-/// path's, which records every target as its own event.
+/// pushes the replaced beliefs' ages into a buffer that `SimDriver` hands
+/// to one `StatusApply` row. On four paper matrices under four orderings
+/// at P=32, with the recorder and the sampler on, the result and the
+/// recording equal the per-message path's, which records every target
+/// as its own event for the recorder to merge.
 #[test]
 fn recorded_block_sweeps_match_the_per_message_path() {
     use PaperMatrix::{Gupta3, Pre2, Ship003, TwoTone};

@@ -26,7 +26,7 @@ use mf_core::parsim::{run_hosted, CoreHost, RunResult};
 use mf_core::proto::{initial_loads, Effect, Input, SchedulerCore, Violation};
 use mf_core::recovery::RecoverySnapshot;
 use mf_core::views::{StatusDelta, ViewTable};
-use mf_sim::recorder::MemArea;
+use mf_sim::recorder::{id32, MemArea};
 use mf_sim::Time;
 use mf_symbolic::AssemblyTree;
 use std::collections::HashMap;
@@ -244,14 +244,14 @@ impl<'a> CoreHost<'a> for Workers<'a> {
         delta: StatusDelta,
         targets: Range<usize>,
         skip: impl Fn(usize) -> bool,
-        mut ages: Option<&mut Vec<(usize, Time)>>,
+        mut ages: Option<&mut Vec<(u32, Time)>>,
     ) {
         for p in targets.filter(|&p| p != from && !skip(p)) {
             let Reply::Age(age) = self.call(p, Cmd::Status { at, from, delta }) else {
                 unreachable!("one reply kind per command");
             };
             if let (Some(ages), Some(age)) = (ages.as_deref_mut(), age) {
-                ages.push((p, age));
+                ages.push((id32(p), age));
             }
         }
     }

@@ -9,6 +9,8 @@
 //!
 //! * **time order** — events are recorded with non-decreasing
 //!   timestamps;
+//! * **id range** — every processor id an event names is below the
+//!   processor count;
 //! * **account balance** — on every (processor, node, area) memory
 //!   account the `Free`s never exceed the `Alloc`s mid-run, and every
 //!   account of a surviving processor drains to zero by completion
@@ -311,11 +313,20 @@ pub fn audit_recording(nprocs: usize, rec: &Recording) -> Vec<Finding> {
                     }
                 }
             }
-            SchedEvent::StatusApply { to, from, .. } => {
-                let (to, from) = (to as usize, from as usize);
-                check_proc(&mut findings, to);
+            SchedEvent::StatusApply { from, about, ref applied, .. } => {
+                let from = from as usize;
+                check_proc(&mut findings, from);
+                check_proc(&mut findings, about as usize);
+                for &(to, _) in applied.iter() {
+                    check_proc(&mut findings, to as usize);
+                }
+                // One row is one sender: fenced or not, the whole block is.
                 if dead.contains(&from) {
-                    findings.push(Finding::StaleStatusAfterLoss { at, from, to });
+                    findings.extend(applied.iter().map(|&(to, _)| Finding::StaleStatusAfterLoss {
+                        at,
+                        from,
+                        to: to as usize,
+                    }));
                 }
             }
             SchedEvent::ProcLost { proc, .. } => {
@@ -331,10 +342,34 @@ pub fn audit_recording(nprocs: usize, rec: &Recording) -> Vec<Finding> {
                 dead.remove(&proc);
                 epoch += 1;
             }
-            SchedEvent::SubtreeReassigned { .. } => epoch += 1,
-            // Selection, pool, status-send, fault, and forced events are
-            // context, not conserved quantities.
-            _ => {}
+            SchedEvent::SubtreeReassigned { from, to, .. } => {
+                check_proc(&mut findings, from as usize);
+                check_proc(&mut findings, to as usize);
+                epoch += 1;
+            }
+            // Selection, pool, status-send, fault, forced and grant events
+            // are context, not conserved quantities: only their ids are
+            // checked.
+            SchedEvent::SlaveSelection { master, ref choice, .. } => {
+                check_proc(&mut findings, master as usize);
+                for pick in &choice.picked {
+                    check_proc(&mut findings, pick.proc);
+                }
+            }
+            SchedEvent::Reselect { master, ref dropped, .. } => {
+                check_proc(&mut findings, master as usize);
+                for &q in dropped.iter() {
+                    check_proc(&mut findings, q);
+                }
+            }
+            SchedEvent::FaultDrop { from, to } => {
+                check_proc(&mut findings, from as usize);
+                check_proc(&mut findings, to as usize);
+            }
+            SchedEvent::PoolDecision { proc, .. }
+            | SchedEvent::Forced { proc, .. }
+            | SchedEvent::CoreGrant { proc, .. }
+            | SchedEvent::StatusSend { from: proc, .. } => check_proc(&mut findings, proc as usize),
         }
     }
 
@@ -380,6 +415,14 @@ mod tests {
     }
     fn free(proc: u32, node: u32, area: MemArea, entries: u64) -> SchedEvent {
         SchedEvent::MemFree { proc, node, area, entries }
+    }
+    fn apply(from: u32, applied: &[(u32, Time)]) -> SchedEvent {
+        SchedEvent::StatusApply {
+            from,
+            about: from,
+            kind: StatusKind::MemDelta,
+            applied: Box::new(applied.to_vec()),
+        }
     }
 
     #[test]
@@ -464,35 +507,18 @@ mod tests {
     fn dead_proc_traffic_and_activity_are_fenced() {
         let mut rec = Recording::new(None);
         rec.record(0, SchedEvent::ProcLost { proc: 2, nodes_lost: 0 });
-        rec.record(
-            1,
-            SchedEvent::StatusApply {
-                to: 0,
-                from: 2,
-                about: 2,
-                kind: StatusKind::MemDelta,
-                age: 5,
-            },
-        );
+        rec.record(1, apply(2, &[(0, 5), (3, 2)]));
         rec.record(2, SchedEvent::ComputeStart { proc: 2, node: 9, role: TaskRole::Elim });
         let f = audit_recording(4, &rec);
         assert!(f.contains(&Finding::StaleStatusAfterLoss { at: 1, from: 2, to: 0 }));
+        assert!(f.contains(&Finding::StaleStatusAfterLoss { at: 1, from: 2, to: 3 }));
         assert!(f.contains(&Finding::ActivityFromDeadProc { at: 2, proc: 2, node: 9 }));
 
         // After a rejoin both become legal again.
         let mut rec = Recording::new(None);
         rec.record(0, SchedEvent::ProcLost { proc: 2, nodes_lost: 0 });
         rec.record(3, SchedEvent::ProcJoined { proc: 2, migrated: 0 });
-        rec.record(
-            4,
-            SchedEvent::StatusApply {
-                to: 0,
-                from: 2,
-                about: 2,
-                kind: StatusKind::MemDelta,
-                age: 1,
-            },
-        );
+        rec.record(4, apply(2, &[(0, 1)]));
         assert_eq!(audit_recording(4, &rec), vec![]);
     }
 
@@ -514,6 +540,69 @@ mod tests {
         let f = audit_recording(2, &rec);
         assert!(f.contains(&Finding::TimeRegression { index: 1, prev: 5, at: 3 }));
         assert!(f.contains(&Finding::ProcOutOfRange { at: 3, proc: 9, nprocs: 2 }));
+    }
+
+    /// Every processor id an event names is range-checked: one bad id in
+    /// any field of any variant gives exactly one `ProcOutOfRange`, and
+    /// nothing else.
+    #[test]
+    fn every_processor_id_is_range_checked() {
+        use crate::recorder::{SlaveChoice, SlavePick};
+        let (n, bad) = (4, 9);
+        let selection = |master: u32, pick: usize| SchedEvent::SlaveSelection {
+            master,
+            node: 1,
+            choice: Box::new(SlaveChoice {
+                metric: vec![0; n],
+                view_age: vec![0; n],
+                picked: vec![
+                    SlavePick { proc: 1, entries: 8 },
+                    SlavePick { proc: pick, entries: 8 },
+                ],
+            }),
+            rounds: 0,
+            serialized: false,
+        };
+        let status = |from: u32, about: u32, to: u32| SchedEvent::StatusApply {
+            from,
+            about,
+            kind: StatusKind::LoadDelta,
+            applied: Box::new(vec![(0, 3), (to, 1), (2, 0)]),
+        };
+        let cases = [
+            alloc(bad, 1, MemArea::Front, 0),
+            free(bad, 1, MemArea::Stack, 0),
+            SchedEvent::Activate { proc: bad, node: 1, class: FrontClass::Type1 },
+            selection(bad, 2),
+            selection(0, bad as usize),
+            SchedEvent::Reselect { master: bad, node: 1, dropped: Box::new(vec![2]) },
+            SchedEvent::Reselect { master: 0, node: 1, dropped: Box::new(vec![2, bad as usize]) },
+            SchedEvent::PoolDecision { proc: bad, depth: 3, picked: Some(1) },
+            SchedEvent::StatusSend { from: bad, kind: StatusKind::MemDelta, value: 1 },
+            status(bad, 0, 1),
+            status(0, bad, 1),
+            status(0, 0, bad),
+            SchedEvent::FaultDrop { from: bad, to: 1 },
+            SchedEvent::FaultDrop { from: 1, to: bad },
+            SchedEvent::Forced { proc: bad, node: 1, cost: 5 },
+            SchedEvent::ProcLost { proc: bad, nodes_lost: 0 },
+            SchedEvent::ProcJoined { proc: bad, migrated: 0 },
+            SchedEvent::SubtreeReassigned { root: 1, from: bad, to: 1 },
+            SchedEvent::SubtreeReassigned { root: 1, from: 1, to: bad },
+            SchedEvent::CoreGrant { proc: bad, node: 1, cores: 2, busy: 1 },
+        ];
+        let out_of_range = Finding::ProcOutOfRange { at: 7, proc: bad as usize, nprocs: n };
+        for e in cases {
+            let mut rec = Recording::new(None);
+            rec.record(7, e.clone());
+            assert_eq!(audit_recording(n, &rec), vec![out_of_range.clone()], "{e:?}");
+        }
+        // A compute span pairs on its processor: the bad id is named once
+        // per event.
+        let mut rec = Recording::new(None);
+        rec.record(7, SchedEvent::ComputeStart { proc: bad, node: 1, role: TaskRole::Elim });
+        rec.record(7, SchedEvent::ComputeEnd { proc: bad, node: 1, role: TaskRole::Elim });
+        assert_eq!(audit_recording(n, &rec), vec![out_of_range.clone(), out_of_range]);
     }
 
     #[test]

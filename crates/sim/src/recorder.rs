@@ -21,10 +21,17 @@
 //!
 //! * processor and node ids are `u32`, narrowed at the emit sites by
 //!   [`id32`];
-//! * the two variable-length payloads — a slave selection's metric
-//!   vector, view ages and picks ([`SlaveChoice`]), and a re-selection's
-//!   drop list — sit behind thin boxes, so only those rare events touch
-//!   the heap;
+//! * the three variable-length payloads — a slave selection's metric
+//!   vector, view ages and picks ([`SlaveChoice`]), a re-selection's
+//!   drop list, and a status block's `(receiver, age)` pairs — sit
+//!   behind thin boxes, so only those events touch the heap;
+//! * a status broadcast is one row, not one per receiver: a
+//!   `StatusApply` whose `(at, from, about, kind)` is the last row's is
+//!   appended to that row ([`Recording::record`]'s merge rule). The
+//!   run loop records a delivered block as one event, or, under message
+//!   noise, each delivery as its own; either way the rows
+//!   depend only on the per-receiver stream, so `==`, `len`, ring
+//!   eviction and first-divergence searches compare rows as stored;
 //! * rows are appended to 16 Ki-row pages (unbounded), to a ring
 //!   allocated up front (bounded), or only counted (capacity 0). A page's
 //!   cost is the kernel's first touch of its fresh memory, not its
@@ -279,19 +286,20 @@ pub enum SchedEvent {
         /// Signed payload value (delta or absolute level).
         value: i64,
     },
-    /// A status message was applied at `to`, refreshing its view of
-    /// `about`.
+    /// A status message from `from` was applied at every receiver of
+    /// `applied`, refreshing its view of `about`: one row per delivered
+    /// block, not per receiver (see [`Recording::record`]'s merge rule).
     StatusApply {
-        /// Receiving processor.
-        to: u32,
         /// Sender.
         from: u32,
         /// Processor whose view entry was refreshed.
         about: u32,
         /// Which mechanism.
         kind: StatusKind,
-        /// Age of the replaced view entry (ticks since its last refresh).
-        age: Time,
+        /// `(receiver, age)` per apply, in delivery order: the age of the
+        /// replaced view entry is the ticks since its last refresh. A
+        /// thin box keeps the row at 32 bytes.
+        applied: Box<Vec<(u32, Time)>>,
     },
     /// The fault injector dropped a status message.
     FaultDrop {
@@ -407,8 +415,22 @@ enum Store {
     /// Bounded: a circular buffer allocated up front; `head` indexes the
     /// oldest retained row once the buffer has wrapped.
     Ring { buf: Vec<Row>, head: usize, cap: usize },
-    /// Capacity 0: retain nothing, count everything.
-    Null,
+    /// Capacity 0: retain nothing, count the rows it would have stored;
+    /// `tail` is the merge key of the last of them.
+    Null { tail: Option<BlockKey> },
+}
+
+/// What [`Recording::record`] merges `StatusApply` rows on: `(at, from,
+/// about, kind)`.
+type BlockKey = (Time, u32, u32, StatusKind);
+
+/// The merge key of a `StatusApply` row; `None` for every other event.
+#[inline]
+fn block_key(at: Time, event: &SchedEvent) -> Option<BlockKey> {
+    match *event {
+        SchedEvent::StatusApply { from, about, kind, .. } => Some((at, from, about, kind)),
+        _ => None,
+    }
 }
 
 /// Store of timestamped scheduling events. With `capacity: None` it grows
@@ -419,7 +441,7 @@ enum Store {
 /// black box.
 ///
 /// Equality and `Debug` both see the logical stream — the retained
-/// `(at, event)` sequence and the drop count — not the pages or the ring.
+/// `(at, event)` rows and the drop count — not the pages or the ring.
 #[derive(Clone)]
 pub struct Recording {
     store: Store,
@@ -458,16 +480,24 @@ impl Recording {
     pub fn new(capacity: Option<usize>) -> Self {
         let store = match capacity {
             None => Store::Paged(Vec::new()),
-            Some(0) => Store::Null,
+            Some(0) => Store::Null { tail: None },
             Some(cap) => Store::Ring { buf: Vec::with_capacity(cap), head: 0, cap },
         };
         Recording { store, dropped: 0 }
     }
 
-    /// Appends an event, evicting the oldest when at capacity. The hot
-    /// path: a 32-byte row store and a page-boundary check.
+    /// Appends an event, evicting the oldest row when at capacity. The
+    /// hot path: a 32-byte row store and a page-boundary check.
+    ///
+    /// The merge rule: a `StatusApply` whose `(at, from, about, kind)`
+    /// equals the last row's is appended to that row's `applied` instead
+    /// of becoming a row of its own. The rows therefore depend only on
+    /// the per-receiver stream, however it was cut into events: a block
+    /// recorded whole and the same applies recorded one at a time store
+    /// identical rows.
     #[inline]
     pub fn record(&mut self, at: Time, event: SchedEvent) {
+        let Some(event) = self.merge(at, event) else { return };
         match &mut self.store {
             Store::Paged(pages) => match pages.last_mut() {
                 Some(page) if page.len() < PAGE => page.push((at, event)),
@@ -486,7 +516,37 @@ impl Recording {
                     self.dropped += 1;
                 }
             }
-            Store::Null => self.dropped += 1,
+            Store::Null { tail } => {
+                *tail = block_key(at, &event);
+                self.dropped += 1;
+            }
+        }
+    }
+
+    /// Merges `event` into the last row when the merge rule applies;
+    /// otherwise hands it back to be stored.
+    #[inline]
+    fn merge(&mut self, at: Time, event: SchedEvent) -> Option<SchedEvent> {
+        let Some(key) = block_key(at, &event) else { return Some(event) };
+        let last = match &mut self.store {
+            Store::Paged(pages) => pages.last_mut().and_then(|page| page.last_mut()),
+            // Before the ring wraps `head` is 0; after, the newest row sits
+            // just before the oldest.
+            Store::Ring { buf, head, cap } => {
+                let newest = buf.len().checked_sub(1).map(|n| (*head + n) % *cap);
+                newest.map(|k| &mut buf[k])
+            }
+            Store::Null { tail } => return (*tail != Some(key)).then_some(event),
+        };
+        match (last, event) {
+            (
+                Some((prev_at, SchedEvent::StatusApply { from, about, kind, applied: into })),
+                SchedEvent::StatusApply { applied, .. },
+            ) if (*prev_at, *from, *about, *kind) == key => {
+                into.extend_from_slice(&applied);
+                None
+            }
+            (_, event) => Some(event),
         }
     }
 
@@ -498,12 +558,12 @@ impl Recording {
         let (pages, ring): (&[Vec<Row>], [&[Row]; 2]) = match &self.store {
             Store::Paged(pages) => (pages, [&[], &[]]),
             Store::Ring { buf, head, .. } => (&[], [&buf[*head..], &buf[..*head]]),
-            Store::Null => (&[], [&[], &[]]),
+            Store::Null { .. } => (&[], [&[], &[]]),
         };
         pages.iter().flatten().chain(ring.into_iter().flatten()).map(|(at, ev)| (*at, ev))
     }
 
-    /// Number of retained events.
+    /// Number of retained rows (a status block is one).
     pub fn len(&self) -> usize {
         match &self.store {
             Store::Paged(pages) => match pages.split_last() {
@@ -511,7 +571,7 @@ impl Recording {
                 Some((last, full)) => full.len() * PAGE + last.len(),
             },
             Store::Ring { buf, .. } => buf.len(),
-            Store::Null => 0,
+            Store::Null { .. } => 0,
         }
     }
 
@@ -520,8 +580,9 @@ impl Recording {
         self.len() == 0
     }
 
-    /// Events evicted by the ring (0 means the recording is complete —
-    /// the precondition of exact peak attribution).
+    /// Rows evicted by the ring, or counted by the null store (0 means
+    /// the recording is complete — the precondition of exact peak
+    /// attribution).
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -533,6 +594,20 @@ mod tests {
 
     fn ev(node: u32) -> SchedEvent {
         SchedEvent::MemAlloc { proc: 0, node, area: MemArea::Front, entries: 1 }
+    }
+
+    fn apply(from: u32, kind: StatusKind, applied: &[(u32, Time)]) -> SchedEvent {
+        SchedEvent::StatusApply { from, about: from, kind, applied: Box::new(applied.to_vec()) }
+    }
+
+    /// Records `(at, event)` into every kind of store: unbounded, a ring
+    /// that never wraps, and the null store.
+    fn stores(rows: &[(Time, SchedEvent)]) -> [Recording; 3] {
+        let mut stores = [Recording::new(None), Recording::new(Some(64)), Recording::new(Some(0))];
+        for r in &mut stores {
+            rows.iter().for_each(|(at, e)| r.record(*at, e.clone()));
+        }
+        stores
     }
 
     fn selection(node: u32) -> SchedEvent {
@@ -639,11 +714,10 @@ mod tests {
             SchedEvent::PoolDecision { proc: 1, depth: 2, picked: None },
             SchedEvent::StatusSend { from: 3, kind: StatusKind::LoadDelta, value: -77 },
             SchedEvent::StatusApply {
-                to: 0,
                 from: 2,
                 about: 1,
                 kind: StatusKind::Assigned,
-                age: 12345,
+                applied: Box::new(vec![(0, 12345), (3, 0)]),
             },
             SchedEvent::FaultDrop { from: 1, to: 2 },
             SchedEvent::Forced { proc: 3, node: 8, cost: 999 },
@@ -675,6 +749,81 @@ mod tests {
         assert_eq!(format!("{a:?}"), format!("{ring:?}"));
         b.record(100, ev(100));
         assert_ne!(a, b);
+    }
+
+    /// One-receiver applies with the same `(at, from, about, kind)` store
+    /// the rows of one block, in every store; the null store counts rows.
+    #[test]
+    fn one_receiver_applies_merge_into_the_block_they_came_from() {
+        let pairs = [(0, 7), (1, 0), (3, 12), (1, 4)];
+        let one_by_one: Vec<(Time, SchedEvent)> =
+            pairs.iter().map(|&p| (9, apply(2, StatusKind::MemDelta, &[p]))).collect();
+        let whole = [(9, apply(2, StatusKind::MemDelta, &pairs))];
+        let halves = [
+            (9, apply(2, StatusKind::MemDelta, &pairs[..1])),
+            (9, apply(2, StatusKind::MemDelta, &pairs[1..])),
+        ];
+        for (a, (b, c)) in
+            stores(&one_by_one).iter().zip(stores(&whole).iter().zip(&stores(&halves)))
+        {
+            assert_eq!(a, b);
+            assert_eq!(a, c);
+            assert_eq!((a.len(), a.dropped()), (b.len(), b.dropped()));
+        }
+        let [paged, ring, null] = stores(&one_by_one);
+        assert_eq!(paged.len(), 1);
+        assert_eq!(paged.events().next(), Some((9, &whole[0].1)));
+        assert_eq!(ring, paged);
+        assert_eq!((null.len(), null.dropped()), (0, 1));
+    }
+
+    /// A different `at`, `from`, `about` or `kind` starts a new row, and
+    /// so does any other event between two applies with the same key.
+    #[test]
+    fn a_new_key_or_an_event_between_starts_a_new_row() {
+        let base = apply(2, StatusKind::MemDelta, &[(0, 1)]);
+        let other_about = SchedEvent::StatusApply {
+            from: 2,
+            about: 5,
+            kind: StatusKind::MemDelta,
+            applied: Box::new(vec![(0, 1)]),
+        };
+        let lost = SchedEvent::ProcLost { proc: 4, nodes_lost: 0 };
+        let splits = [
+            vec![(9, base.clone()), (10, base.clone())],
+            vec![(9, base.clone()), (9, apply(3, StatusKind::MemDelta, &[(0, 1)]))],
+            vec![(9, base.clone()), (9, other_about)],
+            vec![(9, base.clone()), (9, apply(2, StatusKind::LoadDelta, &[(0, 1)]))],
+            vec![(9, base.clone()), (9, ev(1)), (9, base.clone())],
+            vec![(9, base.clone()), (9, lost), (9, base.clone())],
+        ];
+        for rows in splits {
+            let [paged, ring, null] = stores(&rows);
+            let stored: Vec<(Time, SchedEvent)> =
+                paged.events().map(|(at, e)| (at, e.clone())).collect();
+            assert_eq!(stored, rows, "nothing merges");
+            assert_eq!(ring, paged);
+            assert_eq!(null.dropped(), rows.len() as u64);
+        }
+    }
+
+    /// The ring holds whole rows: a block counts as one row against the
+    /// capacity, is evicted whole, and an apply merging into the newest
+    /// row of a wrapped ring evicts nothing.
+    #[test]
+    fn the_ring_evicts_whole_rows() {
+        let mut r = Recording::new(Some(2));
+        r.record(1, apply(0, StatusKind::MemDelta, &[(1, 0), (2, 0), (3, 0)]));
+        r.record(2, ev(7));
+        r.record(3, apply(1, StatusKind::LoadDelta, &[(0, 5)]));
+        assert_eq!((r.len(), r.dropped()), (2, 1), "the three-receiver block went whole");
+        r.record(3, apply(1, StatusKind::LoadDelta, &[(2, 6)]));
+        assert_eq!((r.len(), r.dropped()), (2, 1), "a merge into a wrapped ring evicts nothing");
+        let rows: Vec<(Time, SchedEvent)> = r.events().map(|(at, e)| (at, e.clone())).collect();
+        assert_eq!(rows, vec![(2, ev(7)), (3, apply(1, StatusKind::LoadDelta, &[(0, 5), (2, 6)]))]);
+        r.record(4, ev(8));
+        let rows: Vec<Time> = r.events().map(|(at, _)| at).collect();
+        assert_eq!((rows, r.dropped()), (vec![3, 4], 2));
     }
 
     #[test]
