@@ -1,6 +1,5 @@
 //! Regular-grid finite-element / finite-difference generators.
 
-use crate::coo::CooMatrix;
 use crate::csc::{CscMatrix, Symmetry};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -14,46 +13,64 @@ pub enum Stencil {
     Box,
 }
 
-fn idx3(nx: usize, ny: usize, x: usize, y: usize, z: usize) -> usize {
-    (z * ny + y) * nx + x
+/// Calls `f` with the index and coordinates of every grid point, in
+/// ascending index order (`z`, then `y`, then `x`).
+fn for_each_point([nx, ny, nz]: [usize; 3], mut f: impl FnMut(usize, [usize; 3])) {
+    let mut i = 0;
+    for z in 0..nz {
+        for y in 0..ny {
+            for x in 0..nx {
+                f(i, [x, y, z]);
+                i += 1;
+            }
+        }
+    }
 }
 
-/// Symmetric positive-definite matrix on an `nx x ny` grid.
+/// The coordinates within one step of `c` on an axis of length `n`.
+fn around(c: usize, n: usize) -> std::ops::Range<usize> {
+    c.saturating_sub(1)..(c + 2).min(n)
+}
+
+/// Stored entries of grid point `p`'s column: its stencil neighbours and
+/// the diagonal.
+fn column_len([nx, ny, nz]: [usize; 3], [x, y, z]: [usize; 3], stencil: Stencil) -> usize {
+    let spans = [around(x, nx).len(), around(y, ny).len(), around(z, nz).len()];
+    match stencil {
+        Stencil::Star => spans.iter().sum::<usize>() - 2,
+        Stencil::Box => spans.iter().product(),
+    }
+}
+
+/// Calls `f` with the index of every stencil neighbour of grid point
+/// `(x, y, z)`, in ascending index order (`dz`, then `dy`, then `dx`).
+fn for_each_neighbour(
+    [nx, ny, nz]: [usize; 3],
+    [x, y, z]: [usize; 3],
+    stencil: Stencil,
+    mut f: impl FnMut(usize),
+) {
+    for zz in around(z, nz) {
+        for yy in around(y, ny) {
+            for xx in around(x, nx) {
+                let moved = (xx != x) as u8 + (yy != y) as u8 + (zz != z) as u8;
+                if moved == 0 || (stencil == Stencil::Star && moved != 1) {
+                    continue;
+                }
+                f((zz * ny + yy) * nx + xx);
+            }
+        }
+    }
+}
+
+/// Symmetric positive-definite matrix on an `nx x ny` grid: the
+/// single-layer `grid3d` with `Symmetry::Symmetric`.
 ///
 /// `Stencil::Star` gives the classic 5-point Laplacian; `Stencil::Box` the
 /// 9-point FEM coupling. Values are diagonally dominant so that pivoting is
 /// never an issue in the numeric tests.
 pub fn grid2d(nx: usize, ny: usize, stencil: Stencil) -> CscMatrix {
-    let n = nx * ny;
-    let mut coo = CooMatrix::new_symmetric(n);
-    coo.reserve(n * 5);
-    for y in 0..ny {
-        for x in 0..nx {
-            let i = y * nx + x;
-            let mut deg = 0.0;
-            for dy in -1i64..=1 {
-                for dx in -1i64..=1 {
-                    if dx == 0 && dy == 0 {
-                        continue;
-                    }
-                    if stencil == Stencil::Star && dx != 0 && dy != 0 {
-                        continue;
-                    }
-                    let (xx, yy) = (x as i64 + dx, y as i64 + dy);
-                    if xx < 0 || yy < 0 || xx >= nx as i64 || yy >= ny as i64 {
-                        continue;
-                    }
-                    let j = (yy as usize) * nx + xx as usize;
-                    deg += 1.0;
-                    if j < i {
-                        coo.push(i, j, -1.0).unwrap();
-                    }
-                }
-            }
-            coo.push(i, i, deg + 1.0).unwrap();
-        }
-    }
-    coo.to_csc()
+    grid3d(nx, ny, 1, stencil, Symmetry::Symmetric, 0)
 }
 
 /// Matrix on an `nx x ny x nz` grid.
@@ -63,6 +80,14 @@ pub fn grid2d(nx: usize, ny: usize, stencil: Stencil) -> CscMatrix {
 /// perturbed asymmetrically (convection-like), producing an unsymmetric
 /// matrix with a structurally symmetric pattern, as in the ULTRASOUND3 and
 /// XENON2 problems.
+///
+/// The CSC arrays are built directly. Column `j` holds `j`'s stencil
+/// neighbours and `j` itself, so counting the stencil points inside the
+/// grid gives `col_ptr`. A row-major fill then writes row `i`'s entries (each
+/// neighbour's coupling, then the diagonal `deg + 1`) through a cursor
+/// per column. Rows reach every column in ascending order, so no column is
+/// sorted, and the `General` couplings are drawn from the RNG in row-major,
+/// neighbour order.
 pub fn grid3d(
     nx: usize,
     ny: usize,
@@ -72,56 +97,37 @@ pub fn grid3d(
     seed: u64,
 ) -> CscMatrix {
     let n = nx * ny * nz;
+    let dims = [nx, ny, nz];
+    let mut col_ptr = Vec::with_capacity(n + 1);
+    col_ptr.push(0);
+    let mut nnz = 0;
+    for_each_point(dims, |_, p| {
+        nnz += column_len(dims, p, stencil);
+        col_ptr.push(nnz);
+    });
+    let mut row_idx = vec![0usize; nnz];
+    let mut values = vec![0f64; nnz];
+    let mut next = col_ptr[..n].to_vec();
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut coo =
-        if sym == Symmetry::Symmetric { CooMatrix::new_symmetric(n) } else { CooMatrix::new(n, n) };
-    coo.reserve(n * if stencil == Stencil::Box { 27 } else { 7 });
-    for z in 0..nz {
-        for y in 0..ny {
-            for x in 0..nx {
-                let i = idx3(nx, ny, x, y, z);
-                let mut deg = 0.0;
-                for dz in -1i64..=1 {
-                    for dy in -1i64..=1 {
-                        for dx in -1i64..=1 {
-                            if dx == 0 && dy == 0 && dz == 0 {
-                                continue;
-                            }
-                            if stencil == Stencil::Star && dx.abs() + dy.abs() + dz.abs() != 1 {
-                                continue;
-                            }
-                            let (xx, yy, zz) = (x as i64 + dx, y as i64 + dy, z as i64 + dz);
-                            if xx < 0
-                                || yy < 0
-                                || zz < 0
-                                || xx >= nx as i64
-                                || yy >= ny as i64
-                                || zz >= nz as i64
-                            {
-                                continue;
-                            }
-                            let j = idx3(nx, ny, xx as usize, yy as usize, zz as usize);
-                            deg += 1.0;
-                            match sym {
-                                Symmetry::Symmetric => {
-                                    if j < i {
-                                        coo.push(i, j, -1.0).unwrap();
-                                    }
-                                }
-                                Symmetry::General => {
-                                    // Asymmetric convection perturbation.
-                                    let v = -1.0 + 0.4 * rng.gen::<f64>();
-                                    coo.push(i, j, v).unwrap();
-                                }
-                            }
-                        }
-                    }
-                }
-                coo.push(i, i, deg + 1.0).unwrap();
-            }
-        }
-    }
-    coo.to_csc()
+    let mut put = |i: usize, j: usize, v: f64| {
+        row_idx[next[j]] = i;
+        values[next[j]] = v;
+        next[j] += 1;
+    };
+    for_each_point(dims, |i, p| {
+        let mut deg = 0.0;
+        for_each_neighbour(dims, p, stencil, |j| {
+            deg += 1.0;
+            let v = match sym {
+                Symmetry::Symmetric => -1.0,
+                // Asymmetric convection perturbation.
+                Symmetry::General => -1.0 + 0.4 * rng.gen::<f64>(),
+            };
+            put(i, j, v);
+        });
+        put(i, i, deg + 1.0);
+    });
+    CscMatrix::from_raw_parts(n, n, col_ptr, row_idx, values, sym)
 }
 
 /// Thin 3-D grid ("2.5-D" shell), the structure family of plate/shell FEM

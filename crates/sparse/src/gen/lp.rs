@@ -1,7 +1,6 @@
 //! Linear-programming normal-equations generator (GUPTA3 family).
 
-use crate::coo::CooMatrix;
-use crate::csc::CscMatrix;
+use crate::csc::{CscMatrix, Symmetry};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -13,6 +12,16 @@ use rand::{Rng, SeedableRng};
 /// the dense columns make `B Bᵀ` locally very dense, which is what gives
 /// GUPTA3 its extreme nnz/n ratio (~278 in the paper) and its shallow, fat
 /// assembly trees.
+///
+/// The result is built column by column straight into CSC. `B`'s columns
+/// are drawn first (the RNG stream depends on nothing else), then
+/// transposed into the ascending list of columns holding each row. Result
+/// column `j` collects the rows that share a column of `B` with `j`,
+/// deduplicated with a stamp array while `j`'s columns are walked in
+/// ascending order, so the first column holding both rows gives the
+/// coupling `-1/|col|`. The column is then sorted, and its diagonal is the
+/// column's absolute sum (in row order, with a placeholder `1.0` at the
+/// diagonal) plus one, which makes the matrix diagonally dominant.
 ///
 /// * `m` — number of constraints = order of the result.
 /// * `ncols` — number of LP variables (columns of `B`).
@@ -28,8 +37,8 @@ pub fn lp_normal_equations(
     seed: u64,
 ) -> CscMatrix {
     let mut rng = SmallRng::seed_from_u64(seed);
-    // Columns of B as row-index lists.
-    let mut cols: Vec<Vec<usize>> = Vec::with_capacity(ncols);
+    // The pattern of B, column by column.
+    let (mut b_ptr, mut b_rows) = (vec![0], Vec::new());
     for c in 0..ncols {
         let k =
             if c < dense_cols { ((m as f64 * dense_frac) as usize).max(2) } else { col_nnz.max(2) };
@@ -44,37 +53,46 @@ pub fn lp_normal_equations(
         }
         rows.sort_unstable();
         rows.dedup();
-        cols.push(rows);
+        b_rows.extend(rows);
+        b_ptr.push(b_rows.len());
     }
-    // Pattern of B Bᵀ: clique over the rows of each column.
-    let mut coo = CooMatrix::new_symmetric(m);
-    for i in 0..m {
-        coo.push(i, i, 1.0).unwrap();
-    }
-    let mut seen: Vec<std::collections::HashSet<usize>> = vec![Default::default(); m];
-    for rows in &cols {
-        for (a, &i) in rows.iter().enumerate() {
-            for &j in &rows[a + 1..] {
-                if seen[j].insert(i) {
-                    coo.push(j, i, -1.0 / (rows.len() as f64)).unwrap();
+    let zeros = vec![0.0; b_rows.len()];
+    let b = CscMatrix::from_raw_parts(m, ncols, b_ptr, b_rows, zeros, Symmetry::General);
+    // Column r of Bᵀ: the ascending list of the columns of B holding row r.
+    let bt = b.transpose();
+    // Column j of B Bᵀ: the rows sharing a column of B with j. The first
+    // such column (j's columns are walked in ascending order) gives the
+    // coupling -1/|col|; `stamp[i] == j` marks row i as already met.
+    let mut stamp = vec![usize::MAX; m];
+    let mut coupling = vec![0f64; m];
+    let mut col_ptr = Vec::with_capacity(m + 1);
+    col_ptr.push(0);
+    let (mut row_idx, mut values) = (Vec::new(), Vec::new());
+    for j in 0..m {
+        let start = row_idx.len();
+        stamp[j] = j;
+        row_idx.push(j);
+        for &c in bt.rows_in_col(j) {
+            let rows = b.rows_in_col(c);
+            for &i in rows {
+                if stamp[i] != j {
+                    stamp[i] = j;
+                    coupling[i] = -1.0 / (rows.len() as f64);
+                    row_idx.push(i);
                 }
             }
         }
+        let rows = &mut row_idx[start..];
+        rows.sort_unstable();
+        // The diagonal starts as a placeholder 1.0 and becomes the column's
+        // absolute sum plus one, so the matrix is diagonally dominant.
+        values.extend(rows.iter().map(|&i| if i == j { 1.0 } else { coupling[i] }));
+        let col = &mut values[start..];
+        let off: f64 = col.iter().map(|x| x.abs()).sum();
+        col[rows.binary_search(&j).unwrap()] = off + 1.0;
+        col_ptr.push(row_idx.len());
     }
-    let csc = coo.to_csc();
-    // Make it diagonally dominant for numeric tests.
-    let mut coo2 = CooMatrix::new_symmetric(m);
-    for j in 0..m {
-        for (&i, &v) in csc.rows_in_col(j).iter().zip(csc.vals_in_col(j)) {
-            if i > j {
-                coo2.push(i, j, v).unwrap();
-            } else if i == j {
-                let off: f64 = csc.vals_in_col(j).iter().map(|x| x.abs()).sum();
-                coo2.push(j, j, off + 1.0).unwrap();
-            }
-        }
-    }
-    coo2.to_csc()
+    CscMatrix::from_raw_parts(m, m, col_ptr, row_idx, values, Symmetry::Symmetric)
 }
 
 #[cfg(test)]

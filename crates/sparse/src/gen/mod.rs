@@ -10,11 +10,21 @@
 //! the structure family, which these generators preserve. See
 //! [`paper`] for the catalogue mapping each Table 1 matrix to a generator
 //! and scale.
+//!
+//! The grid and LP families ([`grid`], [`lp`]) build their CSC arrays
+//! directly: their entries never collide, so each column's rows can be
+//! counted and written in ascending order (the grids) or gathered and
+//! sorted once (`B Bᵀ`). The circuit families ([`mod@circuit`]) keep
+//! [`CooMatrix`](crate::CooMatrix): their random entries collide, and
+//! the matrix is defined by `CooMatrix::to_csc` summing the duplicates in
+//! its sort's order.
 
 pub mod circuit;
 pub mod grid;
 pub mod lp;
 pub mod paper;
+#[cfg(test)]
+mod reference;
 
 pub use circuit::{circuit, harmonic_balance};
 pub use grid::{grid2d, grid3d, shell3d, Stencil};
