@@ -19,19 +19,49 @@
 //!   check it against a scan of the members.
 //! * **The pivot is the live principal variable with the least
 //!   `(score, id)`**, a total order, so the indexed heap that finds it has
-//!   no say in the sequence. Likewise, of the variables of `Lp` with equal
-//!   lists, the first in `Lp` order absorbs the others, whatever the hash
-//!   that brought them together.
+//!   no say in the sequence, and an update that leaves a score as it was
+//!   skips the heap. Likewise, of the variables of `Lp` with equal lists,
+//!   the first in `Lp` order absorbs the others, whatever the hash that
+//!   brought them together.
 //!
-//! All lists live in one index arena. A variable owns one chunk, its
-//! variable neighbours followed by its element neighbours; pruning only
-//! ever shrinks it, and the new element always finds room where the pivot
-//! or an absorbed element stood, so a chunk never moves. An element's
-//! member list reuses the pivot's chunk when it fits, and otherwise comes
-//! off the free tail, which is compacted when it runs out.
+//! # Layout
+//!
+//! Ids, weights and arena slots are `u32`, so a node is 32 bytes;
+//! [`arena_slots`] checks once, at load, that the graph fits and panics
+//! naming the limit if it does not. All lists live in one index arena. A
+//! variable owns one chunk, its variable neighbours followed by its element
+//! neighbours; pruning only ever shrinks it, and the new element always
+//! finds room where the pivot or an absorbed element stood, so a chunk
+//! never moves. An element's member list reuses the pivot's chunk when it
+//! fits, and otherwise comes off the free tail, which is compacted in place
+//! when it runs out. Every buffer is sized at load, so ordering a graph
+//! allocates a fixed handful of times whatever its pivot count
+//! (`tests/footprint.rs` pins it).
+//!
+//! # List order
+//!
+//! A prune keeps a list in the order the next pivot traversal and the
+//! supervariable test expect, without sorting it:
+//!
+//! * **A variable list is sorted from its first prune on.** An input list
+//!   that is not sorted (or repeats an id) is sorted and deduplicated
+//!   once, at that prune; the check rides along the filtering pass. Before
+//!   it, a pivot reads the list in input order.
+//! * **An element list is a sorted body plus the newest element.** Each
+//!   prune filters the body, inserts the last entry (the element the
+//!   previous prune appended) in place, and appends the new one. A pivot
+//!   reads the list as stored, body first and newest last: that order
+//!   fixes the order of `Lp`.
+//!
+//! Degree and supervariable hash are summed inside the filtering pass;
+//! both sums are order-free (`wrapping_add` over variables, `^` over
+//! elements).
 
 use mf_sparse::{Graph, Permutation};
 use std::ops::Range;
+
+#[cfg(test)]
+mod reference;
 
 /// Pivot-selection metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -43,7 +73,29 @@ pub enum Metric {
     ApproxFill,
 }
 
-const NONE: usize = usize::MAX;
+/// No id: the end of a supervariable chain, a variable out of the heap.
+const NONE: u32 = u32::MAX;
+
+/// Arena slots the engine takes for a graph of `n` vertices whose
+/// adjacency lists hold `entries` ids in all: the lists, a quarter of them
+/// again and `n` more. The live lists never outgrow the graph they started
+/// as (an element is no longer than the lists it replaces), so any slack
+/// will do; this much keeps compactions to a handful.
+///
+/// # Panics
+///
+/// If the slots do not fit in `u32` (ids, weights and slots are `u32`;
+/// `u32::MAX` is the no-id marker).
+pub fn arena_slots(n: usize, entries: usize) -> usize {
+    match entries.checked_add(entries / 4).and_then(|len| len.checked_add(n)) {
+        Some(len) if len < NONE as usize => len,
+        _ => panic!(
+            "minimum degree: {n} vertices with {entries} adjacency entries need more than \
+             the u32 limit of {} arena slots",
+            NONE - 1
+        ),
+    }
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
@@ -62,47 +114,67 @@ enum State {
 struct Node {
     state: State,
     /// Supervariable weight; 0 once absorbed.
-    nv: usize,
+    nv: u32,
     /// The node's chunk is `arena[start..start + vlen + elen]`: a variable's
     /// variable neighbours then its element neighbours, an element's
     /// members (`elen == 0`). Lists may hold stale ids.
-    start: usize,
-    vlen: usize,
-    elen: usize,
+    start: u32,
+    vlen: u32,
+    elen: u32,
     /// Variable: approximate external degree (weighted). Element: its
     /// weighted size `|Le|`, fixed at creation.
-    degree: usize,
+    degree: u32,
     /// Element: `|Le \ Lp|` as the last pivot that touched it left it
     /// (`|Le|` until one does).
-    wlen: usize,
+    wlen: u32,
     /// Equals the engine's mark when this variable is in the current `Lp`,
     /// or this element's `wlen` has been restarted for it.
-    stamp: u64,
+    stamp: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Node>() == 32);
+
+impl Node {
+    /// Arena slots of the variable list.
+    fn vars(&self) -> Range<usize> {
+        self.start as usize..(self.start + self.vlen) as usize
+    }
+
+    /// Arena slots of the element list (an element's: empty).
+    fn elems(&self) -> Range<usize> {
+        let end = (self.start + self.vlen) as usize;
+        end..end + self.elen as usize
+    }
+
+    /// Arena slots of both lists.
+    fn chunk(&self) -> Range<usize> {
+        self.start as usize..self.elems().end
+    }
 }
 
 /// Binary min-heap of `(score, id)` that knows where each id sits, so a
 /// score can change and an id can leave in O(log n).
 #[derive(Debug, Default)]
 struct IndexedHeap {
-    items: Vec<(u64, usize)>,
-    pos: Vec<usize>,
+    items: Vec<(u64, u32)>,
+    pos: Vec<u32>,
 }
 
 impl IndexedHeap {
     /// Refills the heap with ids `0..scores.len()`.
     fn reset(&mut self, scores: impl Iterator<Item = u64>) {
         self.items.clear();
-        self.items.extend(scores.enumerate().map(|(id, s)| (s, id)));
+        self.items.extend(scores.zip(0..));
         self.pos.clear();
-        self.pos.extend(0..self.items.len());
+        self.pos.extend(0..self.items.len() as u32);
         for k in (0..self.items.len() / 2).rev() {
             self.sift_down(k);
         }
     }
 
-    fn place(&mut self, k: usize, item: (u64, usize)) {
+    fn place(&mut self, k: usize, item: (u64, u32)) {
         self.items[k] = item;
-        self.pos[item.1] = k;
+        self.pos[item.1 as usize] = k as u32;
     }
 
     fn sift_up(&mut self, mut k: usize) {
@@ -130,58 +202,65 @@ impl IndexedHeap {
         self.place(k, item);
     }
 
-    fn update(&mut self, id: usize, score: u64) {
-        let k = self.pos[id];
-        self.items[k].0 = score;
-        self.sift_up(k);
-        self.sift_down(self.pos[id]);
-    }
-
-    fn remove(&mut self, id: usize) {
-        let k = std::mem::replace(&mut self.pos[id], NONE);
-        let last = self.items.pop().expect("id is in the heap");
-        if k < self.items.len() {
-            self.items[k] = last;
+    /// Puts `item` at `k`, where `was` stood, and restores the heap order:
+    /// the key only moved one way, so it sifts only that way.
+    fn replace(&mut self, k: usize, was: (u64, u32), item: (u64, u32)) {
+        self.items[k] = item;
+        if item < was {
             self.sift_up(k);
-            self.sift_down(self.pos[last.1]);
+        } else {
+            self.sift_down(k);
         }
     }
 
-    fn pop(&mut self) -> Option<usize> {
+    fn update(&mut self, id: u32, score: u64) {
+        let k = self.pos[id as usize] as usize;
+        let was = self.items[k];
+        if was.0 != score {
+            self.replace(k, was, (score, id));
+        }
+    }
+
+    fn remove(&mut self, id: u32) {
+        let k = std::mem::replace(&mut self.pos[id as usize], NONE) as usize;
+        let last = self.items.pop().expect("id is in the heap");
+        if k < self.items.len() {
+            self.replace(k, self.items[k], last);
+        }
+    }
+
+    fn pop(&mut self) -> Option<u32> {
         let id = self.items.first()?.1;
         self.remove(id);
         Some(id)
     }
 }
 
-/// Moves the entries of `arena[from]` that `keep` accepts down to `to..`,
-/// sorted and without repeats (they nearly always are already); returns
-/// where they end.
-fn prune(
-    arena: &mut [usize],
-    from: Range<usize>,
-    to: usize,
-    keep: impl Fn(usize) -> bool,
-) -> usize {
-    let mut end = to;
-    for q in from {
-        if keep(arena[q]) {
-            arena[end] = arena[q];
-            end += 1;
-        }
-    }
-    if arena[to..end].windows(2).all(|w| w[0] < w[1]) {
-        return end;
-    }
-    arena[to..end].sort_unstable();
-    let mut last = to;
-    for q in to + 1..end {
-        if arena[q] != arena[last] {
+/// Sorts `arena[range]` (two ids or more) and drops repeats; returns where
+/// the list ends. A variable list needs it once at most, at its first
+/// prune, when the input list was out of order.
+#[cold]
+fn sort_once(arena: &mut [u32], range: Range<usize>) -> usize {
+    let list = &mut arena[range.clone()];
+    list.sort_unstable();
+    let mut last = 0;
+    for q in 1..list.len() {
+        if list[q] != list[last] {
             last += 1;
-            arena[last] = arena[q];
+            list[last] = list[q];
         }
     }
-    last + 1
+    range.start + last + 1
+}
+
+/// Hash of a variable neighbour (summed with `wrapping_add`) and of an
+/// element neighbour (folded with `^`), from the seed `HASH_SEED`.
+const HASH_SEED: u64 = 0x9e3779b97f4a7c15;
+fn var_hash(v: u32) -> u64 {
+    (v as u64).wrapping_mul(0x100000001b3)
+}
+fn elem_hash(e: u32) -> u64 {
+    (e as u64).wrapping_mul(0x9e3779b1)
 }
 
 /// The engine and its workspace, reusable from one graph to the next (a
@@ -190,22 +269,24 @@ fn prune(
 pub(crate) struct Engine {
     metric: Metric,
     nodes: Vec<Node>,
-    arena: Vec<usize>,
+    arena: Vec<u32>,
     /// First free slot of the arena.
     top: usize,
     heap: IndexedHeap,
-    mark: u64,
-    alive_weight: usize,
+    mark: u32,
+    alive_weight: u32,
     /// Output order of a supervariable: the principal, then `next` links
     /// up to `tail[principal]`.
-    next: Vec<usize>,
-    tail: Vec<usize>,
+    next: Vec<u32>,
+    tail: Vec<u32>,
     /// Compactions since the engine was made; tests read it to know that
     /// the debug check of `compact` has run.
     compactions: usize,
-    // Scratch of one pivot.
-    lp: Vec<usize>,
-    hashes: Vec<(u64, usize)>,
+    // Scratch, `n` long from load on. `keyed` holds ids under a key in the
+    // high half (`key << 32 | id`): position in Lp under its folded hash in
+    // pass 2, node under its start in a compaction.
+    lp: Vec<u32>,
+    keyed: Vec<u64>,
 }
 
 impl Engine {
@@ -230,23 +311,32 @@ impl Engine {
             // absorbed, each with what that had absorbed before.
             let mut v = p;
             while v != NONE {
-                emit(v);
-                v = self.next[v];
+                emit(v as usize);
+                v = self.next[v as usize];
             }
         }
     }
 
     fn load<I: Iterator<Item = usize>>(&mut self, n: usize, adj: impl Fn(usize) -> I) {
+        // What the lists can hold at most, so that every buffer is sized
+        // once and the limit is checked before anything is read.
+        let bound = (0..n).map(|i| adj(i).size_hint()).map(|(lo, hi)| hi.unwrap_or(lo)).sum();
+        let slots = arena_slots(n, bound);
         self.nodes.clear();
+        self.nodes.reserve_exact(n);
         self.arena.clear();
+        self.arena.reserve_exact(slots);
         for i in 0..n {
             let start = self.arena.len();
-            self.arena.extend(adj(i));
-            let d = self.arena.len() - start;
+            self.arena.extend(adj(i).map(|v| {
+                assert!(v < n, "neighbour {v} of {i} is not a vertex");
+                v as u32
+            }));
+            let d = (self.arena.len() - start) as u32;
             self.nodes.push(Node {
                 state: State::Alive,
                 nv: 1,
-                start,
+                start: start as u32,
                 vlen: d,
                 elen: 0,
                 degree: d,
@@ -254,23 +344,24 @@ impl Engine {
                 stamp: 0,
             });
         }
-        // The live lists never outgrow the graph they started as (an
-        // element is no longer than the lists it replaces), so any slack
-        // will do; this much keeps compactions to a handful.
         self.top = self.arena.len();
-        self.arena.resize(self.top + self.top / 4 + n, 0);
-        (self.mark, self.alive_weight) = (0, n);
+        self.arena.resize(arena_slots(n, self.top), 0);
+        (self.mark, self.alive_weight) = (0, n as u32);
         self.next.clear();
         self.next.resize(n, NONE);
         self.tail.clear();
-        self.tail.extend(0..n);
+        self.tail.extend(0..n as u32);
+        self.lp.clear();
+        self.lp.reserve_exact(n);
+        self.keyed.clear();
+        self.keyed.reserve_exact(n);
         let mut heap = std::mem::take(&mut self.heap);
-        heap.reset((0..n).map(|i| self.score(i)));
+        heap.reset((0..n as u32).map(|i| self.score(i)));
         self.heap = heap;
     }
 
-    fn score(&self, i: usize) -> u64 {
-        let node = &self.nodes[i];
+    fn score(&self, i: u32) -> u64 {
+        let node = &self.nodes[i as usize];
         let d = node.degree as u64;
         match self.metric {
             Metric::ApproxDegree => d,
@@ -281,10 +372,9 @@ impl Engine {
                 // |Le \ Lp'| for the others, `p'` being the last pivot that
                 // touched `e`: not |Le|. Kept exactly, because every table
                 // was produced with it (DESIGN.md, "Model decisions").
-                let elems = &self.arena[node.start + node.vlen..][..node.elen];
-                elems
+                self.arena[node.elems()]
                     .iter()
-                    .map(|&e| &self.nodes[e])
+                    .map(|&e| &self.nodes[e as usize])
                     .filter(|elem| elem.state == State::Element)
                     .fold(d * d, |fill, elem| fill.saturating_sub((elem.wlen as u64).pow(2)))
             }
@@ -292,34 +382,35 @@ impl Engine {
     }
 
     /// Turns pivot `p` into an element and updates the variables it reaches.
-    fn eliminate(&mut self, p: usize) {
+    fn eliminate(&mut self, p: u32) {
         self.mark += 1;
         let mark = self.mark;
         let mut lp = std::mem::take(&mut self.lp);
         lp.clear();
 
         // ---- Lp = (Ap ∪ ⋃ Le) \ {p}, deduped with the stamp. ----
-        let mut lp_weight = 0usize;
-        let mut reach = |nodes: &mut [Node], v: usize| {
-            let node = &mut nodes[v];
+        let mut lp_weight = 0u32;
+        let mut reach = |nodes: &mut [Node], v: u32| {
+            let node = &mut nodes[v as usize];
             if node.state == State::Alive && node.stamp != mark {
                 node.stamp = mark;
                 lp.push(v);
                 lp_weight += node.nv;
             }
         };
-        self.nodes[p].stamp = mark;
-        let Node { start, vlen, elen, .. } = self.nodes[p];
-        for q in start..start + vlen {
+        let pi = p as usize;
+        self.nodes[pi].stamp = mark;
+        let (vars, elems) = (self.nodes[pi].vars(), self.nodes[pi].elems());
+        let room = vars.len() + elems.len();
+        for q in vars {
             reach(&mut self.nodes, self.arena[q]);
         }
-        for q in start + vlen..start + vlen + elen {
-            let e = self.arena[q];
+        for q in elems {
+            let e = self.arena[q] as usize;
             if self.nodes[e].state != State::Element {
                 continue;
             }
-            let Node { start: members, vlen: len, .. } = self.nodes[e];
-            for r in members..members + len {
+            for r in self.nodes[e].chunk() {
                 reach(&mut self.nodes, self.arena[r]);
             }
             // Element e is absorbed by the new element p.
@@ -329,21 +420,21 @@ impl Engine {
 
         // Element p: its members take over p's own chunk when they fit,
         // and otherwise come off the free tail.
-        let node = &mut self.nodes[p];
+        let node = &mut self.nodes[pi];
         self.alive_weight -= node.nv;
         node.state = State::Element;
         (node.degree, node.wlen) = (lp_weight, lp_weight);
         (node.vlen, node.elen) = (0, 0); // p's old lists are not worth compacting
-        if lp.len() > vlen + elen {
+        if lp.len() > room {
             if self.top + lp.len() > self.arena.len() {
                 self.compact();
             }
-            self.nodes[p].start = self.top;
+            self.nodes[pi].start = self.top as u32;
             self.top += lp.len();
         }
-        let at = self.nodes[p].start;
+        let at = self.nodes[pi].start as usize;
         self.arena[at..at + lp.len()].copy_from_slice(&lp);
-        self.nodes[p].vlen = lp.len();
+        self.nodes[pi].vlen = lp.len() as u32;
 
         if !lp.is_empty() {
             self.update_reached(p, &lp, lp_weight);
@@ -352,14 +443,14 @@ impl Engine {
     }
 
     /// Degrees, lists, supervariables and scores of the members of `Lp`.
-    fn update_reached(&mut self, p: usize, lp: &[usize], lp_weight: usize) {
+    fn update_reached(&mut self, p: u32, lp: &[u32], lp_weight: u32) {
         let mark = self.mark;
 
         // ---- Pass 1: wlen[e] = |Le \ Lp| for every element touching Lp. ----
         for &i in lp {
-            let Node { start, vlen, elen, nv, .. } = self.nodes[i];
-            for q in start + vlen..start + vlen + elen {
-                let e = self.arena[q];
+            let (nv, elems) = (self.nodes[i as usize].nv, self.nodes[i as usize].elems());
+            for q in elems {
+                let e = self.arena[q] as usize;
                 if self.nodes[e].state != State::Element {
                     continue;
                 }
@@ -373,125 +464,188 @@ impl Engine {
         }
 
         // ---- Pass 2: prune lists and recompute degrees for i in Lp. ----
-        // Lp members are stamped with `mark`.
-        let mut hashes = std::mem::take(&mut self.hashes);
-        hashes.clear();
+        // Lp members are stamped with `mark`. Degree and hash are summed
+        // while filtering; the degree in `u64`, as element terms can add up
+        // past `n` before the cap.
+        let mut keyed = std::mem::take(&mut self.keyed);
+        keyed.clear();
         for (k, &i) in lp.iter().enumerate() {
-            let Node { start, vlen, elen, nv, .. } = self.nodes[i];
+            let node = &self.nodes[i as usize];
+            let (nv, Range { start, end: vend }, old_end) =
+                (node.nv, node.vars(), node.chunk().end);
             let (nodes, arena) = (&self.nodes, &mut self.arena[..]);
-            // Prune variable adjacency: drop dead vars and members of Lp
-            // (those are covered by element p now).
-            let elems = prune(arena, start..start + vlen, start, |v| {
-                nodes[v].state == State::Alive && nodes[v].stamp != mark
-            });
-            let mut hash: u64 = 0x9e3779b97f4a7c15;
-            let mut degree = lp_weight - nv;
-            for &v in &arena[start..elems] {
-                degree += nodes[v].nv;
-                hash = hash.wrapping_add((v as u64).wrapping_mul(0x100000001b3));
+            let mut hash = HASH_SEED;
+            let mut degree = (lp_weight - nv) as u64;
+
+            // Variables: drop dead ones and members of Lp (element p
+            // covers those now); note whether what is kept is in order.
+            let mut elems = start;
+            let mut sorted = true;
+            for q in start..vend {
+                let v = arena[q];
+                let var = &nodes[v as usize];
+                if var.state == State::Alive && var.stamp != mark {
+                    sorted &= elems == start || arena[elems - 1] < v;
+                    arena[elems] = v;
+                    elems += 1;
+                    degree += var.nv as u64;
+                    hash = hash.wrapping_add(var_hash(v));
+                }
             }
-            // Prune element adjacency, moved down to follow the variables,
-            // and append p: it takes the slot of p itself or of an element
-            // p absorbed, one of which was in these lists.
-            let old_end = start + vlen + elen;
-            let end =
-                prune(arena, start + vlen..old_end, elems, |e| nodes[e].state == State::Element);
-            assert!(end < old_end, "adjacency of {i} and {p} is not symmetric");
-            for &e in &arena[elems..end] {
+            if !sorted {
+                elems = sort_once(arena, start..elems);
+                (hash, degree) = (HASH_SEED, (lp_weight - nv) as u64);
+                for &v in &arena[start..elems] {
+                    degree += nodes[v as usize].nv as u64;
+                    hash = hash.wrapping_add(var_hash(v));
+                }
+            }
+
+            // Elements, moved down to follow the variables: the live ones
+            // of the sorted body, then the previous newest in its place.
+            let mut end = elems;
+            let mut keep = |arena: &mut [u32], e: u32, at: usize| {
+                let elem = &nodes[e as usize];
                 // wlen[e] was set to |Le \ Lp| in pass 1.
-                debug_assert_eq!(nodes[e].stamp, mark);
-                degree += nodes[e].wlen;
-                hash ^= (e as u64).wrapping_mul(0x9e3779b1);
+                debug_assert_eq!(elem.stamp, mark);
+                degree += elem.wlen as u64;
+                hash ^= elem_hash(e);
+                arena[at] = e;
+            };
+            if old_end > vend {
+                for q in vend..old_end - 1 {
+                    let e = arena[q];
+                    if nodes[e as usize].state == State::Element {
+                        debug_assert!(end == elems || arena[end - 1] < e, "element list of {i}");
+                        keep(arena, e, end);
+                        end += 1;
+                    }
+                }
+                let newest = arena[old_end - 1];
+                if nodes[newest as usize].state == State::Element {
+                    let mut at = end;
+                    while at > elems && arena[at - 1] > newest {
+                        arena[at] = arena[at - 1];
+                        at -= 1;
+                    }
+                    keep(arena, newest, at);
+                    end += 1;
+                }
             }
+            // Append p: it takes the slot of p itself or of an element p
+            // absorbed, one of which was in these lists.
+            assert!(end < old_end, "adjacency of {i} and {p} is not symmetric");
             arena[end] = p;
-            hash ^= (p as u64).wrapping_mul(0x9e3779b1);
-            let node = &mut self.nodes[i];
-            (node.vlen, node.elen) = (elems - start, end + 1 - elems);
-            node.degree = degree.min(self.alive_weight.saturating_sub(nv));
-            hashes.push((hash, k));
+            hash ^= elem_hash(p);
+            let cap = self.alive_weight.saturating_sub(nv);
+            let node = &mut self.nodes[i as usize];
+            (node.vlen, node.elen) = ((elems - start) as u32, (end + 1 - elems) as u32);
+            node.degree = degree.min(cap as u64) as u32;
+            keyed.push(((hash ^ hash >> 32) << 32) | k as u64);
         }
 
         // ---- Supervariable detection within Lp (cheap hash + exact check). ----
         // Sorted by (hash, position in Lp): equal lists end up in one run,
-        // still in Lp order, and the first of them absorbs the rest.
-        hashes.sort_unstable();
-        for run in hashes.chunk_by(|a, b| a.0 == b.0) {
-            for (x, &(_, k)) in run.iter().enumerate() {
-                let i = lp[k];
-                if self.nodes[i].state != State::Alive {
+        // still in Lp order, and the first of them absorbs the rest. A run
+        // may hold several classes of equal lists (the hash is folded to 32
+        // bits); each class merges into its first member all the same.
+        keyed.sort_unstable();
+        for run in keyed.chunk_by(|a, b| a >> 32 == b >> 32) {
+            for (x, &key) in run.iter().enumerate() {
+                let i = lp[key as u32 as usize];
+                if self.nodes[i as usize].state != State::Alive {
                     continue;
                 }
-                for &(_, k) in &run[x + 1..] {
-                    let j = lp[k];
-                    if self.nodes[j].state == State::Alive && self.same_lists(i, j) {
+                for &key in &run[x + 1..] {
+                    let j = lp[key as u32 as usize];
+                    if self.nodes[j as usize].state == State::Alive && self.same_lists(i, j) {
                         self.absorb(i, j);
                     }
                 }
             }
         }
-        self.hashes = hashes;
+        self.keyed = keyed;
 
         // ---- Final scores. ----
         for &i in lp {
-            if self.nodes[i].state != State::Alive {
+            if self.nodes[i as usize].state != State::Alive {
                 continue;
             }
             // Absorptions shrink external degree; recompute the cheap part.
-            let node = &mut self.nodes[i];
+            let node = &mut self.nodes[i as usize];
             node.degree = node.degree.min(self.alive_weight.saturating_sub(node.nv));
             self.heap.update(i, self.score(i));
         }
     }
 
-    fn lists(&self, i: usize) -> &[usize] {
-        let node = &self.nodes[i];
-        &self.arena[node.start..node.start + node.vlen + node.elen]
+    fn lists(&self, i: usize) -> &[u32] {
+        &self.arena[self.nodes[i].chunk()]
     }
 
-    fn same_lists(&self, i: usize, j: usize) -> bool {
+    fn same_lists(&self, i: u32, j: u32) -> bool {
+        let (i, j) = (i as usize, j as usize);
         self.nodes[i].vlen == self.nodes[j].vlen && self.lists(i) == self.lists(j)
     }
 
     /// Merges variable `j` into the indistinguishable variable `i`.
-    fn absorb(&mut self, i: usize, j: usize) {
-        self.nodes[i].nv += self.nodes[j].nv;
-        let node = &mut self.nodes[j];
+    fn absorb(&mut self, i: u32, j: u32) {
+        let (iu, ju) = (i as usize, j as usize);
+        self.nodes[iu].nv += self.nodes[ju].nv;
+        let node = &mut self.nodes[ju];
         (node.nv, node.vlen, node.elen) = (0, 0, 0);
         node.state = State::Absorbed;
-        self.next[self.tail[i]] = j;
-        self.tail[i] = self.tail[j];
+        self.next[self.tail[iu] as usize] = j;
+        self.tail[iu] = self.tail[ju];
         self.heap.remove(j);
     }
 
     /// Moves every live chunk to the front of the arena, in place and in
-    /// order, and frees the rest.
+    /// order, and frees the rest. Allocates nothing: the chunks are put in
+    /// arena order in the `keyed` scratch.
     fn compact(&mut self) {
-        let before: Vec<Vec<usize>> = if cfg!(debug_assertions) {
-            (0..self.nodes.len()).map(|x| self.lists(x).to_vec()).collect()
-        } else {
-            Vec::new()
-        };
-        let mut live: Vec<usize> =
-            (0..self.nodes.len()).filter(|&x| !self.lists(x).is_empty()).collect();
-        live.sort_unstable_by_key(|&x| self.nodes[x].start);
+        let before = if cfg!(debug_assertions) { self.lists_digest() } else { 0 };
+        let mut keyed = std::mem::take(&mut self.keyed);
+        keyed.clear();
+        keyed.extend(
+            (0..self.nodes.len() as u32)
+                .filter(|&x| !self.nodes[x as usize].chunk().is_empty())
+                .map(|x| (self.nodes[x as usize].start as u64) << 32 | x as u64),
+        );
+        keyed.sort_unstable();
         self.top = 0;
-        for x in live {
-            let node = &mut self.nodes[x];
-            let len = node.vlen + node.elen;
-            self.arena.copy_within(node.start..node.start + len, self.top);
-            node.start = self.top;
+        for &key in &keyed {
+            let node = &mut self.nodes[key as u32 as usize];
+            let chunk = node.chunk();
+            let len = chunk.len();
+            self.arena.copy_within(chunk, self.top);
+            node.start = self.top as u32;
             self.top += len;
         }
+        self.keyed = keyed;
         self.compactions += 1;
-        debug_assert!(before.iter().enumerate().all(|(x, list)| self.lists(x) == &list[..]));
+        debug_assert_eq!(before, self.lists_digest(), "compaction changed a list");
+    }
+
+    /// FNV-1a of every node's lists in id order, lengths included: what a
+    /// compaction must leave as it was.
+    fn lists_digest(&self) -> u64 {
+        let mut h: u64 = 0xcbf29ce484222325;
+        for x in 0..self.nodes.len() {
+            let list = self.lists(x);
+            for &w in std::iter::once(&(list.len() as u32)).chain(list) {
+                h = (h ^ w as u64).wrapping_mul(0x100000001b3);
+            }
+        }
+        h
     }
 
     /// `|Le|` by a scan of the members: what `degree[e]` stores.
-    fn scanned_weight(&self, e: usize) -> usize {
+    fn scanned_weight(&self, e: usize) -> u32 {
         self.lists(e)
             .iter()
-            .filter(|&&v| self.nodes[v].state == State::Alive)
-            .map(|&v| self.nodes[v].nv)
+            .map(|&v| &self.nodes[v as usize])
+            .filter(|var| var.state == State::Alive)
+            .map(|var| var.nv)
             .sum()
     }
 
@@ -502,8 +656,8 @@ impl Engine {
         let alive = self.nodes.iter().filter(|node| node.state == State::Alive).count();
         alive == items.len()
             && items.iter().enumerate().all(|(k, &(_, id))| {
-                self.nodes[id].state == State::Alive
-                    && self.heap.pos[id] == k
+                self.nodes[id as usize].state == State::Alive
+                    && self.heap.pos[id as usize] as usize == k
                     && (k == 0 || items[(k - 1) / 2] <= items[k])
             })
     }
@@ -544,6 +698,54 @@ mod tests {
         Graph::from_raw_parts(ptr, flat)
     }
 
+    /// A seeded graph on `n` vertices with every shape the engine has a
+    /// special path for: two blocks never linked to each other, a tail of
+    /// isolated vertices, one dense row, a clique, and twins (copies of
+    /// another vertex's adjacency, which must merge into supervariables).
+    /// With `shuffle`, every adjacency list is stored out of order.
+    fn shaped_graph(seed: u64, n: usize, shuffle: bool) -> Graph {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (split, used) = (n / 2, n - n / 8);
+        let mut pairs = Vec::new();
+        let avg_deg = rng.gen_range(1usize..7);
+        for block in [0..split, split..used] {
+            for _ in 0..block.len() * avg_deg / 2 {
+                pairs.push((rng.gen_range(block.clone()), rng.gen_range(block.clone())));
+            }
+        }
+        let hub = rng.gen_range(0..split);
+        pairs.extend((0..split).filter(|_| rng.gen_bool(0.7)).map(|v| (hub, v)));
+        let k = rng.gen_range(3usize..12).min(used - split);
+        for a in split..split + k {
+            pairs.extend((split..a).map(|b| (a, b)));
+        }
+        let g = graph_of(n, &pairs);
+        // Twins take over isolated vertices, so some stay isolated.
+        for twin in used..used + (n - used) / 2 {
+            let v = rng.gen_range(0..used);
+            pairs.extend(g.neighbors(v).iter().map(|&w| (twin, w)));
+            if rng.gen_bool(0.5) {
+                pairs.push((twin, v));
+            }
+        }
+        let g = graph_of(n, &pairs);
+        let mut ptr = vec![0];
+        let mut flat = Vec::new();
+        for v in 0..n {
+            let at = flat.len();
+            flat.extend_from_slice(g.neighbors(v));
+            if shuffle {
+                for i in (at + 1..flat.len()).rev() {
+                    flat.swap(i, rng.gen_range(at..=i));
+                }
+            }
+            ptr.push(flat.len());
+        }
+        Graph::from_raw_parts(ptr, flat)
+    }
+
     fn loaded(g: &Graph, metric: Metric) -> Engine {
         let mut engine = Engine::new(metric);
         engine.load(g.n(), |i| g.neighbors(i).iter().copied());
@@ -578,6 +780,33 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// The engine gives the elimination order of the one it replaced
+        /// (`reference`, which sorted every pruned list), under both
+        /// metrics, fresh and reused after another graph as the dissection
+        /// reuses it.
+        #[test]
+        fn equals_the_reference_engine(
+            seed in any::<u64>(),
+            n in 8usize..300,
+            shuffle in any::<bool>(),
+            fill in any::<bool>(),
+        ) {
+            let g = shaped_graph(seed, n, shuffle);
+            let metric = if fill { Metric::ApproxFill } else { Metric::ApproxDegree };
+            let want = reference::min_degree(&g, metric);
+            prop_assert_eq!(&min_degree(&g, metric), &want);
+            let mut engine = Engine::new(metric);
+            let other = shaped_graph(seed ^ 1, 308 - n, !shuffle);
+            engine.order(other.n(), |i| other.neighbors(i).iter().copied(), |_| ());
+            let mut got = Vec::with_capacity(n);
+            engine.order(n, |i| g.neighbors(i).iter().copied(), |v| got.push(v));
+            prop_assert_eq!(&got[..], want.elimination_order());
+        }
+    }
+
     #[test]
     fn the_arena_is_compacted_when_fill_outgrows_it() {
         let g = Graph::from_matrix(&grid2d(30, 30, Stencil::Star));
@@ -594,7 +823,7 @@ mod tests {
         let mut engine = loaded(&g, Metric::ApproxDegree);
         while let Some(p) = engine.heap.pop() {
             engine.eliminate(p);
-            engine.nodes[p].degree += 1;
+            engine.nodes[p as usize].degree += 1;
         }
     }
 

@@ -90,6 +90,28 @@ fn large_grids() {
     compare("grids", &GRIDS, &got);
 }
 
+/// PRE2 then TWOTONE at ×3, under AMD and AMF: at this size a variable's
+/// element list runs to dozens of entries, which ×1 barely reaches. The
+/// digests were taken on the engine that sorted every pruned list.
+#[cfg(not(debug_assertions))]
+const PAPER_X3: [[u64; 2]; 2] =
+    [[0x1dea25d0453d03e1, 0x6855ea21cbfd6411], [0x41caf1bdad52a891, 0x0d59c320058ee3dd]];
+
+/// Release only: the debug engine's checks take about 10 s per ordering
+/// at this size.
+#[cfg(not(debug_assertions))]
+#[test]
+fn pre2_and_twotone_at_three_times_scale() {
+    let got: Vec<[u64; 2]> = [PaperMatrix::Pre2, PaperMatrix::TwoTone]
+        .iter()
+        .map(|m| {
+            let a = m.instantiate_scaled(3.0);
+            [OrderingKind::Amd, OrderingKind::Amf].map(|k| digest(&k.compute(&a)))
+        })
+        .collect();
+    compare("paper matrices at x3", &PAPER_X3, &got);
+}
+
 /// A seeded graph with every shape the engine has a special path for:
 /// two blocks that are never linked (disconnected), a tail of isolated
 /// vertices, one dense row, a clique, and twins (vertices given a copy
