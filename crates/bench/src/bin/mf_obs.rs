@@ -1,24 +1,11 @@
 //! `mf-obs` — the observability tool: explains, audits and compares runs
 //! from their flight recordings.
 //!
-//! ```text
-//! mf-obs explain   [MATRIX] [ORDERING] [--nprocs N] [--split] [--obs-dir DIR]
-//!                  [--cores] [--kill IDX:PROC]... [--join IDX:PROC]...
-//! mf-obs audit     [MATRIX] [ORDERING] [--nprocs N] [--split]
-//!                  [--kill IDX:PROC]... [--join IDX:PROC]...
-//! mf-obs check-all [ORDERING] [--nprocs N] [--split] [--obs-dir DIR]
-//! mf-obs diff backends|strategies [MATRIX] [ORDERING] [--nprocs N] [--split]
-//! mf-obs diff faults [MATRIX] [ORDERING] [--nprocs N] [--split]
-//!                    [--kill IDX:PROC]... [--join IDX:PROC]...
-//! mf-obs diff sweeps OLD.json NEW.json
-//! mf-obs timeline  [MATRIX] [ORDERING] [--nprocs N] [--split] [--every TICKS]
-//!                  [--strategy baseline|memory]
-//! ```
-//!
-//! Default cell: TWOTONE / AMD / 32 processors, no splitting. An unknown
-//! flag or word, or a flag without its value, is a usage error (exit 2)
-//! on every subcommand; only `diff sweeps` takes paths. Every run goes to
-//! the backend `MF_BACKEND` names (`diff backends` runs both).
+//! `mf-obs <subcommand> ...`, each subcommand reading exactly the words
+//! and flags of its usage line in [`USAGE`]: any other flag or word, or a
+//! flag without its value, is a usage error (exit 2) before any run.
+//! Default cell: TWOTONE / AMD / 32 processors, no splitting. Every run
+//! is a simulator run; `diff backends` runs the threaded executor too.
 //!
 //! * **explain** answers what the tables cannot — *why* did a run peak
 //!   where it did? The cell is run under both strategies with the flight
@@ -34,7 +21,8 @@
 //!   `diff strategies` prints. The recorded-event counts it prints are
 //!   rows: one per status block, not one per receiver. With `--obs-dir`
 //!   the cell's artifacts are exported too (see below). `--kill`/`--join`
-//!   replace the report with a **recovery replay**: the memory-based run under
+//!   (which exclude `--cores` and `--obs-dir`) replace the report with a
+//!   **recovery replay**: the memory-based run under
 //!   that membership-fault schedule (kill/join processor `PROC` at
 //!   delivered-event index `IDX`), narrated from its recording — every
 //!   loss, the subtree reassignment chain, every join with its
@@ -53,9 +41,10 @@
 //!   once under both strategies and each recording gets the
 //!   composition-sums-to-peak check *and* the audit.
 //! * **diff** compares two runs. `backends` runs the same cell on the
-//!   simulator and the thread pool and reports the first divergent
-//!   recorded event (the bit-identity contract means there should be
-//!   none; a divergence exits 1). `strategies` contrasts workload vs
+//!   simulator and the thread pool — both strategies, or with
+//!   `--kill`/`--join` the recovery run `audit` audits — and requires the
+//!   whole `RunResult`s to be equal; on a difference it reports the first
+//!   divergent recorded event and exits 1. `strategies` contrasts workload vs
 //!   memory-based scheduling: first divergent event, metric deltas, how
 //!   the machine peak's composition moved, per-processor peaks. `faults` contrasts a
 //!   fault-free memory-strategy run with its twin under a kill/join
@@ -68,17 +57,17 @@
 //!   and prints the time series to stdout as JSON Lines.
 //!
 //! `explain` and `check-all` are the only exporters: given `--obs-dir
-//! DIR`, they write each cell's run summary, per strategy its Perfetto
-//! trace and, when `MF_SAMPLE_EVERY` armed the sampler, its time series
-//! as JSON Lines (`mf_bench::obs::export_cell`).
+//! DIR`, they run with the sampler armed every `--every` ticks and write
+//! each cell's run summary and, per strategy, its Perfetto trace and its
+//! time series as JSON Lines (`mf_bench::obs::export_cell`).
 
 use mf_bench::obs::{self, die, parse_fault, parse_matrix, parse_ordering};
 use mf_bench::sweep::{
-    build_tree, paper_scale_config, split_threshold_for, sweep_cell, Backend, CellResult,
+    build_tree, paper_scale_config, split_threshold_for, sweep_cell, CellResult,
 };
 use mf_core::config::{RecoveryConfig, SolverConfig};
 use mf_core::mapping::compute_mapping;
-use mf_core::parsim::RunResult;
+use mf_core::parsim::{self, RunResult};
 use mf_core::CoreAlloc;
 use mf_order::{OrderingKind, ALL_ORDERINGS};
 use mf_sim::{
@@ -88,11 +77,43 @@ use mf_sim::{
 use mf_sparse::gen::paper::{PaperMatrix, ALL_PAPER_MATRICES};
 use std::path::PathBuf;
 
-/// `timeline`'s default sampling interval (virtual ticks). Paper-scale
+/// The default sampling interval of `timeline` and of the exporters
+/// (virtual ticks). Paper-scale
 /// makespans run to a few hundred thousand ticks, so this yields on the
 /// order of a hundred samples per processor — dense enough for
 /// memory-evolution plots at one timer event per processor per interval.
 const DEFAULT_SAMPLE_INTERVAL: u64 = 10_000;
+
+/// Every subcommand with its usage line. The line is the parser's
+/// specification: a flag is accepted where the line names it, a matrix
+/// or ordering where it names `[MATRIX]`/`[ORDERING]`, paths where it
+/// names `OLD.json`.
+const USAGE: [(&str, &str); 8] = [
+    (
+        "explain",
+        "[MATRIX] [ORDERING] [--nprocs N] [--split] [--every TICKS] [--obs-dir DIR] [--cores] \
+         [--kill IDX:PROC]... [--join IDX:PROC]...",
+    ),
+    (
+        "audit",
+        "[MATRIX] [ORDERING] [--nprocs N] [--split] [--kill IDX:PROC]... [--join IDX:PROC]...",
+    ),
+    ("check-all", "[ORDERING] [--nprocs N] [--split] [--every TICKS] [--obs-dir DIR]"),
+    (
+        "diff backends",
+        "[MATRIX] [ORDERING] [--nprocs N] [--split] [--kill IDX:PROC]... [--join IDX:PROC]...",
+    ),
+    ("diff strategies", "[MATRIX] [ORDERING] [--nprocs N] [--split]"),
+    (
+        "diff faults",
+        "[MATRIX] [ORDERING] [--nprocs N] [--split] [--kill IDX:PROC]... [--join IDX:PROC]...",
+    ),
+    ("diff sweeps", "OLD.json NEW.json"),
+    (
+        "timeline",
+        "[MATRIX] [ORDERING] [--nprocs N] [--split] [--every TICKS] [--strategy baseline|memory]",
+    ),
+];
 
 /// Everything the command line can say; each subcommand reads its part.
 struct CellArgs {
@@ -109,9 +130,12 @@ struct CellArgs {
     paths: Vec<String>,
 }
 
-/// The one argument parser. Words are a matrix or an ordering — or, for
-/// `diff sweeps` (`paths`), file paths; anything else exits 2.
-fn parse_args(mut args: impl Iterator<Item = String>, paths: bool) -> CellArgs {
+/// The one argument parser: reads `args` as subcommand `cmd`, whose
+/// usage line is `line` (see [`USAGE`]); anything the line does not name
+/// exits 2.
+fn parse_args(mut args: impl Iterator<Item = String>, cmd: &str, line: &str) -> CellArgs {
+    let names = |token: &str| line.split([' ', '[', ']']).any(|t| t == token);
+    let refuse = |what: String| -> ! { die(&format!("{what}; usage: mf-obs {cmd} {line}")) };
     let mut out = CellArgs {
         matrix: PaperMatrix::TwoTone,
         ordering: OrderingKind::Amd,
@@ -126,6 +150,9 @@ fn parse_args(mut args: impl Iterator<Item = String>, paths: bool) -> CellArgs {
         paths: Vec::new(),
     };
     while let Some(a) = args.next() {
+        if a.starts_with("--") && !names(&a) {
+            refuse(format!("{cmd} takes no {a}"));
+        }
         let mut value =
             |what: &str| args.next().unwrap_or_else(|| die(&format!("{a} needs {what}")));
         let one_of = |v: String, allowed: &[&str]| {
@@ -145,20 +172,16 @@ fn parse_args(mut args: impl Iterator<Item = String>, paths: bool) -> CellArgs {
                 out.strategy = one_of(value("baseline|memory"), &["baseline", "memory"])
             }
             "--obs-dir" => out.obs_dir = Some(value("a directory").into()),
-            word if paths && !word.starts_with("--") => out.paths.push(word.to_string()),
-            word => {
-                if let Some(m) = parse_matrix(word) {
-                    out.matrix = m;
-                } else if let Some(k) = parse_ordering(word) {
-                    out.ordering = k;
-                } else {
-                    die(&format!(
-                        "unknown argument {word:?}; matrices: {}; orderings: {}",
-                        ALL_PAPER_MATRICES.map(|m| m.name()).join(", "),
-                        ALL_ORDERINGS.map(|k| k.name()).join(", ")
-                    ));
-                }
-            }
+            word if names("OLD.json") && !word.starts_with("--") => out.paths.push(word.into()),
+            word => match (parse_matrix(word), parse_ordering(word)) {
+                (Some(m), _) if names("MATRIX") => out.matrix = m,
+                (_, Some(k)) if names("ORDERING") => out.ordering = k,
+                _ => refuse(format!(
+                    "unknown argument {word:?}; matrices: {}; orderings: {}",
+                    ALL_PAPER_MATRICES.map(|m| m.name()).join(", "),
+                    ALL_ORDERINGS.map(|k| k.name()).join(", ")
+                )),
+            },
         }
     }
     out
@@ -174,9 +197,16 @@ fn recorded_cfg(nprocs: usize) -> SolverConfig {
     SolverConfig { record_events: true, ..paper_scale_config(nprocs) }
 }
 
-/// The cell of `matrix` under both strategies, recorded.
+/// The cell of `matrix` under both strategies, recorded, and sampled
+/// every `--every` ticks when `--obs-dir` exports it.
 fn captured_cell(a: &CellArgs, matrix: PaperMatrix) -> CellResult {
-    sweep_cell(matrix, a.ordering, a.split, &recorded_cfg(a.nprocs))
+    let sample_every = a.obs_dir.as_ref().map(|_| a.every);
+    sweep_cell(
+        matrix,
+        a.ordering,
+        a.split,
+        &SolverConfig { sample_every, ..recorded_cfg(a.nprocs) },
+    )
 }
 
 /// The recorded memory-based strategy under a membership-fault schedule,
@@ -193,12 +223,11 @@ fn recovery_cfg(nprocs: usize, kills: &[(u64, usize)], joins: &[(u64, usize)]) -
     }
 }
 
-/// One run of the cell's cached tree under `cfg`, on the backend
-/// `MF_BACKEND` names.
+/// One simulator run of the cell's cached tree under `cfg`.
 fn run_cell(a: &CellArgs, cfg: &SolverConfig) -> RunResult {
     let tree = build_tree(a.matrix, a.ordering, a.split);
     let map = compute_mapping(&tree, cfg);
-    Backend::from_env().run(&tree, &map, cfg)
+    parsim::run(&tree, &map, cfg).unwrap_or_else(|e| panic!("simulator run failed: {e}"))
 }
 
 fn recording(r: &RunResult) -> &Recording {
@@ -544,6 +573,11 @@ fn core_timeline(args: &CellArgs) {
 }
 
 fn cmd_explain(args: &CellArgs) {
+    // `--cores` and `--kill`/`--join` each replace the report, and only
+    // the report exports: any two of the three would leave one unread.
+    if [args.cores, has_faults(args), args.obs_dir.is_some()].iter().filter(|&&on| on).count() > 1 {
+        die("--cores, --kill/--join and --obs-dir exclude each other");
+    }
     let header = format!(
         "explain {} / {} on {} processors",
         args.matrix.name(),
@@ -554,7 +588,7 @@ fn cmd_explain(args: &CellArgs) {
         println!("{header} (core-allocation timeline)");
         return core_timeline(args);
     }
-    if !args.kills.is_empty() || !args.joins.is_empty() {
+    if has_faults(args) {
         println!("{header} (recovery replay)");
         return recovery_replay(args);
     }
@@ -598,7 +632,7 @@ fn exit_on_findings(cmd: &str, findings: usize) {
 }
 
 fn cmd_audit(a: &CellArgs) {
-    let findings = if !a.kills.is_empty() || !a.joins.is_empty() {
+    let findings = if has_faults(a) {
         let r = run_cell(a, &recovery_cfg(a.nprocs, &a.kills, &a.joins));
         println!("recovery run (kills {:?}, joins {:?}): {}", a.kills, a.joins, r.summary_line());
         audit_run(&format!("{} memory+recovery", a.matrix.name().to_lowercase()), a.nprocs, &r)
@@ -700,6 +734,11 @@ fn print_peak_composition_diff(a: &RunResult, b: &RunResult) {
     }
 }
 
+/// Whether the cell asks for a membership-fault schedule.
+fn has_faults(a: &CellArgs) -> bool {
+    !a.kills.is_empty() || !a.joins.is_empty()
+}
+
 fn cmd_diff_backends(a: &CellArgs) {
     let tree = build_tree(a.matrix, a.ordering, a.split);
     let base = recorded_cfg(a.nprocs);
@@ -709,27 +748,38 @@ fn cmd_diff_backends(a: &CellArgs) {
         a.ordering.name(),
         a.nprocs
     );
+    let runs = if has_faults(a) {
+        vec![("memory+recovery", recovery_cfg(a.nprocs, &a.kills, &a.joins))]
+    } else {
+        vec![
+            ("baseline", base.clone().with_workload_strategy()),
+            ("memory", base.with_memory_strategy()),
+        ]
+    };
     let mut diverged = false;
-    for (strategy, cfg) in [
-        ("baseline", base.clone().with_workload_strategy()),
-        ("memory", base.with_memory_strategy()),
-    ] {
+    for (strategy, cfg) in runs {
         let map = compute_mapping(&tree, &cfg);
-        let sim = Backend::Sim.run(&tree, &map, &cfg);
-        let thr = Backend::Threads.run(&tree, &map, &cfg);
-        match first_divergence(recording(&sim), recording(&thr)) {
-            None => println!(
-                "{strategy}: identical — {} events, peaks and makespan agree bit-exactly",
+        let sim =
+            parsim::run(&tree, &map, &cfg).unwrap_or_else(|e| panic!("simulator run failed: {e}"));
+        let thr = mf_exec::run_threads(&tree, &map, &cfg)
+            .unwrap_or_else(|e| panic!("threaded run failed: {e}"));
+        if sim == thr {
+            println!(
+                "{strategy}: identical — {} events, every field of the result agrees bit-exactly",
                 recording(&sim).len()
-            ),
+            );
+            continue;
+        }
+        diverged = true;
+        match first_divergence(recording(&sim), recording(&thr)) {
             Some((i, x, y)) => {
-                diverged = true;
                 println!("{strategy}: DIVERGED at event {i}");
                 println!("  sim:     {x}");
                 println!("  threads: {y}");
-                print_metric_deltas("sim", "threads", &sim, &thr);
             }
+            None => println!("{strategy}: DIVERGED with identical recordings"),
         }
+        print_metric_deltas("sim", "threads", &sim, &thr);
     }
     if diverged {
         eprintln!("mf-obs diff backends: sim and threads diverged");
@@ -782,10 +832,10 @@ fn cmd_diff_strategies(a: &CellArgs) {
 /// agree bit-exactly up to the first membership event; everything after
 /// is what surviving the fault cost.
 fn cmd_diff_faults(a: &CellArgs) {
-    let (kills, joins) = if a.kills.is_empty() && a.joins.is_empty() {
-        (vec![(128, 1)], Vec::new())
-    } else {
+    let (kills, joins) = if has_faults(a) {
         (a.kills.clone(), a.joins.clone())
+    } else {
+        (vec![(128, 1)], Vec::new())
     };
     println!(
         "diff faults: {} / {} on {} processors (fault-free vs kills {:?}, joins {:?})",
@@ -893,26 +943,27 @@ fn cmd_timeline(a: &CellArgs) {
 fn main() {
     let mut args = std::env::args().skip(1);
     let usage = "usage: mf-obs <explain|audit|check-all|diff|timeline> ...";
-    let cmd = args.next().unwrap_or_else(|| die(usage));
+    let mut cmd = args.next().unwrap_or_else(|| die(usage));
+    if cmd == "diff" {
+        let usage = "usage: mf-obs diff <backends|strategies|faults|sweeps> ...";
+        cmd = format!("diff {}", args.next().unwrap_or_else(|| die(usage)));
+    }
+    let Some(&(_, line)) = USAGE.iter().find(|&&(c, _)| c == cmd) else {
+        die(&format!("unknown subcommand {cmd:?}; {usage}"))
+    };
+    let a = parse_args(args, &cmd, line);
     match cmd.as_str() {
-        "explain" => cmd_explain(&parse_args(args, false)),
-        "audit" => cmd_audit(&parse_args(args, false)),
-        "check-all" => cmd_check_all(&parse_args(args, false)),
-        "diff" => {
-            let usage = "usage: mf-obs diff <backends|strategies|faults|sweeps> ...";
-            let mode = args.next().unwrap_or_else(|| die(usage));
-            match mode.as_str() {
-                "backends" => cmd_diff_backends(&parse_args(args, false)),
-                "strategies" => cmd_diff_strategies(&parse_args(args, false)),
-                "faults" => cmd_diff_faults(&parse_args(args, false)),
-                "sweeps" => match parse_args(args, true).paths.as_slice() {
-                    [old, new] => cmd_diff_sweeps(old, new),
-                    _ => die("usage: mf-obs diff sweeps OLD.json NEW.json"),
-                },
-                other => die(&format!("unknown diff mode {other:?}; {usage}")),
-            }
-        }
-        "timeline" => cmd_timeline(&parse_args(args, false)),
-        other => die(&format!("unknown subcommand {other:?}; {usage}")),
+        "explain" => cmd_explain(&a),
+        "audit" => cmd_audit(&a),
+        "check-all" => cmd_check_all(&a),
+        "diff backends" => cmd_diff_backends(&a),
+        "diff strategies" => cmd_diff_strategies(&a),
+        "diff faults" => cmd_diff_faults(&a),
+        "diff sweeps" => match a.paths.as_slice() {
+            [old, new] => cmd_diff_sweeps(old, new),
+            _ => die(&format!("usage: mf-obs {cmd} {line}")),
+        },
+        "timeline" => cmd_timeline(&a),
+        _ => unreachable!("every USAGE entry has a command"),
     }
 }

@@ -19,10 +19,12 @@
 //! rows carry the recovery counters (subtrees reassigned, nodes
 //! recomputed, rebalance migrations, orphaned CB entries reclaimed).
 //!
-//! Writes `BENCH_robustness.json` and prints it.
+//! Writes `BENCH_robustness.json` and prints it. It takes no argument;
+//! any argument is a usage error (exit 2) before anything runs.
 
 use std::fmt::Write as _;
 
+use mf_bench::obs::die;
 use mf_bench::sweep::{build_tree, paper_scale_config};
 use mf_core::config::{RecoveryConfig, SlaveSelection, SolverConfig, TaskSelection};
 use mf_core::mapping::compute_mapping;
@@ -142,6 +144,9 @@ fn run_recovered(
 }
 
 fn main() {
+    if let Some(a) = std::env::args().nth(1) {
+        die(&format!("unexpected argument {a:?}: robustness takes none"));
+    }
     let pairs =
         [(PaperMatrix::TwoTone, OrderingKind::Amd), (PaperMatrix::Ship003, OrderingKind::Metis)];
 

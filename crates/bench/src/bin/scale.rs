@@ -20,6 +20,9 @@
 //!   Where the kernel refuses the reset the high-water mark stays
 //!   cumulative and later points over-report.
 //!
+//! Usage: `scale [--smoke]`; any other argument is a usage error (exit
+//! 2) before anything runs or is written.
+//!
 //! `--smoke` runs one 256-processor cell on the small smoke instance
 //! under a hard wall-clock ceiling, an RSS-delta ceiling and a ceiling on
 //! the status broadcasts per front, holds the full-size instance's host
@@ -32,25 +35,12 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use mf_bench::obs::die;
+use mf_bench::paper_scale_config;
 use mf_bench::scenarios::{synth_nd_tree, SynthConfig};
-use mf_core::config::SolverConfig;
 use mf_core::mapping::compute_mapping;
 use mf_core::parsim::{self, RunResult};
 use mf_symbolic::AssemblyTree;
-
-/// The memory-based strategy at scale-sweep settings: the paper's
-/// headline configuration (Algorithm 1 slave selection, Algorithm 2 task
-/// selection, subtree info and prediction on), front-type thresholds as
-/// in the table drivers.
-fn scale_config(nprocs: usize) -> SolverConfig {
-    SolverConfig {
-        nprocs,
-        type2_front_min: 150,
-        type3_front_min: 500,
-        min_rows_per_slave: 12,
-        ..SolverConfig::memory_based(nprocs)
-    }
-}
 
 /// One kB field (`VmHWM`, `VmRSS`) of `/proc/self/status`; 0 where the
 /// file is unavailable (non-Linux hosts).
@@ -98,7 +88,10 @@ impl Point {
 }
 
 fn run_point(tree: &AssemblyTree, nprocs: usize) -> Point {
-    let cfg = scale_config(nprocs);
+    // The paper's headline configuration (Algorithm 1 slave selection,
+    // Algorithm 2 task selection, subtree info and prediction on), with
+    // the table drivers' front-type thresholds.
+    let cfg = paper_scale_config(nprocs).with_memory_strategy();
     let map = compute_mapping(tree, &cfg);
     // Reset the high-water mark to the current RSS (ignored where the
     // kernel does not permit it).
@@ -215,7 +208,12 @@ fn render_json(shape: &SynthConfig, tree: &AssemblyTree, points: &[Point]) -> St
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let smoke = match args.as_slice() {
+        [] => false,
+        [a] if a == "--smoke" => true,
+        _ => die(&format!("unexpected arguments {args:?}; usage: scale [--smoke]")),
+    };
     if smoke {
         // CI guard: one 256-processor cell on the small instance must
         // finish comfortably inside the ceiling and render valid JSON

@@ -4,10 +4,9 @@
 //!
 //! * `paper <report>` — every committed result: `paper table2` prints
 //!   `results/table2.txt`, and so on for `table1`–`table6`, `figures`,
-//!   `ablation`, `scaling`, `variability` and `reordering_memory`;
-//! * `malleable_table` — static vs. malleable core allocation;
-//! * `robustness`, `scale`, `backend_equiv` — the harnesses behind
-//!   `BENCH_*.json` and the backend-equivalence check;
+//!   `ablation`, `scaling`, `variability`, `reordering_memory` and
+//!   `malleable` (static vs. malleable core allocation);
+//! * `robustness`, `scale` — the harnesses behind `BENCH_*.json`;
 //! * `mf-obs` — the observability tool over flight recordings (see
 //!   [`obs`]): `explain` (peak attribution, `--cores` timeline, kill/join
 //!   replay), `audit` (protocol invariants), `check-all` (both, on every
@@ -26,6 +25,6 @@ pub mod scenarios;
 pub mod sweep;
 
 pub use sweep::{
-    paper_scale_config, render_percent_table, sample_every_from_env, split_threshold_for,
-    sweep_cell, sweep_cells, CellResult, CellSpec,
+    paper_scale_config, render_percent_table, split_threshold_for, sweep_cell, sweep_cells,
+    CellResult, CellSpec,
 };

@@ -1,62 +1,17 @@
-//! Shared experiment-sweep machinery: backend selection, cell execution,
-//! parallel sweeps, and the paper-style percent-table renderer the
-//! `paper` binary's tables print through.
+//! Shared experiment-sweep machinery: cell execution, parallel sweeps,
+//! and the paper-style percent-table renderer the `paper` binary's
+//! tables print through.
 
 use std::sync::Arc;
 
 use mf_core::config::SolverConfig;
-use mf_core::mapping::{compute_mapping, StaticMapping};
+use mf_core::mapping::compute_mapping;
 use mf_core::parsim::{self, RunResult};
 use mf_order::OrderingKind;
 use mf_sparse::gen::paper::PaperMatrix;
 use mf_symbolic::tree::TreeStats;
 use mf_symbolic::AssemblyTree;
 use rayon::prelude::*;
-
-/// Which runtime executes the scheduler cores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// The discrete-event simulator (`mf_core::parsim`): the default, and
-    /// the only backend supporting the noise models.
-    Sim,
-    /// Real OS threads with channels (`mf_exec`): the same cores, a
-    /// physical memory ledger, identical results under the quiet model.
-    Threads,
-}
-
-impl Backend {
-    /// Reads the backend from the `MF_BACKEND` environment variable
-    /// (`sim` | `threads`, default `sim`). Panics on an unknown value —
-    /// silently falling back would invalidate an equivalence experiment.
-    pub fn from_env() -> Backend {
-        match std::env::var("MF_BACKEND").as_deref() {
-            Ok("threads") => Backend::Threads,
-            Ok("sim") | Err(_) => Backend::Sim,
-            Ok(other) => panic!("MF_BACKEND must be `sim` or `threads`, got `{other}`"),
-        }
-    }
-
-    /// Stable name (mirrors the `MF_BACKEND` values).
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Sim => "sim",
-            Backend::Threads => "threads",
-        }
-    }
-
-    /// Runs one factorization on this backend, panicking on failure with
-    /// full diagnostics (table cells run unperturbed and uncapped; an
-    /// error here is a bug, not a result).
-    pub fn run(self, tree: &AssemblyTree, map: &StaticMapping, cfg: &SolverConfig) -> RunResult {
-        match self {
-            Backend::Sim => {
-                parsim::run(tree, map, cfg).unwrap_or_else(|e| panic!("simulator run failed: {e}"))
-            }
-            Backend::Threads => mf_exec::run_threads(tree, map, cfg)
-                .unwrap_or_else(|e| panic!("threaded run failed: {e}")),
-        }
-    }
-}
 
 /// Result of one experiment cell (matrix × ordering × split setting),
 /// with the baseline (workload) and the memory-based runs on the *same*
@@ -90,36 +45,16 @@ impl CellResult {
     }
 }
 
-/// Telemetry sampling interval from the `MF_SAMPLE_EVERY` environment
-/// variable (virtual ticks; unset or `0` disables the sampler). Panics
-/// on a non-integer value — silently ignoring it would make a CI
-/// sampler-invariance check vacuous. The sampler never perturbs
-/// schedules (pinned by `mf_core`'s
-/// `sampler_is_schedule_invariant_and_absent_when_disabled`), so every
-/// `paper` report renders byte-identical stdout with this set or not.
-pub fn sample_every_from_env() -> Option<u64> {
-    match std::env::var("MF_SAMPLE_EVERY") {
-        Ok(v) => match v.parse::<u64>() {
-            Ok(0) => None,
-            Ok(t) => Some(t),
-            Err(_) => panic!("MF_SAMPLE_EVERY must be an integer tick count, got {v:?}"),
-        },
-        Err(_) => None,
-    }
-}
-
 /// Base configuration at reproduction scale: 32 processors like the
 /// paper, SP-like network, type-2 threshold fitting the reduced front
-/// sizes. The telemetry sampler is wired through here (see
-/// [`sample_every_from_env`]), so every sweep cell of every binary
-/// produces time series when `MF_SAMPLE_EVERY` is set.
+/// sizes. Observers (`record_events`, `sample_every`) are off; a caller
+/// that wants them switches them on in its own copy.
 pub fn paper_scale_config(nprocs: usize) -> SolverConfig {
     SolverConfig {
         nprocs,
         type2_front_min: 150,
         type3_front_min: 500,
         min_rows_per_slave: 12,
-        sample_every: sample_every_from_env(),
         ..SolverConfig::mumps_baseline(nprocs)
     }
 }
@@ -148,13 +83,16 @@ pub fn build_tree(
 
 /// The paper's two configurations on one tree: `base` under the workload
 /// baseline and under the memory-based strategy, over one static mapping,
-/// on the backend `MF_BACKEND` names. Returns `(baseline, memory)`.
+/// on the simulator. Returns `(baseline, memory)`; panics on a failed
+/// run (table cells run unperturbed and uncapped, so an error is a bug,
+/// not a result).
 pub fn run_strategies(tree: &AssemblyTree, base: &SolverConfig) -> (RunResult, RunResult) {
     let base_cfg = base.clone().with_workload_strategy();
     let mem_cfg = base.clone().with_memory_strategy();
     let map = compute_mapping(tree, &base_cfg);
-    let backend = Backend::from_env();
-    (backend.run(tree, &map, &base_cfg), backend.run(tree, &map, &mem_cfg))
+    let run =
+        |cfg| parsim::run(tree, &map, cfg).unwrap_or_else(|e| panic!("simulator run failed: {e}"));
+    (run(&base_cfg), run(&mem_cfg))
 }
 
 /// Runs one cell: the cached tree of `(matrix, ordering, split)` through

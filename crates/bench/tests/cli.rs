@@ -2,16 +2,13 @@
 //! refuses, what `check-all` and `timeline` print, and that `explain` and
 //! `diff strategies` render the same strategy diff. Also drives `paper`:
 //! what its argument parser refuses, and that its cheap reports print
-//! their committed `results/` files.
+//! their committed `results/` files; and what `scale` and `robustness`
+//! refuse.
 
 use std::process::{Command, Output};
 
 fn mf_obs(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_mf-obs"))
-        .args(args)
-        .env_remove("MF_BACKEND")
-        .output()
-        .expect("mf-obs starts")
+    Command::new(env!("CARGO_BIN_EXE_mf-obs")).args(args).output().expect("mf-obs starts")
 }
 
 fn stdout(o: &Output) -> String {
@@ -20,36 +17,69 @@ fn stdout(o: &Output) -> String {
 
 /// A misspelt flag used to be ignored and a misspelt matrix silently ran
 /// the default cell, so `audit --chek-all` passed having audited one
-/// cell. Both are usage errors on every subcommand, before any run.
+/// cell. Both are usage errors on every subcommand, before any run; so
+/// is a real flag given to a subcommand that does not read it, which
+/// used to be accepted and ignored (`diff backends ... --every 7`). So
+/// is any argument `robustness` or `scale` does not read: `scale --smok`
+/// used to run the full sweep and overwrite `BENCH_scale.json`.
 #[test]
 fn misspelt_arguments_are_usage_errors() {
+    let refused = |o: Output, what: &str, named: &str| {
+        assert_eq!(o.status.code(), Some(2), "{what}");
+        assert!(o.stdout.is_empty(), "{what} ran something");
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert!(err.contains(named), "{what}: error names {named}: {err}");
+    };
     for cmd in ["audit", "explain", "timeline"] {
         for bad in ["--chek-all", "TWOTNE"] {
-            let o = mf_obs(&[cmd, bad, "--nprocs", "4"]);
-            assert_eq!(o.status.code(), Some(2), "mf-obs {cmd} {bad}");
-            assert!(o.stdout.is_empty(), "mf-obs {cmd} {bad} ran something");
-            assert!(String::from_utf8_lossy(&o.stderr).contains(bad), "error names {bad}");
+            refused(mf_obs(&[cmd, bad, "--nprocs", "4"]), &format!("mf-obs {cmd} {bad}"), bad);
         }
+    }
+    let ignored: [(&[&str], &str); 9] = [
+        (&["diff", "backends", "TWOTONE", "AMD", "--kill", "128:1", "--every", "7"], "--every"),
+        (&["diff", "backends", "--strategy", "baseline"], "--strategy"),
+        (&["diff", "strategies", "--kill", "128:1"], "--kill"),
+        (&["diff", "faults", "--obs-dir", "d"], "--obs-dir"),
+        (&["audit", "--every", "7"], "--every"),
+        (&["check-all", "TWOTONE"], "TWOTONE"),
+        (&["check-all", "--cores"], "--cores"),
+        (&["timeline", "--join", "1:1"], "--join"),
+        (&["explain", "--cores", "--obs-dir", "d"], "--obs-dir"),
+    ];
+    for (args, named) in ignored {
+        let args = [args, &["--nprocs", "4"]].concat();
+        refused(mf_obs(&args), &format!("mf-obs {args:?}"), named);
     }
     assert_eq!(mf_obs(&["explain", "--obs-dir"]).status.code(), Some(2), "flag without value");
     assert_eq!(mf_obs(&["diff", "sweeps", "one.json"]).status.code(), Some(2), "one path of two");
     assert_eq!(mf_obs(&["diff", "strategies", "one.json"]).status.code(), Some(2), "stray path");
     let o = mf_obs(&["timeline", "--format", "csv", "--nprocs", "4"]);
-    assert_eq!(o.status.code(), Some(2), "the series has one format");
-    assert!(String::from_utf8_lossy(&o.stderr).contains("--format"), "error names --format");
+    refused(o, "the series has one format", "--format");
+
+    // A regression here would run a sweep and write its `BENCH_*.json`
+    // into the working directory, so the probes run in one of their own.
+    let dir = std::env::temp_dir().join(format!("mf-bench-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create a scratch directory");
+    let probes: [(&str, &[&str]); 3] = [
+        (env!("CARGO_BIN_EXE_robustness"), &["--smoke"]),
+        (env!("CARGO_BIN_EXE_scale"), &["--smok"]),
+        (env!("CARGO_BIN_EXE_scale"), &["--smoke", "--full"]),
+    ];
+    for (exe, args) in probes {
+        let o = Command::new(exe).args(args).current_dir(&dir).output().expect("binary starts");
+        refused(o, &format!("{exe} {args:?}"), args.last().unwrap());
+    }
+    let written = std::fs::read_dir(&dir).expect("list the scratch directory").count();
+    std::fs::remove_dir_all(&dir).expect("remove the scratch directory");
+    assert_eq!(written, 0, "a refused run wrote a file");
 }
 
 fn paper(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_paper"))
-        .args(args)
-        .env_remove("MF_BACKEND")
-        .env_remove("MF_SAMPLE_EVERY")
-        .output()
-        .expect("paper starts")
+    Command::new(env!("CARGO_BIN_EXE_paper")).args(args).output().expect("paper starts")
 }
 
 /// Every report `paper` knows, one per `results/*.txt`.
-const REPORTS: [&str; 11] = [
+const REPORTS: [&str; 12] = [
     "table1",
     "table2",
     "table3",
@@ -61,6 +91,7 @@ const REPORTS: [&str; 11] = [
     "scaling",
     "variability",
     "reordering_memory",
+    "malleable",
 ];
 
 /// `paper` takes exactly one report name. The study reports used to run
@@ -80,12 +111,12 @@ fn paper_takes_exactly_one_report_name() {
     }
 }
 
-/// The committed results are what `paper` prints: the five reports that
-/// run in about a second in a debug build, byte for byte (CI compares
-/// all eleven in release).
+/// The committed results are what `paper` prints: the six reports that
+/// run in a few seconds in a debug build, byte for byte (CI compares
+/// all twelve in release).
 #[test]
 fn cheap_reports_match_their_committed_results() {
-    for name in ["table1", "table4", "figures", "scaling", "ablation"] {
+    for name in ["table1", "table4", "figures", "scaling", "ablation", "malleable"] {
         let o = paper(&[name]);
         assert!(o.status.success(), "paper {name}: {}", String::from_utf8_lossy(&o.stderr));
         let path = format!("{}/../../results/{name}.txt", env!("CARGO_MANIFEST_DIR"));

@@ -10,8 +10,8 @@
 //! core access into a command/reply round trip, so the execution is a
 //! sequentially consistent interleaving with the *same* timestamps, and
 //! the whole [`RunResult`] equals [`mf_core::parsim::run`]'s — the
-//! equivalence the `backend_equiv` binary asserts over the paper's full
-//! matrix set.
+//! equivalence `mf-bench`'s `backends` test asserts over the paper's
+//! full matrix set, recording and sampled series included.
 //!
 //! Noise models are runtime features of the simulator, not of the
 //! protocol; this backend rejects them ([`ExecError::Unsupported`])

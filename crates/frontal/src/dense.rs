@@ -561,40 +561,6 @@ pub fn partial_lu_blocked_mt(
     Ok(())
 }
 
-/// [`partial_lu_blocked`] with the *rank-1* panel of the pre-recursive
-/// kernel: identical pivot rule and trailing update, but the panel
-/// columns advance by `axpy_sub` alone. Kept as the reference the
-/// recursive-panel tests compare against — the drivers never call it.
-pub fn partial_lu_blocked_rank1_panel(
-    w: &mut DenseMat,
-    npiv: usize,
-    nb: usize,
-    row_perm: &mut Vec<usize>,
-) -> Result<(), KernelError> {
-    let f = w.nrows();
-    assert_eq!(f, w.ncols(), "frontal matrices are square");
-    assert!(npiv <= f);
-    let nb = nb.max(1);
-    row_perm.clear();
-    row_perm.extend(0..f);
-    let (mut ws, mut scratch) = (GemmWorkspace::new(), SweepScratch::default());
-    let mut k0 = 0;
-    while k0 < npiv {
-        let kb = nb.min(npiv - k0);
-        panel_lu_rank1(w, npiv, row_perm, k0, kb)?;
-        let kend = k0 + kb;
-        if kend < f {
-            let (panel, trailing) = w.data.split_at_mut(kend * f);
-            let ap = gemm::pack_a(&mut ws, &panel[k0 * f + kend..], f, f - kend, kb);
-            dispatch_trailing(trailing, f, 1, &mut scratch, |_, cols, scratch| {
-                lu_trailing_chunk(cols, f, k0, kend, panel, &ap, scratch);
-            });
-        }
-        k0 = kend;
-    }
-    Ok(())
-}
-
 /// Partial LDLᵀ of the leading `npiv` columns of a symmetric front held
 /// in the **lower triangle** of `w`; no pivoting (1x1 diagonal pivots),
 /// suitable for the diagonally dominant symmetric problems here. The
@@ -773,6 +739,79 @@ pub fn dense_solve(a: &DenseMat, b: &[f64]) -> Option<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// [`partial_lu_blocked`] with the *rank-1* panel of the pre-recursive
+    /// kernel: identical pivot rule and trailing update, but the panel
+    /// columns advance by `axpy_sub` alone: the reference the recursive
+    /// panel is compared against.
+    fn partial_lu_blocked_rank1_panel(
+        w: &mut DenseMat,
+        npiv: usize,
+        nb: usize,
+        row_perm: &mut Vec<usize>,
+    ) -> Result<(), KernelError> {
+        let f = w.nrows();
+        assert_eq!(f, w.ncols(), "frontal matrices are square");
+        assert!(npiv <= f);
+        let nb = nb.max(1);
+        row_perm.clear();
+        row_perm.extend(0..f);
+        let (mut ws, mut scratch) = (GemmWorkspace::new(), SweepScratch::default());
+        let mut k0 = 0;
+        while k0 < npiv {
+            let kb = nb.min(npiv - k0);
+            panel_lu_rank1(w, npiv, row_perm, k0, kb)?;
+            let kend = k0 + kb;
+            if kend < f {
+                let (panel, trailing) = w.data.split_at_mut(kend * f);
+                let ap = gemm::pack_a(&mut ws, &panel[k0 * f + kend..], f, f - kend, kb);
+                dispatch_trailing(trailing, f, 1, &mut scratch, |_, cols, scratch| {
+                    lu_trailing_chunk(cols, f, k0, kend, panel, &ap, scratch);
+                });
+            }
+            k0 = kend;
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// For panel widths at or below the recursion base the recursive
+        /// panel *is* the historical rank-1 loop, so the blocked kernel must
+        /// reproduce the rank-1-panel reference exactly: same pivot choices,
+        /// same factor bits — for arbitrary fronts, pivot counts and widths.
+        #[test]
+        fn recursive_panel_equals_rank1_reference_at_narrow_widths(
+            f in 2usize..40,
+            npiv_frac in 0.1f64..1.0,
+            nb in 1usize..=8,
+            seed in 0u64..1_000_000,
+        ) {
+            let npiv = ((f as f64 * npiv_frac) as usize).clamp(1, f);
+            let lcg = |s: &mut u64| {
+                *s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                ((*s >> 11) as f64 / (1u64 << 53) as f64) - 0.5
+            };
+            let mut st = seed | 1;
+            let mut w = DenseMat::zeros(f, f);
+            for j in 0..f {
+                for i in 0..f {
+                    *w.get_mut(i, j) = lcg(&mut st) + if i == j { f as f64 } else { 0.0 };
+                }
+            }
+            let mut w_ref = w.clone();
+            let (mut perm, mut perm_ref) = (Vec::new(), Vec::new());
+            partial_lu_blocked_mt(&mut w, npiv, nb, &mut perm, 1).unwrap();
+            partial_lu_blocked_rank1_panel(&mut w_ref, npiv, nb, &mut perm_ref).unwrap();
+            prop_assert_eq!(&perm, &perm_ref, "pivot choices diverged (f={}, npiv={}, nb={})", f, npiv, nb);
+            for (i, (x, y)) in w.data().iter().zip(w_ref.data()).enumerate() {
+                prop_assert_eq!(
+                    x.to_bits(), y.to_bits(),
+                    "factor bits diverged at {} (f={}, npiv={}, nb={}): {} vs {}", i, f, npiv, nb, x, y
+                );
+            }
+        }
+    }
 
     fn front_from(rows: &[&[f64]]) -> DenseMat {
         let n = rows.len();

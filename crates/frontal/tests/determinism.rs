@@ -20,7 +20,6 @@
 //! ([`Factorization::content_digest`], which hashes the exact bit
 //! patterns of every factor block).
 
-use mf_frontal::dense::{partial_lu_blocked_mt, partial_lu_blocked_rank1_panel, DenseMat};
 use mf_frontal::numeric::{Factorization, NumericOptions};
 use mf_frontal::parallel::factorize_parallel_with;
 use mf_frontal::{gemm, FactorError};
@@ -151,42 +150,6 @@ proptest! {
             prop_assert_eq!(
                 x.to_bits(), y.to_bits(),
                 "({}x{}x{}) mismatch at {}: {} vs {}", m, n, kc, i, x, y
-            );
-        }
-    }
-
-    /// For panel widths at or below the recursion base the recursive
-    /// panel *is* the historical rank-1 loop, so the blocked kernel must
-    /// reproduce the rank-1-panel reference exactly: same pivot choices,
-    /// same factor bits — for arbitrary fronts, pivot counts and widths.
-    #[test]
-    fn recursive_panel_equals_rank1_reference_at_narrow_widths(
-        f in 2usize..40,
-        npiv_frac in 0.1f64..1.0,
-        nb in 1usize..=8,
-        seed in 0u64..1_000_000,
-    ) {
-        let npiv = ((f as f64 * npiv_frac) as usize).clamp(1, f);
-        let lcg = |s: &mut u64| {
-            *s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((*s >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-        };
-        let mut st = seed | 1;
-        let mut w = DenseMat::zeros(f, f);
-        for j in 0..f {
-            for i in 0..f {
-                *w.get_mut(i, j) = lcg(&mut st) + if i == j { f as f64 } else { 0.0 };
-            }
-        }
-        let mut w_ref = w.clone();
-        let (mut perm, mut perm_ref) = (Vec::new(), Vec::new());
-        partial_lu_blocked_mt(&mut w, npiv, nb, &mut perm, 1).unwrap();
-        partial_lu_blocked_rank1_panel(&mut w_ref, npiv, nb, &mut perm_ref).unwrap();
-        prop_assert_eq!(&perm, &perm_ref, "pivot choices diverged (f={}, npiv={}, nb={})", f, npiv, nb);
-        for (i, (x, y)) in w.data().iter().zip(w_ref.data()).enumerate() {
-            prop_assert_eq!(
-                x.to_bits(), y.to_bits(),
-                "factor bits diverged at {} (f={}, npiv={}, nb={}): {} vs {}", i, f, npiv, nb, x, y
             );
         }
     }

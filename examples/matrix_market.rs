@@ -1,19 +1,18 @@
 //! Drop-in real matrices: write a generated problem as a Matrix Market
-//! file, read it back, and run the full pipeline on it. Point the
-//! `MATRIX` environment variable at any `.mtx` file (e.g. a real
-//! Rutherford-Boeing / SuiteSparse instance) to reproduce the paper's
-//! experiments on the original data.
+//! file, read it back, and run the full pipeline on it. Pass any `.mtx`
+//! file (or a Rutherford-Boeing / SuiteSparse instance) as the argument
+//! to reproduce the paper's experiments on the original data.
 //!
 //! Run with: `cargo run --release --example matrix_market`
-//! or:       `MATRIX=/path/to/twotone.mtx cargo run --release --example matrix_market`
+//! or:       `cargo run --release --example matrix_market -- /path/to/twotone.mtx`
 
 use multifrontal::prelude::*;
 use multifrontal::sparse::hb::read_harwell_boeing_file;
 use multifrontal::sparse::io::{read_matrix_market_file, write_matrix_market};
 
 fn main() {
-    let a = match std::env::var("MATRIX") {
-        Ok(path) => {
+    let a = match std::env::args().nth(1) {
+        Some(path) => {
             println!("reading {path} ...");
             let p = std::path::Path::new(&path);
             let ext = p.extension().and_then(|e| e.to_str()).unwrap_or("").to_ascii_lowercase();
@@ -25,7 +24,7 @@ fn main() {
                 read_matrix_market_file(p).expect("readable Matrix Market file")
             }
         }
-        Err(_) => {
+        None => {
             // No file supplied: round-trip a generated instance through the
             // Matrix Market format to demonstrate the I/O path.
             let a = PaperMatrix::Xenon2.instantiate_scaled(0.3);
