@@ -50,9 +50,7 @@
 //!   fault-free memory-strategy run with its twin under a kill/join
 //!   schedule (default: kill processor 1 at delivered event 128) — the
 //!   runs are identical up to the membership event, and the diff shows
-//!   what the recovery machinery cost. `sweeps` diffs two
-//!   `BENCH_scale.json`-style artifacts (commit vs commit) and names
-//!   every metric that moved.
+//!   what the recovery machinery cost.
 //! * **timeline** runs one strategy with the telemetry sampler armed
 //!   and prints the time series to stdout as JSON Lines.
 //!
@@ -86,9 +84,8 @@ const DEFAULT_SAMPLE_INTERVAL: u64 = 10_000;
 
 /// Every subcommand with its usage line. The line is the parser's
 /// specification: a flag is accepted where the line names it, a matrix
-/// or ordering where it names `[MATRIX]`/`[ORDERING]`, paths where it
-/// names `OLD.json`.
-const USAGE: [(&str, &str); 8] = [
+/// or ordering where it names `[MATRIX]`/`[ORDERING]`.
+const USAGE: [(&str, &str); 7] = [
     (
         "explain",
         "[MATRIX] [ORDERING] [--nprocs N] [--split] [--every TICKS] [--obs-dir DIR] [--cores] \
@@ -108,7 +105,6 @@ const USAGE: [(&str, &str); 8] = [
         "diff faults",
         "[MATRIX] [ORDERING] [--nprocs N] [--split] [--kill IDX:PROC]... [--join IDX:PROC]...",
     ),
-    ("diff sweeps", "OLD.json NEW.json"),
     (
         "timeline",
         "[MATRIX] [ORDERING] [--nprocs N] [--split] [--every TICKS] [--strategy baseline|memory]",
@@ -127,7 +123,6 @@ struct CellArgs {
     every: u64,
     strategy: String,
     obs_dir: Option<PathBuf>,
-    paths: Vec<String>,
 }
 
 /// The one argument parser: reads `args` as subcommand `cmd`, whose
@@ -147,7 +142,6 @@ fn parse_args(mut args: impl Iterator<Item = String>, cmd: &str, line: &str) -> 
         every: DEFAULT_SAMPLE_INTERVAL,
         strategy: "memory".into(),
         obs_dir: None,
-        paths: Vec::new(),
     };
     while let Some(a) = args.next() {
         if a.starts_with("--") && !names(&a) {
@@ -172,7 +166,6 @@ fn parse_args(mut args: impl Iterator<Item = String>, cmd: &str, line: &str) -> 
                 out.strategy = one_of(value("baseline|memory"), &["baseline", "memory"])
             }
             "--obs-dir" => out.obs_dir = Some(value("a directory").into()),
-            word if names("OLD.json") && !word.starts_with("--") => out.paths.push(word.into()),
             word => match (parse_matrix(word), parse_ordering(word)) {
                 (Some(m), _) if names("MATRIX") => out.matrix = m,
                 (_, Some(k)) if names("ORDERING") => out.ordering = k,
@@ -869,54 +862,6 @@ fn cmd_diff_faults(a: &CellArgs) {
     println!("{}", faulty.metrics.recovery.summary());
 }
 
-fn cmd_diff_sweeps(old_path: &str, new_path: &str) {
-    let read = |p: &str| {
-        std::fs::read_to_string(p).unwrap_or_else(|e| die(&format!("cannot read {p}: {e}")))
-    };
-    let (old_text, new_text) = (read(old_path), read(new_path));
-    for (p, t) in [(old_path, &old_text), (new_path, &new_text)] {
-        if let Err(e) = obs::validate_json(t) {
-            die(&format!("{p} is not well-formed JSON: {e}"));
-        }
-    }
-    let old_nums = obs::json_numbers(&old_text);
-    let new_nums = obs::json_numbers(&new_text);
-    let old_map: std::collections::HashMap<&str, f64> =
-        old_nums.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    let new_keys: std::collections::HashSet<&str> =
-        new_nums.iter().map(|(k, _)| k.as_str()).collect();
-
-    println!("diff sweeps: {old_path} -> {new_path}");
-    let mut moved: Vec<(&str, f64, f64, f64)> = new_nums
-        .iter()
-        .filter_map(|(k, nv)| {
-            let ov = *old_map.get(k.as_str())?;
-            if ov == *nv {
-                return None;
-            }
-            let pct = if ov == 0.0 { f64::INFINITY } else { 100.0 * (nv - ov) / ov.abs() };
-            Some((k.as_str(), ov, *nv, pct))
-        })
-        .collect();
-    moved.sort_by(|x, y| y.3.abs().total_cmp(&x.3.abs()));
-    if moved.is_empty() {
-        println!("no shared metric moved");
-    }
-    for (k, ov, nv, pct) in &moved {
-        println!("  {k}: {ov} -> {nv} ({pct:+.1}%)");
-    }
-    for (k, _) in &old_nums {
-        if !new_keys.contains(k.as_str()) {
-            println!("  {k}: removed");
-        }
-    }
-    for (k, v) in &new_nums {
-        if !old_map.contains_key(k.as_str()) {
-            println!("  {k}: added ({v})");
-        }
-    }
-}
-
 // ------------------------------------------------------------- timeline
 
 fn cmd_timeline(a: &CellArgs) {
@@ -945,7 +890,7 @@ fn main() {
     let usage = "usage: mf-obs <explain|audit|check-all|diff|timeline> ...";
     let mut cmd = args.next().unwrap_or_else(|| die(usage));
     if cmd == "diff" {
-        let usage = "usage: mf-obs diff <backends|strategies|faults|sweeps> ...";
+        let usage = "usage: mf-obs diff <backends|strategies|faults> ...";
         cmd = format!("diff {}", args.next().unwrap_or_else(|| die(usage)));
     }
     let Some(&(_, line)) = USAGE.iter().find(|&&(c, _)| c == cmd) else {
@@ -959,10 +904,6 @@ fn main() {
         "diff backends" => cmd_diff_backends(&a),
         "diff strategies" => cmd_diff_strategies(&a),
         "diff faults" => cmd_diff_faults(&a),
-        "diff sweeps" => match a.paths.as_slice() {
-            [old, new] => cmd_diff_sweeps(old, new),
-            _ => die(&format!("usage: mf-obs {cmd} {line}")),
-        },
         "timeline" => cmd_timeline(&a),
         _ => unreachable!("every USAGE entry has a command"),
     }

@@ -11,39 +11,46 @@
 //! * `figures` — scenario reproductions of Figures 3, 4, 5, 6 and 8;
 //! * `ablation` — which mechanism buys what;
 //! * `scaling` — memory scalability over 1..32 processors;
-//! * `variability` — sensitivity of each strategy to timing noise;
 //! * `reordering_memory` — the reordering study of the paper's \[12\];
 //! * `malleable` — static vs. malleable core allocation (the malleable
-//!   tasks of Guermouche/Marchal/Simon/Vivien, arXiv:1410.7249).
+//!   tasks of Guermouche/Marchal/Simon/Vivien, arXiv:1410.7249);
+//! * `robustness` — each strategy under message noise, hard memory caps
+//!   and processor loss;
+//! * `synth_scale` — the memory-based strategy on a Table-1-scale
+//!   synthetic tree at 32 to 1024 processors.
 //!
 //! The command line is exactly one report name; anything else is a
 //! usage error (exit 2, nothing on stdout). Tables 2, 3, 5 and 6 print
-//! one progress line per entry on stderr.
+//! one progress line per entry on stderr, `synth_scale` its host time per
+//! processor count: stdout carries only what the simulation determines.
 
 use mf_bench::obs::{die, parse_matrix};
 use mf_bench::paper_data::{PAPER_TABLE2, PAPER_TABLE3, PAPER_TABLE4, PAPER_TABLE5, PAPER_TABLE6};
-use mf_bench::scenarios::{figure4, figure5, figure6, figure8};
+use mf_bench::scenarios::{figure4, figure5, figure6, figure8, synth_nd_tree, SynthConfig};
 use mf_bench::sweep::{
     build_tree, paper_scale_config, render_percent_table, split_threshold_for, sweep_cells,
     CellResult, CellSpec,
 };
 use mf_core::blocking::equal_entry_blocks;
-use mf_core::config::{SlaveSelection, SolverConfig, TaskSelection};
+use mf_core::config::{RecoveryConfig, SlaveSelection, SolverConfig, TaskSelection};
 use mf_core::driver::{percent_decrease, percent_increase};
-use mf_core::mapping::compute_mapping;
-use mf_core::{parsim, CoreAlloc};
+use mf_core::mapping::{compute_mapping, StaticMapping};
+use mf_core::parsim::{self, RunResult};
+use mf_core::CoreAlloc;
 use mf_order::{OrderingKind, ALL_ORDERINGS};
+use mf_sim::FaultModel;
 use mf_sparse::gen::grid::{grid2d, Stencil};
 use mf_sparse::gen::paper::{PaperMatrix, ALL_PAPER_MATRICES};
 use mf_sparse::stats::matrix_stats;
 use mf_sparse::Symmetry;
 use mf_symbolic::seqstack::{apply_liu_order, sequential_peak, AssemblyDiscipline};
-use mf_symbolic::AmalgamationOptions;
+use mf_symbolic::{AmalgamationOptions, AssemblyTree};
 use rayon::prelude::*;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Report name (its `results/` file stem) → the function printing it.
-const REPORTS: [(&str, fn()); 12] = [
+const REPORTS: [(&str, fn()); 13] = [
     ("table1", table1),
     ("table2", || percent_table(&TABLE2)),
     ("table3", || percent_table(&TABLE3)),
@@ -53,9 +60,10 @@ const REPORTS: [(&str, fn()); 12] = [
     ("figures", figures),
     ("ablation", ablation),
     ("scaling", scaling),
-    ("variability", variability),
     ("reordering_memory", reordering_memory),
     ("malleable", malleable),
+    ("robustness", robustness),
+    ("synth_scale", synth_scale),
 ];
 
 fn main() {
@@ -441,54 +449,6 @@ fn scaling() {
     }
 }
 
-/// Sensitivity of each strategy to execution-timing noise: task
-/// durations perturbed by ±10% under 16 seeds, and the spread of the
-/// maximum stack peak. The paper attributes small differences between
-/// its Tables 2 and 3 to "the non-deterministic execution scheme of
-/// MUMPS"; this is the analogous effect here.
-fn variability() {
-    let seeds = 16u64;
-    println!("max stack peak under ±10% duration noise, {seeds} seeds");
-    println!(
-        "{:22} {:>10} {:>10} {:>10} {:>8}",
-        "cell / strategy", "min", "mean", "max", "spread%"
-    );
-    for (m, k) in
-        [(PaperMatrix::TwoTone, OrderingKind::Amd), (PaperMatrix::Ultrasound3, OrderingKind::Amf)]
-    {
-        let tree = build_tree(m, k, None);
-        let base = paper_scale_config(NPROCS);
-        let mem = base.clone().with_memory_strategy();
-        for (name, cfg) in [("workload", &base), ("memory", &mem)] {
-            let map = compute_mapping(&tree, cfg);
-            // Each seed fully determines its jittered run, so the
-            // parallel fan-out changes nothing but wall time.
-            let peaks: Vec<u64> = (0..seeds)
-                .collect::<Vec<_>>()
-                .into_par_iter()
-                .map(|seed| {
-                    let jcfg = SolverConfig { jitter: Some((seed, 0.10)), ..cfg.clone() };
-                    parsim::run(&tree, &map, &jcfg).expect("jittered run failed").max_peak
-                })
-                .collect();
-            let min = *peaks.iter().min().unwrap();
-            let max = *peaks.iter().max().unwrap();
-            let mean = peaks.iter().sum::<u64>() as f64 / peaks.len() as f64;
-            println!(
-                "{:12} {:9} {:>10} {:>10.0} {:>10} {:>7.1}%",
-                m.name(),
-                name,
-                min,
-                mean,
-                max,
-                100.0 * (max - min) as f64 / mean,
-            );
-        }
-    }
-    println!("\n(the paper: \"the little difference on the gains measured between");
-    println!(" Table 2 and Table 3 is due to the non-deterministic execution scheme\")");
-}
-
 /// Impact of the reordering on memory (the paper's reference \[12\],
 /// Guermouche, L'Excellent & Utard, Parallel Computing 2003). For every
 /// matrix × ordering: sequential stack peak with and without Liu's
@@ -581,4 +541,326 @@ fn malleable() {
         4 * NPROCS
     );
     assert!(wins >= 6, "malleable won only {wins}/8 — below the 6/8 acceptance floor");
+}
+
+/// The strategies of the robustness report, applied to the baseline
+/// configuration: the original MUMPS one, Algorithms 1 and 2 without
+/// the Section 5.1 information, and the full memory-based strategy with
+/// the global refinement of Algorithm 2.
+const ROBUSTNESS_STRATEGIES: &[Variant] = &[
+    ("workload", |c| c.with_workload_strategy()),
+    ("memory", |c| SolverConfig {
+        slave_selection: SlaveSelection::Memory,
+        task_selection: TaskSelection::MemoryAware,
+        use_subtree_info: false,
+        use_prediction: false,
+        ..c
+    }),
+    ("memory+improvements", |c| SolverConfig {
+        task_selection: TaskSelection::MemoryAwareGlobal,
+        ..c.with_memory_strategy()
+    }),
+];
+
+/// Runs one robustness cell and checks that it finished: every front
+/// done, every surviving processor's stack drained (a killed processor's
+/// stack is frozen at its death).
+fn run_complete(tree: &AssemblyTree, map: &StaticMapping, cfg: &SolverConfig) -> RunResult {
+    let r = parsim::run(tree, map, cfg)
+        .unwrap_or_else(|e| panic!("run failed: {e} [{}]", e.diagnostics().summary_line()));
+    assert_eq!(r.nodes_done, r.total_nodes, "fronts lost");
+    for (p, &a) in r.final_active.iter().enumerate() {
+        assert!(a == 0 || r.dead.contains(&p), "survivor {p} leaked {a} entries");
+    }
+    r
+}
+
+/// `v / base` as printed by the robustness report.
+fn ratio(v: u64, base: u64) -> f64 {
+    v as f64 / base.max(1) as f64
+}
+
+/// Robustness of each [`ROBUSTNESS_STRATEGIES`] entry on [`NPROCS`]
+/// processors, in three sections:
+///
+/// * the perturbation ladder (`FaultModel::intensity`: latency jitter,
+///   extra delay and reordering, status drops, a straggler at level 3),
+///   three seeds per level on two cells, worst ratio over the seeds
+///   against the unperturbed run; level 0 must equal that run exactly;
+/// * a hard cap at 1.2x the uncapped peak on every paper matrix, which
+///   no processor may exceed;
+/// * the membership curve: 0, 1, 2 and 4 processors killed mid-run and
+///   one kill + join, recovered through the lease protocol and subtree
+///   re-execution; every cell must reproduce the fault-free factor
+///   digest, and the armed detector alone must not move the run.
+///
+/// Every run must complete. Perturbation draws are per message and
+/// kill/join indices count delivered events, so a change in the message
+/// count moves the perturbed and membership rows; level-0 and capacity
+/// rows move only with the schedule.
+fn robustness() {
+    const INTENSITIES: [f64; 5] = [0.0, 0.5, 1.0, 2.0, 3.0];
+    const SEEDS: [u64; 3] = [11, 23, 47];
+    let pairs =
+        [(PaperMatrix::TwoTone, OrderingKind::Amd), (PaperMatrix::Ship003, OrderingKind::Metis)];
+    /// Each strategy's configuration, mapping and unperturbed run on `tree`.
+    fn strategies(
+        tree: &AssemblyTree,
+    ) -> impl Iterator<Item = (&'static str, SolverConfig, StaticMapping, RunResult)> + '_ {
+        ROBUSTNESS_STRATEGIES.iter().map(move |&(name, strategy)| {
+            let cfg = strategy(paper_scale_config(NPROCS));
+            let map = compute_mapping(tree, &cfg);
+            let plain = run_complete(tree, &map, &cfg);
+            (name, cfg, map, plain)
+        })
+    }
+
+    println!(
+        "== Perturbation ladder, {NPROCS} processors: worst of {} seeds per level \
+         against the unperturbed run ==",
+        SEEDS.len()
+    );
+    println!(
+        "{:12} {:20} {:>5} {:>10} {:>7} {:>8} {:>7} {:>10}",
+        "matrix", "strategy", "level", "makespan x", "peak x", "dropped", "forced", "underflows"
+    );
+    for (m, k) in pairs {
+        let tree = build_tree(m, k, None);
+        for (name, cfg, map, plain) in strategies(&tree) {
+            for level in INTENSITIES {
+                // All seeds of a level are independent: fan them out.
+                let runs: Vec<RunResult> = SEEDS
+                    .par_iter()
+                    .map(|&seed| {
+                        let fault = Some(FaultModel::intensity(seed, level));
+                        run_complete(&tree, &map, &SolverConfig { fault, ..cfg.clone() })
+                    })
+                    .collect();
+                if level == 0.0 {
+                    // Intensity zero is the bit-identical guarantee.
+                    for r in &runs {
+                        assert_eq!(r.peaks, plain.peaks, "quiet fault model changed peaks");
+                        assert_eq!(r.makespan, plain.makespan, "quiet fault model moved time");
+                        assert_eq!(r.dropped_messages, 0);
+                    }
+                }
+                let worst = |f: fn(&RunResult) -> u64, base| {
+                    runs.iter().map(|r| ratio(f(r), base)).fold(0.0, f64::max)
+                };
+                println!(
+                    "{:12} {:20} {:>5.1} {:>10.3} {:>7.3} {:>8} {:>7} {:>10}",
+                    m.name(),
+                    name,
+                    level,
+                    worst(|r| r.makespan, plain.makespan),
+                    worst(|r| r.max_peak, plain.max_peak),
+                    runs.iter().map(|r| r.dropped_messages).sum::<u64>(),
+                    runs.iter().map(|r| r.forced_activations).sum::<u64>(),
+                    runs.iter().flat_map(|r| &r.underflows).sum::<u64>()
+                );
+            }
+        }
+    }
+
+    println!("\n== Hard cap at 1.2x the uncapped peak, METIS: no processor exceeds it ==");
+    println!(
+        "{:12} {:20} {:>9} {:>9} {:>9} {:>10} {:>6} {:>10} {:>9} {:>9} {:>10}",
+        "matrix",
+        "strategy",
+        "capacity",
+        "uncapped",
+        "capped",
+        "makespan x",
+        "forced",
+        "serialized",
+        "deferrals",
+        "stalled",
+        "underflows"
+    );
+    for m in ALL_PAPER_MATRICES {
+        let tree = build_tree(m, OrderingKind::Metis, None);
+        for (name, cfg, map, plain) in strategies(&tree) {
+            let cap = plain.max_peak + plain.max_peak / 5;
+            let capped = run_complete(&tree, &map, &SolverConfig { capacity: Some(cap), ..cfg });
+            assert!(
+                capped.peaks.iter().all(|&pk| pk <= cap),
+                "{} / {name}: capped peaks {:?} exceed {cap}",
+                m.name(),
+                capped.peaks
+            );
+            let procs = &capped.metrics.procs;
+            println!(
+                "{:12} {:20} {:>9} {:>9} {:>9} {:>10.3} {:>6} {:>10} {:>9} {:>9} {:>10}",
+                m.name(),
+                name,
+                cap,
+                plain.max_peak,
+                capped.max_peak,
+                ratio(capped.makespan, plain.makespan),
+                capped.forced_activations,
+                capped.metrics.serialized_fronts,
+                procs.iter().map(|p| p.deferrals).sum::<u64>(),
+                procs.iter().map(|p| p.stalled_ticks).sum::<u64>(),
+                capped.underflows.iter().sum::<u64>()
+            );
+        }
+    }
+
+    type FaultSchedule = &'static [(u64, usize)];
+    const SCENARIOS: [(&str, FaultSchedule, FaultSchedule); 5] = [
+        ("0 kills (armed detector)", &[], &[]),
+        ("1 kill", &[(1_000, 3)], &[]),
+        ("2 kills", &[(1_000, 3), (2_500, 11)], &[]),
+        ("4 kills", &[(1_000, 3), (2_500, 11), (4_000, 19), (5_500, 27)], &[]),
+        ("1 kill + 1 join", &[(1_000, 3)], &[(3_000, 31)]),
+    ];
+    println!(
+        "\n== Membership: processors killed (and joined) at delivered-event indices, \
+         recovered; factor digest equal to the fault-free run's =="
+    );
+    println!(
+        "{:12} {:20} {:24} {:>5} {:>5} {:>10} {:>15} {:>10} {:>10} {:>8} {:>9}",
+        "matrix",
+        "strategy",
+        "scenario",
+        "kills",
+        "joins",
+        "makespan x",
+        "survivor peak x",
+        "reassigned",
+        "recomputed",
+        "migrated",
+        "reclaimed"
+    );
+    for (m, k) in pairs {
+        let tree = build_tree(m, k, None);
+        for (name, cfg, map, plain) in strategies(&tree) {
+            let runs: Vec<RunResult> = SCENARIOS
+                .par_iter()
+                .map(|&(_, kills, joins)| {
+                    let cfg = SolverConfig {
+                        recovery: Some(RecoveryConfig::default()),
+                        fault: Some(FaultModel {
+                            kill_at: kills.to_vec(),
+                            join_at: joins.to_vec(),
+                            ..FaultModel::quiet(7)
+                        }),
+                        ..cfg.clone()
+                    };
+                    run_complete(&tree, &map, &cfg)
+                })
+                .collect();
+            for (&(scenario, kills, joins), r) in SCENARIOS.iter().zip(&runs) {
+                assert_eq!(
+                    r.factor_digest,
+                    plain.factor_digest,
+                    "{} / {name} / {scenario}: recovered factors diverged",
+                    m.name()
+                );
+                if kills.is_empty() && joins.is_empty() {
+                    // The armed-but-idle detector must not perturb the
+                    // schedule at all: bit-identical to the plain run.
+                    assert_eq!(r.peaks, plain.peaks, "armed detector changed peaks");
+                    assert_eq!(r.makespan, plain.makespan, "armed detector moved time");
+                }
+                let survivor_peak = (r.peaks.iter().enumerate())
+                    .filter(|(p, _)| !r.dead.contains(p))
+                    .map(|(_, &pk)| pk)
+                    .max()
+                    .unwrap_or(0);
+                let rec = r.metrics.recovery;
+                println!(
+                    "{:12} {:20} {:24} {:>5} {:>5} {:>10.3} {:>15.3} {:>10} {:>10} {:>8} {:>9}",
+                    m.name(),
+                    name,
+                    scenario,
+                    rec.kills_observed,
+                    rec.joins_observed,
+                    ratio(r.makespan, plain.makespan),
+                    ratio(survivor_peak, plain.max_peak),
+                    rec.subtrees_reassigned,
+                    rec.nodes_recomputed,
+                    rec.rebalance_migrations,
+                    rec.orphaned_cb_entries
+                );
+            }
+        }
+    }
+}
+
+/// The memory-based strategy (Algorithms 1 and 2, subtree information,
+/// prediction) on a Table-1-scale synthetic nested-dissection tree
+/// (~197k columns, 8191 fronts, 4096 leaf subtrees; see [`SynthConfig`])
+/// at 32 to 1024 processors: the paper's tables stop at 32 because its
+/// matrices do. Per processor count: delivered events, makespan, peaks,
+/// and the status traffic that keeps the views coherent. Host time per
+/// point goes to stderr.
+fn synth_scale() {
+    let shape = SynthConfig::paper_scale(42);
+    let tree = synth_nd_tree(&shape);
+    let stats = tree.stats();
+    println!(
+        "synthetic nested dissection: s0={} gamma={} depth={} beta={} jitter={} seed={}",
+        shape.s0, shape.gamma, shape.depth, shape.beta, shape.jitter, shape.seed
+    );
+    println!(
+        "n={} fronts={} leaves={} depth={} factor_entries={} flops={}",
+        tree.n, stats.nodes, stats.leaves, stats.depth, stats.factor_entries, stats.flops
+    );
+    println!("memory-based strategy (Alg 1 + Alg 2, subtree info, prediction)\n");
+    println!(
+        "{:>5} {:>9} {:>8} {:>8} {:>9} {:>9} {:>9} {:>11} {:>7} {:>7} {:>10} {:>9} {:>11} \
+         {:>9}",
+        "procs",
+        "events",
+        "makespan",
+        "max peak",
+        "sum peaks",
+        "messages",
+        "status",
+        "status B",
+        "dropped",
+        "control",
+        "control B",
+        "status/ev",
+        "bcast/front",
+        "stale p95"
+    );
+    for nprocs in [32usize, 128, 512, 1024] {
+        let cfg = paper_scale_config(nprocs).with_memory_strategy();
+        let map = compute_mapping(&tree, &cfg);
+        let start = Instant::now();
+        let r = parsim::run(&tree, &map, &cfg)
+            .unwrap_or_else(|e| panic!("synth_scale run at P={nprocs} failed: {e}"));
+        let wall = start.elapsed();
+        assert_eq!(r.nodes_done, r.total_nodes, "P={nprocs}: run did not complete");
+        let events = r.events_delivered;
+        eprintln!(
+            "P={nprocs}: {:.1} ms, {:.1} ns/event",
+            wall.as_secs_f64() * 1e3,
+            wall.as_nanos() as f64 / events.max(1) as f64
+        );
+        let m = &r.metrics;
+        // Every status message of a quiet run is one of the `nprocs - 1`
+        // copies of a broadcast.
+        let broadcasts = m.status_msgs / (nprocs as u64 - 1);
+        println!(
+            "{:>5} {:>9} {:>8} {:>8} {:>9} {:>9} {:>9} {:>11} {:>7} {:>7} {:>10} {:>9.3} \
+             {:>11.2} {:>9}",
+            nprocs,
+            events,
+            r.makespan,
+            r.max_peak,
+            r.peaks.iter().sum::<u64>(),
+            r.messages,
+            m.status_msgs,
+            m.status_bytes,
+            m.dropped_status,
+            m.control_msgs,
+            m.control_bytes,
+            m.status_msgs as f64 / events.max(1) as f64,
+            broadcasts as f64 / r.total_nodes as f64,
+            m.view_staleness.quantile(0.95)
+        );
+    }
 }

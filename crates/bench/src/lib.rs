@@ -4,13 +4,13 @@
 //!
 //! * `paper <report>` — every committed result: `paper table2` prints
 //!   `results/table2.txt`, and so on for `table1`–`table6`, `figures`,
-//!   `ablation`, `scaling`, `variability`, `reordering_memory` and
-//!   `malleable` (static vs. malleable core allocation);
-//! * `robustness`, `scale` — the harnesses behind `BENCH_*.json`;
+//!   `ablation`, `scaling`, `reordering_memory`, `malleable` (static vs.
+//!   malleable core allocation), `robustness` (message noise, memory
+//!   caps, processor loss) and `synth_scale` (32 to 1024 processors);
 //! * `mf-obs` — the observability tool over flight recordings (see
 //!   [`obs`]): `explain` (peak attribution, `--cores` timeline, kill/join
 //!   replay), `audit` (protocol invariants), `check-all` (both, on every
-//!   matrix), `diff` (backends, strategies, faults, sweep artifacts) and
+//!   matrix), `diff` (backends, strategies, faults) and
 //!   `timeline` (sampled telemetry as JSONL). Only `explain` and
 //!   `check-all` export artifacts, into their `--obs-dir`.
 //!

@@ -8,10 +8,9 @@
 //! JSON Lines. The `paper` binary takes one report name and exports
 //! nothing.
 //!
-//! The module also carries a small recursive-descent JSON walker used by
-//! the exporters' tests, the CI `observability` job and the artifact
-//! diff: the repo renders all JSON by hand (no serde), so well-formedness
-//! is asserted, not assumed.
+//! The module also carries a small recursive-descent JSON validator used
+//! by the exporters' tests: the repo renders all JSON by hand (no serde),
+//! so well-formedness is asserted, not assumed.
 
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -147,33 +146,17 @@ pub fn export_cell(dir: &Path, c: &CellResult) {
 /// `null`). Returns the byte offset of the first violation.
 ///
 /// This is a *validator*, not a parser — the repo's hand-rendered JSON
-/// artifacts are checked for well-formedness in tests and CI without
+/// artifacts are checked for well-formedness in tests without
 /// pulling in a serde dependency.
 pub fn validate_json(s: &str) -> Result<(), String> {
     let b = s.as_bytes();
     let mut pos = 0usize;
-    value(b, &mut pos, &mut String::new(), None)?;
+    value(b, &mut pos)?;
     skip_ws(b, &mut pos);
     if pos != b.len() {
         return Err(format!("trailing garbage at byte {pos}"));
     }
     Ok(())
-}
-
-/// Extracts every numeric leaf of a JSON document as
-/// (dotted-path, value) pairs in document order: object members append
-/// `.key`, array elements append `[i]` — e.g.
-/// `instance.fronts` or `points[1].ns_per_event`.
-///
-/// This powers cross-run artifact diffing (`mf-obs diff sweeps`): two
-/// runs of the same harness yield the same paths, so a regression is
-/// named by the exact metric that moved. Input is expected to be well-formed (validate with
-/// [`validate_json`] first); on malformed input the pairs collected up
-/// to the defect are returned.
-pub fn json_numbers(s: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let _ = value(s.as_bytes(), &mut 0, &mut String::new(), Some(&mut out));
-    out
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -182,16 +165,9 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-/// The one walker over the JSON grammar: checks the value at `pos` and,
-/// given a `sink`, pushes each number under its dotted `path`.
-fn value(
-    b: &[u8],
-    pos: &mut usize,
-    path: &mut String,
-    mut sink: Option<&mut Vec<(String, f64)>>,
-) -> Result<(), String> {
+/// The one walker over the JSON grammar: checks the value at `pos`.
+fn value(b: &[u8], pos: &mut usize) -> Result<(), String> {
     skip_ws(b, pos);
-    let depth = path.len();
     match b.get(*pos) {
         Some(b'{') => {
             *pos += 1;
@@ -202,20 +178,13 @@ fn value(
             }
             loop {
                 skip_ws(b, pos);
-                let key_start = *pos + 1;
                 string(b, pos)?;
-                if sink.is_some() {
-                    let key = std::str::from_utf8(&b[key_start..*pos - 1]);
-                    path.push_str(if depth == 0 { "" } else { "." });
-                    path.push_str(key.map_err(|e| e.to_string())?);
-                }
                 skip_ws(b, pos);
                 if b.get(*pos) != Some(&b':') {
                     return Err(format!("expected ':' at byte {pos}", pos = *pos));
                 }
                 *pos += 1;
-                value(b, pos, path, sink.as_deref_mut())?;
-                path.truncate(depth);
+                value(b, pos)?;
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -234,14 +203,8 @@ fn value(
                 *pos += 1;
                 return Ok(());
             }
-            let mut i = 0usize;
             loop {
-                if sink.is_some() {
-                    path.push_str(&format!("[{i}]"));
-                }
-                value(b, pos, path, sink.as_deref_mut())?;
-                path.truncate(depth);
-                i += 1;
+                value(b, pos)?;
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -257,17 +220,7 @@ fn value(
         Some(b't') => literal(b, pos, "true"),
         Some(b'f') => literal(b, pos, "false"),
         Some(b'n') => literal(b, pos, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => {
-            let start = *pos;
-            number(b, pos)?;
-            if let Some(out) = sink {
-                let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-                if let Ok(v) = text.parse::<f64>() {
-                    out.push((path.clone(), v));
-                }
-            }
-            Ok(())
-        }
+        Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, pos),
         Some(c) => Err(format!("unexpected byte {c:?} at {pos}", pos = *pos)),
         None => Err("unexpected end of input".into()),
     }
@@ -379,21 +332,6 @@ mod tests {
         ] {
             assert!(validate_json(bad).is_err(), "{bad:?} should be rejected");
         }
-    }
-
-    #[test]
-    fn json_numbers_yields_dotted_paths_in_order() {
-        let doc = r#"{ "a": 1, "b": { "c": 2.5, "d": [10, {"e": -3}] }, "f": null, "g": "x" }"#;
-        let nums = json_numbers(doc);
-        assert_eq!(
-            nums,
-            vec![
-                ("a".to_string(), 1.0),
-                ("b.c".to_string(), 2.5),
-                ("b.d[0]".to_string(), 10.0),
-                ("b.d[1].e".to_string(), -3.0),
-            ]
-        );
     }
 
     #[test]

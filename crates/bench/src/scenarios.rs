@@ -1,6 +1,6 @@
 //! Scripted scenarios reproducing the situations of Figures 4, 5, 6, 8,
-//! plus the seeded full-size instance synthesizer behind the `scale`
-//! sweep (see [`SynthConfig`]).
+//! plus the seeded full-size instance synthesizer behind the `synth_scale`
+//! report (see [`SynthConfig`]).
 //!
 //! Each figure scenario is a small hand-built assembly tree plus a
 //! hand-built static mapping, arranged so that the mechanism under study

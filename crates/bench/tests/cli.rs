@@ -2,8 +2,7 @@
 //! refuses, what `check-all` and `timeline` print, and that `explain` and
 //! `diff strategies` render the same strategy diff. Also drives `paper`:
 //! what its argument parser refuses, and that its cheap reports print
-//! their committed `results/` files; and what `scale` and `robustness`
-//! refuse.
+//! their committed `results/` files.
 
 use std::process::{Command, Output};
 
@@ -19,9 +18,7 @@ fn stdout(o: &Output) -> String {
 /// the default cell, so `audit --chek-all` passed having audited one
 /// cell. Both are usage errors on every subcommand, before any run; so
 /// is a real flag given to a subcommand that does not read it, which
-/// used to be accepted and ignored (`diff backends ... --every 7`). So
-/// is any argument `robustness` or `scale` does not read: `scale --smok`
-/// used to run the full sweep and overwrite `BENCH_scale.json`.
+/// used to be accepted and ignored (`diff backends ... --every 7`).
 #[test]
 fn misspelt_arguments_are_usage_errors() {
     let refused = |o: Output, what: &str, named: &str| {
@@ -51,27 +48,10 @@ fn misspelt_arguments_are_usage_errors() {
         refused(mf_obs(&args), &format!("mf-obs {args:?}"), named);
     }
     assert_eq!(mf_obs(&["explain", "--obs-dir"]).status.code(), Some(2), "flag without value");
-    assert_eq!(mf_obs(&["diff", "sweeps", "one.json"]).status.code(), Some(2), "one path of two");
+    refused(mf_obs(&["diff", "sweeps", "a.json", "b.json"]), "no such diff", "sweeps");
     assert_eq!(mf_obs(&["diff", "strategies", "one.json"]).status.code(), Some(2), "stray path");
     let o = mf_obs(&["timeline", "--format", "csv", "--nprocs", "4"]);
     refused(o, "the series has one format", "--format");
-
-    // A regression here would run a sweep and write its `BENCH_*.json`
-    // into the working directory, so the probes run in one of their own.
-    let dir = std::env::temp_dir().join(format!("mf-bench-cli-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create a scratch directory");
-    let probes: [(&str, &[&str]); 3] = [
-        (env!("CARGO_BIN_EXE_robustness"), &["--smoke"]),
-        (env!("CARGO_BIN_EXE_scale"), &["--smok"]),
-        (env!("CARGO_BIN_EXE_scale"), &["--smoke", "--full"]),
-    ];
-    for (exe, args) in probes {
-        let o = Command::new(exe).args(args).current_dir(&dir).output().expect("binary starts");
-        refused(o, &format!("{exe} {args:?}"), args.last().unwrap());
-    }
-    let written = std::fs::read_dir(&dir).expect("list the scratch directory").count();
-    std::fs::remove_dir_all(&dir).expect("remove the scratch directory");
-    assert_eq!(written, 0, "a refused run wrote a file");
 }
 
 fn paper(args: &[&str]) -> Output {
@@ -79,7 +59,7 @@ fn paper(args: &[&str]) -> Output {
 }
 
 /// Every report `paper` knows, one per `results/*.txt`.
-const REPORTS: [&str; 12] = [
+const REPORTS: [&str; 13] = [
     "table1",
     "table2",
     "table3",
@@ -89,31 +69,40 @@ const REPORTS: [&str; 12] = [
     "figures",
     "ablation",
     "scaling",
-    "variability",
     "reordering_memory",
     "malleable",
+    "robustness",
+    "synth_scale",
 ];
 
 /// `paper` takes exactly one report name. The study reports used to run
 /// as if given no argument whatever they were given; now a missing or
 /// unknown name, or anything after it, is a usage error before any run.
+/// A refused run writes no file either: the probes run in a directory of
+/// their own, which must stay empty.
 #[test]
 fn paper_takes_exactly_one_report_name() {
+    let dir = std::env::temp_dir().join(format!("mf-bench-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create a scratch directory");
     let cases = std::iter::once((vec![], "report name"))
         .chain(std::iter::once((vec!["table9"], "table9")))
         .chain(REPORTS.iter().map(|&r| (vec![r, "--obs-dir", "d"], "--obs-dir")));
     for (args, named) in cases {
-        let o = paper(&args);
+        let o = Command::new(env!("CARGO_BIN_EXE_paper")).args(&args).current_dir(&dir).output();
+        let o = o.expect("paper starts");
         assert_eq!(o.status.code(), Some(2), "paper {args:?}");
         assert!(o.stdout.is_empty(), "paper {args:?} ran something");
         let err = String::from_utf8_lossy(&o.stderr);
         assert!(err.contains(named), "paper {args:?}: error names {named}: {err}");
     }
+    let written = std::fs::read_dir(&dir).expect("list the scratch directory").count();
+    std::fs::remove_dir_all(&dir).expect("remove the scratch directory");
+    assert_eq!(written, 0, "a refused run wrote a file");
 }
 
 /// The committed results are what `paper` prints: the six reports that
 /// run in a few seconds in a debug build, byte for byte (CI compares
-/// all twelve in release).
+/// all thirteen in release).
 #[test]
 fn cheap_reports_match_their_committed_results() {
     for name in ["table1", "table4", "figures", "scaling", "ablation", "malleable"] {

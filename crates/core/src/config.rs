@@ -113,13 +113,6 @@ pub struct SolverConfig {
     /// which exact peak attribution requires; a bound keeps only the most
     /// recent events and counts evictions).
     pub event_capacity: Option<usize>,
-    /// Emulated non-determinism: task durations are perturbed by up to
-    /// `pct` (multiplicatively), seeded for reproducibility. The paper
-    /// attributes small cross-run differences to "the non-deterministic
-    /// execution scheme of MUMPS"; this knob lets the `variability`
-    /// binary measure how sensitive each strategy is to timing noise.
-    /// `None` keeps exact durations.
-    pub jitter: Option<(u64, f64)>,
     /// Seeded network/processor perturbations (see [`mf_sim::fault`]):
     /// latency jitter, bounded delay/reordering, status-message loss, and
     /// stragglers. `None` keeps the exact happy-path execution — runs are
@@ -181,7 +174,6 @@ impl Default for SolverConfig {
             subtree_peak_factor: None,
             record_events: false,
             event_capacity: None,
-            jitter: None,
             fault: None,
             recovery: None,
             capacity: None,

@@ -2,8 +2,8 @@
 //!
 //! Every processor runs the MUMPS-style loop inside its sans-io core;
 //! this module is the *runtime*, and there is only one: it owns the
-//! event queue, the network model, the duration model (flop rate, seeded
-//! jitter, stragglers), the fault injector, membership orchestration,
+//! event queue, the network model, the duration model (flop rate,
+//! stragglers), the fault injector, membership orchestration,
 //! the flight recorder and the traffic-side metrics. The loop feeds
 //! events into the cores and performs the effects they emit — in
 //! emission order, which is what keeps it bit-identical to the
@@ -27,8 +27,6 @@ use mf_sim::{
     Recording, RunMetrics, RunTimeseries, SampleRow, Sim, Time,
 };
 use mf_symbolic::AssemblyTree;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::ops::Range;
 
@@ -223,7 +221,6 @@ struct SimDriver<'a> {
     sim: Sim<Msg>,
     net: NetworkModel,
     messages: u64,
-    jitter: Option<(SmallRng, f64)>,
     /// The speedup curve behind multi-core compute durations.
     curve: SpeedupCurve,
     fault: Option<FaultInjector>,
@@ -284,7 +281,6 @@ impl<'a> SimDriver<'a> {
             sim: Sim::new(),
             net: cfg.network,
             messages: 0,
-            jitter: cfg.jitter.map(|(seed, pct)| (SmallRng::seed_from_u64(seed), pct)),
             curve: cfg.core_alloc.curve(),
             // Only message-level noise needs the injector. Without one
             // every broadcast stays one block; kill and join schedules
@@ -413,18 +409,9 @@ impl<'a> SimDriver<'a> {
     /// Duration of a `flops`-sized work unit on processor `p` granted
     /// `cores` cores: the shared [`compute_ticks`] model (exact integer
     /// flop-rate time at one core, shrunk by the speedup curve above),
-    /// perturbed by seeded multiplicative jitter and the fault model's
-    /// straggler factor.
-    fn duration_of(&mut self, p: usize, flops: u64, cores: u32) -> Time {
-        let exact = compute_ticks(flops, cores, &self.curve);
-        let base = match &mut self.jitter {
-            None => exact,
-            Some((rng, pct)) => {
-                // Multiplicative noise in [1-pct, 1+pct].
-                let factor = 1.0 + *pct * (rng.gen::<f64>() * 2.0 - 1.0);
-                ((exact as f64 * factor).round() as Time).max(1)
-            }
-        };
+    /// slowed by the fault model's straggler factor.
+    fn duration_of(&self, p: usize, flops: u64, cores: u32) -> Time {
+        let base = compute_ticks(flops, cores, &self.curve);
         // Straggler processors compute slower by their speed factor.
         match &self.fault {
             None => base,
@@ -1160,28 +1147,6 @@ mod tests {
             assert_eq!(r.nodes_done, r.total_nodes);
             assert!(r.max_peak > 0);
         }
-    }
-
-    #[test]
-    fn jitter_is_seeded_and_bounded() {
-        let tree = tree_for(20);
-        let cfg0 = SolverConfig { type2_front_min: 24, ..SolverConfig::mumps_baseline(4) };
-        let map = compute_mapping(&tree, &cfg0);
-        let exact = run(&tree, &map, &cfg0).unwrap();
-        let j1 = SolverConfig { jitter: Some((7, 0.1)), ..cfg0.clone() };
-        let r1 = run(&tree, &map, &j1).unwrap();
-        let r2 = run(&tree, &map, &j1).unwrap();
-        // Same seed: bit-identical. All fronts still complete.
-        assert_eq!(r1.peaks, r2.peaks);
-        assert_eq!(r1.makespan, r2.makespan);
-        assert_eq!(r1.nodes_done, r1.total_nodes);
-        // Makespan moves but stays in the same ballpark (±~30%).
-        let lo = exact.makespan as f64 * 0.7;
-        let hi = exact.makespan as f64 * 1.3;
-        assert!((r1.makespan as f64) > lo && (r1.makespan as f64) < hi);
-        // A different seed generally yields a different schedule.
-        let r3 = run(&tree, &map, &SolverConfig { jitter: Some((8, 0.1)), ..cfg0 }).unwrap();
-        assert!(r3.makespan != r1.makespan || r3.peaks != r1.peaks);
     }
 
     #[test]

@@ -302,7 +302,7 @@ pub enum Effect {
     },
     /// Run `flops` worth of compute; deliver [`Input::TimerFired`] with
     /// `key` when it completes. The runtime owns the duration model
-    /// (flop rate, jitter, stragglers). A recording driver derives the
+    /// (flop rate, stragglers). A recording driver derives the
     /// `ComputeStart`/`ComputeEnd` events from this effect and its
     /// timer, so the core's compute hot path carries no recording
     /// branches at all.

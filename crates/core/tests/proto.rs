@@ -75,7 +75,7 @@ struct Captured {
 
 /// Feeds one input into a core, captures the drained effects verbatim,
 /// and performs only the transport/timer part (quiet model: exact
-/// durations, no jitter, no faults).
+/// durations, no faults).
 fn step(
     core: &mut SchedulerCore<'_>,
     sim: &mut Sim<Msg>,

@@ -36,8 +36,8 @@ use std::sync::mpsc;
 /// Why a threaded run could not be performed or failed.
 #[derive(Debug)]
 pub enum ExecError {
-    /// The configuration asks for a simulator-only feature (duration
-    /// jitter, fault perturbations).
+    /// The configuration asks for a simulator-only feature (per-message
+    /// fault perturbations).
     Unsupported(String),
     /// The run failed the same way a simulated run can fail.
     Sim(SimError),
@@ -297,9 +297,6 @@ pub fn run_threads(
     map: &StaticMapping,
     cfg: &SolverConfig,
 ) -> Result<RunResult, ExecError> {
-    if cfg.jitter.is_some() {
-        return Err(ExecError::Unsupported("duration jitter (simulator-only noise)".into()));
-    }
     // Membership faults (kills, joins, a network kill, stragglers) are
     // deterministic and fully supported; only per-message noise (jitter,
     // delays, drops) remains simulator-only.
@@ -377,16 +374,10 @@ mod tests {
         let tree = tree_for(16);
         let cfg = SolverConfig {
             type2_front_min: 24,
-            jitter: Some((7, 0.1)),
-            ..SolverConfig::mumps_baseline(2)
-        };
-        let map = compute_mapping(&tree, &cfg);
-        assert!(matches!(run_threads(&tree, &map, &cfg), Err(ExecError::Unsupported(_))));
-        let cfg = SolverConfig {
-            type2_front_min: 24,
             fault: Some(mf_sim::FaultModel::intensity(13, 3.0)),
             ..SolverConfig::mumps_baseline(2)
         };
+        let map = compute_mapping(&tree, &cfg);
         assert!(matches!(run_threads(&tree, &map, &cfg), Err(ExecError::Unsupported(_))));
         // The *quiet* fault model perturbs nothing and is accepted.
         let cfg = SolverConfig {

@@ -19,6 +19,7 @@ use multifrontal::core::pool::TaskCtx;
 use multifrontal::core::slavesel::{FrontSplit, SlaveCtx};
 use multifrontal::core::views::Views;
 use multifrontal::prelude::*;
+use multifrontal::sim::FaultModel;
 use proptest::prelude::*;
 
 /// The per-strategy pool pickers and slave selectors the two decision
@@ -587,7 +588,7 @@ proptest! {
         prediction in any::<bool>(),
         split in any::<bool>(),
         subtree_peaks in any::<bool>(),
-        jitter in any::<bool>(),
+        perturbed in any::<bool>(),
         nx in 10usize..18,
     ) {
         let a = multifrontal::sparse::gen::grid::grid2d(nx, nx, Stencil::Star);
@@ -602,7 +603,7 @@ proptest! {
             use_prediction: prediction,
             split_threshold: split.then_some(2_000),
             subtree_peak_factor: subtree_peaks.then_some(1.0),
-            jitter: jitter.then_some((42, 0.1)),
+            fault: perturbed.then(|| FaultModel::intensity(42, 1.0)),
             ..SolverConfig::mumps_baseline(nprocs)
         };
         let input = ExperimentInput { matrix: &a, ordering: OrderingKind::Metis };
