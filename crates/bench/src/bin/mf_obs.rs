@@ -25,10 +25,10 @@
 //!   **recovery replay**: the memory-based run under
 //!   that membership-fault schedule (kill/join processor `PROC` at
 //!   delivered-event index `IDX`), narrated from its recording — every
-//!   loss, the subtree reassignment chain, every join with its
-//!   migrations — then the recovery counters and the factor-digest
-//!   comparison against the fault-free run. `--cores` replaces it with a
-//!   **core-allocation timeline**: the run under `CoreAlloc::Malleable`,
+//!   loss, the subtree reassignment chain, every join — then the
+//!   recovery counters and the factor-digest comparison against the
+//!   fault-free run. `--cores` replaces it with a **core-allocation
+//!   timeline**: the run under `CoreAlloc::Malleable`,
 //!   every `CoreGrant` replayed against the granted front's depth in the
 //!   assembly tree (leaf storms run one core per front; the root chain
 //!   collects the pool), then the makespan against the static run.
@@ -413,9 +413,9 @@ fn print_report(name: &str, r: &RunResult) {
 /// `--kill`/`--join`: the recovery replay. Runs the cell under the given
 /// membership-fault schedule with the recorder on (memory-based
 /// strategy, recovery layer armed) and narrates the recording: losses,
-/// the subtree reassignment chain, joins with their migrations —
-/// asserting along the way that the run completed, the survivors
-/// drained, and the factors are exactly the fault-free run's.
+/// the subtree reassignment chain, joins — asserting along the way that
+/// the run completed, the survivors drained, and the factors are exactly
+/// the fault-free run's.
 fn recovery_replay(args: &CellArgs) {
     let plain = run_cell(args, &recorded_cfg(args.nprocs).with_memory_strategy());
     let r = run_cell(args, &recovery_cfg(args.nprocs, &args.kills, &args.joins));
@@ -441,11 +441,8 @@ fn recovery_replay(args: &CellArgs) {
                 println!("  t={at:>8}    subtree rooted at n{root} reassigned p{from} -> p{to}");
                 lines += 1;
             }
-            SchedEvent::ProcJoined { proc, migrated } => {
-                println!(
-                    "  t={at:>8}  processor {proc} joined: {migrated} pooled task(s) migrated \
-                     to it by rebalancing"
-                );
+            SchedEvent::ProcJoined { proc } => {
+                println!("  t={at:>8}  processor {proc} joined");
                 lines += 1;
             }
             _ => {}

@@ -719,7 +719,7 @@ fn robustness() {
          recovered; factor digest equal to the fault-free run's =="
     );
     println!(
-        "{:12} {:20} {:24} {:>5} {:>5} {:>10} {:>15} {:>10} {:>10} {:>8} {:>9}",
+        "{:12} {:20} {:24} {:>5} {:>5} {:>10} {:>15} {:>10} {:>10} {:>9}",
         "matrix",
         "strategy",
         "scenario",
@@ -729,7 +729,6 @@ fn robustness() {
         "survivor peak x",
         "reassigned",
         "recomputed",
-        "migrated",
         "reclaimed"
     );
     for (m, k) in pairs {
@@ -770,7 +769,7 @@ fn robustness() {
                     .unwrap_or(0);
                 let rec = r.metrics.recovery;
                 println!(
-                    "{:12} {:20} {:24} {:>5} {:>5} {:>10.3} {:>15.3} {:>10} {:>10} {:>8} {:>9}",
+                    "{:12} {:20} {:24} {:>5} {:>5} {:>10.3} {:>15.3} {:>10} {:>10} {:>9}",
                     m.name(),
                     name,
                     scenario,
@@ -780,7 +779,6 @@ fn robustness() {
                     ratio(survivor_peak, plain.max_peak),
                     rec.subtrees_reassigned,
                     rec.nodes_recomputed,
-                    rec.rebalance_migrations,
                     rec.orphaned_cb_entries
                 );
             }

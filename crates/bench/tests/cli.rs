@@ -1,6 +1,7 @@
 //! Drives the `mf-obs` binary itself: what its one argument parser
-//! refuses, what `check-all` and `timeline` print, and that `explain` and
-//! `diff strategies` render the same strategy diff. Also drives `paper`:
+//! refuses, what `check-all`, `timeline` and the recovery replay print,
+//! and that `explain` and `diff strategies` render the same strategy
+//! diff. Also drives `paper`:
 //! what its argument parser refuses, and that its cheap reports print
 //! their committed `results/` files.
 
@@ -149,4 +150,22 @@ fn explain_and_diff_strategies_print_the_same_strategy_diff() {
     let explained = block(&[&["explain"], &cell[..]].concat());
     assert!(explained.contains("first divergent event") && explained.contains("peak gain"));
     assert_eq!(explained, block(&[&["diff", "strategies"], &cell[..]].concat()));
+}
+
+/// The recovery replay narrates the membership changes of a kill/kill/
+/// join schedule from the flight recording: the join, both losses, the
+/// three orphaned subtrees they hand over, and factors identical to the
+/// fault-free run's.
+#[test]
+fn recovery_replay_narrates_the_reassignment_chain() {
+    let o = mf_obs(&[
+        "explain", "TWOTONE", "AMD", "--kill", "1000:3", "--kill", "2500:11", "--join", "3000:31",
+    ]);
+    assert!(o.status.success(), "explain failed: {}", String::from_utf8_lossy(&o.stderr));
+    let out = stdout(&o);
+    let count = |needle: &str| out.lines().filter(|l| l.contains(needle)).count();
+    assert_eq!(count("processor 31 joined"), 1, "{out}");
+    assert_eq!(count("declared dead"), 2, "{out}");
+    assert_eq!(count("reassigned p"), 3, "{out}");
+    assert_eq!(count("recovered run identical to the fault-free run"), 1, "{out}");
 }

@@ -49,6 +49,4 @@ pub use driver::{run_experiment, ExperimentInput, RunResult};
 pub use error::{ProcDiag, RunDiagnostics, SimError};
 pub use malleable::{compute_ticks, CoreAlloc, SpeedupCurve};
 pub use mapping::StaticMapping;
-pub use recovery::{
-    digest_factors, Membership, MembershipChange, ObligationLedger, RecoveryPlan, RecoverySnapshot,
-};
+pub use recovery::{digest_factors, Membership, ObligationLedger, RecoveryPlan, RecoverySnapshot};

@@ -16,10 +16,8 @@ use crate::config::SolverConfig;
 use crate::error::{RunDiagnostics, SimError};
 use crate::malleable::{compute_ticks, SpeedupCurve};
 use crate::mapping::StaticMapping;
-use crate::proto::{
-    initial_loads, Effect, Input, Migration, Msg, SchedulerCore, Violation, TIMER_SAMPLE,
-};
-use crate::recovery::{digest_factors, Membership, MembershipChange, RecoverySnapshot};
+use crate::proto::{initial_loads, Effect, Input, Msg, SchedulerCore, Violation, TIMER_SAMPLE};
+use crate::recovery::{digest_factors, Membership, RecoverySnapshot};
 use crate::views::{StatusDelta, ViewTable};
 use mf_sim::recorder::{id32, SchedEvent, TaskRole};
 use mf_sim::{
@@ -27,7 +25,6 @@ use mf_sim::{
     Recording, RunMetrics, RunTimeseries, SampleRow, Sim, Time,
 };
 use mf_symbolic::AssemblyTree;
-use std::cmp::Reverse;
 use std::ops::Range;
 
 /// Outcome of a simulated parallel factorization.
@@ -216,7 +213,6 @@ pub fn local_cores<'a>(
 /// processor lives in its [`SchedulerCore`].
 struct SimDriver<'a> {
     tree: &'a AssemblyTree,
-    map: &'a StaticMapping,
     cfg: &'a SolverConfig,
     sim: Sim<Msg>,
     net: NetworkModel,
@@ -273,10 +269,9 @@ struct SimDriver<'a> {
 }
 
 impl<'a> SimDriver<'a> {
-    fn new(tree: &'a AssemblyTree, map: &'a StaticMapping, cfg: &'a SolverConfig) -> Self {
+    fn new(tree: &'a AssemblyTree, cfg: &'a SolverConfig) -> Self {
         SimDriver {
             tree,
-            map,
             cfg,
             sim: Sim::new(),
             net: cfg.network,
@@ -674,9 +669,9 @@ impl<'a> SimDriver<'a> {
 
     /// Brings processor `q` into the machine: announces the join to every
     /// reachable core, replays the membership log so the joiner's
-    /// overlays match the survivors', delivers the traffic parked while
-    /// it was dormant, and rebalances by migrating up to two ready upper
-    /// tasks from the fullest surviving pool.
+    /// overlays match the survivors', and delivers the traffic parked
+    /// while it was dormant. From then on it takes work through the normal
+    /// paths: its own static tasks, slave selection and recovery adoption.
     fn join_proc(
         &mut self,
         host: &mut impl CoreHost<'a>,
@@ -694,12 +689,8 @@ impl<'a> SimDriver<'a> {
                 self.step(host, p, now, Input::Join { proc: q })?;
             }
         }
-        for ch in ms.log.clone() {
-            let input = match ch {
-                MembershipChange::Recover(plan) => Input::Recover { plan: Box::new(plan) },
-                MembershipChange::Migrate(m) => Input::Migrate { m: Box::new(m) },
-            };
-            self.step(host, q, now, input)?;
+        for plan in &ms.log {
+            self.step(host, q, now, Input::Recover { plan: Box::new(plan.clone()) })?;
         }
         self.step(host, q, now, Input::Tick)?;
         for (from, msg) in std::mem::take(&mut self.buffered[q]) {
@@ -707,45 +698,7 @@ impl<'a> SimDriver<'a> {
                 self.step(host, q, now, Input::Deliver { from, msg })?;
             }
         }
-        // Memory-aware rebalancing: the fullest surviving pool donates up
-        // to two of its largest ready upper tasks to the idle joiner.
-        // Pool tasks are safe to move: readiness means every child
-        // completion and piece notification already arrived at the donor.
-        let donor = (0..self.cfg.nprocs)
-            .filter(|&p| p != q && ms.alive[p] && ms.joined[p])
-            .map(|p| host.snapshot(p))
-            .filter(|snap| !snap.pool.is_empty())
-            .min_by_key(|snap| (Reverse(snap.pool.len()), snap.proc));
-        let mut migrated = 0usize;
-        if let Some(snap) = donor {
-            let (tree, map) = (self.tree, self.map);
-            let mut cands: Vec<usize> = snap
-                .pool
-                .iter()
-                .copied()
-                .filter(|&v| map.subtree_of[v].is_none() || ms.recovered[v])
-                .collect();
-            cands.sort_by_key(|&v| (Reverse(tree.flops(v)), v));
-            for node in cands.into_iter().take(2) {
-                let pieces: Vec<(usize, u64, usize)> = snap
-                    .registered
-                    .iter()
-                    .filter(|&&(parent, ..)| parent == node)
-                    .map(|&(_, h, e, c)| (h, e, c))
-                    .collect();
-                let mg =
-                    Migration { node, from: snap.proc, to: q, flops: tree.flops(node), pieces };
-                ms.note_migration(&mg);
-                self.metrics.recovery.rebalance_migrations += 1;
-                for p in 0..self.cfg.nprocs {
-                    if ms.alive[p] && ms.joined[p] {
-                        self.step(host, p, now, Input::Migrate { m: Box::new(mg.clone()) })?;
-                    }
-                }
-                migrated += 1;
-            }
-        }
-        self.record(|| SchedEvent::ProcJoined { proc: id32(q), migrated });
+        self.record(|| SchedEvent::ProcJoined { proc: id32(q) });
         Ok(())
     }
 
@@ -885,7 +838,7 @@ pub fn run_hosted<'a>(
     host: &mut impl CoreHost<'a>,
 ) -> Result<RunResult, SimError> {
     let n = tree.len();
-    let mut drv = SimDriver::new(tree, map, cfg);
+    let mut drv = SimDriver::new(tree, cfg);
     // Membership orchestration only on runs that need it — the quiet
     // path takes none of the branches below.
     let mut membership = Membership::needed(cfg.recovery.is_some(), cfg.fault.as_ref())
@@ -1505,12 +1458,13 @@ mod tests {
         assert_eq!(r.nodes_done, r.total_nodes);
         assert_eq!(r.factor_digest, plain.factor_digest);
         assert_eq!(r.metrics.recovery.joins_observed, 1);
+        assert!(r.metrics.procs[3].busy_ticks > 0, "the joiner must compute");
         assert!(r.dead.is_empty());
         assert!(r.final_active.iter().all(|&a| a == 0));
     }
 
     #[test]
-    fn kill_then_join_rebalances_and_completes() {
+    fn kill_then_join_completes() {
         let tree = tree_for(20);
         let cfg0 = SolverConfig { type2_front_min: 24, ..SolverConfig::memory_based(4) };
         let map = compute_mapping(&tree, &cfg0);
@@ -1539,6 +1493,7 @@ mod tests {
         assert_eq!(r.dead, vec![1]);
         assert_eq!(r.metrics.recovery.kills_observed, 1);
         assert_eq!(r.metrics.recovery.joins_observed, 1);
+        assert!(r.metrics.procs[4].busy_ticks > 0, "the joiner must compute");
     }
 
     #[test]

@@ -254,30 +254,6 @@ pub enum Input {
         /// The joining processor.
         proc: usize,
     },
-    /// Rebalancing after a join: move one ready task from its current
-    /// owner to the joiner. Fed to every core so ownership routing stays
-    /// consistent machine-wide.
-    Migrate {
-        /// The migration (boxed like `Recover`).
-        m: Box<Migration>,
-    },
-}
-
-/// One task moved to a joining processor by the rebalancer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Migration {
-    /// The ready (not yet activated) node that moves.
-    pub node: usize,
-    /// Its current owner.
-    pub from: usize,
-    /// The joining processor that receives it.
-    pub to: usize,
-    /// The node's flops (workload the move transfers).
-    pub flops: u64,
-    /// Contribution blocks registered for the node at the donor, to be
-    /// re-registered at the receiver: `(holder, entries, child)`. The
-    /// pieces themselves stay on their holders' stacks.
-    pub pieces: Vec<(usize, u64, usize)>,
 }
 
 /// What a [`SchedulerCore`] asks its runtime to do. Effects must be
@@ -547,8 +523,8 @@ pub struct SchedulerCore<'a> {
     /// Whether the telemetry sampling timer was armed (once, on the
     /// first tick of a run with `sample_every` set).
     sampler_armed: bool,
-    /// Owners of the nodes a recovery plan or a migration moved, consulted
-    /// before the static mapping's. Empty on fault-free runs.
+    /// Owners of the nodes a recovery plan moved, consulted before the
+    /// static mapping's. Empty on fault-free runs.
     owners: BTreeMap<usize, usize>,
     /// Nodes re-executed by a recovery plan: their kind degrades to a
     /// full local front (type-3 roots excepted) and they leave their
@@ -653,7 +629,6 @@ impl<'a> SchedulerCore<'a> {
             Input::Force { node } => self.force_activate(node),
             Input::Recover { plan } => self.apply_plan(&plan),
             Input::Join { proc } => self.apply_join(proc),
-            Input::Migrate { m } => self.apply_migration(&m),
         }
         self.out.drain(..)
     }
@@ -781,7 +756,6 @@ impl<'a> SchedulerCore<'a> {
         let mut snap = RecoverySnapshot {
             proc: self.id,
             inflight,
-            pool: self.pool.clone(),
             active: self.mem.active(),
             ..Default::default()
         };
@@ -793,7 +767,6 @@ impl<'a> SchedulerCore<'a> {
             snap.activated.extend(s.activated.then_some(v));
             snap.factors.extend((s.factors > 0).then_some((v, s.factors)));
             snap.held.extend((s.held > 0).then_some((v, s.held)));
-            snap.registered.extend(s.cb_pieces.iter().map(|&(h, e, c)| (v, h, e, c)));
         }
         snap
     }
@@ -805,7 +778,7 @@ impl<'a> SchedulerCore<'a> {
     // `recovered` are empty and every view falls through to the mapping,
     // so the quiet path is bit-identical.
 
-    /// Current owner of `v` (static owner + recovery plans + migrations).
+    /// Current owner of `v` (static owner + recovery plans).
     fn owner_of(&self, v: usize) -> usize {
         *self.owners.get(&v).unwrap_or(&self.map.owner[v])
     }
@@ -1096,28 +1069,6 @@ impl<'a> SchedulerCore<'a> {
             }
         } else {
             self.views.hear(proc, now);
-        }
-    }
-
-    /// Applies one rebalancing migration: everyone updates the ownership
-    /// overlay; the donor drops the task (and its registered pieces), the
-    /// receiver adopts both.
-    fn apply_migration(&mut self, m: &Migration) {
-        self.owners.insert(m.node, m.to);
-        let upper = self.subtree_of(m.node).is_none();
-        if self.id == m.from {
-            remove_task(&mut self.pool, m.node);
-            self.nodes.at(m.node).cb_pieces.clear();
-            if upper {
-                self.load_change(-(m.flops as i64));
-            }
-        } else if self.id == m.to {
-            self.pool.push(m.node);
-            self.nodes.at(m.node).cb_pieces = m.pieces.clone();
-            if upper {
-                self.load_change(m.flops as i64);
-            }
-            self.try_start();
         }
     }
 
@@ -2015,14 +1966,12 @@ mod tests {
             s.activated = true;
             s.factors = 10 + v as u64;
             s.held = v as u64;
-            s.cb_pieces.push((1, 5, v - 1));
         }
         let snap = core.snapshot();
         assert_eq!(snap.done, [2, 4, 7, 9]);
         assert_eq!(snap.activated, [2, 4, 7, 9]);
         assert_eq!(snap.factors, [(2, 12), (4, 14), (7, 17), (9, 19)]);
         assert_eq!(snap.held, [(2, 2), (4, 4), (7, 7), (9, 9)]);
-        assert_eq!(snap.registered, [(2, 1, 5, 1), (4, 1, 5, 3), (7, 1, 5, 6), (9, 1, 5, 8)]);
         let mut stored: Vec<_> = core.factors_by_node().collect();
         stored.sort_unstable();
         assert_eq!(stored, snap.factors);

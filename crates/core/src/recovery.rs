@@ -22,8 +22,8 @@
 //!    Orphaned nodes are grouped into maximal connected components of the
 //!    assembly tree and each component is adopted whole, by the survivor
 //!    with the most memory headroom under the configured capacity —
-//!    memory-aware rebalancing with exact (snapshot, not stale-view)
-//!    memory state.
+//!    memory-aware adoption with exact (snapshot, not stale-view) memory
+//!    state.
 //! 3. **What bookkeeping must survivors repair?** Which contribution
 //!    blocks to garbage-collect (pieces produced by or for a recomputed
 //!    node are stale), which surviving pieces to re-register at the
@@ -43,7 +43,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use crate::proto::Migration;
 use mf_sim::FaultModel;
 
 /// Per-processor state the driver needs to build a recovery plan. Taken
@@ -66,11 +65,6 @@ pub struct RecoverySnapshot {
     pub held: Vec<(usize, u64)>,
     /// Nodes with unfinished work on this core (queued or running).
     pub inflight: Vec<usize>,
-    /// Ready tasks in the local pool.
-    pub pool: Vec<usize>,
-    /// Registered contribution blocks awaiting consumption, per owned
-    /// parent: `(parent, holder, entries, child)`.
-    pub registered: Vec<(usize, usize, u64, usize)>,
     /// Active memory (stack + fronts), in entries.
     pub active: u64,
 }
@@ -182,7 +176,7 @@ pub struct PlanInputs<'a> {
     /// Assembly tree.
     pub tree: &'a mf_symbolic::AssemblyTree,
     /// Current ownership overlay (the static mapping plus every prior
-    /// plan and migration).
+    /// plan).
     pub owners: &'a [usize],
     /// Liveness per processor after this kill.
     pub alive: &'a [bool],
@@ -372,17 +366,6 @@ pub fn digest_factors(stored: impl IntoIterator<Item = (usize, u64)>, n: usize) 
     h
 }
 
-/// One membership change already applied to the machine, kept so a late
-/// joiner can be replayed into the current ownership overlays before it
-/// receives any live traffic.
-#[derive(Debug, Clone)]
-pub enum MembershipChange {
-    /// A processor loss and its recovery plan.
-    Recover(RecoveryPlan),
-    /// A join-time rebalancing migration.
-    Migrate(Migration),
-}
-
 /// Driver-side membership orchestration state of the
 /// kill/join/recovery protocol: the fault schedule, the machine-wide
 /// liveness/ownership mirrors (the driver's copy of what every core's
@@ -397,16 +380,14 @@ pub struct Membership {
     pub alive: Vec<bool>,
     /// Join state per processor (scheduled joiners start dormant).
     pub joined: Vec<bool>,
-    /// Ownership mirror: static owners + every plan and migration.
+    /// Ownership mirror: static owners + every plan.
     pub owners: Vec<usize>,
-    /// Nodes recomputed by some plan (mirror of the cores' overlay).
-    pub recovered: Vec<bool>,
     /// Kill-time snapshot per dead processor.
     pub dead_snaps: Vec<Option<RecoverySnapshot>>,
     /// Deaths already recovered (the declaration arbiter's dedup).
     pub recovered_deaths: Vec<bool>,
-    /// Applied changes, in order, for joiner replay.
-    pub log: Vec<MembershipChange>,
+    /// Applied recovery plans, in order, for joiner replay.
+    pub log: Vec<RecoveryPlan>,
     /// Delivered-event counter the kill/join schedule is keyed on.
     pub delivered: u64,
     kills: VecDeque<(u64, usize)>,
@@ -425,7 +406,6 @@ impl Membership {
     /// Fresh state for a run: everyone alive, scheduled joiners dormant,
     /// ownership from the static mapping.
     pub fn new(nprocs: usize, owners: Vec<usize>, fault: Option<&FaultModel>) -> Self {
-        let n = owners.len();
         let mut kills: Vec<(u64, usize)> = fault.map(|f| f.kill_at.clone()).unwrap_or_default();
         kills.sort_unstable();
         let mut joins: Vec<(u64, usize)> = fault.map(|f| f.join_at.clone()).unwrap_or_default();
@@ -440,7 +420,6 @@ impl Membership {
             alive: vec![true; nprocs],
             joined,
             owners,
-            recovered: vec![false; n],
             dead_snaps: vec![None; nprocs],
             recovered_deaths: vec![false; nprocs],
             log: Vec::new(),
@@ -510,14 +489,8 @@ impl Membership {
         self.joined[proc] = true;
     }
 
-    /// Applies a migration to the ownership mirror and logs it.
-    pub fn note_migration(&mut self, m: &Migration) {
-        self.owners[m.node] = m.to;
-        self.log.push(MembershipChange::Migrate(m.clone()));
-    }
-
     /// Builds the recovery plan for the loss of `dead` (liveness must
-    /// already reflect the kill), updates the ownership mirrors, and
+    /// already reflect the kill), updates the ownership mirror, and
     /// logs the plan for joiner replay. `ledger` is the driver's
     /// obligation record, cleared for recovered nodes as a side effect.
     pub fn plan_loss(
@@ -538,10 +511,9 @@ impl Membership {
         let plan = build_plan(&inputs, dead, snaps, ledger);
         for pn in &plan.recompute {
             self.owners[pn.node] = pn.owner;
-            self.recovered[pn.node] = true;
         }
         self.recovered_deaths[dead] = true;
-        self.log.push(MembershipChange::Recover(plan.clone()));
+        self.log.push(plan.clone());
         plan
     }
 }

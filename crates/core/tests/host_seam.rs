@@ -80,9 +80,9 @@ fn the_loop_reaches_the_cores_only_through_the_host() {
     apply_liu_order(&mut tree, AssemblyDiscipline::FrontThenFree);
     // A hard capacity nothing fits under, first on a quiet machine
     // (broadcast blocks take the `apply_block` path), then with a kill
-    // and a join (recovery plans, log replay and rebalancing snapshot the
-    // cores; the forced-activation ladder queries them): between the two
-    // runs every entry point of the host is on the path.
+    // and a join (the kill and its recovery plan snapshot the cores; the
+    // forced-activation ladder queries them): between the two runs every
+    // entry point of the host is on the path.
     let quiet =
         SolverConfig { type2_front_min: 24, capacity: Some(1), ..SolverConfig::memory_based(5) };
     let membership = SolverConfig {
@@ -106,6 +106,6 @@ fn the_loop_reaches_the_cores_only_through_the_host() {
     }
     assert!(host.steps > 0 && host.status_blocks > 0, "events reach cores through the host");
     assert!(host.deferred_queries > 0, "the capacity ladder asks through the host");
-    assert!(host.snapshots > 0, "kill, plan and rebalance snapshot through the host");
+    assert!(host.snapshots > 0, "kill and plan snapshot through the host");
     assert_eq!(host.finishes, 2);
 }

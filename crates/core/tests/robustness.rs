@@ -149,9 +149,8 @@ proptest! {
         }
     }
 
-    /// Random join schedules: a dormant processor entering mid-run takes
-    /// migrated work without perturbing the factors, and the rebalance
-    /// leaves every stack empty at completion.
+    /// Random join schedules: a dormant processor entering mid-run does
+    /// not perturb the factors, and every stack is empty at completion.
     #[test]
     fn random_join_schedules_preserve_factors(
         seed in any::<u64>(),

@@ -336,7 +336,7 @@ pub fn audit_recording(nprocs: usize, rec: &Recording) -> Vec<Finding> {
                 ever_lost.insert(proc);
                 epoch += 1;
             }
-            SchedEvent::ProcJoined { proc, .. } => {
+            SchedEvent::ProcJoined { proc } => {
                 let proc = proc as usize;
                 check_proc(&mut findings, proc);
                 dead.remove(&proc);
@@ -517,7 +517,7 @@ mod tests {
         // After a rejoin both become legal again.
         let mut rec = Recording::new(None);
         rec.record(0, SchedEvent::ProcLost { proc: 2, nodes_lost: 0 });
-        rec.record(3, SchedEvent::ProcJoined { proc: 2, migrated: 0 });
+        rec.record(3, SchedEvent::ProcJoined { proc: 2 });
         rec.record(4, apply(2, &[(0, 1)]));
         assert_eq!(audit_recording(4, &rec), vec![]);
     }
@@ -586,7 +586,7 @@ mod tests {
             SchedEvent::FaultDrop { from: 1, to: bad },
             SchedEvent::Forced { proc: bad, node: 1, cost: 5 },
             SchedEvent::ProcLost { proc: bad, nodes_lost: 0 },
-            SchedEvent::ProcJoined { proc: bad, migrated: 0 },
+            SchedEvent::ProcJoined { proc: bad },
             SchedEvent::SubtreeReassigned { root: 1, from: bad, to: 1 },
             SchedEvent::SubtreeReassigned { root: 1, from: 1, to: bad },
             SchedEvent::CoreGrant { proc: bad, node: 1, cores: 2, busy: 1 },

@@ -70,7 +70,8 @@ pub struct FaultModel {
     /// Processor-join schedule: `(delivered-event index, proc)` pairs.
     /// The processor exists from the start of the run but stays dormant
     /// (not believed alive, receives nothing) until the index is reached,
-    /// then boots and is rebalanced into the pool.
+    /// then boots, replays the recovery plans applied so far and takes
+    /// work through the normal scheduling paths.
     pub join_at: Vec<(u64, usize)>,
 }
 

@@ -169,8 +169,6 @@ pub struct RecoveryCounters {
     /// Fronts whose elimination was re-executed (lost factors or lost
     /// contribution blocks).
     pub nodes_recomputed: u64,
-    /// Pool tasks migrated by join-time rebalancing rounds.
-    pub rebalance_migrations: u64,
     /// Orphaned contribution-block entries garbage-collected from
     /// surviving stacks during recovery.
     pub orphaned_cb_entries: u64,
@@ -188,7 +186,6 @@ impl RecoveryCounters {
         self.joins_observed += other.joins_observed;
         self.subtrees_reassigned += other.subtrees_reassigned;
         self.nodes_recomputed += other.nodes_recomputed;
-        self.rebalance_migrations += other.rebalance_migrations;
         self.orphaned_cb_entries += other.orphaned_cb_entries;
     }
 
@@ -199,12 +196,11 @@ impl RecoveryCounters {
         }
         format!(
             "recovery: {} kills, {} joins, {} subtrees reassigned, {} nodes recomputed, \
-             {} migrations, {} orphaned CB entries reclaimed",
+             {} orphaned CB entries reclaimed",
             self.kills_observed,
             self.joins_observed,
             self.subtrees_reassigned,
             self.nodes_recomputed,
-            self.rebalance_migrations,
             self.orphaned_cb_entries
         )
     }
@@ -213,12 +209,11 @@ impl RecoveryCounters {
         write!(
             out,
             "{{ \"kills_observed\": {}, \"joins_observed\": {}, \"subtrees_reassigned\": {}, \
-             \"nodes_recomputed\": {}, \"rebalance_migrations\": {}, \"orphaned_cb_entries\": {} }}",
+             \"nodes_recomputed\": {}, \"orphaned_cb_entries\": {} }}",
             self.kills_observed,
             self.joins_observed,
             self.subtrees_reassigned,
             self.nodes_recomputed,
-            self.rebalance_migrations,
             self.orphaned_cb_entries
         )
         .unwrap();

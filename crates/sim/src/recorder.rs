@@ -328,8 +328,6 @@ pub enum SchedEvent {
     ProcJoined {
         /// The joining processor.
         proc: u32,
-        /// Ready tasks migrated to it by the rebalancer.
-        migrated: usize,
     },
     /// Recovery reassigned an orphaned subtree to a surviving adopter.
     SubtreeReassigned {
@@ -722,7 +720,7 @@ mod tests {
             SchedEvent::FaultDrop { from: 1, to: 2 },
             SchedEvent::Forced { proc: 3, node: 8, cost: 999 },
             SchedEvent::ProcLost { proc: 5, nodes_lost: 14 },
-            SchedEvent::ProcJoined { proc: 6, migrated: 2 },
+            SchedEvent::ProcJoined { proc: 6 },
             SchedEvent::SubtreeReassigned { root: 33, from: 5, to: 1 },
             SchedEvent::CoreGrant { proc: 3, node: 41, cores: 4, busy: 7 },
         ];

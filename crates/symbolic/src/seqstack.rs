@@ -14,16 +14,11 @@ use crate::tree::AssemblyTree;
 /// Memory discipline used when a front finishes assembling its children.
 ///
 /// MUMPS assembles children CBs into the freshly allocated front and then
-/// frees them (`FrontThenFree`); the classical "in-place" analysis assumes
-/// CBs are consumed before the front is complete. We model the
-/// conservative MUMPS discipline.
+/// frees them (`FrontThenFree`), the one discipline modelled here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AssemblyDiscipline {
     /// Front allocated while all children CBs are still stacked.
     FrontThenFree,
-    /// Children CBs freed one by one while the front is assembled
-    /// (last-child in-place optimization).
-    InPlaceLastChild,
 }
 
 /// Per-subtree peaks for a given (current) child order.
@@ -50,14 +45,8 @@ fn node_peak(tree: &AssemblyTree, v: usize, peaks: &[u64], discipline: AssemblyD
         peak = peak.max(stacked + peaks[c]);
         stacked += tree.cb_entries(c);
     }
-    let assembly = match discipline {
-        AssemblyDiscipline::FrontThenFree => stacked + tree.front_entries(v),
-        AssemblyDiscipline::InPlaceLastChild => {
-            let last_cb = nd.children.last().map(|&c| tree.cb_entries(c)).unwrap_or(0);
-            stacked - last_cb + tree.front_entries(v)
-        }
-    };
-    peak.max(assembly)
+    let AssemblyDiscipline::FrontThenFree = discipline;
+    peak.max(stacked + tree.front_entries(v))
 }
 
 /// Stack peak of a full sequential factorization with the current child
@@ -157,15 +146,6 @@ mod tests {
         let after = apply_liu_order(&mut s.tree, AssemblyDiscipline::FrontThenFree);
         assert!(after <= before);
         assert!(s.tree.validate().is_ok());
-    }
-
-    #[test]
-    fn in_place_discipline_is_never_larger() {
-        let t = uneven_tree();
-        assert!(
-            sequential_peak(&t, AssemblyDiscipline::InPlaceLastChild)
-                <= sequential_peak(&t, AssemblyDiscipline::FrontThenFree)
-        );
     }
 
     #[test]
