@@ -51,11 +51,11 @@
 //!   schedule (default: kill processor 1 at delivered event 128) — the
 //!   runs are identical up to the membership event, and the diff shows
 //!   what the recovery machinery cost.
-//! * **timeline** runs one strategy with the telemetry sampler armed
-//!   and prints the time series to stdout as JSON Lines.
+//! * **timeline** runs one strategy sampled every `--every` ticks (a
+//!   read of each core, not an event) and prints the series as JSON Lines.
 //!
 //! `explain` and `check-all` are the only exporters: given `--obs-dir
-//! DIR`, they run with the sampler armed every `--every` ticks and write
+//! DIR`, they run sampled every `--every` ticks and write
 //! each cell's run summary and, per strategy, its Perfetto trace and its
 //! time series as JSON Lines (`mf_bench::obs::export_cell`).
 
@@ -73,13 +73,14 @@ use mf_sim::{
     SchedEvent, Time,
 };
 use mf_sparse::gen::paper::{PaperMatrix, ALL_PAPER_MATRICES};
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::PathBuf;
 
 /// The default sampling interval of `timeline` and of the exporters
 /// (virtual ticks). Paper-scale
 /// makespans run to a few hundred thousand ticks, so this yields on the
 /// order of a hundred samples per processor — dense enough for
-/// memory-evolution plots at one timer event per processor per interval.
+/// memory-evolution plots at one core read per processor per interval.
 const DEFAULT_SAMPLE_INTERVAL: u64 = 10_000;
 
 /// Every subcommand with its usage line. The line is the parser's
@@ -156,8 +157,8 @@ fn parse_args(mut args: impl Iterator<Item = String>, cmd: &str, line: &str) -> 
             v
         };
         match a.as_str() {
-            "--nprocs" => out.nprocs = number(&a, &value("an integer")),
-            "--every" => out.every = number(&a, &value("a tick count")),
+            "--nprocs" => out.nprocs = number::<NonZeroUsize>(&a, &value("an integer")).get(),
+            "--every" => out.every = number::<NonZeroU64>(&a, &value("a tick count")).get(),
             "--split" => out.split = Some(split_threshold_for()),
             "--cores" => out.cores = true,
             "--kill" => out.kills.push(parse_fault(&value("IDX:PROC"), "--kill")),
@@ -181,7 +182,7 @@ fn parse_args(mut args: impl Iterator<Item = String>, cmd: &str, line: &str) -> 
 }
 
 fn number<T: std::str::FromStr>(flag: &str, v: &str) -> T {
-    v.parse().unwrap_or_else(|_| die(&format!("{flag} needs an integer, got {v:?}")))
+    v.parse().unwrap_or_else(|_| die(&format!("{flag} needs a positive integer, got {v:?}")))
 }
 
 /// Paper scale with the flight recorder on (unbounded, so peak

@@ -581,14 +581,12 @@ fn ratio(v: u64, base: u64) -> f64 {
 }
 
 /// Robustness of each [`ROBUSTNESS_STRATEGIES`] entry on [`NPROCS`]
-/// processors, in three sections:
+/// processors, in two sections:
 ///
 /// * the perturbation ladder (`FaultModel::intensity`: latency jitter,
 ///   extra delay and reordering, status drops, a straggler at level 3),
 ///   three seeds per level on two cells, worst ratio over the seeds
 ///   against the unperturbed run; level 0 must equal that run exactly;
-/// * a hard cap at 1.2x the uncapped peak on every paper matrix, which
-///   no processor may exceed;
 /// * the membership curve: 0, 1, 2 and 4 processors killed mid-run and
 ///   one kill + join, recovered through the lease protocol and subtree
 ///   re-execution; every cell must reproduce the fault-free factor
@@ -596,8 +594,8 @@ fn ratio(v: u64, base: u64) -> f64 {
 ///
 /// Every run must complete. Perturbation draws are per message and
 /// kill/join indices count delivered events, so a change in the message
-/// count moves the perturbed and membership rows; level-0 and capacity
-/// rows move only with the schedule.
+/// count moves the perturbed and membership rows; level-0 rows move only
+/// with the schedule.
 fn robustness() {
     const INTENSITIES: [f64; 5] = [0.0, 0.5, 1.0, 2.0, 3.0];
     const SEEDS: [u64; 3] = [11, 23, 47];
@@ -621,8 +619,8 @@ fn robustness() {
         SEEDS.len()
     );
     println!(
-        "{:12} {:20} {:>5} {:>10} {:>7} {:>8} {:>7} {:>10}",
-        "matrix", "strategy", "level", "makespan x", "peak x", "dropped", "forced", "underflows"
+        "{:12} {:20} {:>5} {:>10} {:>7} {:>8} {:>10}",
+        "matrix", "strategy", "level", "makespan x", "peak x", "dropped", "underflows"
     );
     for (m, k) in pairs {
         let tree = build_tree(m, k, None);
@@ -648,61 +646,16 @@ fn robustness() {
                     runs.iter().map(|r| ratio(f(r), base)).fold(0.0, f64::max)
                 };
                 println!(
-                    "{:12} {:20} {:>5.1} {:>10.3} {:>7.3} {:>8} {:>7} {:>10}",
+                    "{:12} {:20} {:>5.1} {:>10.3} {:>7.3} {:>8} {:>10}",
                     m.name(),
                     name,
                     level,
                     worst(|r| r.makespan, plain.makespan),
                     worst(|r| r.max_peak, plain.max_peak),
                     runs.iter().map(|r| r.dropped_messages).sum::<u64>(),
-                    runs.iter().map(|r| r.forced_activations).sum::<u64>(),
                     runs.iter().flat_map(|r| &r.underflows).sum::<u64>()
                 );
             }
-        }
-    }
-
-    println!("\n== Hard cap at 1.2x the uncapped peak, METIS: no processor exceeds it ==");
-    println!(
-        "{:12} {:20} {:>9} {:>9} {:>9} {:>10} {:>6} {:>10} {:>9} {:>9} {:>10}",
-        "matrix",
-        "strategy",
-        "capacity",
-        "uncapped",
-        "capped",
-        "makespan x",
-        "forced",
-        "serialized",
-        "deferrals",
-        "stalled",
-        "underflows"
-    );
-    for m in ALL_PAPER_MATRICES {
-        let tree = build_tree(m, OrderingKind::Metis, None);
-        for (name, cfg, map, plain) in strategies(&tree) {
-            let cap = plain.max_peak + plain.max_peak / 5;
-            let capped = run_complete(&tree, &map, &SolverConfig { capacity: Some(cap), ..cfg });
-            assert!(
-                capped.peaks.iter().all(|&pk| pk <= cap),
-                "{} / {name}: capped peaks {:?} exceed {cap}",
-                m.name(),
-                capped.peaks
-            );
-            let procs = &capped.metrics.procs;
-            println!(
-                "{:12} {:20} {:>9} {:>9} {:>9} {:>10.3} {:>6} {:>10} {:>9} {:>9} {:>10}",
-                m.name(),
-                name,
-                cap,
-                plain.max_peak,
-                capped.max_peak,
-                ratio(capped.makespan, plain.makespan),
-                capped.forced_activations,
-                capped.metrics.serialized_fronts,
-                procs.iter().map(|p| p.deferrals).sum::<u64>(),
-                procs.iter().map(|p| p.stalled_ticks).sum::<u64>(),
-                capped.underflows.iter().sum::<u64>()
-            );
         }
     }
 

@@ -53,6 +53,8 @@ fn misspelt_arguments_are_usage_errors() {
     assert_eq!(mf_obs(&["diff", "strategies", "one.json"]).status.code(), Some(2), "stray path");
     let o = mf_obs(&["timeline", "--format", "csv", "--nprocs", "4"]);
     refused(o, "the series has one format", "--format");
+    refused(mf_obs(&["timeline", "--every", "0", "--nprocs", "4"]), "zero interval", "--every");
+    refused(mf_obs(&["timeline", "--nprocs", "0"]), "no processors", "--nprocs");
 }
 
 fn paper(args: &[&str]) -> Output {
@@ -116,17 +118,26 @@ fn cheap_reports_match_their_committed_results() {
 }
 
 /// `timeline` prints JSON Lines: one well-formed object per sample, as
-/// many as the sample count it reports on stderr.
+/// many as the sample count it reports on stderr; and, under each
+/// strategy, exactly the 380-line series pinned by its FNV-1a digest.
 #[test]
 fn timeline_prints_one_json_object_per_sample() {
-    let o = mf_obs(&["timeline", "--nprocs", "4"]);
-    assert!(o.status.success(), "timeline failed: {}", String::from_utf8_lossy(&o.stderr));
-    let out = stdout(&o);
-    for line in out.lines() {
-        mf_bench::obs::validate_json(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+    for (strategy, digest) in
+        [("memory", 0x9821_47a9_50e3_3156u64), ("baseline", 0x4541_24aa_7228_25f6)]
+    {
+        let o = mf_obs(&["timeline", "--nprocs", "4", "--strategy", strategy]);
+        assert!(o.status.success(), "timeline failed: {}", String::from_utf8_lossy(&o.stderr));
+        let out = stdout(&o);
+        for line in out.lines() {
+            mf_bench::obs::validate_json(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        }
+        let (n, err) = (out.lines().count(), String::from_utf8_lossy(&o.stderr));
+        assert!(n > 0 && err.contains(&format!(", {n} samples\n")), "{n} lines, stderr: {err}");
+        let fnv = out
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3));
+        assert_eq!(fnv, digest, "{strategy}: the sampled series moved");
     }
-    let (n, err) = (out.lines().count(), String::from_utf8_lossy(&o.stderr));
-    assert!(n > 0 && err.contains(&format!(", {n} samples\n")), "{n} lines, stderr: {err}");
 }
 
 #[test]

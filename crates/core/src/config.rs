@@ -134,14 +134,14 @@ pub struct SolverConfig {
     /// virtual time passes this many ticks (runaway guard). `None`
     /// disables the check.
     pub time_limit: Option<Time>,
-    /// Telemetry sampling interval in virtual ticks: every `sample_every`
-    /// ticks each core snapshots its stack/active memory, pool depth and
-    /// busy/stalled state read-only into the run's time series (see
-    /// `mf_sim::timeseries`). The sampler rides the same typed timer
-    /// protocol as the recovery heartbeat (`TIMER_SAMPLE`), so both
-    /// backends sample identically and sampling never perturbs the
-    /// schedule. `None` keeps the sampler off and the event stream
-    /// byte-identical to a build without it.
+    /// Telemetry sampling interval in virtual ticks: at every multiple
+    /// `s` of `sample_every`, before the first delivery at or after `s`,
+    /// the run loop reads each alive and joined core's stack/active
+    /// memory, pool depth and busy/stalled state into the run's time
+    /// series (see `mf_sim::timeseries`). A read is not an event, so both
+    /// backends sample identically and a sampled run delivers exactly the
+    /// unsampled run's events. `None` keeps the sampler off; a run with
+    /// `Some(0)` panics.
     pub sample_every: Option<Time>,
     /// How cores are allotted to each front's compute task (the
     /// malleable-tasks axis of Guermouche–Marchal–Simon–Vivien: a front

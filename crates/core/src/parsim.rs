@@ -16,7 +16,7 @@ use crate::config::SolverConfig;
 use crate::error::{RunDiagnostics, SimError};
 use crate::malleable::{compute_ticks, SpeedupCurve};
 use crate::mapping::StaticMapping;
-use crate::proto::{initial_loads, Effect, Input, Msg, SchedulerCore, Violation, TIMER_SAMPLE};
+use crate::proto::{initial_loads, Effect, Input, Msg, SchedulerCore, Violation, TIMER_LEASE};
 use crate::recovery::{digest_factors, Membership, RecoverySnapshot};
 use crate::views::{StatusDelta, ViewTable};
 use mf_sim::recorder::{id32, SchedEvent, TaskRole};
@@ -145,6 +145,8 @@ pub trait CoreHost<'a> {
     fn cheapest_deferred(&mut self, p: usize) -> Option<(u64, usize)>;
     /// [`SchedulerCore::snapshot`] of core `p`.
     fn snapshot(&mut self, p: usize) -> RecoverySnapshot;
+    /// [`SchedulerCore::sample`] of core `p`.
+    fn sample(&mut self, p: usize) -> SampleRow;
     /// Ends the run and hands every core over, in processor order: the
     /// per-processor final state results and diagnostics are built from.
     fn finish(&mut self) -> Vec<SchedulerCore<'a>>;
@@ -190,6 +192,9 @@ impl<'a> CoreHost<'a> for LocalCores<'a> {
     }
     fn snapshot(&mut self, p: usize) -> RecoverySnapshot {
         self.cores[p].snapshot()
+    }
+    fn sample(&mut self, p: usize) -> SampleRow {
+        self.cores[p].sample()
     }
     fn finish(&mut self) -> Vec<SchedulerCore<'a>> {
         std::mem::take(&mut self.cores)
@@ -263,13 +268,16 @@ struct SimDriver<'a> {
     /// key, after)`: a kill that takes completed fronts with it re-arms
     /// them, or nobody would be left to declare the loss.
     refused: Vec<(usize, u64, Time)>,
-    /// Sampled telemetry series; `None` = sampling disabled (the
-    /// zero-cost path: cores never arm the sampling timer).
+    /// Sampled telemetry series; `None` = sampling disabled.
     ts: Option<RunTimeseries>,
+    /// The next sample instant; `Time::MAX` with sampling disabled, so
+    /// the per-delivery check is one comparison that never passes.
+    next_sample: Time,
 }
 
 impl<'a> SimDriver<'a> {
     fn new(tree: &'a AssemblyTree, cfg: &'a SolverConfig) -> Self {
+        assert_ne!(cfg.sample_every, Some(0), "a zero sample interval never advances");
         SimDriver {
             tree,
             cfg,
@@ -294,13 +302,14 @@ impl<'a> SimDriver<'a> {
             track_obligations: false,
             refused: Vec::new(),
             ts: cfg.sample_every.map(|every| RunTimeseries::new(cfg.nprocs, every)),
+            next_sample: cfg.sample_every.unwrap_or(Time::MAX),
         }
     }
 
     /// All fronts are done over the live processors; the run only keeps
     /// going to drain in-flight live traffic (so the makespan matches the
-    /// recovery-off run), and the failure detector and the sampler stop
-    /// re-arming so their chains die out.
+    /// recovery-off run), and the failure detector stops re-arming so its
+    /// chain dies out.
     fn finishing(&self) -> bool {
         self.done >= self.tree.len()
     }
@@ -519,29 +528,27 @@ impl<'a> SimDriver<'a> {
                 });
             }
             Effect::Record(ev) => self.record_emitted(ev),
-            Effect::Sample { active, stack, pool_depth, queued, busy, stalled } => {
-                // The driver stamps the snapshot with the virtual time
-                // and its cumulative traffic counters.
-                let at = self.sim.now();
-                let (control_msgs, status_msgs) =
-                    (self.metrics.control_msgs, self.metrics.status_msgs);
-                if let Some(ts) = self.ts.as_mut() {
-                    ts.push(
-                        p,
-                        SampleRow {
-                            at,
-                            active,
-                            stack,
-                            pool_depth,
-                            queued,
-                            busy,
-                            stalled,
-                            control_msgs,
-                            status_msgs,
-                        },
-                    );
+        }
+    }
+
+    /// Before the delivery just popped: for each sample instant `s` up to
+    /// now, one row per alive and joined processor, in processor order,
+    /// stamped with `s` and the traffic counters — the state after every
+    /// event earlier than `s`. A read, not a delivery: the events, and the
+    /// indices kills and joins key on, are the unsampled run's.
+    #[cold]
+    #[inline(never)]
+    fn sample_due(&mut self, host: &mut impl CoreHost<'a>, ms: Option<&Membership>) {
+        let (Some(ts), Some(every)) = (self.ts.as_mut(), self.cfg.sample_every) else { return };
+        let (control_msgs, status_msgs) = (self.metrics.control_msgs, self.metrics.status_msgs);
+        while self.next_sample <= self.sim.now() {
+            let s = self.next_sample;
+            for p in 0..self.cfg.nprocs {
+                if ms.is_none_or(|m| m.alive[p] && m.joined[p]) {
+                    ts.push(p, SampleRow { at: s, control_msgs, status_msgs, ..host.sample(p) });
                 }
             }
+            self.next_sample = s.saturating_add(every);
         }
     }
 
@@ -853,6 +860,9 @@ pub fn run_hosted<'a>(
     }
     'run: loop {
         while let Some(delivery) = drv.sim.pop() {
+            if drv.sim.now() >= drv.next_sample {
+                drv.sample_due(host, membership.as_ref());
+            }
             // `any`: some event of this pop reached a core; `last`: the
             // final one did (an event with a dead or dormant endpoint
             // reaches nobody and skips the per-event epilogue below).
@@ -867,7 +877,7 @@ pub fn run_hosted<'a>(
                         EventPayload::Message { msg, .. } if !matches!(msg, Msg::Heartbeat) => {
                             drv.live_events -= 1;
                         }
-                        EventPayload::Timer { key, .. } if *key < TIMER_SAMPLE => {
+                        EventPayload::Timer { key, .. } if *key < TIMER_LEASE => {
                             drv.live_events -= 1
                         }
                         _ => {}
@@ -961,17 +971,6 @@ pub fn run_hosted<'a>(
                     && !ms.undeclared_dead()
                 {
                     drv.force_one_deferred(host, Some(&*ms))?;
-                }
-            } else if cfg.sample_every.is_some() && drv.finishing() {
-                // Sampler-aware termination: without membership the
-                // sampler's self-re-arming timer chain never lets the
-                // queue drain, so completion is checked per event. Once
-                // every front is done the sampler stops re-arming and
-                // the run breaks the moment the last live event is
-                // processed — the clock never advances past the
-                // sampler-off makespan.
-                if drv.live_events == 0 {
-                    break 'run;
                 }
             }
         }
@@ -1155,14 +1154,16 @@ mod tests {
         let map = compute_mapping(&tree, &cfg0);
         let plain = run(&tree, &map, &cfg0).unwrap();
         assert!(plain.timeseries.is_none());
-        let cfg = SolverConfig { sample_every: Some(50), ..cfg0 };
+        let cfg = SolverConfig { sample_every: Some(50), ..cfg0.clone() };
         let r1 = run(&tree, &map, &cfg).unwrap();
         let r2 = run(&tree, &map, &cfg).unwrap();
         // Sampling must never perturb the schedule: identical peaks,
-        // makespan, messages, and a bit-identical decision recording.
+        // makespan, messages, delivered events, and a bit-identical
+        // decision recording.
         assert_eq!(r1.peaks, plain.peaks);
         assert_eq!(r1.makespan, plain.makespan);
         assert_eq!(r1.messages, plain.messages);
+        assert_eq!(r1.events_delivered, plain.events_delivered);
         assert_eq!(r1.recording, plain.recording, "recorded decisions must not move");
         // The series itself is deterministic, covers every processor,
         // stays within the run, and reflects real memory state.
@@ -1176,6 +1177,29 @@ mod tests {
             }
         }
         assert!((0..4).any(|p| ts.proc(p).iter().any(|r| r.active > 0 || r.stack > 0)));
+
+        // A kill keyed on a delivered-event index past the first sample
+        // instant lands on the same event sampled or not: a sample is a
+        // read, not a delivery.
+        let killed = SolverConfig {
+            recovery: Some(crate::config::RecoveryConfig::default()),
+            fault: Some(mf_sim::FaultModel {
+                kill_at: vec![(1000, 1)],
+                ..mf_sim::FaultModel::quiet(1)
+            }),
+            ..cfg0
+        };
+        let plain = run(&tree, &map, &killed).unwrap();
+        let r = run(&tree, &map, &SolverConfig { sample_every: Some(50), ..killed }).unwrap();
+        assert_eq!(plain.dead, vec![1]);
+        assert_eq!(r.recording, plain.recording, "recorded decisions must not move");
+        assert_eq!(r.peaks, plain.peaks);
+        assert_eq!(r.makespan, plain.makespan);
+        assert_eq!(r.metrics.recovery, plain.metrics.recovery);
+        assert_eq!(r.events_delivered, plain.events_delivered);
+        // The victim was sampled while alive, and not once dead.
+        let ts = r.timeseries.as_ref().unwrap();
+        assert!(!ts.proc(1).is_empty() && ts.proc(1).len() < ts.proc(0).len());
     }
 
     #[test]

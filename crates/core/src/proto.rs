@@ -37,7 +37,7 @@ use crate::views::{StatusDelta, ViewTable, Views};
 use mf_sim::recorder::{
     id32, FrontClass, MemArea, SchedEvent, SlaveChoice, SlavePick, StatusKind, TaskRole,
 };
-use mf_sim::{CoreMetrics, MsgClass, ProcMemory, Time};
+use mf_sim::{CoreMetrics, MsgClass, ProcMemory, SampleRow, Time};
 use mf_symbolic::AssemblyTree;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, DefaultHasher};
@@ -47,12 +47,10 @@ use std::sync::LazyLock;
 /// work-ledger key: work keys are ledger indices, far below the top of
 /// the `u64` range).
 pub const TIMER_HEARTBEAT: u64 = u64::MAX;
-/// Timer key of the periodic lease check.
+/// Timer key of the periodic lease check (the lowest reserved key: the
+/// driver's quiescence accounting treats every key at or above it as
+/// failure-detector chatter rather than live work).
 pub const TIMER_LEASE: u64 = u64::MAX - 1;
-/// Timer key of the telemetry sampler (the lowest reserved key: the
-/// drivers' quiescence accounting treats every key at or above it as
-/// protocol chatter rather than live work).
-pub const TIMER_SAMPLE: u64 = u64::MAX - 2;
 
 /// Wire size of every status message. One size is what makes folding
 /// same-kind deltas exact: equal sizes mean equal arrival instants.
@@ -328,8 +326,7 @@ pub enum Effect {
     /// A driver whose network is partitioned refuses to re-arm, which is
     /// what lets a partitioned run drain and fail cleanly.
     Arm {
-        /// Timer key ([`TIMER_HEARTBEAT`], [`TIMER_LEASE`] or
-        /// [`TIMER_SAMPLE`]).
+        /// Timer key ([`TIMER_HEARTBEAT`] or [`TIMER_LEASE`]).
         key: u64,
         /// Delay until the timer fires, in ticks.
         after: Time,
@@ -341,26 +338,6 @@ pub enum Effect {
     DeclareDead {
         /// The silent processor.
         proc: usize,
-    },
-    /// A read-only telemetry snapshot taken by the sampling timer
-    /// (only emitted when [`SolverConfig::sample_every`] is set). The
-    /// driver stamps it with the current virtual time and its own
-    /// traffic counters and appends it to the run's time series; the
-    /// core mutates nothing while sampling, which is what keeps
-    /// sampled and unsampled schedules bit-identical.
-    Sample {
-        /// Active (front-area) entries at sample time.
-        active: u64,
-        /// Contribution-block stack entries at sample time.
-        stack: u64,
-        /// Ready tasks in the local pool.
-        pool_depth: u32,
-        /// Slave tasks queued behind the current computation.
-        queued: u32,
-        /// Whether the compute unit was occupied.
-        busy: bool,
-        /// Whether the core was stalled by the capacity check.
-        stalled: bool,
     },
     /// A flight-recorder decision event (only emitted when the core was
     /// built with recording enabled, preserving the recorder's
@@ -520,9 +497,6 @@ pub struct SchedulerCore<'a> {
     /// Whether the heartbeat/lease timers were armed (once, on the first
     /// tick of a recovery-configured run).
     timers_armed: bool,
-    /// Whether the telemetry sampling timer was armed (once, on the
-    /// first tick of a run with `sample_every` set).
-    sampler_armed: bool,
     /// Owners of the nodes a recovery plan moved, consulted before the
     /// static mapping's. Empty on fault-free runs.
     owners: BTreeMap<usize, usize>,
@@ -593,7 +567,6 @@ impl<'a> SchedulerCore<'a> {
                 j
             },
             timers_armed: false,
-            sampler_armed: false,
             owners: BTreeMap::new(),
             recovered: BTreeSet::new(),
             forced: 0,
@@ -613,7 +586,6 @@ impl<'a> SchedulerCore<'a> {
         match input {
             Input::Tick => {
                 self.maybe_arm_detector();
-                self.maybe_arm_sampler();
                 self.try_start();
             }
             Input::Deliver { from, msg } => {
@@ -624,7 +596,6 @@ impl<'a> SchedulerCore<'a> {
             }
             Input::TimerFired { key: TIMER_HEARTBEAT } => self.heartbeat_fired(),
             Input::TimerFired { key: TIMER_LEASE } => self.lease_fired(),
-            Input::TimerFired { key: TIMER_SAMPLE } => self.sample_fired(),
             Input::TimerFired { key } => self.work_done(key as usize),
             Input::Force { node } => self.force_activate(node),
             Input::Recover { plan } => self.apply_plan(&plan),
@@ -714,6 +685,21 @@ impl<'a> SchedulerCore<'a> {
         best
     }
 
+    /// The core-local fields of a telemetry sample: memory, pool and
+    /// queue depths, busy and stalled state. Read-only — the driver stamps
+    /// `at` and its traffic counters over the zeros it leaves there.
+    pub fn sample(&self) -> SampleRow {
+        SampleRow {
+            active: self.mem.active(),
+            stack: self.mem.stack(),
+            pool_depth: self.pool.len() as u32,
+            queued: self.slave_queue.len() as u32,
+            busy: self.busy,
+            stalled: self.stalled_since.is_some(),
+            ..Default::default()
+        }
+    }
+
     /// Diagnostic snapshot of this processor for error reports.
     pub fn proc_diag(&self) -> ProcDiag {
         ProcDiag {
@@ -739,26 +725,8 @@ impl<'a> SchedulerCore<'a> {
     /// builder needs to know about what lives (or lived) here. Taken
     /// from survivors at plan time and from a dying core at kill time.
     pub fn snapshot(&self) -> RecoverySnapshot {
-        let mut inflight: Vec<usize> = self
-            .works
-            .iter()
-            .enumerate()
-            .filter(|&(k, _)| !self.done_works[k] && !self.cancelled[k])
-            .map(|(_, w)| match *w {
-                Work::Elim { node, .. }
-                | Work::MasterPart { node, .. }
-                | Work::Slave { node, .. }
-                | Work::RootShare { node, .. } => node,
-            })
-            .collect();
-        inflight.sort_unstable();
-        inflight.dedup();
-        let mut snap = RecoverySnapshot {
-            proc: self.id,
-            inflight,
-            active: self.mem.active(),
-            ..Default::default()
-        };
+        let mut snap =
+            RecoverySnapshot { proc: self.id, active: self.mem.active(), ..Default::default() };
         // Ascending node order: recovery plans are built from these lists.
         let mut nodes: Vec<_> = self.nodes.0.iter().collect();
         nodes.sort_unstable_by_key(|&(&v, _)| v);
@@ -828,37 +796,6 @@ impl<'a> SchedulerCore<'a> {
         }
         self.out.push(Effect::Arm { key: TIMER_HEARTBEAT, after: rc.heartbeat_every });
         self.out.push(Effect::Arm { key: TIMER_LEASE, after: rc.heartbeat_every });
-    }
-
-    // ---------- telemetry sampling ----------
-
-    /// Arms the sampling timer once, on the first tick of a run with a
-    /// sampling interval configured. Runs without sampling never arm
-    /// it, preserving their event streams byte for byte.
-    fn maybe_arm_sampler(&mut self) {
-        let Some(every) = self.cfg.sample_every else { return };
-        if self.sampler_armed {
-            return;
-        }
-        self.sampler_armed = true;
-        self.out.push(Effect::Arm { key: TIMER_SAMPLE, after: every });
-    }
-
-    /// Periodic telemetry sample: snapshot the core's observable state
-    /// read-only, emit it, re-arm. This handler must never call
-    /// [`SchedulerCore::try_start`] or touch decision state — schedule
-    /// invariance under sampling depends on it.
-    fn sample_fired(&mut self) {
-        let Some(every) = self.cfg.sample_every else { return };
-        self.out.push(Effect::Sample {
-            active: self.mem.active(),
-            stack: self.mem.stack(),
-            pool_depth: self.pool.len() as u32,
-            queued: self.slave_queue.len() as u32,
-            busy: self.busy,
-            stalled: self.stalled_since.is_some(),
-        });
-        self.out.push(Effect::Arm { key: TIMER_SAMPLE, after: every });
     }
 
     /// Periodic heartbeat: renew this core's lease at every reachable

@@ -63,8 +63,6 @@ pub struct RecoverySnapshot {
     /// `(producing node, entries)`. At most one piece per producer per
     /// holder.
     pub held: Vec<(usize, u64)>,
-    /// Nodes with unfinished work on this core (queued or running).
-    pub inflight: Vec<usize>,
     /// Active memory (stack + fronts), in entries.
     pub active: u64,
 }

@@ -1,6 +1,6 @@
 //! The seam the threaded backend depends on: the run loop reaches the
 //! cores only through [`CoreHost`]. A wrapper that counts every call
-//! around the in-process host must see all five entry points used and
+//! around the in-process host must see all six entry points used and
 //! leave the result exactly [`parsim::run`]'s — a loop that kept (or
 //! built) cores or a view table of its own would leave the counters at
 //! zero.
@@ -12,7 +12,7 @@ use mf_core::proto::{Effect, Input, SchedulerCore, Violation};
 use mf_core::recovery::RecoverySnapshot;
 use mf_core::views::StatusDelta;
 use mf_order::OrderingKind;
-use mf_sim::{FaultModel, Time};
+use mf_sim::{FaultModel, SampleRow, Time};
 use mf_sparse::gen::grid::{grid2d, Stencil};
 use mf_symbolic::seqstack::{apply_liu_order, AssemblyDiscipline};
 use mf_symbolic::AmalgamationOptions;
@@ -26,6 +26,7 @@ struct Counting<'a> {
     status_blocks: u64,
     deferred_queries: u64,
     snapshots: u64,
+    samples: u64,
     finishes: u64,
 }
 
@@ -66,6 +67,10 @@ impl<'a> CoreHost<'a> for Counting<'a> {
         self.snapshots += 1;
         self.cores().snapshot(p)
     }
+    fn sample(&mut self, p: usize) -> SampleRow {
+        self.samples += 1;
+        self.cores().sample(p)
+    }
     fn finish(&mut self) -> Vec<SchedulerCore<'a>> {
         self.finishes += 1;
         self.cores().finish()
@@ -79,10 +84,10 @@ fn the_loop_reaches_the_cores_only_through_the_host() {
     let mut tree = mf_symbolic::analyze(&a, &perm, &AmalgamationOptions::default()).tree;
     apply_liu_order(&mut tree, AssemblyDiscipline::FrontThenFree);
     // A hard capacity nothing fits under, first on a quiet machine
-    // (broadcast blocks take the `apply_block` path), then with a kill
-    // and a join (the kill and its recovery plan snapshot the cores; the
-    // forced-activation ladder queries them): between the two runs every
-    // entry point of the host is on the path.
+    // (broadcast blocks take the `apply_block` path), then sampled, with a
+    // kill and a join (the sampler reads the cores, the kill and its plan
+    // snapshot them, the forced-activation ladder queries them): between
+    // the two runs every entry point of the host is on the path.
     let quiet =
         SolverConfig { type2_front_min: 24, capacity: Some(1), ..SolverConfig::memory_based(5) };
     let membership = SolverConfig {
@@ -92,6 +97,7 @@ fn the_loop_reaches_the_cores_only_through_the_host() {
             join_at: vec![(256, 4)],
             ..FaultModel::quiet(1)
         }),
+        sample_every: Some(50),
         ..quiet.clone()
     };
     let map = compute_mapping(&tree, &quiet);
@@ -107,5 +113,6 @@ fn the_loop_reaches_the_cores_only_through_the_host() {
     assert!(host.steps > 0 && host.status_blocks > 0, "events reach cores through the host");
     assert!(host.deferred_queries > 0, "the capacity ladder asks through the host");
     assert!(host.snapshots > 0, "kill and plan snapshot through the host");
+    assert!(host.samples > 0, "the sampler reads through the host");
     assert_eq!(host.finishes, 2);
 }

@@ -97,10 +97,9 @@ fn step(
                 sim.schedule_timer(p, (flops / FLOPS_PER_TICK).max(1), key)
             }
             Effect::Alloc { .. } | Effect::Free { .. } | Effect::Record(_) => {}
-            // This harness drives quiet runs only: no recovery config and
-            // no sampling interval, so the cores never arm the failure
-            // detector or the telemetry sampler.
-            Effect::Arm { .. } | Effect::DeclareDead { .. } | Effect::Sample { .. } => {
+            // This harness drives quiet runs only: no recovery config, so
+            // the cores never arm the failure detector.
+            Effect::Arm { .. } | Effect::DeclareDead { .. } => {
                 panic!("timer-protocol effect in a quiet run")
             }
         }

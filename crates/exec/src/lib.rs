@@ -27,7 +27,7 @@ use mf_core::proto::{initial_loads, Effect, Input, SchedulerCore, Violation};
 use mf_core::recovery::RecoverySnapshot;
 use mf_core::views::{StatusDelta, ViewTable};
 use mf_sim::recorder::{id32, MemArea};
-use mf_sim::Time;
+use mf_sim::{SampleRow, Time};
 use mf_symbolic::AssemblyTree;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -77,6 +77,8 @@ enum Cmd {
     CheapestDeferred,
     /// Report a recovery snapshot of the core's current state.
     Snapshot,
+    /// Report the core-local fields of a telemetry sample.
+    Sample,
     /// Hand the core and the ledger over and exit.
     Finish,
 }
@@ -87,6 +89,7 @@ enum Reply<'a> {
     Age(Option<Time>),
     Deferred(Option<(u64, usize)>),
     Snapshot(Box<RecoverySnapshot>),
+    Sample(SampleRow),
     Final(Box<(SchedulerCore<'a>, Ledger)>),
 }
 
@@ -185,6 +188,7 @@ fn worker<'a>(
             Cmd::Status { at, from, delta } => Reply::Age(core.apply_status(at, from, delta)),
             Cmd::CheapestDeferred => Reply::Deferred(core.cheapest_deferred()),
             Cmd::Snapshot => Reply::Snapshot(Box::new(core.snapshot())),
+            Cmd::Sample => Reply::Sample(core.sample()),
             Cmd::Finish => {
                 let _ = tx.send(Reply::Final(Box::new((core, ledger))));
                 return;
@@ -268,6 +272,13 @@ impl<'a> CoreHost<'a> for Workers<'a> {
             unreachable!("one reply kind per command");
         };
         *s
+    }
+
+    fn sample(&mut self, p: usize) -> SampleRow {
+        let Reply::Sample(row) = self.call(p, Cmd::Sample) else {
+            unreachable!("one reply kind per command");
+        };
+        row
     }
 
     fn finish(&mut self) -> Vec<SchedulerCore<'a>> {

@@ -19,8 +19,8 @@
 //!   [`SchedEvent`] type from emission to replay;
 //! * [`metrics`] — an always-on registry of run-wide counters and
 //!   histograms;
-//! * [`timeseries`] — the sampling timer's periodic telemetry snapshots,
-//!   kept whole per processor and exported as JSONL;
+//! * [`timeseries`] — periodic telemetry rows the run loop reads from
+//!   the cores, kept whole per processor and exported as JSONL;
 //! * [`audit`] — replays a recording and verifies the protocol's
 //!   conservation and ordering invariants as typed findings;
 //! * [`perfetto`] / [`attribution`] — exporters that turn a recording

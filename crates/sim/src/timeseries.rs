@@ -1,15 +1,14 @@
-//! Time-resolved telemetry series sampled by the scheduler core.
+//! Time-resolved telemetry series read from the scheduler cores.
 //!
 //! The metrics registry folds a run to one end-of-run snapshot; this
-//! module keeps the *trajectory*. A sampling timer in `mf-core`
-//! (`TIMER_SAMPLE`, armed only when the solver configuration sets a
-//! sampling interval) emits one read-only snapshot per processor per
-//! simulated-time interval, and the driver appends it here stamped
-//! with the virtual time and the run-wide traffic counters. Because
-//! the snapshot rides the same typed timer protocol as the recovery
-//! heartbeat/lease timers, both backends produce bit-identical series
-//! and sampling provably never perturbs the schedule (the drivers
-//! assert this in their invariance tests).
+//! module keeps the *trajectory*. When the solver configuration sets a
+//! sampling interval, `mf-core`'s run loop takes one row per alive and
+//! joined processor at every multiple `s` of it: before the first
+//! delivery at or after `s`, it reads each core and stamps the row with
+//! `s` and the run-wide traffic counters. The read is not an event, so
+//! both backends produce bit-identical series and a sampled run delivers
+//! exactly the unsampled run's events (the invariance tests of
+//! `mf_core::parsim` assert this, a kill/recovery run included).
 //!
 //! Every sample is kept: a run yields one row per processor per
 //! interval, a few hundred at paper scale and the default interval.
@@ -21,9 +20,9 @@ use crate::engine::Time;
 use std::io::{self, Write};
 
 /// One sample of a single processor at one instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SampleRow {
-    /// Virtual time the sampling timer fired.
+    /// The sample instant: a multiple of the interval.
     pub at: Time,
     /// Active (front-area) entries held by the processor.
     pub active: u64,
@@ -44,7 +43,7 @@ pub struct SampleRow {
 }
 
 /// The sampled trajectory of one run: every processor's samples, oldest
-/// first, plus the configured interval. Built by the drivers (both
+/// first, plus the configured interval. Built by the run loop (both
 /// backends, identically) whenever sampling is enabled; the
 /// cross-backend invariance tests assert its equality.
 #[derive(Debug, Clone, PartialEq, Eq)]
