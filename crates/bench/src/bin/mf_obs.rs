@@ -64,6 +64,7 @@ use mf_bench::sweep::{
     build_tree, paper_scale_config, split_threshold_for, sweep_cell, CellResult,
 };
 use mf_core::config::{RecoveryConfig, SolverConfig};
+use mf_core::malleable::CORES_PER_PROC;
 use mf_core::mapping::compute_mapping;
 use mf_core::parsim::{self, RunResult};
 use mf_core::CoreAlloc;
@@ -496,8 +497,7 @@ fn recovery_replay(args: &CellArgs) {
 fn core_timeline(args: &CellArgs) {
     let tree = build_tree(args.matrix, args.ordering, args.split);
     let cfg_static = recorded_cfg(args.nprocs).with_memory_strategy();
-    let cfg_mall =
-        SolverConfig { core_alloc: CoreAlloc::malleable(4 * args.nprocs), ..cfg_static.clone() };
+    let cfg_mall = SolverConfig { core_alloc: CoreAlloc::Malleable, ..cfg_static.clone() };
     let fixed = run_cell(args, &cfg_static);
     let r = run_cell(args, &cfg_mall);
     let rec = recording(&r);
@@ -527,7 +527,7 @@ fn core_timeline(args: &CellArgs) {
     println!(
         "\n{} grant decision(s) recorded; pool {} cores over {} processors:",
         grants.len(),
-        4 * args.nprocs,
+        CORES_PER_PROC * args.nprocs,
         args.nprocs
     );
     let show = 20usize.min(grants.len());

@@ -34,6 +34,7 @@ use mf_bench::sweep::{
 use mf_core::blocking::equal_entry_blocks;
 use mf_core::config::{RecoveryConfig, SlaveSelection, SolverConfig, TaskSelection};
 use mf_core::driver::{percent_decrease, percent_increase};
+use mf_core::malleable::{CORES_PER_PROC, MAX_CORES_PER_FRONT};
 use mf_core::mapping::{compute_mapping, StaticMapping};
 use mf_core::parsim::{self, RunResult};
 use mf_core::CoreAlloc;
@@ -523,7 +524,7 @@ fn malleable() {
         };
         // Budgets 1, 2 and 4 are feasible on 4 cores; 8 is the oracle.
         let [s1, s2, s4, oracle] = [1, 2, 4, 8].map(|c| makespan(CoreAlloc::Static(c)));
-        let mall = makespan(CoreAlloc::malleable(4 * NPROCS));
+        let mall = makespan(CoreAlloc::Malleable);
         let best = s1.min(s2).min(s4);
         wins += (paper && mall <= best) as usize;
         println!(
@@ -535,10 +536,10 @@ fn malleable() {
     }
     println!(
         "\nmalleable ties/beats best feasible static on {wins}/8 paper matrices \
-         (acceptance floor: 6/8); machine = {NPROCS} procs x 4 cores \
-         (pool {}), malleable may borrow idle peers' cores up to 8/front; \
+         (acceptance floor: 6/8); machine = {NPROCS} procs x {CORES_PER_PROC} cores \
+         (pool {}), malleable may borrow idle peers' cores up to {MAX_CORES_PER_FRONT}/front; \
          oracle8 assumes 8 resident cores everywhere (2x the machine)",
-        4 * NPROCS
+        CORES_PER_PROC * NPROCS
     );
     assert!(wins >= 6, "malleable won only {wins}/8 — below the 6/8 acceptance floor");
 }

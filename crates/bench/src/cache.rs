@@ -21,7 +21,6 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use mf_core::config::SolverConfig;
 use mf_core::driver::{prepare_tree, ExperimentInput};
 use mf_order::OrderingKind;
 use mf_sparse::gen::paper::PaperMatrix;
@@ -49,7 +48,7 @@ pub fn cached_tree(m: PaperMatrix, k: OrderingKind, split: Option<u64>) -> Arc<A
         Arc::new(match split {
             None => {
                 let input = ExperimentInput { matrix: &m.instantiate(), ordering: k };
-                prepare_tree(&input, &SolverConfig::default())
+                prepare_tree(&input, None)
             }
             Some(t) => {
                 let mut tree = (*cached_tree(m, k, None)).clone();

@@ -66,7 +66,7 @@ fn sim_and_threads_produce_the_same_result_under_every_strategy() {
         (
             "malleable",
             SolverConfig {
-                core_alloc: CoreAlloc::malleable(4 * nprocs),
+                core_alloc: CoreAlloc::Malleable,
                 ..observed(nprocs).with_memory_strategy()
             },
         ),

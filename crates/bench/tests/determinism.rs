@@ -6,7 +6,6 @@
 use mf_bench::sweep::{
     paper_scale_config, run_strategies, sweep_cell, sweep_cells, CellResult, CellSpec,
 };
-use mf_core::config::SolverConfig;
 use mf_core::driver::{prepare_tree, ExperimentInput};
 use mf_order::OrderingKind;
 use mf_sparse::gen::paper::PaperMatrix;
@@ -99,8 +98,8 @@ fn cached_sweep_equals_cells_rebuilt_from_scratch() {
     // artifact cache gives.
     let specs = grid();
     for (&(m, k, nprocs, split), c) in specs.iter().zip(&sweep_cells(&specs)) {
-        let cfg = SolverConfig { split_threshold: split, ..paper_scale_config(nprocs) };
-        let tree = prepare_tree(&ExperimentInput { matrix: &m.instantiate(), ordering: k }, &cfg);
+        let cfg = paper_scale_config(nprocs);
+        let tree = prepare_tree(&ExperimentInput { matrix: &m.instantiate(), ordering: k }, split);
         let (baseline, memory) = run_strategies(&tree, &cfg);
         for (scratch, cached) in [(&baseline, &c.baseline), (&memory, &c.memory)] {
             assert_eq!(

@@ -21,8 +21,7 @@ fn malleable_allocation_never_loses_to_static() {
             let tree = build_tree(m, k, split);
             for nprocs in [16usize, 32] {
                 let fixed = paper_scale_config(nprocs).with_memory_strategy();
-                let malleable =
-                    SolverConfig { core_alloc: CoreAlloc::malleable(4 * nprocs), ..fixed.clone() };
+                let malleable = SolverConfig { core_alloc: CoreAlloc::Malleable, ..fixed.clone() };
                 let map = compute_mapping(&tree, &fixed);
                 let st = parsim::run(&tree, &map, &fixed).expect("static run");
                 let ml = parsim::run(&tree, &map, &malleable).expect("malleable run");

@@ -93,9 +93,6 @@ pub struct SolverConfig {
     /// Section 5.1: predict imminent activations of large master tasks
     /// and account for them in the memory metric.
     pub use_prediction: bool,
-    /// Static splitting threshold on master-part entries (Section 6);
-    /// `None` disables splitting.
-    pub split_threshold: Option<u64>,
     /// Memory-aware subtree definition (the paper's conclusion: "splitting
     /// subtrees with large memory peaks, especially for symmetric
     /// matrices"): the Geist-Ng construction also splits any candidate
@@ -148,7 +145,7 @@ pub struct SolverConfig {
     /// is a task whose processing time shrinks with allotted cores).
     /// `Static(n)` grants every front `n` cores — `Static(1)`, the
     /// default, reproduces the pre-malleable scheduler byte for byte.
-    /// `Malleable{..}` makes the grant a per-front scheduling decision
+    /// `Malleable` makes the grant a per-front scheduling decision
     /// (see [`CoreAlloc`]); each grant is carried on
     /// `Effect::StartCompute`, shortens the modelled compute duration
     /// through the shared [`crate::malleable::compute_ticks`] formula,
@@ -170,7 +167,6 @@ impl Default for SolverConfig {
             task_selection: TaskSelection::Lifo,
             use_subtree_info: false,
             use_prediction: false,
-            split_threshold: None,
             subtree_peak_factor: None,
             record_events: false,
             event_capacity: None,

@@ -23,23 +23,25 @@ pub struct ExperimentInput<'a> {
     pub ordering: OrderingKind,
 }
 
-/// Builds the (possibly split) assembly tree for an experiment.
-pub fn prepare_tree(input: &ExperimentInput<'_>, cfg: &SolverConfig) -> AssemblyTree {
+/// Builds the assembly tree for an experiment, its large type-2 masters
+/// split at `split` master-part entries (Section 6) when given.
+pub fn prepare_tree(input: &ExperimentInput<'_>, split: Option<u64>) -> AssemblyTree {
     let perm = input.ordering.compute(input.matrix);
     let mut s = mf_symbolic::analyze(input.matrix, &perm, &AmalgamationOptions::default());
     apply_liu_order(&mut s.tree, AssemblyDiscipline::FrontThenFree);
-    if let Some(threshold) = cfg.split_threshold {
+    if let Some(threshold) = split {
         mf_symbolic::split::split_large_masters(&mut s.tree, threshold);
     }
     s.tree
 }
 
-/// Runs one experiment cell: matrix × ordering × configuration.
+/// Runs one experiment cell: matrix × ordering × configuration, on the
+/// unsplit tree.
 pub fn run_experiment(
     input: &ExperimentInput<'_>,
     cfg: &SolverConfig,
 ) -> Result<RunResult, SimError> {
-    let tree = prepare_tree(input, cfg);
+    let tree = prepare_tree(input, None);
     run_on_tree(&tree, cfg)
 }
 
@@ -86,10 +88,8 @@ mod tests {
     fn splitting_changes_the_tree() {
         let a = grid2d(28, 28, Stencil::Star);
         let input = ExperimentInput { matrix: &a, ordering: OrderingKind::Amd };
-        let base = SolverConfig::mumps_baseline(4);
-        let split = SolverConfig { split_threshold: Some(500), ..base.clone() };
-        let t1 = prepare_tree(&input, &base);
-        let t2 = prepare_tree(&input, &split);
+        let t1 = prepare_tree(&input, None);
+        let t2 = prepare_tree(&input, Some(500));
         assert!(t2.len() > t1.len(), "{} !> {}", t2.len(), t1.len());
         for v in 0..t2.len() {
             assert!(t2.master_entries(v) <= 500);

@@ -47,6 +47,6 @@ pub mod views;
 pub use config::{RecoveryConfig, SlaveSelection, SolverConfig, TaskSelection};
 pub use driver::{run_experiment, ExperimentInput, RunResult};
 pub use error::{ProcDiag, RunDiagnostics, SimError};
-pub use malleable::{compute_ticks, CoreAlloc, SpeedupCurve};
+pub use malleable::{compute_ticks, CoreAlloc};
 pub use mapping::StaticMapping;
 pub use recovery::{digest_factors, Membership, ObligationLedger, RecoveryPlan, RecoverySnapshot};

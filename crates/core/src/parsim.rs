@@ -14,7 +14,7 @@
 
 use crate::config::SolverConfig;
 use crate::error::{RunDiagnostics, SimError};
-use crate::malleable::{compute_ticks, SpeedupCurve};
+use crate::malleable::compute_ticks;
 use crate::mapping::StaticMapping;
 use crate::proto::{initial_loads, Effect, Input, Msg, SchedulerCore, Violation, TIMER_LEASE};
 use crate::recovery::{digest_factors, Membership, RecoverySnapshot};
@@ -45,11 +45,6 @@ pub struct RunResult {
     /// of the scale bench's ns/event figure. The same on every backend —
     /// they share the queue and the loop.
     pub events_delivered: u64,
-    /// Per-processor peak of active memory *plus factors* — what an
-    /// in-core execution must provision; the gap to `peaks` is exactly
-    /// the out-of-core argument of the paper's conclusion (factors can be
-    /// streamed to disk, the stack cannot).
-    pub total_peaks: Vec<u64>,
     /// Per-processor factor entries stored at the end.
     pub factor_entries: Vec<u64>,
     /// Fronts fully processed (must equal `total_nodes`).
@@ -221,9 +216,6 @@ struct SimDriver<'a> {
     cfg: &'a SolverConfig,
     sim: Sim<Msg>,
     net: NetworkModel,
-    messages: u64,
-    /// The speedup curve behind multi-core compute durations.
-    curve: SpeedupCurve,
     fault: Option<FaultInjector>,
     /// Traffic-side metrics (message counts/bytes, drops, busy time);
     /// merged with each core's decision-side registry at the end.
@@ -283,8 +275,6 @@ impl<'a> SimDriver<'a> {
             cfg,
             sim: Sim::new(),
             net: cfg.network,
-            messages: 0,
-            curve: cfg.core_alloc.curve(),
             // Only message-level noise needs the injector. Without one
             // every broadcast stays one block; kill and join schedules
             // are `Membership`'s and fire inside blocks too.
@@ -349,7 +339,6 @@ impl<'a> SimDriver<'a> {
                 _ => {}
             }
         }
-        self.messages += 1;
         match msg.class() {
             MsgClass::Control => {
                 self.metrics.control_msgs += 1;
@@ -393,7 +382,6 @@ impl<'a> SimDriver<'a> {
         debug_assert!(matches!(msg.class(), MsgClass::Status), "broadcast is status-only");
         if self.fault.is_none() {
             let n = self.cfg.nprocs.saturating_sub(1) as u64;
-            self.messages += n;
             self.metrics.status_msgs += n;
             self.metrics.status_bytes += n * bytes;
             self.live_events += n as i64;
@@ -412,10 +400,10 @@ impl<'a> SimDriver<'a> {
 
     /// Duration of a `flops`-sized work unit on processor `p` granted
     /// `cores` cores: the shared [`compute_ticks`] model (exact integer
-    /// flop-rate time at one core, shrunk by the speedup curve above),
+    /// flop-rate time at one core, shrunk by the speedup model),
     /// slowed by the fault model's straggler factor.
     fn duration_of(&self, p: usize, flops: u64, cores: u32) -> Time {
-        let base = compute_ticks(flops, cores, &self.curve);
+        let base = compute_ticks(flops, cores);
         // Straggler processors compute slower by their speed factor.
         match &self.fault {
             None => base,
@@ -814,7 +802,7 @@ impl<'a> SimDriver<'a> {
             in_flight: self.sim.pending(),
             nodes_done: cores.iter().map(|c| c.nodes_done()).sum(),
             total_nodes: self.tree.len(),
-            dropped_messages: self.fault.as_ref().map_or(0, |f| f.dropped()),
+            dropped_messages: self.metrics.dropped_status,
             dead: self.dead.clone(),
             metrics: Box::new(metrics),
             procs: cores.iter().map(|c| c.proc_diag()).collect(),
@@ -996,7 +984,6 @@ pub fn run_hosted<'a>(
     let makespan = drv.sim.now();
     let mems: Vec<&ProcMemory> = cores.iter().map(|c| c.memory()).collect();
     let peaks: Vec<u64> = mems.iter().map(|m| m.active_peak()).collect();
-    let total_peaks: Vec<u64> = mems.iter().map(|m| m.total_peak()).collect();
     let factor_entries: Vec<u64> = mems.iter().map(|m| m.factors()).collect();
     let max_peak = peaks.iter().copied().max().unwrap_or(0);
     let avg_peak = peaks.iter().sum::<u64>() as f64 / peaks.len().max(1) as f64;
@@ -1010,25 +997,24 @@ pub fn run_hosted<'a>(
         n,
     );
     Ok(RunResult {
-        total_peaks,
         factor_entries,
         max_peak,
         avg_peak,
         makespan,
-        messages: drv.messages,
+        messages: metrics.total_msgs(),
         events_delivered: drv.sim.delivered(),
         nodes_done: drv.done,
         total_nodes: n,
-        dropped_messages: drv.fault.as_ref().map_or(0, |f| f.dropped()),
-        forced_activations: cores.iter().map(|c| c.forced()).sum(),
+        dropped_messages: metrics.dropped_status,
+        forced_activations: metrics.forced_activations + metrics.serialized_fronts,
         final_active: mems.iter().map(|m| m.active()).collect(),
         underflows: mems.iter().map(|m| m.underflows()).collect(),
-        metrics,
         recording: drv.rec,
         timeseries: drv.ts,
         peaks,
         factor_digest,
         dead: drv.dead,
+        metrics,
     })
 }
 

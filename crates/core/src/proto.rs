@@ -26,9 +26,10 @@
 //!   scheduler used to perform the corresponding side effects, which is
 //!   what keeps simulator runs bit-identical across the refactor.
 
+use crate::blocking::slave_block_entries;
 use crate::config::SolverConfig;
 use crate::error::ProcDiag;
-use crate::malleable::CoreAlloc;
+use crate::malleable::{CoreAlloc, CORES_PER_PROC, MAX_CORES_PER_FRONT, MIN_MALLEABLE_FLOPS};
 use crate::mapping::{NodeKind, StaticMapping};
 use crate::pool::{remove_task, TaskCtx};
 use crate::recovery::{RecoveryPlan, RecoverySnapshot};
@@ -39,7 +40,7 @@ use mf_sim::recorder::{
 };
 use mf_sim::{CoreMetrics, MsgClass, ProcMemory, SampleRow, Time};
 use mf_symbolic::AssemblyTree;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, DefaultHasher};
 use std::sync::LazyLock;
 
@@ -356,11 +357,23 @@ enum Work {
     Elim { node: usize, flops: u64 },
     /// Master part of a type-2 node (`pieces` slaves were enrolled).
     MasterPart { node: usize, pieces: usize, flops: u64 },
-    /// A slave block of a type-2 node.
-    Slave { node: usize, entries: u64, cb_share: u64, factor_share: u64, flops: u64 },
+    /// A slave block of a type-2 node: `cb_share + factor_share` entries.
+    Slave { node: usize, cb_share: u64, factor_share: u64, flops: u64 },
     /// This processor's share of the 2-D root (`is_master` on the
     /// processor that owns the root and counts it done).
     RootShare { node: usize, entries: u64, flops: u64, is_master: bool },
+}
+
+/// Where a work of the ledger stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WorkState {
+    /// Queued or running.
+    Open,
+    /// Completed.
+    Done,
+    /// Cancelled by a recovery plan: its timer still fires, but its
+    /// completion only releases the compute unit.
+    Cancelled,
 }
 
 /// What one core knows about one node. A core writes only to the nodes it
@@ -477,14 +490,9 @@ pub struct SchedulerCore<'a> {
     /// predicted activation cost), feeding the Predicted broadcasts.
     soon: BTreeMap<usize, u64>,
     /// Work ledger; [`Effect::StartCompute`] keys index into it.
-    works: Vec<Work>,
+    works: Vec<(Work, WorkState)>,
     nodes: NodeTable,
     nodes_done: usize,
-    /// Completion flags of the work ledger (parallel to `works`).
-    done_works: Vec<bool>,
-    /// Cancellation flags of the work ledger: a cancelled work's timer
-    /// still fires, but its completion only releases the compute unit.
-    cancelled: Vec<bool>,
     /// Key of the work currently occupying the compute unit, if any.
     running: Option<usize>,
     // ---- membership & failure detection (all-true / idle on runs
@@ -498,15 +506,10 @@ pub struct SchedulerCore<'a> {
     /// tick of a recovery-configured run).
     timers_armed: bool,
     /// Owners of the nodes a recovery plan moved, consulted before the
-    /// static mapping's. Empty on fault-free runs.
-    owners: BTreeMap<usize, usize>,
-    /// Nodes re-executed by a recovery plan: their kind degrades to a
-    /// full local front (type-3 roots excepted) and they leave their
+    /// static mapping's. A node in here is re-executed: its kind degrades
+    /// to a full local front (type-3 roots excepted) and it leaves its
     /// static subtree. Empty on fault-free runs.
-    recovered: BTreeSet<usize>,
-    /// Count of capacity-degradation events (serialize-on-master
-    /// fallbacks plus force-activated deferred tasks).
-    forced: u64,
+    owners: BTreeMap<usize, usize>,
     /// First fatal condition seen by a handler (drivers poll it after
     /// every input).
     violation: Option<Violation>,
@@ -551,8 +554,6 @@ impl<'a> SchedulerCore<'a> {
             works: Vec::new(),
             nodes: NodeTable::default(),
             nodes_done: 0,
-            done_works: Vec::new(),
-            cancelled: Vec::new(),
             running: None,
             alive: vec![true; cfg.nprocs],
             joined: {
@@ -568,8 +569,6 @@ impl<'a> SchedulerCore<'a> {
             },
             timers_armed: false,
             owners: BTreeMap::new(),
-            recovered: BTreeSet::new(),
-            forced: 0,
             violation: None,
             metrics: CoreMetrics::default(),
         }
@@ -637,11 +636,6 @@ impl<'a> SchedulerCore<'a> {
     /// mastered).
     pub fn nodes_done(&self) -> usize {
         self.nodes_done
-    }
-
-    /// Capacity-degradation events so far.
-    pub fn forced(&self) -> u64 {
-        self.forced
     }
 
     /// Takes the first fatal condition flagged by a handler, if any.
@@ -742,9 +736,9 @@ impl<'a> SchedulerCore<'a> {
     // ---------- membership overlays ----------
     //
     // The static mapping stays immutable; recovery layers these three
-    // views over it. On runs without membership faults `owners` and
-    // `recovered` are empty and every view falls through to the mapping,
-    // so the quiet path is bit-identical.
+    // views over it through one overlay, `owners`. On runs without
+    // membership faults it is empty and every view falls through to the
+    // mapping, so the quiet path is bit-identical.
 
     /// Current owner of `v` (static owner + recovery plans).
     fn owner_of(&self, v: usize) -> usize {
@@ -756,7 +750,7 @@ impl<'a> SchedulerCore<'a> {
     /// which is re-scattered (with dead shares absorbed) to keep its
     /// `nprocs × share` factor total intact.
     fn kind_of(&self, v: usize) -> NodeKind {
-        if self.recovered.contains(&v) && !matches!(self.map.kind[v], NodeKind::Type3) {
+        if self.owners.contains_key(&v) && !matches!(self.map.kind[v], NodeKind::Type3) {
             NodeKind::Type1
         } else {
             self.map.kind[v]
@@ -766,7 +760,7 @@ impl<'a> SchedulerCore<'a> {
     /// Current subtree membership of `v`: a recomputed node leaves its
     /// static subtree (its re-execution is an upper task of its adopter).
     fn subtree_of(&self, v: usize) -> Option<usize> {
-        if self.recovered.contains(&v) {
+        if self.owners.contains_key(&v) {
             None
         } else {
             self.map.subtree_of[v]
@@ -846,21 +840,24 @@ impl<'a> SchedulerCore<'a> {
         // front memory and workload now; a running work's timer will
         // still fire and only then releases the compute unit.
         for key in 0..self.works.len() {
-            if self.done_works[key] || self.cancelled[key] {
+            let (work, state) = &self.works[key];
+            if *state != WorkState::Open {
                 continue;
             }
-            let (node, front, flops) = match self.works[key] {
+            let (node, front, flops) = match *work {
                 Work::Elim { node, flops } => (node, self.tree.front_entries(node), flops),
                 Work::MasterPart { node, flops, .. } => {
                     (node, self.tree.master_entries(node), flops)
                 }
-                Work::Slave { node, entries, flops, .. } => (node, entries, flops),
+                Work::Slave { node, cb_share, factor_share, flops } => {
+                    (node, cb_share + factor_share, flops)
+                }
                 Work::RootShare { node, entries, flops, .. } => (node, entries, flops),
             };
             if !in_r[node] {
                 continue;
             }
-            self.cancelled[key] = true;
+            self.works[key].1 = WorkState::Cancelled;
             self.mem_free_front(node, front);
             self.load_change(-(flops as i64));
             self.slave_queue.retain(|&k| k != key);
@@ -885,7 +882,6 @@ impl<'a> SchedulerCore<'a> {
             let was_mine = self.owner_of(v) == self.id;
             let was_upper = self.subtree_of(v).is_none();
             self.owners.insert(v, pn.owner);
-            self.recovered.insert(v);
             // Everything v's previous life left here goes, except
             // `counted` and `done_children` (repaired below).
             let s = self.nodes.at(v);
@@ -1038,24 +1034,25 @@ impl<'a> SchedulerCore<'a> {
     /// allocator (see [`CoreAlloc`]). Under `Static(n)` every unit gets
     /// `n` and nothing is recorded (the event stream stays byte-identical
     /// to the pre-malleable scheduler). Under `Malleable` the grant is
-    /// `pool_cores` split evenly over the peers this core believes still
-    /// have tree work (its own status views — deterministic, same on
-    /// every backend), clamped to `[1, max_per_front]`; small fronts
-    /// always run sequentially. Each malleable grant is narrated to the
-    /// flight recorder so `explain` can audit the decision like a slave
-    /// selection.
+    /// the machine's `CORES_PER_PROC × nprocs` cores split evenly over
+    /// the peers this core believes still have tree work (its own status
+    /// views — deterministic, same on every backend), clamped to
+    /// `[1, MAX_CORES_PER_FRONT]`; small fronts always run sequentially.
+    /// Each malleable grant is narrated to the flight recorder so
+    /// `explain` can audit the decision like a slave selection.
     fn granted_cores(&mut self, node: usize, flops: u64) -> u32 {
         match self.cfg.core_alloc {
             CoreAlloc::Static(n) => n.max(1) as u32,
-            CoreAlloc::Malleable { pool_cores, max_per_front, min_flops, .. } => {
-                if flops < min_flops {
+            CoreAlloc::Malleable => {
+                if flops < MIN_MALLEABLE_FLOPS {
                     return 1;
                 }
                 let busy = (0..self.alive.len())
                     .filter(|&q| self.alive[q] && self.joined[q] && self.views.get(q).load > 0)
                     .count()
                     .max(1);
-                let grant = (pool_cores / busy).clamp(1, max_per_front.max(1)) as u32;
+                let pool_cores = CORES_PER_PROC * self.cfg.nprocs;
+                let grant = (pool_cores / busy).clamp(1, MAX_CORES_PER_FRONT) as u32;
                 let id = self.id;
                 self.emit_record(|| SchedEvent::CoreGrant {
                     proc: id32(id),
@@ -1180,7 +1177,7 @@ impl<'a> SchedulerCore<'a> {
         // Received slave tasks have priority (they are already consuming
         // memory; finishing them frees it).
         if let Some(key) = self.slave_queue.pop_front() {
-            let (flops, node, role) = match self.works.get(key) {
+            let (flops, node, role) = match self.works.get(key).map(|(w, _)| w) {
                 Some(Work::Slave { flops, node, .. }) => (*flops, *node, TaskRole::Slave),
                 Some(Work::RootShare { flops, node, .. }) => (*flops, *node, TaskRole::Root),
                 other => {
@@ -1272,7 +1269,6 @@ impl<'a> SchedulerCore<'a> {
     fn force_activate(&mut self, v: usize) {
         let cost = self.activation_cost(v);
         remove_task(&mut self.pool, v);
-        self.forced += 1;
         self.metrics.forced_activations += 1;
         let p = self.id;
         self.emit_record(|| SchedEvent::Forced { proc: id32(p), node: id32(v), cost });
@@ -1399,7 +1395,6 @@ impl<'a> SchedulerCore<'a> {
             candidates.retain(|q| !violators.contains(q));
             if candidates.is_empty() {
                 // Last resort: serialize the whole front on the master.
-                self.forced += 1;
                 self.metrics.serialized_fronts += 1;
                 serialized = true;
                 break (Vec::new(), metric);
@@ -1446,8 +1441,10 @@ impl<'a> SchedulerCore<'a> {
         let epoch = self.nodes.get(v).epoch;
         for a in &assignment {
             let entries = a.entries;
+            // The block's CB entries: the columns right of the pivot block,
+            // restricted to its rows — a block of the CB-only front.
             let cb_share =
-                cb_share_of_block(self.tree.sym, front.nfront, front.npiv, a.offset, a.nrows);
+                slave_block_entries(self.tree.sym, front.nfront - front.npiv, 0, a.offset, a.nrows);
             let factor_share = entries - cb_share;
             let flops_share = total_flops * entries / front_entries.max(1);
             delegated += flops_share;
@@ -1502,16 +1499,12 @@ impl<'a> SchedulerCore<'a> {
         self.mem_alloc_front(v, share_entries);
         for _ in 0..absorbed {
             self.mem_alloc_front(v, share_entries);
-            let key = self.works.len();
-            self.works.push(Work::RootShare {
+            self.queue_work(Work::RootShare {
                 node: v,
                 entries: share_entries,
                 flops: share_flops,
                 is_master: false,
             });
-            self.done_works.push(false);
-            self.cancelled.push(false);
-            self.slave_queue.push_back(key);
         }
         self.schedule_work(Work::RootShare {
             node: v,
@@ -1528,13 +1521,23 @@ impl<'a> SchedulerCore<'a> {
             Work::Slave { flops, node, .. } => (*flops, *node, TaskRole::Slave),
             Work::RootShare { flops, node, .. } => (*flops, *node, TaskRole::Root),
         };
-        let key = self.works.len() as u64;
-        self.works.push(work);
-        self.done_works.push(false);
-        self.cancelled.push(false);
-        self.running = Some(key as usize);
+        let key = self.add_work(work);
+        self.running = Some(key);
         let cores = self.granted_cores(node, flops);
-        self.out.push(Effect::StartCompute { key, node, role, flops, cores });
+        self.out.push(Effect::StartCompute { key: key as u64, node, role, flops, cores });
+    }
+
+    /// Enters `work` into the ledger, open, and returns its key.
+    fn add_work(&mut self, work: Work) -> usize {
+        self.works.push((work, WorkState::Open));
+        self.works.len() - 1
+    }
+
+    /// Enters a received slave-like `work` into the ledger and queues it
+    /// for the compute unit.
+    fn queue_work(&mut self, work: Work) {
+        let key = self.add_work(work);
+        self.slave_queue.push_back(key);
     }
 
     /// Releases the contribution blocks stacked for node `v` (the
@@ -1557,7 +1560,7 @@ impl<'a> SchedulerCore<'a> {
     // ---------- completions ----------
 
     fn work_done(&mut self, key: usize) {
-        let Some(work) = self.works.get(key).cloned() else {
+        let Some((work, state)) = self.works.get(key).cloned() else {
             self.flag(Violation::Protocol {
                 detail: format!("timer fired for unknown work key {key}"),
             });
@@ -1566,7 +1569,7 @@ impl<'a> SchedulerCore<'a> {
         if self.running == Some(key) {
             self.running = None;
         }
-        if self.cancelled[key] {
+        if state == WorkState::Cancelled {
             // A recovery plan cancelled this work while it was running:
             // its memory and workload were released at cancellation; the
             // completion only returns the compute unit.
@@ -1574,7 +1577,7 @@ impl<'a> SchedulerCore<'a> {
             self.try_start();
             return;
         }
-        self.done_works[key] = true;
+        self.works[key].1 = WorkState::Done;
         match work {
             Work::Elim { node, flops } => {
                 self.store_factors(node, self.tree.factor_entries(node));
@@ -1591,9 +1594,9 @@ impl<'a> SchedulerCore<'a> {
                 self.mem_free_front(node, self.tree.master_entries(node));
                 self.finish_node(node, pieces, flops);
             }
-            Work::Slave { node, entries, cb_share, factor_share, flops } => {
+            Work::Slave { node, cb_share, factor_share, flops } => {
                 self.store_factors(node, factor_share);
-                self.mem_free_front(node, entries);
+                self.mem_free_front(node, cb_share + factor_share);
                 if cb_share > 0 && self.tree.nodes[node].parent.is_some() {
                     self.produce_cb_piece(node, cb_share);
                 }
@@ -1730,17 +1733,8 @@ impl<'a> SchedulerCore<'a> {
                 self.views.touch(to, self.now);
                 self.metrics.me.slave_tasks += 1;
                 self.load_change(flops_share as i64);
-                let key = self.works.len();
-                self.works.push(Work::Slave {
-                    node,
-                    entries,
-                    cb_share,
-                    factor_share,
-                    flops: flops_share,
-                });
-                self.done_works.push(false);
-                self.cancelled.push(false);
-                self.slave_queue.push_back(key);
+                debug_assert_eq!(entries, cb_share + factor_share);
+                self.queue_work(Work::Slave { node, cb_share, factor_share, flops: flops_share });
                 self.try_start();
             }
             Msg::Type3Share { node, entries, flops_share, epoch } => {
@@ -1749,16 +1743,12 @@ impl<'a> SchedulerCore<'a> {
                 }
                 self.mem_alloc_front(node, entries);
                 self.load_change(flops_share as i64);
-                let key = self.works.len();
-                self.works.push(Work::RootShare {
+                self.queue_work(Work::RootShare {
                     node,
                     entries,
                     flops: flops_share,
                     is_master: false,
                 });
-                self.done_works.push(false);
-                self.cancelled.push(false);
-                self.slave_queue.push_back(key);
                 self.try_start();
             }
             Msg::Status(d) => {
@@ -1828,27 +1818,6 @@ impl<'a> SchedulerCore<'a> {
         if self.views.get(self.id).predicted != max {
             self.views.set_predicted(self.id, max);
             self.broadcast(StatusDelta::Predicted { cost: max });
-        }
-    }
-}
-
-/// CB entries inside a slave block: the columns right of the pivot block,
-/// restricted to the block's rows (full width for LU, ragged for LDLᵀ).
-fn cb_share_of_block(
-    sym: mf_sparse::Symmetry,
-    nfront: usize,
-    npiv: usize,
-    offset: usize,
-    nrows: usize,
-) -> u64 {
-    match sym {
-        mf_sparse::Symmetry::General => (nrows as u64) * (nfront - npiv) as u64,
-        mf_sparse::Symmetry::Symmetric => {
-            // Row at offset o holds o+1 CB entries (its tail past the
-            // pivot columns).
-            let a = offset as u64;
-            let b = a + nrows as u64;
-            (b * (b + 1) / 2) - (a * (a + 1) / 2)
         }
     }
 }

@@ -104,7 +104,6 @@ pub struct MemoryAccount {
     stack_used: u64,
     stack_peak: u64,
     active_peak: u64,
-    total_peak: u64,
 }
 
 impl MemoryAccount {
@@ -117,7 +116,6 @@ impl MemoryAccount {
         let active = self.stack_used + self.front;
         self.stack_peak = self.stack_peak.max(self.stack_used);
         self.active_peak = self.active_peak.max(active);
-        self.total_peak = self.total_peak.max(active + self.factors);
     }
 
     /// Allocates the current frontal matrix.
@@ -165,11 +163,6 @@ impl MemoryAccount {
     /// quantity reported in the paper's tables.
     pub fn active_peak(&self) -> u64 {
         self.active_peak
-    }
-
-    /// Peak of everything including factors.
-    pub fn total_peak(&self) -> u64 {
-        self.total_peak
     }
 
     /// Factor entries stored so far.
@@ -236,7 +229,6 @@ mod tests {
         assert_eq!(m.stack_used(), 20);
         assert_eq!(m.factors(), 30);
         assert_eq!(m.active_peak(), 150);
-        assert_eq!(m.total_peak(), 150);
     }
 
     #[test]

@@ -506,24 +506,12 @@ fn panel_ldlt_rec(
 /// Cache-blocked variant of [`partial_lu`]: identical result (same pivot
 /// choices), computed by panels of `nb` columns with a packed-GEMM
 /// trailing update — the textbook BLAS-3 restructuring over the
-/// [`crate::gemm`] microkernels. Single-threaded; see
-/// [`partial_lu_blocked_mt`] for the within-front parallel variant
-/// (which this delegates to and is bit-identical with).
-pub fn partial_lu_blocked(
-    w: &mut DenseMat,
-    npiv: usize,
-    nb: usize,
-    row_perm: &mut Vec<usize>,
-) -> Result<(), KernelError> {
-    partial_lu_blocked_mt(w, npiv, nb, row_perm, 1)
-}
-
-/// [`partial_lu_blocked`] with the trailing update of each panel fanned
-/// out across up to `threads` rayon workers (within-front parallelism —
-/// the "malleable task" axis). Output bytes are identical for every
-/// `threads` value: the panel factorization is sequential, and the
-/// parallel trailing sweep partitions columns disjointly with a pinned
-/// per-element accumulation order (see [`crate::gemm`]).
+/// [`crate::gemm`] microkernels. The trailing update of each panel is
+/// fanned out across up to `threads` rayon workers (within-front
+/// parallelism — the "malleable task" axis). Output bytes are identical
+/// for every `threads` value: the panel factorization is sequential, and
+/// the parallel trailing sweep partitions columns disjointly with a
+/// pinned per-element accumulation order (see [`crate::gemm`]).
 pub fn partial_lu_blocked_mt(
     w: &mut DenseMat,
     npiv: usize,
@@ -580,16 +568,11 @@ pub fn partial_ldlt(w: &mut DenseMat, npiv: usize) -> Result<(), KernelError> {
 /// sequence, computed by panels of `nb` columns with a deferred
 /// `W22 -= L21 · (D·L21ᵀ)` swept over the lower trapezoid by the packed
 /// microkernels. Values differ from the rank-1 kernel only by summation
-/// order. See [`partial_ldlt_blocked_mt`].
-pub fn partial_ldlt_blocked(w: &mut DenseMat, npiv: usize, nb: usize) -> Result<(), KernelError> {
-    partial_ldlt_blocked_mt(w, npiv, nb, 1)
-}
-
-/// [`partial_ldlt_blocked`] with the trailing update of each panel fanned
-/// out across up to `threads` rayon workers. Bit-identical output for
-/// every `threads` value, by the same argument as
-/// [`partial_lu_blocked_mt`]: columns are partitioned disjointly and the
-/// per-element accumulation order is pinned.
+/// order. The trailing update of each panel is fanned out across up to
+/// `threads` rayon workers; the output is bit-identical for every
+/// `threads` value, by the same argument as [`partial_lu_blocked_mt`]:
+/// columns are partitioned disjointly and the per-element accumulation
+/// order is pinned.
 pub fn partial_ldlt_blocked_mt(
     w: &mut DenseMat,
     npiv: usize,
@@ -629,19 +612,10 @@ pub fn partial_ldlt_blocked_mt(
 /// otherwise. Both compute the same factorization (identical pivot
 /// choices; floating-point results differ only by summation order).
 /// Below the threshold the rank-1 kernel wins on this workload's
-/// cache-resident fronts.
-pub fn factor_front_lu(
-    w: &mut DenseMat,
-    npiv: usize,
-    row_perm: &mut Vec<usize>,
-) -> Result<(), KernelError> {
-    factor_front_lu_mt(w, npiv, row_perm, 1)
-}
-
-/// [`factor_front_lu`] with a within-front thread budget. The kernel
-/// choice depends **only** on `npiv` — never on `threads` — so a
-/// different cores-per-front setting can never change which arithmetic
-/// runs, and the factors stay bit-identical across budgets.
+/// cache-resident fronts. The kernel choice depends **only** on `npiv` —
+/// never on the within-front thread budget `threads` — so a different
+/// cores-per-front setting can never change which arithmetic runs, and
+/// the factors stay bit-identical across budgets.
 pub fn factor_front_lu_mt(
     w: &mut DenseMat,
     npiv: usize,
@@ -655,14 +629,9 @@ pub fn factor_front_lu_mt(
     }
 }
 
-/// Symmetric analogue of [`factor_front_lu`]: blocked LDLᵀ for large
-/// pivot blocks, rank-1 otherwise.
-pub fn factor_front_ldlt(w: &mut DenseMat, npiv: usize) -> Result<(), KernelError> {
-    factor_front_ldlt_mt(w, npiv, 1)
-}
-
-/// [`factor_front_ldlt`] with a within-front thread budget; same
-/// `npiv`-only dispatch rule as [`factor_front_lu_mt`].
+/// Symmetric analogue of [`factor_front_lu_mt`]: blocked LDLᵀ for large
+/// pivot blocks, rank-1 otherwise, with the same `npiv`-only dispatch
+/// rule.
 pub fn factor_front_ldlt_mt(
     w: &mut DenseMat,
     npiv: usize,
@@ -741,7 +710,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// [`partial_lu_blocked`] with the *rank-1* panel of the pre-recursive
+    /// [`partial_lu_blocked_mt`] with the *rank-1* panel of the pre-recursive
     /// kernel: identical pivot rule and trailing update, but the panel
     /// columns advance by `axpy_sub` alone: the reference the recursive
     /// panel is compared against.
@@ -967,7 +936,7 @@ mod tests {
             let mut w2 = a.clone();
             let (mut p1, mut p2) = (Vec::new(), Vec::new());
             partial_lu(&mut w1, p, &mut p1).unwrap();
-            partial_lu_blocked(&mut w2, p, nb, &mut p2).unwrap();
+            partial_lu_blocked_mt(&mut w2, p, nb, &mut p2, 1).unwrap();
             assert_eq!(p1, p2, "pivot choices must agree (f={f}, p={p})");
             for j in 0..f {
                 for i in 0..f {
@@ -999,7 +968,7 @@ mod tests {
             let mut w1 = a.clone();
             let mut w2 = a.clone();
             partial_ldlt(&mut w1, p).unwrap();
-            partial_ldlt_blocked(&mut w2, p, nb).unwrap();
+            partial_ldlt_blocked_mt(&mut w2, p, nb, 1).unwrap();
             for j in 0..f {
                 for i in j..f {
                     let (x, y) = (w1.get(i, j), w2.get(i, j));
@@ -1024,7 +993,7 @@ mod tests {
         type Kernel = Box<dyn Fn(&mut DenseMat, usize) -> Result<(), KernelError>>;
         let mut kernels: Vec<(&str, Kernel)> = vec![("rank-1", Box::new(partial_ldlt))];
         for nb in [2, 8, 32] {
-            kernels.push(("blocked", Box::new(move |w, p| partial_ldlt_blocked(w, p, nb))));
+            kernels.push(("blocked", Box::new(move |w, p| partial_ldlt_blocked_mt(w, p, nb, 1))));
         }
         for threads in [2, 8] {
             let mt: Kernel = Box::new(move |w, p| partial_ldlt_blocked_mt(w, p, 32, threads));
@@ -1089,7 +1058,7 @@ mod tests {
         *w.get_mut(0, 0) = 1.0; // rank 1: second pivot is exactly zero
         let mut perm = Vec::new();
         assert!(matches!(
-            partial_lu_blocked(&mut w, 2, 2, &mut perm),
+            partial_lu_blocked_mt(&mut w, 2, 2, &mut perm, 1),
             Err(KernelError::TinyPivot { .. })
         ));
     }
@@ -1102,7 +1071,7 @@ mod tests {
         let mut w1 = a.clone();
         let mut w2 = a.clone();
         let (mut p1, mut p2) = (Vec::new(), Vec::new());
-        factor_front_lu(&mut w1, 520, &mut p1).unwrap(); // blocked path
+        factor_front_lu_mt(&mut w1, 520, &mut p1, 1).unwrap(); // blocked path
         partial_lu(&mut w2, 520, &mut p2).unwrap();
         assert_eq!(p1, p2);
     }

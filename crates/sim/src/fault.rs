@@ -143,23 +143,17 @@ pub struct FaultInjector {
     model: FaultModel,
     counter: u64,
     routed: u64,
-    dropped: u64,
 }
 
 impl FaultInjector {
     /// Fresh injector for one run of `model`.
     pub fn new(model: FaultModel) -> Self {
-        FaultInjector { model, counter: 0, routed: 0, dropped: 0 }
+        FaultInjector { model, counter: 0, routed: 0 }
     }
 
     /// The model driving this injector.
     pub fn model(&self) -> &FaultModel {
         &self.model
-    }
-
-    /// Messages dropped so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// True once the `kill_network_after` budget is exhausted: every
@@ -186,14 +180,12 @@ impl FaultInjector {
     pub fn route(&mut self, base: Time, class: MsgClass) -> Option<Time> {
         self.routed += 1;
         if self.model.kill_network_after.is_some_and(|k| self.routed > k) {
-            self.dropped += 1;
             return None;
         }
         if class == MsgClass::Status
             && self.model.drop_status_prob > 0.0
             && self.next_f64() < self.model.drop_status_prob
         {
-            self.dropped += 1;
             return None;
         }
         let mut t = base;
@@ -225,7 +217,6 @@ mod tests {
             assert_eq!(inj.route(bytes, MsgClass::Status), Some(bytes));
             assert_eq!(inj.route(bytes, MsgClass::Control), Some(bytes));
         }
-        assert_eq!(inj.dropped(), 0);
         assert!(!FaultModel::quiet(7).perturbs_messages());
         assert!(FaultModel::intensity(7, 2.0).perturbs_messages());
     }
@@ -249,7 +240,6 @@ mod tests {
             assert!(inj.route(20, MsgClass::Control).is_some());
             assert!(inj.route(20, MsgClass::Status).is_none());
         }
-        assert_eq!(inj.dropped(), 100);
     }
 
     #[test]

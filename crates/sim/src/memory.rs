@@ -13,7 +13,6 @@ pub struct ProcMemory {
     stack: u64,
     fronts: u64,
     active_peak: u64,
-    total_peak: u64,
     underflows: u64,
 }
 
@@ -27,10 +26,6 @@ impl ProcMemory {
         let active = self.stack + self.fronts;
         if active > self.active_peak {
             self.active_peak = active;
-        }
-        let total = active + self.factors;
-        if total > self.total_peak {
-            self.total_peak = total;
         }
     }
 
@@ -116,11 +111,6 @@ impl ProcMemory {
         self.active_peak
     }
 
-    /// Running peak of active + factors.
-    pub fn total_peak(&self) -> u64 {
-        self.total_peak
-    }
-
     /// Number of underflowing releases seen (always-on checked
     /// accounting; zero in a correct run).
     pub fn underflows(&self) -> u64 {
@@ -150,16 +140,16 @@ mod tests {
         m.store_factors(1000);
         m.push_cb(10);
         assert_eq!(m.active_peak(), 10);
-        assert_eq!(m.total_peak(), 1010);
     }
 
     #[test]
     fn forget_factors_reverses_store_but_keeps_peaks() {
         let mut m = ProcMemory::new();
+        m.push_cb(40);
         m.store_factors(500);
         assert!(m.forget_factors(200));
         assert_eq!(m.factors(), 300);
-        assert_eq!(m.total_peak(), 500, "peaks keep their history");
+        assert_eq!(m.active_peak(), 40, "peaks keep their history");
         assert!(!m.forget_factors(400), "over-forgetting underflows");
         assert_eq!(m.factors(), 0);
         assert_eq!(m.underflows(), 1);

@@ -260,7 +260,8 @@ pub struct RunMetrics {
     pub status_msgs: u64,
     /// Payload bytes of status messages.
     pub status_bytes: u64,
-    /// Status messages lost to fault injection.
+    /// Messages lost to fault injection: dropped status messages, plus
+    /// every message once the network kill switch has fired.
     pub dropped_status: u64,
     /// Capacity re-selection rounds across all type-2 selections.
     pub reselect_rounds: u64,

@@ -51,7 +51,6 @@
 //! ```
 
 #![warn(missing_docs)]
-pub mod solver;
 
 pub use mf_core as core;
 pub use mf_frontal as frontal;
@@ -59,7 +58,6 @@ pub use mf_order as order;
 pub use mf_sim as sim;
 pub use mf_sparse as sparse;
 pub use mf_symbolic as symbolic;
-pub use solver::{Solver, SolverBuilder};
 
 /// The commonly used types, one `use` away.
 pub mod prelude {

@@ -601,13 +601,12 @@ proptest! {
             task_selection: [TaskSelection::Lifo, TaskSelection::MemoryAware, TaskSelection::MemoryAwareGlobal][task_sel],
             use_subtree_info: subtree_info,
             use_prediction: prediction,
-            split_threshold: split.then_some(2_000),
             subtree_peak_factor: subtree_peaks.then_some(1.0),
             fault: perturbed.then(|| FaultModel::intensity(42, 1.0)),
             ..SolverConfig::mumps_baseline(nprocs)
         };
         let input = ExperimentInput { matrix: &a, ordering: OrderingKind::Metis };
-        let tree = prepare_tree(&input, &cfg);
+        let tree = prepare_tree(&input, split.then_some(2_000));
         let r = run_on_tree(&tree, &cfg).unwrap();
         prop_assert_eq!(r.nodes_done, r.total_nodes);
         prop_assert!(r.max_peak > 0);

@@ -35,7 +35,7 @@ fn pinned_twotone_amd_cell() {
     assert_eq!((a.nrows(), a.nnz()), (2000, 19838));
 
     let input = ExperimentInput { matrix: &a, ordering: OrderingKind::Amd };
-    let tree = prepare_tree(&input, &cfg(false));
+    let tree = prepare_tree(&input, None);
     let stats = tree.stats();
     let base = run_on_tree(&tree, &cfg(false)).unwrap();
     let mem = run_on_tree(&tree, &cfg(true)).unwrap();

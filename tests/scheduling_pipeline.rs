@@ -29,7 +29,7 @@ fn one_processor_equals_the_sequential_model() {
         for k in [OrderingKind::Metis, OrderingKind::Amf] {
             let a = small_input(m, k);
             let input = ExperimentInput { matrix: &a, ordering: k };
-            let tree = prepare_tree(&input, &cfg(1));
+            let tree = prepare_tree(&input, None);
             let r = run_on_tree(&tree, &cfg(1)).unwrap();
             let model = sequential_peak(&tree, AssemblyDiscipline::FrontThenFree);
             assert_eq!(r.max_peak, model, "{} / {}", m.name(), k.name());
@@ -79,10 +79,9 @@ fn more_processors_never_lose_fronts_and_spread_memory() {
 fn splitting_caps_every_master_and_keeps_pivots() {
     let a = small_input(PaperMatrix::Pre2, OrderingKind::Amf);
     let input = ExperimentInput { matrix: &a, ordering: OrderingKind::Amf };
-    let plain = prepare_tree(&input, &cfg(4));
+    let plain = prepare_tree(&input, None);
     let threshold = 20_000;
-    let split_cfg = SolverConfig { split_threshold: Some(threshold), ..cfg(4) };
-    let split = prepare_tree(&input, &split_cfg);
+    let split = prepare_tree(&input, Some(threshold));
     assert!(split.validate().is_ok());
     assert_eq!(
         plain.nodes.iter().map(|n| n.npiv).sum::<usize>(),
@@ -92,7 +91,7 @@ fn splitting_caps_every_master_and_keeps_pivots() {
         assert!(split.master_entries(v) <= threshold, "node {v}");
     }
     // And the split tree still runs.
-    let r = run_on_tree(&split, &split_cfg).unwrap();
+    let r = run_on_tree(&split, &cfg(4)).unwrap();
     assert_eq!(r.nodes_done, r.total_nodes);
 }
 
@@ -103,7 +102,7 @@ fn memory_strategy_beats_baseline_on_its_home_ground() {
     let a = PaperMatrix::TwoTone.instantiate();
     let tree = {
         let input = ExperimentInput { matrix: &a, ordering: OrderingKind::Amd };
-        prepare_tree(&input, &paper_cfg(false))
+        prepare_tree(&input, None)
     };
     let map = compute_mapping(&tree, &paper_cfg(false));
     let base = parsim::run(&tree, &map, &paper_cfg(false)).unwrap();
