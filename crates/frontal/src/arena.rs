@@ -1,11 +1,12 @@
-//! The three-area memory manager of the multifrontal method.
+//! The contribution-block stack area of the multifrontal method.
 //!
 //! Section 2 of the paper: "The algorithm uses three areas of storage in a
 //! contiguous memory space, one for the factors, one to stack the
 //! contribution blocks, and another one for the current frontal matrix."
-//! This module reproduces that discipline and reports the exact usage and
-//! peak of each area in *entries* (f64 words), so that the numeric runs
-//! can validate the symbolic stack model used by the schedulers.
+//! This module holds the stack area with its real usage and peak in
+//! *entries* (f64 words); the peaks of the whole space are priced by
+//! `mf_symbolic::seqstack::traversal_peak`, and the sequential driver
+//! checks the real stack peak against that model.
 
 /// The contribution-block stack: one contiguous, growable area with
 /// usage/peak accounting, as in the paper's memory layout.
@@ -92,90 +93,6 @@ impl CbStack {
     }
 }
 
-/// Accounting for the whole three-area space.
-///
-/// `factors` only grows; `stack` is the CB stack; the current front is
-/// tracked separately so the *active memory* (stack + front), the
-/// quantity the paper's tables report, can peak mid-factorization.
-#[derive(Debug, Default)]
-pub struct MemoryAccount {
-    factors: u64,
-    front: u64,
-    stack_used: u64,
-    stack_peak: u64,
-    active_peak: u64,
-}
-
-impl MemoryAccount {
-    /// Fresh account.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn bump(&mut self) {
-        let active = self.stack_used + self.front;
-        self.stack_peak = self.stack_peak.max(self.stack_used);
-        self.active_peak = self.active_peak.max(active);
-    }
-
-    /// Allocates the current frontal matrix.
-    pub fn alloc_front(&mut self, entries: u64) {
-        self.front += entries;
-        self.bump();
-    }
-
-    /// Releases the current frontal matrix (factor part moved to the
-    /// factors area, CB part to the stack — call the respective methods).
-    pub fn free_front(&mut self, entries: u64) {
-        assert!(self.front >= entries, "front underflow");
-        self.front -= entries;
-    }
-
-    /// Moves `entries` into the factors area.
-    pub fn store_factors(&mut self, entries: u64) {
-        self.factors += entries;
-        self.bump();
-    }
-
-    /// Pushes `entries` on the CB stack.
-    pub fn push_cb(&mut self, entries: u64) {
-        self.stack_used += entries;
-        self.bump();
-    }
-
-    /// Pops `entries` from the CB stack.
-    pub fn pop_cb(&mut self, entries: u64) {
-        assert!(self.stack_used >= entries, "CB stack underflow");
-        self.stack_used -= entries;
-    }
-
-    /// Current CB-stack usage.
-    pub fn stack_used(&self) -> u64 {
-        self.stack_used
-    }
-
-    /// Peak of the CB stack alone.
-    pub fn stack_peak(&self) -> u64 {
-        self.stack_peak
-    }
-
-    /// Peak of the *active memory* (CB stack + current fronts): the
-    /// quantity reported in the paper's tables.
-    pub fn active_peak(&self) -> u64 {
-        self.active_peak
-    }
-
-    /// Factor entries stored so far.
-    pub fn factors(&self) -> u64 {
-        self.factors
-    }
-
-    /// Currently allocated front entries.
-    pub fn front(&self) -> u64 {
-        self.front
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,28 +131,5 @@ mod tests {
         assert_eq!(s.get(a), &[1.0, 2.0]);
         assert_eq!(s.top(), Some(b));
         assert_eq!(s.get(b), &[3.0]);
-    }
-
-    #[test]
-    fn account_active_peak_counts_front_plus_stack() {
-        let mut m = MemoryAccount::new();
-        m.push_cb(100);
-        m.alloc_front(50);
-        assert_eq!(m.active_peak(), 150);
-        m.pop_cb(100); // children assembled
-        m.store_factors(30);
-        m.push_cb(20); // own CB
-        m.free_front(50);
-        assert_eq!(m.stack_used(), 20);
-        assert_eq!(m.factors(), 30);
-        assert_eq!(m.active_peak(), 150);
-    }
-
-    #[test]
-    fn factors_grow_monotonically() {
-        let mut m = MemoryAccount::new();
-        m.store_factors(5);
-        m.store_factors(7);
-        assert_eq!(m.factors(), 12);
     }
 }

@@ -204,8 +204,8 @@ mod tests {
     #[test]
     fn the_real_stack_peaks_where_the_model_says() {
         // Packed lower CBs make the stack area hold exactly the entries
-        // `MemoryAccount` counts — on symmetric trees it used to hold twice
-        // that — and the unsymmetric stack keeps matching.
+        // `traversal_peak` counts — on symmetric trees it used to hold
+        // twice that — and the unsymmetric stack keeps matching.
         for a in
             [grid2d(14, 13, Stencil::Box), grid3d(6, 5, 5, Stencil::Star, Symmetry::General, 7)]
         {

@@ -7,9 +7,8 @@
 //! * [`dense`] — column-major dense storage and the partial factorization
 //!   kernels (LU with pivoting inside the fully-summed block, LDLᵀ on the
 //!   lower triangle);
-//! * [`arena`] — the three-area memory manager of the multifrontal method
-//!   (factors / one contiguous contribution-block stack / current front)
-//!   with exact usage and peak tracking, mirroring Section 2 of the paper;
+//! * [`arena`] — the contiguous contribution-block stack area of the
+//!   paper's Section 2 memory layout, with exact usage and peak tracking;
 //! * [`numeric`] — a sequential numeric multifrontal factorization and
 //!   solve over an assembly tree (the correctness anchor of the whole
 //!   reproduction: residual tests prove the symbolic layer + tree

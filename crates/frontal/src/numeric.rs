@@ -2,17 +2,19 @@
 //!
 //! This is the correctness anchor of the reproduction: it executes the
 //! assembly tree produced by `mf-symbolic` with real arithmetic, the
-//! three-area memory discipline of [`crate::arena`], and the dense kernels
-//! of [`crate::dense`] — and verifies, through residual tests, that the
+//! contiguous CB stack of [`crate::arena`] (sized and checked by
+//! `mf_symbolic::seqstack::traversal_peak`), and the dense kernels of
+//! [`crate::dense`] — and verifies, through residual tests, that the
 //! whole symbolic pipeline (ordering → etree → amalgamation → fronts) is
 //! consistent.
 
-use crate::arena::{CbStack, MemoryAccount};
+use crate::arena::CbStack;
 use crate::dense::{DenseMat, KernelError};
 use crate::front::{factor_front, FrontEnv, FrontFactor, FrontWorkspace};
 use crate::gemm::axpy_sub;
 use mf_sparse::{CscMatrix, Permutation, Symmetry};
 use mf_symbolic::frontstruct::FrontStructures;
+use mf_symbolic::seqstack::traversal_peak;
 use mf_symbolic::{AmalgamationOptions, SymbolicAnalysis};
 
 /// Knobs of the numeric factorization drivers.
@@ -321,39 +323,20 @@ fn factorize_sequential(
     let tree = &s.tree;
     let env = FrontEnv::new(a, s);
     let topo = tree.topo_order();
+    let peaks = traversal_peak(tree, &topo);
     let mut fronts: Vec<Option<FrontFactor>> = vec![None; tree.len()];
     // The stack area is allocated once, at the peak this traversal will
     // reach (every front pops its children's CBs and pushes its own).
-    let mut used = 0;
-    let grow = |&v: &usize| {
-        used -= tree.nodes[v].children.iter().map(|&ch| tree.cb_entries(ch)).sum::<u64>();
-        used += tree.cb_entries(v);
-        used
-    };
-    let mut cb_stack = CbStack::with_capacity(topo.iter().map(grow).max().unwrap_or(0) as usize);
-    let mut account = MemoryAccount::new();
+    let mut cb_stack = CbStack::with_capacity(peaks.stack as usize);
     let mut ws = FrontWorkspace::new(tree.n);
-
     for &v in &topo {
-        account.alloc_front(tree.front_entries(v));
         fronts[v] = Some(factor_front(&env, &mut ws, &mut cb_stack, v, threads)?);
-        for &ch in &tree.nodes[v].children {
-            account.pop_cb(tree.cb_entries(ch));
-        }
-        account.store_factors(tree.factor_entries(v));
-        // Accounting note: the front is released *before* the CB is
-        // counted on the stack, reflecting the contiguous-memory layout
-        // where the CB part of the front is relabeled in place as stack
-        // memory (the front sits at the top of the stack area). This
-        // matches the FrontThenFree discipline of `mf_symbolic::seqstack`.
-        account.free_front(tree.front_entries(v));
-        account.push_cb(tree.cb_entries(v));
     }
 
     debug_assert_eq!(cb_stack.depth(), 0, "all CBs must be consumed");
     // The real stack is the modelled one: packed symmetric CBs hold
     // exactly `cb_entries` words.
-    debug_assert_eq!(cb_stack.peak(), account.stack_peak());
+    debug_assert_eq!(cb_stack.peak(), peaks.stack);
     let rows = env.into_structures();
     Ok(Factorization {
         sym: tree.sym,
@@ -363,9 +346,9 @@ fn factorize_sequential(
         fronts,
         topo,
         stats: NumericStats {
-            stack_peak: account.stack_peak(),
-            active_peak: account.active_peak(),
-            factor_entries: account.factors(),
+            stack_peak: peaks.stack,
+            active_peak: peaks.active,
+            factor_entries: tree.total_factor_entries(),
             fronts: tree.len(),
         },
     })

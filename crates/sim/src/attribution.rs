@@ -4,13 +4,14 @@
 //!
 //! This is the analysis the memory-bounded tree-scheduling literature
 //! uses to diagnose schedules: a peak is explained by the set of fronts
-//! and stacked contribution blocks live at the peak instant. The replay
-//! mirrors `ProcMemory` exactly — active = front area + CB stack,
-//! strict-`>` peak update, saturating frees — so for a complete
-//! recording ([`Recording::dropped`] == 0) the reported composition sums
-//! bit-exactly to the solver's `active_peak`.
+//! and stacked contribution blocks live at the peak instant. The memory
+//! levels are replayed through `ProcMemory` itself — active = front
+//! area + CB stack, strict-`>` peak update, saturating frees — so for a
+//! complete recording ([`Recording::dropped`] == 0) the reported peak is
+//! the solver's `active_peak`, and its composition sums to it.
 
 use crate::engine::Time;
+use crate::memory::{replay, ProcMemory};
 use crate::recorder::{MemArea, Recording, SchedEvent};
 
 /// One live allocation at a peak instant.
@@ -40,20 +41,18 @@ pub struct PeakAttribution {
     pub index: Option<usize>,
 }
 
-/// Per-processor live state during a replay.
+/// Per-processor live composition during a replay.
 struct Replay {
     /// Live (node, area) → entries, insertion-ordered.
     live: Vec<LiveItem>,
-    active: u64,
 }
 
 impl Replay {
     fn new() -> Self {
-        Replay { live: Vec::new(), active: 0 }
+        Replay { live: Vec::new() }
     }
 
     fn alloc(&mut self, node: usize, area: MemArea, entries: u64) {
-        self.active += entries;
         if let Some(it) = self.live.iter_mut().find(|it| it.node == node && it.area == area) {
             it.entries += entries;
         } else {
@@ -62,13 +61,11 @@ impl Replay {
     }
 
     fn free(&mut self, node: usize, area: MemArea, entries: u64) {
-        // Saturating, mirroring ProcMemory's underflow tolerance.
-        self.active = self.active.saturating_sub(entries);
         if let Some(pos) = self.live.iter().position(|it| it.node == node && it.area == area) {
-            let it = &mut self.live[pos];
-            it.entries = it.entries.saturating_sub(entries);
-            if it.entries == 0 {
+            if self.live[pos].entries <= entries {
                 self.live.remove(pos);
+            } else {
+                self.live[pos].entries -= entries;
             }
         }
     }
@@ -78,56 +75,38 @@ impl Replay {
 ///
 /// Processors with no recorded memory traffic report a zero peak with an
 /// empty composition. The peak instant is the *first* time the maximum
-/// is reached (strict-`>` update, matching `ProcMemory`).
+/// is reached (strict-`>` update, as in `ProcMemory`).
 pub fn attribute_peaks(nprocs: usize, rec: &Recording) -> Vec<PeakAttribution> {
-    // Pass 1: find each processor's peak value and the index of the
-    // event that first set it.
-    let mut active = vec![0u64; nprocs];
-    let mut peak = vec![0u64; nprocs];
-    let mut peak_idx = vec![None; nprocs];
-    let mut peak_at = vec![0 as Time; nprocs];
+    // Pass 1: find each processor's peak value and the instant and index
+    // of the event that first set it.
+    let mut mems = vec![ProcMemory::new(); nprocs];
+    let mut out: Vec<PeakAttribution> = (0..nprocs)
+        .map(|p| PeakAttribution { proc: p, at: 0, peak: 0, composition: Vec::new(), index: None })
+        .collect();
     for (idx, (at, ev)) in rec.events().enumerate() {
-        match *ev {
-            SchedEvent::MemAlloc { proc, entries, .. } => {
-                let proc = proc as usize;
-                active[proc] += entries;
-                if active[proc] > peak[proc] {
-                    peak[proc] = active[proc];
-                    peak_idx[proc] = Some(idx);
-                    peak_at[proc] = at;
-                }
+        if let Some(p) = replay(&mut mems, ev) {
+            let a = &mut out[p];
+            if mems[p].active_peak() > a.peak {
+                (a.peak, a.at, a.index) = (mems[p].active_peak(), at, Some(idx));
             }
-            SchedEvent::MemFree { proc, entries, .. } => {
-                let proc = proc as usize;
-                active[proc] = active[proc].saturating_sub(entries);
-            }
-            _ => {}
         }
     }
 
     // Pass 2: replay live compositions, snapshotting each processor at
-    // its peak-setting event. Nothing after the last such event can
-    // change a snapshot, so the replay stops there.
+    // its peak-setting event (an allocation: a release never raises the
+    // peak). Nothing after the last such event can change a snapshot, so
+    // the replay stops there.
     let mut replays: Vec<Replay> = (0..nprocs).map(|_| Replay::new()).collect();
-    let mut out: Vec<PeakAttribution> = (0..nprocs)
-        .map(|p| PeakAttribution { proc: p, at: 0, peak: 0, composition: Vec::new(), index: None })
-        .collect();
-    let last = peak_idx.iter().flatten().max().copied();
+    let last = out.iter().filter_map(|a| a.index).max();
     for (idx, (_, ev)) in rec.events().enumerate() {
         match *ev {
             SchedEvent::MemAlloc { proc, node, area, entries } => {
                 let proc = proc as usize;
                 replays[proc].alloc(node as usize, area, entries);
-                if peak_idx[proc] == Some(idx) {
+                if out[proc].index == Some(idx) {
                     let mut comp = replays[proc].live.clone();
                     comp.sort_by_key(|it| (it.node, it.area));
-                    out[proc] = PeakAttribution {
-                        proc,
-                        at: peak_at[proc],
-                        peak: peak[proc],
-                        composition: comp,
-                        index: Some(idx),
-                    };
+                    out[proc].composition = comp;
                     if last == Some(idx) {
                         break;
                     }
@@ -149,18 +128,11 @@ pub fn attribute_peaks(nprocs: usize, rec: &Recording) -> Vec<PeakAttribution> {
 /// peers (the recorded metric vector) with the ground truth at the same
 /// instant.
 pub fn active_before(nprocs: usize, rec: &Recording, idx: usize) -> Vec<u64> {
-    let mut active = vec![0u64; nprocs];
+    let mut mems = vec![ProcMemory::new(); nprocs];
     for (_, ev) in rec.events().take(idx) {
-        match *ev {
-            SchedEvent::MemAlloc { proc, entries, .. } => active[proc as usize] += entries,
-            SchedEvent::MemFree { proc, entries, .. } => {
-                let proc = proc as usize;
-                active[proc] = active[proc].saturating_sub(entries)
-            }
-            _ => {}
-        }
+        replay(&mut mems, ev);
     }
-    active
+    mems.iter().map(ProcMemory::active).collect()
 }
 
 #[cfg(test)]
@@ -233,15 +205,21 @@ mod tests {
                 push(&mut rec, free(p, (k + 3) % 7, area, 9));
             }
         }
+        // The tail moves live entries only: each processor's first block
+        // (allocated at k = p, node p, in the front area when p is even)
+        // gives back one entry and takes it again, so no level exceeds an
+        // earlier one.
         let tail_start = rec.len();
         for k in 0..200u32 {
-            let (p, node) = (k % 3, k % 7);
-            push(&mut rec, free(p, node, MemArea::Front, 40));
-            push(&mut rec, alloc(p, node + 100, MemArea::Stack, 3));
+            let p = k % 3;
+            let area = if p % 2 == 0 { MemArea::Front } else { MemArea::Stack };
+            push(&mut rec, free(p, p, area, 1));
+            push(&mut rec, alloc(p, p, area, 1));
         }
 
-        // The reference: replay every event, snapshotting at each strict
-        // new maximum.
+        // The reference: replay every event through the account,
+        // snapshotting at each strict new maximum.
+        let mut mems = vec![ProcMemory::new(); nprocs];
         let mut replays: Vec<Replay> = (0..nprocs).map(|_| Replay::new()).collect();
         let mut want: Vec<PeakAttribution> = (0..nprocs)
             .map(|p| PeakAttribution {
@@ -253,30 +231,55 @@ mod tests {
             })
             .collect();
         for (idx, (at, ev)) in rec.events().enumerate() {
+            let Some(p) = replay(&mut mems, ev) else { continue };
             match *ev {
-                SchedEvent::MemAlloc { proc, node, area, entries } => {
-                    let (p, r) = (proc as usize, &mut replays[proc as usize]);
-                    r.alloc(node as usize, area, entries);
-                    if r.active > want[p].peak {
-                        let mut composition = r.live.clone();
-                        composition.sort_by_key(|it| (it.node, it.area));
-                        want[p] = PeakAttribution {
-                            proc: p,
-                            at,
-                            peak: r.active,
-                            composition,
-                            index: Some(idx),
-                        };
-                    }
+                SchedEvent::MemAlloc { node, area, entries, .. } => {
+                    replays[p].alloc(node as usize, area, entries)
                 }
-                SchedEvent::MemFree { proc, node, area, entries } => {
-                    replays[proc as usize].free(node as usize, area, entries)
+                SchedEvent::MemFree { node, area, entries, .. } => {
+                    replays[p].free(node as usize, area, entries)
                 }
-                _ => {}
+                _ => unreachable!("only memory events reach a ProcMemory"),
+            }
+            if mems[p].active() > want[p].peak {
+                let mut composition = replays[p].live.clone();
+                composition.sort_by_key(|it| (it.node, it.area));
+                want[p] = PeakAttribution {
+                    proc: p,
+                    at,
+                    peak: mems[p].active(),
+                    composition,
+                    index: Some(idx),
+                };
             }
         }
+        assert!(mems.iter().all(|m| m.underflows() == 0), "no area is overdrawn");
         assert!(want.iter().all(|a| a.index.is_some_and(|i| i < tail_start)), "peaks mid-stream");
         assert_eq!(attribute_peaks(nprocs, &rec), want);
+    }
+
+    /// An oversized free saturates its own area, as `ProcMemory` does,
+    /// not the processor's total: the reported peak is the one the
+    /// account reaches on the same calls.
+    #[test]
+    fn an_underflowing_free_peaks_where_the_account_does() {
+        let mut rec = Recording::new(None);
+        rec.record(1, alloc(0, 1, MemArea::Front, 10));
+        rec.record(2, alloc(0, 2, MemArea::Stack, 5));
+        rec.record(3, free(0, 2, MemArea::Stack, 8));
+        rec.record(4, alloc(0, 3, MemArea::Front, 6));
+        let mut m = ProcMemory::new();
+        m.alloc_front(10);
+        m.push_cb(5);
+        assert!(!m.pop_cb(8), "the stack is overdrawn");
+        m.alloc_front(6);
+        assert_eq!(m.active_peak(), 16);
+
+        let att = attribute_peaks(1, &rec);
+        assert_eq!((att[0].peak, att[0].at, att[0].index), (m.active_peak(), 4, Some(3)));
+        let sum: u64 = att[0].composition.iter().map(|it| it.entries).sum();
+        assert_eq!(sum, att[0].peak);
+        assert_eq!(active_before(1, &rec, 4), vec![m.active()]);
     }
 
     #[test]

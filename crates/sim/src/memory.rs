@@ -1,5 +1,7 @@
 //! Per-processor memory accounting with running peaks.
 
+use crate::recorder::{MemArea, SchedEvent};
+
 /// Memory account of one simulated processor, in entries (f64 words).
 ///
 /// Mirrors the three-area layout of the multifrontal method: a factors
@@ -22,6 +24,8 @@ impl ProcMemory {
         Self::default()
     }
 
+    /// Raises the peak to the current active memory; called only where
+    /// it can grow (factors never count in it, a release never raises it).
     fn bump(&mut self) {
         let active = self.stack + self.fronts;
         if active > self.active_peak {
@@ -46,7 +50,6 @@ impl ProcMemory {
             self.underflows += 1;
         }
         self.fronts = self.fronts.saturating_sub(entries);
-        self.bump();
         ok
     }
 
@@ -65,14 +68,12 @@ impl ProcMemory {
             self.underflows += 1;
         }
         self.stack = self.stack.saturating_sub(entries);
-        self.bump();
         ok
     }
 
     /// Appends factor entries.
     pub fn store_factors(&mut self, entries: u64) {
         self.factors += entries;
-        self.bump();
     }
 
     /// Removes factor entries again (crash recovery: a node whose factors
@@ -87,7 +88,6 @@ impl ProcMemory {
             self.underflows += 1;
         }
         self.factors = self.factors.saturating_sub(entries);
-        self.bump();
         ok
     }
 
@@ -115,6 +115,34 @@ impl ProcMemory {
     /// accounting; zero in a correct run).
     pub fn underflows(&self) -> u64 {
         self.underflows
+    }
+}
+
+/// Applies a recorded memory event to its processor's account in
+/// `mems` and returns that processor; any other event is ignored.
+///
+/// Every replay of a recording's memory levels runs through here, so a
+/// replay saturates and peaks exactly as the live account did.
+pub(crate) fn replay(mems: &mut [ProcMemory], ev: &SchedEvent) -> Option<usize> {
+    match *ev {
+        SchedEvent::MemAlloc { proc, area, entries, .. } => {
+            let m = &mut mems[proc as usize];
+            match area {
+                MemArea::Front => m.alloc_front(entries),
+                MemArea::Stack => m.push_cb(entries),
+            }
+            Some(proc as usize)
+        }
+        SchedEvent::MemFree { proc, area, entries, .. } => {
+            let m = &mut mems[proc as usize];
+            // An underflow saturates and is counted, as in the run.
+            let _ = match area {
+                MemArea::Front => m.free_front(entries),
+                MemArea::Stack => m.pop_cb(entries),
+            };
+            Some(proc as usize)
+        }
+        _ => None,
     }
 }
 

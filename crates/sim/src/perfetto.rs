@@ -11,15 +11,16 @@
 //! The output is plain ASCII JSON, emitted deterministically in event
 //! order — byte-identical for byte-identical recordings.
 
-use crate::recorder::{MemArea, Recording, SchedEvent};
+use crate::memory::{replay, ProcMemory};
+use crate::recorder::{Recording, SchedEvent};
 use crate::timeseries::RunTimeseries;
 use std::io::{self, Write};
 
 /// Writes `rec` as Chrome trace-event JSON for an `nprocs`-processor
 /// run.
 ///
-/// Counter tracks replay the recording's memory events, so they agree
-/// exactly with the solver's accounting (including transient
+/// Counter tracks replay the recording's memory events through
+/// `ProcMemory`, so they agree exactly with the solver's accounting (including transient
 /// same-instant peaks that a sampled trace would collapse). When a
 /// sampled [`RunTimeseries`] is supplied, per-processor `C` counter
 /// tracks from the telemetry sampler are rendered too: `sampled memory`
@@ -65,10 +66,14 @@ pub fn write_chrome_trace<W: Write>(
     }
 
     // Replayed per-processor memory levels for the counter tracks.
-    let mut front = vec![0u64; nprocs];
-    let mut stack = vec![0u64; nprocs];
+    let mut mems = vec![ProcMemory::new(); nprocs];
 
     for (ts, ev) in rec.events() {
+        if let Some(p) = replay(&mut mems, ev) {
+            let m = &mems[p];
+            emit(w, &counter_line(p, ts, m.active() - m.stack(), m.stack()))?;
+            continue;
+        }
         match *ev {
             SchedEvent::ComputeStart { proc, node, role } => {
                 emit(
@@ -89,22 +94,6 @@ pub fn write_chrome_trace<W: Write>(
                         role.name()
                     ),
                 )?;
-            }
-            SchedEvent::MemAlloc { proc, area, entries, .. } => {
-                let proc = proc as usize;
-                match area {
-                    MemArea::Front => front[proc] += entries,
-                    MemArea::Stack => stack[proc] += entries,
-                }
-                emit(w, &counter_line(proc, ts, front[proc], stack[proc]))?;
-            }
-            SchedEvent::MemFree { proc, area, entries, .. } => {
-                let proc = proc as usize;
-                match area {
-                    MemArea::Front => front[proc] = front[proc].saturating_sub(entries),
-                    MemArea::Stack => stack[proc] = stack[proc].saturating_sub(entries),
-                }
-                emit(w, &counter_line(proc, ts, front[proc], stack[proc]))?;
             }
             SchedEvent::Activate { proc, node, class } => {
                 emit(
@@ -172,7 +161,7 @@ fn counter_line(proc: usize, ts: crate::engine::Time, front: u64, stack: u64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::TaskRole;
+    use crate::recorder::{MemArea, TaskRole};
 
     #[test]
     fn slices_and_counters_render() {
@@ -190,6 +179,38 @@ mod tests {
         assert!(s.contains("\"front\": 10"));
         assert!(s.contains("\"front\": 0"));
         assert_eq!(s.matches("\"ph\": \"B\"").count(), s.matches("\"ph\": \"E\"").count());
+    }
+
+    #[test]
+    fn counters_saturate_each_area_as_the_account_does() {
+        let mut rec = Recording::new(None);
+        let mem = |alloc: bool, area, entries| {
+            let (proc, node) = (0, 1);
+            if alloc {
+                SchedEvent::MemAlloc { proc, node, area, entries }
+            } else {
+                SchedEvent::MemFree { proc, node, area, entries }
+            }
+        };
+        rec.record(1, mem(true, MemArea::Front, 10));
+        rec.record(2, mem(true, MemArea::Stack, 5));
+        rec.record(3, mem(false, MemArea::Stack, 8)); // overdraws the stack only
+        rec.record(4, mem(true, MemArea::Front, 6));
+
+        let mut buf = Vec::new();
+        write_chrome_trace(&mut buf, 1, &rec, None).unwrap();
+        let s = String::from_utf8(buf).unwrap();
+        let levels: Vec<&str> =
+            s.lines().filter_map(|l| l.split("\"args\": ").nth(1)).skip(2).collect();
+        assert_eq!(
+            levels,
+            [
+                "{ \"front\": 10, \"stack\": 0 } },",
+                "{ \"front\": 10, \"stack\": 5 } },",
+                "{ \"front\": 10, \"stack\": 0 } },",
+                "{ \"front\": 16, \"stack\": 0 } }",
+            ]
+        );
     }
 
     #[test]

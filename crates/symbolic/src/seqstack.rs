@@ -57,6 +57,47 @@ pub fn sequential_peak(tree: &AssemblyTree, discipline: AssemblyDiscipline) -> u
     tree.roots().into_iter().map(|r| peaks[r]).max().unwrap_or(0)
 }
 
+/// Peaks of one sequential traversal, in entries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraversalPeaks {
+    /// Peak of the active memory: the stacked contribution blocks plus
+    /// the front being factored (the quantity the paper's tables report).
+    pub active: u64,
+    /// Peak of the contribution-block stack alone.
+    pub stack: u64,
+}
+
+/// Peaks of the sequential factorization that visits the fronts in
+/// `order`, under [`AssemblyDiscipline::FrontThenFree`]: each front is
+/// allocated on top of every contribution block stacked so far, then its
+/// children's blocks are freed and its own is pushed. Factors never
+/// count.
+///
+/// `order` may be any order that visits children before their parents,
+/// not only a postorder: blocks are counted, not popped LIFO, so a
+/// traversal that interleaves subtrees is priced as well. On a postorder
+/// whose roots leave nothing stacked, `active` is [`sequential_peak`].
+///
+/// # Panics
+///
+/// If a node is visited before one of its children, or twice.
+pub fn traversal_peak(tree: &AssemblyTree, order: &[usize]) -> TraversalPeaks {
+    let mut done = vec![false; tree.len()];
+    let (mut stacked, mut active, mut stack) = (0u64, 0u64, 0u64);
+    for &v in order {
+        active = active.max(stacked + tree.front_entries(v));
+        for &c in &tree.nodes[v].children {
+            assert!(done[c], "node {v} is visited before its child {c}");
+            stacked -= tree.cb_entries(c);
+        }
+        assert!(!std::mem::replace(&mut done[v], true), "node {v} is visited twice");
+        stacked += tree.cb_entries(v);
+        stack = stack.max(stacked);
+        active = active.max(stacked);
+    }
+    TraversalPeaks { active, stack }
+}
+
 /// Reorders every node's children by decreasing `peak - cb` (Liu's rule),
 /// minimizing the sequential stack peak. Returns the resulting peak.
 pub fn apply_liu_order(tree: &mut AssemblyTree, discipline: AssemblyDiscipline) -> u64 {
@@ -146,6 +187,59 @@ mod tests {
         let after = apply_liu_order(&mut s.tree, AssemblyDiscipline::FrontThenFree);
         assert!(after <= before);
         assert!(s.tree.validate().is_ok());
+    }
+
+    #[test]
+    fn traversal_peak_equals_the_closed_form_on_both_child_orders() {
+        let t = uneven_tree();
+        let mut t2 = t.clone();
+        t2.nodes[2].children = vec![0, 1];
+        for (tree, want) in [(t, 104), (t2, 100)] {
+            let peaks = traversal_peak(&tree, &tree.topo_order());
+            assert_eq!(peaks.active, want);
+            assert_eq!(peaks.active, sequential_peak(&tree, AssemblyDiscipline::FrontThenFree));
+            assert_eq!(peaks.stack, 8, "both CBs stacked under the root");
+        }
+    }
+
+    /// Two chains `a0 → a1` and `b0 → b1` under one root, visited
+    /// a0, b0, a1, b1, root: no postorder visits them so.
+    #[test]
+    fn traversal_peak_prices_an_interleaved_order() {
+        let node = |npiv, nfront, parent, children| FrontNode {
+            first_col: 0,
+            npiv,
+            nfront,
+            parent,
+            children,
+            chain_head: None,
+        };
+        let t = AssemblyTree {
+            nodes: vec![
+                node(1, 4, Some(1), vec![]),  // a0: front 16, cb 9
+                node(1, 3, Some(4), vec![0]), // a1: front 9, cb 4
+                node(2, 5, Some(3), vec![]),  // b0: front 25, cb 9
+                node(1, 3, Some(4), vec![2]), // b1: front 9, cb 4
+                node(2, 2, None, vec![1, 3]), // root: front 4, cb 0
+            ],
+            sym: Symmetry::General,
+            n: 7,
+        };
+        // Stacked before each front + its front, then stacked after it:
+        // a0 0 + 16 → 9; b0 9 + 25 = 34 → 18; a1 18 + 9 → 13;
+        // b1 13 + 9 → 8; root 8 + 4 → 0.
+        let peaks = traversal_peak(&t, &[0, 2, 1, 3, 4]);
+        assert_eq!(peaks, TraversalPeaks { active: 34, stack: 18 });
+        // The postorder that finishes chain a first stacks less.
+        let post = traversal_peak(&t, &t.topo_order());
+        assert_eq!(post, TraversalPeaks { active: 29, stack: 13 });
+        assert_eq!(post.active, sequential_peak(&t, AssemblyDiscipline::FrontThenFree));
+    }
+
+    #[test]
+    #[should_panic(expected = "node 2 is visited before its child 1")]
+    fn traversal_peak_refuses_a_parent_before_its_child() {
+        traversal_peak(&uneven_tree(), &[0, 2, 1]);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 use multifrontal::prelude::*;
 use multifrontal::symbolic::colcount::col_counts;
 use multifrontal::symbolic::etree::{etree, postorder, NONE};
-use multifrontal::symbolic::seqstack::{apply_liu_order, sequential_peak, AssemblyDiscipline};
+use multifrontal::symbolic::seqstack::{
+    apply_liu_order, sequential_peak, traversal_peak, AssemblyDiscipline,
+};
 use proptest::prelude::*;
 
 /// Random connected-ish symmetric pattern.
@@ -212,6 +214,27 @@ proptest! {
         let after = apply_liu_order(&mut s.tree, AssemblyDiscipline::FrontThenFree);
         prop_assert!(after <= before, "Liu order increased the peak: {after} > {before}");
         prop_assert!(s.tree.validate().is_ok());
+    }
+
+    #[test]
+    fn traversal_peak_of_a_postorder_is_the_closed_form(
+        kind in 0usize..4,
+        n in 3usize..80,
+        edges in prop::collection::vec((0usize..80, 0usize..80), 0..200),
+    ) {
+        let a = shaped(kind, n, &edges);
+        let mut s = analyze(&a, &Permutation::identity(n), &AmalgamationOptions::default());
+        for liu in [false, true] {
+            if liu {
+                apply_liu_order(&mut s.tree, AssemblyDiscipline::FrontThenFree);
+            }
+            let t = &s.tree;
+            prop_assert_eq!(
+                traversal_peak(t, &t.topo_order()).active,
+                sequential_peak(t, AssemblyDiscipline::FrontThenFree),
+                "Liu order applied: {}", liu
+            );
+        }
     }
 
     #[test]
