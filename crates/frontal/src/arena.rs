@@ -4,9 +4,12 @@
 //! contiguous memory space, one for the factors, one to stack the
 //! contribution blocks, and another one for the current frontal matrix."
 //! This module holds the stack area with its real usage and peak in
-//! *entries* (f64 words); the peaks of the whole space are priced by
-//! `mf_symbolic::seqstack::traversal_peak`, and the sequential driver
-//! checks the real stack peak against that model.
+//! *entries* (f64 words). The other two areas are one: the numeric
+//! drivers keep the factors in one area per factorization and assemble
+//! the current front at its free end (`crate::front`). The peaks of the
+//! whole space are priced by `mf_symbolic::seqstack::traversal_peak`,
+//! and the sequential driver checks the real stack peak against that
+//! model.
 
 /// The contribution-block stack: one contiguous, growable area with
 /// usage/peak accounting, as in the paper's memory layout.

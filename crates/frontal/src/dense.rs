@@ -2,7 +2,6 @@
 
 use crate::gemm::{self, GemmWorkspace};
 use rayon::prelude::*;
-use std::ops::Range;
 
 /// A column-major dense matrix (the layout of frontal matrices).
 #[derive(Debug, Clone, PartialEq)]
@@ -47,13 +46,6 @@ impl DenseMat {
         &mut self.data[j * self.nrows + i]
     }
 
-    /// Adds `v` to element `(i, j)` (assembly primitive).
-    #[inline]
-    pub fn add(&mut self, i: usize, j: usize, v: f64) {
-        debug_assert!(i < self.nrows && j < self.ncols);
-        self.data[j * self.nrows + i] += v;
-    }
-
     /// Column `j` as a slice.
     #[inline]
     pub fn col(&self, j: usize) -> &[f64] {
@@ -66,23 +58,10 @@ impl DenseMat {
         &mut self.data[j * self.nrows..(j + 1) * self.nrows]
     }
 
-    /// Reshapes to an all-zero `nrows x ncols` matrix, keeping the
-    /// allocation (the drivers' one front buffer, re-zeroed per front;
-    /// it grows to exactly the largest front seen, never beyond).
-    pub(crate) fn reset(&mut self, nrows: usize, ncols: usize) {
-        (self.nrows, self.ncols) = (nrows, ncols);
-        self.data.clear();
-        self.data.reserve_exact(nrows * ncols);
-        self.data.resize(nrows * ncols, 0.0);
-    }
-
-    /// Copy of the block `rows x cols`, one `memcpy` per column.
-    pub(crate) fn block(&self, rows: Range<usize>, cols: Range<usize>) -> DenseMat {
-        let mut data = Vec::with_capacity(rows.len() * cols.len());
-        for j in cols.clone() {
-            data.extend_from_slice(&self.col(j)[rows.clone()]);
-        }
-        DenseMat { nrows: rows.len(), ncols: cols.len(), data }
+    /// The matrix as a square front for the kernels.
+    fn front_mut(&mut self) -> FrontMut<'_> {
+        assert_eq!(self.nrows, self.ncols, "frontal matrices are square");
+        FrontMut::new(self.nrows, &mut self.data)
     }
 
     /// Swaps rows `a` and `b` across all columns.
@@ -108,6 +87,57 @@ impl DenseMat {
             for (i, &a) in self.col(j).iter().enumerate() {
                 y[i] += a * xj;
             }
+        }
+    }
+}
+
+/// A square column-major front borrowed where it lies: at the free end
+/// of a factor area, or in a [`DenseMat`]. The kernels work on this
+/// view, so a front is factored where it was assembled.
+pub(crate) struct FrontMut<'a> {
+    /// Order of the front.
+    f: usize,
+    data: &'a mut [f64],
+}
+
+impl<'a> FrontMut<'a> {
+    /// The `f x f` front held by `data`.
+    pub(crate) fn new(f: usize, data: &'a mut [f64]) -> Self {
+        assert_eq!(data.len(), f * f, "a front of order {f} is {} words", f * f);
+        FrontMut { f, data }
+    }
+
+    #[inline]
+    fn get(&self, i: usize, j: usize) -> f64 {
+        self.data[j * self.f + i]
+    }
+
+    #[inline]
+    fn get_mut(&mut self, i: usize, j: usize) -> &mut f64 {
+        &mut self.data[j * self.f + i]
+    }
+
+    /// Adds `v` to element `(i, j)` (assembly primitive).
+    #[inline]
+    pub(crate) fn add(&mut self, i: usize, j: usize, v: f64) {
+        self.data[j * self.f + i] += v;
+    }
+
+    /// Column `j` as a slice.
+    #[inline]
+    pub(crate) fn col(&self, j: usize) -> &[f64] {
+        &self.data[j * self.f..(j + 1) * self.f]
+    }
+
+    /// Column `j` as a mutable slice.
+    #[inline]
+    pub(crate) fn col_mut(&mut self, j: usize) -> &mut [f64] {
+        &mut self.data[j * self.f..(j + 1) * self.f]
+    }
+
+    fn swap_rows(&mut self, a: usize, b: usize) {
+        for col in self.data.chunks_exact_mut(self.f) {
+            col.swap(a, b);
         }
     }
 }
@@ -172,8 +202,16 @@ pub fn partial_lu(
     npiv: usize,
     row_perm: &mut Vec<usize>,
 ) -> Result<(), KernelError> {
-    let f = w.nrows();
-    assert_eq!(f, w.ncols(), "frontal matrices are square");
+    lu_unblocked(&mut w.front_mut(), npiv, row_perm)
+}
+
+/// [`partial_lu`] on a borrowed front.
+fn lu_unblocked(
+    w: &mut FrontMut<'_>,
+    npiv: usize,
+    row_perm: &mut Vec<usize>,
+) -> Result<(), KernelError> {
+    let f = w.f;
     assert!(npiv <= f);
     row_perm.clear();
     row_perm.extend(0..f);
@@ -374,13 +412,13 @@ const PANEL_BASE: usize = 8;
 /// panel columns only. The base case of [`panel_lu_rec`] and the
 /// reference the `panel` benchmark compares the recursion against.
 fn panel_lu_rank1(
-    w: &mut DenseMat,
+    w: &mut FrontMut<'_>,
     npiv: usize,
     row_perm: &mut [usize],
     k0: usize,
     kb: usize,
 ) -> Result<(), KernelError> {
-    let f = w.nrows;
+    let f = w.f;
     for k in k0..k0 + kb {
         let mut piv_row = k;
         let mut piv_val = w.get(k, k).abs();
@@ -425,7 +463,7 @@ fn panel_lu_rank1(
 /// choices match the rank-1 panel; at widths `<= PANEL_BASE` (hence at
 /// `nb = 1`) the code path *is* the rank-1 loop.
 fn panel_lu_rec(
-    w: &mut DenseMat,
+    w: &mut FrontMut<'_>,
     npiv: usize,
     row_perm: &mut [usize],
     k0: usize,
@@ -433,7 +471,7 @@ fn panel_lu_rec(
     ws: &mut GemmWorkspace,
     scratch: &mut SweepScratch,
 ) -> Result<(), KernelError> {
-    let f = w.nrows;
+    let f = w.f;
     if kb <= PANEL_BASE {
         return panel_lu_rank1(w, npiv, row_perm, k0, kb);
     }
@@ -453,8 +491,13 @@ fn panel_lu_rec(
 /// column `k` below its diagonal, then update columns `k+1..jend`, each
 /// from its own diagonal down. The whole of [`partial_ldlt`] (`jend =
 /// f`) and the base case of [`panel_ldlt_rec`] (`jend` = panel end).
-fn ldlt_rank1(w: &mut DenseMat, k0: usize, kend: usize, jend: usize) -> Result<(), KernelError> {
-    let f = w.nrows;
+fn ldlt_rank1(
+    w: &mut FrontMut<'_>,
+    k0: usize,
+    kend: usize,
+    jend: usize,
+) -> Result<(), KernelError> {
+    let f = w.f;
     for k in k0..kend {
         let d = w.get(k, k);
         if d.abs() < 1e-300 {
@@ -481,13 +524,13 @@ fn ldlt_rank1(w: &mut DenseMat, k0: usize, kend: usize, jend: usize) -> Result<(
 /// Same halving scheme as [`panel_lu_rec`], with the right-half update
 /// delegated to [`ldlt_trailing_chunk`].
 fn panel_ldlt_rec(
-    w: &mut DenseMat,
+    w: &mut FrontMut<'_>,
     k0: usize,
     kb: usize,
     ws: &mut GemmWorkspace,
     bp: &mut Vec<f64>,
 ) -> Result<(), KernelError> {
-    let f = w.nrows;
+    let f = w.f;
     if kb <= PANEL_BASE {
         return ldlt_rank1(w, k0, k0 + kb, k0 + kb);
     }
@@ -519,8 +562,18 @@ pub fn partial_lu_blocked_mt(
     row_perm: &mut Vec<usize>,
     threads: usize,
 ) -> Result<(), KernelError> {
-    let f = w.nrows();
-    assert_eq!(f, w.ncols(), "frontal matrices are square");
+    lu_blocked(&mut w.front_mut(), npiv, nb, row_perm, threads)
+}
+
+/// [`partial_lu_blocked_mt`] on a borrowed front.
+fn lu_blocked(
+    w: &mut FrontMut<'_>,
+    npiv: usize,
+    nb: usize,
+    row_perm: &mut Vec<usize>,
+    threads: usize,
+) -> Result<(), KernelError> {
+    let f = w.f;
     assert!(npiv <= f);
     let nb = nb.max(1);
     row_perm.clear();
@@ -558,8 +611,12 @@ pub fn partial_lu_blocked_mt(
 /// On return, columns `0..npiv` hold `L` below the diagonal, `D` on it;
 /// the lower triangle of the trailing block holds the Schur complement.
 pub fn partial_ldlt(w: &mut DenseMat, npiv: usize) -> Result<(), KernelError> {
-    let f = w.nrows();
-    assert_eq!(f, w.ncols());
+    ldlt_unblocked(&mut w.front_mut(), npiv)
+}
+
+/// [`partial_ldlt`] on a borrowed front.
+fn ldlt_unblocked(w: &mut FrontMut<'_>, npiv: usize) -> Result<(), KernelError> {
+    let f = w.f;
     assert!(npiv <= f);
     ldlt_rank1(w, 0, npiv, f)
 }
@@ -579,8 +636,17 @@ pub fn partial_ldlt_blocked_mt(
     nb: usize,
     threads: usize,
 ) -> Result<(), KernelError> {
-    let f = w.nrows();
-    assert_eq!(f, w.ncols());
+    ldlt_blocked(&mut w.front_mut(), npiv, nb, threads)
+}
+
+/// [`partial_ldlt_blocked_mt`] on a borrowed front.
+fn ldlt_blocked(
+    w: &mut FrontMut<'_>,
+    npiv: usize,
+    nb: usize,
+    threads: usize,
+) -> Result<(), KernelError> {
+    let f = w.f;
     assert!(npiv <= f);
     let nb = nb.max(1);
     let (mut ws, mut scratch) = (GemmWorkspace::new(), SweepScratch::default());
@@ -616,31 +682,31 @@ pub fn partial_ldlt_blocked_mt(
 /// never on the within-front thread budget `threads` — so a different
 /// cores-per-front setting can never change which arithmetic runs, and
 /// the factors stay bit-identical across budgets.
-pub fn factor_front_lu_mt(
-    w: &mut DenseMat,
+pub(crate) fn factor_front_lu_mt(
+    w: &mut FrontMut<'_>,
     npiv: usize,
     row_perm: &mut Vec<usize>,
     threads: usize,
 ) -> Result<(), KernelError> {
     if npiv >= BLOCK_THRESHOLD {
-        partial_lu_blocked_mt(w, npiv, FRONT_NB, row_perm, threads)
+        lu_blocked(w, npiv, FRONT_NB, row_perm, threads)
     } else {
-        partial_lu(w, npiv, row_perm)
+        lu_unblocked(w, npiv, row_perm)
     }
 }
 
 /// Symmetric analogue of [`factor_front_lu_mt`]: blocked LDLᵀ for large
 /// pivot blocks, rank-1 otherwise, with the same `npiv`-only dispatch
 /// rule.
-pub fn factor_front_ldlt_mt(
-    w: &mut DenseMat,
+pub(crate) fn factor_front_ldlt_mt(
+    w: &mut FrontMut<'_>,
     npiv: usize,
     threads: usize,
 ) -> Result<(), KernelError> {
     if npiv >= BLOCK_THRESHOLD {
-        partial_ldlt_blocked_mt(w, npiv, FRONT_NB, threads)
+        ldlt_blocked(w, npiv, FRONT_NB, threads)
     } else {
-        partial_ldlt(w, npiv)
+        ldlt_unblocked(w, npiv)
     }
 }
 
@@ -720,8 +786,8 @@ mod tests {
         nb: usize,
         row_perm: &mut Vec<usize>,
     ) -> Result<(), KernelError> {
-        let f = w.nrows();
-        assert_eq!(f, w.ncols(), "frontal matrices are square");
+        let w = &mut w.front_mut();
+        let f = w.f;
         assert!(npiv <= f);
         let nb = nb.max(1);
         row_perm.clear();
@@ -1071,7 +1137,7 @@ mod tests {
         let mut w1 = a.clone();
         let mut w2 = a.clone();
         let (mut p1, mut p2) = (Vec::new(), Vec::new());
-        factor_front_lu_mt(&mut w1, 520, &mut p1, 1).unwrap(); // blocked path
+        factor_front_lu_mt(&mut w1.front_mut(), 520, &mut p1, 1).unwrap(); // blocked path
         partial_lu(&mut w2, 520, &mut p2).unwrap();
         assert_eq!(p1, p2);
     }

@@ -1,33 +1,101 @@
 //! The front pipeline both numeric drivers run: assemble → factor →
-//! extract, in one buffer, reading the children's contribution blocks
-//! off the top of a [`CbStack`] and leaving the front's own there.
+//! keep, at the free end of a factor area, reading the children's
+//! contribution blocks off the top of a [`CbStack`] and leaving the
+//! front's own there.
 //!
-//! A symmetric front lives in the **lower triangle** of its buffer from
-//! assembly to extraction (the strict upper triangle stays zero), and its
-//! contribution block is stacked packed: column `j` from its diagonal
+//! The factor area is the paper's factors area with the current front
+//! at its end: a front is assembled right behind the factors stored
+//! before it and factored in place, so its leading `f × p` panel already
+//! lies where it is kept. The contribution block goes to the stack; LU
+//! then moves `U12` down right behind the panel, and the area advances by
+//! the words stored ([`stored_words`]).
+//!
+//! A symmetric front lives in the **lower triangle** of its `f²` words
+//! from assembly to storage (the strict upper triangle stays zero), and
+//! its contribution block is stacked packed: column `j` from its diagonal
 //! down, `cf(cf+1)/2` entries — what `AssemblyTree::cb_entries` counts.
 
 use crate::arena::CbStack;
-use crate::dense::{add_assign_slice, factor_front_ldlt_mt, factor_front_lu_mt, DenseMat};
+use crate::dense::{add_assign_slice, factor_front_ldlt_mt, factor_front_lu_mt, FrontMut};
 use crate::numeric::FactorError;
 use mf_sparse::{CscMatrix, Symmetry};
 use mf_symbolic::frontstruct::{front_structures, FrontStructures};
 use mf_symbolic::{AssemblyTree, SymbolicAnalysis};
 
 /// Factors of one front (its variable list is the front structure's).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct FrontFactor {
     pub(crate) npiv: usize,
+    /// Where the front's words start in the factor area: the `f x p`
+    /// column-major panel — `L11` (unit lower, implied diagonal) with
+    /// `U11` on and above the diagonal for LU, `L11` with `D` on the
+    /// diagonal for LDLᵀ (zero above it), over the `(f-p) x p` block
+    /// `L21` — then, for LU only, the `p x (f-p)` column-major `U12`.
+    pub(crate) offset: usize,
     /// Local row permutation of the fully-summed rows; empty when it is
     /// the identity (always, for LDLᵀ).
     pub(crate) row_perm: Vec<usize>,
-    /// The `f x p` column-major factor panel, read in place by the solve:
-    /// `L11` (unit lower, implied diagonal) with `U11` on and above the
-    /// diagonal for LU, `L11` with `D` on the diagonal for LDLᵀ (zero
-    /// above it), over the `(f-p) x p` block `L21`.
-    pub(crate) panel: DenseMat,
-    /// `p x (f-p)` block `U12` (LU only; empty for LDLᵀ).
-    pub(crate) u12: DenseMat,
+}
+
+/// Words front `v` keeps in the factor area: its `f x p` panel and, for
+/// LU, `U12`. LDLᵀ keeps the panel's zero strict upper `p x p` triangle
+/// too, so it stores `p(p-1)/2` words more than `tree.factor_entries(v)`.
+pub(crate) fn stored_words(tree: &AssemblyTree, v: usize) -> usize {
+    let (f, p) = (tree.nodes[v].nfront, tree.nodes[v].npiv);
+    match tree.sym {
+        Symmetry::General => f * p + p * (f - p),
+        Symmetry::Symmetric => f * p,
+    }
+}
+
+/// The factor area of a traversal: the words all fronts store, each
+/// front right behind the one before it, and the capacity the sequential
+/// driver reserves, the most over the traversal of the words stored
+/// before a front plus its `f²`.
+pub(crate) struct AreaLayout {
+    pub(crate) len: usize,
+    pub(crate) capacity: usize,
+}
+
+impl AreaLayout {
+    pub(crate) fn new(tree: &AssemblyTree, order: &[usize]) -> Self {
+        let (mut len, mut capacity) = (0, 0);
+        for &v in order {
+            let f = tree.nodes[v].nfront;
+            capacity = usize::max(capacity, len + f * f);
+            len += stored_words(tree, v);
+        }
+        AreaLayout { len, capacity }
+    }
+}
+
+/// An empty factor area with room for `words`, allocated once. On Linux
+/// the 2 MiB-aligned part of it is advised for transparent huge pages:
+/// the area is first touched front by front, and at 4 KiB per fault a
+/// fresh area of tens of MB costs more page faults than the fronts of a
+/// thin tree cost arithmetic.
+pub(crate) fn new_area(words: usize) -> Vec<f64> {
+    let area = Vec::with_capacity(words);
+    #[cfg(target_os = "linux")]
+    {
+        extern "C" {
+            fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: i32) -> i32;
+        }
+        const MADV_HUGEPAGE: i32 = 14;
+        const HUGE_PAGE: usize = 2 << 20;
+        let start = area.as_ptr() as usize;
+        let (lo, hi) = (
+            start.next_multiple_of(HUGE_PAGE),
+            (start + size_of::<f64>() * words) / HUGE_PAGE * HUGE_PAGE,
+        );
+        if lo < hi {
+            // SAFETY: `lo..hi` lies inside the area's own allocation, and
+            // MADV_HUGEPAGE only changes how the kernel backs those pages,
+            // never their contents; a refusal (the result) is harmless.
+            unsafe { madvise(lo as *mut std::ffi::c_void, hi - lo, MADV_HUGEPAGE) };
+        }
+    }
+    area
 }
 
 /// What every front of one factorization reads: the tree, the one
@@ -57,10 +125,8 @@ impl<'a> FrontEnv<'a> {
     }
 }
 
-/// Scratch of one worker, reused from front to front.
+/// Index scratch of one worker, reused from front to front.
 pub(crate) struct FrontWorkspace {
-    /// The front: grown to the largest `f²` seen, re-zeroed per front.
-    w: DenseMat,
     /// Global variable → local index, valid for the current front's
     /// variables only (stale elsewhere, and never read there).
     loc: Vec<usize>,
@@ -72,32 +138,30 @@ pub(crate) struct FrontWorkspace {
 impl FrontWorkspace {
     /// Workspace for a matrix of order `n`.
     pub(crate) fn new(n: usize) -> Self {
-        FrontWorkspace {
-            w: DenseMat::zeros(0, 0),
-            loc: vec![0; n],
-            map: Vec::new(),
-            row_perm: Vec::new(),
-        }
+        FrontWorkspace { loc: vec![0; n], map: Vec::new(), row_perm: Vec::new() }
     }
 }
 
-/// Processes front `v`: assembles the original entries and the
-/// children's contribution blocks (popped off `stack`, last child first
-/// — the order that fixes every entry's summation), factors the pivot
-/// block on `threads` threads, and extracts the factor panel; the front's
-/// own contribution block is pushed on `stack`.
+/// Processes front `v` at the free end of `area`: assembles the original
+/// entries and the children's contribution blocks (popped off `stack`,
+/// last child first — the order that fixes every entry's summation),
+/// factors the pivot block in place on `threads` threads, pushes the
+/// front's own contribution block on `stack`, and leaves `area` longer by
+/// the front's [`stored_words`].
 pub(crate) fn factor_front(
     env: &FrontEnv<'_>,
     ws: &mut FrontWorkspace,
     stack: &mut CbStack,
     v: usize,
     threads: usize,
+    area: &mut Vec<f64>,
 ) -> Result<FrontFactor, FactorError> {
     let (tree, sym) = (env.tree, env.tree.sym);
     let nd = &tree.nodes[v];
     let vars = &env.fs.rows[v];
     let (f, p) = (vars.len(), nd.npiv);
-    let FrontWorkspace { w, loc, map, row_perm } = ws;
+    debug_assert_eq!(f, nd.nfront);
+    let FrontWorkspace { loc, map, row_perm } = ws;
     for (l, &gv) in vars.iter().enumerate() {
         loc[gv] = l;
     }
@@ -105,7 +169,9 @@ pub(crate) fn factor_front(
         debug_assert_eq!(vars.get(loc[gv]), Some(&gv), "variable {gv} is not in front {v}");
         loc[gv]
     };
-    w.reset(f, f);
+    let offset = area.len();
+    area.resize(offset + f * f, 0.0);
+    let mut w = FrontMut::new(f, &mut area[offset..]);
 
     // ---- Assemble original-matrix entries. ----
     // A chain head assembles the entries of the *whole* original front
@@ -171,26 +237,38 @@ pub(crate) fn factor_front(
         stack.pop(h);
     }
 
-    // ---- Partial factorization. ----
+    // ---- Partial factorization, in place. ----
     match sym {
-        Symmetry::General => factor_front_lu_mt(w, p, row_perm, threads),
-        Symmetry::Symmetric => factor_front_ldlt_mt(w, p, threads),
+        Symmetry::General => factor_front_lu_mt(&mut w, p, row_perm, threads),
+        Symmetry::Symmetric => factor_front_ldlt_mt(&mut w, p, threads),
     }
     .map_err(|source| FactorError::Kernel { node: v, source })?;
 
-    // ---- Extract the factor panel; stack the contribution block. ----
-    let (u12, row_perm) = match sym {
-        Symmetry::General => {
-            let moved = row_perm[..p].iter().enumerate().any(|(k, &r)| r != k);
-            (w.block(0..p, p..f), if moved { row_perm[..p].to_vec() } else { Vec::new() })
-        }
-        Symmetry::Symmetric => (DenseMat::zeros(0, 0), Vec::new()),
-    };
+    // ---- Stack the contribution block; keep the factors. ----
     if f > p {
         let from = |j: usize| if sym == Symmetry::Symmetric { j } else { p };
         stack.push(tree.cb_entries(v) as usize, (p..f).map(|j| &w.col(j)[from(j)..]));
     }
-    Ok(FrontFactor { npiv: p, row_perm, panel: w.block(0..f, 0..p), u12 })
+    // The panel is the front's first `f x p` words already. LU moves
+    // `U12`, rows `..p` of the CB columns, down right behind it: column
+    // `j` lands at `f·p + j·p`, never past its source at `(p + j)·f`.
+    let row_perm = match sym {
+        Symmetry::General => {
+            for j in 0..f - p {
+                let src = offset + (p + j) * f;
+                area.copy_within(src..src + p, offset + f * p + j * p);
+            }
+            let moved = row_perm[..p].iter().enumerate().any(|(k, &r)| r != k);
+            if moved {
+                row_perm[..p].to_vec()
+            } else {
+                Vec::new()
+            }
+        }
+        Symmetry::Symmetric => Vec::new(),
+    };
+    area.truncate(offset + stored_words(tree, v));
+    Ok(FrontFactor { npiv: p, offset, row_perm })
 }
 
 #[cfg(test)]
@@ -213,9 +291,10 @@ mod tests {
             let reversed = Permutation::from_new_order((0..n).rev().collect()).unwrap();
             let s = mf_symbolic::analyze(&a, &reversed, &AmalgamationOptions::none());
             let env = FrontEnv::new(&a, &s);
-            let (mut ws, mut stack) = (FrontWorkspace::new(n), CbStack::new());
+            let (mut ws, mut stack, mut area) =
+                (FrontWorkspace::new(n), CbStack::new(), Vec::new());
             for v in s.tree.topo_order() {
-                factor_front(&env, &mut ws, &mut stack, v, 1).unwrap();
+                factor_front(&env, &mut ws, &mut stack, v, 1, &mut area).unwrap();
             }
             assert_eq!(stack.depth(), 0);
             let modelled = Factorization::from_symbolic(&a, &s).unwrap().stats.stack_peak;

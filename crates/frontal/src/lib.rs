@@ -8,7 +8,9 @@
 //!   kernels (LU with pivoting inside the fully-summed block, LDLᵀ on the
 //!   lower triangle);
 //! * [`arena`] — the contiguous contribution-block stack area of the
-//!   paper's Section 2 memory layout, with exact usage and peak tracking;
+//!   paper's Section 2 memory layout, with exact usage and peak tracking
+//!   (the factors area, with the current front at its free end, is the
+//!   numeric drivers' one `Vec<f64>` per factorization);
 //! * [`numeric`] — a sequential numeric multifrontal factorization and
 //!   solve over an assembly tree (the correctness anchor of the whole
 //!   reproduction: residual tests prove the symbolic layer + tree
@@ -21,8 +23,9 @@
 //!   here across threads.
 //!
 //! Both drivers push every front through one private pipeline (`front`:
-//! assemble → factor → extract in one reused buffer), so their factors
-//! are bit-identical.
+//! assemble → factor in place → keep the panel at the free end of a
+//! factor area), and both lay the factors out in one area in postorder,
+//! so their factors are bit-identical.
 
 #![warn(missing_docs)]
 #![allow(clippy::needless_range_loop)] // indexed loops are the idiom of dense kernels

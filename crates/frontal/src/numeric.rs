@@ -1,16 +1,18 @@
 //! Sequential numeric multifrontal factorization and solve.
 //!
 //! This is the correctness anchor of the reproduction: it executes the
-//! assembly tree produced by `mf-symbolic` with real arithmetic, the
+//! assembly tree produced by `mf-symbolic` with real arithmetic in the
+//! paper's Section 2 layout — one factor area, reserved once, with the
+//! current front assembled and factored at its free end, beside the
 //! contiguous CB stack of [`crate::arena`] (sized and checked by
-//! `mf_symbolic::seqstack::traversal_peak`), and the dense kernels of
-//! [`crate::dense`] — and verifies, through residual tests, that the
+//! `mf_symbolic::seqstack::traversal_peak`) — through the dense kernels
+//! of [`crate::dense`], and verifies, through residual tests, that the
 //! whole symbolic pipeline (ordering → etree → amalgamation → fronts) is
 //! consistent.
 
 use crate::arena::CbStack;
-use crate::dense::{DenseMat, KernelError};
-use crate::front::{factor_front, FrontEnv, FrontFactor, FrontWorkspace};
+use crate::dense::KernelError;
+use crate::front::{factor_front, new_area, AreaLayout, FrontEnv, FrontFactor, FrontWorkspace};
 use crate::gemm::axpy_sub;
 use mf_sparse::{CscMatrix, Permutation, Symmetry};
 use mf_symbolic::frontstruct::FrontStructures;
@@ -69,8 +71,11 @@ pub struct NumericStats {
     /// Peak of the active memory (stack + current front), the paper's
     /// reported quantity.
     pub active_peak: u64,
-    /// Factor entries stored.
+    /// Factor entries of the tree (`AssemblyTree::total_factor_entries`).
     pub factor_entries: u64,
+    /// Words the factor area holds: `factor_entries`, plus each LDLᵀ
+    /// panel's zero strict upper `p x p` triangle.
+    pub factor_words: u64,
     /// Number of fronts processed.
     pub fronts: usize,
 }
@@ -83,7 +88,10 @@ pub struct Factorization {
     pub(crate) perm: Permutation,
     /// Variable list of every front (pivots first).
     pub(crate) rows: FrontStructures,
-    pub(crate) fronts: Vec<Option<FrontFactor>>,
+    /// Every front's place in `area`, indexed by node.
+    pub(crate) fronts: Vec<FrontFactor>,
+    /// The factor area: every front's words, in postorder.
+    pub(crate) area: Vec<f64>,
     pub(crate) topo: Vec<usize>,
     /// Memory and size statistics gathered during the factorization.
     pub stats: NumericStats,
@@ -134,10 +142,10 @@ impl Factorization {
                 *h = (*h ^ b as u64).wrapping_mul(0x100000001b3);
             }
         }
-        fn mix_mat(h: &mut u64, m: &DenseMat) {
-            mix(h, m.nrows() as u64);
-            mix(h, m.ncols() as u64);
-            for &x in m.data() {
+        fn mix_mat(h: &mut u64, (nrows, ncols): (usize, usize), words: &[f64]) {
+            mix(h, nrows as u64);
+            mix(h, ncols as u64);
+            for &x in words {
                 mix(h, x.to_bits());
             }
         }
@@ -148,11 +156,9 @@ impl Factorization {
             mix(&mut h, self.perm.new_of(i) as u64);
         }
         for &v in &self.topo {
-            let Some(fr) = &self.fronts[v] else {
-                mix(&mut h, u64::MAX);
-                continue;
-            };
-            mix(&mut h, self.rows.rows[v].len() as u64);
+            let fr = &self.fronts[v];
+            let (f, p) = (self.rows.rows[v].len(), fr.npiv);
+            mix(&mut h, f as u64);
             for &gv in &self.rows.rows[v] {
                 mix(&mut h, gv as u64);
             }
@@ -160,10 +166,24 @@ impl Factorization {
             for &r in &fr.row_perm {
                 mix(&mut h, r as u64);
             }
-            mix_mat(&mut h, &fr.panel);
-            mix_mat(&mut h, &fr.u12);
+            let (panel, u12) = self.factors(v);
+            mix_mat(&mut h, (f, p), panel);
+            let u12_shape = match self.sym {
+                Symmetry::General => (p, f - p),
+                Symmetry::Symmetric => (0, 0),
+            };
+            mix_mat(&mut h, u12_shape, u12);
         }
         h
+    }
+
+    /// Front `v`'s words in the factor area: its `f x p` panel, and
+    /// `U12` (`p x (f-p)`, column-major; empty for LDLᵀ).
+    fn factors(&self, v: usize) -> (&[f64], &[f64]) {
+        let (f, p) = (self.rows.rows[v].len(), self.fronts[v].npiv);
+        let u12 = if self.sym == Symmetry::General { p * (f - p) } else { 0 };
+        let (panel, rest) = self.area[self.fronts[v].offset..].split_at(f * p);
+        (panel, &rest[..u12])
     }
 
     /// Matrix order.
@@ -192,9 +212,11 @@ impl Factorization {
         let (mut t, mut w): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
         // Forward elimination, children before parents.
         for &v in &self.topo {
-            let Some(fr) = &self.fronts[v] else { continue };
+            let fr = &self.fronts[v];
             let (vars, p) = (&self.rows.rows[v], fr.npiv);
             let (first, cb) = (vars[0], &vars[p..]);
+            let (f, panel) = (vars.len(), self.factors(v).0);
+            let col = |k: usize| &panel[k * f..(k + 1) * f];
             t.clear();
             if fr.row_perm.is_empty() {
                 t.extend_from_slice(&g[first..first + p]);
@@ -204,14 +226,14 @@ impl Factorization {
             for k in 0..p {
                 let tk = t[k];
                 if tk != 0.0 {
-                    axpy_sub(&mut t[k + 1..], &fr.panel.col(k)[k + 1..p], tk);
+                    axpy_sub(&mut t[k + 1..], &col(k)[k + 1..p], tk);
                 }
             }
             // g_cb -= L21 t, with w = -L21 t.
             w.clear();
             w.resize(cb.len(), 0.0);
             for k in 0..p {
-                axpy_sub(&mut w, &fr.panel.col(k)[p..], t[k]);
+                axpy_sub(&mut w, &col(k)[p..], t[k]);
             }
             for (&gv, &wi) in cb.iter().zip(&w) {
                 g[gv] += wi;
@@ -221,19 +243,20 @@ impl Factorization {
         // Backward substitution, parents before children.
         let mut x = vec![0.0; self.n];
         for &v in self.topo.iter().rev() {
-            let Some(fr) = &self.fronts[v] else { continue };
-            let (vars, p) = (&self.rows.rows[v], fr.npiv);
+            let (vars, p) = (&self.rows.rows[v], self.fronts[v].npiv);
             let (first, cb) = (vars[0], &vars[p..]);
+            let (f, (panel, u12)) = (vars.len(), self.factors(v));
+            let col = |k: usize| &panel[k * f..(k + 1) * f];
             t.clear();
             t.extend_from_slice(&y[first..first + p]);
             match self.sym {
                 Symmetry::General => {
                     // t -= U12 * x_cb, then solve U11 t.
                     for (j, &gv) in cb.iter().enumerate() {
-                        axpy_sub(&mut t, fr.u12.col(j), x[gv]);
+                        axpy_sub(&mut t, &u12[j * p..(j + 1) * p], x[gv]);
                     }
                     for j in (0..p).rev() {
-                        let col = fr.panel.col(j);
+                        let col = col(j);
                         t[j] /= col[j];
                         let tj = t[j];
                         axpy_sub(&mut t[..j], &col[..j], tj);
@@ -245,10 +268,10 @@ impl Factorization {
                     w.clear();
                     w.extend(cb.iter().map(|&gv| x[gv]));
                     for k in 0..p {
-                        t[k] /= fr.panel.get(k, k);
+                        t[k] /= panel[k * f + k];
                     }
                     for k in (0..p).rev() {
-                        let (l11, l21) = fr.panel.col(k).split_at(p);
+                        let (l11, l21) = col(k).split_at(p);
                         let mut s = t[k];
                         for (l, xi) in l21.iter().zip(&w) {
                             s -= l * xi;
@@ -324,16 +347,20 @@ fn factorize_sequential(
     let env = FrontEnv::new(a, s);
     let topo = tree.topo_order();
     let peaks = traversal_peak(tree, &topo);
-    let mut fronts: Vec<Option<FrontFactor>> = vec![None; tree.len()];
-    // The stack area is allocated once, at the peak this traversal will
-    // reach (every front pops its children's CBs and pushes its own).
+    let layout = AreaLayout::new(tree, &topo);
+    let mut fronts = vec![FrontFactor::default(); tree.len()];
+    // Both areas are allocated once, at the peak this traversal will
+    // reach: every front pops its children's CBs and pushes its own, and
+    // is assembled and factored right behind the factors stored before it.
     let mut cb_stack = CbStack::with_capacity(peaks.stack as usize);
+    let mut area = new_area(layout.capacity);
     let mut ws = FrontWorkspace::new(tree.n);
     for &v in &topo {
-        fronts[v] = Some(factor_front(&env, &mut ws, &mut cb_stack, v, threads)?);
+        fronts[v] = factor_front(&env, &mut ws, &mut cb_stack, v, threads, &mut area)?;
     }
 
     debug_assert_eq!(cb_stack.depth(), 0, "all CBs must be consumed");
+    debug_assert_eq!((area.len(), area.capacity()), (layout.len, layout.capacity));
     // The real stack is the modelled one: packed symmetric CBs hold
     // exactly `cb_entries` words.
     debug_assert_eq!(cb_stack.peak(), peaks.stack);
@@ -344,13 +371,15 @@ fn factorize_sequential(
         perm: s.perm.clone(),
         rows,
         fronts,
-        topo,
         stats: NumericStats {
             stack_peak: peaks.stack,
             active_peak: peaks.active,
             factor_entries: tree.total_factor_entries(),
+            factor_words: area.len() as u64,
             fronts: tree.len(),
         },
+        area,
+        topo,
     })
 }
 
@@ -435,13 +464,71 @@ mod tests {
         assert_eq!(f.stats.active_peak, model);
     }
 
+    /// Both symmetries, a few hundred fronts each.
+    fn instances() -> [CscMatrix; 2] {
+        [grid2d(7, 9, Stencil::Box), grid3d(5, 4, 4, Stencil::Star, Symmetry::General, 5)]
+    }
+
+    fn both_drivers(a: &CscMatrix, s: &SymbolicAnalysis) -> [Factorization; 2] {
+        let seq = Factorization::from_symbolic(a, s).unwrap();
+        [seq, crate::parallel::factorize_parallel(a, s).unwrap()]
+    }
+
     #[test]
     fn factor_entries_match_symbolic_total() {
-        let a = grid2d(7, 9, Stencil::Box);
-        let s =
-            mf_symbolic::analyze(&a, &Permutation::identity(63), &AmalgamationOptions::default());
-        let f = Factorization::from_symbolic(&a, &s).unwrap();
-        assert_eq!(f.stats.factor_entries, s.tree.total_factor_entries());
+        // The area holds `f·p + p(f−p)` words a front for LU, the tree's
+        // factor entries; LDLᵀ keeps each panel's zero strict upper
+        // `p x p` triangle beside them.
+        for a in instances() {
+            let n = a.nrows();
+            let s =
+                mf_symbolic::analyze(&a, &Permutation::identity(n), &AmalgamationOptions::none());
+            let tree = &s.tree;
+            let (mut lu, mut upper) = (0, 0);
+            for nd in &tree.nodes {
+                let (f, p) = (nd.nfront as u64, nd.npiv as u64);
+                (lu, upper) = (lu + f * p + p * (f - p), upper + p * (p - 1) / 2);
+            }
+            let want = match tree.sym {
+                Symmetry::General => lu,
+                Symmetry::Symmetric => tree.total_factor_entries() + upper,
+            };
+            assert!(upper > 0, "the instance must have fronts of two pivots or more");
+            for f in both_drivers(&a, &s) {
+                assert_eq!(f.stats.factor_entries, tree.total_factor_entries());
+                assert_eq!(f.stats.factor_words, want, "{:?}", tree.sym);
+                assert_eq!(f.area.len() as u64, want, "{:?}", tree.sym);
+            }
+        }
+    }
+
+    #[test]
+    fn fronts_tile_the_area_in_postorder_within_its_reservation() {
+        let mut beyond = 0;
+        for a in instances() {
+            // Under AMD some front's `f²` reaches past the words kept.
+            let perm = mf_order::OrderingKind::Amd.compute(&a);
+            let s = mf_symbolic::analyze(&a, &perm, &AmalgamationOptions::none());
+            let [seq, par] = both_drivers(&a, &s);
+            // Each front starts where the one before it in postorder ends,
+            // and the sequential driver's reservation is the most any
+            // front needs: the words before it plus its `f²`.
+            let (mut end, mut reserved) = (0, 0);
+            for &v in &seq.topo {
+                let f = s.tree.nodes[v].nfront;
+                assert_eq!(seq.fronts[v].offset, end, "front {v}: a gap or an overlap");
+                assert_eq!(par.fronts[v].offset, end, "front {v} in the parallel area");
+                reserved = usize::max(reserved, end + f * f);
+                let (panel, u12) = seq.factors(v);
+                end += panel.len() + u12.len();
+            }
+            assert_eq!((seq.area.len(), par.area.len()), (end, end));
+            // Reserved once and never grown: a reallocation would have
+            // changed the capacity.
+            assert_eq!(seq.area.capacity(), reserved, "{:?}", s.tree.sym);
+            beyond += reserved - end;
+        }
+        assert!(beyond > 0, "no instance reserves more than it keeps: a grown area would pass");
     }
 
     #[test]

@@ -4,14 +4,19 @@
 //! parallelism across MPI ranks — maps directly onto fork-join threading:
 //! independent subtrees factorize concurrently, each front sequentially.
 //! This module provides that shared-memory variant. Every front runs the
-//! sequential driver's pipeline (`crate::front`); the one global LIFO
-//! stack (meaningless under concurrency) becomes one stack per parallel
-//! branch, and memory is tracked with atomic high-water counters instead
-//! ([`factorize_parallel`]'s `NumericStats` reports the honest peak of
-//! live front + CB entries across all workers).
+//! sequential driver's pipeline (`crate::front`) in a buffer of its
+//! worker, and its words are then copied to the front's own range of a
+//! factor area laid out exactly as the sequential driver's, so both
+//! drivers return one `Factorization` representation. The one global
+//! LIFO stack (meaningless under concurrency) becomes one stack per
+//! parallel branch, and memory is tracked with atomic high-water counters
+//! instead ([`factorize_parallel`]'s `NumericStats` reports the honest
+//! peak of live front + CB entries across all workers).
 
 use crate::arena::CbStack;
-use crate::front::{factor_front, FrontEnv, FrontFactor, FrontWorkspace};
+use crate::front::{
+    factor_front, new_area, stored_words, AreaLayout, FrontEnv, FrontFactor, FrontWorkspace,
+};
 use crate::numeric::{FactorError, Factorization, NumericOptions, NumericStats};
 use mf_sparse::CscMatrix;
 use mf_symbolic::SymbolicAnalysis;
@@ -58,14 +63,18 @@ impl ParAccount {
     }
 }
 
-struct Ctx<'a> {
+struct Ctx<'a, 'f> {
     env: FrontEnv<'a>,
     threads: usize,
     acct: ParAccount,
-    /// Idle front workspaces: a front takes one (or makes one) and puts
-    /// it back, so at most one per worker thread ever exists.
-    workspaces: Mutex<Vec<FrontWorkspace>>,
-    slots: Vec<Mutex<Option<FrontFactor>>>,
+    /// Idle workspaces, each with the buffer a front is factored in: a
+    /// front takes one (or makes one) and puts it back, so at most one
+    /// per worker thread ever exists.
+    workspaces: Mutex<Vec<(FrontWorkspace, Vec<f64>)>>,
+    /// Every front's range of the factor area and its `FrontFactor`:
+    /// the offset set up front, the rest once the front's words are
+    /// copied in (indexed by node).
+    slots: Vec<Mutex<(&'f mut [f64], FrontFactor)>>,
 }
 
 /// Factorizes `a` over the symbolic analysis `s`, exploiting tree
@@ -91,36 +100,52 @@ pub fn factorize_parallel_with(
     if a.nrows() != a.ncols() {
         return Err(FactorError::NotSquare);
     }
+    let tree = &s.tree;
+    let topo = tree.topo_order();
+    let len = AreaLayout::new(tree, &topo).len;
+    let mut area = new_area(len);
+    area.resize(len, 0.0);
+    // Cut the area into the fronts' disjoint ranges, in postorder.
+    let mut slots: Vec<_> = (0..tree.len()).map(|_| Mutex::default()).collect();
+    let (mut rest, mut offset) = (&mut area[..], 0);
+    for &v in &topo {
+        let words = stored_words(tree, v);
+        let (range, tail) = std::mem::take(&mut rest).split_at_mut(words);
+        *slots[v].get_mut() = (range, FrontFactor { offset, ..FrontFactor::default() });
+        (rest, offset) = (tail, offset + words);
+    }
     let ctx = Ctx {
         env: FrontEnv::new(a, s),
         threads: opts.cores_per_front.max(1),
         acct: ParAccount::default(),
         workspaces: Mutex::new(Vec::new()),
-        slots: (0..s.tree.len()).map(|_| Mutex::new(None)).collect(),
+        slots,
     };
-    let roots = s.tree.roots();
+    let roots = tree.roots();
     roots.par_iter().map(|&r| process(&ctx, r, &mut CbStack::new())).collect::<Result<(), _>>()?;
     let Ctx { env, acct, slots, .. } = ctx;
-    let rows = env.into_structures();
+    let fronts = slots.into_iter().map(|slot| slot.into_inner().1).collect();
     Ok(Factorization {
-        sym: s.tree.sym,
-        n: s.tree.n,
+        sym: tree.sym,
+        n: tree.n,
         perm: s.perm.clone(),
-        rows,
-        fronts: slots.into_iter().map(|m| m.into_inner()).collect(),
-        topo: s.tree.topo_order(),
+        rows: env.into_structures(),
+        fronts,
         stats: NumericStats {
             stack_peak: acct.stack_peak.load(Ordering::Relaxed),
             active_peak: acct.live_peak.load(Ordering::Relaxed),
-            factor_entries: s.tree.total_factor_entries(),
-            fronts: s.tree.len(),
+            factor_entries: tree.total_factor_entries(),
+            factor_words: area.len() as u64,
+            fronts: tree.len(),
         },
+        area,
+        topo,
     })
 }
 
 /// Processes the subtree rooted at `v`, leaving the contribution block
 /// of `v` on top of `stack`.
-fn process(ctx: &Ctx<'_>, v: usize, stack: &mut CbStack) -> Result<(), FactorError> {
+fn process(ctx: &Ctx<'_, '_>, v: usize, stack: &mut CbStack) -> Result<(), FactorError> {
     let tree = ctx.env.tree;
     let nd = &tree.nodes[v];
     // Children first. An only child works on our stack; several run in
@@ -147,10 +172,16 @@ fn process(ctx: &Ctx<'_>, v: usize, stack: &mut CbStack) -> Result<(), FactorErr
 
     let front = (nd.nfront * nd.nfront) as u64;
     ctx.acct.alloc_front(front);
-    let mut ws = (ctx.workspaces.lock().pop()).unwrap_or_else(|| FrontWorkspace::new(tree.n));
-    let factored = factor_front(&ctx.env, &mut ws, stack, v, ctx.threads);
-    ctx.workspaces.lock().push(ws);
-    *ctx.slots[v].lock() = Some(factored?);
+    let (mut ws, mut buf) =
+        (ctx.workspaces.lock().pop()).unwrap_or_else(|| (FrontWorkspace::new(tree.n), Vec::new()));
+    buf.clear();
+    let factored = factor_front(&ctx.env, &mut ws, stack, v, ctx.threads, &mut buf).map(|fr| {
+        let (range, factor) = &mut *ctx.slots[v].lock();
+        range.copy_from_slice(&buf);
+        *factor = FrontFactor { offset: factor.offset, ..fr };
+    });
+    ctx.workspaces.lock().push((ws, buf));
+    factored?;
     for &ch in &nd.children {
         ctx.acct.pop_cb(tree.cb_entries(ch));
     }

@@ -110,12 +110,24 @@ proptest! {
     fn factor_entry_accounting_is_exact(
         n in 5usize..40,
         edges in prop::collection::vec((0usize..40, 0usize..40), 1..80),
+        sym in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let a = dd_matrix(n, &edges, true, seed);
+        let a = dd_matrix(n, &edges, sym, seed);
         let s = analyze(&a, &Permutation::identity(n), &AmalgamationOptions::default());
         let f = Factorization::from_symbolic(&a, &s).unwrap();
         prop_assert_eq!(f.stats.factor_entries, s.tree.total_factor_entries());
+        // The factor area holds `f·p + p(f−p)` words a front for LU; LDLᵀ
+        // stores the `f x p` panel whole, its zero strict upper `p x p`
+        // triangle beside the tree's factor entries.
+        let (mut lu, mut upper) = (0u64, 0u64);
+        for nd in &s.tree.nodes {
+            let (f, p) = (nd.nfront as u64, nd.npiv as u64);
+            lu += f * p + p * (f - p);
+            upper += p * (p - 1) / 2;
+        }
+        let words = if sym { s.tree.total_factor_entries() + upper } else { lu };
+        prop_assert_eq!(f.stats.factor_words, words);
         // And the numeric stack peak equals the symbolic model.
         let model = multifrontal::symbolic::seqstack::sequential_peak(
             &s.tree,
