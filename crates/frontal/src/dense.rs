@@ -46,18 +46,6 @@ impl DenseMat {
         &mut self.data[j * self.nrows + i]
     }
 
-    /// Column `j` as a slice.
-    #[inline]
-    pub fn col(&self, j: usize) -> &[f64] {
-        &self.data[j * self.nrows..(j + 1) * self.nrows]
-    }
-
-    /// Column `j` as a mutable slice.
-    #[inline]
-    pub fn col_mut(&mut self, j: usize) -> &mut [f64] {
-        &mut self.data[j * self.nrows..(j + 1) * self.nrows]
-    }
-
     /// The matrix as a square front for the kernels.
     fn front_mut(&mut self) -> FrontMut<'_> {
         assert_eq!(self.nrows, self.ncols, "frontal matrices are square");
@@ -72,21 +60,6 @@ impl DenseMat {
         debug_assert!(a < self.nrows && b < self.nrows);
         for col in self.data.chunks_exact_mut(self.nrows) {
             col.swap(a, b);
-        }
-    }
-
-    /// `y += A x` (used by tests for residual checks).
-    pub fn mul_vec_add(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols);
-        assert_eq!(y.len(), self.nrows);
-        for j in 0..self.ncols {
-            let xj = x[j];
-            if xj == 0.0 {
-                continue;
-            }
-            for (i, &a) in self.col(j).iter().enumerate() {
-                y[i] += a * xj;
-            }
         }
     }
 }
@@ -1072,7 +1045,9 @@ mod tests {
                 for poison in [f64::NAN, 12345.678] {
                     let mut w = random_sym_front(f, (f * 13 + p) as u64);
                     for j in 0..f {
-                        w.col_mut(j)[..j].fill(poison);
+                        for i in 0..j {
+                            *w.get_mut(i, j) = poison;
+                        }
                     }
                     kernel(&mut w, p).unwrap();
                     for j in 0..f {
@@ -1140,13 +1115,5 @@ mod tests {
         factor_front_lu_mt(&mut w1.front_mut(), 520, &mut p1, 1).unwrap(); // blocked path
         partial_lu(&mut w2, 520, &mut p2).unwrap();
         assert_eq!(p1, p2);
-    }
-
-    #[test]
-    fn mul_vec_add_works() {
-        let a = front_from(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let mut y = vec![0.0, 0.0];
-        a.mul_vec_add(&[1.0, 1.0], &mut y);
-        assert_eq!(y, vec![3.0, 7.0]);
     }
 }

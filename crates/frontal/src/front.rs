@@ -7,18 +7,26 @@
 //! at its end: a front is assembled right behind the factors stored
 //! before it and factored in place, so its leading `f × p` panel already
 //! lies where it is kept. The contribution block goes to the stack; LU
-//! then moves `U12` down right behind the panel, and the area advances by
-//! the words stored ([`stored_words`]).
+//! then moves `U12` down right behind the panel, LDLᵀ packs the panel's
+//! columns from their diagonal down, and the area advances by the words
+//! stored ([`stored_words`]): the front's factor entries, no more.
 //!
 //! A symmetric front lives in the **lower triangle** of its `f²` words
-//! from assembly to storage (the strict upper triangle stays zero), and
-//! its contribution block is stacked packed: column `j` from its diagonal
-//! down, `cf(cf+1)/2` entries — what `AssemblyTree::cb_entries` counts.
+//! from assembly to factorization (the strict upper triangle stays zero),
+//! and its contribution block is stacked packed: column `j` from its
+//! diagonal down, `cf(cf+1)/2` entries — what `AssemblyTree::cb_entries`
+//! counts.
+//!
+//! Fronts are assembled from the caller's `A` read through the ordering
+//! (new column `c` is column `perm.old_of(c)` of `A`, its rows mapped by
+//! `perm.new_of`); no permuted copy of the matrix is made. Each original
+//! entry lands once on a zeroed word, so the order it is read in cannot
+//! change a bit.
 
 use crate::arena::CbStack;
 use crate::dense::{add_assign_slice, factor_front_ldlt_mt, factor_front_lu_mt, FrontMut};
 use crate::numeric::FactorError;
-use mf_sparse::{CscMatrix, Symmetry};
+use mf_sparse::{CscMatrix, Permutation, Symmetry};
 use mf_symbolic::frontstruct::{front_structures, FrontStructures};
 use mf_symbolic::{AssemblyTree, SymbolicAnalysis};
 
@@ -26,26 +34,50 @@ use mf_symbolic::{AssemblyTree, SymbolicAnalysis};
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FrontFactor {
     pub(crate) npiv: usize,
-    /// Where the front's words start in the factor area: the `f x p`
-    /// column-major panel — `L11` (unit lower, implied diagonal) with
-    /// `U11` on and above the diagonal for LU, `L11` with `D` on the
-    /// diagonal for LDLᵀ (zero above it), over the `(f-p) x p` block
-    /// `L21` — then, for LU only, the `p x (f-p)` column-major `U12`.
+    /// Where the front's words start in the factor area: for LU the
+    /// `f x p` column-major panel — `L11` (unit lower, implied diagonal)
+    /// with `U11` on and above the diagonal, over the `(f-p) x p` block
+    /// `L21` — then the `p x (f-p)` column-major `U12`; for LDLᵀ the same
+    /// panel with `D` on the diagonal, packed: column `k` holds rows
+    /// `k..f` only and starts at [`packed_col_start`]`(f, k)`.
     pub(crate) offset: usize,
     /// Local row permutation of the fully-summed rows; empty when it is
     /// the identity (always, for LDLᵀ).
     pub(crate) row_perm: Vec<usize>,
 }
 
-/// Words front `v` keeps in the factor area: its `f x p` panel and, for
-/// LU, `U12`. LDLᵀ keeps the panel's zero strict upper `p x p` triangle
-/// too, so it stores `p(p-1)/2` words more than `tree.factor_entries(v)`.
+/// Words front `v` keeps in the factor area, `tree.factor_entries(v)`.
 pub(crate) fn stored_words(tree: &AssemblyTree, v: usize) -> usize {
-    let (f, p) = (tree.nodes[v].nfront, tree.nodes[v].npiv);
-    match tree.sym {
-        Symmetry::General => f * p + p * (f - p),
-        Symmetry::Symmetric => f * p,
+    let (panel, u12) = panel_and_u12_words(tree.sym, tree.nodes[v].nfront, tree.nodes[v].npiv);
+    panel + u12
+}
+
+/// Words of the panel and of `U12` of a front of order `f` with `p`
+/// pivots: `f·p` and `p(f−p)` for LU, the packed `f·p − p(p−1)/2` and
+/// none for LDLᵀ.
+pub(crate) fn panel_and_u12_words(sym: Symmetry, f: usize, p: usize) -> (usize, usize) {
+    match sym {
+        Symmetry::General => (f * p, p * (f - p)),
+        Symmetry::Symmetric => (packed_col_start(f, p), 0),
     }
+}
+
+/// Where column `k` of a packed LDLᵀ panel with `f` rows starts: every
+/// column before it holds its rows from the diagonal down, `f − j` words
+/// for column `j`, so this is `k·f − k(k−1)/2`.
+fn packed_col_start(f: usize, k: usize) -> usize {
+    k * (2 * f + 1 - k) / 2
+}
+
+/// Rows `k..f` of column `k` of a kept panel with `f` rows: the pivot,
+/// then the column of `L` below it. An LU panel is `f x p` column-major;
+/// an LDLᵀ panel is packed, each column from its diagonal down.
+pub(crate) fn lower_col(sym: Symmetry, f: usize, panel: &[f64], k: usize) -> &[f64] {
+    let start = match sym {
+        Symmetry::General => k * f + k,
+        Symmetry::Symmetric => packed_col_start(f, k),
+    };
+    &panel[start..start + f - k]
 }
 
 /// The factor area of a traversal: the words all fronts store, each
@@ -98,28 +130,30 @@ pub(crate) fn new_area(words: usize) -> Vec<f64> {
     area
 }
 
-/// What every front of one factorization reads: the tree, the one
-/// permuted copy of the matrix, and the front structures built from the
-/// two (moved into the returned `Factorization` at the end).
+/// What every front of one factorization reads: the tree, the matrix
+/// and the ordering it is read through, and the front structures built
+/// from them (moved into the returned `Factorization` at the end).
 pub(crate) struct FrontEnv<'a> {
     pub(crate) tree: &'a AssemblyTree,
     pub(crate) fs: FrontStructures,
-    /// `P A Pᵀ`.
-    pa: CscMatrix,
-    /// Its transpose, for the row parts of unsymmetric fronts.
-    pat: Option<CscMatrix>,
+    /// `A` as the caller holds it: new column `c` is its column
+    /// `perm.old_of(c)`, and its row `i` is new row `perm.new_of(i)`.
+    a: &'a CscMatrix,
+    perm: &'a Permutation,
+    /// `Aᵀ`, for the row parts of unsymmetric fronts; the one matrix copy
+    /// a factorization makes.
+    at: Option<CscMatrix>,
 }
 
 impl<'a> FrontEnv<'a> {
-    pub(crate) fn new(a: &CscMatrix, s: &'a SymbolicAnalysis) -> Self {
-        let pa = a.permute_symmetric(&s.perm);
-        let pat = (s.tree.sym == Symmetry::General).then(|| pa.transpose());
-        let fs = front_structures(&s.tree, &pa, pat.as_ref());
-        FrontEnv { tree: &s.tree, fs, pa, pat }
+    pub(crate) fn new(a: &'a CscMatrix, s: &'a SymbolicAnalysis) -> Self {
+        let at = (s.tree.sym == Symmetry::General).then(|| a.transpose());
+        let fs = front_structures(&s.tree, a, at.as_ref(), &s.perm);
+        FrontEnv { tree: &s.tree, fs, a, perm: &s.perm, at }
     }
 
-    /// The front structures, for the `Factorization`; the permuted matrix
-    /// is freed here.
+    /// The front structures, for the `Factorization`; `Aᵀ` is freed
+    /// here.
     pub(crate) fn into_structures(self) -> FrontStructures {
         self.fs
     }
@@ -165,7 +199,7 @@ pub(crate) fn factor_front(
     for (l, &gv) in vars.iter().enumerate() {
         loc[gv] = l;
     }
-    let at = |gv: usize| {
+    let local = |gv: usize| {
         debug_assert_eq!(vars.get(loc[gv]), Some(&gv), "variable {gv} is not in front {v}");
         loc[gv]
     };
@@ -178,20 +212,22 @@ pub(crate) fn factor_front(
     // (its tail links' pivot columns included); tail links assemble
     // nothing — they continue on the Schur complement.
     let span = if tree.is_chain_tail(v) { 0 } else { tree.chain_npiv(v) };
+    let perm = env.perm;
     for c in nd.first_col..nd.first_col + span {
-        let lc = at(c);
-        let col = env.pa.rows_in_col(c).iter().zip(env.pa.vals_in_col(c));
-        match &env.pat {
+        let (lc, oc) = (local(c), perm.old_of(c));
+        let col = env.a.rows_in_col(oc).iter().map(|&i| perm.new_of(i)).zip(env.a.vals_in_col(oc));
+        match &env.at {
             // Lower triangle only: rows at or below the diagonal.
-            None => col.filter(|(&i, _)| i >= c).for_each(|(&i, &val)| w.add(at(i), lc, val)),
-            Some(pat) => {
+            None => col.filter(|&(i, _)| i >= c).for_each(|(i, &val)| w.add(local(i), lc, val)),
+            Some(at) => {
                 // Column part: rows at or below this front's pivots.
-                col.filter(|(&i, _)| i >= nd.first_col)
-                    .for_each(|(&i, &val)| w.add(at(i), lc, val));
+                col.filter(|&(i, _)| i >= nd.first_col)
+                    .for_each(|(i, &val)| w.add(local(i), lc, val));
                 // Row part: columns strictly in the CB variable range.
-                for (&j, &val) in pat.rows_in_col(c).iter().zip(pat.vals_in_col(c)) {
+                for (&oj, &val) in at.rows_in_col(oc).iter().zip(at.vals_in_col(oc)) {
+                    let j = perm.new_of(oj);
                     if j >= nd.first_col + span {
-                        w.add(lc, at(j), val);
+                        w.add(lc, local(j), val);
                     }
                 }
             }
@@ -209,7 +245,7 @@ pub(crate) fn factor_front(
         let mut data = stack.get(h);
         debug_assert_eq!(data.len() as u64, tree.cb_entries(ch));
         map.clear();
-        map.extend(cb_vars.iter().map(|&gv| at(gv)));
+        map.extend(cb_vars.iter().map(|&gv| local(gv)));
         // Both variable lists ascend, so the CB lands on consecutive
         // parent rows (the common case for the last child absorbed into
         // an amalgamated parent) iff its ends are `cf - 1` apart; each CB
@@ -252,6 +288,8 @@ pub(crate) fn factor_front(
     // The panel is the front's first `f x p` words already. LU moves
     // `U12`, rows `..p` of the CB columns, down right behind it: column
     // `j` lands at `f·p + j·p`, never past its source at `(p + j)·f`.
+    // LDLᵀ packs the panel: column `k`, rows `k..f`, lands at
+    // `packed_col_start(f, k)`, never past its source at `k·f + k`.
     let row_perm = match sym {
         Symmetry::General => {
             for j in 0..f - p {
@@ -265,7 +303,18 @@ pub(crate) fn factor_front(
                 Vec::new()
             }
         }
-        Symmetry::Symmetric => Vec::new(),
+        Symmetry::Symmetric => {
+            // The digest hashes the dropped words as `+0.0`.
+            debug_assert!(
+                (0..p).all(|k| area[offset + k * f..][..k].iter().all(|x| x.to_bits() == 0)),
+                "front {v}: the strict upper triangle of the pivot block is not +0.0"
+            );
+            for k in 1..p {
+                let src = offset + k * f + k;
+                area.copy_within(src..src + f - k, offset + packed_col_start(f, k));
+            }
+            Vec::new()
+        }
     };
     area.truncate(offset + stored_words(tree, v));
     Ok(FrontFactor { npiv: p, offset, row_perm })

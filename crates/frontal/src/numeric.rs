@@ -12,7 +12,10 @@
 
 use crate::arena::CbStack;
 use crate::dense::KernelError;
-use crate::front::{factor_front, new_area, AreaLayout, FrontEnv, FrontFactor, FrontWorkspace};
+use crate::front::{
+    factor_front, lower_col, new_area, panel_and_u12_words, AreaLayout, FrontEnv, FrontFactor,
+    FrontWorkspace,
+};
 use crate::gemm::axpy_sub;
 use mf_sparse::{CscMatrix, Permutation, Symmetry};
 use mf_symbolic::frontstruct::FrontStructures;
@@ -71,11 +74,9 @@ pub struct NumericStats {
     /// Peak of the active memory (stack + current front), the paper's
     /// reported quantity.
     pub active_peak: u64,
-    /// Factor entries of the tree (`AssemblyTree::total_factor_entries`).
+    /// Factor entries of the tree (`AssemblyTree::total_factor_entries`),
+    /// the words the factor area holds.
     pub factor_entries: u64,
-    /// Words the factor area holds: `factor_entries`, plus each LDLᵀ
-    /// panel's zero strict upper `p x p` triangle.
-    pub factor_words: u64,
     /// Number of fronts processed.
     pub fronts: usize,
 }
@@ -133,9 +134,11 @@ impl Factorization {
     /// Order-stable FNV-1a digest of the complete numeric content:
     /// symmetry, order, permutation, and — in topological order — every
     /// front's variables, pivot count, row permutation, and the exact
-    /// bit patterns of its factor panel and `U12`. Two factorizations digest
-    /// equal iff they are byte-identical; the determinism suite uses
-    /// this to compare runs across thread counts and SIMD levels.
+    /// bit patterns of its `f x p` factor panel and `U12`. A packed LDLᵀ
+    /// panel is hashed as the full column-major panel it packs, `+0.0`
+    /// above the diagonal. Two factorizations digest equal iff they are
+    /// byte-identical; the determinism suite uses this to compare runs
+    /// across thread counts and SIMD levels.
     pub fn content_digest(&self) -> u64 {
         fn mix(h: &mut u64, x: u64) {
             for b in x.to_le_bytes() {
@@ -167,7 +170,20 @@ impl Factorization {
                 mix(&mut h, r as u64);
             }
             let (panel, u12) = self.factors(v);
-            mix_mat(&mut h, (f, p), panel);
+            match self.sym {
+                Symmetry::General => mix_mat(&mut h, (f, p), panel),
+                Symmetry::Symmetric => {
+                    mix(&mut h, f as u64);
+                    mix(&mut h, p as u64);
+                    for k in 0..p {
+                        // Rows `..k` of column `k`: `+0.0`, whose bits are 0.
+                        (0..k).for_each(|_| mix(&mut h, 0));
+                        for &x in lower_col(self.sym, f, panel, k) {
+                            mix(&mut h, x.to_bits());
+                        }
+                    }
+                }
+            }
             let u12_shape = match self.sym {
                 Symmetry::General => (p, f - p),
                 Symmetry::Symmetric => (0, 0),
@@ -177,13 +193,20 @@ impl Factorization {
         h
     }
 
-    /// Front `v`'s words in the factor area: its `f x p` panel, and
-    /// `U12` (`p x (f-p)`, column-major; empty for LDLᵀ).
+    /// Front `v`'s words in the factor area: its panel — `f x p` for LU,
+    /// packed for LDLᵀ (read through `lower_col`) — and `U12`
+    /// (`p x (f-p)`, column-major; empty for LDLᵀ).
     fn factors(&self, v: usize) -> (&[f64], &[f64]) {
         let (f, p) = (self.rows.rows[v].len(), self.fronts[v].npiv);
-        let u12 = if self.sym == Symmetry::General { p * (f - p) } else { 0 };
-        let (panel, rest) = self.area[self.fronts[v].offset..].split_at(f * p);
+        let (panel, u12) = panel_and_u12_words(self.sym, f, p);
+        let (panel, rest) = self.area[self.fronts[v].offset..].split_at(panel);
         (panel, &rest[..u12])
+    }
+
+    /// Words the factor area holds: every front's factor entries, laid
+    /// end to end in postorder.
+    pub fn area_len(&self) -> usize {
+        self.area.len()
     }
 
     /// Matrix order.
@@ -208,7 +231,8 @@ impl Factorization {
         // Scratch reused across fronts: `t` is the pivot part of the
         // front's vector, `w` its contribution-block part. The panel is
         // column-major — rows `..p` of a column are `L11`/`U11`, rows
-        // `p..` are `L21` — so every product below goes column by column.
+        // `p..` are `L21` — so every product below goes column by column,
+        // reading `L` from the diagonal down.
         let (mut t, mut w): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
         // Forward elimination, children before parents.
         for &v in &self.topo {
@@ -216,7 +240,7 @@ impl Factorization {
             let (vars, p) = (&self.rows.rows[v], fr.npiv);
             let (first, cb) = (vars[0], &vars[p..]);
             let (f, panel) = (vars.len(), self.factors(v).0);
-            let col = |k: usize| &panel[k * f..(k + 1) * f];
+            let lower = |k: usize| lower_col(self.sym, f, panel, k);
             t.clear();
             if fr.row_perm.is_empty() {
                 t.extend_from_slice(&g[first..first + p]);
@@ -226,14 +250,14 @@ impl Factorization {
             for k in 0..p {
                 let tk = t[k];
                 if tk != 0.0 {
-                    axpy_sub(&mut t[k + 1..], &col(k)[k + 1..p], tk);
+                    axpy_sub(&mut t[k + 1..], &lower(k)[1..p - k], tk);
                 }
             }
             // g_cb -= L21 t, with w = -L21 t.
             w.clear();
             w.resize(cb.len(), 0.0);
             for k in 0..p {
-                axpy_sub(&mut w, &col(k)[p..], t[k]);
+                axpy_sub(&mut w, &lower(k)[p - k..], t[k]);
             }
             for (&gv, &wi) in cb.iter().zip(&w) {
                 g[gv] += wi;
@@ -246,7 +270,6 @@ impl Factorization {
             let (vars, p) = (&self.rows.rows[v], self.fronts[v].npiv);
             let (first, cb) = (vars[0], &vars[p..]);
             let (f, (panel, u12)) = (vars.len(), self.factors(v));
-            let col = |k: usize| &panel[k * f..(k + 1) * f];
             t.clear();
             t.extend_from_slice(&y[first..first + p]);
             match self.sym {
@@ -256,7 +279,7 @@ impl Factorization {
                         axpy_sub(&mut t, &u12[j * p..(j + 1) * p], x[gv]);
                     }
                     for j in (0..p).rev() {
-                        let col = col(j);
+                        let col = &panel[j * f..(j + 1) * f];
                         t[j] /= col[j];
                         let tj = t[j];
                         axpy_sub(&mut t[..j], &col[..j], tj);
@@ -267,16 +290,17 @@ impl Factorization {
                     // Lᵀ x = t using L21 and L11.
                     w.clear();
                     w.extend(cb.iter().map(|&gv| x[gv]));
+                    let lower = |k: usize| lower_col(self.sym, f, panel, k);
                     for k in 0..p {
-                        t[k] /= panel[k * f + k];
+                        t[k] /= lower(k)[0];
                     }
                     for k in (0..p).rev() {
-                        let (l11, l21) = col(k).split_at(p);
+                        let (l11, l21) = lower(k).split_at(p - k);
                         let mut s = t[k];
                         for (l, xi) in l21.iter().zip(&w) {
                             s -= l * xi;
                         }
-                        for (l, tj) in l11[k + 1..].iter().zip(&t[k + 1..]) {
+                        for (l, tj) in l11[1..].iter().zip(&t[k + 1..]) {
                             s -= l * tj;
                         }
                         t[k] = s;
@@ -375,7 +399,6 @@ fn factorize_sequential(
             stack_peak: peaks.stack,
             active_peak: peaks.active,
             factor_entries: tree.total_factor_entries(),
-            factor_words: area.len() as u64,
             fronts: tree.len(),
         },
         area,
@@ -476,28 +499,21 @@ mod tests {
 
     #[test]
     fn factor_entries_match_symbolic_total() {
-        // The area holds `f·p + p(f−p)` words a front for LU, the tree's
-        // factor entries; LDLᵀ keeps each panel's zero strict upper
-        // `p x p` triangle beside them.
+        // The area holds the tree's factor entries and nothing else: the
+        // `f·p + p(f−p)` words of an LU front, the packed `f·p − p(p−1)/2`
+        // of an LDLᵀ panel, whose zero strict upper triangle is dropped.
         for a in instances() {
             let n = a.nrows();
             let s =
                 mf_symbolic::analyze(&a, &Permutation::identity(n), &AmalgamationOptions::none());
             let tree = &s.tree;
-            let (mut lu, mut upper) = (0, 0);
-            for nd in &tree.nodes {
-                let (f, p) = (nd.nfront as u64, nd.npiv as u64);
-                (lu, upper) = (lu + f * p + p * (f - p), upper + p * (p - 1) / 2);
-            }
-            let want = match tree.sym {
-                Symmetry::General => lu,
-                Symmetry::Symmetric => tree.total_factor_entries() + upper,
-            };
-            assert!(upper > 0, "the instance must have fronts of two pivots or more");
+            assert!(
+                tree.nodes.iter().any(|nd| nd.npiv > 1),
+                "the instance must have fronts of two pivots or more"
+            );
             for f in both_drivers(&a, &s) {
                 assert_eq!(f.stats.factor_entries, tree.total_factor_entries());
-                assert_eq!(f.stats.factor_words, want, "{:?}", tree.sym);
-                assert_eq!(f.area.len() as u64, want, "{:?}", tree.sym);
+                assert_eq!(f.area.len() as u64, tree.total_factor_entries(), "{:?}", tree.sym);
             }
         }
     }

@@ -135,7 +135,6 @@ pub fn factorize_parallel_with(
             stack_peak: acct.stack_peak.load(Ordering::Relaxed),
             active_peak: acct.live_peak.load(Ordering::Relaxed),
             factor_entries: tree.total_factor_entries(),
-            factor_words: area.len() as u64,
             fronts: tree.len(),
         },
         area,

@@ -15,23 +15,26 @@
 //!   2 x fronts + 400
 //! ```
 //!
-//! where the constant covers what is per factorization (permuted matrix,
+//! where the constant covers what is per factorization (`Aᵀ` for LU,
 //! workspace, both areas) and the packing buffers the blocked kernels
-//! take for the few fronts with 128 pivots or more. Measured: 7 037
-//! allocations for the 6 971 fronts of the symmetric instance and 162 for
+//! take for the few fronts with 128 pivots or more. Measured: 7 031
+//! allocations for the 6 971 fronts of the symmetric instance and 156 for
 //! the 89 of the unsymmetric one (a few of them through the blocked LU);
-//! with a separate front buffer and the panels copied out, 14 018 and 345.
+//! 7 037 and 162 with a permuted copy of `A`, 14 018 and 345 with a
+//! separate front buffer and the panels copied out.
 //!
 //! The peak live heap above what was live before the call is held, on
 //! both instances, under what the layout accounts for ([`allowance`]):
-//! the factor area at its reserved capacity and the CB stack at its peak,
-//! the matrix copies the fronts are assembled from, the index bookkeeping
-//! and the blocked kernels' packing buffers. The slack under it is below
-//! one largest front, so a separate front buffer trips it. Measured: the
-//! symmetric instance peaks at 9.42 MB under 9.77 MB (largest front
-//! 1.69 MB; 11.10 MB with a front buffer held beside the area, 10.79 MB
-//! for the driver that kept one and copied the panels out), the
-//! unsymmetric one at 4.37 MB under 4.46 MB (largest front 1.28 MB).
+//! the factor area at its reserved capacity (LDLᵀ panels packed) and the
+//! CB stack at its peak, the one matrix copy (`Aᵀ`, LU only), the index
+//! bookkeeping and the blocked kernels' packing buffers. The slack under
+//! it is below one largest front, so a separate front buffer trips it,
+//! and below one copy of `A`, so a permuted copy trips it too. Measured:
+//! the symmetric instance peaks at 7.36 MB under 7.72 MB (largest front
+//! 1.69 MB, `A` 1.26 MB; 9.42 MB with the panels' zero upper triangles
+//! kept and `P·A·Pᵀ` held), the unsymmetric one at 4.01 MB under 4.10 MB
+//! (largest front 1.28 MB, `A` 0.36 MB; 4.37 MB with `P·A·Pᵀ` and its
+//! transpose held).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -126,11 +129,12 @@ fn measure(a: &CscMatrix, kind: OrderingKind) -> Measured {
 /// Bytes a factorization of `a` over `tree` may hold at its peak:
 ///
 /// * the factor area at its capacity — the most, over the postorder, of
-///   the words stored before a front plus its `f²` — and the CB stack at
-///   its peak, 8 B a word;
-/// * the matrix copies the fronts are assembled from (`P·A·Pᵀ` and, for
-///   LU, its transpose: a column pointer per column, a row index and a
-///   value per entry) and the front structures (an index per front
+///   the factor entries stored before a front (an LDLᵀ panel packed,
+///   `f·p − p(p−1)/2`) plus its `f²` — and the CB stack at its peak, 8 B
+///   a word;
+/// * the one matrix copy, `Aᵀ` for LU (a column pointer per column, a row
+///   index and a value per entry; LDLᵀ reads `A` through the ordering and
+///   copies nothing), and the front structures (an index per front
 ///   variable);
 /// * bookkeeping: three words per variable (the variable-to-row map, the
 ///   permutation kept) and nine per front (its place in the area, its
@@ -144,10 +148,10 @@ fn allowance(a: &CscMatrix, tree: &AssemblyTree, stack_peak: u64) -> usize {
         capacity = usize::max(capacity, stored + f * f);
         stored += match tree.sym {
             Symmetry::General => f * p + p * (f - p),
-            Symmetry::Symmetric => f * p,
+            Symmetry::Symmetric => f * p - p * (p - 1) / 2,
         };
     }
-    let copies = if tree.sym == Symmetry::General { 2 } else { 1 };
+    let copies = if tree.sym == Symmetry::General { 1 } else { 0 };
     let matrix = 8 * (a.ncols() + 1) + 16 * a.nnz();
     let structures: usize = tree.nodes.iter().map(|nd| 8 * nd.nfront).sum();
     let bookkeeping = 8 * (3 * tree.n + 9 * tree.len());

@@ -1,7 +1,9 @@
-//! Explicit per-front variable lists for the numeric factorization.
+//! Explicit per-front variable lists for the numeric factorization,
+//! built from the matrix as the caller holds it, read through the
+//! ordering (no permuted copy is made).
 
 use crate::tree::AssemblyTree;
-use mf_sparse::CscMatrix;
+use mf_sparse::{CscMatrix, Permutation};
 
 /// Row/column index lists of every front.
 ///
@@ -23,22 +25,25 @@ impl FrontStructures {
 
 /// Computes the explicit variable list of every front, bottom-up:
 /// `rows(v) = pivots(v) ∪ pattern(A + Aᵀ) of the pivot columns ∪
-/// CB(children)`, all under the analysis' permutation.
+/// CB(children)`, all under the analysis' permutation `perm`.
 ///
-/// `pa` is `P·A·Pᵀ` for the permutation the tree is expressed in. `pat` is
-/// its transpose for a `General` tree, whose pattern may be unsymmetric,
-/// and `None` for a `Symmetric` one (such a matrix stores both triangles,
-/// so `pa` alone holds the pattern). The rows of column `c` of
-/// `P(A + Aᵀ)Pᵀ` are the union of the rows of column `c` in the two, which
-/// the stamp below merges.
+/// `a` is the matrix as the caller holds it, read through `perm`: new
+/// column `c` is column `perm.old_of(c)` of `a`, whose row `i` is new row
+/// `perm.new_of(i)`. `at` is `aᵀ` for a `General` tree, whose pattern may
+/// be unsymmetric, and `None` for a `Symmetric` one (such a matrix stores
+/// both triangles, so `a` alone holds the pattern). The rows of column
+/// `c` of `P(A + Aᵀ)Pᵀ` are the union of the rows of that column in the
+/// two, which the stamp below merges; the tail of every list is sorted,
+/// so the order the entries are read in does not show.
 ///
 /// For a consistent symbolic analysis the computed length equals the
 /// tree's `nfront`; this is asserted in debug builds and relied on by the
 /// dense kernels.
 pub fn front_structures(
     tree: &AssemblyTree,
-    pa: &CscMatrix,
-    pat: Option<&CscMatrix>,
+    a: &CscMatrix,
+    at: Option<&CscMatrix>,
+    perm: &Permutation,
 ) -> FrontStructures {
     let n = tree.n;
     let mut rows: Vec<Vec<usize>> = vec![Vec::new(); tree.len()];
@@ -71,8 +76,9 @@ pub fn front_structures(
         }
         // Original-matrix entries below the pivot block (of the full chain).
         for c in nd.first_col..nd.first_col + span {
-            let transposed = pat.map_or(&[][..], |t| t.rows_in_col(c));
-            for &i in pa.rows_in_col(c).iter().chain(transposed) {
+            let oc = perm.old_of(c);
+            let transposed = at.map_or(&[][..], |t| t.rows_in_col(oc));
+            for i in a.rows_in_col(oc).iter().chain(transposed).map(|&i| perm.new_of(i)) {
                 if i >= nd.first_col + span && stamp[i] != v {
                     stamp[i] = v;
                     list.push(i);
@@ -113,11 +119,10 @@ mod tests {
     use crate::{AmalgamationOptions, SymbolicAnalysis};
     use mf_sparse::{Permutation, Symmetry};
 
-    /// The structures over `a` permuted as the numeric layer permutes it.
+    /// The structures over `a` read as the numeric layer reads it.
     fn structures(a: &CscMatrix, s: &SymbolicAnalysis) -> FrontStructures {
-        let pa = a.permute_symmetric(&s.perm);
-        let pat = (s.tree.sym == Symmetry::General).then(|| pa.transpose());
-        front_structures(&s.tree, &pa, pat.as_ref())
+        let at = (s.tree.sym == Symmetry::General).then(|| a.transpose());
+        front_structures(&s.tree, a, at.as_ref(), &s.perm)
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Front structures read from the numeric layer's `P·A·Pᵀ` (and its
-//! transpose, for an unsymmetric tree) are the ones built on the permuted
-//! `A + Aᵀ` the tree was analysed on.
+//! Front structures read as the numeric layer reads them — `A` (and its
+//! transpose, for an unsymmetric tree) through the ordering — are the ones
+//! built on the permuted `A + Aᵀ` the tree was analysed on.
 //!
 //! The reference is the construction as it ran when the analysis returned
 //! that pattern, kept here as a test-local twin: stamp the pivots, the
@@ -66,9 +66,8 @@ fn reference(tree: &AssemblyTree, pattern: &CscMatrix) -> Vec<Vec<usize>> {
 
 /// Asserts that the numeric layer's construction matches the reference.
 fn check(a: &CscMatrix, s: &SymbolicAnalysis, what: &str) {
-    let pa = a.permute_symmetric(&s.perm);
-    let pat = (s.tree.sym == Symmetry::General).then(|| pa.transpose());
-    let got = front_structures(&s.tree, &pa, pat.as_ref()).rows;
+    let at = (s.tree.sym == Symmetry::General).then(|| a.transpose());
+    let got = front_structures(&s.tree, a, at.as_ref(), &s.perm).rows;
     let want = reference(&s.tree, &symmetric_form(a).permute_symmetric(&s.perm));
     assert_eq!(got, want, "{what}");
     for (v, list) in got.iter().enumerate() {

@@ -280,14 +280,19 @@ proptest! {
         n in 3usize..50,
         edges in prop::collection::vec((0usize..50, 0usize..50), 0..100),
     ) {
-        // Built as the numeric layer builds them: on `P·A·Pᵀ`, plus its
-        // transpose for an unsymmetric tree (kind 1 stores couplings
-        // one-sided, so only the two together hold `A + Aᵀ`).
+        // Built as the numeric layer builds them: on `A` read through the
+        // ordering, plus its transpose for an unsymmetric tree (kind 1
+        // stores couplings one-sided, so only the two together hold
+        // `A + Aᵀ`).
         let a = shaped(kind, n, &edges);
         let s = analyze(&a, &Permutation::identity(n), &AmalgamationOptions::default());
-        let pa = a.permute_symmetric(&s.perm);
-        let pat = (s.tree.sym == Symmetry::General).then(|| pa.transpose());
-        let fs = multifrontal::symbolic::frontstruct::front_structures(&s.tree, &pa, pat.as_ref());
+        let at = (s.tree.sym == Symmetry::General).then(|| a.transpose());
+        let fs = multifrontal::symbolic::frontstruct::front_structures(
+            &s.tree,
+            &a,
+            at.as_ref(),
+            &s.perm,
+        );
         for v in 0..s.tree.len() {
             let nd = &s.tree.nodes[v];
             prop_assert_eq!(fs.rows[v].len(), nd.nfront);
